@@ -28,15 +28,6 @@ import (
 	"recdb/internal/wire"
 )
 
-// pipelineDepth bounds how many requests a Conn keeps in flight. The
-// server permits 16 but retires a request from its pipeline accounting
-// only after writing its response, so a client that refills the instant
-// an answer arrives can transiently look 17 deep to the server and draw
-// a spurious "busy". Its worker is single-threaded — at most one
-// answered request can be in that window — so one slot of headroom
-// makes the overrun impossible.
-const pipelineDepth = 15
-
 // cancelGrace bounds how long a cancelled call waits for the server's
 // terminal answer before giving up on the connection. A cancelled
 // request that is still queued behind others on the server is not
@@ -85,8 +76,8 @@ type Conn struct {
 	server    string
 	conn      net.Conn
 
-	// slots holds pipelineDepth tokens; acquiring one admits a request
-	// into the pipeline.
+	// slots holds wire.PipelineDepth tokens; acquiring one admits a
+	// request into the pipeline.
 	slots chan struct{}
 
 	// wmu serializes frame writes onto the connection.
@@ -141,11 +132,11 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 			sessionID: h.SessionID,
 			server:    h.Server,
 			conn:      nc,
-			slots:     make(chan struct{}, pipelineDepth),
+			slots:     make(chan struct{}, wire.PipelineDepth),
 			pending:   make(map[uint32]*call),
 			dead:      make(chan struct{}),
 		}
-		for i := 0; i < pipelineDepth; i++ {
+		for i := 0; i < wire.PipelineDepth; i++ {
 			c.slots <- struct{}{}
 		}
 		go c.readLoop()

@@ -11,16 +11,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"recdb/cmd/internal/daemon"
+	"recdb/internal/frontend"
 	"recdb/internal/shard"
 )
 
@@ -53,14 +51,16 @@ func run(addr, shards, userCol, userTables string, poolSize, retries int,
 	}
 
 	r, err := shard.New(shard.Options{
-		Shards:       backends,
-		UserCol:      userCol,
-		UserTables:   splitList(userTables),
-		PoolSize:     poolSize,
-		Retries:      retries,
-		MaxConns:     maxConns,
-		QueryTimeout: queryTimeout,
-		Logf:         func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+		Shards:     backends,
+		UserCol:    userCol,
+		UserTables: splitList(userTables),
+		PoolSize:   poolSize,
+		Retries:    retries,
+		Options: frontend.Options{
+			MaxConns:     maxConns,
+			QueryTimeout: queryTimeout,
+			Logf:         func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+		},
 	})
 	if err != nil {
 		return err
@@ -75,36 +75,8 @@ func run(addr, shards, userCol, userTables string, poolSize, retries int,
 		fmt.Printf("metrics on http://%s/metrics\n", bound)
 	}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", addr, err)
-	}
-	// Scripts (and the sharded bench harness) parse this line to learn
-	// the bound port when -addr ends in :0.
-	fmt.Printf("listening on %s\n", ln.Addr())
-	fmt.Printf("routing %d shards: %s\n", len(backends), strings.Join(backends, ", "))
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- r.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-stop:
-		fmt.Printf("%s: draining...\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := r.Shutdown(ctx); err != nil {
-			return err
-		}
-		if err := <-errc; err != nil {
-			return err
-		}
-		fmt.Println("drained")
-		return nil
-	}
+	return daemon.Run(addr, r, drainTimeout,
+		fmt.Sprintf("routing %d shards: %s", len(backends), strings.Join(backends, ", ")))
 }
 
 // splitList parses a comma-separated flag into its non-empty entries.

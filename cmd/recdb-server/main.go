@@ -10,17 +10,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"recdb"
+	"recdb/cmd/internal/daemon"
 	"recdb/internal/dataset"
 	"recdb/internal/persist"
 	"recdb/internal/server"
@@ -78,43 +75,7 @@ func run(addr, dir string, load bool, datasetName string, scale float64,
 		Logf:         func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	})
 
-	ln, err := listen(addr)
-	if err != nil {
-		return err
-	}
-	// Scripts (and the sharded bench harness) parse this line to learn
-	// the bound port when -addr ends in :0.
-	fmt.Printf("listening on %s\n", ln.Addr())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-stop:
-		fmt.Printf("%s: draining...\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return err
-		}
-		if err := <-errc; err != nil {
-			return err
-		}
-		fmt.Println("drained")
-		return nil
-	}
-}
-
-func listen(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("listen %s: %w", addr, err)
-	}
-	return ln, nil
+	return daemon.Run(addr, srv, drainTimeout)
 }
 
 func openDB(dir string, syncEvery int, syncInterval time.Duration) (*recdb.DB, error) {

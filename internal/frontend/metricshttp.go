@@ -1,4 +1,4 @@
-package server
+package frontend
 
 import (
 	"encoding/json"
@@ -6,25 +6,26 @@ import (
 	"net"
 	"net/http"
 
-	"recdb"
+	"recdb/internal/metrics"
 )
 
-// MetricsHandler serves db's metrics snapshot over HTTP:
+// MetricsHandler serves a metrics registry over HTTP, one fresh
+// snapshot per request:
 //
 //	/metrics       the registry as sorted "name value" text lines
 //	/metrics.json  expvar-style JSON: counters and gauges as numbers,
 //	/debug/vars    histograms as {count, sum, mean, p50, p99} objects
 //
-// Every request takes a fresh snapshot; the instruments themselves are
-// lock-free, so scraping never stalls query traffic.
-func MetricsHandler(db *recdb.DB) http.Handler {
+// The instruments themselves are lock-free, so scraping never stalls
+// query traffic.
+func MetricsHandler(snapshot func() metrics.Snapshot) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, db.Metrics().String())
+		fmt.Fprint(w, snapshot().String())
 	})
 	serveJSON := func(w http.ResponseWriter, r *http.Request) {
-		snap := db.Metrics()
+		snap := snapshot()
 		vars := make(map[string]any, len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
 		for _, c := range snap.Counters {
 			vars[c.Name] = c.Value
@@ -34,8 +35,8 @@ func MetricsHandler(db *recdb.DB) http.Handler {
 		}
 		for _, h := range snap.Histograms {
 			vars[h.Name] = map[string]any{
-				"count": h.Count, "sum": h.Sum, "mean": h.Mean,
-				"p50": h.P50, "p99": h.P99,
+				"count": h.Count, "sum": h.Sum, "mean": h.Mean(),
+				"p50": h.Quantile(0.50), "p99": h.Quantile(0.99),
 			}
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -51,12 +52,12 @@ func MetricsHandler(db *recdb.DB) http.Handler {
 // ServeMetrics starts the metrics HTTP listener on addr and returns the
 // bound address and a stop function. It serves in the background until
 // stopped; serve errors after stop are ignored.
-func ServeMetrics(db *recdb.DB, addr string) (string, func() error, error) {
+func ServeMetrics(snapshot func() metrics.Snapshot, addr string) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", nil, fmt.Errorf("server: metrics listen %s: %w", addr, err)
+		return "", nil, fmt.Errorf("metrics listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: MetricsHandler(db)}
+	srv := &http.Server{Handler: MetricsHandler(snapshot)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

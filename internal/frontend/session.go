@@ -1,4 +1,4 @@
-package server
+package frontend
 
 import (
 	"bufio"
@@ -11,16 +11,10 @@ import (
 	"sync"
 	"time"
 
-	"recdb"
 	"recdb/internal/metrics"
 	"recdb/internal/types"
 	"recdb/internal/wire"
 )
-
-// pipelineDepth bounds how many decoded requests may sit between the
-// reader and the worker; a client pipelining past it gets "busy" answers
-// instead of growing an unbounded queue.
-const pipelineDepth = 16
 
 // request is one decoded Query or Exec frame awaiting execution.
 type request struct {
@@ -34,34 +28,42 @@ type request struct {
 // and streams responses. mu guards the request-lifecycle state shared
 // between the two.
 type session struct {
-	srv  *Server
+	f    *Frontend
 	id   uint64
 	conn net.Conn
 	in   *countReader
 	out  *frameWriter
 	reqs chan request
-	// sess carries per-connection transaction state (BEGIN/COMMIT/
-	// ROLLBACK). Only the worker goroutine touches it while the
-	// connection lives; run closes it after the worker exits, rolling
-	// back any transaction a dropped client left open.
-	sess *recdb.Session
+	// be carries per-connection backend state (an open transaction).
+	// Only the worker goroutine touches it while the connection lives;
+	// run closes it after the worker exits, rolling back any transaction
+	// a dropped client left open.
+	be Session
 
-	mu        sync.Mutex
-	pending   int                // requests enqueued but not yet answered
-	curID     uint32             // id of the statement now executing
-	curCancel context.CancelFunc // interrupts it; nil between statements
-	draining  bool
+	mu sync.Mutex
+	// depth counts requests admitted but not yet executed to the end: it
+	// is what wire.PipelineDepth bounds. A request leaves it before the
+	// first byte of its answer is written, so a client that refills its
+	// pipeline the instant an answer arrives never finds that answer's
+	// slot still taken.
+	depth int
+	// unanswered counts requests admitted whose answer is not yet fully
+	// written; drain-close and idle reaping wait for it to reach zero.
+	unanswered int
+	curID      uint32             // id of the statement now executing
+	curCancel  context.CancelFunc // interrupts it; nil between statements
+	draining   bool
 }
 
-func newSession(srv *Server, id uint64, conn net.Conn) *session {
+func newSession(f *Frontend, id uint64, conn net.Conn) *session {
 	return &session{
-		srv:  srv,
+		f:    f,
 		id:   id,
 		conn: conn,
-		in:   &countReader{r: conn, c: srv.m.bytesIn},
-		out:  newFrameWriter(conn, srv.m.bytesOut, srv.opts.WriteTimeout),
-		reqs: make(chan request, pipelineDepth),
-		sess: srv.db.NewSession(),
+		in:   &countReader{r: conn, c: f.m.bytesIn},
+		out:  newFrameWriter(conn, f.m.bytesOut, f.opts.WriteTimeout),
+		reqs: make(chan request, wire.PipelineDepth),
+		be:   f.backend.Open(),
 	}
 }
 
@@ -70,12 +72,12 @@ func newSession(srv *Server, id uint64, conn net.Conn) *session {
 func (s *session) run() {
 	defer s.closeConn()
 	// A client that vanished mid-transaction must not leave its table
-	// locks and snapshot pins held: closing the statement session rolls
+	// locks and snapshot pins held: closing the backend session rolls
 	// the transaction back. Runs after the worker has exited, which is
-	// the only goroutine using sess.
-	defer func() { _ = s.sess.Close() }()
+	// the only goroutine using be.
+	defer func() { _ = s.be.Close() }()
 	if err := s.handshake(); err != nil {
-		s.srv.logf("session %d: %v", s.id, err)
+		s.f.logf("session %d: %v", s.id, err)
 		return
 	}
 	done := make(chan struct{})
@@ -93,7 +95,7 @@ func (s *session) run() {
 
 // handshake consumes the client's magic preamble and answers Hello.
 func (s *session) handshake() error {
-	_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.opts.IdleTimeout))
+	_ = s.conn.SetReadDeadline(time.Now().Add(s.f.opts.IdleTimeout))
 	var magic [len(wire.Magic)]byte
 	if _, err := io.ReadFull(s.in, magic[:]); err != nil {
 		return fmt.Errorf("reading magic: %w", err)
@@ -103,46 +105,45 @@ func (s *session) handshake() error {
 		return errors.New("bad protocol magic")
 	}
 	return s.out.write(wire.TypeHello,
-		wire.AppendHello(nil, wire.Hello{SessionID: s.id, Server: s.srv.opts.Name}), true)
+		wire.AppendHello(nil, wire.Hello{SessionID: s.id, Server: s.f.opts.Name}))
 }
 
 // reader decodes frames until the connection ends or breaks protocol.
-// The idle deadline only fires a disconnect when no request is pending
-// and no partial frame has arrived; while a statement runs, a quiet
-// client is expected and the deadline just re-arms.
+// The idle deadline only fires a disconnect when no request is
+// unanswered and no partial frame has arrived; while a statement runs, a
+// quiet client is expected and the deadline just re-arms.
 func (s *session) reader() {
 	buf := make([]byte, 512)
 	for {
-		_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.opts.IdleTimeout))
+		_ = s.conn.SetReadDeadline(time.Now().Add(s.f.opts.IdleTimeout))
 		before := s.in.n
 		t, payload, nbuf, err := wire.ReadFrame(s.in, buf)
 		buf = nbuf
 		if err != nil {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && s.in.n == before && s.hasPending() {
+			if errors.As(err, &ne) && ne.Timeout() && s.in.n == before && s.hasUnanswered() {
 				continue
 			}
 			var fe *wire.FrameError
 			if errors.As(err, &fe) {
-				_ = s.out.writeError(wire.ErrorMsg{Code: wire.CodeProtocol, Message: fe.Error()})
+				s.protocolFault(fe)
 			}
 			return
 		}
 		switch t {
-		case wire.TypePing:
+		case wire.TypePing, wire.TypeCancel:
 			id, err := wire.DecodeID(payload)
 			if err != nil {
 				s.protocolFault(err)
 				return
 			}
-			_ = s.out.write(wire.TypePong, wire.AppendID(nil, id), true)
-		case wire.TypeCancel:
-			id, err := wire.DecodeID(payload)
-			if err != nil {
-				s.protocolFault(err)
-				return
+			if t == wire.TypeCancel {
+				s.cancelRequest(id)
+				continue
 			}
-			s.cancelRequest(id)
+			// Liveness is the front end's own: a router answers for
+			// itself, its shards' health is the prober's job.
+			_ = s.out.write(wire.TypePong, wire.AppendID(nil, id))
 		case wire.TypeQuery, wire.TypeExec:
 			req, err := wire.DecodeRequest(payload)
 			if err != nil {
@@ -163,27 +164,32 @@ func (s *session) protocolFault(err error) {
 	_ = s.out.writeError(wire.ErrorMsg{Code: wire.CodeProtocol, Message: err.Error()})
 }
 
+func (s *session) refuseShutdown(id uint32) {
+	_ = s.out.writeError(wire.ErrorMsg{ID: id, Code: wire.CodeShutdown,
+		Message: s.f.noun + " is shutting down"})
+}
+
 // enqueue hands a request to the worker, or answers it directly when the
 // session is draining or the pipeline is full.
 func (s *session) enqueue(r request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		_ = s.out.writeError(wire.ErrorMsg{ID: r.req.ID, Code: wire.CodeShutdown,
-			Message: "server is shutting down"})
+		s.refuseShutdown(r.req.ID)
 		return
 	}
-	if s.pending >= pipelineDepth {
+	if s.depth >= wire.PipelineDepth {
 		s.mu.Unlock()
 		_ = s.out.writeError(wire.ErrorMsg{ID: r.req.ID, Code: wire.CodeBusy,
-			Message: fmt.Sprintf("pipeline limit of %d requests reached", pipelineDepth)})
+			Message: fmt.Sprintf("pipeline limit of %d requests reached", wire.PipelineDepth)})
 		return
 	}
-	s.pending++
+	s.depth++
+	s.unanswered++
 	s.mu.Unlock()
-	// Never blocks: pending (bounded above by pipelineDepth) counts every
-	// request between enqueue and its finishRequest, so channel occupancy
-	// is strictly below capacity here.
+	// Never blocks: a request stays in depth (bounded above by
+	// wire.PipelineDepth) at least until the worker has taken it off the
+	// channel, so channel occupancy is strictly below capacity here.
 	s.reqs <- r
 }
 
@@ -196,74 +202,87 @@ func (s *session) worker() {
 
 // serve executes one request and writes its response frames. A panic is
 // confined to this session: it answers an "internal" error and closes
-// the connection, leaving the server and other sessions running.
+// the connection, leaving the process and other sessions running.
 func (s *session) serve(r request) {
 	defer s.finishRequest()
 	defer func() {
 		if p := recover(); p != nil {
-			s.srv.m.panics.Inc()
-			s.srv.logf("session %d: panic serving %q: %v", s.id, r.req.SQL, p)
+			s.f.m.panics.Inc()
+			s.f.logf("session %d: panic serving %q: %v", s.id, r.req.SQL, p)
 			_ = s.out.writeError(wire.ErrorMsg{ID: r.req.ID, Code: wire.CodeInternal,
 				Message: fmt.Sprintf("internal error: %v", p)})
 			s.closeConn()
 		}
 	}()
-	if s.isDraining() {
-		_ = s.out.writeError(wire.ErrorMsg{ID: r.req.ID, Code: wire.CodeShutdown,
-			Message: "server is shutting down"})
+	ctx, cancel, ok := s.beginRequest(r.req)
+	if !ok {
+		s.refuseShutdown(r.req.ID)
 		return
 	}
-	ctx, cancel := s.beginRequest(r.req)
 	defer s.endRequest(cancel)
 
 	start := time.Now()
-	if hook := s.srv.testExecHook; hook != nil {
+	if hook := s.f.testExecHook; hook != nil {
 		hook(r.req.SQL)
 	}
-	switch r.kind {
-	case wire.TypeQuery:
-		rows, err := s.sess.QueryContext(ctx, r.req.SQL)
-		if err != nil {
-			s.writeFailure(r.req.ID, err)
-			return
-		}
-		if err := s.out.writeRows(r.req.ID, rows); err != nil {
-			return // connection-level failure; reader will notice too
-		}
-	case wire.TypeExec:
-		res, err := s.sess.ExecContext(ctx, r.req.SQL)
-		if err != nil {
-			s.writeFailure(r.req.ID, err)
-			return
-		}
-		if err := s.out.write(wire.TypeComplete,
-			wire.AppendComplete(nil, wire.Complete{ID: r.req.ID, Rows: res.RowsAffected}), true); err != nil {
-			return
-		}
+	var rows Rows
+	var affected int64
+	var err error
+	if r.kind == wire.TypeQuery {
+		rows, err = s.be.Query(ctx, r.req.SQL)
+	} else {
+		affected, err = s.be.Exec(ctx, r.req.SQL)
 	}
-	s.srv.m.queries.Inc()
-	s.srv.m.queryNs.ObserveSince(start)
+	s.retire()
+	switch {
+	case err != nil:
+		s.writeFailure(r.req.ID, err)
+		return
+	case r.kind == wire.TypeQuery:
+		err = s.out.writeRows(r.req.ID, rows)
+	default:
+		err = s.out.write(wire.TypeComplete,
+			wire.AppendComplete(nil, wire.Complete{ID: r.req.ID, Rows: affected}))
+	}
+	if err != nil {
+		return // connection-level failure; reader will notice too
+	}
+	s.f.m.queries.Inc()
+	s.f.m.queryNs.ObserveSince(start)
 }
 
 // beginRequest publishes the statement as cancellable and derives its
-// context: the server's QueryTimeout, tightened — never loosened — by
-// the request's own TimeoutMillis.
-func (s *session) beginRequest(r wire.Request) (context.Context, context.CancelFunc) {
-	timeout := s.srv.opts.QueryTimeout
+// context: the front end's QueryTimeout, tightened — never loosened — by
+// the request's own TimeoutMillis. ok is false when the session started
+// draining while the request sat queued: it is retired unexecuted.
+func (s *session) beginRequest(r wire.Request) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+	timeout := s.f.opts.QueryTimeout
 	if d := time.Duration(r.TimeoutMillis) * time.Millisecond; d > 0 && (timeout == 0 || d < timeout) {
 		timeout = d
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(context.Background(), timeout)
 	} else {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
 	s.mu.Lock()
+	if s.draining {
+		s.depth--
+		s.mu.Unlock()
+		cancel()
+		return nil, nil, false
+	}
 	s.curID, s.curCancel = r.ID, cancel
 	s.mu.Unlock()
-	return ctx, cancel
+	return ctx, cancel, true
+}
+
+// retire takes the statement that just finished executing out of the
+// pipeline bound, before any byte of its answer is written.
+func (s *session) retire() {
+	s.mu.Lock()
+	s.depth--
+	s.mu.Unlock()
 }
 
 func (s *session) endRequest(cancel context.CancelFunc) {
@@ -273,28 +292,32 @@ func (s *session) endRequest(cancel context.CancelFunc) {
 	cancel()
 }
 
-// finishRequest retires one pending request; during a drain, the last
-// answer closes the connection.
+// finishRequest marks one request's answer fully written; during a
+// drain, the last answer closes the connection.
 func (s *session) finishRequest() {
 	s.mu.Lock()
-	s.pending--
-	closeNow := s.draining && s.pending == 0
+	s.unanswered--
+	closeNow := s.draining && s.unanswered == 0
 	s.mu.Unlock()
 	if closeNow {
 		s.closeConn()
 	}
 }
 
-// writeFailure answers a failed statement with a typed error code.
+// writeFailure answers a failed statement with a typed error code: the
+// backend's own when the error carries one, otherwise by context cause.
 func (s *session) writeFailure(id uint32, err error) {
-	code := wire.CodeQuery
+	msg := wire.ErrorMsg{ID: id, Code: wire.CodeQuery, Message: err.Error()}
+	var be *Error
 	switch {
+	case errors.As(err, &be):
+		msg.Code, msg.Message = be.Code, be.Message
 	case errors.Is(err, context.DeadlineExceeded):
-		code = wire.CodeTimeout
+		msg.Code = wire.CodeTimeout
 	case errors.Is(err, context.Canceled):
-		code = wire.CodeCanceled
+		msg.Code = wire.CodeCanceled
 	}
-	_ = s.out.writeError(wire.ErrorMsg{ID: id, Code: code, Message: err.Error()})
+	_ = s.out.writeError(msg)
 }
 
 // cancelRequest interrupts the in-flight statement if it matches id.
@@ -318,29 +341,23 @@ func (s *session) cancelCurrent() {
 	}
 }
 
-// beginDrain stops the session admitting requests; if none is pending
-// the connection closes now, otherwise the worker closes it after the
-// last pending answer.
+// beginDrain stops the session admitting requests; if every answer is
+// written the connection closes now, otherwise the worker closes it
+// after the last one.
 func (s *session) beginDrain() {
 	s.mu.Lock()
 	s.draining = true
-	idle := s.pending == 0
+	idle := s.unanswered == 0
 	s.mu.Unlock()
 	if idle {
 		s.closeConn()
 	}
 }
 
-func (s *session) isDraining() bool {
+func (s *session) hasUnanswered() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining
-}
-
-func (s *session) hasPending() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pending > 0
+	return s.unanswered > 0
 }
 
 // closeConn is safe to call from any goroutine, repeatedly.
@@ -393,20 +410,18 @@ func newFrameWriter(conn net.Conn, c *metrics.Counter, timeout time.Duration) *f
 	}
 }
 
-func (w *frameWriter) write(t wire.Type, payload []byte, flush bool) error {
+// write sends one frame and flushes it.
+func (w *frameWriter) write(t wire.Type, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := wire.WriteFrame(w.bw, t, payload); err != nil {
 		return err
 	}
-	if flush {
-		return w.flushLocked()
-	}
-	return nil
+	return w.flushLocked()
 }
 
 func (w *frameWriter) writeError(e wire.ErrorMsg) error {
-	return w.write(wire.TypeError, wire.AppendError(nil, e), true)
+	return w.write(wire.TypeError, wire.AppendError(nil, e))
 }
 
 // rowBatchTarget is the encoded-tuple budget per RowBatch frame: small
@@ -418,10 +433,10 @@ const rowBatchTarget = 32 << 10
 // CommandComplete. Consecutive tuples coalesce into RowBatch frames of
 // about rowBatchTarget encoded bytes; a batch that ends up holding a
 // single tuple is sent as a plain DataRow, so low-fanout answers look
-// exactly as they did before batching existed. Rows are already
-// materialized, so holding the write lock here costs encoding time only,
-// never executor time.
-func (w *frameWriter) writeRows(id uint32, rows *recdb.Rows) error {
+// exactly as they did before batching existed. Both backends hand over
+// materialized rows, so holding the write lock here costs encoding time
+// only, never executor time.
+func (w *frameWriter) writeRows(id uint32, rows Rows) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	desc := wire.RowDesc{ID: id, Strategy: rows.Strategy(), Columns: rows.Columns()}

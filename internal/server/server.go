@@ -1,269 +1,53 @@
-// Package server is the network serving layer: it exposes an embedded
-// recdb.DB over TCP speaking the wire protocol (internal/wire), turning
-// the library into recdb-server.
-//
-// Each accepted connection becomes a session with a server-assigned id.
-// A session runs two goroutines: a reader that decodes frames (answering
-// Ping and Cancel immediately, even while a statement runs) and a worker
-// that executes Query/Exec requests one at a time in arrival order and
-// streams the response frames back. Per-query timeouts and client Cancel
-// frames travel as context cancellation into the executor's operator
-// tree, so an interrupted scan stops between rows instead of running to
-// completion for nobody.
-//
-// Backpressure is a hard connection limit: once MaxConns sessions are
-// live, further connections are answered with a typed "busy" Error frame
-// and closed, so an overload sheds load at accept time instead of
-// queueing unbounded work. Shutdown drains: the listener closes, live
-// statements run to completion, queued-but-unstarted requests are
-// answered "shutdown", and — when the database has a durable home — a
-// final checkpoint lands before Shutdown returns.
-//
-// A panic inside one session's statement is recovered, answered with an
-// "internal" Error frame, and closes only that session; the server and
-// its other sessions keep running.
+// Package server is recdb-server's network serving layer: it exposes an
+// embedded recdb.DB over TCP speaking the wire protocol. The protocol
+// side — accept loop, sessions, pipelining, timeouts, drain, metrics —
+// is the shared front end (internal/frontend); this package is its
+// engine backend: each connection runs its statements through its own
+// recdb.Session, so BEGIN/COMMIT/ROLLBACK span requests and a dropped
+// client's open transaction rolls back, and Shutdown lands a final
+// checkpoint after the drain when the database has a durable home.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"recdb"
+	"recdb/internal/frontend"
 	"recdb/internal/metrics"
-	"recdb/internal/wire"
 )
 
-// Options tunes a Server. The zero value serves with the defaults noted
-// on each field.
-type Options struct {
-	// MaxConns caps live sessions; further connections are rejected with
-	// a "busy" Error frame (0 = 64).
-	MaxConns int
-	// QueryTimeout bounds each statement's execution. A request's own
-	// TimeoutMillis tightens but never loosens it (0 = no server bound).
-	QueryTimeout time.Duration
-	// IdleTimeout closes a session with no request in flight and no
-	// bytes arriving (0 = 5 minutes).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush (0 = 30 seconds).
-	WriteTimeout time.Duration
-	// Name is the server string sent in the Hello frame (default "recdb").
-	Name string
-	// Logf receives connection-level diagnostics (nil = silent).
-	Logf func(format string, args ...any)
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxConns <= 0 {
-		o.MaxConns = 64
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	if o.Name == "" {
-		o.Name = "recdb"
-	}
-	return o
-}
-
-// serverMetrics is the serving layer's slice of the engine registry.
-type serverMetrics struct {
-	connsActive    *metrics.Gauge
-	sessionsOpened *metrics.Counter
-	sessionsClosed *metrics.Counter
-	queries        *metrics.Counter
-	queryNs        *metrics.Histogram
-	bytesIn        *metrics.Counter
-	bytesOut       *metrics.Counter
-	rejectedBusy   *metrics.Counter
-	panics         *metrics.Counter
-}
-
-func newServerMetrics(r *metrics.Registry) serverMetrics {
-	return serverMetrics{
-		connsActive:    r.Gauge("server.conns_active"),
-		sessionsOpened: r.Counter("server.sessions_opened"),
-		sessionsClosed: r.Counter("server.sessions_closed"),
-		queries:        r.Counter("server.queries"),
-		queryNs:        r.Histogram("server.query_ns"),
-		bytesIn:        r.Counter("server.bytes_in"),
-		bytesOut:       r.Counter("server.bytes_out"),
-		rejectedBusy:   r.Counter("server.rejected_busy"),
-		panics:         r.Counter("server.panics"),
-	}
-}
+// Options tunes a Server: the shared front-end options, unchanged.
+type Options = frontend.Options
 
 // Server serves one recdb.DB to network clients.
 type Server struct {
-	db   *recdb.DB
-	opts Options
-	m    serverMetrics
-
-	// testExecHook, when set before Serve, runs just before each
-	// statement executes — the panic-isolation tests use it to blow up a
-	// chosen statement without needing a crashing SQL input.
-	testExecHook func(sql string)
-
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[uint64]*session
-	nextSID  uint64
-	draining bool
-
-	wg sync.WaitGroup
+	*frontend.Frontend
+	db *recdb.DB
 }
 
 // New wraps db in a Server. The server records into db's own metrics
-// registry, so `\metrics` and the HTTP exporter see serving-layer
-// instruments next to engine ones.
+// registry (as server.*), so `\metrics` and the HTTP exporter see
+// serving-layer instruments next to engine ones.
 func New(db *recdb.DB, opts Options) *Server {
+	if opts.Name == "" {
+		opts.Name = "recdb"
+	}
 	return &Server{
+		Frontend: frontend.New(engine{db}, db.Engine().Metrics(), "server", "server", opts),
 		db:       db,
-		opts:     opts.withDefaults(),
-		m:        newServerMetrics(db.Engine().Metrics()),
-		sessions: make(map[uint64]*session),
 	}
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections on ln until it fails or Shutdown closes it.
-// It returns nil after a Shutdown, the accept error otherwise.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return errors.New("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		s.dispatch(conn)
-	}
-}
-
-// Addr returns the listening address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// dispatch admits conn as a session or rejects it with a typed error
-// frame when the server is at capacity or draining.
-func (s *Server) dispatch(conn net.Conn) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.rejectConn(conn, wire.CodeShutdown, "server is shutting down")
-		return
-	}
-	if len(s.sessions) >= s.opts.MaxConns {
-		s.mu.Unlock()
-		s.m.rejectedBusy.Inc()
-		s.rejectConn(conn, wire.CodeBusy,
-			fmt.Sprintf("server at its %d-connection limit", s.opts.MaxConns))
-		return
-	}
-	s.nextSID++
-	sess := newSession(s, s.nextSID, conn)
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-
-	s.m.connsActive.Add(1)
-	s.m.sessionsOpened.Inc()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		sess.run()
-		s.mu.Lock()
-		delete(s.sessions, sess.id)
-		s.mu.Unlock()
-		s.m.connsActive.Add(-1)
-		s.m.sessionsClosed.Inc()
-	}()
-}
-
-// rejectConn answers a connection the server will not admit, off the
-// accept loop so a slow or dead peer cannot stall other accepts.
-func (s *Server) rejectConn(conn net.Conn, code, msg string) {
-	go func() {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		_ = wire.WriteFrame(conn, wire.TypeError,
-			wire.AppendError(nil, wire.ErrorMsg{Code: code, Message: msg}))
-		_ = conn.Close()
-	}()
-}
-
-// Shutdown drains the server: stop accepting, let in-flight statements
-// finish, answer queued-but-unstarted requests with "shutdown", wait for
-// every session to end, then checkpoint the database if it has a durable
-// home. If ctx expires first, remaining connections are closed hard (the
-// checkpoint still runs) and ctx's error is returned.
+// Shutdown drains the front end (see frontend.Frontend.Shutdown), then
+// checkpoints the database if it has a durable home. The checkpoint
+// runs even when ctx cut the drain short.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	ln := s.ln
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
+	drainErr := s.Frontend.Shutdown(ctx)
+	if errors.Is(drainErr, frontend.ErrAlreadyShutDown) {
+		return drainErr
 	}
-	s.mu.Unlock()
-	if already {
-		return errors.New("server: already shut down")
-	}
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, sess := range live {
-		sess.beginDrain()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
-		for _, sess := range live {
-			sess.closeConn()
-		}
-		<-done
-	}
-
 	if info := s.db.Durability(); info.Attached {
 		if err := s.db.SaveTo(info.Dir); err != nil {
 			return fmt.Errorf("server: final checkpoint: %w", err)
@@ -272,8 +56,32 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
+// ServeMetrics starts the HTTP exporter for db's registry on addr and
+// returns the bound address and a stop function.
+func ServeMetrics(db *recdb.DB, addr string) (string, func() error, error) {
+	return frontend.ServeMetrics(func() metrics.Snapshot { return db.Engine().Metrics().Snapshot() }, addr)
 }
+
+// engine adapts recdb.DB to the front end's Backend.
+type engine struct{ db *recdb.DB }
+
+func (e engine) Open() frontend.Session { return session{e.db.NewSession()} }
+
+// session is one connection's statement session; closing it rolls back
+// a transaction the client left open.
+type session struct{ s *recdb.Session }
+
+func (c session) Query(ctx context.Context, sql string) (frontend.Rows, error) {
+	rows, err := c.s.QueryContext(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+func (c session) Exec(ctx context.Context, sql string) (int64, error) {
+	res, err := c.s.ExecContext(ctx, sql)
+	return res.RowsAffected, err
+}
+
+func (c session) Close() error { return c.s.Close() }

@@ -1,32 +1,24 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 
 	"recdb/internal/metrics"
 )
 
-// routerMetrics is the router's instrument set. The router owns its own
-// registry (it embeds no engine), exported over HTTP exactly like a
-// shard's engine registry so one scraper format covers the whole tier.
+// routerMetrics is the router's routing instrument set; the front-end
+// instruments (shard.conns_active … shard.panics) are registered by
+// internal/frontend beside it. The router owns its own registry (it
+// embeds no engine), exported over HTTP exactly like a shard's engine
+// registry so one scraper format covers the whole tier.
 type routerMetrics struct {
-	connsActive    *metrics.Gauge
-	sessionsOpened *metrics.Counter
-	sessionsClosed *metrics.Counter
-	queries        *metrics.Counter
-	queryNs        *metrics.Histogram
-	routedUser     *metrics.Counter // statements pinned to one shard by user key
-	fanouts        *metrics.Counter // broadcast writes/DDL (all shards)
-	scatters       *metrics.Counter // scatter-gather reads
-	splits         *metrics.Counter // multi-user INSERTs split across shards
-	denied         *metrics.Counter // statements the router refused to route
-	retries        *metrics.Counter // per-statement retry attempts
-	downErrors     *metrics.Counter // statements answered shard_down
-	rejectedBusy   *metrics.Counter
-	panics         *metrics.Counter
+	routedUser *metrics.Counter // statements pinned to one shard by user key
+	fanouts    *metrics.Counter // broadcast writes/DDL (all shards)
+	scatters   *metrics.Counter // scatter-gather reads
+	splits     *metrics.Counter // multi-user INSERTs split across shards
+	denied     *metrics.Counter // statements the router refused to route
+	retries    *metrics.Counter // per-statement retry attempts
+	downErrors *metrics.Counter // statements answered shard_down
 }
 
 // shardMetrics is one backend shard's slice of the registry.
@@ -41,20 +33,13 @@ type shardMetrics struct {
 
 func newRouterMetrics(r *metrics.Registry) routerMetrics {
 	return routerMetrics{
-		connsActive:    r.Gauge("shard.conns_active"),
-		sessionsOpened: r.Counter("shard.sessions_opened"),
-		sessionsClosed: r.Counter("shard.sessions_closed"),
-		queries:        r.Counter("shard.queries"),
-		queryNs:        r.Histogram("shard.query_ns"),
-		routedUser:     r.Counter("shard.routed_user"),
-		fanouts:        r.Counter("shard.fanout"),
-		scatters:       r.Counter("shard.scatter"),
-		splits:         r.Counter("shard.split_inserts"),
-		denied:         r.Counter("shard.denied"),
-		retries:        r.Counter("shard.retries"),
-		downErrors:     r.Counter("shard.down_errors"),
-		rejectedBusy:   r.Counter("shard.rejected_busy"),
-		panics:         r.Counter("shard.panics"),
+		routedUser: r.Counter("shard.routed_user"),
+		fanouts:    r.Counter("shard.fanout"),
+		scatters:   r.Counter("shard.scatter"),
+		splits:     r.Counter("shard.split_inserts"),
+		denied:     r.Counter("shard.denied"),
+		retries:    r.Counter("shard.retries"),
+		downErrors: r.Counter("shard.down_errors"),
 	}
 }
 
@@ -67,53 +52,4 @@ func newShardMetrics(r *metrics.Registry, i int) shardMetrics {
 		transitions: r.Counter(fmt.Sprintf("shard.%d.health_transitions", i)),
 		poolConns:   r.Gauge(fmt.Sprintf("shard.%d.pool_conns", i)),
 	}
-}
-
-// MetricsHandler serves the router's metrics snapshot over HTTP in the
-// same three shapes the engine's exporter uses (internal/server):
-//
-//	/metrics       sorted "name value" text lines
-//	/metrics.json  expvar-style JSON
-//	/debug/vars
-func (r *Router) MetricsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, r.Metrics().String())
-	})
-	serveJSON := func(w http.ResponseWriter, req *http.Request) {
-		snap := r.Metrics()
-		vars := make(map[string]any, len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
-		for _, c := range snap.Counters {
-			vars[c.Name] = c.Value
-		}
-		for _, g := range snap.Gauges {
-			vars[g.Name] = g.Value
-		}
-		for _, h := range snap.Histograms {
-			vars[h.Name] = map[string]any{
-				"count": h.Count, "sum": h.Sum, "mean": h.Mean(),
-				"p50": h.Quantile(0.50), "p99": h.Quantile(0.99),
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(vars)
-	}
-	mux.HandleFunc("/metrics.json", serveJSON)
-	mux.HandleFunc("/debug/vars", serveJSON)
-	return mux
-}
-
-// ServeMetrics starts the metrics HTTP listener on addr and returns the
-// bound address and a stop function.
-func (r *Router) ServeMetrics(addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("shard: metrics listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: r.MetricsHandler()}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

@@ -199,9 +199,11 @@ func (r *Router) do(ctx context.Context, shard int, kind wire.Type, sqlText stri
 		if attempt > 0 {
 			s.m.retries.Inc()
 			r.m.retries.Inc()
+			t := time.NewTimer(backoff)
 			select {
-			case <-time.After(backoff):
+			case <-t.C:
 			case <-ctx.Done():
+				t.Stop()
 				return wire.Complete{}, nil, ctx.Err()
 			}
 			backoff *= 2
@@ -234,10 +236,15 @@ func (r *Router) do(ctx context.Context, shard int, kind wire.Type, sqlText stri
 		var se *client.ServerError
 		if errors.As(err, &se) {
 			s.markUp()
-			return wire.Complete{}, nil, err
 		}
 		if ctx.Err() != nil {
+			// The statement's own context ended; a shard's "canceled" is
+			// only the echo of the interrupt that context sent it, so the
+			// context's verdict (timeout vs. canceled) is the answer.
 			return wire.Complete{}, nil, ctx.Err()
+		}
+		if se != nil {
+			return wire.Complete{}, nil, err
 		}
 		s.drop(c)
 		s.markDown()

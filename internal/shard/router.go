@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"recdb/client"
+	"recdb/internal/frontend"
 	"recdb/internal/metrics"
 	"recdb/internal/sql"
 	"recdb/internal/wire"
@@ -45,23 +45,11 @@ type Options struct {
 	// HealthInterval is the probe cadence per shard (default 1s); probing
 	// is how a downed shard comes back without live traffic risking it.
 	HealthInterval time.Duration
-	// MaxConns caps live client sessions on the front end; further
-	// connections are rejected with a "busy" Error frame (0 = 64).
-	MaxConns int
-	// QueryTimeout bounds each statement end to end, fan-out included. A
-	// request's own TimeoutMillis tightens but never loosens it (0 = no
-	// router bound).
-	QueryTimeout time.Duration
-	// IdleTimeout closes a front-end session with no request in flight
-	// and no bytes arriving (0 = 5 minutes).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush (0 = 30 seconds).
-	WriteTimeout time.Duration
-	// Name is the server string sent in the Hello frame (default
-	// "recdb-router").
-	Name string
-	// Logf receives connection-level diagnostics (nil = silent).
-	Logf func(format string, args ...any)
+	// Options are the client-facing front-end settings, the same set
+	// recdb-server takes (MaxConns, QueryTimeout — which here bounds a
+	// statement end to end, fan-out included — IdleTimeout, WriteTimeout,
+	// Name, default "recdb-router", and Logf).
+	frontend.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -81,15 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
-	}
-	if o.MaxConns <= 0 {
-		o.MaxConns = 64
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 	if o.Name == "" {
 		o.Name = "recdb-router"
@@ -111,9 +90,11 @@ type denyError struct{ reason string }
 func (e *denyError) Error() string { return e.reason }
 
 // Router is the sharded serving tier's front door: it speaks the wire
-// protocol to clients exactly as recdb-server does, and fans statements
-// out to backend shards over pooled, pipelined client connections.
+// protocol to clients through the same front end recdb-server uses
+// (internal/frontend), and as that front end's backend fans statements
+// out to the shards over pooled, pipelined client connections.
 type Router struct {
+	*frontend.Frontend
 	opts Options
 	ring *Ring
 	reg  *metrics.Registry
@@ -121,16 +102,11 @@ type Router struct {
 
 	states []*shardState
 
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[uint64]*rsession
-	nextSID  uint64
-	draining bool
-	schema   map[string]tableInfo
-	rrAny    int // round-robin cursor for RouteAny
+	mu     sync.Mutex
+	schema map[string]tableInfo
+	rrAny  int // round-robin cursor for RouteAny
 
 	stopProbe chan struct{}
-	wg        sync.WaitGroup // front-end sessions
 	probeWG   sync.WaitGroup
 }
 
@@ -148,10 +124,10 @@ func New(opts Options) (*Router, error) {
 		ring:      ring,
 		reg:       reg,
 		m:         newRouterMetrics(reg),
-		sessions:  make(map[uint64]*rsession),
 		schema:    make(map[string]tableInfo),
 		stopProbe: make(chan struct{}),
 	}
+	r.Frontend = frontend.New(r, reg, "shard", "router", opts.Options)
 	for i, addr := range opts.Shards {
 		r.states = append(r.states, newShardState(i, addr, opts.PoolSize, newShardMetrics(reg, i)))
 	}
@@ -195,139 +171,13 @@ func (r *Router) Healthy() []bool {
 	return out
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (r *Router) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("shard: listen %s: %w", addr, err)
-	}
-	return r.Serve(ln)
-}
-
-// Serve accepts client connections on ln until it fails or Shutdown
-// closes it. It returns nil after a Shutdown, the accept error
-// otherwise.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		_ = ln.Close()
-		return errors.New("shard: router already shut down")
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return fmt.Errorf("shard: accept: %w", err)
-		}
-		r.dispatch(conn)
-	}
-}
-
-// Addr returns the listening address ("" before Serve).
-func (r *Router) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
-
-// dispatch admits conn as a session or rejects it with a typed error
-// frame when the router is at capacity or draining.
-func (r *Router) dispatch(conn net.Conn) {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		r.rejectConn(conn, wire.CodeShutdown, "router is shutting down")
-		return
-	}
-	if len(r.sessions) >= r.opts.MaxConns {
-		r.mu.Unlock()
-		r.m.rejectedBusy.Inc()
-		r.rejectConn(conn, wire.CodeBusy,
-			fmt.Sprintf("router at its %d-connection limit", r.opts.MaxConns))
-		return
-	}
-	r.nextSID++
-	sess := newRSession(r, r.nextSID, conn)
-	r.sessions[sess.id] = sess
-	r.mu.Unlock()
-
-	r.m.connsActive.Add(1)
-	r.m.sessionsOpened.Inc()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		sess.run()
-		r.mu.Lock()
-		delete(r.sessions, sess.id)
-		r.mu.Unlock()
-		r.m.connsActive.Add(-1)
-		r.m.sessionsClosed.Inc()
-	}()
-}
-
-// rejectConn answers a connection the router will not admit, off the
-// accept loop so a slow or dead peer cannot stall other accepts.
-func (r *Router) rejectConn(conn net.Conn, code, msg string) {
-	go func() {
-		_ = conn.SetWriteDeadline(time.Now().Add(r.opts.WriteTimeout))
-		_ = wire.WriteFrame(conn, wire.TypeError,
-			wire.AppendError(nil, wire.ErrorMsg{Code: code, Message: msg}))
-		_ = conn.Close()
-	}()
-}
-
-// Shutdown drains the router: stop accepting, let in-flight statements
-// finish, answer queued-but-unstarted requests "shutdown", stop the
-// health prober, then close every shard pool. If ctx expires first,
-// remaining client connections are closed hard and ctx's error is
-// returned.
+// Shutdown drains the front end (see frontend.Frontend.Shutdown), then
+// stops the health prober and closes every shard pool.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	already := r.draining
-	r.draining = true
-	ln := r.ln
-	live := make([]*rsession, 0, len(r.sessions))
-	for _, sess := range r.sessions {
-		live = append(live, sess)
+	drainErr := r.Frontend.Shutdown(ctx)
+	if errors.Is(drainErr, frontend.ErrAlreadyShutDown) {
+		return drainErr
 	}
-	r.mu.Unlock()
-	if already {
-		return errors.New("shard: router already shut down")
-	}
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, sess := range live {
-		sess.beginDrain()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = fmt.Errorf("shard: drain interrupted: %w", ctx.Err())
-		for _, sess := range live {
-			sess.closeConn()
-		}
-		<-done
-	}
-
 	close(r.stopProbe)
 	r.probeWG.Wait()
 	for _, s := range r.states {
@@ -336,10 +186,70 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-func (r *Router) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
+// ServeMetrics starts the HTTP exporter for the router's registry on
+// addr and returns the bound address and a stop function.
+func (r *Router) ServeMetrics(addr string) (string, func() error, error) {
+	return frontend.ServeMetrics(r.Metrics, addr)
+}
+
+// Open implements frontend.Backend. A client session holds no router
+// state — transactions are denied, every statement routes on its own —
+// so every connection shares the Router itself.
+func (r *Router) Open() frontend.Session { return routed{r} }
+
+// routed is the Router as a frontend.Session.
+type routed struct{ r *Router }
+
+// Query routes a single row-returning statement.
+func (c routed) Query(ctx context.Context, text string) (frontend.Rows, error) {
+	script, err := sql.ParseScript(text)
+	if err != nil {
+		return nil, err
 	}
+	if len(script) != 1 {
+		return nil, fmt.Errorf("query must be a single statement, got %d", len(script))
+	}
+	res, err := c.r.execute(ctx, wire.TypeQuery, script[0].Text, script[0].Stmt)
+	if err != nil {
+		return nil, wireError(err)
+	}
+	return client.NewRows(res.cols, res.strategy, res.rows), nil
+}
+
+// Exec routes each statement of a script in turn, summing the counts.
+func (c routed) Exec(ctx context.Context, text string) (int64, error) {
+	script, err := sql.ParseScript(text)
+	if err != nil {
+		return 0, err
+	}
+	var affected int64
+	for _, st := range script {
+		res, err := c.r.execute(ctx, wire.TypeExec, st.Text, st.Stmt)
+		if err != nil {
+			return 0, wireError(err)
+		}
+		affected += res.affected
+	}
+	return affected, nil
+}
+
+func (routed) Close() error { return nil }
+
+// wireError gives a routing failure its wire code. A shard that stayed
+// unreachable answers "shard_down"; an error the shard itself produced
+// keeps the shard's own code and message, so busy/timeout/query verdicts
+// pass through the router unchanged. Everything else (a deny, a context
+// error) takes the front end's default mapping.
+func wireError(err error) error {
+	var sde *ShardDownError
+	var se *client.ServerError
+	switch {
+	case errors.As(err, &sde):
+		return &frontend.Error{Code: wire.CodeShardDown, Message: err.Error()}
+	case errors.As(err, &se):
+		return &frontend.Error{Code: se.Code, Message: se.Message}
+	}
+	return err
 }
 
 // routerCatalog adapts the router's learned schema to route
@@ -446,17 +356,13 @@ func (r *Router) execute(ctx context.Context, kind wire.Type, text string, stmt 
 		return r.fanExec(ctx, targets, text, rt.Sum)
 
 	case RouteScatter:
-		if kind != wire.TypeQuery {
-			// An Exec'd SELECT: run it like a query but report the count.
-			r.m.scatters.Inc()
-			res, err := r.fanQuery(ctx, r.allShards(), text, rt.Merge)
-			if err != nil {
-				return result{}, err
-			}
-			return result{affected: int64(len(res.rows))}, nil
-		}
 		r.m.scatters.Inc()
-		return r.fanQuery(ctx, r.allShards(), text, rt.Merge)
+		res, err := r.fanQuery(ctx, r.allShards(), text, rt.Merge)
+		if err == nil && kind != wire.TypeQuery {
+			// An Exec'd SELECT: run it like a query but report the count.
+			res = result{affected: int64(len(res.rows))}
+		}
+		return res, err
 
 	case RouteBroadcast:
 		r.m.fanouts.Inc()
@@ -494,12 +400,10 @@ func (r *Router) one(ctx context.Context, shard int, kind wire.Type, text string
 	return result{affected: complete.Rows}, nil
 }
 
-// fanQuery scatters a read to targets concurrently and merges the parts
-// (ordered when spec has keys). Any leg's failure fails the statement;
-// server-answered errors win over transport ones so the client sees the
-// most specific verdict.
-func (r *Router) fanQuery(ctx context.Context, targets []int, text string, spec *MergeSpec) (result, error) {
-	parts := make([]*client.Rows, len(targets))
+// fan runs leg once per target, concurrently, counting each as a
+// fan-out leg on its shard, and returns the error the statement answers
+// with (see pickError). i indexes targets, for legs that fill a slice.
+func (r *Router) fan(targets []int, leg func(i, shard int) error) error {
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, shard := range targets {
@@ -507,43 +411,42 @@ func (r *Router) fanQuery(ctx context.Context, targets []int, text string, spec 
 		wg.Add(1)
 		go func(i, shard int) {
 			defer wg.Done()
-			_, rows, err := r.do(ctx, shard, wire.TypeQuery, text)
-			parts[i], errs[i] = rows, err
+			errs[i] = leg(i, shard)
 		}(i, shard)
 	}
 	wg.Wait()
-	if err := pickError(errs); err != nil {
+	return pickError(errs)
+}
+
+// fanQuery scatters a read to targets and merges the parts (ordered
+// when spec has keys). Any leg's failure fails the statement.
+func (r *Router) fanQuery(ctx context.Context, targets []int, text string, spec *MergeSpec) (result, error) {
+	parts := make([]*client.Rows, len(targets))
+	err := r.fan(targets, func(i, shard int) (err error) {
+		_, parts[i], err = r.do(ctx, shard, wire.TypeQuery, text)
+		return err
+	})
+	if err != nil {
 		return result{}, err
 	}
 	return mergeParts(parts, spec), nil
 }
 
-// fanExec broadcasts a write to targets concurrently. sum adds the
-// shards' counts (disjoint partitions); otherwise the first shard's
-// count stands for the fleet (replicated copies all report the same).
+// fanExec broadcasts a write to targets. sum adds the shards' counts
+// (disjoint partitions); otherwise the first shard's count stands for
+// the fleet (replicated copies all report the same).
 func (r *Router) fanExec(ctx context.Context, targets []int, text string, sum bool) (result, error) {
 	counts := make([]int64, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, shard := range targets {
-		r.states[shard].m.fanout.Inc()
-		wg.Add(1)
-		go func(i, shard int) {
-			defer wg.Done()
-			complete, _, err := r.do(ctx, shard, wire.TypeExec, text)
-			counts[i], errs[i] = complete.Rows, err
-		}(i, shard)
-	}
-	wg.Wait()
-	if err := pickError(errs); err != nil {
+	err := r.fan(targets, func(i, shard int) error {
+		complete, _, err := r.do(ctx, shard, wire.TypeExec, text)
+		counts[i] = complete.Rows
+		return err
+	})
+	if err != nil {
 		return result{}, err
 	}
 	if sum {
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		return result{affected: total}, nil
+		return result{affected: total(counts)}, nil
 	}
 	return result{affected: counts[0]}, nil
 }
@@ -563,32 +466,28 @@ func (r *Router) splitInsert(ctx context.Context, plan *InsertPlan) (result, err
 	sort.Ints(targets)
 
 	counts := make([]int64, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, shard := range targets {
-		r.states[shard].m.fanout.Inc()
-		sub := renderInsert(plan.Stmt, groups[shard])
-		wg.Add(1)
-		go func(i, shard int, sub string) {
-			defer wg.Done()
-			complete, _, err := r.do(ctx, shard, wire.TypeExec, sub)
-			counts[i], errs[i] = complete.Rows, err
-		}(i, shard, sub)
-	}
-	wg.Wait()
-	if err := pickError(errs); err != nil {
+	err := r.fan(targets, func(i, shard int) error {
+		complete, _, err := r.do(ctx, shard, wire.TypeExec, renderInsert(plan.Stmt, groups[shard]))
+		counts[i] = complete.Rows
+		return err
+	})
+	if err != nil {
 		return result{}, err
 	}
-	var total int64
+	return result{affected: total(counts)}, nil
+}
+
+func total(counts []int64) (n int64) {
 	for _, c := range counts {
-		total += c
+		n += c
 	}
-	return result{affected: total}, nil
+	return n
 }
 
 // pickError selects the error a fan-out answers with: a server-answered
-// error first (the statement itself is at fault everywhere it ran),
-// then the first failure in target order.
+// error first (the statement itself is at fault everywhere it ran, and
+// the client sees the most specific verdict), then the first failure in
+// target order.
 func pickError(errs []error) error {
 	var first error
 	for _, err := range errs {

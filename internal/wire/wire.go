@@ -49,6 +49,14 @@ const Magic = "RDBP1\n"
 // to its records).
 const MaxFrameSize = 16 << 20
 
+// PipelineDepth bounds how many requests one connection may have
+// admitted but not yet executed. The server answers a request past it
+// "busy" instead of growing an unbounded queue, and takes a request out
+// of the count before writing the first byte of its answer — so a client
+// that keeps exactly PipelineDepth requests awaiting answers, refilling
+// the instant one arrives, never draws that "busy".
+const PipelineDepth = 16
+
 // frameHeaderSize is len + crc.
 const frameHeaderSize = 4 + 4
 

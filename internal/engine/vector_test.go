@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"recdb/internal/catalog"
 	"recdb/internal/rec"
 )
 
@@ -404,7 +405,35 @@ func TestVectorRecommendStrategyGates(t *testing.T) {
 // succeeding (the old store and its index stay readable until released),
 // and the reccache generation machinery must invalidate cleanly.
 func TestVectorRecommendModelSwapUnderLiveQueries(t *testing.T) {
+	hammerModelSwap(t, newVectorDB(t, 1), "VecRec", vecTopK, "VectorRecommend")
+}
+
+// TestFilterRecommendModelSwapUnderLiveQueries is the same hammer over
+// the neighbourhood path: single-user ItemCosCF top-10s stream clustered
+// runs of the model tables while Manager.Rebuild swaps in freshly
+// materialized ones. Every store that ever served must end with no
+// snapshot open — the run cursor releases on every exit path.
+func TestFilterRecommendModelSwapUnderLiveQueries(t *testing.T) {
 	e := newVectorDB(t, 1)
+	if _, err := e.Exec(`CREATE RECOMMENDER ItemRec ON ratings
+		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF`); err != nil {
+		t.Fatal(err)
+	}
+	stores := hammerModelSwap(t, e, "ItemRec", strings.Replace(vecTopK, "USING SVD", "USING ItemCosCF", 1), "FilterRecommend")
+	for g, s := range stores {
+		for _, tab := range []*catalog.Table{s.UserVector, s.ItemNeighborhood} {
+			if n := tab.Heap.OpenSnapshots(); n != 0 {
+				t.Errorf("model generation %d: %d snapshots left open on %s", g, n, tab.Name)
+			}
+		}
+	}
+}
+
+// hammerModelSwap runs top-10 queries from four goroutines across five
+// insert-and-rebuild cycles of the named recommender and returns every
+// model store that was current at some point.
+func hammerModelSwap(t *testing.T, e *Engine, recommender, queryFmt, strategy string) []*rec.ModelStore {
+	t.Helper()
 	const workers, queriesEach, rebuilds = 4, 40, 5
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*queriesEach)
@@ -419,25 +448,31 @@ func TestVectorRecommendModelSwapUnderLiveQueries(t *testing.T) {
 					return
 				default:
 				}
-				res, err := e.Query(fmt.Sprintf(vecTopK, 1+(w*queriesEach+i)%40))
+				res, err := e.Query(fmt.Sprintf(queryFmt, 1+(w*queriesEach+i)%40))
 				if err != nil {
 					errs <- err
 					return
 				}
-				if res.Explain.Strategy != "VectorRecommend" {
-					errs <- fmt.Errorf("strategy %q under swap", res.Explain.Strategy)
+				if res.Explain.Strategy != strategy || len(res.Rows) != 10 {
+					errs <- fmt.Errorf("strategy %q, %d rows under swap", res.Explain.Strategy, len(res.Rows))
 					return
 				}
 			}
 		}(w)
 	}
-	for r := 0; r < rebuilds; r++ {
-		if _, err := e.Exec(fmt.Sprintf("INSERT INTO ratings VALUES (%d, %d, 3)", 1+r, 200+r)); err != nil {
+	r, ok := e.Recommenders().Get(recommender)
+	if !ok {
+		t.Fatalf("no recommender %q", recommender)
+	}
+	stores := []*rec.ModelStore{r.Store()}
+	for g := 0; g < rebuilds; g++ {
+		if _, err := e.Exec(fmt.Sprintf("INSERT INTO ratings VALUES (%d, %d, 3)", 1+g, 200+g)); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Recommenders().Rebuild("VecRec"); err != nil {
+		if err := e.Recommenders().Rebuild(recommender); err != nil {
 			t.Fatal(err)
 		}
+		stores = append(stores, r.Store())
 	}
 	wg.Wait()
 	close(stop)
@@ -445,6 +480,7 @@ func TestVectorRecommendModelSwapUnderLiveQueries(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	return stores
 }
 
 // TestVectorRecommendCacheGenerationAcrossSwap: materializing a user's

@@ -49,11 +49,11 @@ type Recommend struct {
 	curNeighbors []rec.Neighbor // user-based: current user's similarity list
 	curFactors   []float64      // SVD: current user's factor vector
 
-	// Per-item state is memoized across the user loop: Algorithm 1
-	// re-reads the item-side table for every user, and with a warm buffer
-	// pool those repeat reads are cache hits; the memo models that without
-	// per-pair index-scan overhead. Single-user scans benefit too, since
-	// the restricted item list can still repeat lookups across operators.
+	// Per-item state is memoized across the user loop: Algorithm 1 needs
+	// the same item-side run for every user, so each is read from the
+	// model table once per scan and held decoded for the users that
+	// follow. A one-user item-based scan has nobody to share a list with
+	// and streams the run instead (see predict).
 	itemNeighborsMemo map[int64][]rec.Neighbor
 	itemRatersMemo    map[int64]map[int64]float64
 	itemFactorsMemo   map[int64][]float64
@@ -167,6 +167,9 @@ func (r *Recommend) Next() (types.Row, bool, error) {
 func (r *Recommend) predict(u, i int64) (float64, bool, error) {
 	switch {
 	case r.Store.Algo.ItemBased():
+		if len(r.users) == 1 {
+			return r.Store.PredictItemBased(i, r.curUserItems)
+		}
 		neighbors, cached := r.itemNeighborsMemo[i]
 		if !cached {
 			var err error
@@ -359,12 +362,7 @@ func (j *JoinRecommend) Next() (types.Row, bool, error) {
 func (j *JoinRecommend) predictFor(u, i int64, userItems map[int64]float64) (float64, bool, error) {
 	switch {
 	case j.Store.Algo.ItemBased():
-		neighbors, err := j.Store.ItemNeighbors(i)
-		if err != nil {
-			return 0, false, err
-		}
-		s, ok := rec.PredictWeighted(neighbors, userItems)
-		return s, ok, nil
+		return j.Store.PredictItemBased(i, userItems)
 	case j.Store.Algo.UserBased():
 		raters, err := j.Store.ItemRaters(i)
 		if err != nil {

@@ -305,7 +305,7 @@ func TestRecommendComposesWithSortLimit(t *testing.T) {
 	}
 }
 
-func compileExprForTest(t *testing.T, e string, schema *types.Schema) expr.Compiled {
+func compileExprForTest(t testing.TB, e string, schema *types.Schema) expr.Compiled {
 	t.Helper()
 	stmt, err := sql.Parse("SELECT " + e + " FROM t")
 	if err != nil {

@@ -1,6 +1,10 @@
 package rec
 
-import "testing"
+import (
+	"testing"
+
+	"recdb/internal/catalog"
+)
 
 func benchRatings(users, items int, density float64) []Rating {
 	rng := newDeterministicRand(99)
@@ -51,4 +55,29 @@ func BenchmarkPredictItemCF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Predict(users[i%len(users)], items[i%len(items)])
 	}
+}
+
+// BenchmarkItemNeighbors reads one similarity list per iteration from the
+// materialized itemneighborhood table (index seek + clustered-run walk).
+func BenchmarkItemNeighbors(b *testing.B) {
+	m, err := BuildNeighborhood(benchRatings(200, 400, 0.06), ItemCosCF, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := Materialize(catalog.New(nil, 0), "bench", m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := store.ItemIDs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		list, err := store.ItemNeighbors(items[i%len(items)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += len(list)
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }

@@ -374,17 +374,30 @@ func PredictWeighted(neighbors []Neighbor, known map[int64]float64) (float64, bo
 	if len(neighbors) == 0 || len(known) == 0 {
 		return 0, false
 	}
-	var num, den float64
+	var sum weightedSum
 	for _, n := range neighbors {
 		if r, ok := known[n.ID]; ok {
-			num += n.Sim * r
-			den += math.Abs(n.Sim)
+			sum.add(n.Sim, r)
 		}
 	}
-	if den == 0 {
+	return sum.score()
+}
+
+// weightedSum accumulates Equation 2 one matched neighbour at a time, so
+// a list held in memory and a run streamed from the model table add up in
+// the same order to the same bits.
+type weightedSum struct{ num, den float64 }
+
+func (w *weightedSum) add(sim, rating float64) {
+	w.num += sim * rating
+	w.den += math.Abs(sim)
+}
+
+func (w weightedSum) score() (float64, bool) {
+	if w.den == 0 {
 		return 0, false
 	}
-	return num / den, true
+	return w.num / w.den, true
 }
 
 // ---- Matrix factorization (SVD) ----

@@ -19,6 +19,13 @@ import (
 // RECOMMEND operator family reads these tables through the buffer pool, so
 // model access is page I/O like any other relational access path.
 //
+// Materialize is the only writer of these tables and inserts each one in
+// key order, every similarity list in (|sim| desc, id asc) order, so a
+// key's rows are one physically contiguous run already in list order. The
+// neighbourhood accessors depend on that: they seek a run's first row
+// through the index and read the rest from the heap (scanRun), and they
+// never sort. A rebuild materializes fresh tables; it does not edit these.
+//
 // Tables per algorithm (all prefixed "_rec_<name>_"):
 //
 //	all:      uservector        (uid, iid, ratingval)  sorted by uid, indexed on uid and iid
@@ -293,100 +300,109 @@ func (s *ModelStore) ItemIDs() []int64 { return s.itemIDs }
 // rating when the model was built).
 func (s *ModelStore) HasItem(i int64) bool { return s.itemSet[i] }
 
-// UserItems fetches user u's rated items (iid → rating) via the uservector
-// uid index.
-func (s *ModelStore) UserItems(u int64) (map[int64]float64, error) {
-	idx, ok := s.UserVector.IndexOn("uid")
-	if !ok {
-		return nil, fmt.Errorf("rec: uservector has no uid index")
-	}
-	out := make(map[int64]float64)
-	var scanErr error
-	idx.ScanIndex(types.NewInt(u), types.NewInt(u), func(rid storage.RID) bool {
-		row, err := s.UserVector.Heap.Get(rid)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		out[row[1].Int()] = row[2].Float()
-		return true
-	})
-	return out, scanErr
-}
-
-// ItemRaters fetches the users who rated item i (uid → rating) via the
-// itemvector iid index (user-based algorithms).
-func (s *ModelStore) ItemRaters(i int64) (map[int64]float64, error) {
-	if s.ItemVector == nil {
-		return nil, fmt.Errorf("rec: model has no itemvector table")
-	}
-	idx, ok := s.ItemVector.IndexOn("iid")
-	if !ok {
-		return nil, fmt.Errorf("rec: itemvector has no iid index")
-	}
-	out := make(map[int64]float64)
-	var scanErr error
-	idx.ScanIndex(types.NewInt(i), types.NewInt(i), func(rid storage.RID) bool {
-		row, err := s.ItemVector.Heap.Get(rid)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		out[row[1].Int()] = row[2].Float()
-		return true
-	})
-	return out, scanErr
-}
-
-// ItemNeighbors fetches item i's similarity list via the itemneighborhood
-// iid index, sorted by descending |sim|.
-func (s *ModelStore) ItemNeighbors(i int64) ([]Neighbor, error) {
-	return s.neighborsFrom(s.ItemNeighborhood, "iid", i)
-}
-
-// UserNeighbors fetches user u's similarity list via the userneighborhood
-// uid index, sorted by descending |sim|.
-func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
-	return s.neighborsFrom(s.UserNeighborhood, "uid", u)
-}
-
-func (s *ModelStore) neighborsFrom(t *catalog.Table, col string, id int64) ([]Neighbor, error) {
+// scanRun visits the rows of t whose key column (col, the table's first)
+// equals key, passing fn the two fields that follow it. It is the one read
+// path under every neighbourhood accessor: the index on col finds the
+// key's first RID, then a snapshot iterator walks the heap forward in
+// physical order — the key's rows are one contiguous run (see Materialize)
+// — until the key changes or fn returns false, pinning each page of the
+// run once and decoding fields straight from the tuple bytes.
+func scanRun(t *catalog.Table, col string, key int64, fn func(id int64, val float64) bool) error {
 	if t == nil {
-		return nil, fmt.Errorf("rec: model has no %s neighborhood table", col)
+		return fmt.Errorf("rec: model has no table keyed by %s", col)
 	}
 	idx, ok := t.IndexOn(col)
 	if !ok {
-		return nil, fmt.Errorf("rec: neighborhood table has no %s index", col)
+		return fmt.Errorf("rec: table %q has no %s index", t.Name, col)
 	}
-	var out []Neighbor
-	var scanErr error
-	idx.ScanIndex(types.NewInt(id), types.NewInt(id), func(rid storage.RID) bool {
-		row, err := t.Heap.Get(rid)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		out = append(out, Neighbor{ID: row[1].Int(), Sim: row[2].Float()})
-		return true
+	var first storage.RID
+	found := false
+	bound := types.NewInt(key)
+	t.ScanIndexRange(idx, bound, bound, func(rid storage.RID) bool {
+		first, found = rid, true
+		return false
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if !found {
+		return nil
 	}
-	sort.Slice(out, func(a, b int) bool {
-		sa, sb := abs(out[a].Sim), abs(out[b].Sim)
-		if sa != sb {
-			return sa > sb
+	it := t.Heap.Scan()
+	defer it.Close()
+	it.Seek(first)
+	for {
+		tuple, _, ok, err := it.NextTuple()
+		if err != nil || !ok {
+			return err
 		}
-		return out[a].ID < out[b].ID
-	})
-	return out, nil
+		r := types.ReadTuple(tuple)
+		k, id, val := r.Int(), r.Int(), r.Float()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("rec: table %q: %w", t.Name, err)
+		}
+		if k != key || !fn(id, val) {
+			return nil
+		}
+	}
 }
 
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
+// ratingsRun collects one key's run of a (key, id, ratingval) table.
+func ratingsRun(t *catalog.Table, col string, key int64) (map[int64]float64, error) {
+	out := make(map[int64]float64)
+	err := scanRun(t, col, key, func(id int64, rating float64) bool {
+		out[id] = rating
+		return true
+	})
+	return out, err
+}
+
+// UserItems fetches user u's rated items (iid → rating) from uservector.
+func (s *ModelStore) UserItems(u int64) (map[int64]float64, error) {
+	return ratingsRun(s.UserVector, "uid", u)
+}
+
+// ItemRaters fetches the users who rated item i (uid → rating) from
+// itemvector (user-based algorithms).
+func (s *ModelStore) ItemRaters(i int64) (map[int64]float64, error) {
+	return ratingsRun(s.ItemVector, "iid", i)
+}
+
+// ItemNeighbors fetches item i's similarity list from itemneighborhood,
+// in the order it was built: descending |sim|, then ascending id.
+func (s *ModelStore) ItemNeighbors(i int64) ([]Neighbor, error) {
+	return neighborsRun(s.ItemNeighborhood, "iid", i)
+}
+
+// UserNeighbors fetches user u's similarity list from userneighborhood,
+// in the order it was built: descending |sim|, then ascending id.
+func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
+	return neighborsRun(s.UserNeighborhood, "uid", u)
+}
+
+func neighborsRun(t *catalog.Table, col string, id int64) ([]Neighbor, error) {
+	var out []Neighbor
+	err := scanRun(t, col, id, func(n int64, sim float64) bool {
+		out = append(out, Neighbor{ID: n, Sim: sim})
+		return true
+	})
+	return out, err
+}
+
+// PredictItemBased evaluates Equation 2 for item i against a user's rated
+// items by streaming i's similarity run past them, in list order, so the
+// sum is bit-identical to PredictWeighted over ItemNeighbors(i) without
+// the list being built.
+func (s *ModelStore) PredictItemBased(i int64, userItems map[int64]float64) (float64, bool, error) {
+	var sum weightedSum
+	err := scanRun(s.ItemNeighborhood, "iid", i, func(n int64, sim float64) bool {
+		if r, ok := userItems[n]; ok {
+			sum.add(sim, r)
+		}
+		return true
+	})
+	if err != nil {
+		return 0, false, err
 	}
-	return f
+	score, ok := sum.score()
+	return score, ok, nil
 }
 
 // UserFactors fetches user u's latent factor vector (SVD).
@@ -482,29 +498,14 @@ func (s *ModelStore) ItemScoreOf(i int64) (float64, bool, error) {
 
 // Seen returns the rating user u gave item i, looked up in the uservector
 // table.
-func (s *ModelStore) Seen(u, i int64) (float64, bool, error) {
-	idx, ok := s.UserVector.IndexOn("uid")
-	if !ok {
-		return 0, false, fmt.Errorf("rec: uservector has no uid index")
-	}
-	var (
-		rating  float64
-		found   bool
-		scanErr error
-	)
-	idx.ScanIndex(types.NewInt(u), types.NewInt(u), func(rid storage.RID) bool {
-		row, err := s.UserVector.Heap.Get(rid)
-		if err != nil {
-			scanErr = err
-			return false
+func (s *ModelStore) Seen(u, i int64) (rating float64, found bool, err error) {
+	err = scanRun(s.UserVector, "uid", u, func(item int64, r float64) bool {
+		if item == i {
+			rating, found = r, true
 		}
-		if row[1].Int() == i {
-			rating, found = row[2].Float(), true
-			return false
-		}
-		return true
+		return !found
 	})
-	return rating, found, scanErr
+	return rating, found, err
 }
 
 // PredictForUser estimates RecScore(u, i) for a whole batch of items,
@@ -523,11 +524,9 @@ func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool, 
 			return nil, nil, err
 		}
 		for x, i := range items {
-			neighbors, err := s.ItemNeighbors(i)
-			if err != nil {
+			if scores[x], oks[x], err = s.PredictItemBased(i, userItems); err != nil {
 				return nil, nil, err
 			}
-			scores[x], oks[x] = PredictWeighted(neighbors, userItems)
 		}
 	case s.Algo.UserBased():
 		neighbors, err := s.UserNeighbors(u)
@@ -581,12 +580,7 @@ func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		neighbors, err := s.ItemNeighbors(i)
-		if err != nil {
-			return 0, false, err
-		}
-		score, ok := PredictWeighted(neighbors, userItems)
-		return score, ok, nil
+		return s.PredictItemBased(i, userItems)
 	case s.Algo.UserBased():
 		raters, err := s.ItemRaters(i)
 		if err != nil {

@@ -292,8 +292,36 @@ func (s *Snapshot) Scan() *Iterator {
 	return &Iterator{snap: s, page: 0, slot: -1}
 }
 
+// Seek repositions the iterator so that the next tuple returned is the
+// first live one at or after rid in physical order. Together with
+// NextTuple it reads a clustered run — rows inserted consecutively under
+// one key, found through an index on that key — pinning each page of the
+// run once instead of once per row.
+func (it *Iterator) Seek(rid RID) {
+	if it.page != rid.Page {
+		it.unpin()
+		it.page = rid.Page
+	}
+	it.slot = int(rid.Slot) - 1
+}
+
 // Next returns the next row and its RID. ok=false signals end of heap.
 func (it *Iterator) Next() (types.Row, RID, bool, error) {
+	tuple, rid, ok, err := it.NextTuple()
+	if err != nil || !ok {
+		return nil, RID{}, false, err
+	}
+	row, _, err := types.DecodeRow(tuple)
+	if err != nil {
+		return nil, RID{}, false, err
+	}
+	return row, rid, true, nil
+}
+
+// NextTuple returns the next live tuple undecoded, with its RID. The
+// bytes alias the snapshot's page and are valid only until the next call
+// on the iterator. ok=false signals end of heap.
+func (it *Iterator) NextTuple() ([]byte, RID, bool, error) {
 	if it.closed {
 		return nil, RID{}, false, fmt.Errorf("storage: Next on closed iterator")
 	}
@@ -312,15 +340,9 @@ func (it *Iterator) Next() (types.Row, RID, bool, error) {
 		p := AsPage(it.buf)
 		for it.slot+1 < p.NumSlots() {
 			it.slot++
-			tuple, ok := p.Get(SlotID(it.slot))
-			if !ok {
-				continue
+			if tuple, ok := p.Get(SlotID(it.slot)); ok {
+				return tuple, RID{Page: it.page, Slot: SlotID(it.slot)}, true, nil
 			}
-			row, _, err := types.DecodeRow(tuple)
-			if err != nil {
-				return nil, RID{}, false, err
-			}
-			return row, RID{Page: it.page, Slot: SlotID(it.slot)}, true, nil
 		}
 		it.unpin()
 		it.page++

@@ -271,3 +271,117 @@ func TestConcurrentSnapshotHammer(t *testing.T) {
 	default:
 	}
 }
+
+// TestIteratorSeekRunRead drives the clustered-run read: Seek to a RID,
+// then NextTuple forward. From any starting row — mid-page, last slot of a
+// page, a deleted slot — the walk returns exactly the live tuples from
+// there to the end in physical order, fetches each page it crosses once,
+// sees its snapshot rather than later writes, and holds no pin once it
+// runs off the end or is closed early.
+func TestIteratorSeekRunRead(t *testing.T) {
+	const n = 1500
+	h, rids := versionedHeap(t, n, 8)
+	if h.NumPages() < 4 {
+		t.Fatalf("fixture spans %d pages, want >= 4", h.NumPages())
+	}
+	dead := map[int]bool{0: true, 7: true, 700: true, n - 1: true}
+	for i := range dead {
+		if err := h.Delete(rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := func() int {
+		total := 0
+		for _, p := range h.pool.parts {
+			p.mu.Lock()
+			for _, f := range p.frames {
+				total += f.pins
+			}
+			p.mu.Unlock()
+		}
+		return total
+	}
+	stats := h.pool.stats
+
+	for _, start := range []int{0, 1, 7, 333, 700, n - 2, n - 1} {
+		it := h.Scan()
+		// Writes after the snapshot must not show up in the walk.
+		late, err := h.Insert(types.Row{types.NewInt(-1), types.NewText("late")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.Reset()
+		it.Seek(rids[start])
+		want := start
+		for {
+			tuple, rid, ok, err := it.NextTuple()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for dead[want] {
+				want++
+			}
+			if want >= n || rid != rids[want] {
+				t.Fatalf("from %d: got rid %v, want row %d", start, rid, want)
+			}
+			r := types.ReadTuple(tuple)
+			if got := r.Int(); got != int64(want) || r.Err() != nil {
+				t.Fatalf("from %d: tuple at %v decodes to %d (%v), want %d", start, rid, got, r.Err(), want)
+			}
+			want++
+		}
+		for want < n && dead[want] {
+			want++
+		}
+		if want != n {
+			t.Fatalf("from %d: walk stopped at row %d of %d", start, want, n)
+		}
+		reads, _, _ := stats.Snapshot()
+		if span := int64(rids[n-1].Page-rids[start].Page) + 1; reads != span {
+			t.Fatalf("from %d: %d page fetches for a %d-page walk", start, reads, span)
+		}
+		if p := pinned(); p != 0 {
+			t.Fatalf("from %d: %d pins held after the walk ran off the end", start, p)
+		}
+		it.Close()
+		if err := h.Delete(late); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Early exit: Close mid-page releases the pin and the snapshot.
+	it := h.Scan()
+	it.Seek(rids[333])
+	if _, _, ok, err := it.NextTuple(); !ok || err != nil {
+		t.Fatalf("NextTuple after Seek: %v %v", ok, err)
+	}
+	if p := pinned(); p != 1 {
+		t.Fatalf("%d pins held mid-walk, want 1", p)
+	}
+	// Seeking within the pinned page keeps it; seeking away releases it.
+	it.Seek(rids[334])
+	if p := pinned(); p != 1 {
+		t.Fatalf("%d pins after same-page Seek, want 1", p)
+	}
+	it.Seek(rids[n-2])
+	if p := pinned(); p != 0 {
+		t.Fatalf("%d pins after Seek to another page, want 0", p)
+	}
+	if _, rid, ok, _ := it.NextTuple(); !ok || rid != rids[n-2] {
+		t.Fatalf("re-Seek landed on %v %v", rid, ok)
+	}
+	it.Close()
+	if p, s := pinned(), h.OpenSnapshots(); p != 0 || s != 0 {
+		t.Fatalf("after Close: %d pins, %d snapshots", p, s)
+	}
+	// A Seek past the snapshot's last page is simply the end.
+	it = h.Scan()
+	defer it.Close()
+	it.Seek(RID{Page: PageID(h.NumPages() + 3)})
+	if _, _, ok, err := it.NextTuple(); ok || err != nil {
+		t.Fatalf("Seek past end: ok=%v err=%v", ok, err)
+	}
+}

@@ -53,6 +53,69 @@ func EncodeRow(dst []byte, row Row) []byte {
 	return dst
 }
 
+// TupleReader decodes the leading scalar fields of one encoded row in
+// place, front to back, without building a Row: a clustered-run read of a
+// model table needs two or three numbers from each tuple and must not
+// allocate per tuple. The first failure is sticky and later calls return
+// zero, so a caller checks Err once per tuple.
+type TupleReader struct {
+	buf  []byte
+	off  int
+	left uint64 // fields not yet consumed; zeroed by a failure
+	err  error
+}
+
+// ReadTuple starts reading the row encoded at the front of buf.
+func ReadTuple(buf []byte) TupleReader {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return TupleReader{err: fmt.Errorf("types: truncated row header")}
+	}
+	return TupleReader{buf: buf, off: sz, left: n}
+}
+
+// Err returns the first decoding failure, if any.
+func (r *TupleReader) Err() error { return r.err }
+
+// Int consumes the next field, which must be a BIGINT.
+func (r *TupleReader) Int() int64 {
+	if r.left > 0 && r.off < len(r.buf) && Kind(r.buf[r.off]) == KindInt {
+		if v, sz := binary.Varint(r.buf[r.off+1:]); sz > 0 {
+			r.off += 1 + sz
+			r.left--
+			return v
+		}
+	}
+	r.fail(KindInt)
+	return 0
+}
+
+// Float consumes the next field, which must be a DOUBLE.
+func (r *TupleReader) Float() float64 {
+	if r.left > 0 && r.off+9 <= len(r.buf) && Kind(r.buf[r.off]) == KindFloat {
+		bits := binary.BigEndian.Uint64(r.buf[r.off+1:])
+		r.off += 9
+		r.left--
+		return math.Float64frombits(bits)
+	}
+	r.fail(KindFloat)
+	return 0
+}
+
+// fail records why the next field could not be read as want.
+func (r *TupleReader) fail(want Kind) {
+	switch {
+	case r.err != nil:
+	case r.left == 0 || r.off >= len(r.buf):
+		r.err = fmt.Errorf("types: row has no %s field at byte %d", want, r.off)
+	case Kind(r.buf[r.off]) != want:
+		r.err = fmt.Errorf("types: field at byte %d is %s, not %s", r.off, Kind(r.buf[r.off]), want)
+	default:
+		r.err = fmt.Errorf("types: truncated %s at byte %d", want, r.off)
+	}
+	r.left = 0
+}
+
 // DecodeRow decodes one row from buf. It returns the row and the number of
 // bytes consumed.
 func DecodeRow(buf []byte) (Row, int, error) {

@@ -185,6 +185,63 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestTupleReaderAgreesWithDecodeRow: the in-place field reader and the
+// Row decoder are two readers of one format, so on every (int, int, float)
+// tuple they must return the same values, and on every truncation of one
+// the reader must fail (and stay failed) rather than return garbage.
+func TestTupleReaderAgreesWithDecodeRow(t *testing.T) {
+	f := func(a, b int64, fl float64) bool {
+		buf := EncodeRow(nil, Row{NewInt(a), NewInt(b), NewFloat(fl), NewText("tail")})
+		row, _, err := DecodeRow(buf)
+		if err != nil {
+			return false
+		}
+		r := ReadTuple(buf)
+		ga, gb, gf := r.Int(), r.Int(), r.Float()
+		if r.Err() != nil || ga != row[0].Int() || gb != row[1].Int() ||
+			math.Float64bits(gf) != math.Float64bits(row[2].Float()) {
+			return false
+		}
+		short := EncodeRow(nil, Row{NewInt(a), NewInt(b), NewFloat(fl)})
+		for cut := 0; cut < len(short); cut++ {
+			r := ReadTuple(short[:cut])
+			r.Int()
+			r.Int()
+			r.Float()
+			if r.Err() == nil || r.Int() != 0 || r.Float() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTupleReaderRejectsWrongShape(t *testing.T) {
+	for name, tc := range map[string]struct {
+		row  Row
+		read func(r *TupleReader)
+	}{
+		"float read as int":    {Row{NewFloat(1)}, func(r *TupleReader) { r.Int() }},
+		"int read as float":    {Row{NewInt(1)}, func(r *TupleReader) { r.Float() }},
+		"null read as int":     {Row{Null()}, func(r *TupleReader) { r.Int() }},
+		"read past last field": {Row{NewInt(1)}, func(r *TupleReader) { r.Int(); r.Int() }},
+		"read of empty row":    {Row{}, func(r *TupleReader) { r.Float() }},
+	} {
+		r := ReadTuple(EncodeRow(nil, tc.row))
+		tc.read(&r)
+		first := r.Err()
+		if first == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if r.Int(); r.Err() != first {
+			t.Errorf("%s: error not sticky: %v then %v", name, first, r.Err())
+		}
+	}
+}
+
 func TestSchemaResolve(t *testing.T) {
 	s := NewSchema(
 		Column{Qualifier: "r", Name: "uid", Kind: KindInt},

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"recdb/internal/exec"
 )
 
 // newVectorDB seeds a database whose item universe is large enough that
@@ -130,7 +132,7 @@ func TestVectorIndexCorruptionFallsBackToExactScan(t *testing.T) {
 	// The exact baseline from an uncorrupted twin with the vector path
 	// disabled by hand.
 	base := newVectorDB(t)
-	base.eng.Planner().DisableVectorRecommend = true
+	base.eng.Planner().Source = exec.SourceScan
 	want := topK(t, base, vecQuery)
 	if len(want) != 10 {
 		t.Fatalf("baseline expected 10 rows, got %d", len(want))

@@ -16,6 +16,7 @@ import (
 
 	"recdb/internal/bench"
 	"recdb/internal/dataset"
+	"recdb/internal/exec"
 )
 
 func benchScale() float64 {
@@ -164,19 +165,20 @@ func BenchmarkFig12_TopK_Yelp(b *testing.B) { benchTopK(b, scaled(dataset.Yelp))
 
 // ---- Ablations (DESIGN.md §4) ----
 
-func BenchmarkAblation_FilterPushdown(b *testing.B) {
-	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"}, 0)
-	items := env.SelectivityItems(0.001)
-	for _, on := range []bool{true, false} {
+// benchForcedScan runs query under the candidate source the policy picks
+// ("on") and with the scan source forced ("off": nothing but the uid
+// predicate is pushed into the operator).
+func benchForcedScan(b *testing.B, env *bench.Env, name string, query func() error) {
+	for _, src := range []exec.Source{exec.SourceAuto, exec.SourceScan} {
 		label := "on"
-		if !on {
+		if src == exec.SourceScan {
 			label = "off"
 		}
-		b.Run("pushdown="+label, func(b *testing.B) {
-			env.Eng.Planner().DisableFilterPushdown = !on
-			defer func() { env.Eng.Planner().DisableFilterPushdown = false }()
+		b.Run(name+"="+label, func(b *testing.B) {
+			env.Eng.Planner().Source = src
+			defer func() { env.Eng.Planner().Source = exec.SourceAuto }()
 			for i := 0; i < b.N; i++ {
-				if _, err := env.RecDBSelectivity("ItemCosCF", items); err != nil {
+				if err := query(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -184,23 +186,21 @@ func BenchmarkAblation_FilterPushdown(b *testing.B) {
 	}
 }
 
+func BenchmarkAblation_FilterPushdown(b *testing.B) {
+	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"}, 0)
+	items := env.SelectivityItems(0.001)
+	benchForcedScan(b, env, "pushdown", func() error {
+		_, err := env.RecDBSelectivity("ItemCosCF", items)
+		return err
+	})
+}
+
 func BenchmarkAblation_JoinRecommend(b *testing.B) {
 	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"}, 0)
-	for _, on := range []bool{true, false} {
-		label := "on"
-		if !on {
-			label = "off"
-		}
-		b.Run("joinrecommend="+label, func(b *testing.B) {
-			env.Eng.Planner().DisableJoinRecommend = !on
-			defer func() { env.Eng.Planner().DisableJoinRecommend = false }()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.RecDBJoin("ItemCosCF", false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchForcedScan(b, env, "joinrecommend", func() error {
+		_, err := env.RecDBJoin("ItemCosCF", false)
+		return err
+	})
 }
 
 func BenchmarkAblation_RecScoreIndex(b *testing.B) {
@@ -208,21 +208,10 @@ func BenchmarkAblation_RecScoreIndex(b *testing.B) {
 	if err := env.MaterializeQueryUser([]string{"ItemCosCF"}); err != nil {
 		b.Fatal(err)
 	}
-	for _, on := range []bool{true, false} {
-		label := "on"
-		if !on {
-			label = "off"
-		}
-		b.Run("recscoreindex="+label, func(b *testing.B) {
-			env.Eng.Planner().DisableIndexRecommend = !on
-			defer func() { env.Eng.Planner().DisableIndexRecommend = false }()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := env.RecDBTopK("ItemCosCF", 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchForcedScan(b, env, "recscoreindex", func() error {
+		_, _, err := env.RecDBTopK("ItemCosCF", 10)
+		return err
+	})
 }
 
 func BenchmarkAblation_NeighborhoodSize(b *testing.B) {

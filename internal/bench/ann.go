@@ -6,6 +6,7 @@ import (
 
 	"recdb/internal/dataset"
 	"recdb/internal/engine"
+	"recdb/internal/exec"
 	"recdb/internal/rec"
 )
 
@@ -64,7 +65,7 @@ func runANNScale(t *Table, spec dataset.Spec, k int) error {
 	}
 
 	// Exact ground truth per user, and the exact-scan throughput baseline.
-	eng.Planner().DisableVectorRecommend = true
+	eng.Planner().Source = exec.SourceScan
 	truth := make(map[int64]map[int64]bool, len(users))
 	for _, u := range users {
 		res, err := query(u)
@@ -81,7 +82,7 @@ func runANNScale(t *Table, spec dataset.Spec, k int) error {
 	if err != nil {
 		return err
 	}
-	eng.Planner().DisableVectorRecommend = false
+	eng.Planner().Source = exec.SourceAuto
 
 	// Centroid count, read off the live plan.
 	probe, err := query(users[0])

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"recdb/internal/dataset"
+	"recdb/internal/exec"
 	"recdb/internal/metrics"
 )
 
@@ -200,13 +201,15 @@ func speedup(rec, top time.Duration) string {
 
 // ---- Ablations (DESIGN.md §4) ----
 
-// RunAblationFilterPushdown measures the selectivity query with and
-// without uid/iid pushdown into the RECOMMEND operator.
+// RunAblationFilterPushdown measures the selectivity query with the iid
+// list pushed into the RECOMMEND operator (list source, the policy's
+// choice) and with the scan source forced, which scores every item for the
+// user and filters above the operator.
 func RunAblationFilterPushdown(spec dataset.Spec, neighborhood int) (Table, error) {
 	t := Table{
 		ID:     "Ablation A1",
-		Title:  fmt.Sprintf("FilterRecommend pushdown vs Recommend+Filter (%s)", spec.Name),
-		Header: []string{"Selectivity", "pushdown on", "pushdown off", "speedup"},
+		Title:  fmt.Sprintf("FilterRecommend list source vs forced scan source + Filter (%s)", spec.Name),
+		Header: []string{"Selectivity", "list source", "scan forced", "speedup"},
 	}
 	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
 	if err != nil {
@@ -221,12 +224,12 @@ func RunAblationFilterPushdown(spec dataset.Spec, neighborhood int) (Table, erro
 		if err != nil {
 			return t, err
 		}
-		env.Eng.Planner().DisableFilterPushdown = true
-		off, err := Time(func() error {
+		env.Eng.Planner().Source = exec.SourceScan
+		off, err := TimeN(Reps, func() error {
 			_, err := env.RecDBSelectivity("ItemCosCF", items)
 			return err
 		})
-		env.Eng.Planner().DisableFilterPushdown = false
+		env.Eng.Planner().Source = exec.SourceAuto
 		if err != nil {
 			return t, err
 		}
@@ -237,13 +240,14 @@ func RunAblationFilterPushdown(spec dataset.Spec, neighborhood int) (Table, erro
 	return t, nil
 }
 
-// RunAblationJoinRecommend measures the join query with JOINRECOMMEND vs
-// the FilterRecommend+HashJoin fallback.
+// RunAblationJoinRecommend measures the join query with the operator
+// driving the join (outer source, the policy's choice) vs the scan source
+// forced, which leaves a HashJoin above the operator.
 func RunAblationJoinRecommend(spec dataset.Spec, neighborhood int) (Table, error) {
 	t := Table{
 		ID:     "Ablation A2",
-		Title:  fmt.Sprintf("JoinRecommend vs Recommend+HashJoin (%s)", spec.Name),
-		Header: []string{"Join", "JoinRecommend", "fallback", "speedup"},
+		Title:  fmt.Sprintf("JoinRecommend outer source vs forced scan source + HashJoin (%s)", spec.Name),
+		Header: []string{"Join", "outer source", "scan forced", "speedup"},
 	}
 	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
 	if err != nil {
@@ -261,12 +265,12 @@ func RunAblationJoinRecommend(spec dataset.Spec, neighborhood int) (Table, error
 		if err != nil {
 			return t, err
 		}
-		env.Eng.Planner().DisableJoinRecommend = true
+		env.Eng.Planner().Source = exec.SourceScan
 		off, err := TimeN(Reps, func() error {
 			_, err := env.RecDBJoin("ItemCosCF", twoWay)
 			return err
 		})
-		env.Eng.Planner().DisableJoinRecommend = false
+		env.Eng.Planner().Source = exec.SourceAuto
 		if err != nil {
 			return t, err
 		}
@@ -275,13 +279,14 @@ func RunAblationJoinRecommend(spec dataset.Spec, neighborhood int) (Table, error
 	return t, nil
 }
 
-// RunAblationRecScoreIndex measures top-k with the RecScoreIndex
-// (INDEXRECOMMEND) vs online prediction + sort.
+// RunAblationRecScoreIndex measures top-k from the RecScoreIndex (rectree
+// source, the policy's choice for a materialized user) vs the scan source
+// forced, which predicts online and keeps the k best.
 func RunAblationRecScoreIndex(spec dataset.Spec, neighborhood int) (Table, error) {
 	t := Table{
 		ID:     "Ablation A3",
-		Title:  fmt.Sprintf("IndexRecommend vs online prediction+sort (%s)", spec.Name),
-		Header: []string{"K", "indexed", "online", "speedup"},
+		Title:  fmt.Sprintf("IndexRecommend rectree source vs forced scan source (%s)", spec.Name),
+		Header: []string{"K", "rectree source", "scan forced", "speedup"},
 	}
 	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
 	if err != nil {
@@ -298,12 +303,12 @@ func RunAblationRecScoreIndex(spec dataset.Spec, neighborhood int) (Table, error
 		if err != nil {
 			return t, err
 		}
-		env.Eng.Planner().DisableIndexRecommend = true
+		env.Eng.Planner().Source = exec.SourceScan
 		off, err := TimeN(Reps, func() error {
 			_, _, err := env.RecDBTopK("ItemCosCF", k)
 			return err
 		})
-		env.Eng.Planner().DisableIndexRecommend = false
+		env.Eng.Planner().Source = exec.SourceAuto
 		if err != nil {
 			return t, err
 		}
@@ -439,16 +444,16 @@ func RunPageIO(spec dataset.Spec, neighborhood int) (Table, error) {
 		return nil
 	}
 
-	planner := env.Eng.Planner()
-	// Full Recommend (pushdown off): touches every user's vector and every
-	// item's neighborhood.
-	if err := measure("Recommend (no pushdown)",
-		func() error { planner.DisableFilterPushdown = true; return nil },
-		func() error { _, _, err := env.RecDBTopK("ItemCosCF", 10); return err },
-	); err != nil {
+	// Full Recommend (no user predicate): touches every user's vector and
+	// every item's neighborhood.
+	if err := measure("Recommend (all users)", nil, func() error {
+		_, err := env.Eng.Query(`SELECT R.uid, R.iid, R.ratingval FROM ratings R
+			RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
+			ORDER BY R.ratingval DESC LIMIT 10`)
+		return err
+	}); err != nil {
 		return t, err
 	}
-	planner.DisableFilterPushdown = false
 	// FilterRecommend: one user's vector + candidate neighborhoods.
 	if err := measure("FilterRecommend", nil,
 		func() error { _, _, err := env.RecDBTopK("ItemCosCF", 10); return err },

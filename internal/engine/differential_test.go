@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"recdb/internal/exec"
 	"recdb/internal/rec"
 )
 
@@ -92,10 +93,10 @@ func TestDifferentialSQLVsModel(t *testing.T) {
 		if !check() {
 			return false
 		}
-		// Pushdown-disabled plan must agree.
-		e.Planner().DisableFilterPushdown = true
+		// The forced scan source must agree.
+		e.Planner().Source = exec.SourceScan
 		ok := check()
-		e.Planner().DisableFilterPushdown = false
+		e.Planner().Source = exec.SourceAuto
 		if !ok {
 			return false
 		}

@@ -201,7 +201,7 @@ func New(cfg Config) *Engine {
 				}
 			}
 		},
-		VecMetrics: &exec.VectorMetrics{
+		VecMetrics: exec.VectorMetrics{
 			ProbedCentroids: reg.Counter("ann.probed_centroids"),
 			Candidates:      reg.Counter("ann.candidates"),
 			ExactFallbacks:  reg.Counter("ann.exact_fallbacks"),

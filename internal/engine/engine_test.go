@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"recdb/internal/exec"
 	"recdb/internal/rec"
 )
 
@@ -254,7 +255,7 @@ func TestIndexRecommendStrategy(t *testing.T) {
 	}
 
 	// Results agree with the online FilterRecommend path.
-	e.Planner().DisableIndexRecommend = true
+	e.Planner().Source = exec.SourceScan
 	q2, err := e.Query(`Select R.uid, R.iid, R.ratingval From ratings as R
 		Recommend R.iid To R.uid On R.ratingval Using ItemCosCF
 		Where R.uid = 1

@@ -75,6 +75,13 @@ func TestExplainGolden(t *testing.T) {
 	if err := warm.MaterializeUser("GeneralRec", 1); err != nil {
 		t.Fatal(err)
 	}
+	warmAll := newMovieDB(t)
+	createGeneralRec(t, warmAll)
+	for _, u := range []int64{4, 3, 1} {
+		if err := warmAll.MaterializeUser("GeneralRec", u); err != nil {
+			t.Fatal(err)
+		}
+	}
 	poi := newPOIDB(t, true)
 	vec := newVectorDB(t, 1)
 
@@ -96,6 +103,17 @@ func TestExplainGolden(t *testing.T) {
 			`SELECT R.uid, R.iid, R.ratingval FROM ratings R
 			 RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
 			 WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 2`},
+		// Several users: each RecTree is read in score order, but the
+		// statement's order is global, so the Sort must stay.
+		{"recommend_index_multi", warmAll,
+			`SELECT R.uid, R.iid, R.ratingval FROM ratings R
+			 RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
+			 WHERE R.uid IN (4, 3, 1) ORDER BY R.ratingval DESC`},
+		{"recommend_join", movie,
+			`SELECT R.uid, M.name, R.ratingval FROM ratings R, movies M
+			 RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
+			 WHERE R.uid = 4 AND M.mid = R.iid AND M.genre <> 'Suspense' AND R.ratingval >= 0
+			 ORDER BY R.ratingval DESC LIMIT 2`},
 		{"spatial", poi,
 			`SELECT name FROM pois WHERE ST_DWithin(geom, ST_Point(50, 50), 10)`},
 		{"recommend_vector", vec,

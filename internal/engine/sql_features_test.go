@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"recdb/internal/exec"
 	"recdb/internal/types"
 )
 
@@ -192,12 +193,12 @@ func TestExplainRecommend(t *testing.T) {
 	}
 	text := planText(q.Rows)
 	if !strings.Contains(text, "strategy: FilterRecommend") ||
-		!strings.Contains(text, "FilterRecommend [ItemCosCF] (1 users, all items)") {
+		!strings.Contains(text, "FilterRecommend [ItemCosCF] (1 users, all items, k 10)") {
 		t.Fatalf("explain:\n%s", text)
 	}
 
-	// After materialization the plan shows the index path with the pushed
-	// limit.
+	// After materialization the plan shows the index path with the same
+	// row target.
 	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestExplainRecommend(t *testing.T) {
 		t.Fatal(err)
 	}
 	text = planText(q.Rows)
-	if !strings.Contains(text, "IndexRecommend on RecScoreIndex (1 users, limit 10 pushed down)") {
+	if !strings.Contains(text, "IndexRecommend on RecScoreIndex (1 users, k 10)") {
 		t.Fatalf("explain after materialize:\n%s", text)
 	}
 }
@@ -398,7 +399,7 @@ func TestIndexRecommendRatingBoundPushdown(t *testing.T) {
 		}
 	}
 	// Same answer as the online path.
-	e.Planner().DisableIndexRecommend = true
+	e.Planner().Source = exec.SourceScan
 	q2, err := e.Query(`SELECT R.iid, R.ratingval FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
 		WHERE R.uid = 1 AND R.ratingval <= 2.0

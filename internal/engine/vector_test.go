@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"recdb/internal/catalog"
+	"recdb/internal/exec"
+	"recdb/internal/plan"
 	"recdb/internal/rec"
 )
 
@@ -61,24 +64,36 @@ const vecTopK = `SELECT R.uid, R.iid, R.ratingval FROM ratings R
 	RECOMMEND R.iid TO R.uid ON R.ratingval USING SVD
 	WHERE R.uid = %d ORDER BY R.ratingval DESC LIMIT 10`
 
-// queryExact runs q with the vector path disabled (the exact-scan
-// baseline plan).
+// fullProbe is a VectorProbe width no index has centroids for: a full
+// probe.
+const fullProbe = 1 << 30
+
+// queryExact runs q on the exact baseline plan: the first of the outer,
+// list and scan sources the statement is eligible for — what the policy
+// picks when neither the RecScoreIndex nor the IVF index applies.
 func queryExact(t *testing.T, e *Engine, q string) *QueryResult {
 	t.Helper()
-	e.Planner().DisableVectorRecommend = true
-	defer func() { e.Planner().DisableVectorRecommend = false }()
-	res, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	defer func() { e.Planner().Source = exec.SourceAuto }()
+	for _, src := range []exec.Source{exec.SourceOuter, exec.SourceList, exec.SourceScan} {
+		e.Planner().Source = src
+		res, err := e.Query(q)
+		if errors.Is(err, plan.ErrSourceIneligible) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	return res
+	t.Fatalf("no exact source serves %s", q)
+	return nil
 }
 
 // queryVectorExact runs q through VECTORRECOMMEND at full probe width.
 func queryVectorExact(t *testing.T, e *Engine, q string) *QueryResult {
 	t.Helper()
-	e.Planner().VectorExact = true
-	defer func() { e.Planner().VectorExact = false }()
+	e.Planner().VectorProbe = fullProbe
+	defer func() { e.Planner().VectorProbe = 0 }()
 	res, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -253,11 +268,11 @@ func TestVectorRecommendNeverLeaksFilteredItems(t *testing.T) {
 	for _, mode := range []string{"default", "narrow", "exact"} {
 		switch mode {
 		case "default":
-			e.Planner().VectorProbe, e.Planner().VectorExact = 0, false
+			e.Planner().VectorProbe = 0
 		case "narrow":
-			e.Planner().VectorProbe, e.Planner().VectorExact = 1, false
+			e.Planner().VectorProbe = 1
 		case "exact":
-			e.Planner().VectorProbe, e.Planner().VectorExact = 0, true
+			e.Planner().VectorProbe = fullProbe
 		}
 		res, err := e.Query(q)
 		if err != nil {
@@ -275,7 +290,7 @@ func TestVectorRecommendNeverLeaksFilteredItems(t *testing.T) {
 			}
 		}
 	}
-	e.Planner().VectorProbe, e.Planner().VectorExact = 0, false
+	e.Planner().VectorProbe = 0
 }
 
 // TestVectorRecommendSpatialPath: the spatial/polygon filtered search —

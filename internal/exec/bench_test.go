@@ -37,13 +37,13 @@ func benchStore(tb testing.TB, neighborhoodSize int) *rec.ModelStore {
 }
 
 // filterRecommendTop10 is the plan of a single-user top-10 query:
-// FilterRecommend (unseen items only) → Sort by score desc → Limit 10.
-func filterRecommendTop10(tb testing.TB, store *rec.ModelStore, user int64) Operator {
+// FilterRecommend (unseen items only, keeping the 10 best) → Limit 10.
+func filterRecommendTop10(store *rec.ModelStore, user int64) Operator {
 	op := NewRecommend(store, recTestSchema())
 	op.Users = []int64{user}
 	op.IncludeSeen = false
-	key := compileExprForTest(tb, "r.ratingval", op.Schema())
-	return NewLimit(NewSort(op, []SortKey{{Expr: key, Desc: true}}), 10)
+	op.K = 10
+	return NewLimit(op, 10)
 }
 
 func BenchmarkFilterRecommendTop10(b *testing.B) {
@@ -51,7 +51,7 @@ func BenchmarkFilterRecommendTop10(b *testing.B) {
 	users := store.UserIDs()
 	plans := make([]Operator, len(users))
 	for i, u := range users {
-		plans[i] = filterRecommendTop10(b, store, u)
+		plans[i] = filterRecommendTop10(store, u)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +71,7 @@ func BenchmarkFilterRecommendTop10(b *testing.B) {
 func TestFilterRecommendTop10Allocs(t *testing.T) {
 	measure := func(neighborhoodSize int) (allocs float64, neighborRows int64, items int) {
 		store := benchStore(t, neighborhoodSize)
-		plan := filterRecommendTop10(t, store, store.UserIDs()[0])
+		plan := filterRecommendTop10(store, store.UserIDs()[0])
 		allocs = testing.AllocsPerRun(5, func() {
 			if rows, err := Collect(plan); err != nil || len(rows) != 10 {
 				t.Fatalf("top-10: %d rows, %v", len(rows), err)

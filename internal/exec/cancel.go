@@ -9,8 +9,8 @@ import (
 
 // wrapChildren rewrites op's child operator links with w applied to each,
 // the shared traversal behind Instrument (EXPLAIN ANALYZE) and WithContext
-// (query cancellation). Leaves (scans, Recommend, IndexRecommend) have no
-// children.
+// (query cancellation). Leaves (scans, a Recommend without an outer
+// relation) have no children.
 func wrapChildren(op Operator, w func(Operator) Operator) {
 	switch v := op.(type) {
 	case *Filter:
@@ -31,9 +31,7 @@ func wrapChildren(op Operator, w func(Operator) Operator) {
 		v.Child = w(v.Child)
 	case *HashAggregate:
 		v.Child = w(v.Child)
-	case *JoinRecommend:
-		v.Outer = w(v.Outer)
-	case *VectorRecommend:
+	case *Recommend:
 		if v.Outer != nil {
 			v.Outer = w(v.Outer)
 		}

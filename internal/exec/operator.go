@@ -1,11 +1,12 @@
 // Package exec implements the volcano-style (iterator-model) query
 // executor: the classic relational operators (scan, filter, project, join,
-// sort, limit) and the paper's recommendation-aware operators (§IV):
+// sort, limit) and the paper's recommendation-aware operators (§IV) —
 // RECOMMEND (Algorithms 1-2), FILTERRECOMMEND (predicate pushdown into
-// prediction), JOINRECOMMEND (outer-relation-driven prediction), and
-// INDEXRECOMMEND (Algorithm 3 over the RecScoreIndex). All operators are
-// non-blocking where the paper's are, so the RECOMMEND family composes
-// with the rest of the pipeline exactly as described in §IV-B.
+// prediction), JOINRECOMMEND (outer-relation-driven prediction),
+// INDEXRECOMMEND (Algorithm 3 over the RecScoreIndex) and the IVF vector
+// probe — as one Recommend operator with five candidate sources. It is
+// non-blocking where the paper's operators are, so it composes with the
+// rest of the pipeline exactly as described in §IV-B.
 package exec
 
 import (
@@ -26,12 +27,15 @@ type Operator interface {
 }
 
 // Collect drains op (Open/Next/Close) and returns all rows. It is used by
-// statement execution and tests.
+// statement execution and tests. The operator is closed on every path: an
+// Open that fails half-way (a join whose build side errors, a Recommend
+// whose outer relation errors) has already opened children, and their
+// snapshots stay pinned until Close.
 func Collect(op Operator) ([]types.Row, error) {
+	defer op.Close()
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	defer op.Close()
 	var out []types.Row
 	for {
 		row, ok, err := op.Next()

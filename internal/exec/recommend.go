@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"recdb/internal/ann"
 	"recdb/internal/expr"
+	"recdb/internal/metrics"
 	"recdb/internal/rec"
 	"recdb/internal/recindex"
 	"recdb/internal/types"
@@ -20,475 +24,548 @@ func RecSchema(qualifier, userCol, itemCol, ratingCol string) *types.Schema {
 	)
 }
 
-// Recommend is the RECOMMEND operator family of §IV-A (ITEMCF, USERCF, and
-// MATRIXFACT variants, selected by the model store's algorithm). With nil
-// Users/Items it reproduces Algorithms 1-2: predict a rating for every
-// (user, item) pair, emitting the actual rating for already-rated pairs
-// and 0 when the model has no basis. Restricting Users/Items turns it into
-// FILTERRECOMMEND: the uid/iid predicates are pushed down so prediction is
-// computed only for pairs that can satisfy them (§IV-B1). An optional
-// RatingPred applies a pushed-down predicate on the predicted value.
+// Source names where a RECOMMEND operator's candidate items come from —
+// the only thing the paper's §IV operators differ in. SourceAuto is the
+// planner's "let the policy choose"; an operator never reports it.
+type Source int
+
+const (
+	SourceAuto    Source = iota
+	SourceScan           // every model item (RECOMMEND, Algorithms 1-2)
+	SourceList           // a pushed-down iid list, in predicate order (FILTERRECOMMEND)
+	SourceOuter          // the item ids of an item-joined relation (JOINRECOMMEND)
+	SourceRecTree        // a user's pre-computed RecTree (INDEXRECOMMEND, Algorithm 3)
+	SourceIVF            // an IVF probe over SVD item factors (VECTORRECOMMEND)
+)
+
+func (s Source) String() string {
+	return [...]string{"auto", "scan", "list", "outer", "rectree", "ivf"}[s]
+}
+
+// VectorMetrics is the instrument set the IVF source records into. Every
+// field may be nil (the zero value records nothing), per the
+// internal/metrics contract.
+type VectorMetrics struct {
+	// ProbedCentroids counts posting lists probed across all users/queries.
+	ProbedCentroids *metrics.Counter
+	// Candidates counts candidate items gathered and exactly re-ranked.
+	Candidates *metrics.Counter
+	// ExactFallbacks counts queries whose filtered candidate universe was
+	// at most exactFallbackMax items, served by a direct scan of it.
+	ExactFallbacks *metrics.Counter
+	// Widenings counts probe-width growths forced by predicates eating the
+	// candidate set (over-fetch + recheck).
+	Widenings *metrics.Counter
+	// DecodeFailures counts queries that wanted the vector path but fell
+	// back because the persisted index failed to decode.
+	DecodeFailures *metrics.Counter
+}
+
+// Recommend is the one RECOMMEND operator (§IV). Every variant of the
+// paper is the same pipeline — pick candidate items for a user, score each
+// against the user, apply the rating predicate, emit — and differs only in
+// the candidate source, which follows from the fields the planner sets:
+//
+//	Index   the user's RecTree, scores pre-computed (INDEXRECOMMEND)
+//	IVF     an IVF probe over SVD item factors (VECTORRECOMMEND)
+//	Outer   the item ids of a joined relation (JOINRECOMMEND)
+//	Items   a pushed-down iid list (FILTERRECOMMEND)
+//	none    every model item (RECOMMEND, Algorithms 1-2)
+//
+// Items and Outer compose with Index and IVF as the item filter. Whatever
+// the source, candidates run through one tail: skip (or, with IncludeSeen,
+// report) already-rated pairs, score, apply RatingPred, join the outer
+// rows, and — when K is set — keep only each user's K best.
+//
+// Rows emit user by user, in source order within a user; with K set, in
+// descending score with ties in source order, which is exactly what a
+// stable Sort on the rating followed by a Limit K would leave of the
+// user's rows. The scan, list and outer sources stream; the RecTree and
+// IVF sources, and any source under K, produce a user's rows at once.
 type Recommend struct {
 	Store *rec.ModelStore
-	// Users restricts the user loop (nil = all model users).
+	// Users restricts the user loop (nil = all model users); the RecTree
+	// and IVF sources require an explicit list.
 	Users []int64
-	// Items restricts the item loop (nil = all model items).
+	// Items is the pushed-down item-id list, in predicate order (nil = no
+	// restriction; empty = no item matches).
 	Items []int64
-	// RatingPred, when set, filters emitted rows by predicted value.
+	// Outer, when set, is the item-joined relation (e.g. σ_genre(Movies)),
+	// materialized once in Open; OuterItemCol is the join column's
+	// position in it. Rows emit as 〈uid, iid, ratingval〉 ++ outer tuple.
+	Outer        Operator
+	OuterItemCol int
+	// Index, when set, serves candidates from the RecScoreIndex.
+	Index *recindex.Index
+	// MaxScore, when non-nil, starts the RecTree traversal at a pushed-down
+	// "ratingval <= x" bound (Phase II of Algorithm 3).
+	MaxScore *float64
+	// IVF, when set, serves candidates by probing the vector index; it
+	// requires K. NProbe is the initial probe width (0 = the index
+	// default; the number of centroids or more = full probe, whose output
+	// is byte-identical to the scan source's).
+	IVF    *ann.Index
+	NProbe int
+	// RatingPred, when set, filters rows by predicted value; it is
+	// evaluated on the bare 〈uid, iid, ratingval〉 row.
 	RatingPred expr.Compiled
+	// K, when positive, is the per-user row target (LIMIT + OFFSET of an
+	// ORDER BY ratingval DESC the planner proved nothing else filters).
+	K int64
 	// IncludeSeen controls whether already-rated pairs are emitted (with
 	// their actual rating, per Algorithm 1). Top-k recommendation queries
 	// exclude them.
 	IncludeSeen bool
+	// Metrics receives IVF probe instrumentation.
+	Metrics VectorMetrics
 
-	schema *types.Schema
+	// IVF run stats, populated while executing and rendered by EXPLAIN
+	// ANALYZE; they survive Close.
+	Probed     int
+	Candidates int
+	Mode       string // "probe", "exact", or "exact-fallback"
 
-	users, items []int64
-	ui, ii       int
-	curUserItems map[int64]float64
-	curNeighbors []rec.Neighbor // user-based: current user's similarity list
-	curFactors   []float64      // SVD: current user's factor vector
+	recSchema *types.Schema
 
-	// Per-item state is memoized across the user loop: Algorithm 1 needs
-	// the same item-side run for every user, so each is read from the
-	// model table once per scan and held decoded for the users that
-	// follow. A one-user item-based scan has nobody to share a list with
-	// and streams the run instead (see predict).
-	itemNeighborsMemo map[int64][]rec.Neighbor
-	itemRatersMemo    map[int64]map[int64]float64
-	itemFactorsMemo   map[int64][]float64
+	users     []int64
+	src       source
+	scorer    *rec.Scorer // nil under the RecTree source, whose entries are unseen and scored
+	outerRows map[int64][]types.Row
+
+	ui     int
+	user   int64
+	active bool // src is part-way through user
+	out    []types.Row
+	pos    int
+	top    []ranked // K > 0: min-heap of the user's best rows, worst at the root
+	seq    int
 }
 
-// NewRecommend creates a RECOMMEND operator with the given output schema.
-func NewRecommend(store *rec.ModelStore, schema *types.Schema) *Recommend {
-	return &Recommend{Store: store, schema: schema, IncludeSeen: true}
+// NewRecommend creates a RECOMMEND operator over the bare rec schema,
+// scanning every model item; set fields before Open to restrict it or to
+// switch its candidate source.
+func NewRecommend(store *rec.ModelStore, recSchema *types.Schema) *Recommend {
+	return &Recommend{Store: store, recSchema: recSchema, IncludeSeen: true}
+}
+
+// Source reports the operator's candidate source.
+func (r *Recommend) Source() Source {
+	switch {
+	case r.Index != nil:
+		return SourceRecTree
+	case r.IVF != nil:
+		return SourceIVF
+	case r.Outer != nil:
+		return SourceOuter
+	case r.Items != nil:
+		return SourceList
+	}
+	return SourceScan
+}
+
+// Strategy names the paper operator this configuration corresponds to.
+func (r *Recommend) Strategy() string {
+	switch r.Source() {
+	case SourceRecTree:
+		return "IndexRecommend"
+	case SourceIVF:
+		return "VectorRecommend"
+	case SourceOuter:
+		return "JoinRecommend"
+	}
+	if r.Users != nil || r.Items != nil || r.RatingPred != nil {
+		return "FilterRecommend"
+	}
+	return "Recommend"
+}
+
+// EffectiveNProbe reports the probe width the IVF source starts from.
+func (r *Recommend) EffectiveNProbe() int {
+	n := r.NProbe
+	if n <= 0 {
+		n = r.IVF.DefaultNProbe()
+	}
+	return min(n, r.IVF.NumCentroids())
 }
 
 // Schema implements Operator.
-func (r *Recommend) Schema() *types.Schema { return r.schema }
+func (r *Recommend) Schema() *types.Schema {
+	if r.Outer != nil {
+		return r.recSchema.Concat(r.Outer.Schema())
+	}
+	return r.recSchema
+}
 
 // Open implements Operator.
 func (r *Recommend) Open() error {
-	if r.Users != nil {
-		r.users = r.Users
-	} else {
+	r.ui, r.active, r.out, r.pos = 0, false, r.out[:0], 0
+	r.Probed, r.Candidates, r.Mode = 0, 0, ""
+	r.outerRows, r.scorer = nil, nil
+	if r.users = r.Users; r.users == nil {
+		if r.Index != nil || r.IVF != nil {
+			return fmt.Errorf("exec: %s requires a user predicate", r.Strategy())
+		}
 		r.users = r.Store.UserIDs()
 	}
-	if r.Items != nil {
-		r.items = r.Items
-	} else {
-		r.items = r.Store.ItemIDs()
-	}
-	r.ui, r.ii = 0, 0
-	r.curUserItems = nil
-	switch {
-	case r.Store.Algo.ItemBased():
-		r.itemNeighborsMemo = make(map[int64][]rec.Neighbor)
-	case r.Store.Algo.UserBased():
-		r.itemRatersMemo = make(map[int64]map[int64]float64)
-	case r.Store.Algo == rec.SVD:
-		r.itemFactorsMemo = make(map[int64][]float64)
-	}
-	return nil
-}
-
-// loadUser fetches the per-user state for the outer loop.
-func (r *Recommend) loadUser(u int64) error {
-	items, err := r.Store.UserItems(u)
-	if err != nil {
-		return err
-	}
-	r.curUserItems = items
-	switch {
-	case r.Store.Algo.UserBased():
-		if r.curNeighbors, err = r.Store.UserNeighbors(u); err != nil {
-			return err
-		}
-	case r.Store.Algo == rec.SVD:
-		if r.curFactors, err = r.Store.UserFactors(u); err != nil {
+	restrict := r.Items
+	if r.Outer != nil {
+		var err error
+		if restrict, err = r.materializeOuter(); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// Next implements Operator: the block-nested-loop of Algorithms 1-2 with
-// the outer loop over users and the inner loop over items.
-func (r *Recommend) Next() (types.Row, bool, error) {
-	for {
-		if r.ui >= len(r.users) {
-			return nil, false, nil
-		}
-		u := r.users[r.ui]
-		if r.curUserItems == nil {
-			if err := r.loadUser(u); err != nil {
-				return nil, false, err
-			}
-		}
-		if r.ii >= len(r.items) {
-			r.ui++
-			r.ii = 0
-			r.curUserItems = nil
-			continue
-		}
-		i := r.items[r.ii]
-		r.ii++
-
-		var score float64
-		if actual, rated := r.curUserItems[i]; rated {
-			if !r.IncludeSeen {
-				continue
-			}
-			score = actual
-		} else {
-			s, ok, err := r.predict(u, i)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				s = 0 // Algorithm 1 line 14
-			}
-			score = s
-		}
-		row := types.Row{types.NewInt(u), types.NewInt(i), types.NewFloat(score)}
-		if r.RatingPred != nil {
-			v, err := r.RatingPred(row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !expr.Truthy(v) {
-				continue
-			}
-		}
-		return row, true, nil
-	}
-}
-
-func (r *Recommend) predict(u, i int64) (float64, bool, error) {
 	switch {
-	case r.Store.Algo.ItemBased():
-		if len(r.users) == 1 {
-			return r.Store.PredictItemBased(i, r.curUserItems)
+	case r.Index != nil:
+		r.src = recTreeSource{allowed: idSet(restrict)}
+		return nil
+	case r.IVF != nil:
+		if r.K <= 0 {
+			return fmt.Errorf("exec: VectorRecommend requires a positive row target")
 		}
-		neighbors, cached := r.itemNeighborsMemo[i]
-		if !cached {
-			var err error
-			if neighbors, err = r.Store.ItemNeighbors(i); err != nil {
-				return 0, false, err
-			}
-			r.itemNeighborsMemo[i] = neighbors
+		r.src = newIVFSource(r, restrict)
+	default:
+		if restrict == nil {
+			restrict = r.Store.ItemIDs()
 		}
-		s, ok := rec.PredictWeighted(neighbors, r.curUserItems)
-		return s, ok, nil
-	case r.Store.Algo.UserBased():
-		raters, cached := r.itemRatersMemo[i]
-		if !cached {
-			var err error
-			if raters, err = r.Store.ItemRaters(i); err != nil {
-				return 0, false, err
-			}
-			r.itemRatersMemo[i] = raters
-		}
-		s, ok := rec.PredictWeighted(r.curNeighbors, raters)
-		return s, ok, nil
-	case r.Store.Algo == rec.Popularity:
-		return r.Store.ItemScoreOf(i)
-	default: // SVD, Algorithm 2
-		q, cached := r.itemFactorsMemo[i]
-		if !cached {
-			var err error
-			if q, err = r.Store.ItemFactors(i); err != nil {
-				return 0, false, err
-			}
-			r.itemFactorsMemo[i] = q
-		}
-		if r.curFactors == nil || q == nil {
-			return 0, false, nil
-		}
-		return rec.Dot(r.curFactors, q), true, nil
+		r.src = &itemCursor{items: restrict}
 	}
-}
-
-// Close implements Operator.
-func (r *Recommend) Close() error {
-	r.curUserItems = nil
-	r.itemNeighborsMemo = nil
-	r.itemRatersMemo = nil
-	r.itemFactorsMemo = nil
+	r.scorer = r.Store.Scorer(len(r.users) > 1)
 	return nil
 }
 
-// ---- JOINRECOMMEND ----
-
-// JoinRecommend is the JOINRECOMMEND operator of §IV-B2. Analogous to an
-// index nested-loop join, it drives prediction from the outer relation:
-// for each outer tuple it extracts the item id and computes the predicted
-// rating only for items that are guaranteed to satisfy the join predicate.
-// Output rows are 〈uid, iid, ratingval〉 ++ outer tuple.
-type JoinRecommend struct {
-	Store *rec.ModelStore
-	// Outer is the joined relation (e.g. σ_genre(Movies)).
-	Outer Operator
-	// OuterItemCol is the position of the join column (item id) in Outer.
-	OuterItemCol int
-	// Users are the querying users (from the uid predicate; nil = all).
-	Users []int64
-	// IncludeSeen mirrors Recommend.IncludeSeen.
-	IncludeSeen bool
-
-	schema *types.Schema
-
-	users       []int64
-	curOuter    types.Row
-	haveOuter   bool
-	ui          int
-	userItems   map[int64]map[int64]float64
-	userNeigh   map[int64][]rec.Neighbor
-	userFactors map[int64][]float64
-}
-
-// NewJoinRecommend creates a JOINRECOMMEND operator. recSchema is the
-// RECOMMEND side of the output schema.
-func NewJoinRecommend(store *rec.ModelStore, outer Operator, outerItemCol int, recSchema *types.Schema) *JoinRecommend {
-	return &JoinRecommend{
-		Store: store, Outer: outer, OuterItemCol: outerItemCol,
-		IncludeSeen: true,
-		schema:      recSchema.Concat(outer.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *JoinRecommend) Schema() *types.Schema { return j.schema }
-
-// Open implements Operator.
-func (j *JoinRecommend) Open() error {
-	if j.Users != nil {
-		j.users = j.Users
-	} else {
-		j.users = j.Store.UserIDs()
-	}
-	j.userItems = make(map[int64]map[int64]float64, len(j.users))
-	j.userNeigh = nil
-	j.userFactors = nil
-	j.haveOuter = false
-	j.ui = 0
-	return j.Outer.Open()
-}
-
-func (j *JoinRecommend) userState(u int64) (map[int64]float64, error) {
-	if items, ok := j.userItems[u]; ok {
-		return items, nil
-	}
-	items, err := j.Store.UserItems(u)
-	if err != nil {
+// materializeOuter drains the outer relation once, grouping its rows by
+// item id, and returns the distinct item ids in outer order. Items unknown
+// to the model are dropped (models never emit items they have no ratings
+// for), as are items outside the pushed-down list.
+func (r *Recommend) materializeOuter() ([]int64, error) {
+	if err := r.Outer.Open(); err != nil {
 		return nil, err
 	}
-	j.userItems[u] = items
-	switch {
-	case j.Store.Algo.UserBased():
-		if j.userNeigh == nil {
-			j.userNeigh = make(map[int64][]rec.Neighbor)
-		}
-		if j.userNeigh[u], err = j.Store.UserNeighbors(u); err != nil {
-			return nil, err
-		}
-	case j.Store.Algo == rec.SVD:
-		if j.userFactors == nil {
-			j.userFactors = make(map[int64][]float64)
-		}
-		if j.userFactors[u], err = j.Store.UserFactors(u); err != nil {
-			return nil, err
-		}
-	}
-	return items, nil
-}
-
-// Next implements Operator: for each outer tuple, for each user, emit the
-// joined row with the predicted (or actual) rating.
-func (j *JoinRecommend) Next() (types.Row, bool, error) {
+	listed := idSet(r.Items)
+	r.outerRows = make(map[int64][]types.Row)
+	items := []int64{} // never nil: an empty outer side means no candidates
 	for {
-		if !j.haveOuter {
-			row, ok, err := j.Outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.curOuter = row
-			j.haveOuter = true
-			j.ui = 0
+		row, ok, err := r.Outer.Next()
+		if err != nil || !ok {
+			return items, err
 		}
-		if j.ui >= len(j.users) {
-			j.haveOuter = false
-			continue
-		}
-		u := j.users[j.ui]
-		j.ui++
-
-		itemVal := j.curOuter[j.OuterItemCol]
-		item, ok := itemVal.AsInt()
-		if !ok {
+		item, isInt := row[r.OuterItemCol].AsInt()
+		if !isInt || !r.Store.HasItem(item) || (listed != nil && !listed[item]) {
 			continue // NULL or non-numeric join key never matches
 		}
-		if !j.Store.HasItem(item) {
-			// Items with no ratings are unknown to the model; the other
-			// recommendation plans never emit them, so neither does this
-			// one.
-			continue
+		if _, dup := r.outerRows[item]; !dup {
+			items = append(items, item)
 		}
-		items, err := j.userState(u)
+		r.outerRows[item] = append(r.outerRows[item], row)
+	}
+}
+
+// idSet turns an id list into a membership set; nil stays nil ("no
+// restriction").
+func idSet(ids []int64) map[int64]bool {
+	if ids == nil {
+		return nil
+	}
+	set := make(map[int64]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
+}
+
+// Next implements Operator: the outer loop of Algorithms 1-2 over users,
+// with the source feeding the inner loop over items.
+func (r *Recommend) Next() (types.Row, bool, error) {
+	for r.pos >= len(r.out) {
+		r.out, r.pos = r.out[:0], 0
+		if !r.active {
+			if r.ui >= len(r.users) {
+				return nil, false, nil
+			}
+			r.user = r.users[r.ui]
+			r.ui++
+			r.top, r.seq = r.top[:0], 0
+			if r.scorer != nil {
+				if err := r.scorer.ForUser(r.user); err != nil {
+					return nil, false, err
+				}
+			}
+		}
+		more, err := r.src.feed(r)
 		if err != nil {
 			return nil, false, err
 		}
-		var score float64
-		if actual, rated := items[item]; rated {
-			if !j.IncludeSeen {
-				continue
-			}
-			score = actual
-		} else {
-			s, ok, err := j.predictFor(u, item, items)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				s = 0
-			}
-			score = s
-		}
-		recRow := types.Row{types.NewInt(u), types.NewInt(item), types.NewFloat(score)}
-		return recRow.Concat(j.curOuter), true, nil
-	}
-}
-
-func (j *JoinRecommend) predictFor(u, i int64, userItems map[int64]float64) (float64, bool, error) {
-	switch {
-	case j.Store.Algo.ItemBased():
-		return j.Store.PredictItemBased(i, userItems)
-	case j.Store.Algo.UserBased():
-		raters, err := j.Store.ItemRaters(i)
-		if err != nil {
-			return 0, false, err
-		}
-		s, ok := rec.PredictWeighted(j.userNeigh[u], raters)
-		return s, ok, nil
-	case j.Store.Algo == rec.Popularity:
-		return j.Store.ItemScoreOf(i)
-	default:
-		q, err := j.Store.ItemFactors(i)
-		if err != nil {
-			return 0, false, err
-		}
-		p := j.userFactors[u]
-		if p == nil || q == nil {
-			return 0, false, nil
-		}
-		return rec.Dot(p, q), true, nil
-	}
-}
-
-// Close implements Operator.
-func (j *JoinRecommend) Close() error { return j.Outer.Close() }
-
-// ---- INDEXRECOMMEND ----
-
-// IndexRecommend is Algorithm 3: it serves recommendation queries from the
-// pre-computed RecScoreIndex. Phase I filters users against the hash
-// table, Phase II pushes the rating-value predicate into the RecTree
-// traversal, Phase III filters item ids at the leaves. Rows emit in
-// descending predicted-rating order per user, so an ORDER BY ratingval
-// DESC LIMIT k on top is satisfied without a sort.
-type IndexRecommend struct {
-	Index *recindex.Index
-	// Users is the user-id predicate (uPred); it must be non-empty — the
-	// planner only chooses this operator for explicit user filters.
-	Users []int64
-	// MaxScore, when non-nil, is a pushed-down "ratingval <= x" bound
-	// (rPred, Phase II).
-	MaxScore *float64
-	// ItemFilter, when non-nil, is the item-id predicate (iPred, Phase III).
-	ItemFilter func(item int64) bool
-	// RatingPred is any residual rating predicate evaluated per entry.
-	RatingPred expr.Compiled
-	// Limit, when positive, stops after emitting that many rows per user.
-	// The planner sets it from ORDER BY ratingval DESC LIMIT k, restoring
-	// the early-termination benefit of reading the RecTree in score order.
-	Limit int64
-
-	schema *types.Schema
-
-	buf []types.Row
-	pos int
-}
-
-// NewIndexRecommend creates an INDEXRECOMMEND operator.
-func NewIndexRecommend(index *recindex.Index, users []int64, schema *types.Schema) *IndexRecommend {
-	return &IndexRecommend{Index: index, Users: users, schema: schema}
-}
-
-// Schema implements Operator.
-func (ir *IndexRecommend) Schema() *types.Schema { return ir.schema }
-
-// Open implements Operator.
-func (ir *IndexRecommend) Open() error {
-	if len(ir.Users) == 0 {
-		return fmt.Errorf("exec: INDEXRECOMMEND requires a user predicate")
-	}
-	ir.buf = ir.buf[:0]
-	ir.pos = 0
-	var evalErr error
-	for _, u := range ir.Users { // Phase I
-		emitted := int64(0)
-		ir.Index.Descend(u, ir.MaxScore, func(e recindex.Entry) bool { // Phase II
-			if ir.ItemFilter != nil && !ir.ItemFilter(e.Item) { // Phase III
-				return true
-			}
-			row := types.Row{types.NewInt(u), types.NewInt(e.Item), types.NewFloat(e.Score)}
-			if ir.RatingPred != nil {
-				v, err := ir.RatingPred(row)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !expr.Truthy(v) {
-					return true
-				}
-			}
-			ir.buf = append(ir.buf, row)
-			emitted++
-			return ir.Limit <= 0 || emitted < ir.Limit
-		})
-		if evalErr != nil {
-			return evalErr
+		if r.active = more; !more {
+			r.drainTop()
 		}
 	}
-	return nil
-}
-
-// Next implements Operator.
-func (ir *IndexRecommend) Next() (types.Row, bool, error) {
-	if ir.pos >= len(ir.buf) {
-		return nil, false, nil
-	}
-	row := ir.buf[ir.pos]
-	ir.pos++
+	row := r.out[r.pos]
+	r.pos++
 	return row, true, nil
 }
 
 // Close implements Operator.
-func (ir *IndexRecommend) Close() error {
-	ir.buf = nil
+func (r *Recommend) Close() error {
+	r.out, r.top, r.outerRows, r.scorer, r.src = nil, nil, nil, nil, nil
+	if r.Outer != nil {
+		return r.Outer.Close()
+	}
 	return nil
 }
 
-// CoversUsers reports whether every listed user is materialized in the
-// index (the planner's applicability check for INDEXRECOMMEND).
-func CoversUsers(ix *recindex.Index, users []int64) bool {
-	if len(users) == 0 {
-		return false
-	}
-	for _, u := range users {
-		if !ix.HasUser(u) {
-			return false
+// ---- the tail ----
+
+// offer runs one candidate item of the current user through the tail.
+// known says score is the source's own (a RecTree entry, an IVF dot
+// product); otherwise the scorer predicts it.
+func (r *Recommend) offer(item int64, score float64, known bool) error {
+	if r.scorer != nil {
+		if actual, rated := r.scorer.Rated(item); rated {
+			if !r.IncludeSeen {
+				return nil
+			}
+			score, known = actual, true
 		}
 	}
-	return true
+	if !known {
+		s, ok, err := r.scorer.Score(item)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			s = 0 // Algorithm 1 line 14
+		}
+		score = s
+	}
+	if r.full() && score <= r.top[0].score {
+		return nil // cannot displace the K-th row: later rows lose ties
+	}
+	row := types.Row{types.NewInt(r.user), types.NewInt(item), types.NewFloat(score)}
+	if r.RatingPred != nil {
+		v, err := r.RatingPred(row)
+		if err != nil {
+			return err
+		}
+		if !expr.Truthy(v) {
+			return nil
+		}
+	}
+	if r.outerRows == nil {
+		r.emit(score, row)
+		return nil
+	}
+	for _, outer := range r.outerRows[item] {
+		r.emit(score, row.Concat(outer))
+	}
+	return nil
+}
+
+// ranked is one row held by the bounded top-k, with the emission sequence
+// number that orders equal scores.
+type ranked struct {
+	score float64
+	seq   int
+	row   types.Row
+}
+
+// below reports whether a ranks after b: lower score, or equal score and
+// emitted later.
+func (a ranked) below(b ranked) bool {
+	return a.score < b.score || (a.score == b.score && a.seq > b.seq)
+}
+
+// full reports whether the current user's heap already holds K rows.
+func (r *Recommend) full() bool { return r.K > 0 && int64(len(r.top)) == r.K }
+
+// emit hands one finished row to the output: through the bounded heap
+// under K, directly without it — and directly for RecTree entries, which
+// arrive in their final order.
+func (r *Recommend) emit(score float64, row types.Row) {
+	if r.K <= 0 || r.Index != nil {
+		r.out = append(r.out, row)
+		return
+	}
+	e := ranked{score: score, seq: r.seq, row: row}
+	r.seq++
+	h := r.top
+	if !r.full() {
+		h = append(h, e)
+		for i := len(h) - 1; i > 0; { // sift up
+			parent := (i - 1) / 2
+			if !h[i].below(h[parent]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		r.top = h
+		return
+	}
+	if !h[0].below(e) {
+		return
+	}
+	h[0] = e
+	for i := 0; ; { // sift down
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c].below(h[worst]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// drainTop moves the finished user's top-k rows to the output, best first.
+func (r *Recommend) drainTop() {
+	slices.SortFunc(r.top, func(a, b ranked) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for _, e := range r.top {
+		r.out = append(r.out, e.row)
+	}
+	r.top = r.top[:0]
+}
+
+// ---- candidate sources ----
+
+// source feeds the current user's candidate items to the operator's tail.
+// It hides how candidates are found — a cursor over an id list, the
+// RecTree descent, the IVF probe / recheck / widen loop — from the tail
+// they all share.
+type source interface {
+	// feed offers the next candidate(s) of r.user to r.offer and reports
+	// whether the user has more. The first call after it reports false
+	// starts the next user.
+	feed(r *Recommend) (more bool, err error)
+}
+
+// itemCursor is the scan, list and outer source: it walks a fixed item
+// list one candidate per feed, so the operator streams.
+type itemCursor struct {
+	items []int64
+	pos   int
+}
+
+func (c *itemCursor) feed(r *Recommend) (bool, error) {
+	if len(c.items) == 0 {
+		return false, nil
+	}
+	err := r.offer(c.items[c.pos], 0, false)
+	c.pos = (c.pos + 1) % len(c.items)
+	return c.pos != 0, err
+}
+
+// recTreeSource is Algorithm 3 over the RecScoreIndex: Phase I is the
+// operator's user loop against the hash table, Phase II starts the RecTree
+// traversal at MaxScore, Phase III filters item ids at the leaves. Entries
+// arrive in descending score order (ties in descending item id), so they
+// bypass the top-k heap and the descent stops as soon as the user's K rows
+// are out.
+type recTreeSource struct {
+	allowed map[int64]bool // iPred (nil = every item)
+}
+
+func (s recTreeSource) feed(r *Recommend) (bool, error) {
+	var err error
+	r.Index.Descend(r.user, r.MaxScore, func(e recindex.Entry) bool {
+		if s.allowed != nil && !s.allowed[e.Item] {
+			return true
+		}
+		err = r.offer(e.Item, e.Score, true)
+		return err == nil && (r.K <= 0 || int64(len(r.out)) < r.K)
+	})
+	return false, err
+}
+
+// The IVF source's recall policy. A candidate universe of at most
+// exactFallbackMax items is scored directly — probing cannot beat that —
+// and a probe that leaves fewer than K rows after the predicates grows its
+// width by probeGrowth and rescans, until every centroid is probed.
+const (
+	exactFallbackMax = 64
+	probeGrowth      = 2
+)
+
+// ivfSource serves SVD top-k through the IVF index: rank centroids by dot
+// product with the user vector, probe the nearest posting lists, score the
+// candidates exactly, and widen until K rows per user survive the tail's
+// predicates (over-fetch + recheck for non-selective filters). In the two
+// exact modes it scores the whole universe in the scan or list source's
+// order, with bit-equal scores since the stored vectors round-trip
+// losslessly, which makes full-probe output byte-identical to theirs.
+type ivfSource struct {
+	ix       *ann.Index
+	universe []int64        // the restricted item list, or every model item
+	allowed  map[int64]bool // probe mode: universe as a set (nil = every item)
+	nprobe   int
+}
+
+func newIVFSource(r *Recommend, restrict []int64) *ivfSource {
+	s := &ivfSource{ix: r.IVF, universe: restrict, nprobe: r.EffectiveNProbe()}
+	if restrict == nil {
+		s.universe = r.Store.ItemIDs()
+	} else if r.Outer != nil {
+		// The joined item set has no predicate order to keep; ascending
+		// ids is the order a probe emits in.
+		slices.Sort(restrict)
+	}
+	switch {
+	case r.NProbe >= s.ix.NumCentroids():
+		r.Mode = "exact"
+	case len(s.universe) <= exactFallbackMax:
+		r.Mode = "exact-fallback"
+		r.Metrics.ExactFallbacks.Inc()
+	default:
+		r.Mode = "probe"
+		s.allowed = idSet(restrict)
+	}
+	return s
+}
+
+func (s *ivfSource) feed(r *Recommend) (bool, error) {
+	p := r.scorer.Factors()
+	if r.Mode != "probe" || p == nil {
+		// Exact semantics: unknown user or item scores 0. A user the model
+		// cannot rank gains nothing from probing either.
+		for _, i := range s.universe {
+			var score float64
+			if q := s.ix.Vector(i); p != nil && q != nil {
+				score = rec.Dot(p, q)
+			}
+			if err := r.offer(i, score, true); err != nil {
+				return false, err
+			}
+		}
+		return false, nil
+	}
+	order := s.ix.ProbeOrder(p)
+	for nprobe := s.nprobe; ; nprobe = min(nprobe*probeGrowth, len(order)) {
+		r.top, r.seq = r.top[:0], 0
+		cands := s.ix.Candidates(order, nprobe)
+		for _, pos := range cands {
+			i, q := s.ix.At(pos)
+			if s.allowed != nil && !s.allowed[i] {
+				continue
+			}
+			if err := r.offer(i, rec.Dot(p, q), true); err != nil {
+				return false, err
+			}
+		}
+		if r.full() || nprobe >= len(order) {
+			r.Probed += nprobe
+			r.Candidates += len(cands)
+			r.Metrics.ProbedCentroids.Add(int64(nprobe))
+			r.Metrics.Candidates.Add(int64(len(cands)))
+			return false, nil
+		}
+		r.Metrics.Widenings.Inc()
+	}
 }

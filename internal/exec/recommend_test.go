@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"recdb/internal/catalog"
@@ -167,7 +168,8 @@ func TestJoinRecommend(t *testing.T) {
 	movies := moviesFixture(t, cat)
 	outer := NewFilter(NewSeqScan(movies, "m"),
 		compilePred(t, "m.genre = 'Action'", movies.Schema.WithQualifier("m")))
-	jr := NewJoinRecommend(store, outer, 0, recTestSchema())
+	jr := NewRecommend(store, recTestSchema())
+	jr.Outer, jr.OuterItemCol = outer, 0
 	jr.Users = []int64{3}
 	rows, err := Collect(jr)
 	if err != nil {
@@ -195,7 +197,8 @@ func TestJoinRecommendAllUsers(t *testing.T) {
 	movies := moviesFixture(t, cat)
 	outer := NewFilter(NewSeqScan(movies, "m"),
 		compilePred(t, "m.mid = 2", movies.Schema.WithQualifier("m")))
-	jr := NewJoinRecommend(store, outer, 0, recTestSchema())
+	jr := NewRecommend(store, recTestSchema())
+	jr.Outer, jr.OuterItemCol = outer, 0
 	rows, err := Collect(jr)
 	if err != nil {
 		t.Fatal(err)
@@ -206,12 +209,19 @@ func TestJoinRecommendAllUsers(t *testing.T) {
 	}
 }
 
+// indexRecommend builds the operator over the RecTree source.
+func indexRecommend(ix *recindex.Index, users []int64) *Recommend {
+	op := NewRecommend(nil, recTestSchema())
+	op.Index, op.Users = ix, users
+	return op
+}
+
 func TestIndexRecommendPhases(t *testing.T) {
 	ix := recindex.New()
 	for i := int64(1); i <= 20; i++ {
 		ix.Put(7, i, float64(i)/2)
 	}
-	op := NewIndexRecommend(ix, []int64{7}, recTestSchema())
+	op := indexRecommend(ix, []int64{7})
 	rows, err := Collect(op)
 	if err != nil {
 		t.Fatal(err)
@@ -227,28 +237,28 @@ func TestIndexRecommendPhases(t *testing.T) {
 	}
 	// Phase II: rating bound.
 	max := 5.0
-	op = NewIndexRecommend(ix, []int64{7}, recTestSchema())
+	op = indexRecommend(ix, []int64{7})
 	op.MaxScore = &max
 	rows, _ = Collect(op)
 	if len(rows) != 10 || rows[0][2].Float() != 5 {
 		t.Fatalf("phase II: %d rows, top %v", len(rows), rows[0])
 	}
 	// Phase III: item filter.
-	op = NewIndexRecommend(ix, []int64{7}, recTestSchema())
-	op.ItemFilter = func(item int64) bool { return item%2 == 0 }
+	op = indexRecommend(ix, []int64{7})
+	op.Items = []int64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
 	rows, _ = Collect(op)
 	if len(rows) != 10 {
 		t.Fatalf("phase III: %d rows", len(rows))
 	}
-	// Limit pushdown.
-	op = NewIndexRecommend(ix, []int64{7}, recTestSchema())
-	op.Limit = 3
+	// Row target pushed into the traversal.
+	op = indexRecommend(ix, []int64{7})
+	op.K = 3
 	rows, _ = Collect(op)
 	if len(rows) != 3 || rows[0][2].Float() != 10 {
 		t.Fatalf("limit: %v", rows)
 	}
 	// Residual rating predicate.
-	op = NewIndexRecommend(ix, []int64{7}, recTestSchema())
+	op = indexRecommend(ix, []int64{7})
 	op.RatingPred = compilePred(t, "r.ratingval > 9.0", recTestSchema())
 	rows, _ = Collect(op)
 	if len(rows) != 2 {
@@ -257,23 +267,56 @@ func TestIndexRecommendPhases(t *testing.T) {
 }
 
 func TestIndexRecommendRequiresUsers(t *testing.T) {
-	op := NewIndexRecommend(recindex.New(), nil, recTestSchema())
+	op := indexRecommend(recindex.New(), nil)
 	if err := op.Open(); err == nil {
 		t.Fatal("INDEXRECOMMEND without users should fail")
 	}
 }
 
-func TestCoversUsers(t *testing.T) {
-	ix := recindex.New()
-	ix.Put(1, 1, 1)
-	if !CoversUsers(ix, []int64{1}) {
-		t.Error("user 1 is covered")
-	}
-	if CoversUsers(ix, []int64{1, 2}) {
-		t.Error("user 2 is not covered")
-	}
-	if CoversUsers(ix, nil) {
-		t.Error("empty user list is not covered")
+// TestTopKEqualsStableSortLimit pins the fused top-k's contract for every
+// streaming source: with K set the operator emits, per user, exactly what
+// a stable descending Sort on the rating followed by Limit K would leave —
+// ties in emission order — for K below, at and above the row count.
+func TestTopKEqualsStableSortLimit(t *testing.T) {
+	for _, algo := range []rec.Algorithm{rec.ItemCosCF, rec.UserCosCF, rec.SVD, rec.Popularity} {
+		_, store, _ := buildStore(t, algo)
+		build := func() *Recommend {
+			op := NewRecommend(store, recTestSchema())
+			op.Users = []int64{4, 1}
+			op.Items = []int64{3, 1, 2} // predicate order, not id order
+			return op
+		}
+		all, err := Collect(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 4; k++ {
+			var want []types.Row
+			for _, u := range []int64{4, 1} {
+				var mine []types.Row
+				for _, r := range all {
+					if r[0].Int() == u {
+						mine = append(mine, r)
+					}
+				}
+				sort.SliceStable(mine, func(a, b int) bool { return mine[a][2].Float() > mine[b][2].Float() })
+				want = append(want, mine[:min(k, len(mine))]...)
+			}
+			op := build()
+			op.K = int64(k)
+			got, err := Collect(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v k=%d: %d rows, want %d", algo, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].String() != want[i].String() {
+					t.Fatalf("%v k=%d row %d: %v, want %v", algo, k, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -76,9 +76,7 @@ func children(op exec.Operator) []exec.Operator {
 		return []exec.Operator{v.Child}
 	case *exec.HashAggregate:
 		return []exec.Operator{v.Child}
-	case *exec.JoinRecommend:
-		return []exec.Operator{v.Outer}
-	case *exec.VectorRecommend:
+	case *exec.Recommend:
 		if v.Outer != nil {
 			return []exec.Operator{v.Outer}
 		}
@@ -119,42 +117,41 @@ func nodeLine(op exec.Operator) string {
 	case *exec.HashAggregate:
 		return fmt.Sprintf("HashAggregate (%d group keys, %d aggregates)", len(v.GroupBy), len(v.Specs))
 	case *exec.Recommend:
-		scope := "all users, all items"
-		switch {
-		case v.Users != nil && v.Items != nil:
-			scope = fmt.Sprintf("%d users, %d items", len(v.Users), len(v.Items))
-		case v.Users != nil:
-			scope = fmt.Sprintf("%d users, all items", len(v.Users))
-		case v.Items != nil:
-			scope = fmt.Sprintf("all users, %d items", len(v.Items))
-		}
-		name := "Recommend"
-		if v.Users != nil || v.Items != nil || v.RatingPred != nil {
-			name = "FilterRecommend"
-		}
-		return fmt.Sprintf("%s [%s] (%s)", name, v.Store.Algo, scope)
-	case *exec.JoinRecommend:
-		users := "all users"
-		if v.Users != nil {
-			users = fmt.Sprintf("%d users", len(v.Users))
-		}
-		return fmt.Sprintf("JoinRecommend [%s] (%s)", v.Store.Algo, users)
-	case *exec.IndexRecommend:
-		extra := ""
-		if v.Limit > 0 {
-			extra = fmt.Sprintf(", limit %d pushed down", v.Limit)
-		}
-		return fmt.Sprintf("IndexRecommend on RecScoreIndex (%d users%s)", len(v.Users), extra)
-	case *exec.VectorRecommend:
-		line := fmt.Sprintf("VectorRecommend on IVF (%d users, %d centroids, nprobe %d, k %d)",
-			len(v.Users), v.Index.NumCentroids(), v.EffectiveNProbe(), v.K)
-		if v.Mode != "" {
-			// Run stats: rendered by EXPLAIN ANALYZE once Open has probed.
-			line += fmt.Sprintf(" (probed %d, candidates %d, mode %s)",
-				v.ProbedCentroids, v.Candidates, v.Mode)
-		}
-		return line
+		return recommendLine(v)
 	default:
 		return fmt.Sprintf("%T", op)
 	}
+}
+
+// recommendLine renders the RECOMMEND operator under its paper name, with
+// what its candidate source restricts and, when the planner fused ORDER BY
+// ratingval DESC LIMIT into it, the per-user row target k.
+func recommendLine(v *exec.Recommend) string {
+	users := "all users"
+	if v.Users != nil {
+		users = fmt.Sprintf("%d users", len(v.Users))
+	}
+	k := ""
+	if v.K > 0 {
+		k = fmt.Sprintf(", k %d", v.K)
+	}
+	switch v.Source() {
+	case exec.SourceRecTree:
+		return fmt.Sprintf("IndexRecommend on RecScoreIndex (%s%s)", users, k)
+	case exec.SourceIVF:
+		line := fmt.Sprintf("VectorRecommend on IVF (%s, %d centroids, nprobe %d%s)",
+			users, v.IVF.NumCentroids(), v.EffectiveNProbe(), k)
+		if v.Mode != "" {
+			// Run stats: rendered by EXPLAIN ANALYZE once the probe ran.
+			line += fmt.Sprintf(" (probed %d, candidates %d, mode %s)", v.Probed, v.Candidates, v.Mode)
+		}
+		return line
+	case exec.SourceOuter:
+		return fmt.Sprintf("JoinRecommend [%s] (%s%s)", v.Store.Algo, users, k)
+	}
+	items := "all items"
+	if v.Items != nil {
+		items = fmt.Sprintf("%d items", len(v.Items))
+	}
+	return fmt.Sprintf("%s [%s] (%s, %s%s)", v.Strategy(), v.Store.Algo, users, items, k)
 }

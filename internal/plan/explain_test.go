@@ -49,13 +49,13 @@ func TestDescribePlanCoversOperators(t *testing.T) {
 		}
 	}
 
-	// IndexRecommend with limit pushdown.
+	// IndexRecommend with the row target pushed down.
 	ix.Put(1, 2, 4.0)
 	ix.Put(1, 3, 2.0)
 	got := planAndDescribe(t, p, `SELECT R.uid FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval
 		WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 7`)
-	if !strings.Contains(got, "IndexRecommend on RecScoreIndex (1 users, limit 7 pushed down)") {
+	if !strings.Contains(got, "IndexRecommend on RecScoreIndex (1 users, k 7)") {
 		t.Fatalf("index plan:\n%s", got)
 	}
 }

@@ -1,10 +1,11 @@
 // Package plan turns parsed SELECT statements into operator trees. Its
 // job, beyond ordinary scan/filter/join/sort planning, is the paper's
-// recommendation-aware optimization (§IV-B): choosing between the plain
-// RECOMMEND operator, FILTERRECOMMEND (uid/iid/ratingval predicate
-// pushdown), JOINRECOMMEND (prediction driven by a filtered outer
-// relation), and INDEXRECOMMEND (pre-computed scores in the
-// RecScoreIndex), mirroring the plans of Fig. 3.
+// recommendation-aware optimization (§IV-B): pushing uid/iid/ratingval
+// predicates, an item-joined relation and an ORDER BY ratingval DESC LIMIT
+// into the one RECOMMEND operator, and choosing where its candidate items
+// come from (chooseSource) — all model items, a pushed-down list, the
+// joined relation, pre-computed scores in the RecScoreIndex, or an IVF
+// probe — mirroring the plans of Fig. 3.
 //
 // Engine semantics note: the RECOMMEND clause returns predictions for
 // items the querying users have not rated (the behaviour of the released
@@ -13,6 +14,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -35,34 +37,26 @@ type Planner struct {
 	// RecordQuery, when set, feeds the cache manager's Users Histogram
 	// with the users targeted by a recommendation query.
 	RecordQuery func(r *rec.Recommender, users []int64)
-	// DisableIndexRecommend turns off the INDEXRECOMMEND path (used by
-	// ablation benchmarks).
-	DisableIndexRecommend bool
-	// DisableJoinRecommend turns off the JOINRECOMMEND path.
-	DisableJoinRecommend bool
-	// DisableFilterPushdown turns off uid/iid/ratingval pushdown into the
-	// RECOMMEND operator.
-	DisableFilterPushdown bool
-	// DisableVectorRecommend turns off the IVF VECTORRECOMMEND path
-	// (ablation benchmarks and exact-baseline comparisons).
-	DisableVectorRecommend bool
-	// VectorExact forces VECTORRECOMMEND to probe every centroid — the
-	// equivalence-test mode whose output is byte-identical to the exact
-	// scan.
-	VectorExact bool
-	// VectorProbe overrides the index's default probe width (0 = default).
+	// Source forces the RECOMMEND operator's candidate source; the zero
+	// value lets chooseSource pick. A statement the forced source cannot
+	// serve fails to plan (ErrSourceIneligible) — there is no silent
+	// fallback. The paper's ablations (Fig. 6-8) and the source
+	// differential test compare sources on the same statement with it.
+	Source exec.Source
+	// VectorProbe overrides the IVF index's default probe width (0 =
+	// default); any width of at least the number of centroids is a full
+	// probe, whose output is byte-identical to the exact scan.
 	VectorProbe int
-	// VectorExactThreshold overrides the candidate-count floor below which
-	// VECTORRECOMMEND scores the universe exactly (0 = exec default).
-	VectorExactThreshold int
-	// VecMetrics receives VECTORRECOMMEND instrumentation; nil records
-	// nothing.
-	VecMetrics *exec.VectorMetrics
+	// VecMetrics receives IVF probe instrumentation; the zero value
+	// records nothing.
+	VecMetrics exec.VectorMetrics
 }
 
 // Explain describes the chosen plan for observability and tests.
 type Explain struct {
-	Strategy    string // "Recommend", "FilterRecommend", "JoinRecommend", "IndexRecommend", "VectorRecommend", or "" for plain queries
+	Strategy string // "Recommend", "FilterRecommend", "JoinRecommend", "IndexRecommend", "VectorRecommend", or "" for plain queries
+	// SortSkipped reports that the RECOMMEND operator's fused top-k already
+	// delivers the statement's ORDER BY, so no Sort was planned.
 	SortSkipped bool
 }
 
@@ -108,7 +102,6 @@ func (p *Planner) PlanSelect(stmt *sql.Select) (exec.Operator, *Explain, error) 
 		root = info.op
 		items = info.items
 		orderBy = info.orderBy
-		ex.SortSkipped = false // aggregation destroys any index order
 		if info.having != nil {
 			compiled, err := expr.Compile(info.having, root.Schema())
 			if err != nil {
@@ -352,8 +345,9 @@ func (p *Planner) planRecommend(stmt *sql.Select, conjuncts []sql.Expr, applied 
 	alias := ratingsRef.Name()
 	recSchema := exec.RecSchema(alias, recommender.UserCol, recommender.ItemCol, recommender.RatingCol)
 
-	// Extract pushdownable predicates.
-	pd := extractRecPreds(conjuncts, alias, recommender, applied, p.DisableFilterPushdown)
+	// Extract pushdownable predicates. A forced scan source is the "no
+	// item pushdown" ablation: the iid list stays a filter above it.
+	pd := extractRecPreds(conjuncts, alias, recommender, applied, p.Source != exec.SourceScan)
 	if p.RecordQuery != nil && len(pd.users) > 0 {
 		p.RecordQuery(recommender, pd.users)
 	}
@@ -393,185 +387,154 @@ func (p *Planner) planRecommend(stmt *sql.Select, conjuncts []sql.Expr, applied 
 		others = append(others, tableOp{ref, op})
 	}
 
-	// Strategy 1: INDEXRECOMMEND when every requested user is materialized.
-	if !p.DisableIndexRecommend && pd.usersSet && len(pd.users) > 0 && p.IndexFor != nil {
-		if ix := p.IndexFor(recommender); ix != nil && exec.CoversUsers(ix, pd.users) {
-			op := exec.NewIndexRecommend(ix, pd.users, recSchema)
-			op.RatingPred = ratingPred
-			// Phase II of Algorithm 3: an upper bound on ratingval starts
-			// the RecTree traversal below it.
-			if bound, ok := ratingUpperBound(pd.ratingConjuncts, alias, recommender); ok {
-				op.MaxScore = &bound
-			}
-			if pd.itemsSet {
-				allowed := make(map[int64]bool, len(pd.items))
-				for _, i := range pd.items {
-					allowed[i] = true
-				}
-				op.ItemFilter = func(item int64) bool { return allowed[item] }
-			}
-			ex.Strategy = "IndexRecommend"
-			// The index delivers descending rating order; when the query
-			// asks exactly for that and joins nothing else, skip the sort
-			// and push the limit into the traversal.
-			if len(others) == 0 && orderIsRatingDesc(stmt, alias, recommender) {
-				ex.SortSkipped = true
-				if stmt.Limit != nil && stmt.Offset == nil && len(pd.users) == 1 {
-					if n, err := constInt(stmt.Limit); err == nil {
-						op.Limit = n
-					}
-				}
-			}
-			return p.joinOthers(op, others, conjuncts, applied)
-		}
-	}
-
-	// Strategy 2: VECTORRECOMMEND — for SVD top-k queries, probe the IVF
-	// index over item latent factors and re-rank exactly instead of
-	// scoring every item.
-	if op := p.tryVectorRecommend(stmt, alias, recommender, store, pd, ratingPred, others, conjuncts, applied, recSchema, ex); op != nil {
-		return op, nil
-	}
-
-	// Strategy 3: JOINRECOMMEND when an equi conjunct joins the item column
-	// to another table.
-	if !p.DisableJoinRecommend && len(others) > 0 {
-		for oi, other := range others {
-			col, joinConj := findItemJoin(conjuncts, applied, alias, recommender, other.op.Schema())
-			if joinConj == nil {
-				continue
-			}
-			applied[joinConj] = true
-			jr := exec.NewJoinRecommend(store, other.op, col, recSchema)
-			jr.IncludeSeen = false
-			if pd.usersSet {
-				jr.Users = pd.users
-			}
-			var op exec.Operator = jr
-			if ratingPred != nil {
-				// Rating predicate applies to the rec side of the joined row;
-				// compile against the joined schema instead.
-				for _, c := range pd.ratingConjuncts {
-					compiled, err := expr.Compile(c, jr.Schema())
-					if err != nil {
-						return nil, err
-					}
-					op = exec.NewFilter(op, compiled)
-				}
-			}
-			if pd.itemsSet {
-				op = filterItems(op, pd.items, 1)
-			}
-			ex.Strategy = "JoinRecommend"
-			rest := append(append([]tableOp(nil), others[:oi]...), others[oi+1:]...)
-			return p.joinOthers(op, rest, conjuncts, applied)
-		}
-	}
-
-	// Strategy 4: RECOMMEND / FILTERRECOMMEND.
 	op := exec.NewRecommend(store, recSchema)
 	op.IncludeSeen = false
+	op.RatingPred = ratingPred
 	if pd.usersSet {
 		op.Users = pd.users
 	}
 	if pd.itemsSet {
 		op.Items = pd.items
 	}
-	op.RatingPred = ratingPred
-	if pd.usersSet || pd.itemsSet || ratingPred != nil {
-		ex.Strategy = "FilterRecommend"
-	} else {
-		ex.Strategy = "Recommend"
+	// The operator drives the first relation equi-joined to the item
+	// column itself (§IV-B2): its item ids restrict the candidates and its
+	// rows join at emission. Forcing the scan or list source is the "no
+	// join pushdown" ablation: the join stays above the operator.
+	if p.Source != exec.SourceScan && p.Source != exec.SourceList {
+		for oi, other := range others {
+			col, joinConj := findItemJoin(conjuncts, applied, alias, recommender, other.op.Schema())
+			if joinConj == nil {
+				continue
+			}
+			applied[joinConj] = true
+			op.Outer, op.OuterItemCol = other.op, col
+			others = append(append([]tableOp(nil), others[:oi]...), others[oi+1:]...)
+			break
+		}
 	}
+	op.K = topK(stmt, alias, recommender, others, conjuncts, applied)
+
+	src, err := p.chooseSource(recommender, op)
+	if err != nil {
+		return nil, err
+	}
+	switch src {
+	case exec.SourceRecTree:
+		op.Index = p.IndexFor(recommender)
+		// Phase II of Algorithm 3: an upper bound on ratingval starts the
+		// RecTree traversal below it.
+		if bound, ok := ratingUpperBound(pd.ratingConjuncts, alias, recommender); ok {
+			op.MaxScore = &bound
+		}
+	case exec.SourceIVF:
+		op.IVF, _ = store.ANN() // chooseSource saw it decode
+		op.NProbe = p.VectorProbe
+		op.Metrics = p.VecMetrics
+	}
+	ex.Strategy = op.Strategy()
+	// The operator hands back each user's rows already in ORDER BY order;
+	// across several users they still need the Sort.
+	ex.SortSkipped = op.K > 0 && len(op.Users) == 1
 	return p.joinOthers(op, others, conjuncts, applied)
 }
 
-// tryVectorRecommend plans the VECTORRECOMMEND strategy, or returns nil
-// when the query shape disqualifies it. The operator over-fetches K =
-// LIMIT + OFFSET rows per user and the predicates it cannot absorb stay
-// disqualifying: any conjunct that would land as a filter above it could
-// eat past the per-user row target, so the strategy only fires when every
-// conjunct is pushed down (uid/iid lists, rating predicates, and — for the
-// joined/spatial shape — a single item equi-join whose outer side carries
-// its own filters).
-func (p *Planner) tryVectorRecommend(stmt *sql.Select, alias string, recommender *rec.Recommender, store *rec.ModelStore, pd recPreds, ratingPred expr.Compiled, others []tableOp, conjuncts []sql.Expr, applied map[sql.Expr]bool, recSchema *types.Schema, ex *Explain) exec.Operator {
-	if p.DisableVectorRecommend || store.Algo != rec.SVD {
-		return nil
+// ErrSourceIneligible is returned (wrapped) when Planner.Source forces a
+// candidate source the statement cannot be served from.
+var ErrSourceIneligible = errors.New("plan: forced candidate source is not eligible")
+
+// sourcePreference is the candidate-source policy: the first eligible
+// source wins. Pre-computed scores beat any online scoring; a bounded
+// probe beats scoring every candidate; a restricted candidate list beats
+// all items. DESIGN.md §4 has the eligibility table.
+var sourcePreference = [...]exec.Source{
+	exec.SourceRecTree, exec.SourceIVF, exec.SourceOuter, exec.SourceList, exec.SourceScan,
+}
+
+// chooseSource picks the candidate source for op, whose user list, item
+// list, outer relation and row target are already set: the forced one if
+// Planner.Source names it, otherwise the first eligible in
+// sourcePreference.
+func (p *Planner) chooseSource(r *rec.Recommender, op *exec.Recommend) (exec.Source, error) {
+	eligible := func(s exec.Source) bool {
+		switch s {
+		case exec.SourceRecTree:
+			// Every requested user is materialized in the RecScoreIndex.
+			if p.IndexFor == nil || len(op.Users) == 0 {
+				return false
+			}
+			ix := p.IndexFor(r)
+			for _, u := range op.Users {
+				if ix == nil || !ix.HasUser(u) {
+					return false
+				}
+			}
+			return true
+		case exec.SourceIVF:
+			// An SVD top-k for explicit users: the probe needs a per-user
+			// row target that nothing above the operator can eat into
+			// (topK), and a universe worth probing.
+			if op.Store.Algo != rec.SVD || len(op.Users) == 0 || op.K <= 0 {
+				return false
+			}
+			if op.Items != nil && len(op.Items) == 0 {
+				return false // contradictory IN-lists: the list source is already O(0)
+			}
+			index, err := op.Store.ANN()
+			if err != nil {
+				// Corrupt persisted index: count it and serve exact.
+				p.VecMetrics.DecodeFailures.Inc()
+				return false
+			}
+			return index != nil && index.NumCentroids() > 0
+		case exec.SourceOuter:
+			return op.Outer != nil
+		case exec.SourceList:
+			return op.Items != nil
+		}
+		return true // scan
 	}
-	if !pd.usersSet || len(pd.users) == 0 {
-		return nil
+	if p.Source != exec.SourceAuto {
+		if !eligible(p.Source) {
+			return 0, fmt.Errorf("%w: %s", ErrSourceIneligible, p.Source)
+		}
+		return p.Source, nil
 	}
-	if pd.itemsSet && len(pd.items) == 0 {
-		return nil // contradictory IN-lists: the exact plan is already O(0)
+	for _, s := range sourcePreference {
+		if eligible(s) {
+			return s, nil
+		}
 	}
-	// Top-k shape only: ORDER BY ratingval DESC LIMIT k, no aggregation or
-	// dedup between the operator and the limit.
-	if needsAggregate(stmt) || stmt.Distinct || stmt.Limit == nil || !orderIsRatingDesc(stmt, alias, recommender) {
-		return nil
+	return exec.SourceScan, nil
+}
+
+// topK is the one gate for fusing the statement's ORDER BY and LIMIT into
+// the operator, whatever its source. It returns the per-user row target
+// K = LIMIT + OFFSET, or 0 when the operator must emit everything: K is
+// valid only when ORDER BY is exactly "ratingval DESC" with a constant
+// LIMIT, no aggregation or DISTINCT sits between the operator and the
+// limit, and nothing is planned above the operator that could drop rows —
+// no other table left to join (above) and every conjunct absorbed.
+func topK(stmt *sql.Select, alias string, r *rec.Recommender, above []tableOp, conjuncts []sql.Expr, applied map[sql.Expr]bool) int64 {
+	if len(above) > 0 || needsAggregate(stmt) || stmt.Distinct || stmt.Limit == nil || !orderIsRatingDesc(stmt, alias, r) {
+		return 0
+	}
+	for _, c := range conjuncts {
+		if !applied[c] {
+			return 0
+		}
 	}
 	k, err := constInt(stmt.Limit)
 	if err != nil {
-		return nil
+		return 0
 	}
 	if stmt.Offset != nil {
 		skip, err := constInt(stmt.Offset)
 		if err != nil {
-			return nil
+			return 0
 		}
 		k += skip
 	}
-	if k <= 0 {
-		return nil
-	}
-	index, err := store.ANN()
-	if err != nil {
-		// Corrupt persisted index: count it and serve exact.
-		p.VecMetrics.DecodeFailuresCounter().Inc()
-		return nil
-	}
-	if index == nil || index.NumCentroids() == 0 {
-		return nil
-	}
-
-	// Shape: the rec table alone, or composed with exactly one
-	// item-joined relation (the spatial/polygon case).
-	var outer exec.Operator
-	outerCol := -1
-	var joinConj sql.Expr
-	switch len(others) {
-	case 0:
-	case 1:
-		outerCol, joinConj = findItemJoin(conjuncts, applied, alias, recommender, others[0].op.Schema())
-		if joinConj == nil {
-			return nil
-		}
-		outer = others[0].op
-	default:
-		return nil
-	}
-	for _, c := range conjuncts {
-		if !applied[c] && c != joinConj {
-			return nil
-		}
-	}
-	if joinConj != nil {
-		applied[joinConj] = true
-	}
-
-	op := exec.NewVectorRecommend(store, index, pd.users, k, recSchema)
-	op.RatingPred = ratingPred
-	if pd.itemsSet {
-		op.Allowed = pd.items
-	}
-	op.NProbe = p.VectorProbe
-	op.Exact = p.VectorExact
-	op.ExactThreshold = p.VectorExactThreshold
-	op.Metrics = p.VecMetrics
-	if outer != nil {
-		op.Outer, op.OuterItemCol = outer, outerCol
-	}
-	ex.Strategy = "VectorRecommend"
-	return op
+	return k
 }
 
 // tableOp pairs a FROM entry with its (possibly filtered) scan.
@@ -586,19 +549,6 @@ func (p *Planner) joinOthers(cur exec.Operator, others []tableOp, conjuncts []sq
 		ops = append(ops, o.op)
 	}
 	return p.joinAll(ops, conjuncts, applied)
-}
-
-// filterItems wraps op with an item-id membership filter on column col.
-func filterItems(op exec.Operator, items []int64, col int) exec.Operator {
-	allowed := make(map[int64]bool, len(items))
-	for _, i := range items {
-		allowed[i] = true
-	}
-	pred := func(row types.Row) (types.Value, error) {
-		v, ok := row[col].AsInt()
-		return types.NewBool(ok && allowed[v]), nil
-	}
-	return exec.NewFilter(op, pred)
 }
 
 // orderIsRatingDesc reports whether ORDER BY is exactly "ratingval DESC"
@@ -629,13 +579,11 @@ type recPreds struct {
 
 // extractRecPreds classifies WHERE conjuncts that reference only the
 // recommender's columns: user-id equality/IN lists, item-id equality/IN
-// lists, and rating-value predicates. Matching conjuncts for uid/iid are
-// marked applied (enforced by restricting the operator's loops).
-func extractRecPreds(conjuncts []sql.Expr, alias string, r *rec.Recommender, applied map[sql.Expr]bool, disabled bool) recPreds {
+// lists, and rating-value predicates. Matching conjuncts are marked applied
+// (enforced by restricting the operator's loops); with pushItems false the
+// item-id conjuncts are left for a filter above the operator.
+func extractRecPreds(conjuncts []sql.Expr, alias string, r *rec.Recommender, applied map[sql.Expr]bool, pushItems bool) recPreds {
 	var pd recPreds
-	if disabled {
-		return pd
-	}
 	for _, c := range conjuncts {
 		if applied[c] {
 			continue
@@ -647,6 +595,9 @@ func extractRecPreds(conjuncts []sql.Expr, alias string, r *rec.Recommender, app
 			continue
 		}
 		if ids, ok := idListPred(c, alias, r.ItemCol); ok {
+			if !pushItems {
+				continue
+			}
 			pd.items = intersect(pd.items, pd.itemsSet, ids)
 			pd.itemsSet = true
 			applied[c] = true
@@ -680,7 +631,9 @@ func intersect(cur []int64, curSet bool, add []int64) []int64 {
 }
 
 // idListPred recognizes "<alias>.<col> = <int literal>" and
-// "<alias>.<col> IN (<int literals>)".
+// "<alias>.<col> IN (<int literals>)". IN is set membership: a repeated
+// literal counts once, at its first position (the list source and the
+// full-probe identity depend on predicate order).
 func idListPred(c sql.Expr, alias, col string) ([]int64, bool) {
 	switch v := c.(type) {
 	case *sql.Binary:
@@ -702,6 +655,7 @@ func idListPred(c sql.Expr, alias, col string) ([]int64, bool) {
 			return nil, false
 		}
 		ids := make([]int64, 0, len(v.List))
+		listed := make(map[int64]bool, len(v.List))
 		for _, e := range v.List {
 			lit, ok := e.(*sql.Literal)
 			if !ok {
@@ -711,7 +665,10 @@ func idListPred(c sql.Expr, alias, col string) ([]int64, bool) {
 			if !ok {
 				return nil, false
 			}
-			ids = append(ids, id)
+			if !listed[id] {
+				listed[id] = true
+				ids = append(ids, id)
+			}
 		}
 		return ids, true
 	}

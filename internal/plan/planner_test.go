@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"testing"
 
 	"recdb/internal/catalog"
@@ -119,46 +120,67 @@ func TestIndexStrategyRequiresCoverage(t *testing.T) {
 	}
 }
 
-func TestAblationSwitches(t *testing.T) {
+// TestForcedSource: Planner.Source overrides the policy, leaves what the
+// forced source cannot absorb above the operator, and refuses a source the
+// statement is not eligible for instead of falling back.
+func TestForcedSource(t *testing.T) {
 	p, ix := fixture(t)
 	ix.Put(1, 2, 4.0)
+	plan := func(q string) (exec.Operator, *Explain, error) {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.PlanSelect(stmt.(*sql.Select))
+	}
 
-	q := `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = 1`
-	p.DisableIndexRecommend = true
-	_, ex := planQuery(t, p, q)
-	if ex.Strategy != "FilterRecommend" {
-		t.Fatalf("index disabled: %q", ex.Strategy)
+	q := `SELECT R.uid, R.iid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval
+	      WHERE R.uid = 1 AND R.iid IN (3, 2) ORDER BY R.ratingval DESC LIMIT 1`
+	if _, ex := planQuery(t, p, q); ex.Strategy != "IndexRecommend" || !ex.SortSkipped {
+		t.Fatalf("policy: %+v", ex)
 	}
-	p.DisableFilterPushdown = true
-	_, ex = planQuery(t, p, q)
-	if ex.Strategy != "Recommend" {
-		t.Fatalf("pushdown disabled: %q", ex.Strategy)
+	p.Source = exec.SourceList
+	if _, ex := planQuery(t, p, q); ex.Strategy != "FilterRecommend" || !ex.SortSkipped {
+		t.Fatalf("list forced: %+v", ex)
 	}
-	// The filter still applies above the operator: results only for user 1.
-	op, _ := planQuery(t, p, q)
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
+	// The scan source cannot absorb the iid list: it stays a filter above
+	// the operator, which therefore may not be handed the LIMIT.
+	p.Source = exec.SourceScan
+	op, ex := planQuery(t, p, q)
+	if ex.Strategy != "FilterRecommend" || ex.SortSkipped {
+		t.Fatalf("scan forced: %+v", ex)
 	}
-	for _, r := range rows {
-		if r[0].Int() != 1 {
-			t.Fatalf("pushdown-disabled plan leaked row %v", r)
+	rows := runAll(t, op)
+	if len(rows) != 1 || (rows[0][1].Int() != 2 && rows[0][1].Int() != 3) {
+		t.Fatalf("scan-forced plan leaked past its residual filter: %v", rows)
+	}
+
+	// A forced source that does not apply is a plan error, never a silent
+	// fallback.
+	for src, q := range map[exec.Source]string{
+		exec.SourceList:    `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = 1`,
+		exec.SourceOuter:   `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = 1`,
+		exec.SourceRecTree: `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = 2`,
+		exec.SourceIVF:     `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 3`,
+	} {
+		p.Source = src
+		if _, _, err := plan(q); !errors.Is(err, ErrSourceIneligible) {
+			t.Errorf("forcing %s: err = %v, want ErrSourceIneligible", src, err)
 		}
 	}
 
-	p.DisableFilterPushdown = false
-	p.DisableJoinRecommend = true
+	// Forcing scan or list leaves an item join above the operator.
+	p.Source = exec.SourceScan
 	jq := `SELECT R.uid FROM ratings R, movies M RECOMMEND R.iid TO R.uid ON R.ratingval
 	       WHERE R.uid = 1 AND M.mid = R.iid AND M.genre = 'Action'`
-	_, ex = planQuery(t, p, jq)
-	if ex.Strategy != "FilterRecommend" {
-		t.Fatalf("join disabled: %q", ex.Strategy)
+	if _, ex := planQuery(t, p, jq); ex.Strategy != "FilterRecommend" {
+		t.Fatalf("join under forced scan: %q", ex.Strategy)
 	}
 }
 
 func TestPlanEquivalenceAcrossStrategies(t *testing.T) {
-	// The JoinRecommend plan and the disabled (FilterRecommend + HashJoin)
-	// plan must produce the same rows.
+	// The JoinRecommend plan and the forced-scan (FilterRecommend +
+	// HashJoin) plan must produce the same rows.
 	p, _ := fixture(t)
 	q := `SELECT R.uid, M.name, R.ratingval FROM ratings R, movies M
 	      RECOMMEND R.iid TO R.uid ON R.ratingval
@@ -168,7 +190,7 @@ func TestPlanEquivalenceAcrossStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.DisableJoinRecommend = true
+	p.Source = exec.SourceScan
 	opB, exB := planQuery(t, p, q)
 	rowsB, err := exec.Collect(opB)
 	if err != nil {

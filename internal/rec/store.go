@@ -507,105 +507,3 @@ func (s *ModelStore) Seen(u, i int64) (rating float64, found bool, err error) {
 	})
 	return rating, found, err
 }
-
-// PredictForUser estimates RecScore(u, i) for a whole batch of items,
-// fetching the per-user state (rated items, neighbor list, or factor
-// vector) once instead of once per pair the way repeated Predict calls
-// would. The storage layer's page latches make concurrent PredictForUser
-// calls for different users safe, which is what parallel cache
-// materialization relies on.
-func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
-	scores := make([]float64, len(items))
-	oks := make([]bool, len(items))
-	switch {
-	case s.Algo.ItemBased():
-		userItems, err := s.UserItems(u)
-		if err != nil {
-			return nil, nil, err
-		}
-		for x, i := range items {
-			if scores[x], oks[x], err = s.PredictItemBased(i, userItems); err != nil {
-				return nil, nil, err
-			}
-		}
-	case s.Algo.UserBased():
-		neighbors, err := s.UserNeighbors(u)
-		if err != nil {
-			return nil, nil, err
-		}
-		for x, i := range items {
-			raters, err := s.ItemRaters(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			scores[x], oks[x] = PredictWeighted(neighbors, raters)
-		}
-	case s.Algo == Popularity:
-		for x, i := range items {
-			score, ok, err := s.ItemScoreOf(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			scores[x], oks[x] = score, ok
-		}
-	default: // SVD
-		p, err := s.UserFactors(u)
-		if err != nil {
-			return nil, nil, err
-		}
-		for x, i := range items {
-			if p == nil {
-				break
-			}
-			q, err := s.ItemFactors(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			if q == nil {
-				continue
-			}
-			scores[x], oks[x] = Dot(p, q), true
-		}
-	}
-	return scores, oks, nil
-}
-
-// Predict estimates RecScore(u, i) from the materialized tables, following
-// the per-algorithm operators of §IV-A. ok is false when the model has no
-// basis for a prediction.
-func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
-	switch {
-	case s.Algo.ItemBased():
-		userItems, err := s.UserItems(u)
-		if err != nil {
-			return 0, false, err
-		}
-		return s.PredictItemBased(i, userItems)
-	case s.Algo.UserBased():
-		raters, err := s.ItemRaters(i)
-		if err != nil {
-			return 0, false, err
-		}
-		neighbors, err := s.UserNeighbors(u)
-		if err != nil {
-			return 0, false, err
-		}
-		score, ok := PredictWeighted(neighbors, raters)
-		return score, ok, nil
-	case s.Algo == Popularity:
-		return s.ItemScoreOf(i)
-	default: // SVD
-		p, err := s.UserFactors(u)
-		if err != nil {
-			return 0, false, err
-		}
-		q, err := s.ItemFactors(i)
-		if err != nil {
-			return 0, false, err
-		}
-		if p == nil || q == nil {
-			return 0, false, nil
-		}
-		return Dot(p, q), true, nil
-	}
-}

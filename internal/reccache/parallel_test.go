@@ -2,29 +2,10 @@ package reccache
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"recdb/internal/recindex"
 )
-
-// fakeBatchPredictor adds the bulk interface on top of fakePredictor so
-// both materialization paths are exercised. batchCalls is atomic because
-// MaterializeAll invokes PredictForUser from concurrent workers.
-type fakeBatchPredictor struct {
-	fakePredictor
-	batchCalls atomic.Int64
-}
-
-func (f *fakeBatchPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
-	f.batchCalls.Add(1)
-	scores := make([]float64, len(items))
-	oks := make([]bool, len(items))
-	for x, i := range items {
-		scores[x], oks[x], _ = f.Predict(u, i)
-	}
-	return scores, oks, nil
-}
 
 func idRange(n int64) []int64 {
 	out := make([]int64, n)
@@ -35,8 +16,7 @@ func idRange(n int64) []int64 {
 }
 
 // TestMaterializeAllWorkersEquivalence asserts the RecScoreIndex ends up
-// with identical contents at any worker count, for both the per-pair
-// Predictor path and the UserBatchPredictor fast path.
+// with identical contents at any worker count.
 func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 	users, items := idRange(57), idRange(43)
 	seen := map[int64]map[int64]float64{
@@ -46,7 +26,8 @@ func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 	}
 	clock := func() float64 { return 0 }
 
-	build := func(pred Predictor, workers int) *recindex.Index {
+	pred := &fakePredictor{users: users, items: items, seen: seen}
+	build := func(workers int) *recindex.Index {
 		ix := recindex.New()
 		m := New(ix, 0, clock)
 		m.Workers = workers
@@ -56,39 +37,32 @@ func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 		return ix
 	}
 
-	plain := &fakePredictor{users: users, items: items, seen: seen}
-	batch := &fakeBatchPredictor{fakePredictor: fakePredictor{users: users, items: items, seen: seen}}
-	want := build(plain, 1)
-	for _, workers := range []int{1, 3, 8, 100} {
-		for name, pred := range map[string]Predictor{"plain": plain, "batch": batch} {
-			got := build(pred, workers)
-			if got.Len() != want.Len() {
-				t.Fatalf("%s workers=%d: index has %d entries, want %d", name, workers, got.Len(), want.Len())
-			}
-			for _, u := range users {
-				for _, i := range items {
-					gs, gok := got.Get(u, i)
-					ws, wok := want.Get(u, i)
-					if gok != wok || gs != ws {
-						t.Fatalf("%s workers=%d (%d,%d): got (%v,%v), want (%v,%v)",
-							name, workers, u, i, gs, gok, ws, wok)
-					}
+	want := build(1)
+	for _, workers := range []int{3, 8, 100} {
+		got := build(workers)
+		if got.Len() != want.Len() {
+			t.Fatalf("workers=%d: index has %d entries, want %d", workers, got.Len(), want.Len())
+		}
+		for _, u := range users {
+			for _, i := range items {
+				gs, gok := got.Get(u, i)
+				ws, wok := want.Get(u, i)
+				if gok != wok || gs != ws {
+					t.Fatalf("workers=%d (%d,%d): got (%v,%v), want (%v,%v)",
+						workers, u, i, gs, gok, ws, wok)
 				}
 			}
 		}
 	}
-	if batch.batchCalls.Load() == 0 {
-		t.Fatal("UserBatchPredictor path was never taken")
-	}
 }
 
-// TestMaterializeUserUsesBatch checks the single-user path also routes
-// through the bulk interface and skips rated items.
+// TestMaterializeUserUsesBatch checks the single-user path loads the
+// user's side of the model once and skips rated items.
 func TestMaterializeUserUsesBatch(t *testing.T) {
-	pred := &fakeBatchPredictor{fakePredictor: fakePredictor{
+	pred := &fakePredictor{
 		users: idRange(3), items: idRange(5),
 		seen: map[int64]map[int64]float64{2: {4: 3.5}},
-	}}
+	}
 	ix := recindex.New()
 	m := New(ix, 0, func() float64 { return 0 })
 	if err := m.MaterializeUser(pred, 2); err != nil {
@@ -117,10 +91,6 @@ func (s *slowPredictor) score(u, i int64) float64 {
 		acc = acc*1.0000001 + float64(k%7)
 	}
 	return acc
-}
-
-func (s *slowPredictor) Predict(u, i int64) (float64, bool, error) {
-	return s.score(u, i), true, nil
 }
 
 func (s *slowPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {

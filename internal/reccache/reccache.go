@@ -139,22 +139,14 @@ func (m *Manager) recordRun(err error) {
 }
 
 // Predictor supplies predictions and seen-ness for admission; it is the
-// recommender's model store.
+// recommender's model store. PredictForUser loads the user's side of the
+// model once for the whole batch and must be safe to call concurrently for
+// different users.
 type Predictor interface {
-	Predict(user, item int64) (float64, bool, error)
+	PredictForUser(user int64, items []int64) ([]float64, []bool, error)
 	UserItems(user int64) (map[int64]float64, error)
 	ItemIDs() []int64
 	UserIDs() []int64
-}
-
-// UserBatchPredictor is the optional bulk interface: predictors that can
-// amortize per-user state over a batch of items (rec.ModelStore fetches
-// the user's rated items, neighbor list, or factor vector exactly once).
-// Materialization uses it when available and must be safe to call
-// concurrently for different users.
-type UserBatchPredictor interface {
-	Predictor
-	PredictForUser(user int64, items []int64) ([]float64, []bool, error)
 }
 
 // New creates a manager over the given RecScoreIndex. clock may be nil, in
@@ -313,12 +305,14 @@ func (m *Manager) Run(pred Predictor) (Decision, error) {
 	}()
 	threshold := m.Threshold
 	var admit, evict []Pair
-	for _, u := range usersDue {
+	admitItems := make([][]int64, len(usersDue)) // admit's items, per due user
+	for x, u := range usersDue {
 		for _, i := range itemsDue {
 			hot := m.hotnessLocked(u, i)
 			p := Pair{User: u, Item: i, Hotness: hot}
 			if hot >= threshold {
 				admit = append(admit, p)
+				admitItems[x] = append(admitItems[x], i)
 			} else {
 				evict = append(evict, p)
 			}
@@ -334,23 +328,18 @@ func (m *Manager) Run(pred Predictor) (Decision, error) {
 			dec.Evicted++
 		}
 	}
-	for _, p := range admit {
-		seen, err := pred.UserItems(p.User)
-		if err != nil {
-			return dec, err
-		}
-		if _, rated := seen[p.Item]; rated {
+	for x, u := range usersDue {
+		if len(admitItems[x]) == 0 {
 			continue
 		}
-		score, ok, err := pred.Predict(p.User, p.Item)
+		entries, err := unseenEntries(pred, u, admitItems[x])
 		if err != nil {
 			return dec, err
 		}
-		if !ok {
-			score = 0 // Algorithm 1 emits 0 when there is no basis
+		for _, e := range entries {
+			m.index.Put(u, e.item, e.score)
+			dec.Admitted++
 		}
-		m.index.Put(p.User, p.Item, score)
-		dec.Admitted++
 	}
 	dec.AdmissionList = admit
 	dec.EvictionList = evict
@@ -363,46 +352,30 @@ type entry struct {
 	score float64
 }
 
-// userEntries computes the predictions to materialize for user u: every
-// unrated item, scored through the batch interface when the predictor
-// offers it, and through per-pair Predict otherwise. Unpredictable pairs
-// score 0, as Algorithm 1 emits.
-func userEntries(pred Predictor, u int64) ([]entry, error) {
+// unseenEntries computes the predictions to materialize for user u among
+// items: those u has not rated. Unpredictable pairs score 0, as Algorithm 1
+// emits.
+func unseenEntries(pred Predictor, u int64, items []int64) ([]entry, error) {
 	seen, err := pred.UserItems(u)
 	if err != nil {
 		return nil, err
 	}
-	items := pred.ItemIDs()
 	todo := make([]int64, 0, len(items))
 	for _, i := range items {
 		if _, rated := seen[i]; !rated {
 			todo = append(todo, i)
 		}
 	}
-	out := make([]entry, 0, len(todo))
-	if bp, ok := pred.(UserBatchPredictor); ok {
-		scores, oks, err := bp.PredictForUser(u, todo)
-		if err != nil {
-			return nil, err
-		}
-		for x, i := range todo {
-			s := scores[x]
-			if !oks[x] {
-				s = 0
-			}
-			out = append(out, entry{item: i, score: s})
-		}
-		return out, nil
+	scores, oks, err := pred.PredictForUser(u, todo)
+	if err != nil {
+		return nil, err
 	}
-	for _, i := range todo {
-		score, ok, err := pred.Predict(u, i)
-		if err != nil {
-			return nil, err
+	out := make([]entry, len(todo))
+	for x, i := range todo {
+		if !oks[x] {
+			scores[x] = 0
 		}
-		if !ok {
-			score = 0
-		}
-		out = append(out, entry{item: i, score: score})
+		out[x] = entry{item: i, score: scores[x]}
 	}
 	return out, nil
 }
@@ -411,7 +384,7 @@ func userEntries(pred Predictor, u int64) ([]entry, error) {
 // user has not rated (full per-user materialization, the warm state of the
 // top-k experiments in §VI-C).
 func (m *Manager) MaterializeUser(pred Predictor, u int64) error {
-	entries, err := userEntries(pred, u)
+	entries, err := unseenEntries(pred, u, pred.ItemIDs())
 	if err != nil {
 		return err
 	}
@@ -459,7 +432,7 @@ func (m *Manager) MaterializeAll(pred Predictor) error {
 			go func(w int) {
 				defer wg.Done()
 				for x := w; x < len(span); x += workers {
-					results[x], errs[x] = userEntries(pred, span[x])
+					results[x], errs[x] = unseenEntries(pred, span[x], pred.ItemIDs())
 				}
 			}(w)
 		}
@@ -523,8 +496,5 @@ func (m *Manager) Stop() {
 	}
 }
 
-// ensure rec import is referenced (Predictor mirrors *rec.ModelStore).
-var (
-	_ Predictor          = (*rec.ModelStore)(nil)
-	_ UserBatchPredictor = (*rec.ModelStore)(nil)
-)
+// Predictor mirrors *rec.ModelStore.
+var _ Predictor = (*rec.ModelStore)(nil)

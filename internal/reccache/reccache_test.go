@@ -2,20 +2,30 @@ package reccache
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"recdb/internal/recindex"
 )
 
-// fakePredictor is a deterministic Predictor for tests.
+// fakePredictor is a deterministic Predictor for tests. batchCalls is
+// atomic because MaterializeAll invokes PredictForUser from concurrent
+// workers.
 type fakePredictor struct {
 	users, items []int64
 	seen         map[int64]map[int64]float64 // user → item → rating
+	batchCalls   atomic.Int64
 }
 
-func (f *fakePredictor) Predict(u, i int64) (float64, bool, error) {
-	return float64(u*10 + i), true, nil
+func (f *fakePredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
+	f.batchCalls.Add(1)
+	scores := make([]float64, len(items))
+	oks := make([]bool, len(items))
+	for x, i := range items {
+		scores[x], oks[x] = float64(u*10+i), true
+	}
+	return scores, oks, nil
 }
 
 func (f *fakePredictor) UserItems(u int64) (map[int64]float64, error) {

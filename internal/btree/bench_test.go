@@ -7,10 +7,26 @@ import (
 )
 
 func BenchmarkInsert(b *testing.B) {
+	b.ReportAllocs()
 	tr := New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Insert(intKey(int64(i)), i)
+	}
+}
+
+// BenchmarkLoad builds BenchmarkInsert's tree bottom-up: ns/op is per key,
+// the run's construction included.
+func BenchmarkLoad(b *testing.B) {
+	b.ReportAllocs()
+	slab := make([]types.Value, b.N)
+	vals := make([]any, b.N)
+	for i := range vals {
+		slab[i] = types.NewInt(int64(i))
+		vals[i] = i
+	}
+	if _, err := Load(0, 1, slab, vals); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -4,6 +4,9 @@
 // scanned in descending predicted-rating order by the INDEXRECOMMEND
 // operator (Algorithm 3).
 //
+// A tree is grown key by key with Insert, or built in one pass from a
+// sorted run with Load (table bulk loads and CREATE INDEX).
+//
 // Deletion follows PostgreSQL's relaxed strategy: keys are removed from
 // leaves, and a node is unlinked from its parent only when it becomes
 // completely empty. The tree never rebalances on delete, which keeps the
@@ -18,28 +21,14 @@ import (
 	"recdb/internal/types"
 )
 
-// CompareRows orders composite keys lexicographically. Values of different
-// kinds that types.Compare refuses to order (e.g. TEXT vs BIGINT) fall back
-// to ordering by kind, so the comparison is a total order over all rows.
+// CompareRows orders composite keys lexicographically under CompareValues.
 func CompareRows(a, b types.Row) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		c, err := types.Compare(a[i], b[i])
-		if err != nil {
-			ka, kb := a[i].Kind(), b[i].Kind()
-			switch {
-			case ka < kb:
-				return -1
-			case ka > kb:
-				return 1
-			default:
-				c = 0
-			}
-		}
-		if c != 0 {
+		if c := CompareValues(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
@@ -51,6 +40,26 @@ func CompareRows(a, b types.Row) int {
 	default:
 		return 0
 	}
+}
+
+// CompareValues orders two key fields. Values of different kinds that
+// types.Compare refuses to order (e.g. TEXT vs BIGINT) fall back to
+// ordering by kind, so the comparison is a total order over all values.
+// A caller that sorts a run for Load must sort with this order.
+func CompareValues(a, b types.Value) int {
+	c, err := types.Compare(a, b)
+	if err != nil {
+		ka, kb := a.Kind(), b.Kind()
+		switch {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
+		default:
+			return 0
+		}
+	}
+	return c
 }
 
 type node struct {
@@ -83,6 +92,62 @@ func New(order int) *Tree {
 		order = DefaultOrder
 	}
 	return &Tree{root: &node{leaf: true}, order: order}
+}
+
+// Load builds a tree bottom-up from a run that is already in strictly
+// ascending key order: key i is slab[i*width:(i+1)*width] and vals[i] its
+// value. Leaves are packed full and chained, and each upper level takes its
+// separators from its children's first keys, so the build is O(n), compares
+// no keys, and allocates per node rather than per key — the nodes' key and
+// value arrays are windows of slab and vals, which the tree owns from here
+// on. Load does not check the order (the caller has just established it);
+// Validate does.
+func Load(order, width int, slab []types.Value, vals []any) (*Tree, error) {
+	t := New(order)
+	n := len(vals)
+	if width < 1 || len(slab) != n*width {
+		return nil, fmt.Errorf("btree: Load of %d keys of width %d over a slab of %d values", n, width, len(slab))
+	}
+	if n == 0 {
+		return t, nil
+	}
+	keys := make([]types.Row, n)
+	for i := range keys {
+		keys[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	// Every window is capped at its own length, so a later Insert into a
+	// loaded node reallocates that node's array instead of growing into
+	// its neighbour's.
+	level := make([]*node, 0, (n+t.order-1)/t.order)
+	firsts := make([]types.Row, 0, cap(level)) // smallest key under each node of level
+	for lo := 0; lo < n; lo += t.order {
+		hi := min(lo+t.order, n)
+		leaf := &node{leaf: true, keys: keys[lo:hi:hi], vals: vals[lo:hi:hi]}
+		if len(level) > 0 {
+			leaf.prev = level[len(level)-1]
+			leaf.prev.next = leaf
+		}
+		level = append(level, leaf)
+		firsts = append(firsts, keys[lo])
+	}
+	for len(level) > 1 {
+		fan := t.order + 1
+		up := make([]*node, 0, (len(level)+fan-1)/fan)
+		upFirsts := make([]types.Row, 0, cap(up))
+		for lo := 0; lo < len(level); {
+			hi := min(lo+fan, len(level))
+			if len(level)-hi == 1 {
+				hi-- // leave the last parent two children, not a lone one
+			}
+			up = append(up, &node{keys: firsts[lo+1 : hi : hi], children: level[lo:hi:hi]})
+			upFirsts = append(upFirsts, firsts[lo])
+			lo = hi
+		}
+		level, firsts = up, upFirsts
+	}
+	t.root = level[0]
+	t.size = n
+	return t, nil
 }
 
 // Len returns the number of keys in the tree.

@@ -7,6 +7,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,8 +78,8 @@ type Index struct {
 	Spatial *geo.RTree
 }
 
-// CreateTable registers a new table. pkCol is the index of the primary-key
-// column or -1. A primary key implicitly creates a unique index.
+// CreateTable registers a new, empty table. pkCol is the index of the
+// primary-key column or -1. A primary key implicitly creates a unique index.
 func (c *Catalog) CreateTable(name string, schema *types.Schema, pkCol int) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -86,6 +87,16 @@ func (c *Catalog) CreateTable(name string, schema *types.Schema, pkCol int) (*Ta
 	if _, exists := (*c.tables.Load())[key]; exists {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
+	t, err := c.newTable(name, schema, pkCol)
+	if err != nil {
+		return nil, err
+	}
+	c.publishLocked(func(m map[string]*Table) { m[key] = t })
+	return t, nil
+}
+
+// newTable builds an empty table over a fresh heap without registering it.
+func (c *Catalog) newTable(name string, schema *types.Schema, pkCol int) (*Table, error) {
 	if pkCol >= schema.Len() {
 		return nil, fmt.Errorf("catalog: primary key column %d out of range", pkCol)
 	}
@@ -109,8 +120,37 @@ func (c *Catalog) CreateTable(name string, schema *types.Schema, pkCol int) (*Ta
 			Tree:   btree.New(0),
 		}
 	}
-	c.publishLocked(func(m map[string]*Table) { m[key] = t })
 	return t, nil
+}
+
+// Publish registers tables built off to the side (Loader.Finish) and
+// removes the tables named in drop, in one catalog generation: a by-name
+// reader sees every old name or every new one, never a mixture, and never
+// a table that is still being filled. Names in drop that do not exist are
+// ignored; an added name must be free or be dropped by the same call.
+func (c *Catalog) Publish(add []*Table, drop []string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur := *c.tables.Load()
+	dropped := make(map[string]bool, len(drop))
+	for _, name := range drop {
+		dropped[strings.ToLower(name)] = true
+	}
+	for _, t := range add {
+		key := strings.ToLower(t.Name)
+		if _, exists := cur[key]; exists && !dropped[key] {
+			return fmt.Errorf("catalog: table %q already exists", t.Name)
+		}
+	}
+	c.publishLocked(func(m map[string]*Table) {
+		for key := range dropped {
+			delete(m, key)
+		}
+		for _, t := range add {
+			m[strings.ToLower(t.Name)] = t
+		}
+	})
+	return nil
 }
 
 // DropTable removes a table.
@@ -162,12 +202,23 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// indexKeyFor builds the composite tree key for a row's entry in idx.
-func indexKeyFor(idx *Index, row types.Row, rid storage.RID) types.Row {
-	if idx.Unique {
-		return types.Row{row[idx.Column]}
+// appendKey appends to dst the index key of a row whose indexed column
+// holds val and which lives at rid: (value, page, slot) in an ordinary
+// index, so equal values coexist; the bare value in a unique index, and in
+// a spatial one, whose R-tree takes the geometry alone.
+func (idx *Index) appendKey(dst types.Row, val types.Value, rid storage.RID) types.Row {
+	if idx.keyWidth() == 1 {
+		return append(dst, val)
 	}
-	return types.Row{row[idx.Column], types.NewInt(int64(rid.Page)), types.NewInt(int64(rid.Slot))}
+	return append(dst, val, types.NewInt(int64(rid.Page)), types.NewInt(int64(rid.Slot)))
+}
+
+// keyWidth is the number of fields appendKey appends.
+func (idx *Index) keyWidth() int {
+	if idx.Unique || idx.Spatial != nil {
+		return 1
+	}
+	return 3
 }
 
 // Insert validates the row against the schema, enforces the primary key,
@@ -268,25 +319,19 @@ func (t *Table) pkIndexLocked() *Index {
 	return t.indexes[strings.ToLower(t.Schema.Columns[t.PKCol].Name)]
 }
 
-// CreateIndex builds a secondary index on the named column, backfilling it
-// from the heap.
+// CreateIndex builds a secondary index on the named column from the rows
+// already in the heap: one scan collects the column, then the index is
+// built in bulk (indexRun).
 func (t *Table) CreateIndex(name, column string) (*Index, error) {
-	col, err := t.Schema.Resolve("", column)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	idx, key, err := t.newIndexLocked(name, column)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := strings.ToLower(column)
-	if _, exists := t.indexes[key]; exists {
-		return nil, fmt.Errorf("catalog: index on %q.%q already exists", t.Name, column)
-	}
-	idx := &Index{Name: name, Column: col}
-	if t.Schema.Columns[col].Kind == types.KindGeometry {
-		idx.Spatial = geo.NewRTree(0)
-	} else {
-		idx.Tree = btree.New(0)
-	}
+	rows := int(t.Heap.NumRows())
+	run := newIndexRun(idx, rows)
+	rids := make([]storage.RID, 0, rows)
 	it := t.Heap.Scan()
 	defer it.Close()
 	for {
@@ -297,10 +342,109 @@ func (t *Table) CreateIndex(name, column string) (*Index, error) {
 		if !ok {
 			break
 		}
-		idx.add(row, rid)
+		run.add(row[idx.Column])
+		rids = append(rids, rid)
+	}
+	if err := run.finish(rids); err != nil {
+		return nil, err
 	}
 	t.indexes[key] = idx
 	return idx, nil
+}
+
+// newIndexLocked makes the empty index CreateIndex or a Loader is about to
+// fill, and the key it will be registered under. Caller holds t.mu (or
+// owns a table no one else can reach yet).
+func (t *Table) newIndexLocked(name, column string) (*Index, string, error) {
+	col, err := t.Schema.Resolve("", column)
+	if err != nil {
+		return nil, "", err
+	}
+	key := strings.ToLower(column)
+	if _, exists := t.indexes[key]; exists {
+		return nil, "", fmt.Errorf("catalog: index on %q.%q already exists", t.Name, column)
+	}
+	idx := &Index{Name: name, Column: col}
+	if t.Schema.Columns[col].Kind == types.KindGeometry {
+		idx.Spatial = geo.NewRTree(0)
+	} else {
+		idx.Tree = btree.New(0)
+	}
+	return idx, key, nil
+}
+
+// indexRun builds one index in bulk. The indexed column's values are added
+// in heap order — ascending RID, which is how both a heap scan and a bulk
+// append meet the rows — and go straight into the slab the tree's keys
+// will be cut from; finish supplies the RIDs and builds the tree bottom-up
+// (btree.Load). A column that arrived non-decreasing is already in key
+// order (value, page, slot), which add notices as the values go by; only a
+// column that did not is sorted, stably by value, which keeps equal values
+// in RID order.
+type indexRun struct {
+	idx    *Index
+	keys   types.Row // the keys so far, back to back, RID fields still zero
+	sorted bool      // the values so far are non-decreasing
+}
+
+// newIndexRun starts a run expected to take rows values.
+func newIndexRun(idx *Index, rows int) *indexRun {
+	return &indexRun{idx: idx, keys: make(types.Row, 0, rows*idx.keyWidth()), sorted: true}
+}
+
+// add takes the next row's value of the indexed column.
+func (r *indexRun) add(val types.Value) {
+	if n := len(r.keys); r.sorted && n > 0 && btree.CompareValues(r.keys[n-r.idx.keyWidth()], val) > 0 {
+		r.sorted = false
+	}
+	r.keys = r.idx.appendKey(r.keys, val, storage.RID{})
+}
+
+// finish builds the index, replacing whatever it held: rids[i] is where
+// the row of the i-th added value lives. A unique index refuses two equal
+// values.
+func (r *indexRun) finish(rids []storage.RID) error {
+	idx, w, keys := r.idx, r.idx.keyWidth(), r.keys
+	if idx.Spatial != nil {
+		for i, rid := range rids {
+			if g := keys[i]; g.Kind() == types.KindGeometry && g.Geometry() != nil {
+				idx.Spatial.Insert(g.Geometry(), rid)
+			}
+		}
+		return nil
+	}
+	switch {
+	case !r.sorted:
+		order := make([]int, len(rids))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return btree.CompareValues(keys[a*w], keys[b*w]) })
+		keys = make(types.Row, 0, len(r.keys))
+		inOrder := make([]storage.RID, len(rids))
+		for i, o := range order {
+			keys = idx.appendKey(keys, r.keys[o*w], rids[o])
+			inOrder[i] = rids[o]
+		}
+		rids = inOrder
+	case w > 1:
+		for i, rid := range rids {
+			idx.appendKey(keys[:i*w], keys[i*w], rid) // in place: the RID is now known
+		}
+	}
+	vals := make([]any, len(rids))
+	for i, rid := range rids {
+		if idx.Unique && i > 0 && btree.CompareValues(keys[i-1], keys[i]) == 0 {
+			return fmt.Errorf("catalog: duplicate key %v in unique index %q", keys[i], idx.Name)
+		}
+		vals[i] = rid
+	}
+	tree, err := btree.Load(0, w, keys, vals)
+	if err != nil {
+		return err
+	}
+	idx.Tree = tree
+	return nil
 }
 
 // add inserts one row's entry into the index.
@@ -312,7 +456,7 @@ func (idx *Index) add(row types.Row, rid storage.RID) {
 		}
 		return
 	}
-	idx.Tree.Insert(indexKeyFor(idx, row, rid), rid)
+	idx.Tree.Insert(idx.appendKey(nil, row[idx.Column], rid), rid)
 }
 
 // drop removes one row's entry from the index.
@@ -324,7 +468,7 @@ func (idx *Index) drop(row types.Row, rid storage.RID) {
 		}
 		return
 	}
-	idx.Tree.Delete(indexKeyFor(idx, row, rid))
+	idx.Tree.Delete(idx.appendKey(nil, row[idx.Column], rid))
 }
 
 // SearchContaining visits RIDs of rows whose geometry bounding box

@@ -57,6 +57,30 @@ func BenchmarkPredictItemCF(b *testing.B) {
 	}
 }
 
+// BenchmarkMaterialize writes one built model into catalog tables, at the
+// shape of one shard of the benchmark ledger (~1 900 ratings, 94 users x
+// 336 items): what each threshold crossing of ratings.mixed pays per
+// recommender on top of the model build.
+func BenchmarkMaterialize(b *testing.B) {
+	ratings := benchRatings(94, 336, 0.06)
+	for _, algo := range []Algorithm{ItemCosCF, SVD} {
+		b.Run(algo.String(), func(b *testing.B) {
+			m, err := Build(ratings, algo, BuildOptions{SVDSeed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cat := catalog.New(nil, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Materialize(cat, "bench", m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkItemNeighbors reads one similarity list per iteration from the
 // materialized itemneighborhood table (index seek + clustered-run walk).
 func BenchmarkItemNeighbors(b *testing.B) {

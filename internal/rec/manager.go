@@ -405,15 +405,21 @@ func (m *Manager) NotifyInsert(table string, count int) error {
 	}
 	m.mu.RUnlock()
 
+	// Recommenders that share a source table fall due on the same insert;
+	// the table is scanned once and each build is handed the same ratings.
+	loaded := make(map[ratingSource][]Rating)
 	for _, r := range due {
-		// Rebuild fires the onRebuild cache invalidation itself on
+		// rebuildFrom fires the onRebuild cache invalidation itself on
 		// success. Graceful degradation on error: the failure is recorded
 		// in the recommender's Health and retried with backoff; the
 		// insert that triggered maintenance must not fail.
-		_ = m.Rebuild(r.Name)
+		_ = m.rebuildFrom(r, loaded)
 	}
 	return nil
 }
+
+// ratingSource names the three columns a recommender reads its ratings from.
+type ratingSource struct{ table, user, item, rating string }
 
 // Rebuild reloads the source table and rebuilds the recommender's model.
 // On failure the previous model keeps serving: the error is recorded in
@@ -424,7 +430,13 @@ func (m *Manager) Rebuild(name string) error {
 	if !ok {
 		return fmt.Errorf("rec: recommender %q does not exist", name)
 	}
-	err := m.rebuild(r)
+	return m.rebuildFrom(r, make(map[ratingSource][]Rating))
+}
+
+// rebuildFrom is Rebuild with the source scans of one maintenance pass
+// shared: ratings already in loaded are reused, a scan it makes is added.
+func (m *Manager) rebuildFrom(r *Recommender, loaded map[ratingSource][]Rating) error {
+	err := m.rebuild(r, loaded)
 	now := m.now()
 	r.mu.Lock()
 	wasHealthy := r.lastErr == nil
@@ -462,15 +474,20 @@ func (m *Manager) Rebuild(name string) error {
 	return err
 }
 
-func (m *Manager) rebuild(r *Recommender) error {
+func (m *Manager) rebuild(r *Recommender, loaded map[ratingSource][]Rating) error {
 	if m.buildFault != nil {
 		if err := m.buildFault(); err != nil {
 			return err
 		}
 	}
-	ratings, err := m.loadRatings(r.Table, r.UserCol, r.ItemCol, r.RatingCol)
-	if err != nil {
-		return err
+	src := ratingSource{strings.ToLower(r.Table), strings.ToLower(r.UserCol), strings.ToLower(r.ItemCol), strings.ToLower(r.RatingCol)}
+	ratings, ok := loaded[src]
+	if !ok {
+		var err error
+		if ratings, err = m.loadRatings(r.Table, r.UserCol, r.ItemCol, r.RatingCol); err != nil {
+			return err
+		}
+		loaded[src] = ratings
 	}
 	return m.buildAndSwap(r, ratings)
 }

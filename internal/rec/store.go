@@ -19,16 +19,18 @@ import (
 // RECOMMEND operator family reads these tables through the buffer pool, so
 // model access is page I/O like any other relational access path.
 //
-// Materialize is the only writer of these tables and inserts each one in
-// key order, every similarity list in (|sim| desc, id asc) order, so a
-// key's rows are one physically contiguous run already in list order. The
-// neighbourhood accessors depend on that: they seek a run's first row
-// through the index and read the rest from the heap (scanRun), and they
-// never sort. A rebuild materializes fresh tables; it does not edit these.
+// Materialize is the only writer of these tables. It bulk-loads each one in
+// key order, every similarity list in (|sim| desc, id asc) order, and
+// publishes a model's tables once, together, when all of them are whole;
+// so a key's rows are one physically contiguous run already in list order,
+// and a by-name reader sees a complete model or none. The neighbourhood
+// accessors depend on the first: they seek a run's first row through the
+// index and read the rest from the heap (scanRun), and they never sort. A
+// rebuild materializes fresh tables; it does not edit these.
 //
 // Tables per algorithm (all prefixed "_rec_<name>_"):
 //
-//	all:      uservector        (uid, iid, ratingval)  sorted by uid, indexed on uid and iid
+//	all:      uservector        (uid, iid, ratingval)  sorted by uid, indexed on uid
 //	ItemCF:   itemneighborhood  (iid, niid, sim)       sorted by iid, indexed on iid
 //	UserCF:   userneighborhood  (uid, nuid, sim)       sorted by uid, indexed on uid
 //	UserCF:   itemvector        (iid, uid, ratingval)  sorted by iid, indexed on iid
@@ -51,7 +53,6 @@ type ModelStore struct {
 	userIDs []int64
 	itemIDs []int64
 	itemSet map[int64]bool
-	names   []string // owned table names, for Drop
 
 	// Lazily decoded IVF index; decoding from the annivf table on first
 	// use (rather than carrying the in-memory build product) means every
@@ -69,201 +70,192 @@ func prefixFor(recommender string) string {
 	return "_rec_" + strings.ToLower(recommender) + "_"
 }
 
-// Materialize writes a built model into fresh catalog tables owned by the
-// named recommender, replacing any previous materialization.
-func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore, error) {
-	prefix := prefixFor(recommender)
-	DropTables(cat, recommender)
+// modelTables are the table-name suffixes a recommender can own.
+var modelTables = []string{
+	"uservector", "itemneighborhood", "userneighborhood",
+	"itemvector", "userfactor", "itemfactor", "itemscore", "annivf",
+}
 
+// tableNames lists every table name the named recommender can own.
+func tableNames(recommender string) []string {
+	names := make([]string, len(modelTables))
+	for i, suffix := range modelTables {
+		names[i] = prefixFor(recommender) + suffix
+	}
+	return names
+}
+
+// modelLoad bulk-loads the tables of one model, detached from the catalog.
+type modelLoad struct {
+	cat    *catalog.Catalog
+	prefix string
+	tables []*catalog.Table // finished, awaiting Publish
+}
+
+// tableLoad is one model table being loaded. Its first error sticks and
+// surfaces from finish, so the loops that feed it rows do not check each
+// add.
+type tableLoad struct {
+	ml  *modelLoad
+	l   *catalog.Loader
+	row types.Row // reused: Loader.Add keeps no reference
+	err error
+}
+
+// start begins loading the table <prefix><suffix>, expected to take n
+// rows in key order. With pk < 0 the table is indexed on its first column —
+// the key its runs are found by — under the name <table>_<column>.
+func (ml *modelLoad) start(suffix string, pk, n int, cols ...types.Column) *tableLoad {
+	name := ml.prefix + suffix
+	tl := &tableLoad{ml: ml, row: make(types.Row, len(cols))}
+	tl.l, tl.err = ml.cat.NewLoader(name, types.NewSchema(cols...), pk, n)
+	if tl.err == nil && pk < 0 {
+		tl.err = tl.l.Index(name+"_"+cols[0].Name, cols[0].Name)
+	}
+	return tl
+}
+
+// add takes the table's next row.
+func (tl *tableLoad) add(row ...types.Value) {
+	if tl.err == nil {
+		copy(tl.row, row)
+		tl.err = tl.l.Add(tl.row)
+	}
+}
+
+// finish builds the table and queues it for publication with the model's
+// other tables.
+func (tl *tableLoad) finish() (*catalog.Table, error) {
+	if tl.err != nil {
+		return nil, tl.err
+	}
+	t, err := tl.l.Finish()
+	if err != nil {
+		return nil, err
+	}
+	tl.ml.tables = append(tl.ml.tables, t)
+	return t, nil
+}
+
+func intCol(name string) types.Column   { return types.Column{Name: name, Kind: types.KindInt} }
+func floatCol(name string) types.Column { return types.Column{Name: name, Kind: types.KindFloat} }
+func textCol(name string) types.Column  { return types.Column{Name: name, Kind: types.KindText} }
+
+// neighborhood loads a similarity-list table: each id's list, ids ascending.
+func (ml *modelLoad) neighborhood(suffix, key, id string, ids []int64, model *NeighborhoodModel) (*catalog.Table, error) {
+	n := 0
+	for _, k := range ids {
+		n += len(model.Neighbors(k))
+	}
+	tl := ml.start(suffix, -1, n, intCol(key), intCol(id), floatCol("sim"))
+	for _, k := range ids {
+		for _, nb := range model.Neighbors(k) {
+			tl.add(types.NewInt(k), types.NewInt(nb.ID), types.NewFloat(nb.Sim))
+		}
+	}
+	return tl.finish()
+}
+
+// Materialize writes a built model into fresh catalog tables owned by the
+// named recommender. The tables are loaded off to the side and replace any
+// previous materialization in one catalog generation; on error the
+// previous tables stay as they were.
+func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore, error) {
 	s := &ModelStore{Algo: m.Algorithm(), userIDs: m.Users(), itemIDs: m.Items()}
 	s.itemSet = make(map[int64]bool, len(s.itemIDs))
 	for _, i := range s.itemIDs {
 		s.itemSet[i] = true
 	}
-
-	create := func(suffix string, schema *types.Schema, pk int) (*catalog.Table, error) {
-		name := prefix + suffix
-		t, err := cat.CreateTable(name, schema, pk)
-		if err != nil {
-			return nil, err
-		}
-		s.names = append(s.names, name)
-		return t, nil
-	}
+	ml := &modelLoad{cat: cat, prefix: prefixFor(recommender)}
+	ratings := m.Ratings() // sorted by (user, item)
+	var err error
 
 	// uservector, sorted by uid so Algorithm 1's outer scan sees users
 	// contiguously.
-	uv, err := create("uservector", types.NewSchema(
-		types.Column{Name: "uid", Kind: types.KindInt},
-		types.Column{Name: "iid", Kind: types.KindInt},
-		types.Column{Name: "ratingval", Kind: types.KindFloat},
-	), -1)
-	if err != nil {
+	uv := ml.start("uservector", -1, len(ratings), intCol("uid"), intCol("iid"), floatCol("ratingval"))
+	for _, r := range ratings {
+		uv.add(types.NewInt(r.User), types.NewInt(r.Item), types.NewFloat(r.Value))
+	}
+	if s.UserVector, err = uv.finish(); err != nil {
 		return nil, err
 	}
-	for _, r := range m.Ratings() {
-		if _, err := uv.Insert(types.Row{types.NewInt(r.User), types.NewInt(r.Item), types.NewFloat(r.Value)}); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := uv.CreateIndex(prefix+"uservector_uid", "uid"); err != nil {
-		return nil, err
-	}
-	if _, err := uv.CreateIndex(prefix+"uservector_iid", "iid"); err != nil {
-		return nil, err
-	}
-	s.UserVector = uv
 
 	switch model := m.(type) {
 	case *NeighborhoodModel:
 		if model.algo.ItemBased() {
-			in, err := create("itemneighborhood", types.NewSchema(
-				types.Column{Name: "iid", Kind: types.KindInt},
-				types.Column{Name: "niid", Kind: types.KindInt},
-				types.Column{Name: "sim", Kind: types.KindFloat},
-			), -1)
-			if err != nil {
+			if s.ItemNeighborhood, err = ml.neighborhood("itemneighborhood", "iid", "niid", s.itemIDs, model); err != nil {
 				return nil, err
 			}
-			for _, i := range s.itemIDs {
-				for _, n := range model.Neighbors(i) {
-					if _, err := in.Insert(types.Row{types.NewInt(i), types.NewInt(n.ID), types.NewFloat(n.Sim)}); err != nil {
-						return nil, err
-					}
-				}
+			break
+		}
+		if s.UserNeighborhood, err = ml.neighborhood("userneighborhood", "uid", "nuid", s.userIDs, model); err != nil {
+			return nil, err
+		}
+		byItem := make(map[int64][]Rating)
+		for _, r := range ratings {
+			byItem[r.Item] = append(byItem[r.Item], r)
+		}
+		iv := ml.start("itemvector", -1, len(ratings), intCol("iid"), intCol("uid"), floatCol("ratingval"))
+		for _, i := range s.itemIDs {
+			for _, r := range byItem[i] {
+				iv.add(types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value))
 			}
-			if _, err := in.CreateIndex(prefix+"itemneighborhood_iid", "iid"); err != nil {
-				return nil, err
-			}
-			s.ItemNeighborhood = in
-		} else {
-			un, err := create("userneighborhood", types.NewSchema(
-				types.Column{Name: "uid", Kind: types.KindInt},
-				types.Column{Name: "nuid", Kind: types.KindInt},
-				types.Column{Name: "sim", Kind: types.KindFloat},
-			), -1)
-			if err != nil {
-				return nil, err
-			}
-			for _, u := range s.userIDs {
-				for _, n := range model.Neighbors(u) {
-					if _, err := un.Insert(types.Row{types.NewInt(u), types.NewInt(n.ID), types.NewFloat(n.Sim)}); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if _, err := un.CreateIndex(prefix+"userneighborhood_uid", "uid"); err != nil {
-				return nil, err
-			}
-			s.UserNeighborhood = un
-
-			iv, err := create("itemvector", types.NewSchema(
-				types.Column{Name: "iid", Kind: types.KindInt},
-				types.Column{Name: "uid", Kind: types.KindInt},
-				types.Column{Name: "ratingval", Kind: types.KindFloat},
-			), -1)
-			if err != nil {
-				return nil, err
-			}
-			byItem := make(map[int64][]Rating)
-			for _, r := range m.Ratings() {
-				byItem[r.Item] = append(byItem[r.Item], r)
-			}
-			for _, i := range s.itemIDs {
-				for _, r := range byItem[i] {
-					if _, err := iv.Insert(types.Row{types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value)}); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if _, err := iv.CreateIndex(prefix+"itemvector_iid", "iid"); err != nil {
-				return nil, err
-			}
-			s.ItemVector = iv
+		}
+		if s.ItemVector, err = iv.finish(); err != nil {
+			return nil, err
 		}
 	case *FactorModel:
 		s.K = model.K
-		uf, err := create("userfactor", types.NewSchema(
-			types.Column{Name: "uid", Kind: types.KindInt},
-			types.Column{Name: "features", Kind: types.KindText},
-		), 0)
-		if err != nil {
-			return nil, err
-		}
+		uf := ml.start("userfactor", 0, len(s.userIDs), intCol("uid"), textCol("features"))
 		for _, u := range s.userIDs {
-			if _, err := uf.Insert(types.Row{types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u]))}); err != nil {
-				return nil, err
-			}
+			uf.add(types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u])))
 		}
-		s.UserFactor = uf
-		itf, err := create("itemfactor", types.NewSchema(
-			types.Column{Name: "iid", Kind: types.KindInt},
-			types.Column{Name: "features", Kind: types.KindText},
-		), 0)
-		if err != nil {
+		if s.UserFactor, err = uf.finish(); err != nil {
 			return nil, err
 		}
+		itf := ml.start("itemfactor", 0, len(s.itemIDs), intCol("iid"), textCol("features"))
 		for _, i := range s.itemIDs {
-			if _, err := itf.Insert(types.Row{types.NewInt(i), types.NewText(encodeVec(model.ItemFactors[i]))}); err != nil {
-				return nil, err
-			}
+			itf.add(types.NewInt(i), types.NewText(encodeVec(model.ItemFactors[i])))
 		}
-		s.ItemFactor = itf
+		if s.ItemFactor, err = itf.finish(); err != nil {
+			return nil, err
+		}
 		if model.IVF != nil && model.IVF.NumCentroids() > 0 {
-			at, err := create("annivf", types.NewSchema(
-				types.Column{Name: "seq", Kind: types.KindInt},
-				types.Column{Name: "chunk", Kind: types.KindText},
-			), 0)
-			if err != nil {
-				return nil, err
-			}
 			enc := base64.StdEncoding.EncodeToString(model.IVF.Encode())
 			const chunkLen = 4096
+			at := ml.start("annivf", 0, (len(enc)+chunkLen-1)/chunkLen, intCol("seq"), textCol("chunk"))
 			for seq := 0; len(enc) > 0; seq++ {
-				n := chunkLen
-				if n > len(enc) {
-					n = len(enc)
-				}
-				if _, err := at.Insert(types.Row{types.NewInt(int64(seq)), types.NewText(enc[:n])}); err != nil {
-					return nil, err
-				}
+				n := min(chunkLen, len(enc))
+				at.add(types.NewInt(int64(seq)), types.NewText(enc[:n]))
 				enc = enc[n:]
 			}
-			s.AnnIVF = at
-		}
-	case *PopularityModel:
-		isc, err := create("itemscore", types.NewSchema(
-			types.Column{Name: "iid", Kind: types.KindInt},
-			types.Column{Name: "score", Kind: types.KindFloat},
-		), 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range s.itemIDs {
-			score, _ := model.Score(i)
-			if _, err := isc.Insert(types.Row{types.NewInt(i), types.NewFloat(score)}); err != nil {
+			if s.AnnIVF, err = at.finish(); err != nil {
 				return nil, err
 			}
 		}
-		s.ItemScore = isc
+	case *PopularityModel:
+		isc := ml.start("itemscore", 0, len(s.itemIDs), intCol("iid"), floatCol("score"))
+		for _, i := range s.itemIDs {
+			score, _ := model.Score(i)
+			isc.add(types.NewInt(i), types.NewFloat(score))
+		}
+		if s.ItemScore, err = isc.finish(); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("rec: cannot materialize model type %T", m)
+	}
+	if err := cat.Publish(ml.tables, tableNames(recommender)); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // DropTables removes every materialized table owned by the named
-// recommender. Missing tables are ignored.
+// recommender, in one catalog generation. Missing tables are ignored.
 func DropTables(cat *catalog.Catalog, recommender string) {
-	prefix := prefixFor(recommender)
-	for _, suffix := range []string{
-		"uservector", "itemneighborhood", "userneighborhood",
-		"itemvector", "userfactor", "itemfactor", "itemscore", "annivf",
-	} {
-		if cat.Has(prefix + suffix) {
-			_ = cat.DropTable(prefix + suffix)
-		}
-	}
+	// Publish fails only on a name clash among added tables; none are added.
+	_ = cat.Publish(nil, tableNames(recommender))
 }
 
 func encodeVec(v []float64) string {

@@ -20,6 +20,30 @@ func BenchmarkHeapInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkHeapAppendTuples stores BenchmarkHeapInsert's rows as one
+// batch: ns/op is per row, encoding included.
+func BenchmarkHeapAppendTuples(b *testing.B) {
+	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := types.Row{types.NewInt(1), types.NewInt(2), types.NewFloat(4.5)}
+	b.ResetTimer()
+	var slab []byte
+	ends := make([]int, b.N)
+	for i := range ends {
+		slab = types.EncodeRow(slab, row)
+		ends[i] = len(slab)
+	}
+	tuples := make([][]byte, b.N)
+	for i, start := 0, 0; i < b.N; i++ {
+		tuples[i], start = slab[start:ends[i]], ends[i]
+	}
+	if _, err := h.AppendTuples(tuples); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkHeapScan(b *testing.B) {
 	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
 	if err != nil {

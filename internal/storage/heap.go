@@ -19,7 +19,8 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
 // HeapFile stores rows in slotted pages through a buffer pool. Inserts
 // append to the last page with room (the fill pattern the paper's bulk
-// model loads produce); scans visit pages in order, block by block.
+// model loads produce), one tuple at a time (Insert) or a page at a time
+// (AppendTuples); scans visit pages in order, block by block.
 //
 // The heap is multi-versioned at the page-buffer level: every mutation
 // publishes a new generation (heapState) with an atomic pointer store,
@@ -95,10 +96,13 @@ func (h *HeapFile) NumPages() uint32 { return h.state.Load().numPages }
 // NumRows returns the number of live rows.
 func (h *HeapFile) NumRows() int64 { return h.state.Load().rowCount }
 
+// maxTupleSize is the largest tuple an empty page holds.
+const maxTupleSize = PageSize - pageHeaderSize - slotSize
+
 // Insert encodes row and stores it, returning its RID.
 func (h *HeapFile) Insert(row types.Row) (RID, error) {
 	tuple := types.EncodeRow(nil, row)
-	if len(tuple) > PageSize-pageHeaderSize-slotSize {
+	if len(tuple) > maxTupleSize {
 		return RID{}, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(tuple))
 	}
 	h.mu.Lock()
@@ -119,28 +123,87 @@ func (h *HeapFile) insertLocked(tuple []byte) (RID, error) {
 			return rid, nil
 		}
 	}
-	// Allocate a fresh page. No snapshot can reference it (it lies past
-	// every snapshot's page count), so it is initialized in place; verMu
-	// is held so the page-count bump publishes atomically with the edit.
+	rids, err := h.appendPageLocked(nil, [][]byte{tuple})
+	if err != nil {
+		return RID{}, err
+	}
+	return rids[0], nil
+}
+
+// AppendTuples stores encoded rows (types.EncodeRow) in order and returns
+// their RIDs. Placement is Insert's — top up the last page, then open a
+// fresh page whenever a tuple does not fit the current one — so the RIDs
+// are exactly those a loop of Insert would return. What differs is the
+// cost: each page is pinned once and published as one heap generation
+// rather than one per tuple. A snapshot therefore sees a page's share of
+// the batch or none of it, never part of a page. A tuple no page can hold
+// fails the call before anything is stored; an I/O error part way leaves
+// the pages already published in place, as a loop of Insert would, and
+// returns no RIDs.
+func (h *HeapFile) AppendTuples(tuples [][]byte) ([]RID, error) {
+	for _, t := range tuples {
+		if len(t) == 0 || len(t) > maxTupleSize {
+			return nil, fmt.Errorf("storage: tuple of %d bytes cannot be stored in a page", len(t))
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	rids := make([]RID, 0, len(tuples))
+	if h.lastPage != InvalidPageID && len(tuples) > 0 {
+		id := h.lastPage
+		err := h.editPage(id, func(p *Page) (int64, bool, error) {
+			rids = fillPage(p, id, rids, tuples)
+			return int64(len(rids)), len(rids) > 0, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for len(rids) < len(tuples) {
+		var err error
+		if rids, err = h.appendPageLocked(rids, tuples[len(rids):]); err != nil {
+			return nil, err
+		}
+	}
+	return rids, nil
+}
+
+// fillPage inserts tuples into p until one does not fit, appending their
+// RIDs to rids.
+func fillPage(p *Page, id PageID, rids []RID, tuples [][]byte) []RID {
+	for _, t := range tuples {
+		slot, err := p.Insert(t)
+		if err != nil {
+			break
+		}
+		rids = append(rids, RID{Page: id, Slot: slot})
+	}
+	return rids
+}
+
+// appendPageLocked allocates a fresh page, fills it from the front of
+// tuples and publishes it, appending the stored tuples' RIDs to rids. No
+// snapshot can reference the page (it lies past every snapshot's page
+// count), so it is filled in place; verMu is held so the page-count bump
+// publishes atomically with the edit. The caller holds mu exclusively and
+// has checked that every tuple fits an empty page.
+func (h *HeapFile) appendPageLocked(rids []RID, tuples [][]byte) ([]RID, error) {
 	h.verMu.Lock()
 	id, buf, err := h.pool.NewPage()
 	if err != nil {
 		h.verMu.Unlock()
-		return RID{}, err
+		return rids, err
 	}
-	p := InitPage(buf)
-	slot, err := p.Insert(tuple)
-	if err != nil {
-		h.bumpLocked(1, 0)
-		h.verMu.Unlock()
-		h.pool.Unpin(id, true)
-		return RID{}, err
-	}
-	h.bumpLocked(1, 1)
+	before := len(rids)
+	rids = fillPage(InitPage(buf), id, rids, tuples)
+	h.bumpLocked(1, int64(len(rids)-before))
 	h.verMu.Unlock()
 	h.pool.Unpin(id, true)
 	h.lastPage = id
-	return RID{Page: id, Slot: slot}, nil
+	if len(rids) == before {
+		return rids, fmt.Errorf("storage: tuple of %d bytes does not fit an empty page", len(tuples[0]))
+	}
+	return rids, nil
 }
 
 func (h *HeapFile) tryInsert(id PageID, tuple []byte) (RID, bool, error) {
@@ -223,7 +286,7 @@ func (h *HeapFile) Delete(rid RID) error {
 // new) RID.
 func (h *HeapFile) Update(rid RID, row types.Row) (RID, error) {
 	tuple := types.EncodeRow(nil, row)
-	if len(tuple) > PageSize-pageHeaderSize-slotSize {
+	if len(tuple) > maxTupleSize {
 		return RID{}, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(tuple))
 	}
 	h.mu.Lock()

@@ -8,18 +8,22 @@
 // pipelined: up to 16 may be in flight on the wire at once (the server's
 // own pipeline bound), so concurrent callers share one connection's
 // round trips instead of queueing behind each other. Every request
-// carries a client-assigned id and a dedicated reader goroutine demuxes
-// response frames back to their callers, so answers may interleave
-// freely. A context with a deadline propagates to the server as the
-// request's timeout; cancelling the context sends a Cancel frame so the
-// server stops executing, and the call returns once the server
-// acknowledges with its terminal answer.
+// carries a client-assigned id, so answers may interleave freely. No
+// goroutine belongs to a Conn: a caller that has sent its request reads
+// the connection itself, handing any frame that answers another caller
+// to that caller, until its own answer is complete, and then passes the
+// reading on to a caller still waiting — a Conn used by one caller at a
+// time never wakes anything. A context with a deadline propagates to the
+// server as the request's timeout; cancelling the context sends a Cancel
+// frame so the server stops executing, and the call returns once the
+// server acknowledges with its terminal answer.
 package client
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -60,13 +64,19 @@ type Result struct {
 	RowsAffected int64
 }
 
-// call is one in-flight request: the reader goroutine fills it in and
-// closes done when the terminal answer arrives (or the connection dies).
+// call is one in-flight request. Whoever holds the reader role fills it
+// in; its own caller reads it once it has held the role to the terminal
+// answer, or been told through wake that someone else did.
 type call struct {
 	rows     *Rows
 	complete wire.Complete
 	err      error
-	done     chan struct{}
+	// wake is made for a caller that found another one reading. It
+	// receives exactly once: true when the call is over, false when the
+	// reader role is this caller's to take.
+	wake chan bool
+	// canceled is set once the call's context ended and a Cancel went out.
+	canceled bool
 }
 
 // Conn is one client session. It is safe for concurrent use: callers
@@ -80,15 +90,30 @@ type Conn struct {
 	// request into the pipeline.
 	slots chan struct{}
 
-	// wmu serializes frame writes onto the connection.
-	wmu sync.Mutex
+	// wmu serializes frame writes onto the connection; wbuf is the frame
+	// being sent.
+	wmu  sync.Mutex
+	wbuf []byte
+
+	// in belongs to the caller holding the reader role and, like probe,
+	// to whoever holds mu while there is no reader.
+	in    *wire.Reader
+	probe *hangupProbe
 
 	// mu guards the demux state below.
 	mu      sync.Mutex
 	pending map[uint32]*call
 	nextID  uint32
-	closed  bool
+	reading bool  // a caller holds the reader role; false implies pending is empty
+	closed  bool  // poisoned or closed
 	cause   error // the transport failure that poisoned the conn
+	// cancels counts pending calls whose Cancel has been sent. While it is
+	// non-zero the connection's read deadline is armed cancelGrace ahead,
+	// on behalf of cancelCause.
+	cancels     int
+	cancelCause error
+	// passes counts reader-role hand-overs between callers, for tests.
+	passes int
 
 	// dead closes when the connection is poisoned or closed, unblocking
 	// callers waiting for a pipeline slot.
@@ -115,7 +140,8 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		_ = nc.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	t, payload, _, err := wire.ReadFrame(nc, make([]byte, 512))
+	in := wire.NewReader(nc)
+	t, payload, err := in.Next()
 	if err != nil {
 		_ = nc.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -132,6 +158,8 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 			sessionID: h.SessionID,
 			server:    h.Server,
 			conn:      nc,
+			in:        in,
+			probe:     newHangupProbe(nc),
 			slots:     make(chan struct{}, wire.PipelineDepth),
 			pending:   make(map[uint32]*call),
 			dead:      make(chan struct{}),
@@ -139,7 +167,6 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		for i := 0; i < wire.PipelineDepth; i++ {
 			c.slots <- struct{}{}
 		}
-		go c.readLoop()
 		return c, nil
 	case wire.TypeError:
 		e, derr := wire.DecodeError(payload)
@@ -169,10 +196,28 @@ func (c *Conn) Close() error {
 
 // Closed reports whether the connection is closed or has been poisoned
 // by a transport failure; a closed Conn never recovers (dial a new one).
+// Nothing reads an idle connection, so Closed is also where a peer that
+// hung up on one is found out: it looks at the socket without blocking,
+// and a caller that asks before it sends — a pool — never writes a
+// request to a server that is no longer there.
 func (c *Conn) Closed() bool {
 	c.mu.Lock()
+	if c.closed || c.reading || c.in.Buffered() > 0 || !c.probe.hungUp() {
+		closed := c.closed
+		c.mu.Unlock()
+		return closed
+	}
+	stranded := c.failLocked(fmt.Errorf("client: receive: %w", io.EOF))
+	c.mu.Unlock()
+	c.release(stranded)
+	return true
+}
+
+// InFlight reports how many requests are awaiting their answer.
+func (c *Conn) InFlight() int {
+	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	return len(c.pending)
 }
 
 // Ping checks server liveness end to end.
@@ -201,12 +246,13 @@ func (c *Conn) Query(ctx context.Context, sql string) (*Rows, error) {
 }
 
 // roundTrip performs one pipelined request cycle: acquire a pipeline
-// slot, send the frame, then wait for the reader goroutine to deliver
-// the request's terminal answer. When ctx carries a deadline it is
-// forwarded as the server-side timeout; when ctx is cancelled a Cancel
-// frame asks the server to interrupt, and the cycle still ends on the
-// server's terminal answer (an unresponsive server is cut off by the
-// cancelGrace backstop, which poisons the connection).
+// slot, send the frame, then read the connection — or wait for the
+// caller who is reading it — until the request's terminal answer. When
+// ctx carries a deadline it is forwarded as the server-side timeout;
+// when ctx is cancelled a Cancel frame asks the server to interrupt, and
+// the cycle still ends on the server's terminal answer (an unresponsive
+// server is cut off by the cancelGrace backstop, which poisons the
+// connection).
 func (c *Conn) roundTrip(ctx context.Context, kind wire.Type, sql string) (wire.Complete, *Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,7 +269,7 @@ func (c *Conn) roundTrip(ctx context.Context, kind wire.Type, sql string) (wire.
 	}
 	defer func() { c.slots <- struct{}{} }()
 
-	cl := &call{rows: &Rows{pos: -1}, done: make(chan struct{})}
+	cl := &call{rows: &Rows{pos: -1}}
 	c.mu.Lock()
 	if c.closed {
 		err := c.cause
@@ -233,44 +279,36 @@ func (c *Conn) roundTrip(ctx context.Context, kind wire.Type, sql string) (wire.
 	id := c.nextID
 	c.nextID++
 	c.pending[id] = cl
+	reader := !c.reading
+	if reader {
+		c.reading = true
+	} else {
+		cl.wake = make(chan bool, 1)
+	}
 	c.mu.Unlock()
 
-	var payload []byte
-	if kind == wire.TypePing {
-		payload = wire.AppendID(nil, id)
-	} else {
-		var timeoutMillis uint32
-		if dl, ok := ctx.Deadline(); ok {
-			if ms := time.Until(dl).Milliseconds(); ms > 0 {
-				timeoutMillis = uint32(min(ms, int64(^uint32(0))))
-			} else {
-				timeoutMillis = 1
-			}
+	var timeoutMillis uint32
+	if dl, ok := ctx.Deadline(); ok {
+		if ms := time.Until(dl).Milliseconds(); ms > 0 {
+			timeoutMillis = uint32(min(ms, int64(^uint32(0))))
+		} else {
+			timeoutMillis = 1
 		}
-		payload = wire.AppendRequest(nil, wire.Request{ID: id, TimeoutMillis: timeoutMillis, SQL: sql})
 	}
-	if err := c.writeFrame(kind, payload); err != nil {
-		err = fmt.Errorf("client: send: %w", err)
-		c.fail(err)
-		c.forget(id)
-		return wire.Complete{}, nil, err
+	if err := c.send(kind, wire.Request{ID: id, TimeoutMillis: timeoutMillis, SQL: sql}); err != nil {
+		// Whoever is reading finds the connection closed under it.
+		c.fail(fmt.Errorf("client: send: %w", err))
+		return wire.Complete{}, nil, cl.err
 	}
-
-	select {
-	case <-cl.done:
-	case <-ctx.Done():
-		// Ask the server to interrupt; the terminal answer (code
-		// "canceled" or a result that beat the cancel) still arrives on
-		// the normal path and is what ends the wait.
-		_ = c.writeFrame(wire.TypeCancel, wire.AppendID(nil, id))
-		backstop := time.NewTimer(cancelGrace)
-		defer backstop.Stop()
-		select {
-		case <-cl.done:
-		case <-backstop.C:
-			c.fail(fmt.Errorf("client: no answer %v after cancel: %w", cancelGrace, ctx.Err()))
-			<-cl.done
-		}
+	if ctx.Done() != nil {
+		// Ask the server to interrupt when ctx ends; the terminal answer
+		// (code "canceled" or a result that beat the cancel) still arrives
+		// on the normal path and is what ends the wait.
+		stop := context.AfterFunc(ctx, func() { c.cancel(id, cl, ctx) })
+		defer stop()
+	}
+	if reader || !<-cl.wake {
+		c.read(id, cl)
 	}
 	if cl.err != nil {
 		return wire.Complete{}, nil, cl.err
@@ -278,115 +316,180 @@ func (c *Conn) roundTrip(ctx context.Context, kind wire.Type, sql string) (wire.
 	return cl.complete, cl.rows, nil
 }
 
-// writeFrame serializes one frame onto the connection.
-func (c *Conn) writeFrame(t wire.Type, payload []byte) error {
+// send encodes one request frame — Ping and Cancel carry the id alone —
+// and writes it.
+func (c *Conn) send(t wire.Type, r wire.Request) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return wire.WriteFrame(c.conn, t, payload)
+	b := wire.BeginFrame(c.wbuf[:0], t)
+	if t == wire.TypeQuery || t == wire.TypeExec {
+		b = wire.AppendRequest(b, r)
+	} else {
+		b = wire.AppendID(b, r.ID)
+	}
+	b, err := wire.EndFrame(b, 0)
+	if err != nil {
+		return err
+	}
+	c.wbuf = b
+	_, err = c.conn.Write(b)
+	return err
 }
 
-// readLoop is the demux goroutine: it decodes response frames and routes
-// each to its pending call by request id until the connection ends.
-func (c *Conn) readLoop() {
-	buf := make([]byte, 4096)
-	for {
-		t, p, nbuf, err := wire.ReadFrame(c.conn, buf)
-		buf = nbuf
+// cancel runs when a sent call's context ends: unless the answer is
+// already in, it arms the cancelGrace backstop and sends the Cancel.
+func (c *Conn) cancel(id uint32, cl *call, ctx context.Context) {
+	c.mu.Lock()
+	if c.pending[id] != cl {
+		c.mu.Unlock()
+		return
+	}
+	cl.canceled = true
+	c.cancels++
+	c.cancelCause = ctx.Err()
+	_ = c.conn.SetReadDeadline(time.Now().Add(cancelGrace))
+	c.mu.Unlock()
+	// A failed write poisons nothing here: the reader meets the same
+	// failure, or the backstop fires.
+	_ = c.send(wire.TypeCancel, wire.Request{ID: id})
+}
+
+// read holds the reader role: it decodes response frames and routes each
+// to its pending call by request id, until own — the holder's call, id
+// ownID — has its terminal answer or the connection fails. Then the role
+// passes to a caller still waiting, if there is one.
+func (c *Conn) read(ownID uint32, own *call) {
+	for done := false; !done; {
+		t, p, err := c.in.Next()
+		if err == nil {
+			done, err = c.deliver(t, p, ownID, own)
+		} else if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+			// The only read deadline is the cancelGrace backstop. One that
+			// fired as the cancelled call's answer came in tore nothing:
+			// read on.
+			c.mu.Lock()
+			armed, cause := c.cancels > 0, c.cancelCause
+			c.mu.Unlock()
+			if !armed {
+				continue
+			}
+			err = fmt.Errorf("client: no answer %v after cancel: %w", cancelGrace, cause)
+		} else {
+			err = fmt.Errorf("client: receive: %w", err)
+		}
 		if err != nil {
-			c.fail(fmt.Errorf("client: receive: %w", err))
-			return
+			c.fail(err)
+			break
 		}
-		switch t {
-		case wire.TypePong:
-			id, err := wire.DecodeID(p)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.finish(id, nil)
-		case wire.TypeRowDesc:
-			d, err := wire.DecodeRowDesc(p)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if cl := c.lookup(d.ID); cl != nil {
-				cl.rows.cols, cl.rows.strategy = d.Columns, d.Strategy
-			}
-		case wire.TypeDataRow:
-			id, row, err := wire.DecodeDataRow(p)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if cl := c.lookup(id); cl != nil {
-				cl.rows.rows = append(cl.rows.rows, row)
-			}
-		case wire.TypeRowBatch:
-			id, batch, err := wire.DecodeRowBatch(p)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if cl := c.lookup(id); cl != nil {
-				cl.rows.rows = append(cl.rows.rows, batch...)
-			}
-		case wire.TypeComplete:
-			done, err := wire.DecodeComplete(p)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if cl := c.lookup(done.ID); cl != nil {
-				cl.complete = done
-			}
-			c.finish(done.ID, nil)
-		case wire.TypeError:
-			e, err := wire.DecodeError(p)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			serr := &ServerError{Code: e.Code, Message: e.Message}
-			if c.lookup(e.ID) != nil {
-				c.finish(e.ID, serr)
-			} else if e.Code == wire.CodeProtocol || e.Code == wire.CodeInternal {
-				// A session-level failure: the server is about to drop the
-				// connection, so every in-flight call fails with it.
-				c.fail(serr)
-				return
-			}
-		default:
-			c.fail(fmt.Errorf("client: unexpected frame type %q", byte(t)))
-			return
-		}
+	}
+	c.mu.Lock()
+	var next *call
+	for _, cl := range c.pending {
+		next = cl
+		break
+	}
+	if next == nil {
+		c.reading = false
+	} else {
+		c.passes++
+	}
+	c.mu.Unlock()
+	if next != nil {
+		next.wake <- false
 	}
 }
 
-// lookup returns the pending call for id, nil when unknown.
-func (c *Conn) lookup(id uint32) *call {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pending[id]
+// deliver routes one response frame. done reports that it was own's
+// terminal answer; an error means the stream can no longer be trusted.
+func (c *Conn) deliver(t wire.Type, p []byte, ownID uint32, own *call) (done bool, err error) {
+	// The holder's own call needs no lookup: nobody else touches it.
+	lookup := func(id uint32) *call {
+		if id == ownID {
+			return own
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.pending[id]
+	}
+	switch t {
+	case wire.TypePong:
+		id, err := wire.DecodeID(p)
+		if err != nil {
+			return false, err
+		}
+		return c.finish(id, nil) == own, nil
+	case wire.TypeRowDesc:
+		d, err := wire.DecodeRowDesc(p)
+		if err != nil {
+			return false, err
+		}
+		if cl := lookup(d.ID); cl != nil {
+			cl.rows.cols, cl.rows.strategy = d.Columns, d.Strategy
+		}
+	case wire.TypeDataRow:
+		id, row, err := wire.DecodeDataRow(p)
+		if err != nil {
+			return false, err
+		}
+		if cl := lookup(id); cl != nil {
+			cl.rows.rows = append(cl.rows.rows, row)
+		}
+	case wire.TypeRowBatch:
+		id, batch, err := wire.DecodeRowBatch(p)
+		if err != nil {
+			return false, err
+		}
+		if cl := lookup(id); cl != nil {
+			cl.rows.rows = append(cl.rows.rows, batch...)
+		}
+	case wire.TypeComplete:
+		complete, err := wire.DecodeComplete(p)
+		if err != nil {
+			return false, err
+		}
+		if cl := lookup(complete.ID); cl != nil {
+			cl.complete = complete
+		}
+		return c.finish(complete.ID, nil) == own, nil
+	case wire.TypeError:
+		e, err := wire.DecodeError(p)
+		if err != nil {
+			return false, err
+		}
+		serr := &ServerError{Code: e.Code, Message: e.Message}
+		if cl := c.finish(e.ID, serr); cl != nil {
+			return cl == own, nil
+		}
+		if e.Code == wire.CodeProtocol || e.Code == wire.CodeInternal {
+			// A session-level failure: the server is about to drop the
+			// connection, so every in-flight call fails with it.
+			return false, serr
+		}
+	default:
+		return false, fmt.Errorf("client: unexpected frame type %q", byte(t))
+	}
+	return false, nil
 }
 
-// finish retires a pending call with its terminal answer.
-func (c *Conn) finish(id uint32, err error) {
+// finish retires the pending call id with its terminal answer, wakes its
+// caller if that one is waiting, and returns it (nil when unknown).
+func (c *Conn) finish(id uint32, err error) *call {
 	c.mu.Lock()
 	cl := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
 	if cl != nil {
+		delete(c.pending, id)
 		cl.err = err
-		close(cl.done)
+		if cl.canceled {
+			if c.cancels--; c.cancels == 0 {
+				_ = c.conn.SetReadDeadline(time.Time{})
+			}
+		}
 	}
-}
-
-// forget drops a call that never made it onto the wire.
-func (c *Conn) forget(id uint32) {
-	c.mu.Lock()
-	delete(c.pending, id)
 	c.mu.Unlock()
+	if cl != nil && cl.wake != nil {
+		cl.wake <- true
+	}
+	return cl
 }
 
 // fail poisons the connection after a transport-level failure — framing
@@ -395,20 +498,36 @@ func (c *Conn) forget(id uint32) {
 // failure wins.
 func (c *Conn) fail(err error) {
 	c.mu.Lock()
+	stranded := c.failLocked(err)
+	c.mu.Unlock()
+	c.release(stranded)
+}
+
+// failLocked is fail's half under mu; the caller passes what it returns
+// to release once mu is dropped.
+func (c *Conn) failLocked(err error) (stranded []*call) {
 	if c.closed {
-		c.mu.Unlock()
-		return
+		return nil
 	}
 	c.closed = true
 	c.cause = err
-	stranded := c.pending
-	c.pending = make(map[uint32]*call)
+	for id, cl := range c.pending {
+		cl.err = err
+		stranded = append(stranded, cl)
+		delete(c.pending, id)
+	}
 	close(c.dead)
-	c.mu.Unlock()
+	return stranded
+}
+
+// release closes the socket — a caller parked reading it returns — and
+// wakes the callers of the calls a failure stranded.
+func (c *Conn) release(stranded []*call) {
 	_ = c.conn.Close()
 	for _, cl := range stranded {
-		cl.err = err
-		close(cl.done)
+		if cl.wake != nil {
+			cl.wake <- true
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -153,12 +154,25 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if isSource(dir, e) {
 			return true
 		}
 	}
 	return false
+}
+
+// isSource reports whether a directory entry is a non-test Go file that
+// the build on this platform includes: of two files that implement one
+// name for different platforms only one may reach the type checker. A
+// file whose constraints cannot be read is loaded and reports for
+// itself.
+func isSource(dir string, e os.DirEntry) bool {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	match, err := build.Default.MatchFile(dir, name)
+	return match || err != nil
 }
 
 // LoadDir loads the package in one directory. The result is memoized by
@@ -216,11 +230,9 @@ func (l *Loader) loadPath(importPath, dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		if isSource(dir, e) {
+			names = append(names, e.Name())
 		}
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

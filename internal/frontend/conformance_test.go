@@ -33,6 +33,7 @@ type sut struct {
 	addr     string
 	prefix   string // instrument prefix: "server" or "shard"
 	noun     string // "server" or "router"
+	front    *frontend.Frontend
 	metrics  func() metrics.Snapshot
 	shutdown func(context.Context) error
 }
@@ -91,6 +92,7 @@ func startEngine(t *testing.T, opts frontend.Options, hook func(string)) *sut {
 		addr:     serve(t, srv),
 		prefix:   "server",
 		noun:     "server",
+		front:    srv.Frontend,
 		metrics:  func() metrics.Snapshot { return db.Engine().Metrics().Snapshot() },
 		shutdown: srv.Shutdown,
 	}
@@ -113,6 +115,7 @@ func startRouter(t *testing.T, opts frontend.Options, hook func(string)) *sut {
 		addr:     serve(t, r),
 		prefix:   "shard",
 		noun:     "router",
+		front:    r.Frontend,
 		metrics:  r.Metrics,
 		shutdown: r.Shutdown,
 	}
@@ -567,6 +570,247 @@ func TestDrain(t *testing.T) {
 	})
 }
 
+// The hand-over tests. A session runs a statement on the goroutine that
+// read it, and keeps the connection's read token there while the
+// statement before it was short; otherwise — a session's first statement
+// included — a second goroutine takes the token before the statement
+// starts, and the overseer hands it over late for an inline statement
+// that overran. Every behaviour above must hold on all three paths, so
+// the tests below run on a fresh session (early hand-over) and on one
+// warmed with short statements (inline, then late hand-over).
+
+// warm runs n short statements one after the other on c, ids from..from+n-1,
+// so the session's next statement starts inline.
+func (c rawConn) warm(from uint32, n int) {
+	c.t.Helper()
+	for id := from; id < from+uint32(n); id++ {
+		c.send(wire.TypeQuery, id, `SELECT iid FROM ratings WHERE uid = 3`)
+		if got := c.terminals(1); got[id] != "ok" {
+			c.t.Fatalf("warm-up statement %d answered %v", id, got)
+		}
+	}
+}
+
+// eachSessionAge runs fn per backend on a fresh session and on a warmed
+// one; fn gets the first unused request id.
+func eachSessionAge(t *testing.T, marker string, fn func(t *testing.T, s *sut, c rawConn, id uint32, inFlight, release chan struct{})) {
+	eachBackend(t, func(t *testing.T, start starter) {
+		for _, age := range []struct {
+			name string
+			warm int
+		}{{"fresh", 0}, {"warmed", 20}} {
+			t.Run(age.name, func(t *testing.T) {
+				hook, inFlight, release := held(marker)
+				s := start(t, frontend.Options{}, hook)
+				seed(t, s)
+				c := dialRaw(t, s.addr)
+				c.handshake()
+				c.warm(1, age.warm)
+				fn(t, s, c, uint32(age.warm)+1, inFlight, release)
+			})
+		}
+	})
+}
+
+func (c rawConn) sendID(kind wire.Type, id uint32) {
+	c.t.Helper()
+	if err := wire.WriteFrame(c, kind, wire.AppendID(nil, id)); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// wantPong asserts the next frame is the Pong for id.
+func (c rawConn) wantPong(id uint32) {
+	c.t.Helper()
+	typ, payload, err := c.read()
+	if err != nil || typ != wire.TypePong {
+		c.t.Fatalf("frame type %q err %v, want Pong", byte(typ), err)
+	}
+	if got, err := wire.DecodeID(payload); err != nil || got != id {
+		c.t.Fatalf("pong for %d (%v), want %d", got, err, id)
+	}
+}
+
+// TestPingAndCancelOvertakeHeldStatement: while a statement is held in
+// the exec hook a Ping is answered, and a Cancel reaches the statement —
+// the Ping sent after the Cancel is answered before the statement is let
+// go, so the Cancel was not waiting behind it — which then ends
+// "canceled".
+func TestPingAndCancelOvertakeHeldStatement(t *testing.T) {
+	eachSessionAge(t, "C.uid > D.uid", func(t *testing.T, s *sut, c rawConn, id uint32, inFlight, release chan struct{}) {
+		c.send(wire.TypeQuery, id, slowQuery)
+		<-inFlight
+		c.sendID(wire.TypePing, id+1)
+		c.wantPong(id + 1)
+		c.sendID(wire.TypeCancel, id)
+		c.sendID(wire.TypePing, id+2)
+		c.wantPong(id + 2)
+		close(release)
+		if got := c.terminals(1); got[id] != wire.CodeCanceled {
+			t.Fatalf("held statement answered %v, want %q", got, wire.CodeCanceled)
+		}
+		// The session is intact.
+		c.warm(id+3, 2)
+	})
+}
+
+// TestPipelineBehindHeldStatement: with a statement held and the rest of
+// the pipeline sent behind it, the request past wire.PipelineDepth draws
+// "busy" while the statement is still held, and the admitted ones are
+// then answered, all of them, in the order they were sent.
+func TestPipelineBehindHeldStatement(t *testing.T) {
+	eachSessionAge(t, "iid > 0", func(t *testing.T, s *sut, c rawConn, id uint32, inFlight, release chan struct{}) {
+		last := id + wire.PipelineDepth // one too many
+		c.send(wire.TypeQuery, id, `SELECT iid FROM ratings WHERE uid = 1 AND iid > 0`)
+		for next := id + 1; next <= last; next++ {
+			c.send(wire.TypeExec, next, fmt.Sprintf(`INSERT INTO ratings VALUES (2, %d, 1.0)`, 100+next))
+		}
+		<-inFlight
+		if got := c.terminals(1); got[last] != wire.CodeBusy {
+			t.Fatalf("first answer with %d requests unanswered: %v, want request %d busy", wire.PipelineDepth+1, got, last)
+		}
+		close(release)
+		for want := id; want < last; want++ {
+			// terminals(1) stops at the first terminal answer, so this
+			// also pins the order.
+			if got := c.terminals(1); got[want] != "ok" {
+				t.Fatalf("answer %d of the pipeline: %v, want request %d ok", want-id+1, got, want)
+			}
+		}
+	})
+}
+
+// TestShutdownDuringStatement: a Shutdown that arrives while a session is
+// executing — inline on the warmed session, unless the box is slow enough
+// for the overseer to step in first — lets the statement finish, answers
+// it in full and closes the connection.
+func TestShutdownDuringStatement(t *testing.T) {
+	eachBackend(t, func(t *testing.T, start starter) {
+		for _, warm := range []int{0, 20} {
+			inFlight := make(chan struct{})
+			s := start(t, frontend.Options{}, func(sql string) {
+				if strings.Contains(sql, "iid > 0") {
+					close(inFlight)
+					time.Sleep(frontend.InlineBudgetForTest / 2)
+				}
+			})
+			seed(t, s)
+			c := dialRaw(t, s.addr)
+			c.handshake()
+			c.warm(1, warm)
+			before := frontend.HandOversForTest(s.front)
+			c.send(wire.TypeQuery, 100, `SELECT iid FROM ratings WHERE uid = 1 AND iid > 0`)
+			<-inFlight
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			err := s.shutdown(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			typ, payload, err := c.read()
+			if err != nil || typ != wire.TypeRowDesc {
+				t.Fatalf("in-flight answer: frame %q err %v, want RowDescription", byte(typ), err)
+			}
+			if d, err := wire.DecodeRowDesc(payload); err != nil || d.ID != 100 {
+				t.Fatalf("row description %+v (%v), want request 100's", d, err)
+			}
+			if got := c.terminals(1); got[100] != "ok" {
+				t.Fatalf("in-flight statement answered %v", got)
+			}
+			if _, _, err := c.read(); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the answer: %v, want EOF", err)
+			}
+			if moved := frontend.HandOversForTest(s.front) - before; warm > 0 && moved != 0 {
+				t.Logf("the statement did not stay inline (%d hand-overs): slow box", moved)
+			}
+		}
+	})
+}
+
+// TestTokenHandOvers counts read-token hand-overs: none while a session's
+// statements stay short, and exactly one for a statement that is held —
+// late on a warmed session, before it starts on a fresh one.
+func TestTokenHandOvers(t *testing.T) {
+	eachBackend(t, func(t *testing.T, start starter) {
+		// Each statement held announces itself with the channel that lets
+		// it go.
+		holds := make(chan chan struct{})
+		s := start(t, frontend.Options{}, func(sql string) {
+			if strings.Contains(sql, "iid > 0") {
+				release := make(chan struct{})
+				holds <- release
+				<-release
+			}
+		})
+		handOvers := func() int64 { return frontend.HandOversForTest(s.front) }
+		ctx := context.Background()
+		const short, long = `SELECT iid FROM ratings WHERE uid = 3`, `SELECT iid FROM ratings WHERE uid = 1 AND iid > 0`
+		query := func(c *client.Conn, sql string) time.Duration {
+			t.Helper()
+			begin := time.Now()
+			if _, err := c.Query(ctx, sql); err != nil {
+				t.Error(err)
+			}
+			return time.Since(begin)
+		}
+		// hold runs the long statement on c and checks, while it is held
+		// and again once it is answered, that it cost exactly one
+		// hand-over.
+		hold := func(c *client.Conn) {
+			t.Helper()
+			before := handOvers()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				query(c, long)
+			}()
+			release := <-holds
+			for deadline := time.Now().Add(5 * time.Second); handOvers() == before; {
+				if time.Now().After(deadline) {
+					t.Fatal("nobody took the read token from a held statement")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := c.Ping(ctx); err != nil { // answered by the new token holder
+				t.Fatal(err)
+			}
+			time.Sleep(5 * frontend.InlineBudgetForTest) // several overseer ticks
+			close(release)
+			<-done
+			if moved := handOvers() - before; moved != 1 {
+				t.Fatalf("%d hand-overs for one held statement, want 1", moved)
+			}
+		}
+
+		c := seed(t, s)
+		query(c, short) // the INSERT before it may have been long
+		before := handOvers()
+		// A statement the client saw take less than the budget took less
+		// than that on the server, so it cannot have cost a hand-over. One
+		// that did overrun may have cost two: its own, late, and the early
+		// one of the statement after it.
+		overran := int64(0)
+		for i := 0; i < 1000; i++ {
+			if query(c, short) >= frontend.InlineBudgetForTest {
+				overran++
+			}
+		}
+		if moved := handOvers() - before; moved > 2*overran {
+			t.Fatalf("%d hand-overs across 1000 sequential short statements, %d of which overran the budget", moved, overran)
+		}
+
+		// Three short statements in a row leave the session reading and
+		// executing on one goroutine, whatever came before them.
+		for inARow := 0; inARow < 3; inARow++ {
+			if query(c, short) >= frontend.InlineBudgetForTest {
+				inARow = -1
+			}
+		}
+		hold(c)               // late: the statement started inline
+		hold(dial(t, s.addr)) // early: a session's first statement
+	})
+}
+
 // frontendInstruments is the front end's catalogue under either prefix.
 var frontendInstruments = []string{
 	"bytes_in", "bytes_out", "conns_active", "panics", "queries", "query_ns",
@@ -673,6 +917,19 @@ func TestMetricsHTTPEndpoints(t *testing.T) {
 			body := get(path)
 			if !strings.Contains(body, `"`+name+`"`) || !strings.HasPrefix(body, "{") {
 				t.Fatalf("%s is not the expected JSON:\n%s", path, body)
+			}
+		}
+		// The same listener serves the runtime's profiles: the index, a
+		// named profile through it, and two of the endpoints that are
+		// registered beside it.
+		for path, want := range map[string]string{
+			"/debug/pprof/":                  "goroutine",
+			"/debug/pprof/goroutine?debug=1": "goroutine profile: total",
+			"/debug/pprof/cmdline":           "frontend.test",
+			"/debug/pprof/symbol":            "num_symbols",
+		} {
+			if body := get(path); !strings.Contains(body, want) {
+				t.Fatalf("%s does not mention %q:\n%s", path, want, body)
 			}
 		}
 	})

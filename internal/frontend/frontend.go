@@ -9,13 +9,17 @@
 // engine nor the client, so the router binary links no engine.
 //
 // Each accepted connection becomes a session with a front-end-assigned
-// id. A session runs two goroutines: a reader that decodes frames
-// (answering Ping and Cancel immediately, even while a statement runs)
-// and a worker that executes Query/Exec requests one at a time in
-// arrival order and streams the response frames back. Per-query timeouts
-// and client Cancel frames travel as context cancellation into the
-// backend, so an interrupted statement stops instead of running to
-// completion for nobody.
+// id. The rule of the serving tier is that the goroutine holding a
+// request finishes it: the goroutine that reads a Query/Exec frame
+// executes it and streams the response frames back itself, with no
+// hand-off to another goroutine while the session's statements stay
+// short. Requests run one at a time in arrival order. A statement that
+// is, or turns out to be, long has a second goroutine reading the
+// connection beside it, so Ping and Cancel are answered while it runs
+// (session.go has the rule, the overseer below the late case).
+// Per-query timeouts and client Cancel frames travel as context
+// cancellation into the backend, so an interrupted statement stops
+// instead of running to completion for nobody.
 //
 // Backpressure is a hard connection limit: once MaxConns sessions are
 // live, further connections are answered with a typed "busy" Error frame
@@ -35,6 +39,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"recdb/internal/metrics"
@@ -80,8 +85,8 @@ func (o Options) withDefaults() Options {
 // Backend is what executes statements on a Frontend's behalf.
 type Backend interface {
 	// Open returns the statement executor for one admitted connection.
-	// Its Query and Exec are only ever called from that connection's
-	// worker goroutine; Close runs once, after the worker has exited.
+	// Its Query and Exec are only ever called one at a time, each call
+	// ordered after the one before it; Close runs once, after the last.
 	Open() Session
 }
 
@@ -157,13 +162,17 @@ type Frontend struct {
 	// or hold one in flight at a chosen moment.
 	testExecHook func(sql string)
 
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[uint64]*session
-	nextSID  uint64
-	draining bool
+	// handOvers counts read-token hand-overs, early and late, for tests.
+	handOvers atomic.Int64
 
-	wg sync.WaitGroup
+	mu         sync.Mutex
+	ln         net.Listener
+	sessions   map[uint64]*session
+	nextSID    uint64
+	draining   bool
+	overseeing bool // the overseer goroutine is running
+
+	wg sync.WaitGroup // live sessions
 }
 
 // New builds a Frontend over backend. Its instruments register in reg as
@@ -235,20 +244,53 @@ func (f *Frontend) dispatch(conn net.Conn) {
 	f.nextSID++
 	sess := newSession(f, f.nextSID, conn)
 	f.sessions[sess.id] = sess
+	oversee := !f.overseeing
+	f.overseeing = true
+	f.wg.Add(1)
 	f.mu.Unlock()
 
 	f.m.connsActive.Add(1)
 	f.m.sessionsOpened.Inc()
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		sess.run()
+	if oversee {
+		go f.oversee()
+	}
+	go sess.start()
+}
+
+// ended is called by the last goroutine of a session.
+func (f *Frontend) ended(sess *session) {
+	f.mu.Lock()
+	delete(f.sessions, sess.id)
+	f.mu.Unlock()
+	f.m.connsActive.Add(-1)
+	f.m.sessionsClosed.Inc()
+	f.wg.Done()
+}
+
+// oversee is the front end's one overseer goroutine: while any session
+// is live it wakes every overseerTick and takes the read token from each
+// statement that has run inline past inlineBudget (session.relieve). It
+// exits when the last session ends; dispatch starts the next one.
+func (f *Frontend) oversee() {
+	tick := time.NewTicker(overseerTick)
+	defer tick.Stop()
+	var live []*session
+	for now := range tick.C {
+		live = live[:0]
 		f.mu.Lock()
-		delete(f.sessions, sess.id)
+		for _, sess := range f.sessions {
+			live = append(live, sess)
+		}
+		f.overseeing = len(live) > 0
 		f.mu.Unlock()
-		f.m.connsActive.Add(-1)
-		f.m.sessionsClosed.Inc()
-	}()
+		if len(live) == 0 {
+			return
+		}
+		for _, sess := range live {
+			sess.relieve(now)
+		}
+		clear(live) // an ended session is not kept alive from here
+	}
 }
 
 // rejectConn answers a connection the front end will not admit, off the

@@ -5,16 +5,18 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 
 	"recdb/internal/metrics"
 )
 
 // MetricsHandler serves a metrics registry over HTTP, one fresh
-// snapshot per request:
+// snapshot per request, and the process's runtime profiles beside it:
 //
 //	/metrics       the registry as sorted "name value" text lines
 //	/metrics.json  expvar-style JSON: counters and gauges as numbers,
 //	/debug/vars    histograms as {count, sum, mean, p50, p99} objects
+//	/debug/pprof/  net/http/pprof: profile, trace, heap, goroutine, ...
 //
 // The instruments themselves are lock-free, so scraping never stalls
 // query traffic.
@@ -46,6 +48,13 @@ func MetricsHandler(snapshot func() metrics.Snapshot) http.Handler {
 	}
 	mux.HandleFunc("/metrics.json", serveJSON)
 	mux.HandleFunc("/debug/vars", serveJSON)
+	// Index serves every named runtime profile under the prefix; the four
+	// below it are the endpoints that are not one.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -16,31 +15,68 @@ import (
 	"recdb/internal/wire"
 )
 
+const (
+	// inlineBudget is how long a statement may take for the session's next
+	// one to run on the goroutine that read it without giving up the read
+	// token first. It sits above the server-side p95 of the short
+	// statement classes in the ledger (benchmark/README.md: routed point
+	// lookup 0.4–0.6 ms, IVF top-10 0.7–0.8 ms, durable INSERT 0.9–1.0 ms,
+	// all client-observed) and at less than half of the shortest long
+	// one's p50 (un-materialised ItemCosCF top-10, ~3.3 ms): a session of
+	// long statements must keep handing the token over before it
+	// computes, because a goroutine the runtime's blocking netpoll made
+	// ready starts no other thread, so while it computes nothing in the
+	// process polls the network and every other connection waits for
+	// sysmon (up to 10 ms).
+	inlineBudget = 1500 * time.Microsecond
+	// overseerTick is how often the front end's overseer looks for an
+	// inline statement that has outrun inlineBudget, so a Cancel or Ping
+	// waits behind one for at most inlineBudget + overseerTick. A ticker
+	// and not a timer per statement: arming a timer that becomes a P's
+	// earliest wakes the netpoller, which is the hand-off running inline
+	// exists to avoid. Coarse, because each tick is itself a wake-up in
+	// every serving process: at 2 ms the three processes of the ledger's
+	// cluster tick 1 500 times a second between them, against the
+	// ~30 000 wake-ups a second its routed lookups need.
+	overseerTick = 2 * time.Millisecond
+)
+
 // request is one decoded Query or Exec frame awaiting execution.
 type request struct {
 	kind wire.Type
 	req  wire.Request
 }
 
-// session is one client connection. The reader goroutine decodes frames
-// — answering Ping and Cancel immediately — and hands Query/Exec
-// requests to the worker goroutine, which executes them one at a time
-// and streams responses. mu guards the request-lifecycle state shared
-// between the two.
+// session is one client connection. Reading the connection is a token
+// that exactly one goroutine holds. The holder decodes frames —
+// answering Ping and Cancel itself — and executes the Query/Exec it
+// decodes on the spot: with the token still in hand (inline: nobody
+// reads meanwhile, no second goroutine exists) when the session's last
+// statement was short, after starting a second goroutine to hold the
+// token otherwise. The overseer does that second thing late for an
+// inline statement that overran. A goroutine that executes without the
+// token works off what the holder queued behind it and then exits, so a
+// session is one goroutine between statements, at most two during one,
+// and the last one out tears it down. mu guards the request-lifecycle
+// state they share.
 type session struct {
 	f    *Frontend
 	id   uint64
 	conn net.Conn
-	in   *countReader
+	in   *wire.Reader // the token holder's
 	out  *frameWriter
-	reqs chan request
-	// be carries per-connection backend state (an open transaction).
-	// Only the worker goroutine touches it while the connection lives;
-	// run closes it after the worker exits, rolling back any transaction
-	// a dropped client left open.
+	// be carries per-connection backend state (an open transaction). Only
+	// the goroutine that set executing uses it; the last goroutine out
+	// closes it, rolling back any transaction a dropped client left open.
 	be Session
 
-	mu sync.Mutex
+	mu         sync.Mutex
+	goroutines int       // running loop or run; the one that takes it to zero ends the session
+	executing  bool      // a goroutine is between taking a request and settling it
+	inline     bool      // ...and that goroutine still holds the read token
+	began      time.Time // when the inline statement started, for the overseer
+	short      bool      // the last statement settled inside inlineBudget
+	queue      []request // admitted behind the executing statement, in arrival order
 	// depth counts requests admitted but not yet executed to the end: it
 	// is what wire.PipelineDepth bounds. A request leaves it before the
 	// first byte of its answer is written, so a client that refills its
@@ -57,77 +93,79 @@ type session struct {
 
 func newSession(f *Frontend, id uint64, conn net.Conn) *session {
 	return &session{
-		f:    f,
-		id:   id,
-		conn: conn,
-		in:   &countReader{r: conn, c: f.m.bytesIn},
-		out:  newFrameWriter(conn, f.m.bytesOut, f.opts.WriteTimeout),
-		reqs: make(chan request, wire.PipelineDepth),
-		be:   f.backend.Open(),
+		f:          f,
+		id:         id,
+		conn:       conn,
+		in:         wire.NewReader(&countReader{r: conn, c: f.m.bytesIn}),
+		out:        &frameWriter{conn: conn, sent: f.m.bytesOut, timeout: f.opts.WriteTimeout},
+		be:         f.backend.Open(),
+		goroutines: 1,
 	}
 }
 
-// run drives the session to completion: handshake, then reader and
-// worker until the connection ends.
-func (s *session) run() {
-	defer s.closeConn()
-	// A client that vanished mid-transaction must not leave its table
-	// locks and snapshot pins held: closing the backend session rolls
-	// the transaction back. Runs after the worker has exited, which is
-	// the only goroutine using be.
-	defer func() { _ = s.be.Close() }()
+// start runs the session's first goroutine: handshake, then the loop.
+func (s *session) start() {
 	if err := s.handshake(); err != nil {
 		s.f.logf("session %d: %v", s.id, err)
+		s.leave()
 		return
 	}
-	done := make(chan struct{})
-	go func() {
-		s.worker()
-		close(done)
-	}()
-	s.reader()
-	// The client is gone (or broke protocol): stop the running statement
-	// rather than finishing a scan nobody will read.
-	s.cancelCurrent()
-	close(s.reqs)
-	<-done
+	s.loop()
+}
+
+// leave retires the calling goroutine; the last one out ends the
+// session. A client that vanished mid-transaction must not leave its
+// table locks and snapshot pins held: closing the backend session rolls
+// the transaction back, and by now nothing else can be using it.
+func (s *session) leave() {
+	s.mu.Lock()
+	s.goroutines--
+	last := s.goroutines == 0
+	s.mu.Unlock()
+	if last {
+		s.closeConn()
+		_ = s.be.Close()
+		s.f.ended(s)
+	}
 }
 
 // handshake consumes the client's magic preamble and answers Hello.
 func (s *session) handshake() error {
 	_ = s.conn.SetReadDeadline(time.Now().Add(s.f.opts.IdleTimeout))
 	var magic [len(wire.Magic)]byte
-	if _, err := io.ReadFull(s.in, magic[:]); err != nil {
+	if _, err := io.ReadFull(s.conn, magic[:]); err != nil {
 		return fmt.Errorf("reading magic: %w", err)
 	}
+	s.f.m.bytesIn.Add(int64(len(magic)))
 	if string(magic[:]) != wire.Magic {
 		_ = s.out.writeError(wire.ErrorMsg{Code: wire.CodeProtocol, Message: "bad protocol magic"})
 		return errors.New("bad protocol magic")
 	}
-	return s.out.write(wire.TypeHello,
-		wire.AppendHello(nil, wire.Hello{SessionID: s.id, Server: s.f.opts.Name}))
+	return s.out.writeHello(wire.Hello{SessionID: s.id, Server: s.f.opts.Name})
 }
 
-// reader decodes frames until the connection ends or breaks protocol.
-// The idle deadline only fires a disconnect when no request is
-// unanswered and no partial frame has arrived; while a statement runs, a
-// quiet client is expected and the deadline just re-arms.
-func (s *session) reader() {
-	buf := make([]byte, 512)
+// loop is the session's one loop, run by whichever goroutine holds the
+// read token, until the connection ends or the token moves on. The idle
+// deadline only disconnects a session with no answer outstanding, or one
+// whose client stopped part-way through a frame; while a statement runs
+// a quiet client is expected and the deadline just re-arms.
+func (s *session) loop() {
+	defer s.leave()
 	for {
 		_ = s.conn.SetReadDeadline(time.Now().Add(s.f.opts.IdleTimeout))
-		before := s.in.n
-		t, payload, nbuf, err := wire.ReadFrame(s.in, buf)
-		buf = nbuf
+		t, payload, err := s.in.Next()
 		if err != nil {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && s.in.n == before && s.hasUnanswered() {
+			if errors.As(err, &ne) && ne.Timeout() && s.in.Buffered() == 0 && s.hasUnanswered() {
 				continue
 			}
 			var fe *wire.FrameError
 			if errors.As(err, &fe) {
 				s.protocolFault(fe)
 			}
+			// The client is gone (or broke protocol): stop the running
+			// statement rather than finishing a scan nobody will read.
+			s.cancelCurrent()
 			return
 		}
 		switch t {
@@ -143,14 +181,26 @@ func (s *session) reader() {
 			}
 			// Liveness is the front end's own: a router answers for
 			// itself, its shards' health is the prober's job.
-			_ = s.out.write(wire.TypePong, wire.AppendID(nil, id))
+			_ = s.out.writePong(id)
 		case wire.TypeQuery, wire.TypeExec:
 			req, err := wire.DecodeRequest(payload)
 			if err != nil {
 				s.protocolFault(err)
 				return
 			}
-			s.enqueue(request{kind: t, req: req})
+			r := request{kind: t, req: req}
+			start := time.Now()
+			mine, handOver := s.admit(r, start)
+			if !mine {
+				continue
+			}
+			if handOver {
+				s.f.handOvers.Add(1)
+				go s.loop()
+			}
+			if !s.run(r, start) {
+				return
+			}
 		default:
 			s.protocolFault(fmt.Errorf("unexpected frame type %q", byte(t)))
 			return
@@ -169,42 +219,106 @@ func (s *session) refuseShutdown(id uint32) {
 		Message: s.f.noun + " is shutting down"})
 }
 
-// enqueue hands a request to the worker, or answers it directly when the
-// session is draining or the pipeline is full.
-func (s *session) enqueue(r request) {
+// admit decides what becomes of a request the token holder just decoded.
+// It is refused when the session is draining or the pipeline is full,
+// and queued when another goroutine is executing. Otherwise it is the
+// caller's to run (mine): inline if the last statement was short, and if
+// not, only after the caller has started a goroutine to read in its
+// place (handOver) — a session's first statement goes that way too.
+func (s *session) admit(r request, now time.Time) (mine, handOver bool) {
 	s.mu.Lock()
-	if s.draining {
+	switch {
+	case s.draining:
 		s.mu.Unlock()
 		s.refuseShutdown(r.req.ID)
-		return
-	}
-	if s.depth >= wire.PipelineDepth {
+		return false, false
+	case s.depth >= wire.PipelineDepth:
 		s.mu.Unlock()
 		_ = s.out.writeError(wire.ErrorMsg{ID: r.req.ID, Code: wire.CodeBusy,
 			Message: fmt.Sprintf("pipeline limit of %d requests reached", wire.PipelineDepth)})
-		return
+		return false, false
 	}
 	s.depth++
 	s.unanswered++
+	if s.executing {
+		s.queue = append(s.queue, r)
+		s.mu.Unlock()
+		return false, false
+	}
+	s.executing = true
+	s.inline = s.short
+	if s.inline {
+		s.began = now
+	} else {
+		s.goroutines++
+	}
+	handOver = !s.inline
 	s.mu.Unlock()
-	// Never blocks: a request stays in depth (bounded above by
-	// wire.PipelineDepth) at least until the worker has taken it off the
-	// channel, so channel occupancy is strictly below capacity here.
-	s.reqs <- r
+	return true, handOver
 }
 
-// worker executes requests in arrival order.
-func (s *session) worker() {
-	for r := range s.reqs {
-		s.serve(r)
+// relieve is the overseer's late hand-over: an inline statement that has
+// outrun inlineBudget loses the read token to a new goroutine, so Cancel,
+// Ping and pipeline admission work again while it runs.
+func (s *session) relieve(now time.Time) {
+	s.mu.Lock()
+	overdue := s.inline && now.Sub(s.began) >= inlineBudget
+	if overdue {
+		s.inline = false
+		s.goroutines++
 	}
+	s.mu.Unlock()
+	if overdue {
+		s.f.handOvers.Add(1)
+		go s.loop()
+	}
+}
+
+// run executes r — decoded at start — and then whatever was queued
+// behind it. It reports whether the caller still holds the read token;
+// if not, the queue is empty and the caller has nothing left to do for
+// this session.
+func (s *session) run(r request, start time.Time) (holdsToken bool) {
+	for {
+		s.serve(r, start)
+		var more bool
+		if r, more, holdsToken = s.settle(time.Since(start)); !more {
+			return holdsToken
+		}
+		start = time.Now()
+	}
+}
+
+// settle marks one request's answer fully written — during a drain the
+// last answer closes the connection — and finds the executing goroutine
+// its next job: back to reading if it held the token throughout, else
+// the next queued request, else none.
+func (s *session) settle(took time.Duration) (next request, more, holdsToken bool) {
+	s.mu.Lock()
+	s.short = took < inlineBudget
+	s.unanswered--
+	closeNow := s.draining && s.unanswered == 0
+	switch {
+	case s.inline:
+		s.inline, s.executing = false, false
+		holdsToken = true
+	case len(s.queue) > 0:
+		next, more = s.queue[0], true
+		s.queue = s.queue[:copy(s.queue, s.queue[1:])]
+	default:
+		s.executing = false
+	}
+	s.mu.Unlock()
+	if closeNow {
+		s.closeConn()
+	}
+	return next, more, holdsToken
 }
 
 // serve executes one request and writes its response frames. A panic is
 // confined to this session: it answers an "internal" error and closes
 // the connection, leaving the process and other sessions running.
-func (s *session) serve(r request) {
-	defer s.finishRequest()
+func (s *session) serve(r request, start time.Time) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.f.m.panics.Inc()
@@ -221,7 +335,6 @@ func (s *session) serve(r request) {
 	}
 	defer s.endRequest(cancel)
 
-	start := time.Now()
 	if hook := s.f.testExecHook; hook != nil {
 		hook(r.req.SQL)
 	}
@@ -241,11 +354,10 @@ func (s *session) serve(r request) {
 	case r.kind == wire.TypeQuery:
 		err = s.out.writeRows(r.req.ID, rows)
 	default:
-		err = s.out.write(wire.TypeComplete,
-			wire.AppendComplete(nil, wire.Complete{ID: r.req.ID, Rows: affected}))
+		err = s.out.writeComplete(wire.Complete{ID: r.req.ID, Rows: affected})
 	}
 	if err != nil {
-		return // connection-level failure; reader will notice too
+		return // connection-level failure; the token holder will notice too
 	}
 	s.f.m.queries.Inc()
 	s.f.m.queryNs.ObserveSince(start)
@@ -292,18 +404,6 @@ func (s *session) endRequest(cancel context.CancelFunc) {
 	cancel()
 }
 
-// finishRequest marks one request's answer fully written; during a
-// drain, the last answer closes the connection.
-func (s *session) finishRequest() {
-	s.mu.Lock()
-	s.unanswered--
-	closeNow := s.draining && s.unanswered == 0
-	s.mu.Unlock()
-	if closeNow {
-		s.closeConn()
-	}
-}
-
 // writeFailure answers a failed statement with a typed error code: the
 // backend's own when the error carries one, otherwise by context cause.
 func (s *session) writeFailure(id uint32, err error) {
@@ -342,8 +442,8 @@ func (s *session) cancelCurrent() {
 }
 
 // beginDrain stops the session admitting requests; if every answer is
-// written the connection closes now, otherwise the worker closes it
-// after the last one.
+// written the connection closes now, otherwise settle closes it after
+// the last one.
 func (s *session) beginDrain() {
 	s.mu.Lock()
 	s.draining = true
@@ -365,69 +465,108 @@ func (s *session) closeConn() {
 	_ = s.conn.Close()
 }
 
-// countReader counts bytes into a metrics counter; n lets the reader
-// goroutine (its only caller) distinguish an idle timeout from one that
-// interrupted a partial frame.
+// countReader counts bytes in beneath the session's frame reader.
 type countReader struct {
 	r io.Reader
 	c *metrics.Counter
-	n int64
 }
 
 func (cr *countReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
-	cr.n += int64(n)
 	cr.c.Add(int64(n))
 	return n, err
 }
 
-// countWriter counts bytes out beneath the session's bufio.Writer.
-type countWriter struct {
-	w io.Writer
-	c *metrics.Counter
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(int64(n))
-	return n, err
-}
-
-// frameWriter serializes response frames from the worker and the reader
-// (Pong, protocol errors) onto one buffered connection.
+// frameWriter serializes response frames from the executing goroutine
+// and the token holder (Pong, refusals, protocol errors) onto the
+// connection. Frames are encoded in place into buf, which lives as long
+// as the session, and leave in one Write per answer.
 type frameWriter struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	bw      *bufio.Writer
+	sent    *metrics.Counter // bytes written
 	timeout time.Duration
+	buf     []byte // frames encoded and not yet sent
+	tuples  []byte // the open row batch
 }
 
-func newFrameWriter(conn net.Conn, c *metrics.Counter, timeout time.Duration) *frameWriter {
-	return &frameWriter{
-		conn:    conn,
-		bw:      bufio.NewWriter(&countWriter{w: conn, c: c}),
-		timeout: timeout,
+// beginLocked opens a frame of type t at the end of buf and returns where
+// it starts; the caller appends the payload to buf and calls endLocked.
+func (w *frameWriter) beginLocked(t wire.Type) (start int) {
+	start = len(w.buf)
+	w.buf = wire.BeginFrame(w.buf, t)
+	return start
+}
+
+// endLocked closes the frame begun at start. A frame too large to send
+// is dropped from buf with everything encoded before it.
+func (w *frameWriter) endLocked(start int) error {
+	var err error
+	if w.buf, err = wire.EndFrame(w.buf, start); err != nil {
+		w.buf = w.buf[:0]
 	}
+	return err
 }
 
-// write sends one frame and flushes it.
-func (w *frameWriter) write(t wire.Type, payload []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := wire.WriteFrame(w.bw, t, payload); err != nil {
+// flushLocked sends what buf holds and empties it, whatever the outcome:
+// after a failed write the connection is finished.
+func (w *frameWriter) flushLocked() error {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	n, err := w.conn.Write(w.buf)
+	w.sent.Add(int64(n))
+	w.buf = w.buf[:0]
+	return err
+}
+
+// sendLocked closes the only frame in buf and flushes it.
+func (w *frameWriter) sendLocked(start int) error {
+	if err := w.endLocked(start); err != nil {
 		return err
 	}
 	return w.flushLocked()
 }
 
-func (w *frameWriter) writeError(e wire.ErrorMsg) error {
-	return w.write(wire.TypeError, wire.AppendError(nil, e))
+func (w *frameWriter) writeHello(h wire.Hello) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(wire.TypeHello)
+	w.buf = wire.AppendHello(w.buf, h)
+	return w.sendLocked(start)
 }
 
-// rowBatchTarget is the encoded-tuple budget per RowBatch frame: small
-// enough to keep first-row latency low, large enough that high-fanout
-// scans amortize the frame header and CRC over hundreds of tuples.
-const rowBatchTarget = 32 << 10
+func (w *frameWriter) writePong(id uint32) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(wire.TypePong)
+	w.buf = wire.AppendID(w.buf, id)
+	return w.sendLocked(start)
+}
+
+func (w *frameWriter) writeComplete(c wire.Complete) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(wire.TypeComplete)
+	w.buf = wire.AppendComplete(w.buf, c)
+	return w.sendLocked(start)
+}
+
+func (w *frameWriter) writeError(e wire.ErrorMsg) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(wire.TypeError)
+	w.buf = wire.AppendError(w.buf, e)
+	return w.sendLocked(start)
+}
+
+const (
+	// rowBatchTarget is the encoded-tuple budget per RowBatch frame: small
+	// enough to keep first-row latency low, large enough that high-fanout
+	// scans amortize the frame header and CRC over hundreds of tuples.
+	rowBatchTarget = 32 << 10
+	// flushTarget is how much of an answer accumulates before it is sent
+	// ahead of the rest.
+	flushTarget = 64 << 10
+)
 
 // writeRows streams a Query answer: RowDescription, the data rows, then
 // CommandComplete. Consecutive tuples coalesce into RowBatch frames of
@@ -439,39 +578,42 @@ const rowBatchTarget = 32 << 10
 func (w *frameWriter) writeRows(id uint32, rows Rows) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	desc := wire.RowDesc{ID: id, Strategy: rows.Strategy(), Columns: rows.Columns()}
-	if err := wire.WriteFrame(w.bw, wire.TypeRowDesc, wire.AppendRowDesc(nil, desc)); err != nil {
+	start := w.beginLocked(wire.TypeRowDesc)
+	w.buf = wire.AppendRowDesc(w.buf, wire.RowDesc{ID: id, Strategy: rows.Strategy(), Columns: rows.Columns()})
+	if err := w.endLocked(start); err != nil {
 		return err
 	}
 	var n int64
 	count := 0
-	tuples := make([]byte, 0, 4096)
-	scratch := make([]byte, 0, 256)
+	w.tuples = w.tuples[:0]
 	flushBatch := func() error {
 		if count == 0 {
 			return nil
 		}
 		t := wire.TypeDataRow
-		scratch = wire.AppendID(scratch[:0], id)
 		if count > 1 {
 			t = wire.TypeRowBatch
-			scratch = binary.AppendUvarint(scratch, uint64(count))
 		}
-		scratch = append(scratch, tuples...)
-		tuples, count = tuples[:0], 0
-		if err := wire.WriteFrame(w.bw, t, scratch); err != nil {
+		start := w.beginLocked(t)
+		w.buf = wire.AppendID(w.buf, id)
+		if count > 1 {
+			w.buf = binary.AppendUvarint(w.buf, uint64(count))
+		}
+		w.buf = append(w.buf, w.tuples...)
+		w.tuples, count = w.tuples[:0], 0
+		if err := w.endLocked(start); err != nil {
 			return err
 		}
-		if w.bw.Buffered() > 1<<16 {
+		if len(w.buf) > flushTarget {
 			return w.flushLocked()
 		}
 		return nil
 	}
 	for rows.Next() {
-		tuples = types.EncodeRow(tuples, rows.Row())
+		w.tuples = types.EncodeRow(w.tuples, rows.Row())
 		count++
 		n++
-		if len(tuples) >= rowBatchTarget {
+		if len(w.tuples) >= rowBatchTarget {
 			if err := flushBatch(); err != nil {
 				return err
 			}
@@ -480,14 +622,7 @@ func (w *frameWriter) writeRows(id uint32, rows Rows) error {
 	if err := flushBatch(); err != nil {
 		return err
 	}
-	done := wire.AppendComplete(scratch[:0], wire.Complete{ID: id, Rows: n})
-	if err := wire.WriteFrame(w.bw, wire.TypeComplete, done); err != nil {
-		return err
-	}
-	return w.flushLocked()
-}
-
-func (w *frameWriter) flushLocked() error {
-	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	return w.bw.Flush()
+	start = w.beginLocked(wire.TypeComplete)
+	w.buf = wire.AppendComplete(w.buf, wire.Complete{ID: id, Rows: n})
+	return w.sendLocked(start)
 }

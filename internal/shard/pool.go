@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"recdb/client"
@@ -37,38 +38,57 @@ type shardState struct {
 	addr  string
 	m     shardMetrics
 
+	// up is read on every statement and changes only under mu, together
+	// with its gauge and the transition count.
+	up atomic.Bool
+
 	mu    sync.Mutex
 	conns []*client.Conn // fixed-size slots; nil or poisoned slots redial
-	next  int
-	live  int
-	up    bool
 	done  bool
 }
 
 func newShardState(shard int, addr string, size int, m shardMetrics) *shardState {
 	s := &shardState{shard: shard, addr: addr, m: m, conns: make([]*client.Conn, size)}
 	// Optimistic start: the first failed request or probe flips it down.
-	s.up = true
+	s.up.Store(true)
 	m.up.Set(1)
 	return s
 }
 
-// get returns a healthy pooled connection, redialing its slot if the
-// previous occupant was poisoned. Slots are handed out round-robin so
-// concurrent statements spread across the pool's pipelines.
+// get returns the pooled connection with the fewest requests in flight,
+// dialing an empty slot rather than sharing a busy connection: a shard
+// executes one connection's requests strictly one at a time, and a
+// client.Conn with a single caller costs no wake-up to read. A poisoned
+// connection, or one whose shard hung up on it while it sat idle, counts
+// nothing in flight, so it is picked, found out and its slot redialed.
 func (s *shardState) get(ctx context.Context) (*client.Conn, error) {
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()
 		return nil, errors.New("shard: router closed")
 	}
-	i := s.next
-	s.next = (s.next + 1) % len(s.conns)
-	c := s.conns[i]
+	best, empty, load := -1, -1, 0
+	for i, c := range s.conns {
+		if c == nil {
+			if empty < 0 {
+				empty = i
+			}
+		} else if n := c.InFlight(); best < 0 || n < load {
+			best, load = i, n
+		}
+	}
+	var c *client.Conn
+	if best >= 0 {
+		c = s.conns[best]
+	}
 	s.mu.Unlock()
 
-	if c != nil && !c.Closed() {
-		return c, nil
+	slot := empty
+	if c != nil && (load == 0 || empty < 0) {
+		if !c.Closed() {
+			return c, nil
+		}
+		slot = best
 	}
 	nc, err := client.DialContext(ctx, s.addr)
 	if err != nil {
@@ -81,12 +101,12 @@ func (s *shardState) get(ctx context.Context) (*client.Conn, error) {
 		return nil, errors.New("shard: router closed")
 	}
 	// Another caller may have refilled the slot first; keep the winner.
-	if cur := s.conns[i]; cur != nil && !cur.Closed() {
+	if cur := s.conns[slot]; cur != nil && !cur.Closed() {
 		s.mu.Unlock()
 		_ = nc.Close()
 		return cur, nil
 	}
-	s.conns[i] = nc
+	s.conns[slot] = nc
 	s.recountLocked()
 	s.mu.Unlock()
 	return nc, nil
@@ -108,38 +128,36 @@ func (s *shardState) recountLocked() {
 			n++
 		}
 	}
-	s.live = n
 	s.m.poolConns.Set(int64(n))
 }
 
 // markUp records a successful exchange with the shard.
 func (s *shardState) markUp() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.up {
-		s.up = true
-		s.m.up.Set(1)
-		s.m.transitions.Inc()
+	if !s.up.Load() {
+		s.setUp(true)
 	}
 }
 
 // markDown records a transport failure against the shard.
-func (s *shardState) markDown() {
+func (s *shardState) markDown() { s.setUp(false) }
+
+func (s *shardState) setUp(up bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.up {
-		s.up = false
-		s.m.up.Set(0)
-		s.m.transitions.Inc()
+	if s.up.Load() == up {
+		return
 	}
+	s.up.Store(up)
+	if up {
+		s.m.up.Set(1)
+	} else {
+		s.m.up.Set(0)
+	}
+	s.m.transitions.Inc()
 }
 
 // healthy reports the shard's current health flag.
-func (s *shardState) healthy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.up
-}
+func (s *shardState) healthy() bool { return s.up.Load() }
 
 // close tears the pool down; subsequent gets fail.
 func (s *shardState) close() {
@@ -147,7 +165,6 @@ func (s *shardState) close() {
 	s.done = true
 	conns := s.conns
 	s.conns = make([]*client.Conn, len(conns))
-	s.live = 0
 	s.m.poolConns.Set(0)
 	s.mu.Unlock()
 	for _, c := range conns {

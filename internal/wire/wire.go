@@ -16,19 +16,25 @@
 //
 // Request frames: Query ('Q'), Exec ('E'), Ping ('P'), Cancel ('C').
 // Response frames: Hello ('H'), RowDescription ('D'), DataRow ('R'),
-// CommandComplete ('Z'), Pong ('p'), Error ('e').
+// RowBatch ('r'), CommandComplete ('Z'), Pong ('p'), Error ('e').
 //
 // Every request carries a client-assigned id; every response frame echoes
 // the id of the request it answers, so a client may pipeline requests. A
-// Query answer is RowDescription, zero or more DataRows, then
-// CommandComplete; an Exec answer is CommandComplete alone; Error is a
-// terminal answer to any request. Cancel has no answer of its own — it
-// asks the server to interrupt the identified in-flight request, whose own
-// answer then arrives as an Error with code "canceled" (or its normal
-// result, if it completed first).
+// Query answer is RowDescription, its tuples as DataRow (one tuple) and
+// RowBatch (several) frames in any mix, then CommandComplete; an Exec
+// answer is CommandComplete alone; Error is a terminal answer to any
+// request. Cancel has no answer of its own — it asks the server to
+// interrupt the identified in-flight request, whose own answer then
+// arrives as an Error with code "canceled" (or its normal result, if it
+// completed first).
 //
-// DataRow payloads reuse the engine's self-describing tuple encoding
-// (types.EncodeRow), so the client decodes rows without a schema.
+// DataRow and RowBatch payloads reuse the engine's self-describing tuple
+// encoding (types.EncodeRow), so the client decodes rows without a
+// schema.
+//
+// Both ends of a connection read through a Reader and build what they
+// send with BeginFrame/EndFrame in a buffer they keep; ReadFrame and
+// WriteFrame are the one-shot forms for tools and tests.
 package wire
 
 import (
@@ -110,25 +116,74 @@ type FrameError struct {
 // Error implements error.
 func (e *FrameError) Error() string { return "wire: " + e.Reason }
 
-// WriteFrame writes one frame. The payload is borrowed, not retained.
-func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return &FrameError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(payload)+1, MaxFrameSize)}
+// BeginFrame starts a frame of type t at the end of dst and returns the
+// grown slice; the caller appends the payload in place and closes the
+// frame with EndFrame, so an answer is encoded once, into the buffer it
+// is sent from.
+func BeginFrame(dst []byte, t Type) []byte {
+	var hdr [frameHeaderSize]byte
+	dst = append(dst, hdr[:]...)
+	return append(dst, byte(t))
+}
+
+// EndFrame fills in the length and checksum of the frame BeginFrame
+// started at offset start of dst. A frame past MaxFrameSize is cut back
+// off dst and reported.
+func EndFrame(dst []byte, start int) ([]byte, error) {
+	body := dst[start+frameHeaderSize:]
+	if len(body) > MaxFrameSize {
+		return dst[:start], &FrameError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(body), MaxFrameSize)}
 	}
-	buf := make([]byte, frameHeaderSize+1+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(1+len(payload)))
-	buf[8] = byte(t)
-	copy(buf[9:], payload)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[8:], castagnoli))
-	_, err := w.Write(buf)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	return dst, nil
+}
+
+// AppendFrame appends one whole frame to dst. The payload is borrowed,
+// not retained.
+func AppendFrame(dst []byte, t Type, payload []byte) ([]byte, error) {
+	start := len(dst)
+	return EndFrame(append(BeginFrame(dst, t), payload...), start)
+}
+
+// WriteFrame writes one frame to w in a single Write.
+func WriteFrame(w io.Writer, t Type, payload []byte) error {
+	frame, err := AppendFrame(make([]byte, 0, frameHeaderSize+1+len(payload)), t, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one frame, reusing buf when it is large enough, and
-// returns the frame type and payload (aliasing the returned buffer, valid
-// until the next ReadFrame with the same buf). io.EOF is returned
-// unwrapped when the stream ends cleanly between frames; a frame that
-// fails validation returns a *FrameError.
+// parseHeader validates a frame header and returns the declared length
+// of type + payload and their checksum.
+func parseHeader(hdr []byte) (n int, crc uint32, err error) {
+	declared := binary.LittleEndian.Uint32(hdr[0:4])
+	if declared == 0 {
+		return 0, 0, &FrameError{Reason: "empty frame"}
+	}
+	if declared > MaxFrameSize {
+		return 0, 0, &FrameError{Reason: fmt.Sprintf("frame declares %d bytes (max %d)", declared, MaxFrameSize)}
+	}
+	return int(declared), binary.LittleEndian.Uint32(hdr[4:8]), nil
+}
+
+// checkBody verifies type + payload against the header's checksum.
+func checkBody(body []byte, want uint32) error {
+	if got := crc32.Checksum(body, castagnoli); got != want {
+		return &FrameError{Reason: fmt.Sprintf("frame checksum mismatch (%08x != %08x)", got, want)}
+	}
+	return nil
+}
+
+// ReadFrame reads exactly one frame from an unbuffered stream, reusing
+// buf when it is large enough, and returns the frame type and payload
+// (aliasing the returned buffer, valid until the next ReadFrame with the
+// same buf). io.EOF is returned unwrapped when the stream ends cleanly
+// between frames; a frame that fails validation returns a *FrameError.
+// It never reads past the frame, which is what tools that share the
+// stream with other readers need; connections are read through a Reader.
 func ReadFrame(r io.Reader, buf []byte) (Type, []byte, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -137,25 +192,106 @@ func ReadFrame(r io.Reader, buf []byte) (Type, []byte, []byte, error) {
 		}
 		return 0, nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if n == 0 {
-		return 0, nil, buf, &FrameError{Reason: "empty frame"}
+	n, crc, err := parseHeader(hdr[:])
+	if err != nil {
+		return 0, nil, buf, err
 	}
-	if n > MaxFrameSize {
-		return 0, nil, buf, &FrameError{Reason: fmt.Sprintf("frame declares %d bytes (max %d)", n, MaxFrameSize)}
-	}
-	if cap(buf) < int(n) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, buf, &FrameError{Reason: "truncated frame payload"}
 	}
-	if got := crc32.Checksum(body, castagnoli); got != wantCRC {
-		return 0, nil, buf, &FrameError{Reason: fmt.Sprintf("frame checksum mismatch (%08x != %08x)", got, wantCRC)}
+	if err := checkBody(body, crc); err != nil {
+		return 0, nil, buf, err
 	}
 	return Type(body[0]), body[1:], buf, nil
+}
+
+// readerSize is a Reader's initial buffer: every request frame and the
+// whole answer of a point lookup or a top-10 fit, so the steady state is
+// one read per message and no growth.
+const readerSize = 4 << 10
+
+// Reader reads frames from one connection through a buffer it owns. A
+// frame is only ever looked at in the buffer and consumed whole, so a
+// Next that fails part-way through one — a read deadline that fired with
+// half a body in — has torn nothing: the bytes that arrived stay
+// buffered and the next call carries on from them. That is what lets a
+// deadline be used to interrupt a parked reader.
+type Reader struct {
+	src  io.Reader
+	buf  []byte
+	r, w int // buf[r:w] has been read from src and not yet consumed
+}
+
+// NewReader returns a Reader over src.
+func NewReader(src io.Reader) *Reader {
+	return &Reader{src: src, buf: make([]byte, readerSize)}
+}
+
+// Buffered reports how many bytes have arrived and not been consumed.
+// After a Next that failed on a timeout it is non-zero exactly when part
+// of a frame had come in.
+func (fr *Reader) Buffered() int { return fr.w - fr.r }
+
+// Next returns the next frame's type and payload. The payload aliases
+// the Reader's buffer and is valid until the following call. io.EOF is
+// returned unwrapped when the stream ends cleanly between frames, a
+// frame that fails validation returns a *FrameError, and any other error
+// is the source's own — after which Next may be called again.
+func (fr *Reader) Next() (Type, []byte, error) {
+	hdr, err := fr.peek(frameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = &FrameError{Reason: "truncated frame header"}
+		}
+		return 0, nil, err
+	}
+	n, crc, err := parseHeader(hdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	frame, err := fr.peek(frameHeaderSize + n)
+	if err != nil {
+		if err == io.EOF {
+			err = &FrameError{Reason: "truncated frame payload"}
+		}
+		return 0, nil, err
+	}
+	body := frame[frameHeaderSize:]
+	if err := checkBody(body, crc); err != nil {
+		return 0, nil, err
+	}
+	fr.r += len(frame)
+	return Type(body[0]), body[1:], nil
+}
+
+// peek returns the next n unconsumed bytes, reading until they are in.
+// On error it returns what has arrived so far, still unconsumed.
+func (fr *Reader) peek(n int) ([]byte, error) {
+	for fr.w-fr.r < n {
+		if fr.r == fr.w {
+			fr.r, fr.w = 0, 0
+		}
+		if fr.r+n > len(fr.buf) {
+			// The frame does not fit behind the read position: move what
+			// has arrived to the front, of a larger buffer if need be.
+			buf := fr.buf
+			if n > len(buf) {
+				buf = make([]byte, max(n, 2*len(buf)))
+			}
+			fr.w = copy(buf, fr.buf[fr.r:fr.w])
+			fr.r, fr.buf = 0, buf
+		}
+		m, err := fr.src.Read(fr.buf[fr.w:])
+		fr.w += m
+		if err != nil && fr.w-fr.r < n {
+			return fr.buf[fr.r:fr.w], err
+		}
+	}
+	return fr.buf[fr.r : fr.r+n], nil
 }
 
 // ---- Payload encodings ----

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"recdb/internal/types"
 )
@@ -51,7 +53,7 @@ func TestRowBatchGolden(t *testing.T) {
 		0x7b, 0xe0, 0x70, 0x0a, // crc32c over type+payload
 		'r',
 		0x09, 0x00, 0x00, 0x00, // id = 9
-		0x02,                               // 2 tuples
+		0x02,                              // 2 tuples
 		0x02, 0x01, 0x02, 0x03, 0x01, 'a', // row 1: int 1 (zigzag 2), text "a"
 		0x02, 0x01, 0x03, 0x03, 0x02, 'b', 'c', // row 2: int -2 (zigzag 3), text "bc"
 	}
@@ -168,6 +170,28 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// decoders are the two ways a frame comes off a stream; every rejection
+// below must hold through both.
+var decoders = []struct {
+	name   string
+	decode func(raw []byte) (Type, []byte, error)
+}{
+	{"ReadFrame", func(raw []byte) (Type, []byte, error) {
+		t, p, _, err := ReadFrame(bytes.NewReader(raw), nil)
+		return t, p, err
+	}},
+	{"Reader", func(raw []byte) (Type, []byte, error) {
+		return NewReader(bytes.NewReader(raw)).Next()
+	}},
+}
+
+// eachDecoder runs fn as a subtest per decoder.
+func eachDecoder(t *testing.T, fn func(t *testing.T, decode func(raw []byte) (Type, []byte, error))) {
+	for _, d := range decoders {
+		t.Run(d.name, func(t *testing.T) { fn(t, d.decode) })
+	}
+}
+
 // TestTornFrames rejects truncation at every boundary of a valid frame.
 func TestTornFrames(t *testing.T) {
 	var full bytes.Buffer
@@ -175,13 +199,18 @@ func TestTornFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := full.Bytes()
-	for cut := 1; cut < len(raw); cut++ {
-		_, _, _, err := ReadFrame(bytes.NewReader(raw[:cut]), nil)
-		var fe *FrameError
-		if !errors.As(err, &fe) {
-			t.Fatalf("cut at %d: err = %v, want *FrameError", cut, err)
+	eachDecoder(t, func(t *testing.T, decode func([]byte) (Type, []byte, error)) {
+		for cut := 1; cut < len(raw); cut++ {
+			_, _, err := decode(raw[:cut])
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("cut at %d: err = %v, want *FrameError", cut, err)
+			}
 		}
-	}
+		if _, _, err := decode(nil); err != io.EOF {
+			t.Fatalf("empty stream: err = %v, want io.EOF", err)
+		}
+	})
 }
 
 // TestBadCRC rejects every single-bit corruption of a frame body.
@@ -193,15 +222,17 @@ func TestBadCRC(t *testing.T) {
 	raw := full.Bytes()
 	// Flip a bit in the type byte, mid-payload, and the final byte; the
 	// CRC must catch each.
-	for _, off := range []int{8, 12, len(raw) - 1} {
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x40
-		_, _, _, err := ReadFrame(bytes.NewReader(mut), nil)
-		var fe *FrameError
-		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "checksum") {
-			t.Fatalf("flip at %d: err = %v, want checksum FrameError", off, err)
+	eachDecoder(t, func(t *testing.T, decode func([]byte) (Type, []byte, error)) {
+		for _, off := range []int{8, 12, len(raw) - 1} {
+			mut := append([]byte(nil), raw...)
+			mut[off] ^= 0x40
+			_, _, err := decode(mut)
+			var fe *FrameError
+			if !errors.As(err, &fe) || !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("flip at %d: err = %v, want checksum FrameError", off, err)
+			}
 		}
-	}
+	})
 }
 
 // TestOversizedFrame rejects declared lengths beyond MaxFrameSize without
@@ -209,25 +240,34 @@ func TestBadCRC(t *testing.T) {
 func TestOversizedFrame(t *testing.T) {
 	hdr := make([]byte, 8)
 	binary.LittleEndian.PutUint32(hdr[0:4], MaxFrameSize+1)
-	_, _, _, err := ReadFrame(bytes.NewReader(hdr), nil)
-	var fe *FrameError
-	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "declares") {
-		t.Fatalf("err = %v, want oversized FrameError", err)
-	}
-	// The writer refuses to produce one, too.
+	eachDecoder(t, func(t *testing.T, decode func([]byte) (Type, []byte, error)) {
+		_, _, err := decode(hdr)
+		var fe *FrameError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "declares") {
+			t.Fatalf("err = %v, want oversized FrameError", err)
+		}
+	})
+	// The writer refuses to produce one, too, and leaves what the buffer
+	// already held alone.
 	if err := WriteFrame(io.Discard, TypeQuery, make([]byte, MaxFrameSize)); err == nil {
 		t.Fatal("WriteFrame accepted an oversized payload")
+	}
+	kept, err := AppendFrame([]byte("kept"), TypeQuery, make([]byte, MaxFrameSize))
+	if err == nil || string(kept) != "kept" {
+		t.Fatalf("AppendFrame of an oversized payload = %d bytes, %v; want the 4 it was given and an error", len(kept), err)
 	}
 }
 
 // TestEmptyAndZeroFrames rejects a zero-length frame (no type byte).
 func TestEmptyAndZeroFrames(t *testing.T) {
 	hdr := make([]byte, 8) // len = 0
-	_, _, _, err := ReadFrame(bytes.NewReader(hdr), nil)
-	var fe *FrameError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want *FrameError", err)
-	}
+	eachDecoder(t, func(t *testing.T, decode func([]byte) (Type, []byte, error)) {
+		_, _, err := decode(hdr)
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Fatalf("err = %v, want *FrameError", err)
+		}
+	})
 }
 
 // TestDecodeTruncatedPayloads exercises each message decoder against short
@@ -262,5 +302,147 @@ func TestDecodeTruncatedPayloads(t *testing.T) {
 	}
 	if _, err := DecodeError([]byte{1, 0, 0, 0, 9}); err == nil {
 		t.Error("DecodeError accepted a truncated code")
+	}
+}
+
+// scripted is a stream that delivers its steps one Read at a time: a
+// []byte step is data (handed out across as many Reads as the caller's
+// buffer needs), an error step is returned once.
+type scripted struct{ steps []any }
+
+func (s *scripted) Read(p []byte) (int, error) {
+	if len(s.steps) == 0 {
+		return 0, io.EOF
+	}
+	switch step := s.steps[0].(type) {
+	case []byte:
+		n := copy(p, step)
+		if n == len(step) {
+			s.steps = s.steps[1:]
+		} else {
+			s.steps[0] = step[n:]
+		}
+		return n, nil
+	default:
+		s.steps = s.steps[1:]
+		return 0, step.(error)
+	}
+}
+
+// TestReaderSurvivesDeadlineMidFrame is why the Reader peeks: a read
+// deadline that fires when only a header, or half a body, has arrived
+// tears nothing. The error comes back as it is, what arrived stays
+// buffered, and once the rest is in the next call returns the frame.
+func TestReaderSurvivesDeadlineMidFrame(t *testing.T) {
+	first := AppendRequest(nil, Request{ID: 1, SQL: "SELECT iid FROM ratings WHERE uid = 7"})
+	second := AppendID(nil, 2)
+	raw, err := AppendFrame(nil, TypeQuery, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := len(raw)
+	if raw, err = AppendFrame(raw, TypePing, second); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		fr := NewReader(&scripted{steps: []any{raw[:cut:cut], os.ErrDeadlineExceeded, raw[cut:]}})
+		var got [][]byte
+		timeouts := 0
+		for len(got) < 2 {
+			ft, p, err := fr.Next()
+			if err != nil {
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("cut at %d: err = %v, want the deadline error itself", cut, err)
+				}
+				// Whole frames that arrived before the deadline have been
+				// handed out; what is buffered is the partial one.
+				if want := cut - len(got)*one; fr.Buffered() != want {
+					t.Fatalf("cut at %d: %d bytes buffered after the deadline, want %d", cut, fr.Buffered(), want)
+				}
+				timeouts++
+				continue
+			}
+			if want := []Type{TypeQuery, TypePing}[len(got)]; ft != want {
+				t.Fatalf("cut at %d: frame %d has type %q, want %q", cut, len(got), byte(ft), byte(want))
+			}
+			got = append(got, append([]byte(nil), p...))
+		}
+		if timeouts != 1 || !bytes.Equal(got[0], first) || !bytes.Equal(got[1], second) {
+			t.Fatalf("cut at %d: %d deadline errors, payloads %q and %q", cut, timeouts, got[0], got[1])
+		}
+		if _, _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("cut at %d: after the last frame: %v, want io.EOF", cut, err)
+		}
+	}
+}
+
+// TestReaderFrameSizes sends frames around and far past the Reader's
+// initial buffer, back to back and one byte at a time: the buffer grows
+// and compacts without losing or reordering a byte.
+func TestReaderFrameSizes(t *testing.T) {
+	sizes := []int{0, 1, readerSize - frameHeaderSize - 2, readerSize - frameHeaderSize - 1,
+		readerSize, readerSize + 1, 3 * readerSize, 100, 1 << 20, 5}
+	var raw []byte
+	var err error
+	for i, n := range sizes {
+		if raw, err = AppendFrame(raw, TypeDataRow, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, src := range map[string]io.Reader{
+		"whole":   bytes.NewReader(raw),
+		"dribble": iotest.OneByteReader(bytes.NewReader(raw)),
+	} {
+		fr := NewReader(src)
+		for i, n := range sizes {
+			ft, p, err := fr.Next()
+			if err != nil || ft != TypeDataRow || len(p) != n || bytes.Count(p, []byte{byte('a' + i)}) != n {
+				t.Fatalf("%s: frame %d: type %q, %d bytes, %v; want %d bytes of %q", name, i, byte(ft), len(p), err, n, 'a'+i)
+			}
+		}
+		if _, _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// forever serves the same bytes over and over.
+type forever struct {
+	data []byte
+	off  int
+}
+
+func (f *forever) Read(p []byte) (int, error) {
+	n := copy(p, f.data[f.off:])
+	f.off = (f.off + n) % len(f.data)
+	return n, nil
+}
+
+// TestFramesAllocateNothing pins the serving hop's steady state: taking
+// a frame off a Reader and encoding one into a buffer that is kept cost
+// no allocation.
+func TestFramesAllocateNothing(t *testing.T) {
+	req := Request{ID: 7, TimeoutMillis: 250, SQL: "SELECT iid FROM ratings WHERE uid = 7"}
+	raw, err := AppendFrame(nil, TypeQuery, AppendRequest(nil, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := NewReader(&forever{data: raw})
+	if n := testing.AllocsPerRun(1000, func() {
+		if ft, p, err := fr.Next(); err != nil || ft != TypeQuery || len(p) != len(raw)-frameHeaderSize-1 {
+			t.Fatalf("frame type %q, %d bytes, %v", byte(ft), len(p), err)
+		}
+	}); n != 0 {
+		t.Errorf("reading a frame allocates %v times, want 0", n)
+	}
+
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(1000, func() {
+		b, err := EndFrame(AppendRequest(BeginFrame(buf[:0], TypeQuery), req), 0)
+		if err != nil || !bytes.Equal(b, raw) {
+			t.Fatalf("encoded %x (%v), want %x", b, err, raw)
+		}
+	}); n != 0 {
+		t.Errorf("writing a frame allocates %v times, want 0", n)
 	}
 }

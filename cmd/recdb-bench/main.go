@@ -7,17 +7,23 @@
 //	recdb-bench -scale 0.25         # scaled-down datasets (quick run)
 //	recdb-bench -neighborhood 0      # full similarity lists (paper setting)
 //	recdb-bench -md                  # Markdown output for EXPERIMENTS.md
-//	recdb-bench -exp scaling -workers 1,2,4 -json BENCH_build.json
+//	recdb-bench -exp ann -json BENCH_ann.json
 //
 // Experiment ids: table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
-// ablations (or individual a1..a6), scaling, durability, metrics, serve,
-// ann, sharded, all.
+// ablations (or individual a1..a6), ann, all. Serving-path throughput and
+// latency are measured by `go run ./benchmark`, not here.
+//
+// Exit codes: 0 when every selected experiment ran, 1 when one failed,
+// 2 on a usage error (a bad flag value, or an -exp id that names no
+// experiment).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,52 +31,72 @@ import (
 	"time"
 
 	"recdb/internal/bench"
-	"recdb/internal/bench/serve"
-	"recdb/internal/bench/sharded"
 	"recdb/internal/dataset"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids")
-	scale := flag.Float64("scale", 1.0, "dataset scale factor (1.0 = the paper's sizes)")
-	neighborhood := flag.Int("neighborhood", 64, "similarity-list cap (0 = full lists, the paper's setting; 64 keeps full-scale OnTopDB runs tractable)")
-	reps := flag.Int("reps", 3, "repetitions per RecDB-side measurement")
-	md := flag.Bool("md", false, "emit Markdown tables")
-	workers := flag.String("workers", "1,2,4", "worker counts for the scaling experiment")
-	connCounts := flag.String("conns", "1,8,64", "connection counts for the serve experiment")
-	mix := flag.String("mix", "100/0", "read/write percent mixes for the serve experiment (e.g. 100/0,90/10)")
-	commits := flag.Int("commits", 2000, "statements per phase of the durability experiment")
-	annScaleList := flag.String("ann-scales", "0.25,1.0", "dataset scale factors for the ann experiment's size axis")
-	shardList := flag.String("shard-counts", "1,2,4", "shard counts for the sharded experiment")
-	jsonPath := flag.String("json", "", "also write the result tables as JSON to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	workerCounts, err := parseWorkers(*workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recdb-bench: -workers: %v\n", err)
-		os.Exit(2)
+type experiment struct {
+	id  string
+	run func() (bench.Table, error)
+}
+
+// selectExperiments resolves the -exp list against the experiments on
+// offer ("all" and "ablations" expand; blanks are skipped). An id that
+// names no experiment is an error even beside valid ones: a typo must not
+// quietly shrink a run.
+func selectExperiments(exp string, experiments []experiment) (map[string]bool, error) {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	conns, err := parseWorkers(*connCounts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recdb-bench: -conns: %v\n", err)
-		os.Exit(2)
+	valid := "valid: " + strings.Join(ids, ", ") + ", ablations, all"
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(exp, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		matched := id == ""
+		for _, e := range experiments {
+			ablation := len(e.id) == 2 && e.id[0] == 'a'
+			if id == e.id || id == "all" || (id == "ablations" && ablation) {
+				wanted[e.id] = true
+				matched = true
+			}
+		}
+		if !matched {
+			return nil, fmt.Errorf("unknown experiment %q (%s)", id, valid)
+		}
 	}
-	mixes, err := serve.ParseMixes(*mix)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recdb-bench: -mix: %v\n", err)
-		os.Exit(2)
+	if len(wanted) == 0 {
+		return nil, fmt.Errorf("no experiment given (%s)", valid)
 	}
+	return wanted, nil
+}
+
+// run is the command behind main; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("recdb-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiment ids")
+	scale := fs.Float64("scale", 1.0, "dataset scale factor (1.0 = the paper's sizes)")
+	neighborhood := fs.Int("neighborhood", 64, "similarity-list cap (0 = full lists, the paper's setting; 64 keeps full-scale OnTopDB runs tractable)")
+	reps := fs.Int("reps", 3, "repetitions per RecDB-side measurement")
+	md := fs.Bool("md", false, "emit Markdown tables")
+	annScaleList := fs.String("ann-scales", "0.25,1.0", "dataset scale factors for the ann experiment's size axis")
+	jsonPath := fs.String("json", "", "also write the result tables as JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
 	annScales, err := parseScales(*annScaleList)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "recdb-bench: -ann-scales: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "recdb-bench: -ann-scales: %v\n", err)
+		return 2
 	}
-	shardCounts, err := parseWorkers(*shardList)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recdb-bench: -shard-counts: %v\n", err)
-		os.Exit(2)
-	}
-
 	bench.Reps = *reps
 	spec := func(s dataset.Spec) dataset.Spec {
 		if *scale != 1.0 {
@@ -79,10 +105,6 @@ func main() {
 		return s
 	}
 
-	type experiment struct {
-		id  string
-		run func() (bench.Table, error)
-	}
 	experiments := []experiment{
 		{"table2", func() (bench.Table, error) { return bench.RunTable2(*scale, *neighborhood) }},
 		{"fig6", func() (bench.Table, error) {
@@ -124,44 +146,15 @@ func main() {
 		{"a6", func() (bench.Table, error) {
 			return bench.RunPageIO(spec(dataset.MovieLens), *neighborhood)
 		}},
-		{"scaling", func() (bench.Table, error) {
-			return bench.RunScaling(spec(dataset.MovieLens), *neighborhood, workerCounts)
-		}},
-		{"durability", func() (bench.Table, error) {
-			return bench.RunDurability(*commits)
-		}},
-		{"metrics", func() (bench.Table, error) {
-			return bench.RunMetricsOverhead(spec(dataset.MovieLens), *neighborhood)
-		}},
-		{"serve", func() (bench.Table, error) {
-			return serve.Run(*scale, conns, mixes)
-		}},
 		{"ann", func() (bench.Table, error) {
 			return bench.RunANN(dataset.MovieLens, annScales, 10)
 		}},
-		{"sharded", func() (bench.Table, error) {
-			return sharded.Run(shardCounts)
-		}},
 	}
 
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*exp, ",") {
-		id = strings.TrimSpace(strings.ToLower(id))
-		switch id {
-		case "all":
-			for _, e := range experiments {
-				wanted[e.id] = true
-			}
-		case "ablations":
-			for _, e := range experiments {
-				if strings.HasPrefix(e.id, "a") && len(e.id) == 2 {
-					wanted[e.id] = true
-				}
-			}
-		case "":
-		default:
-			wanted[id] = true
-		}
+	wanted, err := selectExperiments(*exp, experiments)
+	if err != nil {
+		fmt.Fprintf(stderr, "recdb-bench: -exp: %v\n", err)
+		return 2
 	}
 
 	var tables []bench.Table
@@ -172,24 +165,21 @@ func main() {
 		start := time.Now()
 		tab, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "recdb-bench: %s: %v\n", e.id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "recdb-bench: %s: %v\n", e.id, err)
+			return 1
 		}
 		tables = append(tables, tab)
-		render(tab, *md)
-		fmt.Printf("  (experiment wall time: %v)\n\n", time.Since(start).Round(time.Millisecond))
-	}
-	if len(tables) == 0 {
-		fmt.Fprintf(os.Stderr, "recdb-bench: no experiment matched %q\n", *exp)
-		os.Exit(2)
+		render(stdout, tab, *md)
+		fmt.Fprintf(stdout, "  (experiment wall time: %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, tables); err != nil {
-			fmt.Fprintf(os.Stderr, "recdb-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "recdb-bench: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
+	return 0
 }
 
 func parseScales(s string) ([]float64, error) {
@@ -211,25 +201,6 @@ func parseScales(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("worker counts must be positive integers, got %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no worker counts given")
-	}
-	return out, nil
-}
-
 func writeJSON(path string, tables []bench.Table) error {
 	data, err := json.MarshalIndent(tables, "", "  ")
 	if err != nil {
@@ -238,21 +209,21 @@ func writeJSON(path string, tables []bench.Table) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func render(t bench.Table, md bool) {
-	fmt.Printf("== %s — %s ==\n", t.ID, t.Title)
+func render(out io.Writer, t bench.Table, md bool) {
+	fmt.Fprintf(out, "== %s — %s ==\n", t.ID, t.Title)
 	if md {
-		fmt.Printf("| %s |\n", strings.Join(t.Header, " | "))
+		fmt.Fprintf(out, "| %s |\n", strings.Join(t.Header, " | "))
 		seps := make([]string, len(t.Header))
 		for i := range seps {
 			seps[i] = "---"
 		}
-		fmt.Printf("|%s|\n", strings.Join(seps, "|"))
+		fmt.Fprintf(out, "|%s|\n", strings.Join(seps, "|"))
 		for _, row := range t.Rows {
-			fmt.Printf("| %s |\n", strings.Join(row, " | "))
+			fmt.Fprintf(out, "| %s |\n", strings.Join(row, " | "))
 		}
 		return
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, strings.Join(t.Header, "\t"))
 	for _, row := range t.Rows {
 		fmt.Fprintln(w, strings.Join(row, "\t"))

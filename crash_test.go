@@ -368,12 +368,12 @@ func TestTxnCrashSweep(t *testing.T) {
 	t.Logf("swept %d fault points x %d modes", total, len(modes))
 }
 
-// TestWALv1MigrationReplay proves the upgrade path from the version-1
-// statement-text log format: a snapshot whose WAL tail is a hand-built
-// v1 segment must replay through the SQL front end, then be rewritten —
-// the post-recovery checkpoint leaves a version-2 log behind, and the
-// sequence numbering continues where the v1 log stopped.
-func TestWALv1MigrationReplay(t *testing.T) {
+// TestWALv1SegmentRejected pins that the retired version-1
+// (statement-text) log format is not a WAL segment any more: a snapshot
+// whose WAL tail is a hand-built, perfectly framed "RDBW1" segment must
+// fail OpenDir with the typed wrong-magic error — none of its statements
+// applied, no byte of it truncated or checkpointed away.
+func TestWALv1SegmentRejected(t *testing.T) {
 	fs := fault.NewMemFS()
 	db := Open()
 	db.fs = fs
@@ -383,10 +383,11 @@ func TestWALv1MigrationReplay(t *testing.T) {
 	}
 	db.Close()
 
-	// Swap the (empty, v2) log the checkpoint attached for a v1 segment
-	// holding two statement-text records, framed exactly as the previous
-	// format wrote them.
+	// Swap the (empty) log the checkpoint attached for a v1 segment
+	// holding two statement-text records, framed exactly as that format
+	// wrote them.
 	const walDir = "db/wal"
+	const v1Seg = walDir + "/wal-0000000000000001.log"
 	names, err := fs.ReadDir(walDir)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +410,7 @@ func TestWALv1MigrationReplay(t *testing.T) {
 		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
 		buf = append(buf, rec...)
 	}
-	f, err := fs.Create(walDir + "/wal-0000000000000001.log")
+	f, err := fs.Create(v1Seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,50 +426,48 @@ func TestWALv1MigrationReplay(t *testing.T) {
 	if err := fs.SyncDir(walDir); err != nil {
 		t.Fatal(err)
 	}
-
-	db2, err := openDirFS(fs, "db", engine.Config{})
-	if err != nil {
-		t.Fatalf("recovering from a v1 log: %v", err)
-	}
-	rows, err := db2.Query("SELECT COUNT(*) FROM kv")
-	if err != nil || !rows.Next() {
-		t.Fatalf("reading recovered table: %v", err)
-	}
-	var n int64
-	if err := rows.Scan(&n); err != nil || n != 2 {
-		t.Fatalf("recovered rows = %d, %v (want 2)", n, err)
-	}
-	// The statements replayed, so the post-recovery checkpoint rewrote
-	// the log: the surviving segment must be version 2, and the sequence
-	// must continue past the v1 records.
-	names, err = fs.ReadDir(walDir)
-	if err != nil || len(names) != 1 {
-		t.Fatalf("segments after migration: %v, %v", names, err)
-	}
-	seg, err := fs.ReadFile(walDir + "/" + names[0])
+	gensBefore, err := fs.ReadDir("db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(seg[:6]) != "RDBW2\n" {
-		t.Fatalf("post-migration segment magic = %q, want RDBW2", seg[:6])
-	}
-	db2.MustExec("INSERT INTO kv VALUES (3, 30)")
-	if got := db2.Durability().WALSeq; got != 3 {
-		t.Fatalf("WALSeq after migration commit = %d, want 3", got)
-	}
-	db2.Close()
 
+	db2, err := openDirFS(fs, "db", engine.Config{})
+	if err == nil {
+		db2.Close()
+		t.Fatal("a v1 log recovered; want the wrong-magic corruption error")
+	}
+	var ce *wal.CorruptError
+	if !errors.As(err, &ce) || ce.Offset != 0 || ce.Reason != "not a WAL segment" {
+		t.Fatalf("OpenDir err = %v, want *wal.CorruptError \"not a WAL segment\" at offset 0", err)
+	}
+	// Nothing truncated, nothing checkpointed: the segment is byte for
+	// byte what was written and no new generation appeared.
+	if seg, err := fs.ReadFile(v1Seg); err != nil || string(seg) != string(buf) {
+		t.Fatalf("v1 segment after the failed open: %d bytes, %v (want the %d written)", len(seg), err, len(buf))
+	}
+	if names, err = fs.ReadDir(walDir); err != nil || len(names) != 1 {
+		t.Fatalf("segments after the failed open: %v, %v", names, err)
+	}
+	if gens, err := fs.ReadDir("db"); err != nil || fmt.Sprint(gens) != fmt.Sprint(gensBefore) {
+		t.Fatalf("home after the failed open: %v, %v (want %v)", gens, err, gensBefore)
+	}
+	// Nothing applied: with the foreign segment out of the way, the
+	// snapshot opens with the table still empty.
+	if err := fs.Remove(v1Seg); err != nil {
+		t.Fatal(err)
+	}
 	db3, err := openDirFS(fs, "db", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db3.Close()
-	rows, err = db3.Query("SELECT COUNT(*) FROM kv")
+	rows, err := db3.Query("SELECT COUNT(*) FROM kv")
 	if err != nil || !rows.Next() {
-		t.Fatal(err)
+		t.Fatalf("reading recovered table: %v", err)
 	}
-	if err := rows.Scan(&n); err != nil || n != 3 {
-		t.Fatalf("rows after second recovery = %d, %v (want 3)", n, err)
+	var n int64
+	if err := rows.Scan(&n); err != nil || n != 0 {
+		t.Fatalf("rows after removing the v1 segment = %d, %v (want 0)", n, err)
 	}
 }
 

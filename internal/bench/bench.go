@@ -202,7 +202,7 @@ func (e *Env) OnTopSelectivity(algo string, items []int64) (int, error) {
 	q := fmt.Sprintf(`SELECT s.uid, s.iid, s.ratingval FROM %s s
 		WHERE s.uid = %d AND s.iid IN (%s)`,
 		ontop.ScoresTable, e.QueryUser, idList(items))
-	res, err := e.OnTop.Query("OnTop_"+algo, []int64{e.QueryUser}, q)
+	res, err := e.OnTop.Query("OnTop_"+algo, q)
 	if err != nil {
 		return 0, err
 	}
@@ -219,7 +219,7 @@ func (e *Env) OnTopJoin(algo string, twoWay bool) (int, error) {
 			WHERE s.uid = %d AND M.iid = s.iid AND M.genre = 'Action' AND U.uid = s.uid`,
 			ontop.ScoresTable, e.QueryUser)
 	}
-	res, err := e.OnTop.Query("OnTop_"+algo, []int64{e.QueryUser}, q)
+	res, err := e.OnTop.Query("OnTop_"+algo, q)
 	if err != nil {
 		return 0, err
 	}
@@ -231,7 +231,7 @@ func (e *Env) OnTopTopK(algo string, k int) (int, error) {
 	q := fmt.Sprintf(`SELECT s.uid, s.iid, s.ratingval FROM %s s
 		WHERE s.uid = %d ORDER BY s.ratingval DESC LIMIT %d`,
 		ontop.ScoresTable, e.QueryUser, k)
-	res, err := e.OnTop.Query("OnTop_"+algo, []int64{e.QueryUser}, q)
+	res, err := e.OnTop.Query("OnTop_"+algo, q)
 	if err != nil {
 		return 0, err
 	}

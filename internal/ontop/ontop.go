@@ -37,11 +37,6 @@ type Client struct {
 
 	mu     sync.Mutex
 	models map[string]*appRecommender
-	// PredictAllUsers controls step 2's scope: true (default) generates
-	// recommendations for every user, as the paper describes; false
-	// restricts generation to the users passed to Query, a generous
-	// variant of the baseline.
-	PredictAllUsers bool
 }
 
 type appRecommender struct {
@@ -54,11 +49,7 @@ type appRecommender struct {
 
 // New creates an OnTopDB client over the engine.
 func New(eng *engine.Engine) *Client {
-	return &Client{
-		eng:             eng,
-		models:          make(map[string]*appRecommender),
-		PredictAllUsers: true,
-	}
+	return &Client{eng: eng, models: make(map[string]*appRecommender)}
 }
 
 // CreateRecommender extracts the ratings table through SQL and builds the
@@ -123,10 +114,10 @@ func (c *Client) get(name string) (*appRecommender, error) {
 	return r, nil
 }
 
-// Query runs one OnTopDB recommendation query: generate → load → query.
-// queryUsers narrows generation when PredictAllUsers is false (and is
-// otherwise ignored). selectSQL must read from ScoresTable.
-func (c *Client) Query(recommender string, queryUsers []int64, selectSQL string) (*engine.QueryResult, error) {
+// Query runs one OnTopDB recommendation query: generate (for every user,
+// as the paper's baseline does) → load → query. selectSQL must read from
+// ScoresTable.
+func (c *Client) Query(recommender, selectSQL string) (*engine.QueryResult, error) {
 	r, err := c.get(recommender)
 	if err != nil {
 		return nil, err
@@ -134,9 +125,6 @@ func (c *Client) Query(recommender string, queryUsers []int64, selectSQL string)
 
 	// Step 2: generate recommendations in application memory.
 	users := r.model.Users()
-	if !c.PredictAllUsers && len(queryUsers) > 0 {
-		users = queryUsers
-	}
 	items := r.model.Items()
 	scores := make([]rec.Rating, 0, len(users)*len(items)/2)
 	for _, u := range users {

@@ -71,7 +71,7 @@ func TestQueryMatchesInDBMSResults(t *testing.T) {
 	if err := c.CreateRecommender("r", "ratings", "uid", "iid", "ratingval", "ItemCosCF", rec.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	onTop, err := c.Query("r", []int64{1}, fmt.Sprintf(
+	onTop, err := c.Query("r", fmt.Sprintf(
 		`SELECT s.iid, s.ratingval FROM %s s WHERE s.uid = 1 ORDER BY s.ratingval DESC`, ScoresTable))
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestQueryJoinShape(t *testing.T) {
 	if err := c.CreateRecommender("r", "ratings", "uid", "iid", "ratingval", "SVD", rec.BuildOptions{SVDSeed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query("r", []int64{3}, fmt.Sprintf(
+	res, err := c.Query("r", fmt.Sprintf(
 		`SELECT s.uid, m.name, s.ratingval FROM %s s, movies m
 		 WHERE s.uid = 3 AND m.mid = s.iid AND m.genre = 'Sci-Fi'
 		 ORDER BY s.ratingval DESC`, ScoresTable))
@@ -105,28 +105,29 @@ func TestQueryJoinShape(t *testing.T) {
 	}
 }
 
-func TestScopedGeneration(t *testing.T) {
+// TestGeneratesForEveryUser pins the baseline's step 2 as the paper
+// describes it: every query generates a score for each unrated
+// (user, item) pair of every user, whoever the query is about.
+func TestGeneratesForEveryUser(t *testing.T) {
 	e := newEngine(t)
 	c := New(e)
 	if err := c.CreateRecommender("r", "ratings", "uid", "iid", "ratingval", "", rec.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// The generous variant restricted to one user produces the same
-	// answer for that user's query.
-	c.PredictAllUsers = false
-	scoped, err := c.Query("r", []int64{1}, fmt.Sprintf(
-		`SELECT s.iid FROM %s s WHERE s.uid = 1`, ScoresTable))
+	all, err := c.Query("r", fmt.Sprintf(`SELECT s.uid, s.iid FROM %s s`, ScoresTable))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PredictAllUsers = true
-	full, err := c.Query("r", []int64{1}, fmt.Sprintf(
-		`SELECT s.iid FROM %s s WHERE s.uid = 1`, ScoresTable))
+	// 4 users x 3 items, 7 of the pairs rated.
+	if len(all.Rows) != 4*3-7 {
+		t.Fatalf("generated %d scores, want %d: %v", len(all.Rows), 4*3-7, all.Rows)
+	}
+	one, err := c.Query("r", fmt.Sprintf(`SELECT s.iid FROM %s s WHERE s.uid = 1`, ScoresTable))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scoped.Rows) != len(full.Rows) {
-		t.Fatalf("scoped %d vs full %d", len(scoped.Rows), len(full.Rows))
+	if len(one.Rows) != 2 {
+		t.Fatalf("user 1 has %d scores, want its 2 unrated items: %v", len(one.Rows), one.Rows)
 	}
 }
 
@@ -136,13 +137,13 @@ func TestScoresTableIsTransient(t *testing.T) {
 	if err := c.CreateRecommender("r", "ratings", "uid", "iid", "ratingval", "", rec.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query("r", nil, "SELECT * FROM "+ScoresTable); err != nil {
+	if _, err := c.Query("r", "SELECT * FROM "+ScoresTable); err != nil {
 		t.Fatal(err)
 	}
 	if e.Catalog().Has(ScoresTable) {
 		t.Fatal("scores table should be dropped after the query")
 	}
-	if _, err := c.Query("missing", nil, "SELECT * FROM "+ScoresTable); err == nil {
+	if _, err := c.Query("missing", "SELECT * FROM "+ScoresTable); err == nil {
 		t.Fatal("missing recommender should fail")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"recdb/internal/ann"
 )
@@ -33,12 +32,6 @@ type BuildOptions struct {
 	SVDRate    float64 // learning rate (default 0.01)
 	SVDLambda  float64 // L2 regularization λ from Equation 3 (default 0.05)
 	SVDSeed    int64   // deterministic initialization seed
-	// SVDHogwild selects the lock-free fast mode for SVD training: workers
-	// update shared item factors through atomics without the stratified
-	// schedule's rotation barriers (Niu et al., Hogwild!, NIPS 2011).
-	// Faster on high-core machines, but the trained factors depend on the
-	// goroutine interleaving and are NOT reproducible run to run.
-	SVDHogwild bool
 	// ANNCentroids and ANNProbe tune the IVF index built over the trained
 	// item factors (vector-native top-k). 0 selects the internal/ann
 	// defaults (√n centroids, K/4 probe width); the index build shares
@@ -424,7 +417,7 @@ type FactorModel struct {
 // vector. The schedule — block order, per-block visit order, and RNG
 // streams — is fixed by SVDSeed alone, so the trained factors are
 // bit-identical at any worker count (Workers: 1 runs the same schedule
-// serially). Set SVDHogwild for the faster non-reproducible mode.
+// serially).
 func TrainSVD(ratings []Rating, opts BuildOptions) (*FactorModel, error) {
 	opts = opts.withDefaults()
 	ix := indexRatings(ratings)
@@ -449,16 +442,10 @@ func TrainSVD(ratings []Rating, opts BuildOptions) (*FactorModel, error) {
 	for _, i := range ix.items {
 		m.ItemFactors[i] = initVec()
 	}
-	if opts.SVDHogwild && opts.Workers > 1 {
-		trainHogwild(m, ix, opts)
-	} else {
-		trainStratified(m, ix, opts)
-	}
+	trainStratified(m, ix, opts)
 	// The IVF index over the trained item factors. The build is a
-	// deterministic function of (factors, seed) at any worker count, so the
-	// stratified path yields a bit-identical index run to run; Hogwild
-	// inherits that mode's documented non-reproducibility through the
-	// factors themselves.
+	// deterministic function of (factors, seed) at any worker count, so
+	// the index is bit-identical run to run, as the factors are.
 	m.IVF = ann.Build(ix.items, m.ItemFactors, ann.Options{
 		Centroids: opts.ANNCentroids,
 		NProbe:    opts.ANNProbe,
@@ -521,64 +508,6 @@ func trainStratified(m *FactorModel, ix *ratingsIndex, opts BuildOptions) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// trainHogwild is the documented fast mode: users are partitioned across
-// workers (each worker exclusively owns its users' factor vectors) while
-// item factors are shared and updated lock-free through atomic loads and
-// stores of their bit patterns — the Hogwild! recipe, made race-detector
-// clean. Concurrent item updates can lose writes, which SGD tolerates;
-// the trade is speed for run-to-run reproducibility.
-func trainHogwild(m *FactorModel, ix *ratingsIndex, opts BuildOptions) {
-	k, lr, lam := m.K, opts.SVDRate, opts.SVDLambda
-	workers := opts.Workers
-	qbits := make(map[int64][]uint64, len(ix.items))
-	for _, it := range ix.items {
-		q := m.ItemFactors[it]
-		b := make([]uint64, k)
-		for f := range q {
-			b[f] = math.Float64bits(q[f])
-		}
-		qbits[it] = b
-	}
-	userPart := make(map[int64]int, len(ix.users))
-	for p, u := range ix.users {
-		userPart[u] = p % workers
-	}
-	parts := make([][]Rating, workers)
-	for _, r := range ix.allRatings() {
-		w := userPart[r.User]
-		parts[w] = append(parts[w], r)
-	}
-	for epoch := 0; epoch < opts.SVDEpochs; epoch++ {
-		runWorkers(workers, func(w int) {
-			part := parts[w]
-			rng := rand.New(rand.NewSource(mixSeed(opts.SVDSeed, int64(epoch), int64(w))))
-			rng.Shuffle(len(part), func(a, b int) { part[a], part[b] = part[b], part[a] })
-			qf := make([]float64, k)
-			for _, r := range part {
-				p := m.UserFactors[r.User]
-				qb := qbits[r.Item]
-				for f := 0; f < k; f++ {
-					qf[f] = math.Float64frombits(atomic.LoadUint64(&qb[f]))
-				}
-				pred := Dot(p, qf)
-				err := r.Value - pred
-				for f := 0; f < k; f++ {
-					pf, qv := p[f], qf[f]
-					p[f] += lr * (err*qv - lam*pf)
-					atomic.StoreUint64(&qb[f], math.Float64bits(qv+lr*(err*pf-lam*qv)))
-				}
-			}
-		})
-	}
-	for _, it := range ix.items {
-		b := qbits[it]
-		q := m.ItemFactors[it]
-		for f := range q {
-			q[f] = math.Float64frombits(b[f])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package rec
 
 import (
 	"fmt"
-	"math"
 	"testing"
 )
 
@@ -120,40 +119,6 @@ func TestPredictionParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSVDHogwildLearns checks the documented fast mode still converges on
-// learnable structure, without asserting exact factor values (Hogwild is
-// nondeterministic by design).
-func TestSVDHogwildLearns(t *testing.T) {
-	var ratings []Rating
-	for u := int64(1); u <= 24; u++ {
-		for i := int64(1); i <= 24; i++ {
-			if (u+i)%3 == 0 {
-				continue
-			}
-			ratings = append(ratings, Rating{User: u, Item: i, Value: float64((u % 2) * (i % 2) * 4)})
-		}
-	}
-	m, err := TrainSVD(ratings, BuildOptions{
-		Workers: 4, SVDHogwild: true,
-		SVDSeed: 3, SVDFactors: 4, SVDEpochs: 200, SVDRate: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sse float64
-	for _, r := range ratings {
-		pred, ok := m.Predict(r.User, r.Item)
-		if !ok {
-			t.Fatalf("no prediction for (%d, %d)", r.User, r.Item)
-		}
-		sse += (pred - r.Value) * (pred - r.Value)
-	}
-	rmse := math.Sqrt(sse / float64(len(ratings)))
-	if rmse > 0.5 {
-		t.Fatalf("hogwild RMSE on training data = %v, want < 0.5", rmse)
-	}
-}
-
 func TestResolveWorkers(t *testing.T) {
 	if got := resolveWorkers(1); got != 1 {
 		t.Fatalf("resolveWorkers(1) = %d", got)
@@ -211,20 +176,6 @@ func BenchmarkBuildSVD(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := TrainSVD(ratings, BuildOptions{Workers: workers, SVDSeed: 1, SVDEpochs: 5}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkBuildSVDHogwild(b *testing.B) {
-	ratings := movieLensRatings()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := BuildOptions{Workers: workers, SVDHogwild: true, SVDSeed: 1, SVDEpochs: 5}
-				if _, err := TrainSVD(ratings, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

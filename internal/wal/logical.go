@@ -5,12 +5,9 @@ import (
 	"fmt"
 )
 
-// This file defines the logical (tuple-level) record payloads carried by
-// v2 segments. A v1 segment's payloads are raw SQL statement text; a v2
-// segment's payloads are one Record each, encoded by EncodeRecord. The
-// outer framing (length + CRC32-C + sequence) is identical in both
-// versions — only the payload interpretation differs, which is why
-// Replay hands the segment's format version to its callback.
+// This file defines the logical (tuple-level) record payloads segments
+// carry: each framed payload (wal.go) is one Record, encoded by
+// EncodeRecord.
 //
 // Record kinds:
 //

@@ -7,11 +7,8 @@
 // loaded snapshot's high-water mark.
 //
 // On-disk format (DESIGN.md §8, §12): each segment file is named
-// wal-<first-seq 16 digits>.log and starts with a 6-byte header naming
-// its payload format — "RDBW2\n" for logical tuple records, "RDBW1\n"
-// for the legacy SQL-statement-text payloads (still replayable, so a
-// database whose log predates the logical format recovers and is then
-// rewritten at the post-recovery checkpoint) — followed by records:
+// wal-<first-seq 16 digits>.log and starts with the 6-byte header
+// "RDBW2\n" (any other header is not a WAL segment), followed by records:
 //
 //	len   uint32 LE   payload length
 //	crc   uint32 LE   CRC32-C over seq + payload
@@ -46,12 +43,10 @@ import (
 )
 
 const (
-	segmentPrefix  = "wal-"
-	segmentSuffix  = ".log"
-	segmentMagicV1 = "RDBW1\n" // payloads are SQL statement text
-	segmentMagicV2 = "RDBW2\n" // payloads are logical records (logical.go)
-	segmentMagic   = segmentMagicV2
-	magicLen       = len(segmentMagic)
+	segmentPrefix = "wal-"
+	segmentSuffix = ".log"
+	segmentMagic  = "RDBW2\n" // payloads are logical records (logical.go)
+	magicLen      = len(segmentMagic)
 	// recordHeaderSize is len + crc + seq.
 	recordHeaderSize = 4 + 4 + 8
 	// maxRecordSize bounds a declared payload length so a corrupt header
@@ -246,55 +241,7 @@ func (l *Log) openSegmentLocked() error {
 // record's sequence number; when it returns without error under
 // SyncEvery <= 1, the record is durable.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.poisoned != nil {
-		return 0, fmt.Errorf("wal: log poisoned by an earlier append failure (reopen to recover): %w", l.poisoned)
-	}
-	if int64(len(payload)) > maxRecordSize {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordSize)
-	}
-	if l.fSize >= l.opts.SegmentBytes {
-		if err := l.rollLocked(); err != nil {
-			return 0, err
-		}
-	}
-	seq := l.seq + 1
-	rec := make([]byte, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(rec[8:16], seq)
-	copy(rec[16:], payload)
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
-	if _, err := l.f.Write(rec); err != nil {
-		// The segment may hold a prefix of the record: poison the log so
-		// the ambiguous bytes are never flushed or appended after.
-		l.poisoned = err
-		return 0, fmt.Errorf("wal: append seq %d: %w", seq, err)
-	}
-	// The record is in the segment; assign the sequence even if the sync
-	// below fails — it is burned either way, and the snapshot high-water
-	// mark must never move backwards past it.
-	l.seq = seq
-	l.fSize += int64(len(rec))
-	l.unsynced++
-	l.opts.Metrics.Appends.Inc()
-	l.opts.Metrics.AppendBytes.Add(int64(len(payload)))
-	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
-		if err := l.syncLocked(); err != nil {
-			// The caller will report this statement failed, but its bytes
-			// sit unsynced in the segment: poison the log so no later sync
-			// quietly makes the "failed" statement durable after all.
-			l.poisoned = err
-			return seq, err
-		}
-	} else if l.opts.SyncInterval > 0 && l.opts.SyncEvery > 1 && l.unsynced == 1 {
-		// First commit of a new group: bound how long it can sit unsynced.
-		l.armTimerLocked()
-	}
-	return seq, nil
+	return l.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch writes a group of records — a transaction's begin, tuple,
@@ -337,37 +284,43 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	buf := make([]byte, 0, total)
-	seq := l.seq
-	var bytes int64
+	// Frame every record in place in the one buffer the write hands over.
+	buf := make([]byte, total)
+	seq, off := l.seq, 0
 	for _, p := range payloads {
 		seq++
-		rec := make([]byte, recordHeaderSize+len(p))
+		rec := buf[off : off+recordHeaderSize+len(p)]
+		off += len(rec)
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(p)))
 		binary.LittleEndian.PutUint64(rec[8:16], seq)
 		copy(rec[16:], p)
 		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
-		buf = append(buf, rec...)
-		bytes += int64(len(p))
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		// The segment may hold a prefix of the group: poison the log so
 		// the ambiguous bytes are never flushed or appended after.
 		l.poisoned = err
-		return 0, fmt.Errorf("wal: append batch at seq %d: %w", l.seq+1, err)
+		return 0, fmt.Errorf("wal: append at seq %d: %w", l.seq+1, err)
 	}
-	// Sequences are burned even if the sync below fails (see Append).
+	// The records are in the segment; assign the sequences even if the
+	// sync below fails — they are burned either way, and the snapshot
+	// high-water mark must never move backwards past them.
 	l.seq = seq
-	l.fSize += int64(len(buf))
+	l.fSize += int64(total)
 	l.unsynced++ // the group is one commit unit
-	l.opts.Metrics.Appends.Add(int64(len(payloads)))
-	l.opts.Metrics.AppendBytes.Add(bytes)
+	n := int64(len(payloads))
+	l.opts.Metrics.Appends.Add(n)
+	l.opts.Metrics.AppendBytes.Add(int64(total) - n*recordHeaderSize)
 	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
 		if err := l.syncLocked(); err != nil {
+			// The caller will report this statement failed, but its bytes
+			// sit unsynced in the segment: poison the log so no later sync
+			// quietly makes the "failed" statement durable after all.
 			l.poisoned = err
 			return seq, err
 		}
 	} else if l.opts.SyncInterval > 0 && l.opts.SyncEvery > 1 && l.unsynced == 1 {
+		// First commit of a new group: bound how long it can sit unsynced.
 		l.armTimerLocked()
 	}
 	return seq, nil
@@ -534,12 +487,11 @@ func (l *Log) Close() error {
 // record with sequence number > afterSeq, returning the highest sequence
 // seen (afterSeq when the log is empty). Records at or below afterSeq are
 // skipped — they are already in the snapshot — which is what makes
-// replay idempotent. version is the payload format of the record's
-// segment: 2 for logical records (DecodeRecord), 1 for legacy SQL
-// statement text. A validation failure at the tail of the final segment
-// is treated as a torn write and truncates replay; anywhere else it
-// returns a *CorruptError.
-func Replay(fs fault.FS, dir string, afterSeq uint64, fn func(seq uint64, version int, payload []byte) error) (uint64, error) {
+// replay idempotent. Payloads are logical records (DecodeRecord). A
+// validation failure at the tail of the final segment is treated as a
+// torn write and truncates replay; anywhere else it returns a
+// *CorruptError.
+func Replay(fs fault.FS, dir string, afterSeq uint64, fn func(seq uint64, payload []byte) error) (uint64, error) {
 	segs, err := listSegments(fs, dir)
 	if err != nil {
 		return afterSeq, err
@@ -565,7 +517,7 @@ func Replay(fs fault.FS, dir string, afterSeq uint64, fn func(seq uint64, versio
 
 // replaySegment walks one segment's records. It returns stop = true when
 // it hit a torn tail (only allowed in the final segment).
-func replaySegment(p string, blob []byte, final bool, afterSeq uint64, last *uint64, fn func(uint64, int, []byte) error) (bool, error) {
+func replaySegment(p string, blob []byte, final bool, afterSeq uint64, last *uint64, fn func(uint64, []byte) error) (bool, error) {
 	torn := func(off int64, reason string) (bool, error) {
 		if final {
 			return true, nil // torn tail: everything before it is intact
@@ -575,13 +527,7 @@ func replaySegment(p string, blob []byte, final bool, afterSeq uint64, last *uin
 	if len(blob) < magicLen {
 		return torn(0, "segment shorter than its header")
 	}
-	version := 0
-	switch string(blob[:magicLen]) {
-	case segmentMagicV2:
-		version = 2
-	case segmentMagicV1:
-		version = 1
-	default:
+	if string(blob[:magicLen]) != segmentMagic {
 		// A wrong magic is corruption even in the final segment: the
 		// header is written and synced before any record.
 		return false, &CorruptError{Path: p, Offset: 0, Reason: "not a WAL segment"}
@@ -609,7 +555,7 @@ func replaySegment(p string, blob []byte, final bool, afterSeq uint64, last *uin
 			return false, &CorruptError{Path: p, Offset: off, Reason: fmt.Sprintf("sequence %d out of order after %d", seq, *last)}
 		}
 		if seq > afterSeq {
-			if err := fn(seq, version, rest[16:total]); err != nil {
+			if err := fn(seq, rest[16:total]); err != nil {
 				return false, fmt.Errorf("wal: replaying seq %d: %w", seq, err)
 			}
 			*last = seq

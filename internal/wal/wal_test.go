@@ -21,7 +21,7 @@ func appendN(t *testing.T, l *Log, n int, prefix string) {
 func collect(t *testing.T, fs fault.FS, dir string, afterSeq uint64) (map[uint64]string, uint64) {
 	t.Helper()
 	got := map[uint64]string{}
-	last, err := Replay(fs, dir, afterSeq, func(seq uint64, _ int, payload []byte) error {
+	last, err := Replay(fs, dir, afterSeq, func(seq uint64, payload []byte) error {
 		got[seq] = string(payload)
 		return nil
 	})
@@ -213,7 +213,7 @@ func TestMidSegmentCorruptionFailsReplay(t *testing.T) {
 	if err := fs.Corrupt("wal/"+segs[0], int64(len(segmentMagic)+recordHeaderSize+2), 0x10); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(fs, "wal", 0, func(uint64, int, []byte) error { return nil })
+	_, err = Replay(fs, "wal", 0, func(uint64, []byte) error { return nil })
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("mid-segment corruption: err = %v, want *CorruptError", err)
@@ -262,7 +262,7 @@ func TestBadSegmentMagicIsCorruption(t *testing.T) {
 	if err := fs.Corrupt("wal/"+segName(1), 0, 0xFF); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(fs, "wal", 0, func(uint64, int, []byte) error { return nil })
+	_, err = Replay(fs, "wal", 0, func(uint64, []byte) error { return nil })
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("bad magic: err = %v, want *CorruptError", err)
@@ -304,14 +304,14 @@ func TestOversizeRecordRejected(t *testing.T) {
 
 func TestReplayEmptyAndMissingDir(t *testing.T) {
 	fs := fault.NewMemFS()
-	last, err := Replay(fs, "nope", 7, func(uint64, int, []byte) error { return nil })
+	last, err := Replay(fs, "nope", 7, func(uint64, []byte) error { return nil })
 	if err != nil || last != 7 {
 		t.Fatalf("missing dir: last = %d, err = %v", last, err)
 	}
 	if err := fs.MkdirAll("empty"); err != nil {
 		t.Fatal(err)
 	}
-	last, err = Replay(fs, "empty", 7, func(uint64, int, []byte) error { return nil })
+	last, err = Replay(fs, "empty", 7, func(uint64, []byte) error { return nil })
 	if err != nil || last != 7 {
 		t.Fatalf("empty dir: last = %d, err = %v", last, err)
 	}
@@ -398,5 +398,63 @@ func TestResetClearsPoison(t *testing.T) {
 	got, last := collect(t, mem, "wal", 2)
 	if last != 3 || len(got) != 1 || got[3] != "fresh" {
 		t.Fatalf("after reset: last = %d, records = %v", last, got)
+	}
+}
+
+// TestAppendBatchIsOneWriteAndOneCommit pins what AppendBatch promises
+// on top of Append: the group reaches the file in a single Write (so a
+// crash tears only a suffix), takes consecutive sequence numbers, and
+// counts once toward the group-commit policy.
+func TestAppendBatchIsOneWriteAndOneCommit(t *testing.T) {
+	mem := fault.NewMemFS()
+	inj := fault.NewInject(mem)
+	l, err := Open(inj, "wal", 0, Options{SyncEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.SetPlan(fault.ModeNone, 0)
+	seq, err := l.AppendBatch([][]byte{[]byte("begin"), []byte("row"), []byte("commit")})
+	if err != nil || seq != 3 {
+		t.Fatalf("AppendBatch = %d, %v (want seq 3)", seq, err)
+	}
+	if ops := inj.Ops(); ops != 1 {
+		t.Fatalf("first batch took %d file operations, want 1 write and no sync", ops)
+	}
+	if seq, err = l.Append([]byte("bare")); err != nil || seq != 4 {
+		t.Fatalf("Append = %d, %v (want seq 4)", seq, err)
+	}
+	if ops := inj.Ops(); ops != 3 {
+		t.Fatalf("second commit: %d file operations so far, want 3 (write, write, sync)", ops)
+	}
+	if seq, err = l.AppendBatch(nil); err != nil || seq != 4 {
+		t.Fatalf("empty batch = %d, %v (want a no-op at seq 4)", seq, err)
+	}
+	mem.Crash()
+	mem.Restart()
+	got, last := collect(t, mem, "wal", 0)
+	if last != 4 || got[1] != "begin" || got[2] != "row" || got[3] != "commit" || got[4] != "bare" {
+		t.Fatalf("after crash: last = %d, records = %v", last, got)
+	}
+}
+
+// TestAppendAllocations pins the per-INSERT path's cost: one allocation
+// per Append, the framed record itself (the MemFS file's amortised growth
+// rounds to zero).
+func TestAppendAllocations(t *testing.T) {
+	l, err := Open(fault.NewMemFS(), "wal", 0, Options{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("a-logical-insert-record-of-typical-size")
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Append allocates %.0f times per call, want 1", allocs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -132,13 +132,7 @@ func (db *DB) logCommitLocked(txn uint64, muts []engine.Mutation) error {
 	if txn != 0 {
 		payloads = append(payloads, wal.EncodeRecord(nil, wal.Record{Kind: wal.RecTxnCommit, Txn: txn}))
 	}
-	var err error
-	if len(payloads) == 1 {
-		_, err = db.wal.Append(payloads[0])
-	} else {
-		_, err = db.wal.AppendBatch(payloads)
-	}
-	if err != nil {
+	if _, err := db.wal.AppendBatch(payloads); err != nil {
 		return fmt.Errorf("recdb: commit applied but not logged: %w", err)
 	}
 	return nil
@@ -216,12 +210,11 @@ func openDirFS(fs fault.FS, dir string, cfg engine.Config) (*DB, error) {
 	walDir := filepath.Join(dir, walSubdir)
 	type record struct {
 		seq     uint64
-		version int
 		payload []byte
 	}
 	var records []record
-	last, err := wal.Replay(fs, walDir, info.WALSeq, func(seq uint64, version int, payload []byte) error {
-		records = append(records, record{seq, version, append([]byte(nil), payload...)})
+	last, err := wal.Replay(fs, walDir, info.WALSeq, func(seq uint64, payload []byte) error {
+		records = append(records, record{seq, append([]byte(nil), payload...)})
 		return nil
 	})
 	if err != nil {
@@ -231,21 +224,15 @@ func openDirFS(fs fault.FS, dir string, cfg engine.Config) (*DB, error) {
 		records, last = nil, info.WALSeq
 	}
 	// Replay before installing the commit hook, so replayed changes are
-	// not re-logged. Version-1 segments carry legacy statement text and
-	// are re-executed through the SQL front end; version-2 segments carry
-	// logical tuple records applied directly to the heap — no re-parse,
-	// no re-plan. Records tagged with a transaction id are buffered and
-	// applied only when their TxnCommit record arrives: a transaction
-	// whose commit record is missing (crash mid-commit tore the group's
-	// suffix) or that aborted is discarded whole, never half-replayed.
+	// not re-logged. Segments carry logical tuple records applied
+	// directly to the heap — no re-parse, no re-plan (DDL alone travels
+	// as statement text). Records tagged with a transaction id are
+	// buffered and applied only when their TxnCommit record arrives: a
+	// transaction whose commit record is missing (crash mid-commit tore
+	// the group's suffix) or that aborted is discarded whole, never
+	// half-replayed.
 	pending := make(map[uint64][]wal.Record)
 	for _, r := range records {
-		if r.version == 1 {
-			if _, err := eng.Exec(string(r.payload)); err != nil {
-				return nil, fmt.Errorf("recdb: recovering %s: replaying statement %d: %w", dir, r.seq, err)
-			}
-			continue
-		}
 		rec, err := wal.DecodeRecord(r.payload)
 		if err != nil {
 			return nil, fmt.Errorf("recdb: recovering %s: record %d: %w", dir, r.seq, err)

@@ -84,7 +84,7 @@ func TestJSONCleanIsEmptyArray(t *testing.T) {
 	}
 }
 
-// TestListNamesAllAnalyzers pins the registry: all nine analyzers, one
+// TestListNamesAllAnalyzers pins the registry: all seven analyzers, one
 // per line, in stable order.
 func TestListNamesAllAnalyzers(t *testing.T) {
 	code, out, _ := lint(t, options{list: true})
@@ -92,8 +92,8 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	want := []string{
-		"atomicfield", "closecheck", "deferloop", "errwrap", "lockorder",
-		"locksafe", "nopanic", "pinunpin", "walorder",
+		"closecheck", "deferloop", "errwrap", "locksafe", "nopanic",
+		"pinunpin", "walorder",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {

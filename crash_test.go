@@ -513,7 +513,7 @@ func TestSnapshotCorruptionSweep(t *testing.T) {
 			if err := fs.Corrupt(path, off, mask); err != nil {
 				t.Fatal(err)
 			}
-			_, _, lerr := persist.LoadFS(fs, "db", engine.Config{})
+			_, _, lerr := persist.Load(fs, "db", engine.Config{})
 			if lerr == nil {
 				t.Fatalf("flipping %s byte %d silently succeeded", path, off)
 			}
@@ -524,7 +524,7 @@ func TestSnapshotCorruptionSweep(t *testing.T) {
 			flips++
 		}
 	}
-	if _, _, err := persist.LoadFS(fs, "db", engine.Config{}); err != nil {
+	if _, _, err := persist.Load(fs, "db", engine.Config{}); err != nil {
 		t.Fatalf("snapshot did not survive the sweep: %v", err)
 	}
 	t.Logf("%d byte flips, every one detected", flips)

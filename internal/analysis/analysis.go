@@ -40,11 +40,6 @@ type Analyzer struct {
 	// Run performs the analysis. It reports findings via Pass.Reportf and
 	// returns an error only for internal failures (not findings).
 	Run func(*Pass) error
-	// Finish, when non-nil, runs once after every package has been
-	// analyzed. It sees the facts Run accumulated in Pass.Shared across
-	// packages — the mechanism cross-package checks (the lock-order
-	// graph) use — and reports via ModulePass.ReportAtf.
-	Finish func(*ModulePass) error
 }
 
 // Pass carries one package through one analyzer.
@@ -54,32 +49,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Shared is per-analyzer state that persists across packages of one
-	// Run call, for analyzers whose invariant spans package boundaries.
-	// Keys are analyzer-chosen; the runner only allocates the map.
-	Shared map[string]any
 
 	diags *[]Diagnostic
-}
-
-// ModulePass is the view an Analyzer.Finish hook gets after all packages
-// ran: the accumulated Shared state and a position-explicit reporter.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Shared   map[string]any
-
-	diags *[]Diagnostic
-}
-
-// ReportAtf records a finding at an already-resolved position (facts
-// stored in Shared carry token.Position, not token.Pos, because their
-// FileSet context is long gone by Finish time).
-func (mp *ModulePass) ReportAtf(pos token.Position, format string, args ...any) {
-	*mp.diags = append(*mp.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: mp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // Reportf records a finding at pos.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"recdb/internal/analysis"
-	"recdb/internal/analysis/passes/atomicfield"
 	"recdb/internal/analysis/passes/locksafe"
 )
 
@@ -144,31 +143,30 @@ func TestMultiAnalyzerSuppression(t *testing.T) {
 	}
 }
 
-// TestGenericsLoadAndAnalyze: type-parameterized code must type-check
-// through the loader and run through the full analyzer suite (via the
-// framework's own test analyzers plus the lock dataflow, which sees
-// instantiated selector types) without errors or spurious findings.
 // TestAnnPoolFixtureClean: the annpool fixture mirrors the k-means worker
 // pool in internal/ann (chunk-disjoint writes, modulo centroid ownership,
 // an all-atomic progress counter). Its concurrency discipline is
-// sanctioned by design, so the lock-dataflow and atomic-field analyzers
-// must report nothing — a diagnostic here is a false positive that would
-// also fire on the real index build.
+// sanctioned by design, so the lock-dataflow analyzer must report
+// nothing — a diagnostic here is a false positive that would also fire
+// on the real index build.
 func TestAnnPoolFixtureClean(t *testing.T) {
 	_, p := load(t, "annpool")
 	for _, e := range p.Errors {
 		t.Errorf("annpool fixture must type-check cleanly: %v", e)
 	}
-	diags, err := analysis.Run([]*analysis.Package{p},
-		[]*analysis.Analyzer{locksafe.Analyzer, atomicfield.Analyzer})
+	diags, err := analysis.Run([]*analysis.Package{p}, []*analysis.Analyzer{locksafe.Analyzer})
 	if err != nil {
-		t.Fatalf("Run(locksafe, atomicfield) over annpool: %v", err)
+		t.Fatalf("Run(locksafe) over annpool: %v", err)
 	}
 	for _, d := range diags {
 		t.Errorf("false positive on the ann worker-pool idiom: %s", d)
 	}
 }
 
+// TestGenericsLoadAndAnalyze: type-parameterized code must type-check
+// through the loader and run through the framework's own test analyzers
+// plus the lock dataflow, which sees instantiated selector types, without
+// errors or spurious findings.
 func TestGenericsLoadAndAnalyze(t *testing.T) {
 	_, p := load(t, "generics")
 	for _, e := range p.Errors {

@@ -9,8 +9,8 @@ import (
 // Statements are grouped into basic blocks connected by Succs edges;
 // branching statements (if/for/range/switch/select) split blocks, and
 // break/continue/goto/return edges follow Go's semantics, including
-// labeled loops. The graph is the substrate the dataflow analyses
-// (reaching locks, pin states) iterate over.
+// labeled loops. The graph is the substrate the dataflow solver
+// (dataflow.go: reaching locks, pin states) iterates over.
 //
 // Two statement kinds get special handling because they change *when*
 // code runs, not just whether:
@@ -45,6 +45,10 @@ type Block struct {
 	Succs []*Block
 	// Return marks a block terminated by a return statement.
 	Return bool
+	// Cond, when non-nil, is the two-way condition (of an if or a for)
+	// the block ends in: Succs[0] is followed when it holds, Succs[1]
+	// when it does not.
+	Cond ast.Expr
 }
 
 // Entry returns the function entry block.
@@ -169,6 +173,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block, ctx branchCtx) *Block {
 			cur = b.stmt(v.Init, cur, ctx)
 		}
 		cur.Nodes = append(cur.Nodes, v.Cond)
+		cur.Cond = v.Cond
 		thenB := b.newBlock()
 		edge(cur, thenB)
 		thenOut := b.stmtList(v.Body.List, thenB, ctx)
@@ -277,6 +282,7 @@ func (b *cfgBuilder) forStmt(v *ast.ForStmt, cur *Block, lt *labelTarget) *Block
 	edge(cur, head)
 	if v.Cond != nil {
 		head.Nodes = append(head.Nodes, v.Cond)
+		head.Cond = v.Cond
 	}
 	exit := b.newBlock()
 	post := b.newBlock()

@@ -7,12 +7,131 @@ import (
 	"sort"
 )
 
-// This file is the dataflow layer over the CFG: a forward worklist solver
-// for lock states ("reaching locks"). It answers, for every program
-// point, which mutexes may and must be held — the facts locksafe v2 and
-// walorder check invariants against. May-information catches definite
-// misuse (an Unlock no path locked for); must-information catches
-// per-path misuse (an access where *some* path arrives without the lock).
+// This file is the dataflow layer over the CFG: one forward worklist
+// solver, generic over the fact it propagates, and its first instance,
+// lock states ("reaching locks"). The solver answers, for every program
+// point, what holds on the paths that reach it; an instance supplies the
+// fact (a join-semilattice value), a per-node transfer function and,
+// optionally, a refinement along the two edges out of a condition. The
+// lock instance serves locksafe and walorder; pinunpin supplies the
+// other (is the page pinned by this Fetch still unreleased).
+
+// Fact is the value a dataflow problem propagates: a join-semilattice
+// element the solver can merge, compare and copy.
+type Fact[F any] interface {
+	// Join merges the facts of two paths meeting at one point.
+	Join(F) F
+	Equal(F) bool
+	// Clone returns a copy the caller may mutate.
+	Clone() F
+}
+
+// Transfer is how a dataflow problem moves its fact through the graph.
+type Transfer[F any] struct {
+	// Node returns the fact after n executes given the fact before it.
+	// It owns f and may mutate and return it.
+	Node func(n ast.Node, f F) F
+	// Branch, when non-nil, refines the fact along an edge out of a
+	// block ending in a condition (Block.Cond): taken says whether the
+	// edge is the one followed when cond holds. It owns f like Node.
+	Branch func(cond ast.Expr, taken bool, f F) F
+}
+
+// Flow is a solved forward dataflow problem over one function body.
+type Flow[F Fact[F]] struct {
+	g  *CFG
+	tr Transfer[F]
+	// in[i] / out[i] are the facts on entry to and exit from Blocks[i],
+	// meaningful only where reached[i]: no path reaches the others.
+	in, out []F
+	reached []bool
+}
+
+// Solve runs the forward analysis over g from the given entry fact.
+func Solve[F Fact[F]](g *CFG, entry F, tr Transfer[F]) *Flow[F] {
+	n := len(g.Blocks)
+	fl := &Flow[F]{g: g, tr: tr, in: make([]F, n), out: make([]F, n), reached: make([]bool, n)}
+	fl.in[0], fl.reached[0] = entry.Clone(), true
+
+	type inEdge struct {
+		from  *Block
+		taken bool
+	}
+	preds := make([][]inEdge, n)
+	for _, b := range g.Blocks {
+		for i, s := range b.Succs {
+			preds[s.Index] = append(preds[s.Index], inEdge{b, i == 0})
+		}
+	}
+
+	// Iterate to fixpoint. Facts form a finite lattice (bounded by the
+	// function's own lock calls or pin sites), so this terminates
+	// quickly. done[i] says out[i] has been computed at least once.
+	done := make([]bool, n)
+	for changed := true; changed; {
+		changed = false
+		for i, b := range g.Blocks {
+			if i != 0 {
+				var merged F
+				reached := false
+				for _, e := range preds[i] {
+					if !done[e.from.Index] {
+						continue
+					}
+					f := fl.out[e.from.Index].Clone()
+					if e.from.Cond != nil && tr.Branch != nil {
+						f = tr.Branch(e.from.Cond, e.taken, f)
+					}
+					if reached {
+						merged = merged.Join(f)
+					} else {
+						merged, reached = f, true
+					}
+				}
+				if reached && (!fl.reached[i] || !fl.in[i].Equal(merged)) {
+					fl.in[i], fl.reached[i], changed = merged, true, true
+				}
+			}
+			if !fl.reached[i] {
+				continue
+			}
+			f := fl.in[i].Clone()
+			for _, node := range b.Nodes {
+				f = tr.Node(node, f)
+			}
+			if !done[i] || !fl.out[i].Equal(f) {
+				fl.out[i], done[i], changed = f, true, true
+			}
+		}
+	}
+	return fl
+}
+
+// Walk visits every reachable node in block order with the fact in force
+// just before the node executes. The fact passed to fn is shared scratch
+// state: copy it if it must outlive the call.
+func (fl *Flow[F]) Walk(fn func(n ast.Node, before F)) {
+	for _, b := range fl.g.Blocks {
+		if !fl.reached[b.Index] {
+			continue
+		}
+		f := fl.in[b.Index].Clone()
+		for _, node := range b.Nodes {
+			fn(node, f)
+			f = fl.tr.Node(node, f)
+		}
+	}
+}
+
+// Exits calls fn with the fact at every reachable function exit: after a
+// return statement, or falling off the end of the body.
+func (fl *Flow[F]) Exits(fn func(F)) {
+	for _, b := range fl.g.Blocks {
+		if b.Return && fl.reached[b.Index] {
+			fn(fl.out[b.Index])
+		}
+	}
+}
 
 // Lock kinds.
 const (
@@ -70,7 +189,8 @@ func (ls LockSet) Clone() LockSet {
 	return c
 }
 
-func (ls LockSet) equal(o LockSet) bool {
+// Equal reports whether both sets hold the same state for every key.
+func (ls LockSet) Equal(o LockSet) bool {
 	if len(ls) != len(o) {
 		return false
 	}
@@ -82,12 +202,12 @@ func (ls LockSet) equal(o LockSet) bool {
 	return true
 }
 
-// join merges two predecessor states: may-facts union, must-facts
+// Join merges two predecessor states: may-facts union, must-facts
 // intersect.
-func joinLockSets(a, b LockSet) LockSet {
-	out := make(LockSet, len(a)+len(b))
-	for k, va := range a {
-		vb := b[k] // zero value when absent: nothing held on that path
+func (ls LockSet) Join(o LockSet) LockSet {
+	out := make(LockSet, len(ls)+len(o))
+	for k, va := range ls {
+		vb := o[k] // zero value when absent: nothing held on that path
 		out[k] = LockState{
 			MayExcl:  va.MayExcl || vb.MayExcl,
 			MayRead:  va.MayRead || vb.MayRead,
@@ -95,8 +215,8 @@ func joinLockSets(a, b LockSet) LockSet {
 			Released: va.Released || vb.Released,
 		}
 	}
-	for k, vb := range b {
-		if _, seen := a[k]; !seen {
+	for k, vb := range o {
+		if _, seen := ls[k]; !seen {
 			out[k] = LockState{MayExcl: vb.MayExcl, MayRead: vb.MayRead, Must: false, Released: vb.Released}
 		}
 	}
@@ -291,79 +411,24 @@ func applyLockNode(info *types.Info, aliases map[string]string, n ast.Node, set 
 	}
 }
 
-// LockFlow is the solved lock dataflow of one function body.
+// LockFlow is the solved lock dataflow of one function body: the lock
+// instance of Flow, plus the alias map its events are keyed through.
 type LockFlow struct {
-	g    *CFG
+	*Flow[LockSet]
 	info *types.Info
 	// aliases maps local mutex aliases (m := &s.mu) to canonical keys.
 	aliases map[string]string
-	// in[i] is the lock set on entry to Blocks[i]; nil marks a block no
-	// path reaches.
-	in []LockSet
 }
 
-// SolveLockFlow runs the forward worklist analysis over g with the given
-// entry state (non-nil; empty for a function that starts lock-free).
+// SolveLockFlow runs the forward analysis over g with the given entry
+// state (non-nil; empty for a function that starts lock-free).
 func SolveLockFlow(g *CFG, info *types.Info, entry LockSet) *LockFlow {
 	aliases := collectMutexAliases(info, g)
-	n := len(g.Blocks)
-	in := make([]LockSet, n)
-	in[0] = entry.Clone()
-
-	preds := make([][]int, n)
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s.Index] = append(preds[s.Index], b.Index)
-		}
-	}
-
-	out := make([]LockSet, n)
-	transfer := func(i int) LockSet {
-		if in[i] == nil {
-			return nil
-		}
-		s := in[i].Clone()
-		for _, node := range g.Blocks[i].Nodes {
-			applyLockNode(info, aliases, node, s)
-		}
-		return s
-	}
-
-	// Iterate to fixpoint. Lock sets form a finite lattice (keys bounded
-	// by the function's lock calls), so this terminates quickly.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if i != 0 {
-				var merged LockSet
-				reached := false
-				for _, p := range preds[i] {
-					if out[p] == nil {
-						continue
-					}
-					if !reached {
-						merged = out[p].Clone()
-						reached = true
-					} else {
-						merged = joinLockSets(merged, out[p])
-					}
-				}
-				if reached && (in[i] == nil || !in[i].equal(merged)) {
-					in[i] = merged
-					changed = true
-				}
-			}
-			newOut := transfer(i)
-			if newOut == nil {
-				continue
-			}
-			if out[i] == nil || !out[i].equal(newOut) {
-				out[i] = newOut
-				changed = true
-			}
-		}
-	}
-	return &LockFlow{g: g, info: info, aliases: aliases, in: in}
+	flow := Solve(g, entry, Transfer[LockSet]{Node: func(n ast.Node, set LockSet) LockSet {
+		applyLockNode(info, aliases, n, set)
+		return set
+	}})
+	return &LockFlow{Flow: flow, info: info, aliases: aliases}
 }
 
 // EventOf decodes expr as a lock event like LockEventOf, additionally
@@ -377,23 +442,6 @@ func (lf *LockFlow) EventOf(expr ast.Expr) (base, op string, ok bool) {
 		return "", "", false
 	}
 	return canonLockKey(lf.aliases, base), op, true
-}
-
-// Walk visits every reachable node in block order with the lock set in
-// force just before the node executes. The set passed to fn is shared
-// scratch state: copy it if it must outlive the call.
-func (lf *LockFlow) Walk(fn func(n ast.Node, held LockSet)) {
-	for _, b := range lf.g.Blocks {
-		state := lf.in[b.Index]
-		if state == nil {
-			continue // unreachable
-		}
-		s := state.Clone()
-		for _, node := range b.Nodes {
-			fn(node, s)
-			applyLockNode(lf.info, lf.aliases, node, s)
-		}
-	}
 }
 
 // DeferredUnlocks returns the lock keys released by deferred calls

@@ -3,11 +3,9 @@ package passes
 
 import (
 	"recdb/internal/analysis"
-	"recdb/internal/analysis/passes/atomicfield"
 	"recdb/internal/analysis/passes/closecheck"
 	"recdb/internal/analysis/passes/deferloop"
 	"recdb/internal/analysis/passes/errwrap"
-	"recdb/internal/analysis/passes/lockorder"
 	"recdb/internal/analysis/passes/locksafe"
 	"recdb/internal/analysis/passes/nopanic"
 	"recdb/internal/analysis/passes/pinunpin"
@@ -17,11 +15,9 @@ import (
 // All returns every analyzer in the suite, in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfield.Analyzer,
 		closecheck.Analyzer,
 		deferloop.Analyzer,
 		errwrap.Analyzer,
-		lockorder.Analyzer,
 		locksafe.Analyzer,
 		nopanic.Analyzer,
 		pinunpin.Analyzer,

@@ -86,6 +86,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return true
 	})
 
+	if len(pins) == 0 {
+		return
+	}
+	cfg := analysis.BuildCFG(fd.Body)
 	for _, p := range pins {
 		if p.bufObj != nil {
 			if esc := escapeOf(fd.Body, pass.TypesInfo, p.bufObj); esc.escaped {
@@ -104,8 +108,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				continue
 			}
 		}
-		c := &checker{info: pass.TypesInfo, pin: p}
-		if c.leaks(fd) {
+		if leaks(pass.TypesInfo, cfg, p) {
 			pass.Reportf(p.call.Pos(), "page pinned by %s is not unpinned on every path (missing Unpin before return)", p.method)
 		}
 	}
@@ -237,238 +240,60 @@ func escapeOf(body *ast.BlockStmt, info *types.Info, obj types.Object) escape {
 	return out
 }
 
-// checker walks control flow from a pin site looking for a path that
-// reaches a return (or the end of the function) without an Unpin.
-type checker struct {
-	info *types.Info
-	pin  pin
-
-	deferRelease bool
-	leak         bool
-}
-
-// stateSet tracks which pin states are possible at a program point.
-type stateSet struct {
+// pinState is the dataflow fact for one pin site: which outcomes are
+// possible at a program point on the paths that passed the pin. The zero
+// value means no path holds (or has held) this pin here.
+type pinState struct {
 	released   bool // some path has already unpinned
 	unreleased bool // some path still holds the pin
+	// unchecked: some path has not yet tested the pin call's own error
+	// result. Only that first test is the call's failure edge; a later
+	// `if err != nil` on a reused err variable runs with the pin held.
+	unchecked bool
 }
 
-func (s stateSet) union(o stateSet) stateSet {
-	return stateSet{s.released || o.released, s.unreleased || o.unreleased}
+func (s pinState) Join(o pinState) pinState {
+	return pinState{s.released || o.released, s.unreleased || o.unreleased, s.unchecked || o.unchecked}
 }
+func (s pinState) Equal(o pinState) bool { return s == o }
+func (s pinState) Clone() pinState       { return s }
 
-func (s stateSet) empty() bool { return !s.released && !s.unreleased }
-
-// leaks runs the walk: the statements after the pin in its enclosing
-// block, then the remainders of every enclosing block outward.
-func (c *checker) leaks(fd *ast.FuncDecl) bool {
-	lists := enclosingLists(fd.Body, c.pin.stmt)
-	if lists == nil {
-		return false // should not happen; be silent rather than wrong
-	}
-	in := stateSet{unreleased: true}
-	for _, le := range lists {
-		in = c.walkList(le.list[le.index+1:], in)
-		if in.empty() {
-			break
-		}
-	}
-	// Falling off the end of the function still holding the pin.
-	if in.unreleased && !c.deferRelease {
-		c.leak = true
-	}
-	return c.leak
-}
-
-// listEntry is one enclosing statement list and the index of the child
-// containing the pin.
-type listEntry struct {
-	list  []ast.Stmt
-	index int
-}
-
-// enclosingLists returns the chain of statement lists enclosing target,
-// innermost first.
-func enclosingLists(body *ast.BlockStmt, target ast.Stmt) []listEntry {
-	var path []listEntry
-	var find func(list []ast.Stmt) bool
-	contains := func(s ast.Stmt) bool {
-		found := false
-		ast.Inspect(s, func(n ast.Node) bool {
-			if n == target {
-				found = true
+// leaks solves the pin state over the function's CFG and reports whether
+// some path reaches a return (or the end of the function) still holding
+// the pin. A deferred Unpin releases at every later exit, so the defer
+// statement itself counts as the release.
+func leaks(info *types.Info, g *analysis.CFG, p pin) bool {
+	flow := analysis.Solve(g, pinState{}, analysis.Transfer[pinState]{
+		Node: func(n ast.Node, s pinState) pinState {
+			switch {
+			case n == p.stmt:
+				return pinState{unreleased: true, unchecked: true}
+			case s != (pinState{}) && containsUnpin(info, n):
+				return pinState{released: true}
 			}
-			return !found
-		})
-		return found
-	}
-	var findIn func(s ast.Stmt) bool
-	find = func(list []ast.Stmt) bool {
-		for i, s := range list {
-			if s == target {
-				path = append(path, listEntry{list, i})
-				return true
+			return s
+		},
+		Branch: func(cond ast.Expr, taken bool, s pinState) pinState {
+			if !s.unchecked || !isErrGuard(info, p, cond) {
+				return s
 			}
-			if contains(s) {
-				if findIn(s) {
-					path = append(path, listEntry{list, i})
-					return true
-				}
-				return false
+			if taken {
+				// The failure path of the pin itself: no pin is held.
+				return pinState{}
 			}
-		}
-		return false
-	}
-	findIn = func(s ast.Stmt) bool {
-		switch v := s.(type) {
-		case *ast.BlockStmt:
-			return find(v.List)
-		case *ast.IfStmt:
-			if find(v.Body.List) {
-				return true
-			}
-			if v.Else != nil {
-				return findIn(v.Else)
-			}
-			return false
-		case *ast.ForStmt:
-			return find(v.Body.List)
-		case *ast.RangeStmt:
-			return find(v.Body.List)
-		case *ast.SwitchStmt:
-			return findIn(&ast.BlockStmt{List: caseBodies(v.Body)})
-		case *ast.TypeSwitchStmt:
-			return findIn(&ast.BlockStmt{List: caseBodies(v.Body)})
-		case *ast.SelectStmt:
-			return findIn(&ast.BlockStmt{List: commBodies(v.Body)})
-		case *ast.LabeledStmt:
-			return findIn(v.Stmt)
-		}
-		return false
-	}
-	if !find(body.List) {
-		return nil
-	}
-	return path
-}
-
-func caseBodies(b *ast.BlockStmt) []ast.Stmt {
-	var out []ast.Stmt
-	for _, s := range b.List {
-		if cc, ok := s.(*ast.CaseClause); ok {
-			out = append(out, cc.Body...)
-		}
-	}
-	return out
-}
-
-func commBodies(b *ast.BlockStmt) []ast.Stmt {
-	var out []ast.Stmt
-	for _, s := range b.List {
-		if cc, ok := s.(*ast.CommClause); ok {
-			out = append(out, cc.Body...)
-		}
-	}
-	return out
-}
-
-// walkList interprets a statement sequence, returning the possible states
-// on fallthrough. Returns encountered while unreleased mark a leak.
-func (c *checker) walkList(stmts []ast.Stmt, in stateSet) stateSet {
-	states := in
-	for _, s := range stmts {
-		if states.empty() {
-			return states
-		}
-		states = c.walkStmt(s, states)
-	}
-	return states
-}
-
-func (c *checker) walkStmt(s ast.Stmt, in stateSet) stateSet {
-	switch v := s.(type) {
-	case *ast.ReturnStmt:
-		if in.unreleased && !c.deferRelease {
-			c.leak = true
-		}
-		return stateSet{}
-	case *ast.DeferStmt:
-		if containsUnpin(c.info, v) {
-			c.deferRelease = true
-			return stateSet{released: true}
-		}
-		return in
-	case *ast.IfStmt:
-		if c.isErrGuard(v.Cond) {
-			// The failure path of the pin itself: no pin is held inside,
-			// so its returns are exempt. Fallthrough keeps the pin state.
-			return in
-		}
-		out := c.walkList(v.Body.List, in)
-		if v.Else != nil {
-			out = out.union(c.walkStmt(v.Else, in))
-		} else {
-			out = out.union(in)
-		}
-		return out
-	case *ast.BlockStmt:
-		return c.walkList(v.List, in)
-	case *ast.ForStmt:
-		return in.union(c.walkList(v.Body.List, in))
-	case *ast.RangeStmt:
-		return in.union(c.walkList(v.Body.List, in))
-	case *ast.SwitchStmt:
-		return c.walkCases(v.Body, in, hasDefault(v.Body))
-	case *ast.TypeSwitchStmt:
-		return c.walkCases(v.Body, in, hasDefault(v.Body))
-	case *ast.SelectStmt:
-		return c.walkCases(v.Body, in, false)
-	case *ast.LabeledStmt:
-		return c.walkStmt(v.Stmt, in)
-	case *ast.BranchStmt:
-		// break/continue/goto: stop tracking this path rather than guess.
-		return stateSet{}
-	default:
-		if containsUnpin(c.info, s) {
-			return stateSet{released: true}
-		}
-		return in
-	}
-}
-
-func hasDefault(b *ast.BlockStmt) bool {
-	for _, s := range b.List {
-		if cc, ok := s.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) walkCases(b *ast.BlockStmt, in stateSet, exhaustive bool) stateSet {
-	var out stateSet
-	for _, s := range b.List {
-		var body []ast.Stmt
-		switch cc := s.(type) {
-		case *ast.CaseClause:
-			body = cc.Body
-		case *ast.CommClause:
-			body = cc.Body
-		default:
-			continue
-		}
-		out = out.union(c.walkList(body, in))
-	}
-	if !exhaustive {
-		out = out.union(in)
-	}
-	return out
+			s.unchecked = false
+			return s
+		},
+	})
+	leak := false
+	flow.Exits(func(s pinState) { leak = leak || s.unreleased })
+	return leak
 }
 
 // isErrGuard reports whether cond tests the pin's error result against
 // nil ("err != nil" in either operand order).
-func (c *checker) isErrGuard(cond ast.Expr) bool {
-	if c.pin.errObj == nil {
+func isErrGuard(info *types.Info, p pin, cond ast.Expr) bool {
+	if p.errObj == nil {
 		return false
 	}
 	be, ok := cond.(*ast.BinaryExpr)
@@ -477,7 +302,7 @@ func (c *checker) isErrGuard(cond ast.Expr) bool {
 	}
 	isErr := func(e ast.Expr) bool {
 		id, ok := e.(*ast.Ident)
-		return ok && c.info.Uses[id] == c.pin.errObj
+		return ok && info.Uses[id] == p.errObj
 	}
 	isNil := func(e ast.Expr) bool {
 		id, ok := e.(*ast.Ident)

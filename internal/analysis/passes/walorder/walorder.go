@@ -44,12 +44,10 @@ var Analyzer = &analysis.Analyzer{
 // execEntryPoints are the Engine methods that mutate state and therefore
 // trigger the commit hook.
 var execEntryPoints = map[string]bool{
-	"Exec":                true,
-	"ExecScript":          true,
-	"ExecParsed":          true,
-	"ExecParsedCtx":       true,
-	"ExecScriptParsed":    true,
-	"ExecScriptParsedCtx": true,
+	"Exec":          true,
+	"ExecScript":    true,
+	"ExecParsed":    true,
+	"ExecParsedCtx": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -67,8 +65,7 @@ func run(pass *analysis.Pass) error {
 // named functions/methods passed by value to SetCommitHook, and function
 // literals passed inline.
 func hookRegistrations(pass *analysis.Pass) (map[*types.Func]bool, map[*ast.FuncLit]bool) {
-	g := analysis.BuildCallGraph(pass.Files, pass.TypesInfo)
-	hooks := g.FuncValuesPassedTo(pass.TypesInfo, pass.Files, "SetCommitHook")
+	hooks := analysis.FuncValuesPassedTo(pass.TypesInfo, pass.Files, "SetCommitHook")
 	lits := make(map[*ast.FuncLit]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

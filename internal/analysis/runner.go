@@ -2,43 +2,28 @@ package analysis
 
 import (
 	"fmt"
-	"go/token"
 	"sort"
 	"strings"
 )
 
-// Run applies every analyzer to every package, then runs each analyzer's
-// Finish hook (cross-package checks over the facts Run accumulated), and
-// returns the surviving diagnostics sorted by file, line, column,
-// analyzer, and message — a deterministic order so CI output is stable
-// and diffable. Findings silenced by //lint:ignore comments are dropped;
-// the suppression map spans all analyzed packages, so Finish-time
-// findings honor suppressions in whichever file they land in.
+// Run applies every analyzer to every package and returns the surviving
+// diagnostics sorted by file, line, column, analyzer, and message — a
+// deterministic order so CI output is stable and diffable. Findings
+// silenced by //lint:ignore comments are dropped.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	sup := make(suppressions)
-	for _, pkg := range pkgs {
-		if pkg.Types == nil {
-			continue
-		}
-		suppressionsOf(pkg, sup)
-	}
-	shared := make(map[string]map[string]any, len(analyzers))
-	for _, a := range analyzers {
-		shared[a.Name] = make(map[string]any)
-	}
 	for _, pkg := range pkgs {
 		if pkg.Types == nil {
 			continue // nothing type-checked to analyze
 		}
+		sup := suppressionsOf(pkg)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
-				Fset:      fsetOf(pkg),
+				Fset:      pkg.fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Shared:    shared[a.Name],
 				diags:     &diags,
 			}
 			before := len(diags)
@@ -47,17 +32,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 			diags = sup.filter(diags, before)
 		}
-	}
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		mp := &ModulePass{Analyzer: a, Shared: shared[a.Name], diags: &diags}
-		before := len(diags)
-		if err := a.Finish(mp); err != nil {
-			return nil, fmt.Errorf("analysis: %s finish: %w", a.Name, err)
-		}
-		diags = sup.filter(diags, before)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -89,14 +63,6 @@ func dedup(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// fsetOf recovers the FileSet the package was parsed with. All packages of
-// one Loader share a FileSet; the file positions embedded in the ASTs are
-// only meaningful relative to it, so the loader records it per package via
-// the token.File of the first parsed file.
-func fsetOf(pkg *Package) *token.FileSet {
-	return pkg.fset
-}
-
 // suppressionKey identifies one silenced (file, line, analyzer) triple.
 type suppressionKey struct {
 	file     string
@@ -106,12 +72,11 @@ type suppressionKey struct {
 
 type suppressions map[suppressionKey]bool
 
-// suppressionsOf scans a package's comments for //lint:ignore directives,
-// adding them to sup. A directive suppresses the named analyzers on its
-// own line and the line below, so it works both as a trailing comment and
-// as a lead-in line.
-func suppressionsOf(pkg *Package, sup suppressions) {
-	fset := fsetOf(pkg)
+// suppressionsOf scans a package's comments for //lint:ignore directives.
+// A directive suppresses the named analyzers on its own line and the line
+// below, so it works both as a trailing comment and as a lead-in line.
+func suppressionsOf(pkg *Package) suppressions {
+	sup := make(suppressions)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -123,7 +88,7 @@ func suppressionsOf(pkg *Package, sup suppressions) {
 				if len(fields) < 2 {
 					continue // a reason is mandatory
 				}
-				pos := fset.Position(c.Pos())
+				pos := pkg.fset.Position(c.Pos())
 				for _, name := range strings.Split(fields[0], ",") {
 					sup[suppressionKey{pos.Filename, pos.Line, name}] = true
 					sup[suppressionKey{pos.Filename, pos.Line + 1, name}] = true
@@ -131,6 +96,7 @@ func suppressionsOf(pkg *Package, sup suppressions) {
 			}
 		}
 	}
+	return sup
 }
 
 // filter drops suppressed diagnostics appended at or after index from.

@@ -5,7 +5,7 @@
 // counters merged serially after the join, an atomic progress counter
 // that is only ever touched through sync/atomic, and a mutex-guarded
 // stats map whose every access holds the lock. Every shared access here
-// is sanctioned; locksafe and atomicfield must stay silent.
+// is sanctioned; locksafe must stay silent.
 package annpool
 
 import (

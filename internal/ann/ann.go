@@ -209,11 +209,11 @@ func dot(a, b []float64) float64 {
 func kmeans(vecs [][]float64, k, iters, workers int, seed int64) ([][]float64, []int32) {
 	n := len(vecs)
 	dim := len(vecs[0])
-	workers = resolveWorkers(workers)
+	workers = ResolveWorkers(workers)
 
 	// Seeded init: k distinct item positions drawn by a fixed-seed
 	// permutation, sorted so the centroid numbering is stable.
-	rng := rand.New(rand.NewSource(mixSeed(seed, int64(n), int64(k))))
+	rng := rand.New(rand.NewSource(MixSeed(seed, int64(n), int64(k))))
 	picks := rng.Perm(n)[:k]
 	sort.Ints(picks)
 	centroids := make([][]float64, k)
@@ -229,7 +229,7 @@ func kmeans(vecs [][]float64, k, iters, workers int, seed int64) ([][]float64, [
 	for it := 0; it < iters; it++ {
 		// Assignment: nearest centroid by squared Euclidean distance, ties
 		// to the lower centroid index. Chunk-disjoint writes.
-		runChunks(workers, n, func(w, lo, hi int) {
+		RunChunks(workers, n, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				best := int32(0)
 				bestD := math.Inf(1)
@@ -258,7 +258,7 @@ func kmeans(vecs [][]float64, k, iters, workers int, seed int64) ([][]float64, [
 		// Update: worker w owns centroids ≡ w mod workers and scans every
 		// item in ascending order, accumulating only its own centroids'
 		// sums — one owner per accumulator, fixed summation order.
-		runWorkers(workers, func(w int) {
+		RunWorkers(workers, func(w int) {
 			sums := make([]float64, 0, dim)
 			for c := w; c < k; c += workers {
 				sums = sums[:0]

@@ -270,3 +270,34 @@ func TestEmptyAndTiny(t *testing.T) {
 		t.Fatalf("single-item probe: %v", got)
 	}
 }
+
+func TestResolveWorkers(t *testing.T) {
+	if got := ResolveWorkers(1); got != 1 {
+		t.Fatalf("ResolveWorkers(1) = %d", got)
+	}
+	if got := ResolveWorkers(-3); got != 1 {
+		t.Fatalf("ResolveWorkers(-3) = %d", got)
+	}
+	if got := ResolveWorkers(0); got < 1 {
+		t.Fatalf("ResolveWorkers(0) = %d", got)
+	}
+	if got := ResolveWorkers(16); got != 16 {
+		t.Fatalf("ResolveWorkers(16) = %d", got)
+	}
+}
+
+func TestRunChunksCoversRange(t *testing.T) {
+	for _, workers := range []int{1, 3, 8, 100} {
+		counts := make([]int32, 37)
+		RunChunks(workers, len(counts), func(_, lo, hi int) {
+			for x := lo; x < hi; x++ {
+				counts[x]++
+			}
+		})
+		for x, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, x, c)
+			}
+		}
+	}
+}

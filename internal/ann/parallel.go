@@ -5,14 +5,18 @@ import (
 	"sync"
 )
 
-// The same bounded-pool discipline as the model-build kernels in
-// internal/rec: fn(0) runs on the calling goroutine when workers == 1, so
-// the serial path spawns nothing, and chunk boundaries depend only on
-// (n, workers), so chunked writes are conflict-free.
+// The bounded-pool helpers every build kernel fans out through — the
+// k-means here and the model builders in internal/rec, which imports this
+// package. Each kernel is designed so its floating-point result is
+// bit-identical at any worker count (every accumulator is owned by exactly
+// one worker and sums its terms in a fixed order): fn(0) runs on the
+// calling goroutine when workers == 1, so the serial path spawns nothing,
+// and chunk boundaries depend only on (n, workers), so chunked writes are
+// conflict-free.
 
-// resolveWorkers maps the Workers knob to an effective pool size:
+// ResolveWorkers maps the Workers knob to an effective pool size:
 // 0 selects runtime.NumCPU(), anything below 1 is clamped to 1.
-func resolveWorkers(w int) int {
+func ResolveWorkers(w int) int {
 	if w == 0 {
 		w = runtime.NumCPU()
 	}
@@ -22,8 +26,8 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// runWorkers runs fn(w) for every w in [0, workers).
-func runWorkers(workers int, fn func(w int)) {
+// RunWorkers runs fn(w) for every w in [0, workers).
+func RunWorkers(workers int, fn func(w int)) {
 	if workers <= 1 {
 		fn(0)
 		return
@@ -39,9 +43,9 @@ func runWorkers(workers int, fn func(w int)) {
 	wg.Wait()
 }
 
-// runChunks splits [0, n) into one contiguous chunk per worker and runs
+// RunChunks splits [0, n) into one contiguous chunk per worker and runs
 // fn(w, lo, hi) on each; every index belongs to exactly one chunk.
-func runChunks(workers, n int, fn func(w, lo, hi int)) {
+func RunChunks(workers, n int, fn func(w, lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
@@ -51,7 +55,7 @@ func runChunks(workers, n int, fn func(w, lo, hi int)) {
 		}
 		return
 	}
-	runWorkers(workers, func(w int) {
+	RunWorkers(workers, func(w int) {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		if lo < hi {
@@ -60,9 +64,11 @@ func runChunks(workers, n int, fn func(w, lo, hi int)) {
 	})
 }
 
-// mixSeed derives an independent RNG seed from a base seed and schedule
-// positions via splitmix64 finalization.
-func mixSeed(seed int64, parts ...int64) int64 {
+// MixSeed derives an independent RNG seed from a base seed and a position
+// in the deterministic schedule (epoch, rotation, shard, ...), using
+// splitmix64 finalization so nearby schedule positions get uncorrelated
+// streams.
+func MixSeed(seed int64, parts ...int64) int64 {
 	z := uint64(seed)
 	for _, p := range parts {
 		z += 0x9e3779b97f4a7c15 + uint64(p)

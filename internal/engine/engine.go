@@ -356,12 +356,6 @@ func (e *Engine) ExecParsedCtx(ctx context.Context, stmt sql.Statement, text str
 	return res, nil
 }
 
-// ExecStmt runs a parsed statement (autocommit, with no source text for
-// the log — callers with a write-ahead log attached use ExecParsed).
-func (e *Engine) ExecStmt(stmt sql.Statement) (Result, error) {
-	return e.ExecParsedCtx(context.Background(), stmt, "")
-}
-
 // execReadOnlyCtx runs the non-mutating statement kinds.
 func (e *Engine) execReadOnlyCtx(ctx context.Context, stmt sql.Statement) (Result, error) {
 	switch s := stmt.(type) {
@@ -422,11 +416,15 @@ func (e *Engine) execMutation(stmt sql.Statement) (Result, []Mutation, error) {
 	case *sql.Update:
 		return e.execUpdate(s)
 	case *sql.CreateRecommender:
-		r, err := e.execCreateRecommender(s)
+		err := e.CreateRecommender(rec.CreateSpec{
+			Name: s.Name, Table: s.Table,
+			UserCol: s.UserCol, ItemCol: s.ItemCol, RatingCol: s.RatingCol,
+			Algorithm: s.Algorithm, Workers: s.Workers,
+		})
 		if err != nil {
-			return r, nil, err
+			return Result{}, nil, err
 		}
-		return r, ddl, nil
+		return Result{}, ddl, nil
 	case *sql.DropRecommender:
 		name := strings.ToLower(s.Name)
 		if s.IfExists {
@@ -541,23 +539,9 @@ func (e *Engine) ExecScript(script string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return e.ExecScriptParsed(stmts)
-}
-
-// ExecScriptParsed runs pre-parsed script statements, stopping at the
-// first error.
-func (e *Engine) ExecScriptParsed(stmts []sql.ScriptStmt) (Result, error) {
-	return e.ExecScriptParsedCtx(context.Background(), stmts)
-}
-
-// ExecScriptParsedCtx is ExecScriptParsed under a context: cancellation is
-// observed between statements (and between rows of read-only statements),
-// never mid-mutation, so every statement is either fully applied and
-// logged or not started.
-func (e *Engine) ExecScriptParsedCtx(ctx context.Context, stmts []sql.ScriptStmt) (Result, error) {
 	var total Result
 	for _, s := range stmts {
-		r, err := e.ExecParsedCtx(ctx, s.Stmt, s.Text)
+		r, err := e.ExecParsed(s.Stmt, s.Text)
 		if err != nil {
 			return total, err
 		}
@@ -764,27 +748,26 @@ func matchRIDs(tab *catalog.Table, pred expr.Compiled) ([]storage.RID, error) {
 	}
 }
 
-func (e *Engine) execCreateRecommender(s *sql.CreateRecommender) (Result, error) {
-	_, err := e.rec.CreateFromSpec(rec.CreateSpec{
-		Name: s.Name, Table: s.Table,
-		UserCol: s.UserCol, ItemCol: s.ItemCol, RatingCol: s.RatingCol,
-		Algorithm: s.Algorithm, Workers: s.Workers,
-	})
-	if err != nil {
-		return Result{}, err
+// CreateRecommender builds and registers a recommender with its cache
+// manager: the body of the CREATE RECOMMENDER statement, and the way a
+// snapshot load recreates the definitions its manifest carries. Called
+// directly it does not reach the commit hook.
+func (e *Engine) CreateRecommender(spec rec.CreateSpec) error {
+	if _, err := e.rec.CreateFromSpec(spec); err != nil {
+		return err
 	}
 	cache := reccache.New(recindex.New(), e.cfg.HotnessThreshold, e.cfg.CacheClock)
 	cache.Metrics = e.em.cache
 	// The recommender's WORKERS setting also bounds cache materialization;
 	// with none given, fall back to the engine-wide build parallelism.
-	cache.Workers = s.Workers
+	cache.Workers = spec.Workers
 	if cache.Workers == 0 {
 		cache.Workers = e.cfg.Rec.Build.Workers
 	}
 	e.mu.Lock()
-	e.caches[strings.ToLower(s.Name)] = cache
+	e.caches[strings.ToLower(spec.Name)] = cache
 	e.mu.Unlock()
-	return Result{}, nil
+	return nil
 }
 
 // RunCacheMaintenance triggers Algorithm 4 for one recommender.

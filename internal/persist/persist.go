@@ -37,6 +37,7 @@ import (
 	"recdb/internal/catalog"
 	"recdb/internal/engine"
 	"recdb/internal/fault"
+	"recdb/internal/rec"
 	"recdb/internal/types"
 )
 
@@ -49,8 +50,7 @@ const (
 	// genPrefix names generation directories: gen-000001, gen-000002, ...
 	genPrefix = "gen-"
 	// keepGenerations is the default retention bound on full generations.
-	// Two means the previous good snapshot always survives the next Save;
-	// SaveRetainFS accepts a deeper bound.
+	// Two means the previous good snapshot always survives the next Save.
 	keepGenerations = 2
 )
 
@@ -126,6 +126,9 @@ type recommenderMeta struct {
 	ItemCol   string `json:"item_col"`
 	RatingCol string `json:"rating_col"`
 	Algorithm string `json:"algorithm"`
+	// Workers is the recommender's WITH WORKERS build parallelism; 0 (the
+	// engine-wide default) is omitted.
+	Workers int `json:"workers,omitempty"`
 }
 
 // isDerivedTable reports whether a table is engine-managed state that a
@@ -170,33 +173,21 @@ func listGenerations(fs fault.FS, dir string) ([]uint64, error) {
 }
 
 // Save snapshots the engine's user tables and recommender definitions
-// into a fresh generation under dir (created if missing), through the
-// real filesystem.
-func Save(e *engine.Engine, dir string) error {
-	_, err := SaveFS(fault.OS, e, dir, 0)
-	return err
-}
-
-// SaveFS is Save over an explicit filesystem. walSeq is recorded in the
-// manifest as the WAL high-water mark already reflected in this
-// snapshot's rows. It returns the new generation's id.
+// into a fresh generation under dir (created if missing) and returns the
+// new generation's id. walSeq is recorded in the manifest as the WAL
+// high-water mark already reflected in this snapshot's rows. After the
+// new generation is durable, at most retain generations (including the
+// new one) are kept on disk; retain < 1 selects the default of 2, and
+// deeper retention trades disk space for more fallback history when
+// recovering past corrupt generations.
 //
 // Durability protocol: every row file is written to a temp name, fsynced,
 // renamed into place, and the generation directory fsynced; the manifest
 // is written the same way, last — a generation without a valid manifest
-// does not exist. Older generations beyond keepGenerations (and any
-// legacy flat-layout snapshot files) are pruned only after the new
-// generation is fully durable.
-func SaveFS(fs fault.FS, e *engine.Engine, dir string, walSeq uint64) (uint64, error) {
-	return SaveRetainFS(fs, e, dir, walSeq, 0)
-}
-
-// SaveRetainFS is SaveFS with an explicit retention bound: after the new
-// generation is durable, at most retain generations (including the new
-// one) are kept on disk. retain < 1 selects the default of 2; deeper
-// retention trades disk space for more fallback history when recovering
-// past corrupt generations.
-func SaveRetainFS(fs fault.FS, e *engine.Engine, dir string, walSeq uint64, retain int) (uint64, error) {
+// does not exist. Older generations (and any pre-generational flat-layout
+// snapshot files) are pruned only after the new generation is fully
+// durable.
+func Save(fs fault.FS, e *engine.Engine, dir string, walSeq uint64, retain int) (uint64, error) {
 	if retain < 1 {
 		retain = keepGenerations
 	}
@@ -256,7 +247,7 @@ func SaveRetainFS(fs fault.FS, e *engine.Engine, dir string, walSeq uint64, reta
 		m.Recommenders = append(m.Recommenders, recommenderMeta{
 			Name: r.Name, Table: r.Table,
 			UserCol: r.UserCol, ItemCol: r.ItemCol, RatingCol: r.RatingCol,
-			Algorithm: r.Algo.String(),
+			Algorithm: r.Algo.String(), Workers: r.Workers,
 		})
 	}
 	sort.Slice(m.Recommenders, func(i, j int) bool {
@@ -276,18 +267,18 @@ func SaveRetainFS(fs fault.FS, e *engine.Engine, dir string, walSeq uint64, reta
 }
 
 // pruneGenerations best-effort removes generations beyond the retention
-// bound and any legacy flat-layout snapshot files. The new generation is
-// already durable, so a pruning failure costs disk space, not safety.
+// bound and any pre-generational flat-layout snapshot files. The new
+// generation is already durable, so a pruning failure costs disk space,
+// not safety.
 func pruneGenerations(fs fault.FS, dir string, oldGens []uint64, retain int) {
 	for len(oldGens) >= retain {
 		// Keep the newest retain-1 old ones plus the new one.
 		_ = fs.RemoveAll(path.Join(dir, genName(oldGens[0]))) // best-effort prune
 		oldGens = oldGens[1:]
 	}
-	// Legacy flat layout: a pre-generational manifest.json and .rows files
-	// directly in dir. The generational snapshot supersedes them, and
-	// leaving them would resurrect long-dropped tables if every
-	// generation were ever lost.
+	// Flat layout: a pre-generational manifest.json and .rows files
+	// directly in dir. Load refuses them, and the generational snapshot
+	// just written supersedes them.
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return
@@ -487,19 +478,11 @@ func writeRows(fs fault.FS, p string, tab *catalog.Table) (n int64, crc uint32, 
 	return n, h.Sum32(), size, nil
 }
 
-// readRows streams the rows of one row file into fn, validating the
+// decodeRows streams the rows of one row file into fn, validating the
 // declared row count against the file size before decoding: a corrupt
 // header must never drive a huge allocation or an unbounded loop. Each
 // row is at least one encoded byte, so count can never exceed the bytes
 // remaining after the header.
-func readRows(fs fault.FS, p string, fn func(types.Row) error) error {
-	blob, err := fs.ReadFile(p)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return decodeRows(p, blob, fn)
-}
-
 func decodeRows(p string, blob []byte, fn func(types.Row) error) error {
 	if len(blob) < len(rowsMagic) || string(blob[:len(rowsMagic)]) != string(rowsMagic) {
 		return corrupt(p, "not a snapshot row file", nil)
@@ -531,8 +514,7 @@ func decodeRows(p string, blob []byte, fn func(types.Row) error) error {
 
 // Info reports what Load actually recovered.
 type Info struct {
-	// Gen is the generation that was loaded (0 for a legacy flat-layout
-	// snapshot).
+	// Gen is the generation that was loaded.
 	Gen uint64
 	// WALSeq is the manifest's WAL high-water mark: replay must skip
 	// records with sequence numbers <= WALSeq.
@@ -542,20 +524,15 @@ type Info struct {
 	Skipped []error
 }
 
-// Load reconstructs a database from a snapshot directory through the real
-// filesystem, using cfg for the new engine.
-func Load(dir string, cfg engine.Config) (*engine.Engine, error) {
-	e, _, err := LoadFS(fault.OS, dir, cfg)
-	return e, err
-}
-
-// LoadFS reconstructs a database from the newest generation in dir whose
-// manifest and row files pass checksum validation, falling back to older
-// generations when the newest is torn or corrupt. Secondary indexes are
-// rebuilt from the loaded rows and recommender models are retrained from
-// their ratings tables. With no generations present it falls back to the
-// legacy flat layout, and reports ErrNoSnapshot when dir holds neither.
-func LoadFS(fs fault.FS, dir string, cfg engine.Config) (*engine.Engine, *Info, error) {
+// Load reconstructs a database, using cfg for the new engine, from the
+// newest generation in dir whose manifest and row files pass checksum
+// validation, falling back to older generations when the newest is torn
+// or corrupt. Secondary indexes are rebuilt from the loaded rows and
+// recommender models are retrained from their ratings tables. A
+// pre-generational flat-layout snapshot (manifest.json directly in dir,
+// no checksums) is refused with a *CorruptError; a dir holding no
+// snapshot at all reports ErrNoSnapshot.
+func Load(fs fault.FS, dir string, cfg engine.Config) (*engine.Engine, *Info, error) {
 	gens, err := listGenerations(fs, dir)
 	if err != nil {
 		return nil, nil, err
@@ -572,13 +549,9 @@ func LoadFS(fs fault.FS, dir string, cfg engine.Config) (*engine.Engine, *Info, 
 	if len(skipped) > 0 {
 		return nil, nil, fmt.Errorf("persist: no loadable generation in %s: %w", dir, errors.Join(skipped...))
 	}
-	// Legacy flat layout: manifest.json directly in dir.
-	if _, err := fs.Stat(path.Join(dir, manifestName)); err == nil {
-		e, err := loadLegacy(fs, dir, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, &Info{}, nil
+	flat := path.Join(dir, manifestName)
+	if _, err := fs.Stat(flat); err == nil {
+		return nil, nil, corrupt(flat, "unsupported pre-generational (version 1) flat snapshot layout", nil)
 	}
 	return nil, nil, fmt.Errorf("%w in %s", ErrNoSnapshot, dir)
 }
@@ -602,36 +575,17 @@ func loadGeneration(fs fault.FS, genDir string, cfg engine.Config) (*engine.Engi
 	if m.Version != 2 {
 		return nil, 0, corrupt(manifestPath, fmt.Sprintf("unsupported snapshot version %d", m.Version), nil)
 	}
-	e, err := buildEngine(fs, genDir, &m, cfg, true)
+	e, err := buildEngine(fs, genDir, &m, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
 	return e, m.WALSeq, nil
 }
 
-// loadLegacy loads a pre-generational (version 1) snapshot: plain JSON
-// manifest, no checksums. Row decoding still runs the hardened
-// validation path.
-func loadLegacy(fs fault.FS, dir string, cfg engine.Config) (*engine.Engine, error) {
-	manifestPath := path.Join(dir, manifestName)
-	blob, err := fs.ReadFile(manifestPath)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, corrupt(manifestPath, "bad manifest JSON", err)
-	}
-	if m.Version != 1 {
-		return nil, corrupt(manifestPath, fmt.Sprintf("unsupported snapshot version %d", m.Version), nil)
-	}
-	return buildEngine(fs, dir, &m, cfg, false)
-}
-
-// buildEngine reconstructs an engine from a parsed manifest. When
-// verify is set, each row file's size and CRC32-C are checked against
-// the manifest before any tuple is decoded.
-func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config, verify bool) (*engine.Engine, error) {
+// buildEngine reconstructs an engine from a parsed manifest. Each row
+// file's size and CRC32-C are checked against the manifest before any
+// tuple is decoded.
+func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config) (*engine.Engine, error) {
 	e := engine.New(cfg)
 	for _, tm := range m.Tables {
 		cols := make([]types.Column, len(tm.Columns))
@@ -651,24 +605,18 @@ func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config, verify
 			loaded++
 			return nil
 		}
-		if verify {
-			blob, err := fs.ReadFile(rowsPath)
-			if err != nil {
-				return nil, fmt.Errorf("persist: %w", err)
-			}
-			if int64(len(blob)) != tm.RowsSize {
-				return nil, corrupt(rowsPath, fmt.Sprintf("file is %d bytes, manifest says %d", len(blob), tm.RowsSize), nil)
-			}
-			if got := crc32.Checksum(blob, castagnoli); got != tm.RowsCRC {
-				return nil, corrupt(rowsPath, fmt.Sprintf("checksum mismatch (%08x != %08x)", got, tm.RowsCRC), nil)
-			}
-			if err := decodeRows(rowsPath, blob, load); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := readRows(fs, rowsPath, load); err != nil {
-				return nil, err
-			}
+		blob, err := fs.ReadFile(rowsPath)
+		if err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
+		}
+		if int64(len(blob)) != tm.RowsSize {
+			return nil, corrupt(rowsPath, fmt.Sprintf("file is %d bytes, manifest says %d", len(blob), tm.RowsSize), nil)
+		}
+		if got := crc32.Checksum(blob, castagnoli); got != tm.RowsCRC {
+			return nil, corrupt(rowsPath, fmt.Sprintf("checksum mismatch (%08x != %08x)", got, tm.RowsCRC), nil)
+		}
+		if err := decodeRows(rowsPath, blob, load); err != nil {
+			return nil, err
 		}
 		if loaded != tm.RowCount {
 			return nil, corrupt(rowsPath, fmt.Sprintf("has %d rows, manifest says %d", loaded, tm.RowCount), nil)
@@ -680,10 +628,12 @@ func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config, verify
 		}
 	}
 	for _, rm := range m.Recommenders {
-		stmt := fmt.Sprintf(
-			`CREATE RECOMMENDER %s ON %s USERS FROM %s ITEMS FROM %s RATINGS FROM %s USING %s`,
-			rm.Name, rm.Table, rm.UserCol, rm.ItemCol, rm.RatingCol, rm.Algorithm)
-		if _, err := e.Exec(stmt); err != nil {
+		err := e.CreateRecommender(rec.CreateSpec{
+			Name: rm.Name, Table: rm.Table,
+			UserCol: rm.UserCol, ItemCol: rm.ItemCol, RatingCol: rm.RatingCol,
+			Algorithm: rm.Algorithm, Workers: rm.Workers,
+		})
+		if err != nil {
 			return nil, fmt.Errorf("persist: rebuilding recommender %q: %w", rm.Name, err)
 		}
 	}

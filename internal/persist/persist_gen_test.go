@@ -25,14 +25,14 @@ func countRows(t *testing.T, e *engine.Engine, table string) int {
 func TestGenerationFallback(t *testing.T) {
 	fs := fault.NewMemFS()
 	src := buildSource(t)
-	gen1, err := SaveFS(fs, src, "db", 0)
+	gen1, err := Save(fs, src, "db", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.Exec("INSERT INTO users VALUES (9, 'Niner', 9)"); err != nil {
 		t.Fatal(err)
 	}
-	gen2, err := SaveFS(fs, src, "db", 0)
+	gen2, err := Save(fs, src, "db", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestGenerationFallback(t *testing.T) {
 	}
 
 	// Clean load picks the newest generation.
-	dst, info, err := LoadFS(fs, "db", engine.Config{})
+	dst, info, err := Load(fs, "db", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGenerationFallback(t *testing.T) {
 	if err := fs.Corrupt("db/"+genName(2)+"/"+manifestName, 40, 0x01); err != nil {
 		t.Fatal(err)
 	}
-	dst, info, err = LoadFS(fs, "db", engine.Config{})
+	dst, info, err = Load(fs, "db", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGenerationPruning(t *testing.T) {
 	fs := fault.NewMemFS()
 	src := buildSource(t)
 	for i := 0; i < 4; i++ {
-		if _, err := SaveFS(fs, src, "db", 0); err != nil {
+		if _, err := Save(fs, src, "db", 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,13 +96,13 @@ func TestGenerationPruning(t *testing.T) {
 func TestDroppedTableLeavesNoOrphans(t *testing.T) {
 	fs := fault.NewMemFS()
 	src := buildSource(t)
-	if _, err := SaveFS(fs, src, "db", 0); err != nil {
+	if _, err := Save(fs, src, "db", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.Exec("DROP TABLE pois"); err != nil {
 		t.Fatal(err)
 	}
-	gen, err := SaveFS(fs, src, "db", 0)
+	gen, err := Save(fs, src, "db", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDroppedTableLeavesNoOrphans(t *testing.T) {
 			t.Fatalf("temp file %s left in generation %d", name, gen)
 		}
 	}
-	dst, _, err := LoadFS(fs, "db", engine.Config{})
+	dst, _, err := Load(fs, "db", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,52 +168,22 @@ func (f closeFailFile) Close() error {
 func TestWriteRowsCloseErrorPropagates(t *testing.T) {
 	fs := closeFailFS{fault.NewMemFS()}
 	src := buildSource(t)
-	_, err := SaveFS(fs, src, "db", 0)
+	_, err := Save(fs, src, "db", 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "injected close failure") {
 		t.Fatalf("Save with failing close: err = %v", err)
 	}
 }
 
-func TestLegacyV1Load(t *testing.T) {
+// TestLegacyV1SnapshotRejected: a pre-generational flat layout (a plain
+// JSON manifest.json directly in dir) has had no writer since generations
+// landed; Load answers a typed *CorruptError naming the layout instead of
+// decoding unchecksummed rows.
+func TestLegacyV1SnapshotRejected(t *testing.T) {
 	fs := fault.NewMemFS()
 	if err := fs.MkdirAll("db"); err != nil {
 		t.Fatal(err)
 	}
-	intKind, err := types.KindFromName("INT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	textKind, err := types.KindFromName("TEXT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []types.Row{
-		{types.NewInt(1), types.NewText("a")},
-		{types.NewInt(2), types.NewText("b")},
-	}
-	blob := append([]byte(nil), rowsMagic...)
-	blob = append(blob, binary.AppendUvarint(nil, uint64(len(rows)))...)
-	for _, r := range rows {
-		blob = types.EncodeRow(blob, r)
-	}
-	f, err := fs.Create("db/users.rows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m := manifest{Version: 1, Tables: []tableMeta{{
-		Name:     "users",
-		Columns:  []columnMeta{{Name: "uid", Kind: uint8(intKind)}, {Name: "name", Kind: uint8(textKind)}},
-		PKCol:    0,
-		RowsFile: "users.rows",
-		RowCount: 2,
-	}}}
-	mblob, err := json.Marshal(&m)
+	mblob, err := json.Marshal(&manifest{Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,28 +198,29 @@ func TestLegacyV1Load(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, info, err := LoadFS(fs, "db", engine.Config{})
-	if err != nil {
-		t.Fatal(err)
+	_, _, err = Load(fs, "db", engine.Config{})
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("flat v1 layout: err = %v, want *CorruptError", err)
 	}
-	if info.Gen != 0 {
-		t.Fatalf("legacy load reported generation %d", info.Gen)
+	if ce.Path != "db/"+manifestName || !strings.Contains(ce.Reason, "flat snapshot layout") {
+		t.Fatalf("flat v1 layout: error does not name the layout: %v", err)
 	}
-	if got := countRows(t, dst, "users"); got != 2 {
-		t.Fatalf("legacy rows: %d", got)
+	if errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("flat v1 layout must not read as an empty directory: %v", err)
 	}
 }
 
-func TestLoadFSNoSnapshot(t *testing.T) {
+func TestLoadNoSnapshot(t *testing.T) {
 	fs := fault.NewMemFS()
 	if err := fs.MkdirAll("empty"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := LoadFS(fs, "empty", engine.Config{})
+	_, _, err := Load(fs, "empty", engine.Config{})
 	if !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
-	_, _, err = LoadFS(fs, "missing", engine.Config{})
+	_, _, err = Load(fs, "missing", engine.Config{})
 	if !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("missing dir err = %v, want ErrNoSnapshot", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"recdb/internal/engine"
+	"recdb/internal/fault"
 	"recdb/internal/rec"
 )
 
@@ -34,11 +35,11 @@ func buildSource(t *testing.T) *engine.Engine {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := buildSource(t)
 	dir := t.TempDir()
-	if err := Save(src, dir); err != nil {
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	dst, err := Load(dir, engine.Config{})
+	dst, _, err := Load(fault.OS, dir, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveSkipsDerivedTables(t *testing.T) {
 	src := buildSource(t)
 	dir := t.TempDir()
-	if err := Save(src, dir); err != nil {
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -124,7 +125,7 @@ func TestSaveSkipsDerivedTables(t *testing.T) {
 			t.Fatalf("derived state leaked into snapshot: %s", e.Name())
 		}
 	}
-	dst, err := Load(dir, engine.Config{})
+	dst, _, err := Load(fault.OS, dir, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +136,16 @@ func TestSaveSkipsDerivedTables(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(t.TempDir(), engine.Config{}); err == nil {
+	if _, _, err := Load(fault.OS, t.TempDir(), engine.Config{}); err == nil {
 		t.Fatal("empty dir should fail")
 	}
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, manifestName), []byte("{nope"), 0o644)
-	if _, err := Load(dir, engine.Config{}); err == nil {
+	if _, _, err := Load(fault.OS, dir, engine.Config{}); err == nil {
 		t.Fatal("corrupt manifest should fail")
 	}
 	os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"version": 99}`), 0o644)
-	if _, err := Load(dir, engine.Config{}); err == nil {
+	if _, _, err := Load(fault.OS, dir, engine.Config{}); err == nil {
 		t.Fatal("unknown version should fail")
 	}
 }
@@ -152,7 +153,7 @@ func TestLoadErrors(t *testing.T) {
 func TestCorruptRowsFile(t *testing.T) {
 	src := buildSource(t)
 	dir := t.TempDir()
-	if err := Save(src, dir); err != nil {
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate one row file (inside the single generation, so Load has no
@@ -163,12 +164,12 @@ func TestCorruptRowsFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.WriteFile(path, blob[:len(blob)-3], 0o644)
-	if _, err := Load(dir, engine.Config{}); err == nil {
+	if _, _, err := Load(fault.OS, dir, engine.Config{}); err == nil {
 		t.Fatal("truncated row file should fail")
 	}
 	// Bad magic.
 	os.WriteFile(path, []byte("XXXX"), 0o644)
-	if _, err := Load(dir, engine.Config{}); err == nil {
+	if _, _, err := Load(fault.OS, dir, engine.Config{}); err == nil {
 		t.Fatal("bad magic should fail")
 	}
 }
@@ -176,10 +177,10 @@ func TestCorruptRowsFile(t *testing.T) {
 func TestLoadAppliesConfig(t *testing.T) {
 	src := buildSource(t)
 	dir := t.TempDir()
-	if err := Save(src, dir); err != nil {
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	dst, err := Load(dir, engine.Config{Rec: rec.Options{Build: rec.BuildOptions{NeighborhoodSize: 1}}})
+	dst, _, err := Load(fault.OS, dir, engine.Config{Rec: rec.Options{Build: rec.BuildOptions{NeighborhoodSize: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,60 +27,16 @@ func needsAggregate(stmt *sql.Select) bool {
 		return true
 	}
 	for _, item := range stmt.Items {
-		if !item.Star && containsAggregate(item.Expr) {
+		if !item.Star && sql.ContainsAggregate(item.Expr) {
 			return true
 		}
 	}
 	for _, o := range stmt.OrderBy {
-		if containsAggregate(o.Expr) {
+		if sql.ContainsAggregate(o.Expr) {
 			return true
 		}
 	}
 	return false
-}
-
-func containsAggregate(e sql.Expr) bool {
-	found := false
-	walkExpr(e, func(n sql.Expr) {
-		if c, ok := n.(*sql.Call); ok {
-			if _, isAgg := exec.ParseAggName(strings.ToLower(c.Name)); isAgg {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
-func walkExpr(e sql.Expr, fn func(sql.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch v := e.(type) {
-	case *sql.Binary:
-		walkExpr(v.L, fn)
-		walkExpr(v.R, fn)
-	case *sql.Unary:
-		walkExpr(v.X, fn)
-	case *sql.In:
-		walkExpr(v.X, fn)
-		for _, item := range v.List {
-			walkExpr(item, fn)
-		}
-	case *sql.Call:
-		for _, a := range v.Args {
-			walkExpr(a, fn)
-		}
-	case *sql.IsNull:
-		walkExpr(v.X, fn)
-	case *sql.Like:
-		walkExpr(v.X, fn)
-		walkExpr(v.Pattern, fn)
-	case *sql.Between:
-		walkExpr(v.X, fn)
-		walkExpr(v.Lo, fn)
-		walkExpr(v.Hi, fn)
-	}
 }
 
 // planAggregate builds the HashAggregate over input and rewrites the
@@ -112,7 +68,7 @@ func planAggregate(stmt *sql.Select, input exec.Operator) (*aggregateInfo, error
 	var specs []exec.AggSpec
 	collect := func(e sql.Expr) error {
 		var walkErr error
-		walkExpr(e, func(n sql.Expr) {
+		sql.Walk(e, func(n sql.Expr) {
 			c, ok := n.(*sql.Call)
 			if !ok {
 				return
@@ -137,7 +93,7 @@ func planAggregate(stmt *sql.Select, input exec.Operator) (*aggregateInfo, error
 				}
 				spec.Kind = exec.AggCountStar
 			} else {
-				if containsAggregate(c.Args[0]) {
+				if sql.ContainsAggregate(c.Args[0]) {
 					walkErr = fmt.Errorf("plan: nested aggregates are not allowed")
 					return
 				}
@@ -248,7 +204,7 @@ func rewriteOverAggregate(e sql.Expr, groupIdx, aggIdx map[string]int) (sql.Expr
 		return &sql.ColumnRef{Name: fmt.Sprintf("__grp_%d", i)}, nil
 	}
 	if c, ok := e.(*sql.Call); ok {
-		if _, isAgg := exec.ParseAggName(strings.ToLower(c.Name)); isAgg {
+		if sql.IsAggregate(c.Name) {
 			if i, ok := aggIdx[sql.ExprString(c)]; ok {
 				return &sql.ColumnRef{Name: fmt.Sprintf("__agg_%d", i)}, nil
 			}

@@ -700,39 +700,11 @@ func refMatches(ref *sql.ColumnRef, alias, col string) bool {
 // (alias, col).
 func refsOnly(c sql.Expr, alias, col string) bool {
 	ok := true
-	var walk func(e sql.Expr)
-	walk = func(e sql.Expr) {
-		switch v := e.(type) {
-		case *sql.ColumnRef:
-			if !refMatches(v, alias, col) {
-				ok = false
-			}
-		case *sql.Binary:
-			walk(v.L)
-			walk(v.R)
-		case *sql.Unary:
-			walk(v.X)
-		case *sql.In:
-			walk(v.X)
-			for _, item := range v.List {
-				walk(item)
-			}
-		case *sql.Call:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case *sql.IsNull:
-			walk(v.X)
-		case *sql.Like:
-			walk(v.X)
-			walk(v.Pattern)
-		case *sql.Between:
-			walk(v.X)
-			walk(v.Lo)
-			walk(v.Hi)
+	sql.Walk(c, func(e sql.Expr) {
+		if ref, isRef := e.(*sql.ColumnRef); isRef && !refMatches(ref, alias, col) {
+			ok = false
 		}
-	}
-	walk(c)
+	})
 	return ok
 }
 

@@ -41,7 +41,7 @@ type BuildOptions struct {
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
-	o.Workers = resolveWorkers(o.Workers)
+	o.Workers = ann.ResolveWorkers(o.Workers)
 	if o.SVDFactors <= 0 {
 		o.SVDFactors = 10
 	}
@@ -196,7 +196,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	pearson := algo.Pearson()
 	center := make([]float64, ne)
 	norms := make([]float64, ne)
-	runChunks(workers, ne, func(lo, hi int) {
+	ann.RunChunks(workers, ne, func(_, lo, hi int) {
 		var dimbuf []int64
 		for pe := lo; pe < hi; pe++ {
 			vec := vectors[entities[pe]]
@@ -233,7 +233,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	}
 	dimPos := make([]int32, offsets[nd])
 	dimVal := make([]float64, offsets[nd])
-	runChunks(workers, nd, func(lo, hi int) {
+	ann.RunChunks(workers, nd, func(_, lo, hi int) {
 		for pd := lo; pd < hi; pd++ {
 			row := shared[dims[pd]]
 			seg := dimPos[offsets[pd]:offsets[pd+1]]
@@ -255,7 +255,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	// dimensions is replicated per worker — O(nnz), cheap — while the
 	// quadratic inner loop is partitioned.
 	shards := make([]map[uint64]float64, workers)
-	runWorkers(workers, func(w int) {
+	ann.RunWorkers(workers, func(w int) {
 		dots := make(map[uint64]float64)
 		for pd := 0; pd < nd; pd++ {
 			seg := dimPos[offsets[pd]:offsets[pd+1]]
@@ -280,7 +280,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	// iteration, but the sort's (|sim| desc, ID asc) key is total, so the
 	// final lists are deterministic.
 	lists := make([][]Neighbor, ne)
-	runChunks(workers, ne, func(lo, hi int) {
+	ann.RunChunks(workers, ne, func(_, lo, hi int) {
 		for _, dots := range shards {
 			for key, dot := range dots {
 				pa, pb := int(key>>32), int(key&0xffffffff)
@@ -487,14 +487,14 @@ func trainStratified(m *FactorModel, ix *ratingsIndex, opts BuildOptions) {
 	}
 	for epoch := 0; epoch < opts.SVDEpochs; epoch++ {
 		for rot := 0; rot < svdStrata; rot++ {
-			runWorkers(workers, func(w int) {
+			ann.RunWorkers(workers, func(w int) {
 				for us := w; us < svdStrata; us += workers {
 					is := (us + rot) % svdStrata
 					block := blocks[us*svdStrata+is]
 					if len(block) == 0 {
 						continue
 					}
-					rng := rand.New(rand.NewSource(mixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))))
+					rng := rand.New(rand.NewSource(ann.MixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))))
 					rng.Shuffle(len(block), func(a, b int) { block[a], block[b] = block[b], block[a] })
 					for _, r := range block {
 						p, q := m.UserFactors[r.User], m.ItemFactors[r.Item]

@@ -119,37 +119,6 @@ func TestPredictionParallelEquivalence(t *testing.T) {
 	}
 }
 
-func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(1); got != 1 {
-		t.Fatalf("resolveWorkers(1) = %d", got)
-	}
-	if got := resolveWorkers(-3); got != 1 {
-		t.Fatalf("resolveWorkers(-3) = %d", got)
-	}
-	if got := resolveWorkers(0); got < 1 {
-		t.Fatalf("resolveWorkers(0) = %d", got)
-	}
-	if got := resolveWorkers(16); got != 16 {
-		t.Fatalf("resolveWorkers(16) = %d", got)
-	}
-}
-
-func TestRunChunksCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 100} {
-		counts := make([]int32, 37)
-		runChunks(workers, len(counts), func(lo, hi int) {
-			for x := lo; x < hi; x++ {
-				counts[x]++
-			}
-		})
-		for x, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, x, c)
-			}
-		}
-	}
-}
-
 // movieLensRatings is the MovieLens-100K-shaped synthetic dataset of the
 // scaling experiments: 943 users × 1682 items at ~6.3% density ≈ 100K
 // ratings.

@@ -217,7 +217,7 @@ func scatterUnsupported(s *sql.Select) string {
 		return "cross-shard DISTINCT is not supported" + hint
 	}
 	for _, item := range s.Items {
-		if item.Expr != nil && containsAggregate(item.Expr) {
+		if sql.ContainsAggregate(item.Expr) {
 			return "cross-shard aggregation is not supported (partial aggregates cannot be merged at the router)" + hint
 		}
 	}
@@ -378,42 +378,6 @@ func intLiteral(e sql.Expr) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// containsAggregate walks an expression for COUNT/SUM/AVG/MIN/MAX calls.
-func containsAggregate(e sql.Expr) bool {
-	switch v := e.(type) {
-	case *sql.Call:
-		switch strings.ToLower(v.Name) {
-		case "count", "sum", "avg", "min", "max":
-			return true
-		}
-		for _, a := range v.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-	case *sql.Binary:
-		return containsAggregate(v.L) || containsAggregate(v.R)
-	case *sql.Unary:
-		return containsAggregate(v.X)
-	case *sql.In:
-		if containsAggregate(v.X) {
-			return true
-		}
-		for _, item := range v.List {
-			if containsAggregate(item) {
-				return true
-			}
-		}
-	case *sql.IsNull:
-		return containsAggregate(v.X)
-	case *sql.Like:
-		return containsAggregate(v.X) || containsAggregate(v.Pattern)
-	case *sql.Between:
-		return containsAggregate(v.X) || containsAggregate(v.Lo) || containsAggregate(v.Hi)
-	}
-	return false
 }
 
 // renderInsert renders the sub-INSERT carrying the given row indices of

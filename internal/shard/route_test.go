@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"recdb/internal/engine"
+	"recdb/internal/exec"
 	"recdb/internal/sql"
 )
 
@@ -133,6 +135,64 @@ func TestClassifyDenies(t *testing.T) {
 	r := classifyText(t, `SELECT SUM(ratingval) FROM ratings WHERE uid = 3`)
 	if r.Action != RouteOwner {
 		t.Fatalf("user-pinned aggregate: got %+v, want RouteOwner", r)
+	}
+}
+
+// TestRouterAndPlannerAgreeOnAggregates: the router refuses to scatter
+// exactly the select lists the planner would put a HashAggregate under —
+// no more (a denied statement the shards could have run) and no less (a
+// mis-merged partial aggregate). The aggregate may sit under any
+// expression node, in any case.
+func TestRouterAndPlannerAgreeOnAggregates(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	if _, err := eng.Exec(`CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)`); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		expr string
+		agg  bool
+	}{
+		{`COUNT(*)`, true},
+		{`count(uid)`, true},
+		{`Sum(ratingval)`, true},
+		{`AVG(ratingval) + 1`, true},
+		{`-MIN(uid)`, true},
+		{`abs(max(ratingval))`, true},
+		{`max(uid) IN (1, 2)`, true},
+		{`3 IN (1, max(uid))`, true},
+		{`min(uid) IS NULL`, true},
+		{`max(uid) BETWEEN 1 AND 5`, true},
+		{`2 BETWEEN 1 AND max(uid)`, true},
+		{`uid`, false},
+		{`uid + iid`, false},
+		{`abs(ratingval)`, false},
+		{`uid IN (1, 2)`, false},
+		{`uid IS NULL`, false},
+		{`uid BETWEEN 1 AND 5`, false},
+	}
+	for _, c := range cases {
+		text := "SELECT " + c.expr + " FROM ratings"
+		res, err := eng.Query("EXPLAIN " + text)
+		if err != nil {
+			t.Errorf("%s: planner: %v", text, err)
+			continue
+		}
+		planned := false
+		for _, row := range res.Rows {
+			planned = planned || strings.Contains(row[0].String(), "HashAggregate")
+		}
+		r := classifyText(t, text)
+		denied := r.Action == RouteDeny && strings.Contains(r.Reason, "aggregation")
+		if planned != c.agg || denied != c.agg {
+			t.Errorf("%s: planner aggregates = %v, router denies = %v, want both %v", text, planned, denied, c.agg)
+		}
+	}
+	// The name set itself: exec's name-to-kind table knows exactly the
+	// names sql.IsAggregate accepts.
+	for _, name := range []string{"count", "sum", "avg", "min", "max", "abs", "counter", "", "maximum"} {
+		if _, ok := exec.ParseAggName(name); ok != sql.IsAggregate(name) {
+			t.Errorf("%q: exec.ParseAggName ok = %v, sql.IsAggregate = %v", name, ok, sql.IsAggregate(name))
+		}
 	}
 }
 

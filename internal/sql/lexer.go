@@ -3,11 +3,12 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // Lex splits input into tokens. Identifiers keep their original case (the
-// parser compares keywords case-insensitively). Strings use single quotes
+// parser compares keywords case-insensitively); unquoted ones are ASCII
+// letters, digits and underscores — the input is scanned a byte at a time,
+// and a byte past 0x7f is a fragment of a character, not a letter. Strings use single quotes
 // with ” as the escape for a literal quote. Line comments start with --.
 func Lex(input string) ([]Token, error) {
 	var toks []Token
@@ -34,9 +35,9 @@ func Lex(input string) ([]Token, error) {
 			for i < n && input[i] != '\n' {
 				advance(1)
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			start, sl, sc := i, line, col
-			for i < n && isIdentPart(rune(input[i])) {
+			for i < n && isIdentPart(input[i]) {
 				advance(1)
 			}
 			toks = append(toks, Token{Kind: TokIdent, Text: input[start:i], Pos: start, Line: sl, Col: sc})
@@ -113,10 +114,10 @@ func Lex(input string) ([]Token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || c >= '0' && c <= '9'
 }

@@ -852,7 +852,9 @@ func (p *parser) parseUnary() (Expr, error) {
 		}
 		if lit, ok := x.(*Literal); ok {
 			if f, isF := lit.Value.AsFloat(); isF && lit.Value.Kind() == types.KindFloat {
-				return &Literal{Value: types.NewFloat(-f)}, nil
+				// 0 - f, not -f: -0.0 would render "-0", which reads back
+				// as the integer 0.
+				return &Literal{Value: types.NewFloat(0 - f)}, nil
 			}
 			if i, isI := lit.Value.AsInt(); isI && lit.Value.Kind() == types.KindInt {
 				return &Literal{Value: types.NewInt(-i)}, nil

@@ -27,7 +27,11 @@ func printExpr(sb *strings.Builder, e Expr) {
 			sb.WriteString(v.Value.String())
 		}
 	case *ColumnRef:
-		sb.WriteString(strings.ToLower(v.String()))
+		if v.Qualifier != "" {
+			printIdent(sb, v.Qualifier)
+			sb.WriteByte('.')
+		}
+		printIdent(sb, v.Name)
 	case *Binary:
 		sb.WriteByte('(')
 		printExpr(sb, v.L)
@@ -56,7 +60,7 @@ func printExpr(sb *strings.Builder, e Expr) {
 		}
 		sb.WriteString("))")
 	case *Call:
-		sb.WriteString(strings.ToLower(v.Name))
+		printIdent(sb, v.Name)
 		sb.WriteByte('(')
 		for i, a := range v.Args {
 			if i > 0 {
@@ -97,5 +101,23 @@ func printExpr(sb *strings.Builder, e Expr) {
 		sb.WriteByte('*')
 	default:
 		sb.WriteString("?expr?")
+	}
+}
+
+// printIdent renders an identifier lower-cased, in double quotes when the
+// lexer would not read it back as one bare identifier token (it came from
+// a quoted identifier holding spaces, symbols or non-ASCII bytes).
+func printIdent(sb *strings.Builder, name string) {
+	name = strings.ToLower(name)
+	bare := name != "" && isIdentStart(name[0])
+	for i := 1; bare && i < len(name); i++ {
+		bare = isIdentPart(name[i])
+	}
+	if bare {
+		sb.WriteString(name)
+	} else {
+		sb.WriteByte('"')
+		sb.WriteString(name)
+		sb.WriteByte('"')
 	}
 }

@@ -1,0 +1,62 @@
+package sql
+
+import "strings"
+
+// Walk calls fn on e and then on every sub-expression of e, parents
+// first. It is the one traversal of the expression AST: the planner, the
+// aggregate rewrite and the shard router all classify expressions through
+// it, so a new Expr node is taught to one switch.
+func Walk(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch v := e.(type) {
+	case *Binary:
+		Walk(v.L, fn)
+		Walk(v.R, fn)
+	case *Unary:
+		Walk(v.X, fn)
+	case *In:
+		Walk(v.X, fn)
+		for _, item := range v.List {
+			Walk(item, fn)
+		}
+	case *Call:
+		for _, a := range v.Args {
+			Walk(a, fn)
+		}
+	case *IsNull:
+		Walk(v.X, fn)
+	case *Like:
+		Walk(v.X, fn)
+		Walk(v.Pattern, fn)
+	case *Between:
+		Walk(v.X, fn)
+		Walk(v.Lo, fn)
+		Walk(v.Hi, fn)
+	}
+}
+
+// IsAggregate reports whether name, in any case, names an aggregate
+// function. The planner (which builds a HashAggregate for one) and the
+// shard router (which refuses to scatter one) must agree on this set, so
+// it is defined here, below both.
+func IsAggregate(name string) bool {
+	switch strings.ToLower(name) {
+	case "count", "sum", "avg", "min", "max":
+		return true
+	}
+	return false
+}
+
+// ContainsAggregate reports whether an aggregate call occurs anywhere in e.
+func ContainsAggregate(e Expr) bool {
+	found := false
+	Walk(e, func(n Expr) {
+		if c, ok := n.(*Call); ok && IsAggregate(c.Name) {
+			found = true
+		}
+	})
+	return found
+}

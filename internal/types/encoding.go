@@ -124,6 +124,11 @@ func DecodeRow(buf []byte) (Row, int, error) {
 		return nil, 0, fmt.Errorf("types: truncated row header")
 	}
 	off := sz
+	// Every value takes at least its kind byte, so a count past the bytes
+	// that follow is refused before it sizes the row.
+	if n > uint64(len(buf)-off) {
+		return nil, 0, fmt.Errorf("types: row header declares %d values, %d bytes follow", n, len(buf)-off)
+	}
 	row := make(Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if off >= len(buf) {
@@ -154,7 +159,7 @@ func DecodeRow(buf []byte) (Row, int, error) {
 				return nil, 0, fmt.Errorf("types: truncated string header %d", i)
 			}
 			off += sz
-			if off+int(ln) > len(buf) {
+			if ln > uint64(len(buf)-off) {
 				return nil, 0, fmt.Errorf("types: truncated string value %d", i)
 			}
 			s := string(buf[off : off+int(ln)])

@@ -160,6 +160,17 @@ func TestDecodeRowTruncated(t *testing.T) {
 			t.Errorf("cut at %d decoded without error", cut)
 		}
 	}
+	// A declared count or string length the bytes cannot back is an error,
+	// not an allocation of that size (or a makeslice panic past 2^62).
+	for _, bad := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},                         // 2^63-1 values
+		{0x80, 0x80, 0x80, 0x08, byte(KindNull)},                                       // 2^24 values, one present
+		{1, byte(KindText), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'}, // 2^63-1 byte string
+	} {
+		if _, _, err := DecodeRow(bad); err == nil {
+			t.Errorf("DecodeRow(% x) decoded without error", bad)
+		}
+	}
 }
 
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {

@@ -280,7 +280,7 @@ func (fr *Reader) peek(n int) ([]byte, error) {
 			// has arrived to the front, of a larger buffer if need be.
 			buf := fr.buf
 			if n > len(buf) {
-				buf = make([]byte, max(n, 2*len(buf)))
+				buf = make([]byte, max(n, min(2*len(buf), frameHeaderSize+MaxFrameSize)))
 			}
 			fr.w = copy(buf, fr.buf[fr.r:fr.w])
 			fr.r, fr.buf = 0, buf
@@ -405,8 +405,10 @@ func DecodeRowDesc(p []byte) (RowDesc, error) {
 	if d.Strategy, rest, err = readString(rest); err != nil {
 		return RowDesc{}, err
 	}
+	// Every column takes at least its length byte, so a count past the
+	// bytes that follow is a lie, refused before it sizes an allocation.
 	n, sz := binary.Uvarint(rest)
-	if sz <= 0 || n > MaxFrameSize {
+	if sz <= 0 || n > uint64(len(rest)-sz) {
 		return RowDesc{}, &FrameError{Reason: "truncated column count"}
 	}
 	rest = rest[sz:]
@@ -465,8 +467,9 @@ func DecodeRowBatch(p []byte) (uint32, []types.Row, error) {
 		return 0, nil, &FrameError{Reason: "truncated row batch"}
 	}
 	id := binary.LittleEndian.Uint32(p[0:4])
+	// As in DecodeRowDesc: a tuple is at least one byte.
 	n, sz := binary.Uvarint(p[4:])
-	if sz <= 0 || n > MaxFrameSize {
+	if sz <= 0 || n > uint64(len(p)-4-sz) {
 		return 0, nil, &FrameError{Reason: "truncated batch count"}
 	}
 	rest := p[4+sz:]

@@ -297,6 +297,16 @@ func TestDecodeTruncatedPayloads(t *testing.T) {
 	if _, _, err := DecodeRowBatch(append(AppendRowBatch(nil, 1, []types.Row{{types.NewInt(1)}}), 0xff)); err == nil {
 		t.Error("DecodeRowBatch accepted trailing bytes")
 	}
+	// A count the payload is too short to back is refused before it sizes
+	// an allocation: the only thing allocated is the error.
+	hugeCount := []byte{1, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x08} // id, "", 2^24 columns
+	if n := testing.AllocsPerRun(10, func() { _, _ = DecodeRowDesc(hugeCount) }); n > 1 {
+		t.Errorf("DecodeRowDesc allocated %.0f times for a count of 2^24 in a 9-byte payload", n)
+	}
+	hugeBatch := []byte{1, 0, 0, 0, 0x80, 0x80, 0x80, 0x08} // id, 2^24 tuples
+	if n := testing.AllocsPerRun(10, func() { _, _, _ = DecodeRowBatch(hugeBatch) }); n > 1 {
+		t.Errorf("DecodeRowBatch allocated %.0f times for a count of 2^24 in an 8-byte payload", n)
+	}
 	if _, err := DecodeComplete([]byte{1, 0, 0, 0}); err == nil {
 		t.Error("DecodeComplete accepted a missing count")
 	}

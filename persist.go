@@ -56,7 +56,7 @@ func (db *DB) checkpointLocked(dir string) error {
 	if db.wal != nil {
 		walSeq = db.wal.Seq()
 	}
-	gen, err := persist.SaveRetainFS(fs, db.eng, dir, walSeq, db.retain)
+	gen, err := persist.Save(fs, db.eng, dir, walSeq, db.retain)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func OpenDir(dir string, opts ...Option) (*DB, error) {
 }
 
 func openDirFS(fs fault.FS, dir string, cfg engine.Config) (*DB, error) {
-	eng, info, err := persist.LoadFS(fs, dir, cfg)
+	eng, info, err := persist.Load(fs, dir, cfg)
 	if err != nil {
 		return nil, err
 	}

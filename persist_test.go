@@ -42,6 +42,38 @@ func TestSaveToOpenDir(t *testing.T) {
 	}
 }
 
+// TestRecommenderWorkersSurviveReopen: WITH WORKERS is part of a
+// recommender's definition, so it must come back from both recovery
+// sources — the checkpoint manifest (Ckpt, created before SaveTo) and WAL
+// replay (Logged, created after it).
+func TestRecommenderWorkersSurviveReopen(t *testing.T) {
+	const create = `CREATE RECOMMENDER %s ON ratings
+		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF WITH WORKERS 3`
+	db := newDB(t)
+	db.MustExec(fmt.Sprintf(create, "Ckpt"))
+	dir := t.TempDir()
+	if err := db.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(fmt.Sprintf(create, "Logged"))
+	db.Close()
+
+	db2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for _, name := range []string{"Ckpt", "Logged"} {
+		r, ok := db2.Engine().Recommenders().Get(name)
+		if !ok {
+			t.Fatalf("recommender %s missing after reopen", name)
+		}
+		if r.Workers != 3 {
+			t.Errorf("recommender %s reopened with Workers = %d, want 3", name, r.Workers)
+		}
+	}
+}
+
 // TestConcurrentDurableWritesReplayInOrder hammers one durable key from
 // many writers. Mutating statements hold db.mu exclusively, so the WAL
 // records them in the order they were applied; recovery must therefore

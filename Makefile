@@ -12,7 +12,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu=1,4 ./internal/ann/... ./internal/btree/... ./internal/catalog/... ./internal/metrics/... ./internal/rec/... ./internal/reccache/... ./internal/exec/... ./internal/plan/... ./internal/engine/... ./internal/storage/... ./internal/frontend/... ./internal/server/... ./internal/shard/... ./internal/wire/... ./client/...
+	$(GO) test -race -cpu=1,4 . ./internal/ann/... ./internal/btree/... ./internal/catalog/... ./internal/metrics/... ./internal/rec/... ./internal/reccache/... ./internal/exec/... ./internal/plan/... ./internal/engine/... ./internal/storage/... ./internal/frontend/... ./internal/server/... ./internal/shard/... ./internal/wire/... ./client/...
 	$(GO) test -race -count=5 ./internal/frontend/... ./client/... ./internal/shard/...
 
 cover:

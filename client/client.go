@@ -426,14 +426,6 @@ func (c *Conn) deliver(t wire.Type, p []byte, ownID uint32, own *call) (done boo
 		if cl := lookup(d.ID); cl != nil {
 			cl.rows.cols, cl.rows.strategy = d.Columns, d.Strategy
 		}
-	case wire.TypeDataRow:
-		id, row, err := wire.DecodeDataRow(p)
-		if err != nil {
-			return false, err
-		}
-		if cl := lookup(id); cl != nil {
-			cl.rows.rows = append(cl.rows.rows, row)
-		}
 	case wire.TypeRowBatch:
 		id, batch, err := wire.DecodeRowBatch(p)
 		if err != nil {

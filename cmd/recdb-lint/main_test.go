@@ -84,7 +84,7 @@ func TestJSONCleanIsEmptyArray(t *testing.T) {
 	}
 }
 
-// TestListNamesAllAnalyzers pins the registry: all seven analyzers, one
+// TestListNamesAllAnalyzers pins the registry: all six analyzers, one
 // per line, in stable order.
 func TestListNamesAllAnalyzers(t *testing.T) {
 	code, out, _ := lint(t, options{list: true})
@@ -93,7 +93,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	}
 	want := []string{
 		"closecheck", "deferloop", "errwrap", "locksafe", "nopanic",
-		"pinunpin", "walorder",
+		"pinunpin",
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != len(want) {

@@ -10,7 +10,8 @@ import (
 // TestConcurrentReadersAndWriter exercises the narrowed locking contract:
 // read-only statements take no DB-level lock at all — they read through
 // the catalog's published generation and page-level snapshots — while
-// mutating statements serialize on db.mu. Under -race this covers the
+// writers to one table serialize on the engine's commit lock and that
+// table's write gate. Under -race this covers the
 // whole stack: parser, planner, executor, heap snapshots, and the striped
 // buffer pool, with writes continuously republishing generations.
 func TestConcurrentReadersAndWriter(t *testing.T) {

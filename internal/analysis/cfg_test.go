@@ -247,36 +247,3 @@ func (c *C) f() {
 		t.Errorf("closure entry locks = %+v, want read-held c.rw", entry)
 	}
 }
-
-// TestFuncValuesPassedTo: a function passed by value to a named callee is
-// found — how walorder learns which function is the commit hook.
-func TestFuncValuesPassedTo(t *testing.T) {
-	src := `package p
-func register(h func()) {}
-func hook() {}
-func other() {}
-func wire() { register(hook); other() }
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "t.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Defs: make(map[*ast.Ident]types.Object),
-		Uses: make(map[*ast.Ident]types.Object),
-	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
-		t.Fatalf("type-check: %v", err)
-	}
-	hooks := FuncValuesPassedTo(info, []*ast.File{f}, "register")
-	if len(hooks) != 1 {
-		t.Fatalf("want 1 registered hook, got %d", len(hooks))
-	}
-	for fn := range hooks {
-		if fn.Name() != "hook" {
-			t.Errorf("registered hook = %s, want hook", fn.Name())
-		}
-	}
-}

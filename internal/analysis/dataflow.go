@@ -13,7 +13,7 @@ import (
 // point, what holds on the paths that reach it; an instance supplies the
 // fact (a join-semilattice value), a per-node transfer function and,
 // optionally, a refinement along the two edges out of a condition. The
-// lock instance serves locksafe and walorder; pinunpin supplies the
+// lock instance serves locksafe; pinunpin supplies the
 // other (is the page pinned by this Fetch still unreleased).
 
 // Fact is the value a dataflow problem propagates: a join-semilattice
@@ -147,14 +147,6 @@ type LockState struct {
 	MayRead bool
 	// Must: every path to this point holds the lock (in some mode).
 	Must bool
-	// Released: some path to this point acquired the lock and then
-	// explicitly released it. This separates the two ways Must can be
-	// false while May holds: a conditional acquisition (one branch locks,
-	// the other never touches the mutex — the sanctioned
-	// lock-only-if-mutating protocol) never sets Released, while a
-	// lock-then-early-unlock (the bug the some-path checks exist for)
-	// does.
-	Released bool
 }
 
 // Held reports whether any path holds the lock at all.
@@ -209,21 +201,14 @@ func (ls LockSet) Join(o LockSet) LockSet {
 	for k, va := range ls {
 		vb := o[k] // zero value when absent: nothing held on that path
 		out[k] = LockState{
-			MayExcl:  va.MayExcl || vb.MayExcl,
-			MayRead:  va.MayRead || vb.MayRead,
-			Must:     va.Must && vb.Must,
-			Released: va.Released || vb.Released,
+			MayExcl: va.MayExcl || vb.MayExcl,
+			MayRead: va.MayRead || vb.MayRead,
+			Must:    va.Must && vb.Must,
 		}
 	}
 	for k, vb := range o {
 		if _, seen := ls[k]; !seen {
-			out[k] = LockState{MayExcl: vb.MayExcl, MayRead: vb.MayRead, Must: false, Released: vb.Released}
-		}
-	}
-	// Drop fully-bottom entries so equality checks converge.
-	for k, v := range out {
-		if v == (LockState{}) {
-			delete(out, k)
+			out[k] = LockState{MayExcl: vb.MayExcl, MayRead: vb.MayRead}
 		}
 	}
 	return out
@@ -382,10 +367,7 @@ func canonLockKey(aliases map[string]string, base string) string {
 	return base
 }
 
-// ApplyLockOp updates the set for one decoded lock event. An unlock
-// leaves a Released tombstone rather than clearing the key: downstream
-// program points can then tell "held on no path because it was released"
-// from "never touched", which the walorder conditional-lock rule needs.
+// ApplyLockOp updates the set for one decoded lock event.
 func ApplyLockOp(set LockSet, base, op string) {
 	switch op {
 	case "Lock":
@@ -393,7 +375,7 @@ func ApplyLockOp(set LockSet, base, op string) {
 	case "RLock":
 		set[base] = LockState{MayRead: true, Must: true}
 	case "Unlock", "RUnlock":
-		set[base] = LockState{Released: true}
+		delete(set, base)
 	}
 }
 

@@ -83,46 +83,3 @@ func BaseString(e ast.Expr) string {
 	}
 	return ""
 }
-
-// FuncValuesPassedTo returns the declared functions whose *value* (not a
-// call) appears as an argument to any call of a function or method named
-// calleeName — the pattern walorder uses to find commit-hook
-// registrations (SetCommitHook(db.logCommit)).
-func FuncValuesPassedTo(info *types.Info, files []*ast.File, calleeName string) map[*types.Func]bool {
-	out := make(map[*types.Func]bool)
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := ""
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				name = fun.Name
-			case *ast.SelectorExpr:
-				name = fun.Sel.Name
-			}
-			if name != calleeName {
-				return true
-			}
-			for _, arg := range call.Args {
-				var id *ast.Ident
-				switch a := ast.Unparen(arg).(type) {
-				case *ast.Ident:
-					id = a
-				case *ast.SelectorExpr:
-					id = a.Sel
-				}
-				if id == nil {
-					continue
-				}
-				if fn, ok := info.Uses[id].(*types.Func); ok {
-					out[fn] = true
-				}
-			}
-			return true
-		})
-	}
-	return out
-}

@@ -9,7 +9,6 @@ import (
 	"recdb/internal/analysis/passes/locksafe"
 	"recdb/internal/analysis/passes/nopanic"
 	"recdb/internal/analysis/passes/pinunpin"
-	"recdb/internal/analysis/passes/walorder"
 )
 
 // All returns every analyzer in the suite, in stable order.
@@ -21,6 +20,5 @@ func All() []*analysis.Analyzer {
 		locksafe.Analyzer,
 		nopanic.Analyzer,
 		pinunpin.Analyzer,
-		walorder.Analyzer,
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"recdb/internal/sql"
 	"recdb/internal/storage"
 	"recdb/internal/types"
+	"recdb/internal/wal"
 )
 
 // Config tunes a new engine.
@@ -37,14 +38,12 @@ type Config struct {
 	HotnessThreshold float64
 	// CacheClock overrides the cache managers' clock (tests).
 	CacheClock reccache.Clock
-	// WALSyncEvery is consumed by the recdb layer's durable open paths:
-	// it is the write-ahead log's group-commit factor (1 = fsync every
-	// commit). The engine itself does not read it.
+	// WALSyncEvery is the write-ahead log's group-commit factor (1 =
+	// fsync every commit), applied whenever a log is attached.
 	WALSyncEvery int
 	// WALSyncInterval bounds group-commit latency: with WALSyncEvery > 1,
 	// the log fsyncs after that many commits or this long after the first
-	// unsynced one, whichever comes first. Consumed by the recdb layer;
-	// the engine itself does not read it.
+	// unsynced one, whichever comes first.
 	WALSyncInterval time.Duration
 	// SnapshotRetain is consumed by the recdb layer's checkpoint path: how
 	// many snapshot generations to keep on disk (0 = default 2). The
@@ -65,11 +64,23 @@ type Engine struct {
 	mu     sync.RWMutex
 	caches map[string]*reccache.Manager // by lower-case recommender name
 
+	// commitMu frames durability and DDL (txn.go has the whole protocol):
+	// DML holds it shared plus its table's gate, an explicit transaction
+	// holds it shared for its lifetime, and DDL, Checkpoint, Recover and
+	// Close hold it exclusively. It guards the log fields.
+	commitMu sync.RWMutex
+	log      *wal.Log // write-ahead log (nil while purely in memory)
+	logDir   string   // the durable home the log lives under
+
+	// gateMu guards the lazily-created table write gates; txnGate admits
+	// one explicit transaction at a time.
+	gateMu     sync.Mutex
+	tableGates map[string]chan struct{}
+	txnGate    chan struct{}
+
 	// txnSeq issues transaction ids: explicit transactions and autocommit
 	// statements whose WAL group spans more than one record.
 	txnSeq atomic.Uint64
-
-	commitHook CommitHook
 }
 
 // engineMetrics holds the engine-level instruments, resolved once at New
@@ -87,58 +98,14 @@ type engineMetrics struct {
 	analyzeQueries *metrics.Counter
 }
 
-// CommitHook observes every successfully applied group of mutations: an
-// autocommit statement's tuple changes, or a whole transaction's at
-// COMMIT. recdb.DB installs one that appends the group to the
-// write-ahead log as a single atomic batch; a hook error is returned
-// from Exec/ExecScript/Commit so the caller learns the changes are
-// applied in memory but not yet durable. txn is 0 for a group that needs
-// no transactional framing (a single-record statement); a non-zero id
-// tells the hook to wrap the group in TxnBegin/TxnCommit records.
-type CommitHook func(txn uint64, muts []Mutation) error
-
-// SetCommitHook installs (or, with nil, removes) the commit hook. It is
-// not synchronized with in-flight statements: install it before serving.
-func (e *Engine) SetCommitHook(h CommitHook) { e.commitHook = h }
-
-// Mutates reports whether a statement changes durable state (anything
-// but SELECT/EXPLAIN and transaction control) and therefore must reach
-// the commit hook. The recdb layer also uses it to pick its lock mode:
-// mutating statements hold their table's write lock so the write-ahead
-// log records same-table changes in apply order.
-func Mutates(stmt sql.Statement) bool {
+// mutates reports whether a statement changes durable state: anything
+// but SELECT/EXPLAIN and transaction control.
+func mutates(stmt sql.Statement) bool {
 	switch stmt.(type) {
 	case *sql.Select, *sql.Explain, *sql.Begin, *sql.Commit, *sql.Rollback:
 		return false
 	}
 	return true
-}
-
-// IsDML reports whether a statement is a tuple-level write
-// (INSERT/DELETE/UPDATE) — the statements allowed inside a transaction,
-// which the recdb layer serializes per table rather than globally.
-func IsDML(stmt sql.Statement) bool {
-	switch stmt.(type) {
-	case *sql.Insert, *sql.Delete, *sql.Update:
-		return true
-	}
-	return false
-}
-
-// commitMuts routes an autocommit statement's applied mutations to the
-// hook. A group of more than one record gets a transaction id so the
-// hook's WAL batch is framed TxnBegin..TxnCommit and recovery applies it
-// all-or-nothing — a multi-row INSERT stays as atomic under the logical
-// WAL as it was as one statement-text record.
-func (e *Engine) commitMuts(muts []Mutation) error {
-	if e.commitHook == nil || len(muts) == 0 {
-		return nil
-	}
-	var txn uint64
-	if len(muts) > 1 {
-		txn = e.txnSeq.Add(1)
-	}
-	return e.commitHook(txn, muts)
 }
 
 // New creates an empty engine.
@@ -158,12 +125,14 @@ func New(cfg Config) *Engine {
 	cat := catalog.New(stats, cfg.PoolPages)
 	mgr := rec.NewManager(cat, cfg.Rec)
 	e := &Engine{
-		cat:    cat,
-		stats:  stats,
-		rec:    mgr,
-		cfg:    cfg,
-		reg:    reg,
-		caches: make(map[string]*reccache.Manager),
+		cat:        cat,
+		stats:      stats,
+		rec:        mgr,
+		cfg:        cfg,
+		reg:        reg,
+		caches:     make(map[string]*reccache.Manager),
+		tableGates: make(map[string]chan struct{}),
+		txnGate:    make(chan struct{}, 1),
 	}
 	e.em = engineMetrics{
 		queries:        reg.Counter("exec.queries"),
@@ -307,53 +276,43 @@ func (e *Engine) Exec(query string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return e.ExecParsed(stmt, query)
+	return e.ExecParsedCtx(context.Background(), stmt, query)
 }
 
-// ExecParsed runs an already-parsed statement and, on success, routes it
-// through the commit hook with the given source text. Callers that need
-// to inspect the statement before executing (the recdb layer parses
-// first to choose its lock mode) use this to avoid parsing twice.
-func (e *Engine) ExecParsed(stmt sql.Statement, text string) (Result, error) {
-	return e.ExecParsedCtx(context.Background(), stmt, text)
-}
-
-// ExecParsedCtx is ExecParsed under a context: a read-only statement
-// observes cancellation between rows; a mutating statement checks the
-// context once before starting and then runs to completion — an applied
-// mutation is never half-aborted, so the WAL and the in-memory state
-// cannot diverge on a timeout. A mutating statement that fails mid-way
+// ExecParsedCtx runs an already-parsed autocommit statement with its
+// source text (the text a DDL statement is logged as) under a context.
+// It is the commit sequence for an autocommit statement (txn.go): DML
+// takes the commit lock shared and its table's gate, DDL the commit lock
+// exclusively; then apply, log, maintain. A read-only statement takes no
+// lock and observes cancellation
+// between rows; a mutating one checks the context before it starts (and
+// while it waits on a gate) and then runs to completion — an applied
+// mutation is never half-aborted, so the log and the in-memory state
+// cannot diverge on a timeout. A mutating statement that fails part-way
 // (say, a primary-key violation on the third row of a multi-row INSERT)
 // is backed out before the error returns: autocommit statements are
 // atomic in memory, not just in the log.
 func (e *Engine) ExecParsedCtx(ctx context.Context, stmt sql.Statement, text string) (Result, error) {
-	if !Mutates(stmt) {
+	if !mutates(stmt) {
 		return e.execReadOnlyCtx(ctx, stmt)
 	}
-	// Refuse to start a mutation on a dead context, but never abort one
-	// mid-flight: partial applies would be unrecoverable.
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("engine: statement not started: %w", err)
 	}
-	res, muts, err := e.execMutation(stmt)
-	if err != nil {
-		if uerr := e.undoMutations(muts); uerr != nil {
-			return res, fmt.Errorf("%w (and undo failed: %w)", err, uerr)
+	if table := dmlTable(stmt); table != "" {
+		e.commitMu.RLock()
+		defer e.commitMu.RUnlock()
+		gate := e.tableGate(table)
+		if err := acquire(ctx, gate); err != nil {
+			return Result{}, err
 		}
-		return res, err
+		defer release(gate)
+	} else {
+		e.commitMu.Lock()
+		defer e.commitMu.Unlock()
 	}
-	for i := range muts {
-		if muts[i].Kind == MutStmt {
-			muts[i].Text = text
-		}
-	}
-	if err := e.runMaintenance(muts); err != nil {
-		return res, err
-	}
-	if err := e.commitMuts(muts); err != nil {
-		return res, err
-	}
-	return res, nil
+	res, muts, err := e.execMutation(stmt, text)
+	return res, e.commitLocked(0, muts, err)
 }
 
 // execReadOnlyCtx runs the non-mutating statement kinds.
@@ -372,19 +331,18 @@ func (e *Engine) execReadOnlyCtx(ctx context.Context, stmt sql.Statement) (Resul
 		}
 		return Result{RowsAffected: int64(len(res.Rows))}, nil
 	case *sql.Begin, *sql.Commit, *sql.Rollback:
-		return Result{}, fmt.Errorf("engine: %s requires a transaction-aware session (recdb.DB.Begin or NewSession)", stmtName(stmt))
+		return Result{}, fmt.Errorf("engine: %s requires transaction state that outlives the statement; use DB.Begin, a Session, or ExecScript", stmtName(stmt))
 	default:
 		return Result{}, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
 }
 
 // execMutation dispatches the mutating statement kinds and returns the
-// tuple-level mutations applied (for DDL, one MutStmt record whose Text
-// the caller stamps with the statement source). On error the returned
-// mutations are the changes applied before the failure — the caller
-// undoes them.
-func (e *Engine) execMutation(stmt sql.Statement) (Result, []Mutation, error) {
-	ddl := []Mutation{{Kind: MutStmt}}
+// tuple-level mutations applied (for DDL, one RecStmt record carrying
+// text, the statement's source). On error the returned mutations are the
+// changes applied before the failure — the caller undoes them.
+func (e *Engine) execMutation(stmt sql.Statement, text string) (Result, []mutation, error) {
+	ddl := []mutation{{kind: wal.RecStmt, text: text}}
 	switch s := stmt.(type) {
 	case *sql.CreateTable:
 		r, err := e.execCreateTable(s)
@@ -541,7 +499,7 @@ func (e *Engine) ExecScript(script string) (Result, error) {
 	}
 	var total Result
 	for _, s := range stmts {
-		r, err := e.ExecParsed(s.Stmt, s.Text)
+		r, err := e.ExecParsedCtx(context.Background(), s.Stmt, s.Text)
 		if err != nil {
 			return total, err
 		}
@@ -573,7 +531,7 @@ func (e *Engine) execCreateTable(s *sql.CreateTable) (Result, error) {
 	return Result{}, err
 }
 
-func (e *Engine) execInsert(s *sql.Insert) (Result, []Mutation, error) {
+func (e *Engine) execInsert(s *sql.Insert) (Result, []mutation, error) {
 	tab, err := e.cat.Get(s.Table)
 	if err != nil {
 		return Result{}, nil, err
@@ -595,7 +553,7 @@ func (e *Engine) execInsert(s *sql.Insert) (Result, []Mutation, error) {
 	}
 	empty := types.NewSchema()
 	var inserted int64
-	var muts []Mutation
+	var muts []mutation
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(colIdx) {
 			return Result{RowsAffected: inserted}, muts, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(exprRow), len(colIdx))
@@ -627,13 +585,13 @@ func (e *Engine) execInsert(s *sql.Insert) (Result, []Mutation, error) {
 		if _, err := tab.Insert(row); err != nil {
 			return Result{RowsAffected: inserted}, muts, err
 		}
-		muts = append(muts, Mutation{Kind: MutInsert, Table: s.Table, Row: row})
+		muts = append(muts, mutation{kind: wal.RecInsert, table: s.Table, row: row})
 		inserted++
 	}
 	return Result{RowsAffected: inserted}, muts, nil
 }
 
-func (e *Engine) execDelete(s *sql.Delete) (Result, []Mutation, error) {
+func (e *Engine) execDelete(s *sql.Delete) (Result, []mutation, error) {
 	tab, err := e.cat.Get(s.Table)
 	if err != nil {
 		return Result{}, nil, err
@@ -649,7 +607,7 @@ func (e *Engine) execDelete(s *sql.Delete) (Result, []Mutation, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var muts []Mutation
+	var muts []mutation
 	var affected int64
 	for _, rid := range rids {
 		// Remember the victim's content: the logical WAL record carries it
@@ -661,13 +619,13 @@ func (e *Engine) execDelete(s *sql.Delete) (Result, []Mutation, error) {
 		if err := tab.Delete(rid); err != nil {
 			return Result{RowsAffected: affected}, muts, err
 		}
-		muts = append(muts, Mutation{Kind: MutDelete, Table: s.Table, Old: row})
+		muts = append(muts, mutation{kind: wal.RecDelete, table: s.Table, old: row})
 		affected++
 	}
 	return Result{RowsAffected: affected}, muts, nil
 }
 
-func (e *Engine) execUpdate(s *sql.Update) (Result, []Mutation, error) {
+func (e *Engine) execUpdate(s *sql.Update) (Result, []mutation, error) {
 	tab, err := e.cat.Get(s.Table)
 	if err != nil {
 		return Result{}, nil, err
@@ -699,7 +657,7 @@ func (e *Engine) execUpdate(s *sql.Update) (Result, []Mutation, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var muts []Mutation
+	var muts []mutation
 	var affected int64
 	for _, rid := range rids {
 		row, err := tab.Heap.Get(rid)
@@ -717,7 +675,7 @@ func (e *Engine) execUpdate(s *sql.Update) (Result, []Mutation, error) {
 		if _, err := tab.Update(rid, updated); err != nil {
 			return Result{RowsAffected: affected}, muts, err
 		}
-		muts = append(muts, Mutation{Kind: MutUpdate, Table: s.Table, Row: updated, Old: row})
+		muts = append(muts, mutation{kind: wal.RecUpdate, table: s.Table, row: updated, old: row})
 		affected++
 	}
 	return Result{RowsAffected: affected}, muts, nil
@@ -751,7 +709,7 @@ func matchRIDs(tab *catalog.Table, pred expr.Compiled) ([]storage.RID, error) {
 // CreateRecommender builds and registers a recommender with its cache
 // manager: the body of the CREATE RECOMMENDER statement, and the way a
 // snapshot load recreates the definitions its manifest carries. Called
-// directly it does not reach the commit hook.
+// directly it takes no lock and is not logged.
 func (e *Engine) CreateRecommender(spec rec.CreateSpec) error {
 	if _, err := e.rec.CreateFromSpec(spec); err != nil {
 		return err
@@ -810,8 +768,17 @@ func (e *Engine) MaterializeUser(recommender string, user int64) error {
 	return c.MaterializeUser(r.Store(), user)
 }
 
-// Close stops background cache managers.
+// Close syncs and closes the write-ahead log, if attached, and stops
+// background cache managers.
 func (e *Engine) Close() {
+	e.commitMu.Lock()
+	if e.log != nil {
+		// Best effort: grouped commits are flushed; a sync failure here
+		// cannot be reported, which is why per-commit sync is the default.
+		_ = e.log.Close()
+		e.log = nil
+	}
+	e.commitMu.Unlock()
 	e.mu.Lock()
 	caches := make([]*reccache.Manager, 0, len(e.caches))
 	for _, c := range e.caches {

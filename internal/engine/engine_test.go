@@ -2,13 +2,14 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"recdb/internal/exec"
+	"recdb/internal/fault"
 	"recdb/internal/rec"
+	"recdb/internal/wal"
 )
 
 // newMovieDB builds the paper's running example (Figure 1): users, movies,
@@ -635,17 +636,33 @@ func TestInsertArityError(t *testing.T) {
 	}
 }
 
-func TestCommitHookSeesMutations(t *testing.T) {
-	e := New(Config{})
-	type commit struct {
-		txn  uint64
-		muts []Mutation
+// attachLog checkpoints e into "db" on fs with a no-op save, which
+// attaches a fresh write-ahead log there.
+func attachLog(t *testing.T, e *Engine, fs fault.FS) {
+	t.Helper()
+	if err := e.Checkpoint(fs, "db", func(uint64) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	var logged []commit
-	e.SetCommitHook(func(txn uint64, muts []Mutation) error {
-		logged = append(logged, commit{txn, muts})
-		return nil
-	})
+}
+
+// loggedRecords reads back every record the engine's log holds.
+func loggedRecords(t *testing.T, fs fault.FS) []wal.Record {
+	t.Helper()
+	var recs []wal.Record
+	if _, err := wal.Replay(fs, "db/wal", 0, func(_ uint64, p []byte) error {
+		r, err := wal.DecodeRecord(p)
+		recs = append(recs, r)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+func TestCommitLogSeesMutations(t *testing.T) {
+	e := New(Config{})
+	fs := fault.NewMemFS()
+	attachLog(t, e, fs)
 	if _, err := e.ExecScript(`
 		CREATE TABLE t (a INT PRIMARY KEY);
 		INSERT INTO t VALUES (1);
@@ -656,43 +673,40 @@ func TestCommitHookSeesMutations(t *testing.T) {
 	if _, err := e.Exec("INSERT INTO t VALUES (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
-	if len(logged) != 3 {
-		t.Fatalf("logged %d commits: %+v", len(logged), logged)
-	}
-	// DDL commits as one statement record carrying its source text.
-	if c := logged[0]; len(c.muts) != 1 || c.muts[0].Kind != MutStmt ||
-		c.muts[0].Text != "CREATE TABLE t (a INT PRIMARY KEY)" {
-		t.Fatalf("DDL commit = %+v", c)
-	}
-	// A single-row insert commits as one bare tuple record (no txn id).
-	if c := logged[1]; c.txn != 0 || len(c.muts) != 1 || c.muts[0].Kind != MutInsert ||
-		c.muts[0].Table != "t" || len(c.muts[0].Row) != 1 {
-		t.Fatalf("single-row commit = %+v", c)
-	}
-	// A multi-row insert gets a transaction id so the WAL frames its
-	// records as one atomic group.
-	if c := logged[2]; c.txn == 0 || len(c.muts) != 2 ||
-		c.muts[0].Kind != MutInsert || c.muts[1].Kind != MutInsert {
-		t.Fatalf("multi-row commit = %+v", c)
-	}
-	// A failed statement must not reach the hook.
-	logged = nil
+	// A failed statement must not reach the log.
 	if _, err := e.Exec("INSERT INTO t VALUES (1)"); err == nil {
 		t.Fatal("duplicate pk should fail")
 	}
-	if len(logged) != 0 {
-		t.Fatalf("failed statement reached the hook: %+v", logged)
+	recs := loggedRecords(t, fs)
+	kinds := make([]byte, len(recs))
+	for i, r := range recs {
+		kinds[i] = r.Kind
+	}
+	// DDL, then a bare single-row insert, then the two-row insert framed
+	// as one atomic group; nothing from the failed statement.
+	if string(kinds) != "SIBIIC" {
+		t.Fatalf("logged kinds %q, want %q: %+v", kinds, "SIBIIC", recs)
+	}
+	if recs[0].Text != "CREATE TABLE t (a INT PRIMARY KEY)" || recs[0].Txn != 0 {
+		t.Fatalf("DDL record = %+v", recs[0])
+	}
+	if recs[1].Txn != 0 || recs[1].Table != "t" || len(recs[1].Row) == 0 {
+		t.Fatalf("single-row record = %+v", recs[1])
+	}
+	if txn := recs[2].Txn; txn == 0 || recs[3].Txn != txn || recs[4].Txn != txn || recs[5].Txn != txn {
+		t.Fatalf("multi-row group not framed under one txn id: %+v", recs[2:])
 	}
 }
 
-func TestCommitHookErrorSurfaces(t *testing.T) {
+func TestCommitLogErrorSurfaces(t *testing.T) {
 	e := New(Config{})
 	if _, err := e.Exec("CREATE TABLE t (a INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
-	hookErr := fmt.Errorf("wal full")
-	e.SetCommitHook(func(uint64, []Mutation) error { return hookErr })
-	if _, err := e.Exec("INSERT INTO t VALUES (1)"); !errors.Is(err, hookErr) {
-		t.Fatalf("hook error not surfaced: %v", err)
+	fs := fault.NewInject(fault.NewMemFS())
+	attachLog(t, e, fs)
+	fs.SetPlan(fault.ModeFail, 1) // the append's write
+	if _, err := e.Exec("INSERT INTO t VALUES (1)"); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("log error not surfaced: %v", err)
 	}
 }

@@ -570,11 +570,9 @@ const (
 
 // writeRows streams a Query answer: RowDescription, the data rows, then
 // CommandComplete. Consecutive tuples coalesce into RowBatch frames of
-// about rowBatchTarget encoded bytes; a batch that ends up holding a
-// single tuple is sent as a plain DataRow, so low-fanout answers look
-// exactly as they did before batching existed. Both backends hand over
-// materialized rows, so holding the write lock here costs encoding time
-// only, never executor time.
+// about rowBatchTarget encoded bytes (a one-tuple answer is a RowBatch of
+// count 1). Both backends hand over materialized rows, so holding the
+// write lock here costs encoding time only, never executor time.
 func (w *frameWriter) writeRows(id uint32, rows Rows) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -590,15 +588,9 @@ func (w *frameWriter) writeRows(id uint32, rows Rows) error {
 		if count == 0 {
 			return nil
 		}
-		t := wire.TypeDataRow
-		if count > 1 {
-			t = wire.TypeRowBatch
-		}
-		start := w.beginLocked(t)
+		start := w.beginLocked(wire.TypeRowBatch)
 		w.buf = wire.AppendID(w.buf, id)
-		if count > 1 {
-			w.buf = binary.AppendUvarint(w.buf, uint64(count))
-		}
+		w.buf = binary.AppendUvarint(w.buf, uint64(count))
 		w.buf = append(w.buf, w.tuples...)
 		w.tuples, count = w.tuples[:0], 0
 		if err := w.endLocked(start); err != nil {

@@ -63,7 +63,7 @@ type Explain struct {
 // PlanSelect builds the operator tree for a SELECT statement.
 func (p *Planner) PlanSelect(stmt *sql.Select) (exec.Operator, *Explain, error) {
 	ex := &Explain{}
-	conjuncts := splitConjuncts(stmt.Where)
+	conjuncts := sql.Conjuncts(stmt.Where)
 	applied := make(map[sql.Expr]bool)
 
 	var root exec.Operator
@@ -775,17 +775,6 @@ func ratingUpperBound(conjuncts []sql.Expr, alias string, r *rec.Recommender) (f
 		}
 	}
 	return best, found
-}
-
-// splitConjuncts flattens a WHERE tree into AND-connected conjuncts.
-func splitConjuncts(e sql.Expr) []sql.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sql.Expr{e}
 }
 
 func constInt(e sql.Expr) (int64, error) {

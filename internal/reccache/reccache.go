@@ -7,10 +7,10 @@
 package reccache
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
+	"recdb/internal/ann"
 	"recdb/internal/metrics"
 	"recdb/internal/rec"
 	"recdb/internal/recindex"
@@ -401,42 +401,18 @@ func (m *Manager) MaterializeUser(pred Predictor, u int64) error {
 // the index contents match the serial path exactly.
 func (m *Manager) MaterializeAll(pred Predictor) error {
 	users := pred.UserIDs()
-	workers := m.Workers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(users) {
-		workers = len(users)
-	}
-	if workers <= 1 {
-		for _, u := range users {
-			if err := m.MaterializeUser(pred, u); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	workers := min(ann.ResolveWorkers(m.Workers), len(users))
 	// Batching bounds buffered predictions to ~4 users' worth per worker.
 	batch := workers * 4
 	for lo := 0; lo < len(users); lo += batch {
-		hi := lo + batch
-		if hi > len(users) {
-			hi = len(users)
-		}
-		span := users[lo:hi]
+		span := users[lo:min(lo+batch, len(users))]
 		results := make([][]entry, len(span))
 		errs := make([]error, len(span))
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for x := w; x < len(span); x += workers {
-					results[x], errs[x] = unseenEntries(pred, span[x], pred.ItemIDs())
-				}
-			}(w)
-		}
-		wg.Wait()
+		ann.RunWorkers(workers, func(w int) {
+			for x := w; x < len(span); x += workers {
+				results[x], errs[x] = unseenEntries(pred, span[x], pred.ItemIDs())
+			}
+		})
 		for x, u := range span {
 			if errs[x] != nil {
 				return errs[x]

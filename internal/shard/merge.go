@@ -12,7 +12,6 @@ type result struct {
 	strategy string
 	rows     []types.Row
 	affected int64
-	isRows   bool
 }
 
 // mergeParts combines per-shard read answers. Each shard answers in the
@@ -22,7 +21,7 @@ type result struct {
 // and OFFSET apply to the merged stream, so a cross-shard top-k keeps
 // exactly k rows no matter how many shards contributed.
 func mergeParts(parts []*client.Rows, spec *MergeSpec) result {
-	res := result{isRows: true}
+	var res result
 	for _, p := range parts {
 		if p != nil {
 			res.cols, res.strategy = p.Columns(), p.Strategy()

@@ -44,7 +44,7 @@ func TestMergeConcatWithoutKeys(t *testing.T) {
 		nil, // a shard with no answer (e.g. skipped) just contributes nothing
 		rowsOf(cols, []any{2, 1.0}, []any{3, 9.0}),
 	}, nil)
-	if !res.isRows || len(res.rows) != 3 {
+	if len(res.rows) != 3 {
 		t.Fatalf("got %d rows", len(res.rows))
 	}
 	got := scores(res)
@@ -125,7 +125,7 @@ func TestMergeMissingKeyColumnFallsBackToConcat(t *testing.T) {
 
 func TestMergeEmptyParts(t *testing.T) {
 	res := mergeParts([]*client.Rows{nil, nil}, nil)
-	if !res.isRows || len(res.rows) != 0 {
+	if len(res.rows) != 0 {
 		t.Fatalf("got %+v", res)
 	}
 }

@@ -209,7 +209,7 @@ func (s *shardState) probe(ctx context.Context, timeout time.Duration) {
 // ShardDownError, which sessions answer with wire code "shard_down".
 func (r *Router) do(ctx context.Context, shard int, kind wire.Type, sqlText string) (wire.Complete, *client.Rows, error) {
 	s := r.states[shard]
-	readonly := kind == wire.TypeQuery || kind == wire.TypePing
+	readonly := kind == wire.TypeQuery
 	backoff := r.opts.RetryBackoff
 	var lastErr error
 	for attempt := 0; attempt <= r.opts.Retries; attempt++ {
@@ -236,12 +236,9 @@ func (r *Router) do(ctx context.Context, shard int, kind wire.Type, sqlText stri
 		}
 		var complete wire.Complete
 		var rows *client.Rows
-		switch kind {
-		case wire.TypePing:
-			err = c.Ping(ctx)
-		case wire.TypeQuery:
+		if readonly {
 			rows, err = c.Query(ctx, sqlText)
-		default:
+		} else {
 			var res client.Result
 			res, err = c.Exec(ctx, sqlText)
 			complete.Rows = res.RowsAffected

@@ -297,21 +297,10 @@ func userColumnIndex(s *sql.Insert, userCol string, cat catalog) (idx int, known
 	return 0, false, nil
 }
 
-// conjuncts flattens an AND tree into its conjunct list.
-func conjuncts(e sql.Expr, out []sql.Expr) []sql.Expr {
-	if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
-		return conjuncts(b.R, conjuncts(b.L, out))
-	}
-	if e != nil {
-		out = append(out, e)
-	}
-	return out
-}
-
 // userEquality finds a `userCol = <int literal>` conjunct (either
 // operand order, any qualifier).
 func userEquality(where sql.Expr, userCol string) (int64, bool) {
-	for _, c := range conjuncts(where, nil) {
+	for _, c := range sql.Conjuncts(where) {
 		b, ok := c.(*sql.Binary)
 		if !ok || b.Op != sql.OpEq {
 			continue
@@ -333,7 +322,7 @@ func userEquality(where sql.Expr, userCol string) (int64, bool) {
 // userInList finds a `userCol IN (int literals...)` conjunct and
 // returns the distinct users sorted ascending.
 func userInList(where sql.Expr, userCol string) ([]int64, bool) {
-	for _, c := range conjuncts(where, nil) {
+	for _, c := range sql.Conjuncts(where) {
 		in, ok := c.(*sql.In)
 		if !ok || in.Negate || !isUserCol(in.X, userCol) {
 			continue
@@ -365,17 +354,11 @@ func isUserCol(e sql.Expr, userCol string) bool {
 	return ok && strings.EqualFold(c.Name, userCol)
 }
 
-// intLiteral unwraps an integer literal (including a unary minus).
+// intLiteral unwraps an integer literal (the parser folds a unary minus
+// into the literal).
 func intLiteral(e sql.Expr) (int64, bool) {
-	switch v := e.(type) {
-	case *sql.Literal:
-		return v.Value.AsInt()
-	case *sql.Unary:
-		if v.Op == "-" {
-			if n, ok := intLiteral(v.X); ok {
-				return -n, true
-			}
-		}
+	if lit, ok := e.(*sql.Literal); ok {
+		return lit.Value.AsInt()
 	}
 	return 0, false
 }

@@ -395,7 +395,7 @@ func (r *Router) one(ctx context.Context, shard int, kind wire.Type, text string
 		return result{}, err
 	}
 	if kind == wire.TypeQuery {
-		return result{cols: rows.Columns(), strategy: rows.Strategy(), rows: rows.All(), isRows: true}, nil
+		return result{cols: rows.Columns(), strategy: rows.Strategy(), rows: rows.All()}, nil
 	}
 	return result{affected: complete.Rows}, nil
 }

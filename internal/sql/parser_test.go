@@ -317,6 +317,20 @@ func TestParsePrecedence(t *testing.T) {
 	}
 }
 
+func TestConjuncts(t *testing.T) {
+	s := mustParse(t, "SELECT a FROM t WHERE a = 1 AND (b = 2 OR c = 3) AND (d = 4 AND e = 5)").(*Select)
+	var got []string
+	for _, c := range Conjuncts(s.Where) {
+		got = append(got, ExprString(c))
+	}
+	if want := "(a = 1)|((b = 2) OR (c = 3))|(d = 4)|(e = 5)"; strings.Join(got, "|") != want {
+		t.Fatalf("Conjuncts = %q, want %q", strings.Join(got, "|"), want)
+	}
+	if c := Conjuncts(nil); c != nil {
+		t.Fatalf("Conjuncts(nil) = %v, want none", c)
+	}
+}
+
 func TestParseNotAndIsNull(t *testing.T) {
 	s := mustParse(t, "SELECT a FROM t WHERE NOT a = 1 AND b IS NOT NULL AND c IS NULL AND d NOT IN (1,2)").(*Select)
 	if s.Where == nil {

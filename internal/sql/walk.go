@@ -38,6 +38,19 @@ func Walk(e Expr, fn func(Expr)) {
 	}
 }
 
+// Conjuncts flattens a WHERE tree into its AND-connected conjuncts, left
+// to right; a nil tree has none. The planner places each conjunct and the
+// shard router looks among them for a user-key predicate.
+func Conjuncts(where Expr) []Expr {
+	if where == nil {
+		return nil
+	}
+	if b, ok := where.(*Binary); ok && b.Op == OpAnd {
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+	}
+	return []Expr{where}
+}
+
 // IsAggregate reports whether name, in any case, names an aggregate
 // function. The planner (which builds a HashAggregate for one) and the
 // shard router (which refuses to scatter one) must agree on this set, so

@@ -51,7 +51,7 @@ func FuzzReader(f *testing.F) {
 		frame(TypePing, AppendID(nil, 3)),
 		frame(TypeHello, AppendHello(nil, Hello{SessionID: 9, Server: "recdb"})),
 		frame(TypeRowDesc, AppendRowDesc(nil, RowDesc{ID: 1, Strategy: "IndexScan", Columns: []string{"uid", "iid"}})),
-		frame(TypeDataRow, AppendDataRow(nil, 1, row)),
+		frame(TypeRowBatch, AppendRowBatch(nil, 1, []types.Row{row})),
 		frame(TypeRowBatch, AppendRowBatch(nil, 1, []types.Row{row, row})),
 		frame(TypeComplete, AppendComplete(nil, Complete{ID: 1, Rows: 2})),
 		frame(TypeError, AppendError(nil, ErrorMsg{ID: 1, Code: CodeTimeout, Message: "deadline"})),
@@ -110,7 +110,6 @@ func FuzzReader(f *testing.F) {
 		_, _ = DecodeID(data)
 		_, _ = DecodeHello(data)
 		_, _ = DecodeRowDesc(data)
-		_, _, _ = DecodeDataRow(data)
 		_, _, _ = DecodeRowBatch(data)
 		_, _ = DecodeComplete(data)
 		_, _ = DecodeError(data)

@@ -15,20 +15,20 @@
 //	         payload []byte
 //
 // Request frames: Query ('Q'), Exec ('E'), Ping ('P'), Cancel ('C').
-// Response frames: Hello ('H'), RowDescription ('D'), DataRow ('R'),
-// RowBatch ('r'), CommandComplete ('Z'), Pong ('p'), Error ('e').
+// Response frames: Hello ('H'), RowDescription ('D'), RowBatch ('r'),
+// CommandComplete ('Z'), Pong ('p'), Error ('e').
 //
 // Every request carries a client-assigned id; every response frame echoes
 // the id of the request it answers, so a client may pipeline requests. A
-// Query answer is RowDescription, its tuples as DataRow (one tuple) and
-// RowBatch (several) frames in any mix, then CommandComplete; an Exec
+// Query answer is RowDescription, its tuples in RowBatch frames, then
+// CommandComplete; an Exec
 // answer is CommandComplete alone; Error is a terminal answer to any
 // request. Cancel has no answer of its own — it asks the server to
 // interrupt the identified in-flight request, whose own answer then
 // arrives as an Error with code "canceled" (or its normal result, if it
 // completed first).
 //
-// DataRow and RowBatch payloads reuse the engine's self-describing tuple
+// RowBatch payloads reuse the engine's self-describing tuple
 // encoding (types.EncodeRow), so the client decodes rows without a
 // schema.
 //
@@ -83,8 +83,7 @@ const (
 const (
 	TypeHello    Type = 'H' // handshake answer: session id + server version
 	TypeRowDesc  Type = 'D' // result column names + planner strategy
-	TypeDataRow  Type = 'R' // one result tuple
-	TypeRowBatch Type = 'r' // several result tuples in one frame
+	TypeRowBatch Type = 'r' // result tuples, one or more per frame
 	TypeComplete Type = 'Z' // terminal: affected/returned row count
 	TypePong     Type = 'p' // answer to Ping
 	TypeError    Type = 'e' // terminal: typed error
@@ -423,31 +422,11 @@ func DecodeRowDesc(p []byte) (RowDesc, error) {
 	return d, nil
 }
 
-// AppendDataRow encodes a DataRow payload: the request id followed by the
-// engine's binary tuple encoding.
-func AppendDataRow(dst []byte, id uint32, row types.Row) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, id)
-	return types.EncodeRow(dst, row)
-}
-
-// DecodeDataRow decodes a DataRow payload.
-func DecodeDataRow(p []byte) (uint32, types.Row, error) {
-	if len(p) < 4 {
-		return 0, nil, &FrameError{Reason: "truncated data row"}
-	}
-	id := binary.LittleEndian.Uint32(p[0:4])
-	row, _, err := types.DecodeRow(p[4:])
-	if err != nil {
-		return 0, nil, fmt.Errorf("wire: %w", err)
-	}
-	return id, row, nil
-}
-
-// RowBatch carries several result tuples in one frame, amortizing the
-// 9-byte frame header and per-frame CRC over a batch. High-fanout scans
-// produce thousands of small tuples; one syscall-sized frame per tuple
-// dominates the wire cost, so the server coalesces them (singles still
-// travel as DataRow). The payload is the request id, a uvarint tuple
+// RowBatch carries result tuples, amortizing the 9-byte frame header and
+// per-frame CRC over a batch. High-fanout scans produce thousands of
+// small tuples; one syscall-sized frame per tuple would dominate the wire
+// cost, so the server coalesces them (a single tuple is a batch of one).
+// The payload is the request id, a uvarint tuple
 // count, then the tuples back to back in the engine's self-describing
 // encoding.
 

@@ -89,7 +89,7 @@ func TestRoundTrip(t *testing.T) {
 	write(TypePing, AppendID(nil, 3))
 	write(TypeCancel, AppendID(nil, 1))
 	write(TypeRowDesc, AppendRowDesc(nil, RowDesc{ID: 1, Strategy: "IndexRecommend", Columns: []string{"iid", "ratingval"}}))
-	write(TypeDataRow, AppendDataRow(nil, 1, row))
+	write(TypeRowBatch, AppendRowBatch(nil, 1, []types.Row{row}))
 	write(TypeRowBatch, AppendRowBatch(nil, 1, []types.Row{row, row, row}))
 	write(TypeComplete, AppendComplete(nil, Complete{ID: 1, Rows: 5}))
 	write(TypePong, AppendID(nil, 3))
@@ -131,26 +131,19 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || d.ID != 1 || d.Strategy != "IndexRecommend" || !reflect.DeepEqual(d.Columns, []string{"iid", "ratingval"}) {
 		t.Fatalf("rowdesc = %+v, %v", d, err)
 	}
-	id, got, err := DecodeDataRow(next(TypeDataRow))
-	if err != nil || id != 1 {
-		t.Fatalf("datarow id = %d, %v", id, err)
-	}
-	if len(got) != len(row) {
-		t.Fatalf("row has %d values, want %d", len(got), len(row))
-	}
-	for i := range row {
-		if got[i].String() != row[i].String() {
-			t.Fatalf("value %d = %v, want %v", i, got[i], row[i])
+	for _, want := range []int{1, 3} {
+		bid, batch, err := DecodeRowBatch(next(TypeRowBatch))
+		if err != nil || bid != 1 || len(batch) != want {
+			t.Fatalf("rowbatch = id %d, %d rows, %v; want %d rows", bid, len(batch), err, want)
 		}
-	}
-	bid, batch, err := DecodeRowBatch(next(TypeRowBatch))
-	if err != nil || bid != 1 || len(batch) != 3 {
-		t.Fatalf("rowbatch = id %d, %d rows, %v", bid, len(batch), err)
-	}
-	for _, b := range batch {
-		for i := range row {
-			if b[i].String() != row[i].String() {
-				t.Fatalf("batch value %d = %v, want %v", i, b[i], row[i])
+		for _, b := range batch {
+			if len(b) != len(row) {
+				t.Fatalf("row has %d values, want %d", len(b), len(row))
+			}
+			for i := range row {
+				if b[i].String() != row[i].String() {
+					t.Fatalf("batch value %d = %v, want %v", i, b[i], row[i])
+				}
 			}
 		}
 	}
@@ -285,9 +278,6 @@ func TestDecodeTruncatedPayloads(t *testing.T) {
 	if _, err := DecodeRowDesc([]byte{1, 0, 0, 0, 5}); err == nil {
 		t.Error("DecodeRowDesc accepted a truncated string")
 	}
-	if _, _, err := DecodeDataRow([]byte{1, 0, 0, 0, 2, byte(types.KindText)}); err == nil {
-		t.Error("DecodeDataRow accepted a truncated row")
-	}
 	if _, _, err := DecodeRowBatch([]byte{1, 0, 0}); err == nil {
 		t.Error("DecodeRowBatch accepted a short payload")
 	}
@@ -395,7 +385,7 @@ func TestReaderFrameSizes(t *testing.T) {
 	var raw []byte
 	var err error
 	for i, n := range sizes {
-		if raw, err = AppendFrame(raw, TypeDataRow, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+		if raw, err = AppendFrame(raw, TypeRowBatch, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,7 +396,7 @@ func TestReaderFrameSizes(t *testing.T) {
 		fr := NewReader(src)
 		for i, n := range sizes {
 			ft, p, err := fr.Next()
-			if err != nil || ft != TypeDataRow || len(p) != n || bytes.Count(p, []byte{byte('a' + i)}) != n {
+			if err != nil || ft != TypeRowBatch || len(p) != n || bytes.Count(p, []byte{byte('a' + i)}) != n {
 				t.Fatalf("%s: frame %d: type %q, %d bytes, %v; want %d bytes of %q", name, i, byte(ft), len(p), err, n, 'a'+i)
 			}
 		}

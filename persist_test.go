@@ -75,8 +75,9 @@ func TestRecommenderWorkersSurviveReopen(t *testing.T) {
 }
 
 // TestConcurrentDurableWritesReplayInOrder hammers one durable key from
-// many writers. Mutating statements hold db.mu exclusively, so the WAL
-// records them in the order they were applied; recovery must therefore
+// many writers. Writers to one table serialize on its write gate across
+// apply and log, so the WAL records them in the order they were applied;
+// recovery must therefore
 // reconstruct exactly the value the live database last served — never a
 // reordering where an earlier update is replayed after a later one.
 func TestConcurrentDurableWritesReplayInOrder(t *testing.T) {
@@ -142,7 +143,7 @@ func TestSaveToPathVariantsCheckpointInPlace(t *testing.T) {
 	if err := db.SaveTo(dir + string(filepath.Separator)); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(filepath.Join(dir, walSubdir))
+	ents, err := os.ReadDir(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +241,61 @@ func TestWALRecoversCommitsAfterCheckpoint(t *testing.T) {
 	rows.Next()
 	if err := rows.Scan(&n); err != nil || n != 3 {
 		t.Fatalf("extras after second recovery: %d, %v", n, err)
+	}
+}
+
+// TestReplayMaintainsPerCommit pins that recovery runs model maintenance
+// once per committed group, as the live commit did: one 200-row INSERT
+// over a 100-rating model is one 10 % crossing and one rebuild, not one
+// rebuild per 10 % a row-by-row replay crosses on the way.
+func TestReplayMaintainsPerCommit(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)`)
+	insert := func(from, n int) string {
+		q := "INSERT INTO ratings VALUES "
+		for i := from; i < from+n; i++ {
+			if i > from {
+				q += ", "
+			}
+			q += fmt.Sprintf("(%d, %d, %d)", 1+i%17, 1+(i*7)%23, 1+i%5)
+		}
+		return q
+	}
+	db.MustExec(insert(0, 100))
+	db.MustExec(`CREATE RECOMMENDER R ON ratings
+		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF`)
+	dir := t.TempDir()
+	if err := db.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(insert(100, 200))
+	const top10 = `SELECT R.iid, R.ratingval FROM ratings R
+		RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
+		WHERE R.uid = 3 ORDER BY R.ratingval DESC LIMIT 10`
+	state := func(db *DB) (int, string) {
+		t.Helper()
+		rows, err := db.Query(top10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.Health()[0].Rebuilds, fmt.Sprint(rows.All())
+	}
+	liveRebuilds, liveTop := state(db)
+	db.Close()
+	if liveRebuilds != 1 {
+		t.Fatalf("live rebuilds = %d, want 1 for one crossing commit", liveRebuilds)
+	}
+
+	re, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rebuilds, top := state(re)
+	if rebuilds != liveRebuilds {
+		t.Errorf("recovered rebuilds = %d, live %d", rebuilds, liveRebuilds)
+	}
+	if top != liveTop {
+		t.Errorf("recovered top-10 differs:\n got %s\nwant %s", top, liveTop)
 	}
 }

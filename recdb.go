@@ -16,11 +16,12 @@
 //
 // Six recommendation algorithms are supported: the paper's five (ItemCosCF,
 // ItemPearCF, UserCosCF, UserPearCF, SVD) plus a non-personalized
-// Popularity extension. Recommendation runs as query operators
-// inside the executor — RECOMMEND, FILTERRECOMMEND, JOINRECOMMEND, and
-// INDEXRECOMMEND — so selections, joins, and top-k ranking compose with it
-// in a single plan. Pre-computation (the RecScoreIndex) and hotness-based
-// caching further cut latency for interactive workloads.
+// Popularity extension. Recommendation runs as a query operator inside
+// the executor, under one of five strategies — Recommend,
+// FilterRecommend, JoinRecommend, IndexRecommend (the RecScoreIndex) and
+// VectorRecommend (the IVF index over SVD factors) — so selections, joins,
+// and top-k ranking compose with it in a single plan. Pre-computation and
+// hotness-based caching further cut latency for interactive workloads.
 //
 // Quick start:
 //
@@ -43,7 +44,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"recdb/internal/engine"
@@ -52,7 +53,6 @@ import (
 	"recdb/internal/reccache"
 	"recdb/internal/sql"
 	"recdb/internal/types"
-	"recdb/internal/wal"
 )
 
 // Value is a SQL value (NULL, BIGINT, DOUBLE, TEXT, BOOLEAN, or GEOMETRY).
@@ -129,39 +129,15 @@ func WithSnapshotRetain(n int) Option {
 // DB is an embedded RecDB instance. It is safe for concurrent readers;
 // writes are serialized per table, so writers to different tables
 // proceed concurrently. Multi-statement transactions are opened with
-// Begin (or BEGIN through a Session) — see Tx.
+// Begin (or BEGIN through a Session) — see Tx. The engine owns the
+// locks, the write-ahead log and the commit order; DB adds the snapshot
+// orchestration (SaveTo, OpenDir) on top.
 type DB struct {
-	eng *engine.Engine
-
-	// mu frames durability and DDL: DML statements hold it shared (plus
-	// their table's write gate, which serializes same-table appliers so
-	// WAL order equals apply order per table), while DDL, SaveTo, and
-	// Close hold it exclusively. An open transaction holds the shared
-	// side for its whole lifetime, so a checkpoint can never capture
-	// eagerly-applied uncommitted writes. Read-only statements never take
-	// it: they read through page-level snapshots (storage.Snapshot) and
-	// the catalog's atomically published generation, so a reader observes
-	// each statement either fully applied or not at all without blocking
-	// on a writer stalled in a WAL fsync.
-	mu           sync.RWMutex
-	fs           fault.FS // filesystem for durability (nil until attached)
-	dir          string   // durable home ("" while purely in-memory)
-	wal          *wal.Log // write-ahead log (nil until attached)
-	gen          uint64   // snapshot generation last written or recovered
-	skipped      int      // corrupt generations skipped during recovery
-	walSyncEvery int           // WAL group-commit factor from WithWALSyncEvery
-	walSyncIvl   time.Duration // latency bound from WithWALSyncInterval
-	retain       int           // snapshot generations kept, from WithSnapshotRetain
-
-	// gateMu guards the lazily-created write gates below. txnGate admits
-	// one explicit transaction at a time (autocommit statements take only
-	// one table gate each, so with a single multi-gate holder the lock
-	// graph is acyclic — no deadlocks); tableGates serialize writers per
-	// table. Gates are context-aware channel semaphores, so a writer
-	// blocked behind a long transaction honors its deadline.
-	gateMu     sync.Mutex
-	txnSem     chan struct{}
-	tableGates map[string]chan struct{}
+	eng     *engine.Engine
+	fs      fault.FS      // filesystem for snapshots and the log
+	gen     atomic.Uint64 // snapshot generation last written or recovered
+	skipped int           // corrupt generations skipped during recovery
+	retain  int           // snapshot generations kept, from WithSnapshotRetain
 }
 
 // Open creates a new in-memory database. Call SaveTo to checkpoint it to
@@ -171,24 +147,12 @@ func Open(opts ...Option) *DB {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &DB{eng: engine.New(cfg), walSyncEvery: cfg.WALSyncEvery,
-		walSyncIvl: cfg.WALSyncInterval, retain: cfg.SnapshotRetain}
+	return &DB{eng: engine.New(cfg), fs: fault.OS, retain: cfg.SnapshotRetain}
 }
 
 // Close stops background workers and syncs and closes the write-ahead
 // log, if attached. The DB must not be used afterwards.
-func (db *DB) Close() {
-	db.mu.Lock()
-	if db.wal != nil {
-		// Best effort: grouped commits are flushed; a sync failure here
-		// cannot be reported, which is why per-commit sync is the default.
-		_ = db.wal.Close()
-		db.wal = nil
-		db.eng.SetCommitHook(nil)
-	}
-	db.mu.Unlock()
-	db.eng.Close()
-}
+func (db *DB) Close() { db.eng.Close() }
 
 // Result reports the effect of a statement.
 type Result struct {
@@ -215,57 +179,7 @@ func (db *DB) ExecContext(ctx context.Context, query string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	switch stmt.(type) {
-	case *sql.Begin, *sql.Commit, *sql.Rollback:
-		return Result{}, fmt.Errorf("recdb: %s requires transaction state that outlives the statement; use DB.Begin, a Session, or ExecScript", stmtKeyword(stmt))
-	}
-	return db.execStmt(ctx, stmt, query)
-}
-
-// stmtKeyword names a transaction-control statement for error messages.
-func stmtKeyword(stmt sql.Statement) string {
-	switch stmt.(type) {
-	case *sql.Begin:
-		return "BEGIN"
-	case *sql.Commit:
-		return "COMMIT"
-	case *sql.Rollback:
-		return "ROLLBACK"
-	}
-	return "statement"
-}
-
-// dmlTarget returns the table a DML statement writes. It is only called
-// for statements engine.IsDML accepts.
-func dmlTarget(stmt sql.Statement) string {
-	switch s := stmt.(type) {
-	case *sql.Insert:
-		return s.Table
-	case *sql.Delete:
-		return s.Table
-	case *sql.Update:
-		return s.Table
-	}
-	return ""
-}
-
-// execStmt runs one autocommit statement under the locking scheme: DML
-// takes db.mu shared plus its table's write gate, DDL takes db.mu
-// exclusively, and read-only statements run lock-free against snapshots.
-func (db *DB) execStmt(ctx context.Context, stmt sql.Statement, text string) (Result, error) {
-	if engine.IsDML(stmt) {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		gate := db.tableGate(dmlTarget(stmt))
-		if err := acquireGate(ctx, gate); err != nil {
-			return Result{}, err
-		}
-		defer releaseGate(gate)
-	} else if engine.Mutates(stmt) {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-	}
-	r, err := db.eng.ExecParsedCtx(ctx, stmt, text)
+	r, err := db.eng.ExecParsedCtx(ctx, stmt, query)
 	return Result{RowsAffected: r.RowsAffected}, err
 }
 
@@ -362,8 +276,9 @@ func (r *Rows) Columns() []string { return r.cols }
 func (r *Rows) Len() int { return len(r.rows) }
 
 // Strategy names the recommendation plan the optimizer chose
-// ("Recommend", "FilterRecommend", "JoinRecommend", "IndexRecommend"), or
-// "" for plain queries. Useful for tests and EXPLAIN-style diagnostics.
+// ("Recommend", "FilterRecommend", "JoinRecommend", "IndexRecommend",
+// "VectorRecommend"), or "" for plain queries. Useful for tests and
+// EXPLAIN-style diagnostics.
 func (r *Rows) Strategy() string { return r.strategy }
 
 // Next advances to the next row; it returns false when exhausted.

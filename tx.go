@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"recdb/internal/engine"
 	"recdb/internal/sql"
@@ -17,60 +16,6 @@ var ErrTxDone = errors.New("recdb: transaction already committed or rolled back"
 // ErrSessionClosed is returned by operations on a closed Session.
 var ErrSessionClosed = errors.New("recdb: session is closed")
 
-// ---- Write gates ----
-//
-// Writers are serialized by channel semaphores ("gates") rather than
-// mutexes so a writer blocked behind a long transaction can honor its
-// context deadline. One gate per table serializes same-table appliers
-// (WAL order = apply order per table); a single transaction gate admits
-// one explicit transaction at a time. Because an autocommit statement
-// holds at most one table gate and the only multi-gate holder is the one
-// admitted transaction, gate acquisition order can never form a cycle.
-
-// txnGate returns the singleton transaction-admission gate.
-func (db *DB) txnGate() chan struct{} {
-	db.gateMu.Lock()
-	defer db.gateMu.Unlock()
-	if db.txnSem == nil {
-		db.txnSem = make(chan struct{}, 1)
-	}
-	return db.txnSem
-}
-
-// tableGate returns the write gate for a table, creating it on first use.
-// Gates outlive DROP TABLE; a stale gate for a dropped table is harmless.
-func (db *DB) tableGate(name string) chan struct{} {
-	key := strings.ToLower(name)
-	db.gateMu.Lock()
-	defer db.gateMu.Unlock()
-	if db.tableGates == nil {
-		db.tableGates = make(map[string]chan struct{})
-	}
-	ch, ok := db.tableGates[key]
-	if !ok {
-		ch = make(chan struct{}, 1)
-		db.tableGates[key] = ch
-	}
-	return ch
-}
-
-// acquireGate takes a gate, giving up when the context is done.
-func acquireGate(ctx context.Context, gate chan struct{}) error {
-	select {
-	case gate <- struct{}{}:
-		return nil
-	default:
-	}
-	select {
-	case gate <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func releaseGate(gate chan struct{}) { <-gate }
-
 // ---- Tx ----
 
 // Tx is an explicit multi-statement transaction. Its writes are applied
@@ -80,21 +25,20 @@ func releaseGate(gate chan struct{}) { <-gate }
 // Rollback undoes the applied writes in memory.
 //
 // A transaction pins a snapshot of every table it touches (so concurrent
-// readers keep their consistent view), holds the database's shared lock
-// for its whole lifetime (so a SaveTo checkpoint can never capture
-// uncommitted writes), and takes each touched table's write gate on
-// first touch. Only one explicit transaction runs at a time; autocommit
-// writers to untouched tables proceed concurrently. A Tx is not safe
-// for concurrent use by multiple goroutines.
+// readers keep their consistent view), holds the engine's commit lock
+// shared for its whole lifetime (so a SaveTo checkpoint can never
+// capture uncommitted writes), and takes each touched table's write gate
+// on first touch. Only one explicit transaction runs at a time;
+// autocommit writers to untouched tables proceed concurrently. A Tx is
+// not safe for concurrent use by multiple goroutines.
 //
 // Always finish a transaction: an abandoned Tx holds its locks forever.
 // Rollback after Commit is a no-op, so `defer tx.Rollback()` is the
 // idiomatic cleanup.
 type Tx struct {
-	db    *DB
-	etx   *engine.Txn
-	gates map[string]chan struct{} // held table gates, keyed by folded name
-	done  bool
+	db   *DB
+	etx  *engine.Txn
+	done bool
 }
 
 // Begin opens an explicit transaction. It blocks until any other
@@ -106,38 +50,11 @@ func (db *DB) Begin() (*Tx, error) {
 // BeginContext is Begin under a context: a deadline bounds the wait for
 // the transaction-admission gate.
 func (db *DB) BeginContext(ctx context.Context) (*Tx, error) {
-	if err := acquireGate(ctx, db.txnGate()); err != nil {
+	etx, err := db.eng.Begin(ctx)
+	if err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	return &Tx{db: db, etx: db.eng.BeginTxn(), gates: make(map[string]chan struct{})}, nil
-}
-
-// lockTable takes a table's write gate if this transaction does not hold
-// it yet.
-func (tx *Tx) lockTable(ctx context.Context, name string) error {
-	key := strings.ToLower(name)
-	if _, held := tx.gates[key]; held {
-		return nil
-	}
-	gate := tx.db.tableGate(key)
-	if err := acquireGate(ctx, gate); err != nil {
-		return err
-	}
-	tx.gates[key] = gate
-	return nil
-}
-
-// release drops every lock the transaction holds, in the reverse order
-// Begin acquired them.
-func (tx *Tx) release() {
-	for _, gate := range tx.gates {
-		releaseGate(gate)
-	}
-	tx.gates = nil
-	//lint:ignore locksafe the matching RLock is in BeginContext; Commit/Rollback guard the single release with tx.done
-	tx.db.mu.RUnlock()
-	releaseGate(tx.db.txnGate())
+	return &Tx{db: db, etx: etx}, nil
 }
 
 // Exec runs one statement inside the transaction: INSERT, DELETE,
@@ -160,16 +77,10 @@ func (tx *Tx) ExecContext(ctx context.Context, query string) (Result, error) {
 	return tx.execParsed(ctx, stmt, query)
 }
 
-// execParsed runs one pre-parsed statement inside the transaction,
-// taking the target table's write gate first for DML.
+// execParsed runs one pre-parsed statement inside the transaction.
 func (tx *Tx) execParsed(ctx context.Context, stmt sql.Statement, text string) (Result, error) {
 	if tx.done {
 		return Result{}, ErrTxDone
-	}
-	if engine.IsDML(stmt) {
-		if err := tx.lockTable(ctx, dmlTarget(stmt)); err != nil {
-			return Result{}, err
-		}
 	}
 	r, err := tx.etx.ExecParsedCtx(ctx, stmt, text)
 	return Result{RowsAffected: r.RowsAffected}, err
@@ -198,9 +109,7 @@ func (tx *Tx) Commit() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	err := tx.etx.Commit()
-	tx.release()
-	return err
+	return tx.etx.Commit()
 }
 
 // Rollback undoes the transaction's writes and releases its locks and
@@ -211,9 +120,7 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	tx.done = true
-	err := tx.etx.Rollback()
-	tx.release()
-	return err
+	return tx.etx.Rollback()
 }
 
 // ---- Session ----
@@ -303,7 +210,8 @@ func (s *Session) execParsed(ctx context.Context, stmt sql.Statement, text strin
 	if s.tx != nil {
 		return s.tx.execParsed(ctx, stmt, text)
 	}
-	return s.db.execStmt(ctx, stmt, text)
+	r, err := s.db.eng.ExecParsedCtx(ctx, stmt, text)
+	return Result{RowsAffected: r.RowsAffected}, err
 }
 
 // QueryContext runs a SELECT in the session; inside a transaction it

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-ann bench-paper ledger ledger-compare fault-sweep vet lint fmt examples clean
+.PHONY: all build test race cover bench bench-ann bench-paper ledger ledger-compare fault-sweep fuzz vet lint fmt examples clean
 
 all: vet lint test build
 
@@ -48,6 +48,17 @@ ledger-compare:
 # one list CI's fault-sweep job runs.
 fault-sweep:
 	RECDB_FAULT_SWEEP=1 $(GO) test -run 'TestCrashSweep|TestSnapshotCorruptionSweep|TestHeapCrashSweep|TestTxnCrashSweep' -v . ./internal/storage
+
+# Native fuzzing of the byte-level decoders, 15 s per target (their seed
+# corpora already run under plain `go test`): WAL records and segments,
+# SQL text, wire streams, the IVF index codec. `go test -fuzz` takes one
+# target per run, so this is the one list CI's fuzz job runs.
+fuzz:
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=15s ./internal/wal
+	$(GO) test -run '^$$' -fuzz='^FuzzReplay$$' -fuzztime=15s ./internal/wal
+	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=15s ./internal/sql
+	$(GO) test -run '^$$' -fuzz='^FuzzReader$$' -fuzztime=15s ./internal/wire
+	$(GO) test -run '^$$' -fuzz='^FuzzDecode$$' -fuzztime=15s ./internal/ann
 
 # Regenerate the paper's tables at full scale (see EXPERIMENTS.md).
 bench-paper:

@@ -131,10 +131,17 @@ func Decode(data []byte) (*Index, error) {
 		return nil, err
 	}
 	const limit = 1 << 28 // sanity bound against corrupt headers
-	dim, k, n := int(dim64), int(k64), int(n64)
-	if dim < 0 || k < 0 || n < 0 || dim > limit || k > limit || n > limit {
-		return nil, fmt.Errorf("ann: implausible index header (dim=%d k=%d n=%d)", dim, k, n)
+	if dim64 > limit || k64 > limit || n64 > limit || (dim64 == 0 && k64 > 0) {
+		return nil, fmt.Errorf("ann: implausible index header (dim=%d k=%d n=%d)", dim64, k64, n64)
 	}
+	// Nothing is allocated for a count the bytes that follow cannot back:
+	// a centroid is dim floats, an item at least a byte of id, dim floats
+	// and a byte of assignment. (Under limit, no product overflows.)
+	centroidBytes, itemBytes := k64*dim64*8, n64*(2+8*dim64)
+	if rest := uint64(len(body) - d.off); centroidBytes > rest || itemBytes > rest-centroidBytes {
+		return nil, fmt.Errorf("ann: index header (dim=%d k=%d n=%d) needs more than the %d bytes that follow", dim64, k64, n64, rest)
+	}
+	dim, k, n := int(dim64), int(k64), int(n64)
 
 	ix := &Index{dim: dim, seed: seed, defaultNProbe: int(nprobe64)}
 	ix.centroids = make([][]float64, k)

@@ -80,8 +80,10 @@ type VectorMetrics struct {
 // Rows emit user by user, in source order within a user; with K set, in
 // descending score with ties in source order, which is exactly what a
 // stable Sort on the rating followed by a Limit K would leave of the
-// user's rows. The scan, list and outer sources stream; the RecTree and
-// IVF sources, and any source under K, produce a user's rows at once.
+// user's rows. The scan, list and outer sources stream, though a user the
+// scorer takes user-driven has every score computed before its first row;
+// the RecTree and IVF sources, and any source under K, produce a user's
+// rows at once.
 type Recommend struct {
 	Store *rec.ModelStore
 	// Users restricts the user loop (nil = all model users); the RecTree
@@ -119,8 +121,12 @@ type Recommend struct {
 	// Metrics receives IVF probe instrumentation.
 	Metrics VectorMetrics
 
-	// IVF run stats, populated while executing and rendered by EXPLAIN
-	// ANALYZE; they survive Close.
+	// Run stats, populated while executing and rendered by EXPLAIN
+	// ANALYZE; they survive Close. Scored counts the users the scorer
+	// loaded, UserDriven those of them it scored from the user's side; the
+	// rest are IVF stats.
+	Scored     int
+	UserDriven int
 	Probed     int
 	Candidates int
 	Mode       string // "probe", "exact", or "exact-fallback"
@@ -199,7 +205,7 @@ func (r *Recommend) Schema() *types.Schema {
 // Open implements Operator.
 func (r *Recommend) Open() error {
 	r.ui, r.active, r.out, r.pos = 0, false, r.out[:0], 0
-	r.Probed, r.Candidates, r.Mode = 0, 0, ""
+	r.Scored, r.UserDriven, r.Probed, r.Candidates, r.Mode = 0, 0, 0, 0, ""
 	r.outerRows, r.scorer = nil, nil
 	if r.users = r.Users; r.users == nil {
 		if r.Index != nil || r.IVF != nil {
@@ -229,7 +235,7 @@ func (r *Recommend) Open() error {
 		}
 		r.src = &itemCursor{items: restrict}
 	}
-	r.scorer = r.Store.Scorer(len(r.users) > 1)
+	r.scorer = r.Store.Scorer(len(r.users) > 1, len(restrict))
 	return nil
 }
 
@@ -288,6 +294,10 @@ func (r *Recommend) Next() (types.Row, bool, error) {
 			if r.scorer != nil {
 				if err := r.scorer.ForUser(r.user); err != nil {
 					return nil, false, err
+				}
+				r.Scored++
+				if r.scorer.UserDriven() {
+					r.UserDriven++
 				}
 			}
 		}

@@ -147,11 +147,20 @@ func recommendLine(v *exec.Recommend) string {
 		}
 		return line
 	case exec.SourceOuter:
-		return fmt.Sprintf("JoinRecommend [%s] (%s%s)", v.Store.Algo, users, k)
+		return fmt.Sprintf("JoinRecommend [%s] (%s%s)", v.Store.Algo, users, k) + scoringSide(v)
 	}
 	items := "all items"
 	if v.Items != nil {
 		items = fmt.Sprintf("%d items", len(v.Items))
 	}
-	return fmt.Sprintf("%s [%s] (%s, %s%s)", v.Strategy(), v.Store.Algo, users, items, k)
+	return fmt.Sprintf("%s [%s] (%s, %s%s)", v.Strategy(), v.Store.Algo, users, items, k) + scoringSide(v)
+}
+
+// scoringSide renders, once an item-based operator ran, how many of the
+// users it scored were scored from the user's side (rec.Scorer).
+func scoringSide(v *exec.Recommend) string {
+	if !v.Store.Algo.ItemBased() || v.Scored == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" (user-driven %d/%d)", v.UserDriven, v.Scored)
 }

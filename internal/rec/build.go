@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"recdb/internal/ann"
@@ -151,6 +152,10 @@ type NeighborhoodModel struct {
 	// neighbors maps the entity id (item for item-based, user for
 	// user-based) to its similarity list, sorted by descending |sim|.
 	neighbors map[int64][]Neighbor
+	// cut says NeighborhoodSize truncated at least one list. Until it
+	// does, every pair's similarity sits in both its entities' lists, so
+	// the lists are their own transpose.
+	cut bool
 }
 
 // BuildNeighborhood computes the similarity lists for a neighborhood
@@ -280,7 +285,8 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	// iteration, but the sort's (|sim| desc, ID asc) key is total, so the
 	// final lists are deterministic.
 	lists := make([][]Neighbor, ne)
-	ann.RunChunks(workers, ne, func(_, lo, hi int) {
+	cutBy := make([]bool, workers) // written by worker w only
+	ann.RunChunks(workers, ne, func(w, lo, hi int) {
 		for _, dots := range shards {
 			for key, dot := range dots {
 				pa, pb := int(key>>32), int(key&0xffffffff)
@@ -313,6 +319,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 			})
 			if opts.NeighborhoodSize > 0 && len(list) > opts.NeighborhoodSize {
 				list = list[:opts.NeighborhoodSize]
+				cutBy[w] = true
 			}
 			lists[pe] = list
 		}
@@ -324,7 +331,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 			neighbors[entities[pe]] = list
 		}
 	}
-	return &NeighborhoodModel{algo: algo, ix: ix, neighbors: neighbors}, nil
+	return &NeighborhoodModel{algo: algo, ix: ix, neighbors: neighbors, cut: slices.Contains(cutBy, true)}, nil
 }
 
 // Algorithm implements Model.

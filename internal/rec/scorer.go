@@ -1,5 +1,10 @@
 package rec
 
+import (
+	"math"
+	"slices"
+)
+
 // Scorer predicts RecScore(u, i) from a materialized model for one user at
 // a time: ForUser loads that user's side of the model once — rated items,
 // plus the similarity list (user-based) or factor vector (SVD) — and Score
@@ -7,12 +12,30 @@ package rec
 // rule by algorithm; the RECOMMEND operator, Predict, PredictForUser and
 // cache materialization all score through it. A Scorer is not safe for
 // concurrent use; take one per scan.
+//
+// Item-based models have two sides that give the same bits. Item-driven,
+// Score(i) walks i's similarity run past the user's ratings — one run per
+// candidate. User-driven, ForUser walks the run of each item j the user
+// rated and adds sim(i, j)·r_j into every i's accumulator, so Score is an
+// array read — one run per rated item. The second reads j's run for i's
+// terms, which is exact only while every list is whole (the store is
+// symmetric); ForUser takes it when that holds and the scan has more
+// candidates than the user has ratings.
 type Scorer struct {
-	store *ModelStore
+	store      *ModelStore
+	candidates int // items the scan scores per user
 
 	seen      map[int64]float64
 	neighbors []Neighbor // user-based: the user's similarity list
 	factors   []float64  // SVD: the user's factor vector
+
+	// User-driven state: sums[p] is Equation 2 for model item p, runs the
+	// rated items' similarity runs back to back, in ascending item order.
+	userDriven bool
+	sums       []weightedSum
+	rated      []int64
+	runs       []runEntry
+	heads      []runHead
 
 	// Item-side state kept across users (nil when the scan serves one
 	// user). Algorithm 1 needs the same item-side run for every user, so
@@ -25,9 +48,10 @@ type Scorer struct {
 }
 
 // Scorer returns a scorer over s. shared says the scan will score the same
-// items for several users, which turns on the item-side memo.
-func (s *ModelStore) Scorer(shared bool) *Scorer {
-	sc := &Scorer{store: s}
+// items for several users, which turns on the item-side memo; candidates
+// is how many items it scores per user.
+func (s *ModelStore) Scorer(shared bool, candidates int) *Scorer {
+	sc := &Scorer{store: s, candidates: candidates}
 	if shared {
 		switch {
 		case s.Algo.ItemBased():
@@ -47,7 +71,10 @@ func (sc *Scorer) ForUser(u int64) error {
 	if sc.seen, err = sc.store.UserItems(u); err != nil {
 		return err
 	}
+	sc.userDriven = sc.store.symmetric && sc.candidates > len(sc.seen)
 	switch {
+	case sc.userDriven:
+		err = sc.scoreFromUser()
 	case sc.store.Algo.UserBased():
 		sc.neighbors, err = sc.store.UserNeighbors(u)
 	case sc.store.Algo == SVD:
@@ -55,6 +82,10 @@ func (sc *Scorer) ForUser(u int64) error {
 	}
 	return err
 }
+
+// UserDriven reports whether the current user was scored from the user's
+// side.
+func (sc *Scorer) UserDriven() bool { return sc.userDriven }
 
 // Rated returns the rating the current user gave item i, if any. Before
 // the first ForUser nothing is rated.
@@ -73,6 +104,12 @@ func (sc *Scorer) Factors() []float64 { return sc.factors }
 func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 	s := sc.store
 	switch {
+	case sc.userDriven:
+		p, known := s.itemPos[i]
+		if !known {
+			return 0, false, nil
+		}
+		score, ok = sc.sums[p].score()
 	case s.Algo.ItemBased():
 		if sc.itemNeighbors == nil {
 			return s.PredictItemBased(i, sc.seen)
@@ -103,6 +140,108 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 	return score, ok, nil
 }
 
+// runEntry is one row of a rated item's similarity run: the neighbour's
+// model position and the pair's similarity.
+type runEntry struct {
+	sim float64
+	pos int32
+}
+
+// runHead is a merge cursor over one run of Scorer.runs: the |sim| of its
+// next entry (the merge key, kept here so comparing two heads reads no
+// entry), that entry, the entry past its end, and the rating the user gave
+// the run's item.
+type runHead struct {
+	abs     float64
+	at, end int
+	rating  float64
+}
+
+// before reports whether a's next entry merges before b's: greater |sim|,
+// or equal |sim| and an earlier run. Runs lie in Scorer.runs in ascending
+// item order, so the earlier position is the smaller item id.
+func (a runHead) before(b runHead) bool {
+	return a.abs > b.abs || (a.abs == b.abs && a.at < b.at)
+}
+
+// siftDown restores the heap order of h below position i, the head that
+// merges first at the root.
+func siftDown(h []runHead, i int) {
+	for {
+		first := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c].before(h[first]) {
+				first = c
+			}
+		}
+		if first == i {
+			return
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
+}
+
+// scoreFromUser fills sums for the current user from the user's side.
+// Equation 2's terms for candidate i are sim(i, j)·r_j and |sim(i, j)|
+// over the rated j in i's list, and item-driven scoring adds them in list
+// order: |sim| descending, then j ascending. The rated runs are merged on
+// exactly that key — each run is already in |sim| order, and the runs lie
+// in ascending j — so each candidate's terms arrive in its own list order
+// and its sum has the item-driven bits, with no per-candidate storage.
+func (sc *Scorer) scoreFromUser() error {
+	s := sc.store
+	if sc.sums == nil {
+		sc.sums = make([]weightedSum, len(s.itemIDs))
+	}
+	clear(sc.sums)
+	sc.rated = sc.rated[:0]
+	for j := range sc.seen {
+		sc.rated = append(sc.rated, j)
+	}
+	slices.Sort(sc.rated)
+	if sc.runs == nil && len(s.itemIDs) > 0 {
+		// Room for the user's runs at the table's mean run length, so a
+		// one-user scan does not grow the buffer by doubling.
+		mean := int(s.ItemNeighborhood.Heap.NumRows()) / len(s.itemIDs)
+		sc.runs = make([]runEntry, 0, (mean+1)*len(sc.rated))
+	}
+	sc.runs, sc.heads = sc.runs[:0], sc.heads[:0]
+	for _, j := range sc.rated {
+		start := len(sc.runs)
+		err := scanRun(s.ItemNeighborhood, "iid", j, func(n int64, sim float64) bool {
+			if p, ok := s.itemPos[n]; ok {
+				sc.runs = append(sc.runs, runEntry{sim: sim, pos: p})
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		if start < len(sc.runs) {
+			sc.heads = append(sc.heads, runHead{abs: math.Abs(sc.runs[start].sim), at: start, end: len(sc.runs), rating: sc.seen[j]})
+		}
+	}
+
+	h := sc.heads
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		head := &h[0]
+		e := sc.runs[head.at]
+		sc.sums[e.pos].add(e.sim, head.rating)
+		if head.at++; head.at < head.end {
+			head.abs = math.Abs(sc.runs[head.at].sim)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return nil
+}
+
 // memo returns load(key), remembering the result in m when m is non-nil.
 func memo[V any](m map[int64]V, key int64, load func(int64) (V, error)) (V, error) {
 	if v, ok := m[key]; ok {
@@ -117,7 +256,7 @@ func memo[V any](m map[int64]V, key int64, load func(int64) (V, error)) (V, erro
 
 // Predict estimates RecScore(u, i) from the materialized tables.
 func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
-	sc := s.Scorer(false)
+	sc := s.Scorer(false, 1)
 	if err := sc.ForUser(u); err != nil {
 		return 0, false, err
 	}
@@ -130,7 +269,7 @@ func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
 // concurrent PredictForUser calls for different users safe, which is what
 // parallel cache materialization relies on.
 func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
-	sc := s.Scorer(false)
+	sc := s.Scorer(false, len(items))
 	if err := sc.ForUser(u); err != nil {
 		return nil, nil, err
 	}

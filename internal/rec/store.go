@@ -52,7 +52,12 @@ type ModelStore struct {
 
 	userIDs []int64
 	itemIDs []int64
-	itemSet map[int64]bool
+	itemPos map[int64]int32 // item id → its position in itemIDs
+	// symmetric says the itemneighborhood table is its own transpose: no
+	// list was truncated, so j is in i's run with similarity s exactly when
+	// i is in j's run with the same s. The Scorer's user-driven side
+	// depends on it.
+	symmetric bool
 
 	// Lazily decoded IVF index; decoding from the annivf table on first
 	// use (rather than carrying the in-memory build product) means every
@@ -162,9 +167,9 @@ func (ml *modelLoad) neighborhood(suffix, key, id string, ids []int64, model *Ne
 // previous tables stay as they were.
 func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore, error) {
 	s := &ModelStore{Algo: m.Algorithm(), userIDs: m.Users(), itemIDs: m.Items()}
-	s.itemSet = make(map[int64]bool, len(s.itemIDs))
-	for _, i := range s.itemIDs {
-		s.itemSet[i] = true
+	s.itemPos = make(map[int64]int32, len(s.itemIDs))
+	for p, i := range s.itemIDs {
+		s.itemPos[i] = int32(p)
 	}
 	ml := &modelLoad{cat: cat, prefix: prefixFor(recommender)}
 	ratings := m.Ratings() // sorted by (user, item)
@@ -183,6 +188,7 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 	switch model := m.(type) {
 	case *NeighborhoodModel:
 		if model.algo.ItemBased() {
+			s.symmetric = !model.cut
 			if s.ItemNeighborhood, err = ml.neighborhood("itemneighborhood", "iid", "niid", s.itemIDs, model); err != nil {
 				return nil, err
 			}
@@ -290,7 +296,10 @@ func (s *ModelStore) ItemIDs() []int64 { return s.itemIDs }
 
 // HasItem reports whether the model knows item i (i.e. it had at least one
 // rating when the model was built).
-func (s *ModelStore) HasItem(i int64) bool { return s.itemSet[i] }
+func (s *ModelStore) HasItem(i int64) bool {
+	_, ok := s.itemPos[i]
+	return ok
+}
 
 // scanRun visits the rows of t whose key column (col, the table's first)
 // equals key, passing fn the two fields that follow it. It is the one read

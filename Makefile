@@ -51,7 +51,8 @@ fault-sweep:
 
 # Native fuzzing of the byte-level decoders, 15 s per target (their seed
 # corpora already run under plain `go test`): WAL records and segments,
-# SQL text, wire streams, the IVF index codec. `go test -fuzz` takes one
+# SQL text, wire streams, the IVF index codec, the in-place tuple reader
+# that model-table reads decode raw page bytes with. `go test -fuzz` takes one
 # target per run, so this is the one list CI's fuzz job runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=15s ./internal/wal
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=15s ./internal/sql
 	$(GO) test -run '^$$' -fuzz='^FuzzReader$$' -fuzztime=15s ./internal/wire
 	$(GO) test -run '^$$' -fuzz='^FuzzDecode$$' -fuzztime=15s ./internal/ann
+	$(GO) test -run '^$$' -fuzz='^FuzzTupleReader$$' -fuzztime=15s ./internal/types
 
 # Regenerate the paper's tables at full scale (see EXPERIMENTS.md).
 bench-paper:

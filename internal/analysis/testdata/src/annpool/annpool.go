@@ -1,6 +1,6 @@
-// Package annpool mirrors the k-means worker-pool discipline of
-// internal/ann: chunk-disjoint writes in the assignment step, modulo
-// centroid ownership in the update step (no lock — each centroid has
+// Package annpool follows the k-means worker-pool discipline of
+// internal/ann: chunk-disjoint writes in the assignment step, one owner
+// per centroid in the update step (here by modulo; no lock — each centroid has
 // exactly one writer and the pool joins before anyone reads), per-worker
 // counters merged serially after the join, an atomic progress counter
 // that is only ever touched through sync/atomic, and a mutex-guarded

@@ -202,10 +202,10 @@ func dot(a, b []float64) float64 {
 // kmeans runs Lloyd's algorithm with deterministic seeded initialization
 // and the repo's bit-identical parallel schedule: the assignment step
 // partitions items into contiguous chunks (each slot written by one
-// worker), and the update step partitions centroids across workers (worker
-// w owns centroids ≡ w mod workers) with every owner scanning the items in
-// ascending order, so the float sums form in the same order at any worker
-// count.
+// worker), and the update step partitions centroids into contiguous chunks
+// with every owner walking the items once, in ascending order, and adding
+// only those assigned to its own centroids, so the float sums form in the
+// same order at any worker count.
 func kmeans(vecs [][]float64, k, iters, workers int, seed int64) ([][]float64, []int32) {
 	n := len(vecs)
 	dim := len(vecs[0])
@@ -226,22 +226,13 @@ func kmeans(vecs [][]float64, k, iters, workers int, seed int64) ([][]float64, [
 		assign[i] = -1
 	}
 	changed := make([]int, workers)
+	sums := make([]float64, k*dim) // row c: centroid c's running sum
+	counts := make([]int, k)
 	for it := 0; it < iters; it++ {
-		// Assignment: nearest centroid by squared Euclidean distance, ties
-		// to the lower centroid index. Chunk-disjoint writes.
+		// Assignment: nearest centroid. Chunk-disjoint writes.
 		RunChunks(workers, n, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				best := int32(0)
-				bestD := math.Inf(1)
-				v := vecs[i]
-				for c := range centroids {
-					d := sqDist(v, centroids[c])
-					if d < bestD {
-						bestD = d
-						best = int32(c)
-					}
-				}
-				if assign[i] != best {
+				if best := nearest(vecs[i], centroids); assign[i] != best {
 					assign[i] = best
 					changed[w]++
 				}
@@ -255,38 +246,66 @@ func kmeans(vecs [][]float64, k, iters, workers int, seed int64) ([][]float64, [
 		if moved == 0 {
 			break
 		}
-		// Update: worker w owns centroids ≡ w mod workers and scans every
-		// item in ascending order, accumulating only its own centroids'
-		// sums — one owner per accumulator, fixed summation order.
-		RunWorkers(workers, func(w int) {
-			sums := make([]float64, 0, dim)
-			for c := w; c < k; c += workers {
-				sums = sums[:0]
-				for d := 0; d < dim; d++ {
-					sums = append(sums, 0)
+		// Update: each worker owns a contiguous range of centroids and walks
+		// every item once, in ascending order, adding those assigned to its
+		// own — one owner per accumulator, fixed summation order.
+		RunChunks(workers, k, func(_, lo, hi int) {
+			clear(sums[lo*dim : hi*dim])
+			clear(counts[lo:hi])
+			for i, c := range assign {
+				if int(c) < lo || int(c) >= hi {
+					continue
 				}
-				count := 0
-				for i := 0; i < n; i++ {
-					if int(assign[i]) != c {
-						continue
-					}
-					v := vecs[i]
-					for d := 0; d < dim; d++ {
-						sums[d] += v[d]
-					}
-					count++
+				row := sums[int(c)*dim : (int(c)+1)*dim]
+				for d, x := range vecs[i] {
+					row[d] += x
 				}
-				if count == 0 {
+				counts[c]++
+			}
+			for c := lo; c < hi; c++ {
+				if counts[c] == 0 {
 					continue // empty cluster keeps its previous centroid
 				}
-				inv := 1 / float64(count)
-				for d := 0; d < dim; d++ {
-					centroids[c][d] = sums[d] * inv
+				inv := 1 / float64(counts[c])
+				for d, x := range sums[c*dim : (c+1)*dim] {
+					centroids[c][d] = x * inv
 				}
 			}
 		})
 	}
 	return centroids, assign
+}
+
+// nearest returns the position of v's nearest centroid by squared
+// Euclidean distance, ties to the lower position. Every distance is summed
+// in ascending dimension order, with sqDist's bits; four centroids are
+// summed side by side, so the four additions per dimension do not wait on
+// one another the way the terms of one sum do.
+func nearest(v []float64, centroids [][]float64) int32 {
+	best, bestD := int32(0), math.Inf(1)
+	c := 0
+	for ; c+4 <= len(centroids); c += 4 {
+		c0, c1, c2, c3 := centroids[c][:len(v)], centroids[c+1][:len(v)], centroids[c+2][:len(v)], centroids[c+3][:len(v)]
+		var d0, d1, d2, d3 float64
+		for i, x := range v {
+			t0, t1, t2, t3 := x-c0[i], x-c1[i], x-c2[i], x-c3[i]
+			d0 += t0 * t0
+			d1 += t1 * t1
+			d2 += t2 * t2
+			d3 += t3 * t3
+		}
+		for j, d := range [4]float64{d0, d1, d2, d3} {
+			if d < bestD {
+				best, bestD = int32(c+j), d
+			}
+		}
+	}
+	for ; c < len(centroids); c++ {
+		if d := sqDist(v, centroids[c]); d < bestD {
+			best, bestD = int32(c), d
+		}
+	}
+	return best
 }
 
 func sqDist(a, b []float64) float64 {

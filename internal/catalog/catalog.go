@@ -127,7 +127,8 @@ func (c *Catalog) newTable(name string, schema *types.Schema, pkCol int) (*Table
 // removes the tables named in drop, in one catalog generation: a by-name
 // reader sees every old name or every new one, never a mixture, and never
 // a table that is still being filled. Names in drop that do not exist are
-// ignored; an added name must be free or be dropped by the same call.
+// ignored; an added name must be free or be dropped by the same call, and
+// be added once.
 func (c *Catalog) Publish(add []*Table, drop []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,11 +137,13 @@ func (c *Catalog) Publish(add []*Table, drop []string) error {
 	for _, name := range drop {
 		dropped[strings.ToLower(name)] = true
 	}
+	added := make(map[string]bool, len(add))
 	for _, t := range add {
 		key := strings.ToLower(t.Name)
-		if _, exists := cur[key]; exists && !dropped[key] {
+		if _, exists := cur[key]; exists && !dropped[key] || added[key] {
 			return fmt.Errorf("catalog: table %q already exists", t.Name)
 		}
+		added[key] = true
 	}
 	c.publishLocked(func(m map[string]*Table) {
 		for key := range dropped {

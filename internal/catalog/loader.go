@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 
+	"recdb/internal/storage"
 	"recdb/internal/types"
 )
 
@@ -20,9 +21,15 @@ type Loader struct {
 	t      *Table
 	rows   int         // expected row count
 	runs   []*indexRun // one per index of the table
-	tuples []byte      // the rows' encodings, back to back
-	ends   []int       // ends[i] is where row i's encoding ends in tuples
+	tuples [][]byte    // each row's encoding, cut from a chunk
+	chunk  []byte      // the chunk rows are being encoded into
 }
+
+// loadChunk is the size of the buffers a Loader encodes rows into, back to
+// back: a fresh chunk is started when a row does not fit the current one,
+// so no buffer is ever regrown and copied, and a row — at most a page —
+// wastes at most a few percent of a chunk.
+const loadChunk = 256 << 10
 
 // NewLoader starts loading a table that CreateTable(name, schema, pkCol)
 // would have created empty. rows is how many rows the caller expects to
@@ -32,7 +39,7 @@ func (c *Catalog) NewLoader(name string, schema *types.Schema, pkCol, rows int) 
 	if err != nil {
 		return nil, err
 	}
-	l := &Loader{t: t, rows: rows, ends: make([]int, 0, rows)}
+	l := &Loader{t: t, rows: rows, tuples: make([][]byte, 0, rows)}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, idx := range t.indexes { // the primary-key index, if any
@@ -44,8 +51,8 @@ func (c *Catalog) NewLoader(name string, schema *types.Schema, pkCol, rows int) 
 // Index adds a secondary index on the named column, built with the load.
 // It must be called before the first Add.
 func (l *Loader) Index(name, column string) error {
-	if len(l.ends) > 0 {
-		return fmt.Errorf("catalog: index %q declared after %d rows were loaded", name, len(l.ends))
+	if len(l.tuples) > 0 {
+		return fmt.Errorf("catalog: index %q declared after %d rows were loaded", name, len(l.tuples))
 	}
 	l.t.mu.Lock()
 	defer l.t.mu.Unlock()
@@ -64,8 +71,16 @@ func (l *Loader) Add(row types.Row) error {
 	if err := l.t.checkRow(row); err != nil {
 		return err
 	}
-	l.tuples = types.EncodeRow(l.tuples, row)
-	l.ends = append(l.ends, len(l.tuples))
+	start := len(l.chunk)
+	enc := types.EncodeRow(l.chunk, row)
+	if cap(enc) != cap(l.chunk) {
+		// The row outgrew the chunk: encode it again into a fresh one. The
+		// rows already cut from the old chunk keep it alive until Finish.
+		start = 0
+		enc = types.EncodeRow(make([]byte, 0, max(loadChunk, len(enc))), row)
+	}
+	l.chunk = enc
+	l.tuples = append(l.tuples, enc[start:len(enc):len(enc)])
 	for _, run := range l.runs {
 		run.add(row[run.idx.Column])
 	}
@@ -73,24 +88,20 @@ func (l *Loader) Add(row types.Row) error {
 }
 
 // Finish stores the rows and builds the indexes, and returns the table,
-// whole but unpublished. A duplicate primary key fails here. The Loader
-// must not be used afterwards.
-func (l *Loader) Finish() (*Table, error) {
+// whole but unpublished, with where each row went: rids[i] is the RID of
+// the i-th row added. A duplicate primary key fails here. The Loader must
+// not be used afterwards.
+func (l *Loader) Finish() (*Table, []storage.RID, error) {
 	l.t.mu.Lock()
 	defer l.t.mu.Unlock()
-	tuples := make([][]byte, len(l.ends))
-	start := 0
-	for i, end := range l.ends {
-		tuples[i], start = l.tuples[start:end], end
-	}
-	rids, err := l.t.Heap.AppendTuples(tuples)
+	rids, err := l.t.Heap.AppendTuples(l.tuples)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, run := range l.runs {
 		if err := run.finish(rids); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return l.t, nil
+	return l.t, rids, nil
 }

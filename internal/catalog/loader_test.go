@@ -178,7 +178,7 @@ func TestLoaderMatchesPerRow(t *testing.T) {
 	if err := l.Index("t_late", "id"); err == nil {
 		t.Fatal("Index after Add was accepted")
 	}
-	got, err := l.Finish()
+	got, rids, err := l.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,15 @@ func TestLoaderMatchesPerRow(t *testing.T) {
 		t.Fatal("table visible by name before Publish")
 	}
 	sameTable(t, got, want)
+	// Finish says where each row went, in add order.
+	if len(rids) != len(rows) {
+		t.Fatalf("Finish returned %d RIDs for %d rows", len(rids), len(rows))
+	}
+	for i, rid := range rids {
+		if row, err := got.Heap.Get(rid); err != nil || row.String() != rows[i].String() {
+			t.Fatalf("row %d: RID %v holds %v (%v), want %v", i, rid, row, err, rows[i])
+		}
+	}
 
 	// Sorted arrival takes the no-sort path and must agree too.
 	sorted := make([]types.Row, 300)
@@ -205,7 +214,7 @@ func TestLoaderMatchesPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err = l.Finish(); err != nil {
+	if got, _, err = l.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	sameTable(t, got, want)
@@ -223,7 +232,7 @@ func TestLoaderRefusesBadPrimaryKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := l.Finish(); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		if _, _, err := l.Finish(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 			t.Fatalf("%s duplicates: Finish returned %v", name, err)
 		}
 	}
@@ -256,7 +265,7 @@ func TestLoaderSpatialIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tab, err := l.Finish()
+	tab, _, err := l.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +287,7 @@ func TestPublishSwapsInOneGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := l.Finish()
+		tab, _, err := l.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,6 +303,9 @@ func TestPublishSwapsInOneGeneration(t *testing.T) {
 	}
 	if c.Has("c") {
 		t.Fatal("a refused Publish registered part of its tables")
+	}
+	if err := c.Publish([]*Table{newC, load("C")}, nil); err == nil {
+		t.Fatal("Publish added two tables under one name")
 	}
 	if err := c.Publish([]*Table{newA, newC}, []string{"a", "B", "missing"}); err != nil {
 		t.Fatal(err)

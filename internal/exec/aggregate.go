@@ -4,43 +4,13 @@ import (
 	"fmt"
 
 	"recdb/internal/expr"
+	"recdb/internal/sql"
 	"recdb/internal/types"
 )
 
-// AggKind identifies an aggregate function.
-type AggKind int
-
-// The supported aggregates.
-const (
-	AggCountStar AggKind = iota // COUNT(*)
-	AggCount                    // COUNT(expr): non-NULL values
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-// ParseAggName maps a function name to its aggregate kind.
-func ParseAggName(name string) (AggKind, bool) {
-	switch name {
-	case "count":
-		return AggCount, true
-	case "sum":
-		return AggSum, true
-	case "avg":
-		return AggAvg, true
-	case "min":
-		return AggMin, true
-	case "max":
-		return AggMax, true
-	default:
-		return 0, false
-	}
-}
-
 // AggSpec is one aggregate to compute. Arg is nil for COUNT(*).
 type AggSpec struct {
-	Kind AggKind
+	Kind sql.AggKind
 	Arg  expr.Compiled
 }
 
@@ -52,8 +22,8 @@ type aggState struct {
 	seen    bool
 }
 
-func (st *aggState) add(kind AggKind, v types.Value) error {
-	if kind == AggCountStar {
+func (st *aggState) add(kind sql.AggKind, v types.Value) error {
+	if kind == sql.AggCountStar {
 		st.count++
 		return nil
 	}
@@ -62,8 +32,8 @@ func (st *aggState) add(kind AggKind, v types.Value) error {
 	}
 	st.count++
 	switch kind {
-	case AggCount:
-	case AggSum, AggAvg:
+	case sql.AggCount:
+	case sql.AggSum, sql.AggAvg:
 		f, ok := v.AsFloat()
 		if !ok {
 			return fmt.Errorf("exec: SUM/AVG over non-numeric %s", v.Kind())
@@ -73,7 +43,7 @@ func (st *aggState) add(kind AggKind, v types.Value) error {
 		}
 		st.sumInts = st.sumInts && v.Kind() == types.KindInt
 		st.sum += f
-	case AggMin, AggMax:
+	case sql.AggMin, sql.AggMax:
 		if !st.seen {
 			st.minMax = v
 		} else {
@@ -81,7 +51,7 @@ func (st *aggState) add(kind AggKind, v types.Value) error {
 			if err != nil {
 				return err
 			}
-			if (kind == AggMin && c < 0) || (kind == AggMax && c > 0) {
+			if (kind == sql.AggMin && c < 0) || (kind == sql.AggMax && c > 0) {
 				st.minMax = v
 			}
 		}
@@ -90,11 +60,11 @@ func (st *aggState) add(kind AggKind, v types.Value) error {
 	return nil
 }
 
-func (st *aggState) result(kind AggKind) types.Value {
+func (st *aggState) result(kind sql.AggKind) types.Value {
 	switch kind {
-	case AggCountStar, AggCount:
+	case sql.AggCountStar, sql.AggCount:
 		return types.NewInt(st.count)
-	case AggSum:
+	case sql.AggSum:
 		if !st.seen {
 			return types.Null()
 		}
@@ -102,12 +72,12 @@ func (st *aggState) result(kind AggKind) types.Value {
 			return types.NewInt(int64(st.sum))
 		}
 		return types.NewFloat(st.sum)
-	case AggAvg:
+	case sql.AggAvg:
 		if !st.seen {
 			return types.Null()
 		}
 		return types.NewFloat(st.sum / float64(st.count))
-	case AggMin, AggMax:
+	case sql.AggMin, sql.AggMax:
 		if !st.seen {
 			return types.Null()
 		}

@@ -18,20 +18,6 @@ func compileCol(t *testing.T, qualifier, name string, schema *types.Schema) expr
 	return c
 }
 
-func TestParseAggName(t *testing.T) {
-	for name, want := range map[string]AggKind{
-		"count": AggCount, "sum": AggSum, "avg": AggAvg, "min": AggMin, "max": AggMax,
-	} {
-		got, ok := ParseAggName(name)
-		if !ok || got != want {
-			t.Errorf("ParseAggName(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := ParseAggName("median"); ok {
-		t.Error("median should not be an aggregate")
-	}
-}
-
 func TestHashAggregateGrouped(t *testing.T) {
 	cat := catalog.New(nil, 0)
 	ratings := ratingsFixture(t, cat) // 7 rows
@@ -49,11 +35,11 @@ func TestHashAggregateGrouped(t *testing.T) {
 		types.Column{Name: "hi", Kind: types.KindFloat},
 	)
 	agg := NewHashAggregate(scan, []expr.Compiled{uid}, []AggSpec{
-		{Kind: AggCountStar},
-		{Kind: AggSum, Arg: val},
-		{Kind: AggAvg, Arg: val},
-		{Kind: AggMin, Arg: val},
-		{Kind: AggMax, Arg: val},
+		{Kind: sql.AggCountStar},
+		{Kind: sql.AggSum, Arg: val},
+		{Kind: sql.AggAvg, Arg: val},
+		{Kind: sql.AggMin, Arg: val},
+		{Kind: sql.AggMax, Arg: val},
 	}, outSchema)
 	rows, err := Collect(agg)
 	if err != nil {
@@ -86,7 +72,7 @@ func TestHashAggregateGlobalAndEmpty(t *testing.T) {
 		types.Column{Name: "s", Kind: types.KindFloat},
 	)
 	agg := NewHashAggregate(scan, nil, []AggSpec{
-		{Kind: AggCountStar}, {Kind: AggSum, Arg: val},
+		{Kind: sql.AggCountStar}, {Kind: sql.AggSum, Arg: val},
 	}, outSchema)
 	rows, err := Collect(agg)
 	if err != nil {
@@ -101,7 +87,7 @@ func TestHashAggregateGlobalAndEmpty(t *testing.T) {
 	scan2 := NewSeqScan(empty, "e")
 	val2 := compileCol(t, "e", "ratingval", scan2.Schema())
 	agg2 := NewHashAggregate(scan2, nil, []AggSpec{
-		{Kind: AggCountStar}, {Kind: AggSum, Arg: val2},
+		{Kind: sql.AggCountStar}, {Kind: sql.AggSum, Arg: val2},
 	}, outSchema)
 	rows, err = Collect(agg2)
 	if err != nil {
@@ -127,10 +113,10 @@ func TestAggregateSkipsNulls(t *testing.T) {
 		types.Column{Name: "m", Kind: types.KindInt},
 	)
 	agg := NewHashAggregate(scan, nil, []AggSpec{
-		{Kind: AggCountStar},
-		{Kind: AggCount, Arg: v},
-		{Kind: AggSum, Arg: v},
-		{Kind: AggMin, Arg: v},
+		{Kind: sql.AggCountStar},
+		{Kind: sql.AggCount, Arg: v},
+		{Kind: sql.AggSum, Arg: v},
+		{Kind: sql.AggMin, Arg: v},
 	}, outSchema)
 	rows, err := Collect(agg)
 	if err != nil {
@@ -154,7 +140,7 @@ func TestAggregateTypeError(t *testing.T) {
 	movies := moviesFixture(t, cat)
 	scan := NewSeqScan(movies, "m")
 	name := compileCol(t, "m", "name", scan.Schema())
-	agg := NewHashAggregate(scan, nil, []AggSpec{{Kind: AggSum, Arg: name}},
+	agg := NewHashAggregate(scan, nil, []AggSpec{{Kind: sql.AggSum, Arg: name}},
 		types.NewSchema(types.Column{Name: "s", Kind: types.KindFloat}))
 	if err := agg.Open(); err == nil {
 		t.Fatal("SUM over text should fail")
@@ -162,7 +148,7 @@ func TestAggregateTypeError(t *testing.T) {
 	// MIN/MAX over text is fine.
 	scan2 := NewSeqScan(movies, "m")
 	name2 := compileCol(t, "m", "name", scan2.Schema())
-	agg2 := NewHashAggregate(scan2, nil, []AggSpec{{Kind: AggMax, Arg: name2}},
+	agg2 := NewHashAggregate(scan2, nil, []AggSpec{{Kind: sql.AggMax, Arg: name2}},
 		types.NewSchema(types.Column{Name: "m", Kind: types.KindText}))
 	rows, err := Collect(agg2)
 	if err != nil || rows[0][0].Text() != "The Matrix" {

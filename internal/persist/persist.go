@@ -584,27 +584,19 @@ func loadGeneration(fs fault.FS, genDir string, cfg engine.Config) (*engine.Engi
 
 // buildEngine reconstructs an engine from a parsed manifest. Each row
 // file's size and CRC32-C are checked against the manifest before any
-// tuple is decoded.
+// tuple is decoded. Every table is bulk-loaded off to the side — its
+// indexes declared before the first row and built with the load — and all
+// of them are published in one catalog generation, before the recommenders
+// are rebuilt over them.
 func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config) (*engine.Engine, error) {
 	e := engine.New(cfg)
+	tables := make([]*catalog.Table, 0, len(m.Tables))
 	for _, tm := range m.Tables {
 		cols := make([]types.Column, len(tm.Columns))
 		for i, c := range tm.Columns {
 			cols[i] = types.Column{Name: c.Name, Kind: types.Kind(c.Kind)}
 		}
-		tab, err := e.Catalog().CreateTable(tm.Name, types.NewSchema(cols...), tm.PKCol)
-		if err != nil {
-			return nil, err
-		}
 		rowsPath := path.Join(dir, tm.RowsFile)
-		var loaded int64
-		load := func(row types.Row) error {
-			if _, err := tab.Insert(row); err != nil {
-				return err
-			}
-			loaded++
-			return nil
-		}
 		blob, err := fs.ReadFile(rowsPath)
 		if err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
@@ -615,17 +607,38 @@ func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config) (*engi
 		if got := crc32.Checksum(blob, castagnoli); got != tm.RowsCRC {
 			return nil, corrupt(rowsPath, fmt.Sprintf("checksum mismatch (%08x != %08x)", got, tm.RowsCRC), nil)
 		}
+		// Every row is at least one byte, so the file bounds the size hint.
+		l, err := e.Catalog().NewLoader(tm.Name, types.NewSchema(cols...), tm.PKCol, int(max(0, min(tm.RowCount, int64(len(blob))))))
+		if err != nil {
+			return nil, err
+		}
+		for _, im := range tm.Indexes {
+			if err := l.Index(im.Name, im.Column); err != nil {
+				return nil, err
+			}
+		}
+		var loaded int64
+		load := func(row types.Row) error {
+			if err := l.Add(row); err != nil {
+				return err
+			}
+			loaded++
+			return nil
+		}
 		if err := decodeRows(rowsPath, blob, load); err != nil {
 			return nil, err
 		}
 		if loaded != tm.RowCount {
 			return nil, corrupt(rowsPath, fmt.Sprintf("has %d rows, manifest says %d", loaded, tm.RowCount), nil)
 		}
-		for _, im := range tm.Indexes {
-			if _, err := tab.CreateIndex(im.Name, im.Column); err != nil {
-				return nil, err
-			}
+		tab, _, err := l.Finish()
+		if err != nil {
+			return nil, err
 		}
+		tables = append(tables, tab)
+	}
+	if err := e.Catalog().Publish(tables, nil); err != nil {
+		return nil, err
 	}
 	for _, rm := range m.Recommenders {
 		err := e.CreateRecommender(rec.CreateSpec{

@@ -1,13 +1,22 @@
 package persist
 
 import (
+	"cmp"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"recdb/internal/catalog"
 	"recdb/internal/engine"
 	"recdb/internal/fault"
+	"recdb/internal/geo"
 	"recdb/internal/rec"
+	"recdb/internal/storage"
+	"recdb/internal/types"
 )
 
 func buildSource(t *testing.T) *engine.Engine {
@@ -197,5 +206,141 @@ func TestLoadAppliesConfig(t *testing.T) {
 		if len(neigh) > 1 {
 			t.Fatalf("config not applied: item %d has %d neighbors", i, len(neigh))
 		}
+	}
+}
+
+// TestLoadKeepsRIDsAndIndexes: a snapshot reopens through the bulk loader
+// into the table its row-by-row source is — every row at the same RID,
+// every B-tree index entry for entry, the spatial index with the same
+// answers — for a table with a primary key, a secondary index and a
+// spatial index, large enough to span heap pages.
+func TestLoadKeepsRIDsAndIndexes(t *testing.T) {
+	src := engine.New(engine.Config{})
+	var values []string
+	for i := 0; i < 400; i++ {
+		// 7919 is prime to 1000, so the keys are distinct and unsorted.
+		values = append(values, fmt.Sprintf("(%d, 'place %d %s', 'POINT(%d %d)')", i*7919%1000, i%37, strings.Repeat("x", i%50), i%20, i/20))
+	}
+	if _, err := src.ExecScript(`
+		CREATE TABLE places (pid INT PRIMARY KEY, name TEXT, geom GEOMETRY);
+		CREATE INDEX places_name ON places (name);
+		CREATE INDEX places_geom ON places (geom);
+		INSERT INTO places VALUES ` + strings.Join(values, ", ") + `;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst, _, err := Load(fault.OS, dir, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := src.Catalog().Get("places")
+	got, err := dst.Catalog().Get("places")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := dumpRows(t, want); want.Heap.NumPages() < 3 || !slices.Equal(dumpRows(t, got), w) {
+		t.Fatalf("reloaded heap differs from its source (%d pages)", want.Heap.NumPages())
+	}
+	if len(got.Indexes()) != 3 {
+		t.Fatalf("reloaded table has %d indexes, want 3", len(got.Indexes()))
+	}
+	for _, w := range want.Indexes() {
+		g, ok := got.IndexOn(want.Schema.Columns[w.Column].Name)
+		if !ok || g.Name != w.Name || g.Unique != w.Unique || (g.Spatial == nil) != (w.Spatial == nil) {
+			t.Fatalf("index %s did not come back as it was: %+v", w.Name, g)
+		}
+		if w.Spatial != nil {
+			for _, q := range []geo.Point{{X: 3, Y: 4}, {X: 19, Y: 0}, {X: 10, Y: 10}} {
+				if a, b := within(got, g, q), within(want, w, q); len(b) == 0 || !slices.Equal(a, b) {
+					t.Fatalf("%s near %v: %v, source %v", w.Name, q, a, b)
+				}
+			}
+			continue
+		}
+		if a, b := dumpEntries(g), dumpEntries(w); !slices.Equal(a, b) {
+			t.Fatalf("%s: %d entries, source %d, or they differ", w.Name, len(a), len(b))
+		}
+	}
+}
+
+func dumpRows(t *testing.T, tab *catalog.Table) []string {
+	t.Helper()
+	var out []string
+	it := tab.Heap.Scan()
+	defer it.Close()
+	for {
+		row, rid, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, fmt.Sprintf("%v @ %v", row, rid))
+	}
+}
+
+func dumpEntries(idx *catalog.Index) []string {
+	var out []string
+	idx.Tree.Ascend(nil, func(k types.Row, v any) bool {
+		out = append(out, fmt.Sprintf("%v -> %v", k, v))
+		return true
+	})
+	return out
+}
+
+// within lists, in RID order, the rows the spatial index finds within 1.5
+// of q.
+func within(tab *catalog.Table, idx *catalog.Index, q geo.Point) []storage.RID {
+	var out []storage.RID
+	tab.SearchIndexWithin(idx, q, 1.5, func(rid storage.RID) bool {
+		out = append(out, rid)
+		return true
+	})
+	slices.SortFunc(out, func(a, b storage.RID) int {
+		return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Slot, b.Slot))
+	})
+	return out
+}
+
+// TestLoadRefusesDuplicatePrimaryKey: a snapshot whose rows break its own
+// primary key does not load.
+func TestLoadRefusesDuplicatePrimaryKey(t *testing.T) {
+	src := engine.New(engine.Config{})
+	if _, err := src.ExecScript(`
+		CREATE TABLE t (id INT, v INT);
+		INSERT INTO t VALUES (1, 1), (2, 2), (1, 3);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Declare id the primary key after the fact, in a validly framed
+	// manifest, so only the rows are wrong.
+	genDir := filepath.Join(dir, genName(1))
+	framed, err := os.ReadFile(filepath.Join(genDir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := parseManifest(manifestName, framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Tables[0].PKCol = 0
+	if err := writeManifest(fault.OS, genDir, &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(fault.OS, dir, engine.Config{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("a snapshot with a duplicate primary key loaded: %v", err)
 	}
 }

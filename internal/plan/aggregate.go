@@ -73,7 +73,7 @@ func planAggregate(stmt *sql.Select, input exec.Operator) (*aggregateInfo, error
 			if !ok {
 				return
 			}
-			kind, isAgg := exec.ParseAggName(strings.ToLower(c.Name))
+			kind, isAgg := sql.Aggregate(c.Name)
 			if !isAgg {
 				return
 			}
@@ -87,11 +87,11 @@ func planAggregate(stmt *sql.Select, input exec.Operator) (*aggregateInfo, error
 			}
 			spec := exec.AggSpec{Kind: kind}
 			if _, star := c.Args[0].(*sql.Star); star {
-				if kind != exec.AggCount {
+				if kind != sql.AggCount {
 					walkErr = fmt.Errorf("plan: * is only valid in COUNT(*)")
 					return
 				}
-				spec.Kind = exec.AggCountStar
+				spec.Kind = sql.AggCountStar
 			} else {
 				if sql.ContainsAggregate(c.Args[0]) {
 					walkErr = fmt.Errorf("plan: nested aggregates are not allowed")
@@ -130,7 +130,7 @@ func planAggregate(stmt *sql.Select, input exec.Operator) (*aggregateInfo, error
 	for i, spec := range specs {
 		kind := types.KindFloat
 		switch spec.Kind {
-		case exec.AggCount, exec.AggCountStar:
+		case sql.AggCount, sql.AggCountStar:
 			kind = types.KindInt
 		}
 		outCols = append(outCols, types.Column{Name: fmt.Sprintf("__agg_%d", i), Kind: kind})

@@ -81,8 +81,57 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
+// withFreshItems appends fresh items to ratings, each rated once, at 3.0,
+// by one of users 1..users — how ratings.mixed grows the ratings table
+// between two model rebuilds.
+func withFreshItems(ratings []Rating, users, fresh int) []Rating {
+	rng := newDeterministicRand(5)
+	for k := 0; k < fresh; k++ {
+		ratings = append(ratings, Rating{User: 1 + rng.next()%int64(users), Item: 1_000_000 + int64(k), Value: 3})
+	}
+	return ratings
+}
+
+// BenchmarkRebuildCrossing times the stages of one §III-A model rebuild at
+// the end-of-window shape of a ratings.mixed shard — the seed ratings of
+// BenchmarkMaterialize plus ~6 000 fresh items rated once each — for the
+// two recommenders the ledger creates: the ItemCosCF build and its
+// materialization, the SVD training (with its IVF index) and its
+// materialization.
+func BenchmarkRebuildCrossing(b *testing.B) {
+	ratings := withFreshItems(benchRatings(94, 336, 0.06), 94, 6000)
+	opts := BuildOptions{SVDSeed: 1}
+	cos, err := BuildNeighborhood(ratings, ItemCosCF, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svd, err := TrainSVD(ratings, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := catalog.New(nil, 0)
+	for _, stage := range []struct {
+		name string
+		run  func() error
+	}{
+		{"BuildNeighborhood", func() error { _, err := BuildNeighborhood(ratings, ItemCosCF, opts); return err }},
+		{"Materialize/ItemCosCF", func() error { _, err := Materialize(cat, "bench", cos); return err }},
+		{"TrainSVD", func() error { _, err := TrainSVD(ratings, opts); return err }},
+		{"Materialize/SVD", func() error { _, err := Materialize(cat, "bench", svd); return err }},
+	} {
+		b.Run(stage.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := stage.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkItemNeighbors reads one similarity list per iteration from the
-// materialized itemneighborhood table (index seek + clustered-run walk).
+// materialized itemneighborhood table (directory seek + clustered-run walk).
 func BenchmarkItemNeighbors(b *testing.B) {
 	m, err := BuildNeighborhood(benchRatings(200, 400, 0.06), ItemCosCF, BuildOptions{})
 	if err != nil {

@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -153,8 +154,14 @@ type NeighborhoodModel struct {
 	// user-based) to its similarity list, sorted by descending |sim|.
 	neighbors map[int64][]Neighbor
 	// cut says NeighborhoodSize truncated at least one list. Until it
-	// does, every pair's similarity sits in both its entities' lists, so
-	// the lists are their own transpose.
+	// does, the lists are their own transpose: j is in i's list with
+	// similarity s exactly when i is in j's with the same s, bit for bit.
+	// BuildNeighborhood computes the pair (i, j) once from each side, and
+	// the two sides form the same dot product — the same products, since
+	// IEEE multiplication commutes, summed over the shared dimensions in
+	// the same ascending order — and divide it by the same two norms, also
+	// multiplied in swapped order. The Scorer's user-driven side relies on
+	// this (ModelStore.symmetric).
 	cut bool
 }
 
@@ -163,12 +170,15 @@ type NeighborhoodModel struct {
 // the vectors are mean-centered per entity before the cosine, the classic
 // adjusted formulation.
 //
-// The pairwise dot products are accumulated in parallel over
-// opts.Workers workers. Each (a, b) accumulator is owned by exactly one
-// worker — the one that owns entity a's position — and every worker
-// walks the shared dimensions in ascending order, so the float sums are
-// formed in the same order at any worker count and the model is
-// bit-identical whether built serially or in parallel.
+// The lists are accumulated row by row (Gustavson's sparse product): the
+// entity's row of the similarity matrix is the sum, over its dimensions in
+// ascending order, of its value there times each co-occurring entity's, so
+// one pass over the entity's dimensions fills a dense accumulator with
+// every pair's dot product, formed in ascending dimension order, and the
+// touched positions are the list. The entities are split into one
+// contiguous range per worker of opts.Workers; each list is owned by the
+// worker that owns its entity and is computed in full by it, so the model
+// is bit-identical at any worker count.
 func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*NeighborhoodModel, error) {
 	if !algo.ItemBased() && !algo.UserBased() {
 		return nil, fmt.Errorf("rec: %v is not a neighborhood algorithm", algo)
@@ -178,145 +188,136 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	ix := indexRatings(ratings)
 
 	// For item-based models the "entities" are items and the shared
-	// dimension is users; user-based swaps the roles. vectors[e] maps
-	// dimension → value.
-	var vectors, shared map[int64]map[int64]float64
+	// dimension is users; user-based swaps the roles. shared[d] maps
+	// entity → value on dimension d.
+	var shared map[int64]map[int64]float64
 	var entities, dims []int64
 	if algo.ItemBased() {
-		vectors, entities = ix.byItem, ix.items
+		entities = ix.items
 		shared, dims = ix.byUser, ix.users // user → items rated
 	} else {
-		vectors, entities = ix.byUser, ix.users
+		entities = ix.users
 		shared, dims = ix.byItem, ix.items // item → users who rated
 	}
-	ne := len(entities)
+	ne, nd := len(entities), len(dims)
 	pos := make(map[int64]int32, ne)
 	for p, e := range entities {
 		pos[e] = int32(p)
 	}
 
-	// Per-entity mean (Pearson only) and vector norm, chunked by entity.
-	// Norm terms are summed in ascending dimension order so the value does
-	// not depend on map iteration order.
-	pearson := algo.Pearson()
-	center := make([]float64, ne)
-	norms := make([]float64, ne)
-	ann.RunChunks(workers, ne, func(_, lo, hi int) {
-		var dimbuf []int64
-		for pe := lo; pe < hi; pe++ {
-			vec := vectors[entities[pe]]
-			dimbuf = dimbuf[:0]
-			for d := range vec {
-				dimbuf = append(dimbuf, d)
-			}
-			sort.Slice(dimbuf, func(i, j int) bool { return dimbuf[i] < dimbuf[j] })
-			if pearson {
-				var sum float64
-				for _, d := range dimbuf {
-					sum += vec[d]
-				}
-				center[pe] = sum / float64(len(dimbuf))
-			}
-			var s float64
-			c := center[pe]
-			for _, d := range dimbuf {
-				v := vec[d] - c
-				s += v * v
-			}
-			norms[pe] = math.Sqrt(s)
-		}
-	})
-
-	// Flatten the shared-dimension view into one CSR-style buffer: for each
-	// dimension, the ascending entity positions that co-occur on it and
-	// their centered values. One allocation replaces the per-dimension ids
-	// slice of the old serial loop.
-	nd := len(dims)
-	offsets := make([]int, nd+1)
+	// The ratings twice, as CSR: by dimension (dimOff/dimEnt/dimVal: for
+	// each dimension, the ascending positions of the entities on it) and by
+	// entity (entOff/entDim/entVal: for each entity, its ascending dimension
+	// positions). The second is the transpose of the first, filled walking
+	// the dimensions in ascending order, so each entity's dimensions arrive
+	// sorted.
+	dimOff := make([]int, nd+1)
 	for pd, d := range dims {
-		offsets[pd+1] = offsets[pd] + len(shared[d])
+		dimOff[pd+1] = dimOff[pd] + len(shared[d])
 	}
-	dimPos := make([]int32, offsets[nd])
-	dimVal := make([]float64, offsets[nd])
+	nnz := dimOff[nd]
+	dimEnt := make([]int32, nnz)
+	dimVal := make([]float64, nnz)
 	ann.RunChunks(workers, nd, func(_, lo, hi int) {
 		for pd := lo; pd < hi; pd++ {
 			row := shared[dims[pd]]
-			seg := dimPos[offsets[pd]:offsets[pd+1]]
+			seg := dimEnt[dimOff[pd]:dimOff[pd+1]]
 			x := 0
 			for e := range row {
 				seg[x] = pos[e]
 				x++
 			}
-			sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-			vseg := dimVal[offsets[pd]:offsets[pd+1]]
+			slices.Sort(seg)
+			vseg := dimVal[dimOff[pd]:dimOff[pd+1]]
 			for x, pe := range seg {
-				vseg[x] = row[entities[pe]] - center[pe]
+				vseg[x] = row[entities[pe]]
 			}
 		}
 	})
-
-	// Sharded dot-product accumulation: worker w owns every pair whose
-	// first (lower) entity position is ≡ w mod workers. The outer scan over
-	// dimensions is replicated per worker — O(nnz), cheap — while the
-	// quadratic inner loop is partitioned.
-	shards := make([]map[uint64]float64, workers)
-	ann.RunWorkers(workers, func(w int) {
-		dots := make(map[uint64]float64)
-		for pd := 0; pd < nd; pd++ {
-			seg := dimPos[offsets[pd]:offsets[pd+1]]
-			vseg := dimVal[offsets[pd]:offsets[pd+1]]
-			for x := 0; x < len(seg); x++ {
-				if int(seg[x])%workers != w {
-					continue
-				}
-				vx := vseg[x]
-				base := uint64(seg[x]) << 32
-				for y := x + 1; y < len(seg); y++ {
-					dots[base|uint64(seg[y])] += vx * vseg[y]
-				}
-			}
+	entOff := make([]int, ne+1)
+	for _, pe := range dimEnt {
+		entOff[pe+1]++
+	}
+	for pe := 0; pe < ne; pe++ {
+		entOff[pe+1] += entOff[pe]
+	}
+	entDim := make([]int32, nnz)
+	entVal := make([]float64, nnz)
+	fill := slices.Clone(entOff[:ne])
+	for pd := 0; pd < nd; pd++ {
+		for x := dimOff[pd]; x < dimOff[pd+1]; x++ {
+			pe := dimEnt[x]
+			entDim[fill[pe]], entVal[fill[pe]] = int32(pd), dimVal[x]
+			fill[pe]++
 		}
-		shards[w] = dots
-	})
+	}
 
-	// Merge shards into per-entity lists, then sort and truncate, chunked
-	// by entity position. Concurrent chunk workers only read the shard
-	// maps and write disjoint list slots. Append order varies with map
-	// iteration, but the sort's (|sim| desc, ID asc) key is total, so the
-	// final lists are deterministic.
+	// Per-entity mean (Pearson only) and vector norm, summed in ascending
+	// dimension order; then both copies of the values are centered.
+	pearson := algo.Pearson()
+	center := make([]float64, ne)
+	norms := make([]float64, ne)
+	ann.RunChunks(workers, ne, func(_, lo, hi int) {
+		for pe := lo; pe < hi; pe++ {
+			vals := entVal[entOff[pe]:entOff[pe+1]]
+			if pearson {
+				var sum float64
+				for _, v := range vals {
+					sum += v
+				}
+				center[pe] = sum / float64(len(vals))
+			}
+			var s float64
+			for x := range vals {
+				vals[x] -= center[pe]
+				s += vals[x] * vals[x]
+			}
+			norms[pe] = math.Sqrt(s)
+		}
+	})
+	if pearson {
+		for x, pe := range dimEnt {
+			dimVal[x] -= center[pe]
+		}
+	}
+
+	// Row-wise accumulation, one contiguous range of entities per worker.
+	// dots is the worker's dense accumulator over entity positions and
+	// touched the positions it holds a sum for, so clearing it costs the
+	// list's length, not ne.
 	lists := make([][]Neighbor, ne)
 	cutBy := make([]bool, workers) // written by worker w only
 	ann.RunChunks(workers, ne, func(w, lo, hi int) {
-		for _, dots := range shards {
-			for key, dot := range dots {
-				pa, pb := int(key>>32), int(key&0xffffffff)
-				aIn := pa >= lo && pa < hi
-				bIn := pb >= lo && pb < hi
-				if !aIn && !bIn {
-					continue
+		dots := make([]float64, ne)
+		in := make([]bool, ne)
+		var touched []int32
+		for pe := lo; pe < hi; pe++ {
+			touched = touched[:0]
+			for x := entOff[pe]; x < entOff[pe+1]; x++ {
+				pd, va := entDim[x], entVal[x]
+				vseg := dimVal[dimOff[pd]:dimOff[pd+1]]
+				for y, pb := range dimEnt[dimOff[pd]:dimOff[pd+1]] {
+					if pb == int32(pe) {
+						continue
+					}
+					if !in[pb] {
+						in[pb] = true
+						touched = append(touched, pb)
+					}
+					dots[pb] += va * vseg[y]
 				}
-				na, nb := norms[pa], norms[pb]
+			}
+			list := make([]Neighbor, 0, len(touched))
+			for _, pb := range touched {
+				dot := dots[pb]
+				dots[pb], in[pb] = 0, false
+				na, nb := norms[pe], norms[pb]
 				if na == 0 || nb == 0 || dot == 0 {
 					continue
 				}
-				sim := dot / (na * nb)
-				if aIn {
-					lists[pa] = append(lists[pa], Neighbor{ID: entities[pb], Sim: sim})
-				}
-				if bIn {
-					lists[pb] = append(lists[pb], Neighbor{ID: entities[pa], Sim: sim})
-				}
+				list = append(list, Neighbor{ID: entities[pb], Sim: dot / (na * nb)})
 			}
-		}
-		for pe := lo; pe < hi; pe++ {
-			list := lists[pe]
-			sort.Slice(list, func(i, j int) bool {
-				ai, aj := math.Abs(list[i].Sim), math.Abs(list[j].Sim)
-				if ai != aj {
-					return ai > aj
-				}
-				return list[i].ID < list[j].ID
-			})
+			slices.SortFunc(list, strongerFirst)
 			if opts.NeighborhoodSize > 0 && len(list) > opts.NeighborhoodSize {
 				list = list[:opts.NeighborhoodSize]
 				cutBy[w] = true
@@ -332,6 +333,18 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 		}
 	}
 	return &NeighborhoodModel{algo: algo, ix: ix, neighbors: neighbors, cut: slices.Contains(cutBy, true)}, nil
+}
+
+// strongerFirst is the order of every similarity list: descending |sim|,
+// then ascending id. It is total over one list, whose ids are distinct.
+func strongerFirst(a, b Neighbor) int {
+	if sa, sb := math.Abs(a.Sim), math.Abs(b.Sim); sa != sb {
+		if sa > sb {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Algorithm implements Model.

@@ -12,10 +12,10 @@ import (
 )
 
 // materializePerRow is the reference materialization, kept for the
-// differential below: every table is registered empty, every index exists
-// before the first row, and every row goes through Table.Insert and its
-// incremental index maintenance — the path Materialize took before it
-// bulk-loaded.
+// differential below: every table is registered empty and every row goes
+// through Table.Insert — the path Materialize took before it bulk-loaded —
+// with the primary-key tables' unique index maintained row by row. The
+// run-keyed tables (pk < 0) get no index, as Materialize gives them none.
 func materializePerRow(t *testing.T, cat *catalog.Catalog, recommender string, m Model) {
 	t.Helper()
 	prefix := prefixFor(recommender)
@@ -23,11 +23,6 @@ func materializePerRow(t *testing.T, cat *catalog.Catalog, recommender string, m
 		tab, err := cat.CreateTable(prefix+suffix, types.NewSchema(cols...), pk)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if pk < 0 {
-			if _, err := tab.CreateIndex(prefix+suffix+"_"+cols[0].Name, cols[0].Name); err != nil {
-				t.Fatal(err)
-			}
 		}
 		return func(row ...types.Value) {
 			if _, err := tab.Insert(row); err != nil {
@@ -131,7 +126,9 @@ func dumpTable(t *testing.T, tab *catalog.Table) []string {
 // TestMaterializeMatchesPerRow is the materialization differential: for
 // every algorithm, with full and with truncated similarity lists, each
 // model table the loader builds — rows in heap order with their RIDs, and
-// each index's entries in order — equals the per-row reference's.
+// each index's entries in order — equals the per-row reference's, and each
+// run-keyed table's directory points every key at its first row in heap
+// order.
 func TestMaterializeMatchesPerRow(t *testing.T) {
 	ratings := benchRatings(90, 140, 0.12) // big enough for several heap pages and an IVF index
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD, Popularity} {
@@ -149,6 +146,15 @@ func TestMaterializeMatchesPerRow(t *testing.T) {
 				materializePerRow(t, ref, "R", m)
 				if algo == SVD && store.AnnIVF == nil {
 					t.Fatal("fixture too small: the SVD model has no IVF index to compare")
+				}
+				dirs := map[string]runDir{}
+				for suffix, dir := range map[string]runDir{
+					"uservector": store.userVectorRuns, "itemneighborhood": store.itemNeighborRuns,
+					"userneighborhood": store.userNeighborRuns, "itemvector": store.itemVectorRuns,
+				} {
+					if dir.first != nil {
+						dirs[prefixFor("R")+suffix] = dir
+					}
 				}
 				for _, name := range tableNames("R") {
 					want, err := ref.Get(name)
@@ -176,6 +182,11 @@ func TestMaterializeMatchesPerRow(t *testing.T) {
 							}
 						}
 						t.Fatalf("%s: %d lines, want %d", name, len(g), len(w))
+					}
+					if dir, ok := dirs[name]; ok {
+						checkDirectory(t, got, dir)
+					} else if got.PKCol < 0 {
+						t.Fatalf("%s: run-keyed table without a run directory", name)
 					}
 				}
 			})

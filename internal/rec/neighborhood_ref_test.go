@@ -1,0 +1,189 @@
+package rec
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"recdb/internal/ann"
+)
+
+// pairNeighborhood is the reference similarity-list kernel: the pair-map
+// formulation BuildNeighborhood used before it accumulated row by row,
+// kept whole — its own mean/norm pass and CSR — so the differential below
+// compares two independent computations. Worker w accumulates every pair
+// whose lower entity position is ≡ w mod workers into a map keyed by the
+// pair, summing over the shared dimensions in ascending order; a merge then
+// hands each pair's one similarity to both its entities' lists, which are
+// sorted on (|sim| desc, id asc) and truncated.
+func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (map[int64][]Neighbor, bool) {
+	opts = opts.withDefaults()
+	workers := opts.Workers
+	ix := indexRatings(ratings)
+	var vectors, shared map[int64]map[int64]float64
+	var entities, dims []int64
+	if algo.ItemBased() {
+		vectors, entities = ix.byItem, ix.items
+		shared, dims = ix.byUser, ix.users
+	} else {
+		vectors, entities = ix.byUser, ix.users
+		shared, dims = ix.byItem, ix.items
+	}
+	ne := len(entities)
+	pos := make(map[int64]int32, ne)
+	for p, e := range entities {
+		pos[e] = int32(p)
+	}
+
+	pearson := algo.Pearson()
+	center := make([]float64, ne)
+	norms := make([]float64, ne)
+	for pe := 0; pe < ne; pe++ {
+		vec := vectors[entities[pe]]
+		var dimbuf []int64
+		for d := range vec {
+			dimbuf = append(dimbuf, d)
+		}
+		sort.Slice(dimbuf, func(i, j int) bool { return dimbuf[i] < dimbuf[j] })
+		if pearson {
+			var sum float64
+			for _, d := range dimbuf {
+				sum += vec[d]
+			}
+			center[pe] = sum / float64(len(dimbuf))
+		}
+		var s float64
+		for _, d := range dimbuf {
+			v := vec[d] - center[pe]
+			s += v * v
+		}
+		norms[pe] = math.Sqrt(s)
+	}
+
+	nd := len(dims)
+	offsets := make([]int, nd+1)
+	for pd, d := range dims {
+		offsets[pd+1] = offsets[pd] + len(shared[d])
+	}
+	dimPos := make([]int32, offsets[nd])
+	dimVal := make([]float64, offsets[nd])
+	for pd := 0; pd < nd; pd++ {
+		row := shared[dims[pd]]
+		seg := dimPos[offsets[pd]:offsets[pd+1]]
+		x := 0
+		for e := range row {
+			seg[x] = pos[e]
+			x++
+		}
+		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		vseg := dimVal[offsets[pd]:offsets[pd+1]]
+		for x, pe := range seg {
+			vseg[x] = row[entities[pe]] - center[pe]
+		}
+	}
+
+	shards := make([]map[uint64]float64, workers)
+	ann.RunWorkers(workers, func(w int) {
+		dots := make(map[uint64]float64)
+		for pd := 0; pd < nd; pd++ {
+			seg := dimPos[offsets[pd]:offsets[pd+1]]
+			vseg := dimVal[offsets[pd]:offsets[pd+1]]
+			for x := 0; x < len(seg); x++ {
+				if int(seg[x])%workers != w {
+					continue
+				}
+				vx := vseg[x]
+				base := uint64(seg[x]) << 32
+				for y := x + 1; y < len(seg); y++ {
+					dots[base|uint64(seg[y])] += vx * vseg[y]
+				}
+			}
+		}
+		shards[w] = dots
+	})
+
+	lists := make([][]Neighbor, ne)
+	for _, dots := range shards {
+		for key, dot := range dots {
+			pa, pb := int(key>>32), int(key&0xffffffff)
+			na, nb := norms[pa], norms[pb]
+			if na == 0 || nb == 0 || dot == 0 {
+				continue
+			}
+			sim := dot / (na * nb)
+			lists[pa] = append(lists[pa], Neighbor{ID: entities[pb], Sim: sim})
+			lists[pb] = append(lists[pb], Neighbor{ID: entities[pa], Sim: sim})
+		}
+	}
+	cut := false
+	neighbors := make(map[int64][]Neighbor, ne)
+	for pe, list := range lists {
+		sort.Slice(list, func(i, j int) bool {
+			ai, aj := math.Abs(list[i].Sim), math.Abs(list[j].Sim)
+			if ai != aj {
+				return ai > aj
+			}
+			return list[i].ID < list[j].ID
+		})
+		if opts.NeighborhoodSize > 0 && len(list) > opts.NeighborhoodSize {
+			list = list[:opts.NeighborhoodSize]
+			cut = true
+		}
+		if len(list) > 0 {
+			neighbors[entities[pe]] = list
+		}
+	}
+	return neighbors, cut
+}
+
+// TestNeighborhoodMatchesPairReference: the row-wise kernel builds, bit
+// for bit, the lists the pair-map kernel builds — every list, every id in
+// order, every similarity's float64 bits, and whether a list was cut — for
+// all four neighbourhood algorithms, whole and truncated lists, and any
+// worker count.
+func TestNeighborhoodMatchesPairReference(t *testing.T) {
+	fixtures := []struct {
+		name    string
+		ratings func(Algorithm) []Rating
+	}{
+		{"bench", func(Algorithm) []Rating { return benchRatings(60, 120, 0.08) }},
+		// The hub is an item for item-based models and a user otherwise.
+		{"hub", func(algo Algorithm) []Rating { return hubRatings(algo.ItemBased()) }},
+		// Fresh items, each rated once: ratings.mixed's growth between
+		// rebuilds, where every rater's items gain the fresh ones.
+		{"fresh", func(Algorithm) []Rating { return withFreshItems(benchRatings(30, 60, 0.1), 30, 400) }},
+	}
+	for _, fx := range fixtures {
+		for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
+			ratings := fx.ratings(algo)
+			for _, size := range []int{0, 3, 7} {
+				want, wantCut := pairNeighborhood(ratings, algo, BuildOptions{Workers: 1, NeighborhoodSize: size})
+				for _, workers := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/%v/top%d/workers=%d", fx.name, algo, size, workers)
+					m, err := BuildNeighborhood(ratings, algo, BuildOptions{Workers: workers, NeighborhoodSize: size})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.cut != wantCut {
+						t.Fatalf("%s: cut = %v, reference %v", name, m.cut, wantCut)
+					}
+					if len(m.neighbors) != len(want) {
+						t.Fatalf("%s: %d lists, reference %d", name, len(m.neighbors), len(want))
+					}
+					for e, w := range want {
+						if !slices.EqualFunc(m.neighbors[e], w, sameNeighbor) {
+							t.Fatalf("%s: list of %d differs:\n got %v\nwant %v", name, e, m.neighbors[e], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameNeighbor compares two list entries bit for bit.
+func sameNeighbor(a, b Neighbor) bool {
+	return a.ID == b.ID && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
+}

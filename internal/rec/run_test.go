@@ -3,6 +3,7 @@ package rec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"recdb/internal/catalog"
@@ -26,50 +27,67 @@ type runShapes struct {
 	pageFlush bool // some run ends on the last slot of a page that is not the heap's last
 }
 
-// indexRuns is the oracle: the access path scanRun replaced. It walks the
-// whole index on col in key order and fetches every row by RID, one
-// buffer-pool pin and one decoded Row per tuple.
-func indexRuns(t *testing.T, tab *catalog.Table, col string) (keys []int64, runs map[int64][]runRow) {
+// heapRuns is the oracle: it reads the whole table in physical order, one
+// decoded Row per tuple, and groups the rows by key — the first column —
+// in order of first appearance, failing if a key's rows are not one
+// contiguous stretch of the heap.
+func heapRuns(t *testing.T, tab *catalog.Table) (keys []int64, runs map[int64][]runRow) {
 	t.Helper()
-	idx, ok := tab.IndexOn(col)
-	if !ok {
-		t.Fatalf("%s has no %s index", tab.Name, col)
-	}
 	runs = make(map[int64][]runRow)
-	tab.ScanIndexRange(idx, types.Null(), types.Null(), func(rid storage.RID) bool {
-		row, err := tab.Heap.Get(rid)
+	it := tab.Heap.Scan()
+	defer it.Close()
+	for {
+		row, rid, ok, err := it.Next()
 		if err != nil {
-			t.Fatalf("%s: Get(%v): %v", tab.Name, rid, err)
+			t.Fatalf("%s: heap scan: %v", tab.Name, err)
+		}
+		if !ok {
+			return keys, runs
 		}
 		k := row[0].Int()
 		if _, seen := runs[k]; !seen {
 			keys = append(keys, k)
+		} else if keys[len(keys)-1] != k {
+			t.Fatalf("%s: key %d's rows are not one run (again at %v)", tab.Name, k, rid)
 		}
 		runs[k] = append(runs[k], runRow{rid, row[1].Int(), row[2].Float()})
-		return true
-	})
+	}
+}
+
+// checkDirectory asserts that dir points every key at its first row in
+// heap order, has no run for a key with no rows and misses no key that has
+// some; it returns the oracle's runs.
+func checkDirectory(t *testing.T, tab *catalog.Table, dir runDir) (keys []int64, runs map[int64][]runRow) {
+	t.Helper()
+	keys, runs = heapRuns(t, tab)
+	for p, key := range dir.keys {
+		rows, ok := runs[key]
+		if first := dir.first[p]; ok && first != rows[0].rid || !ok && first != noRun {
+			t.Fatalf("%s key %d: directory says %v", tab.Name, key, first)
+		}
+	}
+	for _, key := range keys {
+		if _, ok := slices.BinarySearch(dir.keys, key); !ok {
+			t.Fatalf("%s: key %d has a run and no directory entry", tab.Name, key)
+		}
+	}
 	return keys, runs
 }
 
-// checkRuns asserts, for every key of tab, that the clustered-run read
-// returns exactly the rows the index-driven read returns, in the same
-// order; that those rows are physically consecutive (which is what makes
-// "same rows" mean "same RID set": the run read starts at the first RID
-// and returns as many rows as the index holds for the key); that the read
-// fetches each page of the run once — plus the next page only when the
-// run fills its last page, since the key boundary is then the first tuple
-// over the page break; and, for similarity lists, that physical order is
-// (|sim| desc, id asc), the order the deleted per-list sort produced.
-func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, col string, similarity bool) runShapes {
+// checkRuns asserts, for every key of tab, that the run directory is
+// right (checkDirectory); that the clustered-run read through it returns
+// exactly the key's rows the full heap scan finds, in the same order;
+// that those rows are
+// physically consecutive, so the run read — which starts at the first row
+// and stops at the first row of another key — cannot skip or add one; that
+// the read fetches each page of the run once — plus the next page only
+// when the run fills its last page, since the key boundary is then the
+// first tuple over the page break; and, for similarity lists, that
+// physical order is (|sim| desc, id asc), the order the deleted per-list
+// sort produced.
+func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, dir runDir, similarity bool) runShapes {
 	t.Helper()
-	keys, runs := indexRuns(t, tab, col)
-	total := 0
-	for _, rows := range runs {
-		total += len(rows)
-	}
-	if int64(total) != tab.Heap.NumRows() {
-		t.Fatalf("%s: index holds %d rows, heap %d", tab.Name, total, tab.Heap.NumRows())
-	}
+	keys, runs := checkDirectory(t, tab, dir)
 	lastPage := storage.PageID(tab.Heap.NumPages() - 1)
 	shapes := runShapes{keys: len(keys)}
 	for x, key := range keys {
@@ -104,7 +122,7 @@ func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, col strin
 
 		var got []runRow
 		stats.Reset()
-		err := scanRun(tab, col, key, func(id int64, val float64) bool {
+		err := dir.scan(tab, key, func(id int64, val float64) bool {
 			got = append(got, runRow{id: id, val: val})
 			return true
 		})
@@ -115,16 +133,16 @@ func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, col strin
 			t.Fatalf("%s key %d: %d page fetches, want %d (run %v..%v)", tab.Name, key, reads, fetches, first, last)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s key %d: run read %d rows, index read %d", tab.Name, key, len(got), len(want))
+			t.Fatalf("%s key %d: run read %d rows, heap scan %d", tab.Name, key, len(got), len(want))
 		}
 		for y := range want {
 			if got[y].id != want[y].id || math.Float64bits(got[y].val) != math.Float64bits(want[y].val) {
-				t.Fatalf("%s key %d row %d: run read %+v, index read %+v", tab.Name, key, y, got[y], want[y])
+				t.Fatalf("%s key %d row %d: run read %+v, heap scan %+v", tab.Name, key, y, got[y], want[y])
 			}
 		}
 	}
 	// An absent key reads nothing and is not an error.
-	if err := scanRun(tab, col, math.MinInt64, func(int64, float64) bool {
+	if err := dir.scan(tab, math.MinInt64, func(int64, float64) bool {
 		t.Fatalf("%s: row returned for an absent key", tab.Name)
 		return false
 	}); err != nil {
@@ -176,10 +194,15 @@ func TestScanRunBoundaries(t *testing.T) {
 	for _, n := range []int{1, 900, 5} {
 		insert(n, false)
 	}
-	if _, err := tab.CreateIndex("runs_k", "k"); err != nil {
-		t.Fatal(err)
+	// The directory Materialize would keep, from the oracle, plus a key
+	// past the last run that has none.
+	keys, runs := heapRuns(t, tab)
+	dir := runDir{keys: append(keys, key)}
+	for _, k := range keys {
+		dir.first = append(dir.first, runs[k][0].rid)
 	}
-	shapes := checkRuns(t, stats, tab, "k", true)
+	dir.first = append(dir.first, noRun)
+	shapes := checkRuns(t, stats, tab, dir, true)
 	if shapes.keys != 9 || shapes.maxPages < 3 || !shapes.midPage || !shapes.pageFlush {
 		t.Fatalf("fixture lost a boundary case: %+v", shapes)
 	}
@@ -187,7 +210,7 @@ func TestScanRunBoundaries(t *testing.T) {
 	// An early stop returns without reading on.
 	seen := 0
 	stats.Reset()
-	if err := scanRun(tab, "k", 100+2*7, func(int64, float64) bool { seen++; return seen < 2 }); err != nil || seen != 2 {
+	if err := dir.scan(tab, 100+2*7, func(int64, float64) bool { seen++; return seen < 2 }); err != nil || seen != 2 {
 		t.Fatalf("early stop: %d rows, %v", seen, err)
 	}
 	if reads, _, _ := stats.Snapshot(); reads != 1 {
@@ -232,9 +255,10 @@ func hubRatings(itemBased bool) []Rating {
 }
 
 // TestRunReadMatchesIndexRead is the invariant that licenses reading
-// model tables as clustered runs and deleting the per-list sort: for
-// every key of every table of every neighbourhood algorithm, truncated
-// or not, checkRuns holds on the tables Materialize wrote.
+// model tables as clustered runs through a run directory, with no index
+// and no per-list sort: for every key of every table of every
+// neighbourhood algorithm, truncated or not, checkRuns holds on the tables
+// Materialize wrote and the directories it kept.
 func TestRunReadMatchesIndexRead(t *testing.T) {
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
 		for _, size := range []int{0, 1, 10} {
@@ -248,16 +272,16 @@ func TestRunReadMatchesIndexRead(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				uv := checkRuns(t, stats, store.UserVector, "uid", false)
+				uv := checkRuns(t, stats, store.UserVector, store.userVectorRuns, false)
 				if uv.keys != len(store.UserIDs()) || !uv.midPage {
 					t.Fatalf("uservector: %+v for %d users", uv, len(store.UserIDs()))
 				}
 				var sim runShapes
 				if algo.ItemBased() {
-					sim = checkRuns(t, stats, store.ItemNeighborhood, "iid", true)
+					sim = checkRuns(t, stats, store.ItemNeighborhood, store.itemNeighborRuns, true)
 				} else {
-					sim = checkRuns(t, stats, store.UserNeighborhood, "uid", true)
-					if iv := checkRuns(t, stats, store.ItemVector, "iid", false); iv.keys != len(store.ItemIDs()) {
+					sim = checkRuns(t, stats, store.UserNeighborhood, store.userNeighborRuns, true)
+					if iv := checkRuns(t, stats, store.ItemVector, store.itemVectorRuns, false); iv.keys != len(store.ItemIDs()) {
 						t.Fatalf("itemvector: %d runs for %d items", iv.keys, len(store.ItemIDs()))
 					}
 				}
@@ -298,6 +322,33 @@ func TestPredictItemBasedMatchesList(t *testing.T) {
 			if err != nil || gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("PredictItemBased(%d) for user %d = %v %v %v, list gives %v %v", i, u, got, gotOK, err, want, wantOK)
 			}
+		}
+	}
+}
+
+// TestRunDirectoryFollowsKeys: a run-keyed load points each key at its
+// first row, has no run for a key without rows, and refuses rows whose keys
+// leave the runs out of order or are not model ids.
+func TestRunDirectoryFollowsKeys(t *testing.T) {
+	load := func(keys ...int64) (*catalog.Table, runDir, error) {
+		ml := &modelLoad{cat: catalog.New(nil, 0), prefix: "t_"}
+		tl := ml.startRuns("runs", []int64{1, 2, 3, 5}, len(keys), intCol("k"), intCol("id"), floatCol("v"))
+		for i, k := range keys {
+			tl.add(types.NewInt(k), types.NewInt(int64(i)), types.NewFloat(0))
+		}
+		return tl.finish()
+	}
+	tab, dir, err := load(1, 1, 3, 5, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDirectory(t, tab, dir)
+	if dir.first[1] != noRun {
+		t.Fatalf("key 2 has no rows but a run at %v", dir.first[1])
+	}
+	for _, keys := range [][]int64{{1, 3, 1}, {1, 4}, {2, 1}, {5, 6}} {
+		if _, _, err := load(keys...); err == nil {
+			t.Errorf("rows keyed %v loaded", keys)
 		}
 	}
 }

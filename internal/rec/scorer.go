@@ -209,7 +209,7 @@ func (sc *Scorer) scoreFromUser() error {
 	sc.runs, sc.heads = sc.runs[:0], sc.heads[:0]
 	for _, j := range sc.rated {
 		start := len(sc.runs)
-		err := scanRun(s.ItemNeighborhood, "iid", j, func(n int64, sim float64) bool {
+		err := s.itemNeighborRuns.scan(s.ItemNeighborhood, j, func(n int64, sim float64) bool {
 			if p, ok := s.itemPos[n]; ok {
 				sc.runs = append(sc.runs, runEntry{sim: sim, pos: p})
 			}

@@ -3,6 +3,7 @@ package rec
 import (
 	"encoding/base64"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,17 +24,18 @@ import (
 // key order, every similarity list in (|sim| desc, id asc) order, and
 // publishes a model's tables once, together, when all of them are whole;
 // so a key's rows are one physically contiguous run already in list order,
-// and a by-name reader sees a complete model or none. The neighbourhood
-// accessors depend on the first: they seek a run's first row through the
-// index and read the rest from the heap (scanRun), and they never sort. A
-// rebuild materializes fresh tables; it does not edit these.
+// and a by-name reader sees a complete model or none. The run-keyed tables
+// carry no catalog index: the store keeps, per key, the RID its run starts
+// at (runDir), and the accessors seek there and read the rest from the heap
+// (scanRun); they never sort. SQL against one of these tables answers by
+// heap scan. A rebuild materializes fresh tables; it does not edit these.
 //
 // Tables per algorithm (all prefixed "_rec_<name>_"):
 //
-//	all:      uservector        (uid, iid, ratingval)  sorted by uid, indexed on uid
-//	ItemCF:   itemneighborhood  (iid, niid, sim)       sorted by iid, indexed on iid
-//	UserCF:   userneighborhood  (uid, nuid, sim)       sorted by uid, indexed on uid
-//	UserCF:   itemvector        (iid, uid, ratingval)  sorted by iid, indexed on iid
+//	all:      uservector        (uid, iid, ratingval)  runs by uid
+//	ItemCF:   itemneighborhood  (iid, niid, sim)       runs by iid
+//	UserCF:   userneighborhood  (uid, nuid, sim)       runs by uid
+//	UserCF:   itemvector        (iid, uid, ratingval)  runs by iid
 //	SVD:      userfactor        (uid pk, features)
 //	SVD:      itemfactor        (iid pk, features)
 //	SVD:      annivf            (seq pk, chunk)  serialized IVF index
@@ -53,10 +55,18 @@ type ModelStore struct {
 	userIDs []int64
 	itemIDs []int64
 	itemPos map[int64]int32 // item id → its position in itemIDs
+
+	// The run directories of the run-keyed tables, by user (uservector,
+	// userneighborhood) and by item (itemneighborhood, itemvector).
+	userVectorRuns, userNeighborRuns runDir
+	itemNeighborRuns, itemVectorRuns runDir
+
 	// symmetric says the itemneighborhood table is its own transpose: no
 	// list was truncated, so j is in i's run with similarity s exactly when
-	// i is in j's run with the same s. The Scorer's user-driven side
-	// depends on it.
+	// i is in j's run with the same s — the same bits, because the build
+	// computes the pair from each side with the same operands, only
+	// multiplied in swapped order, and IEEE multiplication commutes
+	// (NeighborhoodModel.cut). The Scorer's user-driven side depends on it.
 	symmetric bool
 
 	// Lazily decoded IVF index; decoding from the annivf table on first
@@ -101,45 +111,118 @@ type modelLoad struct {
 // surfaces from finish, so the loops that feed it rows do not check each
 // add.
 type tableLoad struct {
-	ml  *modelLoad
-	l   *catalog.Loader
-	row types.Row // reused: Loader.Add keeps no reference
-	err error
+	ml   *modelLoad
+	l    *catalog.Loader
+	row  types.Row // reused: Loader.Add keeps no reference
+	rows int       // rows added so far
+	err  error
+
+	// A run-keyed table's directory in the making: starts[p] is the number
+	// of the first row added under keys[p], -1 while none has been; at is
+	// the position of the current run's key.
+	keys   []int64
+	starts []int
+	at     int
 }
 
 // start begins loading the table <prefix><suffix>, expected to take n
-// rows in key order. With pk < 0 the table is indexed on its first column —
-// the key its runs are found by — under the name <table>_<column>.
+// rows, with its primary key on column pk (none when pk < 0).
 func (ml *modelLoad) start(suffix string, pk, n int, cols ...types.Column) *tableLoad {
-	name := ml.prefix + suffix
 	tl := &tableLoad{ml: ml, row: make(types.Row, len(cols))}
-	tl.l, tl.err = ml.cat.NewLoader(name, types.NewSchema(cols...), pk, n)
-	if tl.err == nil && pk < 0 {
-		tl.err = tl.l.Index(name+"_"+cols[0].Name, cols[0].Name)
+	tl.l, tl.err = ml.cat.NewLoader(ml.prefix+suffix, types.NewSchema(cols...), pk, n)
+	return tl
+}
+
+// startRuns begins loading a run-keyed table: no primary key and no index,
+// its n rows arriving in runs keyed by the first column, in the ascending
+// order of keys — the model's userIDs or itemIDs, which the run directory
+// finish returns is aligned with. A key may have no run.
+func (ml *modelLoad) startRuns(suffix string, keys []int64, n int, cols ...types.Column) *tableLoad {
+	tl := ml.start(suffix, -1, n, cols...)
+	tl.keys, tl.starts = keys, make([]int, len(keys))
+	for p := range tl.starts {
+		tl.starts[p] = -1
 	}
 	return tl
 }
 
 // add takes the table's next row.
 func (tl *tableLoad) add(row ...types.Value) {
+	if tl.err == nil && tl.starts != nil {
+		tl.noteKey(row[0].Int())
+	}
 	if tl.err == nil {
 		copy(tl.row, row)
 		tl.err = tl.l.Add(tl.row)
+		tl.rows++
 	}
 }
 
-// finish builds the table and queues it for publication with the model's
-// other tables.
-func (tl *tableLoad) finish() (*catalog.Table, error) {
-	if tl.err != nil {
-		return nil, tl.err
+// noteKey records the next row's number as the start of key's run when
+// the row opens one. A key that is not the current run's, nor one of keys
+// after it, breaks the run order the directory depends on.
+func (tl *tableLoad) noteKey(key int64) {
+	if tl.at < len(tl.keys) && tl.keys[tl.at] == key && tl.starts[tl.at] >= 0 {
+		return // the current run goes on
 	}
-	t, err := tl.l.Finish()
+	for tl.at < len(tl.keys) && tl.keys[tl.at] < key {
+		tl.at++
+	}
+	if tl.at == len(tl.keys) || tl.keys[tl.at] != key || tl.starts[tl.at] >= 0 {
+		tl.err = fmt.Errorf("rec: row keyed %d out of run order", key)
+		return
+	}
+	tl.starts[tl.at] = tl.rows
+}
+
+// finish builds the table and queues it for publication with the model's
+// other tables. For a run-keyed table it also returns the run directory.
+func (tl *tableLoad) finish() (*catalog.Table, runDir, error) {
+	if tl.err != nil {
+		return nil, runDir{}, tl.err
+	}
+	t, rids, err := tl.l.Finish()
 	if err != nil {
-		return nil, err
+		return nil, runDir{}, err
 	}
 	tl.ml.tables = append(tl.ml.tables, t)
-	return t, nil
+	dir := runDir{keys: tl.keys}
+	if tl.starts != nil {
+		dir.first = make([]storage.RID, len(tl.starts))
+		for p, r := range tl.starts {
+			dir.first[p] = noRun
+			if r >= 0 {
+				dir.first[p] = rids[r]
+			}
+		}
+	}
+	return t, dir, nil
+}
+
+// noRun is a run directory's entry for a key with no rows.
+var noRun = storage.RID{Page: storage.InvalidPageID}
+
+// runDir is the run directory of a run-keyed model table, which the store
+// keeps in place of an index on the table's key: first[p] is the RID of
+// the first row of keys[p]'s run, or noRun when that key has no rows. keys
+// is the model's userIDs or itemIDs, shared, so a directory costs one RID
+// per key and no pointer per row.
+type runDir struct {
+	keys  []int64
+	first []storage.RID
+}
+
+// scan visits key's run of t, the table d directs (see scanRun). A key the
+// model does not know, or one with no rows, has an empty run.
+func (d runDir) scan(t *catalog.Table, key int64, fn func(id int64, val float64) bool) error {
+	if t == nil {
+		return fmt.Errorf("rec: model has no table for this access path")
+	}
+	p, ok := slices.BinarySearch(d.keys, key)
+	if !ok || d.first[p] == noRun {
+		return nil
+	}
+	return scanRun(t, d.first[p], key, fn)
 }
 
 func intCol(name string) types.Column   { return types.Column{Name: name, Kind: types.KindInt} }
@@ -147,12 +230,12 @@ func floatCol(name string) types.Column { return types.Column{Name: name, Kind: 
 func textCol(name string) types.Column  { return types.Column{Name: name, Kind: types.KindText} }
 
 // neighborhood loads a similarity-list table: each id's list, ids ascending.
-func (ml *modelLoad) neighborhood(suffix, key, id string, ids []int64, model *NeighborhoodModel) (*catalog.Table, error) {
+func (ml *modelLoad) neighborhood(suffix, key, id string, ids []int64, model *NeighborhoodModel) (*catalog.Table, runDir, error) {
 	n := 0
 	for _, k := range ids {
 		n += len(model.Neighbors(k))
 	}
-	tl := ml.start(suffix, -1, n, intCol(key), intCol(id), floatCol("sim"))
+	tl := ml.startRuns(suffix, ids, n, intCol(key), intCol(id), floatCol("sim"))
 	for _, k := range ids {
 		for _, nb := range model.Neighbors(k) {
 			tl.add(types.NewInt(k), types.NewInt(nb.ID), types.NewFloat(nb.Sim))
@@ -177,11 +260,11 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 
 	// uservector, sorted by uid so Algorithm 1's outer scan sees users
 	// contiguously.
-	uv := ml.start("uservector", -1, len(ratings), intCol("uid"), intCol("iid"), floatCol("ratingval"))
+	uv := ml.startRuns("uservector", s.userIDs, len(ratings), intCol("uid"), intCol("iid"), floatCol("ratingval"))
 	for _, r := range ratings {
 		uv.add(types.NewInt(r.User), types.NewInt(r.Item), types.NewFloat(r.Value))
 	}
-	if s.UserVector, err = uv.finish(); err != nil {
+	if s.UserVector, s.userVectorRuns, err = uv.finish(); err != nil {
 		return nil, err
 	}
 
@@ -189,25 +272,25 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 	case *NeighborhoodModel:
 		if model.algo.ItemBased() {
 			s.symmetric = !model.cut
-			if s.ItemNeighborhood, err = ml.neighborhood("itemneighborhood", "iid", "niid", s.itemIDs, model); err != nil {
+			if s.ItemNeighborhood, s.itemNeighborRuns, err = ml.neighborhood("itemneighborhood", "iid", "niid", s.itemIDs, model); err != nil {
 				return nil, err
 			}
 			break
 		}
-		if s.UserNeighborhood, err = ml.neighborhood("userneighborhood", "uid", "nuid", s.userIDs, model); err != nil {
+		if s.UserNeighborhood, s.userNeighborRuns, err = ml.neighborhood("userneighborhood", "uid", "nuid", s.userIDs, model); err != nil {
 			return nil, err
 		}
 		byItem := make(map[int64][]Rating)
 		for _, r := range ratings {
 			byItem[r.Item] = append(byItem[r.Item], r)
 		}
-		iv := ml.start("itemvector", -1, len(ratings), intCol("iid"), intCol("uid"), floatCol("ratingval"))
+		iv := ml.startRuns("itemvector", s.itemIDs, len(ratings), intCol("iid"), intCol("uid"), floatCol("ratingval"))
 		for _, i := range s.itemIDs {
 			for _, r := range byItem[i] {
 				iv.add(types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value))
 			}
 		}
-		if s.ItemVector, err = iv.finish(); err != nil {
+		if s.ItemVector, s.itemVectorRuns, err = iv.finish(); err != nil {
 			return nil, err
 		}
 	case *FactorModel:
@@ -216,14 +299,14 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 		for _, u := range s.userIDs {
 			uf.add(types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u])))
 		}
-		if s.UserFactor, err = uf.finish(); err != nil {
+		if s.UserFactor, _, err = uf.finish(); err != nil {
 			return nil, err
 		}
 		itf := ml.start("itemfactor", 0, len(s.itemIDs), intCol("iid"), textCol("features"))
 		for _, i := range s.itemIDs {
 			itf.add(types.NewInt(i), types.NewText(encodeVec(model.ItemFactors[i])))
 		}
-		if s.ItemFactor, err = itf.finish(); err != nil {
+		if s.ItemFactor, _, err = itf.finish(); err != nil {
 			return nil, err
 		}
 		if model.IVF != nil && model.IVF.NumCentroids() > 0 {
@@ -235,7 +318,7 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 				at.add(types.NewInt(int64(seq)), types.NewText(enc[:n]))
 				enc = enc[n:]
 			}
-			if s.AnnIVF, err = at.finish(); err != nil {
+			if s.AnnIVF, _, err = at.finish(); err != nil {
 				return nil, err
 			}
 		}
@@ -245,7 +328,7 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 			score, _ := model.Score(i)
 			isc.add(types.NewInt(i), types.NewFloat(score))
 		}
-		if s.ItemScore, err = isc.finish(); err != nil {
+		if s.ItemScore, _, err = isc.finish(); err != nil {
 			return nil, err
 		}
 	default:
@@ -301,31 +384,15 @@ func (s *ModelStore) HasItem(i int64) bool {
 	return ok
 }
 
-// scanRun visits the rows of t whose key column (col, the table's first)
-// equals key, passing fn the two fields that follow it. It is the one read
-// path under every neighbourhood accessor: the index on col finds the
-// key's first RID, then a snapshot iterator walks the heap forward in
-// physical order — the key's rows are one contiguous run (see Materialize)
-// — until the key changes or fn returns false, pinning each page of the
-// run once and decoding fields straight from the tuple bytes.
-func scanRun(t *catalog.Table, col string, key int64, fn func(id int64, val float64) bool) error {
-	if t == nil {
-		return fmt.Errorf("rec: model has no table keyed by %s", col)
-	}
-	idx, ok := t.IndexOn(col)
-	if !ok {
-		return fmt.Errorf("rec: table %q has no %s index", t.Name, col)
-	}
-	var first storage.RID
-	found := false
-	bound := types.NewInt(key)
-	t.ScanIndexRange(idx, bound, bound, func(rid storage.RID) bool {
-		first, found = rid, true
-		return false
-	})
-	if !found {
-		return nil
-	}
+// scanRun visits the run of t keyed by key — the rows whose first column
+// equals it — starting at its first row, first, and passes fn the two
+// fields that follow the key. It is the one read path under every
+// neighbourhood accessor: a snapshot iterator seeks to first and walks the
+// heap forward in physical order — the key's rows are one contiguous run
+// (see Materialize) — until the key changes or fn returns false, pinning
+// each page of the run once and decoding fields straight from the tuple
+// bytes.
+func scanRun(t *catalog.Table, first storage.RID, key int64, fn func(id int64, val float64) bool) error {
 	it := t.Heap.Scan()
 	defer it.Close()
 	it.Seek(first)
@@ -346,9 +413,9 @@ func scanRun(t *catalog.Table, col string, key int64, fn func(id int64, val floa
 }
 
 // ratingsRun collects one key's run of a (key, id, ratingval) table.
-func ratingsRun(t *catalog.Table, col string, key int64) (map[int64]float64, error) {
+func ratingsRun(t *catalog.Table, dir runDir, key int64) (map[int64]float64, error) {
 	out := make(map[int64]float64)
-	err := scanRun(t, col, key, func(id int64, rating float64) bool {
+	err := dir.scan(t, key, func(id int64, rating float64) bool {
 		out[id] = rating
 		return true
 	})
@@ -357,30 +424,30 @@ func ratingsRun(t *catalog.Table, col string, key int64) (map[int64]float64, err
 
 // UserItems fetches user u's rated items (iid → rating) from uservector.
 func (s *ModelStore) UserItems(u int64) (map[int64]float64, error) {
-	return ratingsRun(s.UserVector, "uid", u)
+	return ratingsRun(s.UserVector, s.userVectorRuns, u)
 }
 
 // ItemRaters fetches the users who rated item i (uid → rating) from
 // itemvector (user-based algorithms).
 func (s *ModelStore) ItemRaters(i int64) (map[int64]float64, error) {
-	return ratingsRun(s.ItemVector, "iid", i)
+	return ratingsRun(s.ItemVector, s.itemVectorRuns, i)
 }
 
 // ItemNeighbors fetches item i's similarity list from itemneighborhood,
 // in the order it was built: descending |sim|, then ascending id.
 func (s *ModelStore) ItemNeighbors(i int64) ([]Neighbor, error) {
-	return neighborsRun(s.ItemNeighborhood, "iid", i)
+	return neighborsRun(s.ItemNeighborhood, s.itemNeighborRuns, i)
 }
 
 // UserNeighbors fetches user u's similarity list from userneighborhood,
 // in the order it was built: descending |sim|, then ascending id.
 func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
-	return neighborsRun(s.UserNeighborhood, "uid", u)
+	return neighborsRun(s.UserNeighborhood, s.userNeighborRuns, u)
 }
 
-func neighborsRun(t *catalog.Table, col string, id int64) ([]Neighbor, error) {
+func neighborsRun(t *catalog.Table, dir runDir, id int64) ([]Neighbor, error) {
 	var out []Neighbor
-	err := scanRun(t, col, id, func(n int64, sim float64) bool {
+	err := dir.scan(t, id, func(n int64, sim float64) bool {
 		out = append(out, Neighbor{ID: n, Sim: sim})
 		return true
 	})
@@ -393,7 +460,7 @@ func neighborsRun(t *catalog.Table, col string, id int64) ([]Neighbor, error) {
 // the list being built.
 func (s *ModelStore) PredictItemBased(i int64, userItems map[int64]float64) (float64, bool, error) {
 	var sum weightedSum
-	err := scanRun(s.ItemNeighborhood, "iid", i, func(n int64, sim float64) bool {
+	err := s.itemNeighborRuns.scan(s.ItemNeighborhood, i, func(n int64, sim float64) bool {
 		if r, ok := userItems[n]; ok {
 			sum.add(sim, r)
 		}
@@ -500,7 +567,7 @@ func (s *ModelStore) ItemScoreOf(i int64) (float64, bool, error) {
 // Seen returns the rating user u gave item i, looked up in the uservector
 // table.
 func (s *ModelStore) Seen(u, i int64) (rating float64, found bool, err error) {
-	err = scanRun(s.UserVector, "uid", u, func(item int64, r float64) bool {
+	err = s.userVectorRuns.scan(s.UserVector, u, func(item int64, r float64) bool {
 		if item == i {
 			rating, found = r, true
 		}

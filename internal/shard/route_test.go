@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"recdb/internal/engine"
-	"recdb/internal/exec"
 	"recdb/internal/sql"
 )
 
@@ -185,13 +184,6 @@ func TestRouterAndPlannerAgreeOnAggregates(t *testing.T) {
 		denied := r.Action == RouteDeny && strings.Contains(r.Reason, "aggregation")
 		if planned != c.agg || denied != c.agg {
 			t.Errorf("%s: planner aggregates = %v, router denies = %v, want both %v", text, planned, denied, c.agg)
-		}
-	}
-	// The name set itself: exec's name-to-kind table knows exactly the
-	// names sql.IsAggregate accepts.
-	for _, name := range []string{"count", "sum", "avg", "min", "max", "abs", "counter", "", "maximum"} {
-		if _, ok := exec.ParseAggName(name); ok != sql.IsAggregate(name) {
-			t.Errorf("%q: exec.ParseAggName ok = %v, sql.IsAggregate = %v", name, ok, sql.IsAggregate(name))
 		}
 	}
 }

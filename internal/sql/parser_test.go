@@ -591,3 +591,19 @@ func TestParseScriptSourceText(t *testing.T) {
 		}
 	}
 }
+
+func TestAggregate(t *testing.T) {
+	for name, want := range map[string]AggKind{
+		"count": AggCount, "SUM": AggSum, "Avg": AggAvg, "min": AggMin, "MAX": AggMax,
+	} {
+		got, ok := Aggregate(name)
+		if !ok || got != want || !IsAggregate(name) {
+			t.Errorf("Aggregate(%q) = %v, %v", name, got, ok)
+		}
+	}
+	for _, name := range []string{"median", "abs", "counter", "", "maximum"} {
+		if _, ok := Aggregate(name); ok || IsAggregate(name) {
+			t.Errorf("%q should not be an aggregate", name)
+		}
+	}
+}

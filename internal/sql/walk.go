@@ -51,16 +51,40 @@ func Conjuncts(where Expr) []Expr {
 	return []Expr{where}
 }
 
+// AggKind identifies an aggregate function.
+type AggKind int
+
+// The supported aggregates.
+const (
+	AggCountStar AggKind = iota // COUNT(*)
+	AggCount                    // COUNT(expr): non-NULL values
+	AggSum
+	AggAvg
+	AggMin
+	AggMax
+)
+
+// aggregates is the one table of aggregate function names. The planner
+// (which builds a HashAggregate for one) and the shard router (which
+// refuses to scatter one) must agree on this set, so it is defined here,
+// below both.
+var aggregates = map[string]AggKind{
+	"count": AggCount, "sum": AggSum, "avg": AggAvg, "min": AggMin, "max": AggMax,
+}
+
+// Aggregate returns the kind of aggregate function name names, in any
+// case; ok is false when it names none. COUNT is AggCount whatever its
+// argument: telling COUNT(*) apart is the planner's business.
+func Aggregate(name string) (kind AggKind, ok bool) {
+	kind, ok = aggregates[strings.ToLower(name)]
+	return kind, ok
+}
+
 // IsAggregate reports whether name, in any case, names an aggregate
-// function. The planner (which builds a HashAggregate for one) and the
-// shard router (which refuses to scatter one) must agree on this set, so
-// it is defined here, below both.
+// function.
 func IsAggregate(name string) bool {
-	switch strings.ToLower(name) {
-	case "count", "sum", "avg", "min", "max":
-		return true
-	}
-	return false
+	_, ok := Aggregate(name)
+	return ok
 }
 
 // ContainsAggregate reports whether an aggregate call occurs anywhere in e.

@@ -357,9 +357,9 @@ func (s *Snapshot) Scan() *Iterator {
 
 // Seek repositions the iterator so that the next tuple returned is the
 // first live one at or after rid in physical order. Together with
-// NextTuple it reads a clustered run — rows inserted consecutively under
-// one key, found through an index on that key — pinning each page of the
-// run once instead of once per row.
+// NextTuple it reads a clustered run — rows stored consecutively under one
+// key, its first RID kept by the model store's run directory — pinning each
+// page of the run once instead of once per row.
 func (it *Iterator) Seek(rid RID) {
 	if it.page != rid.Page {
 		it.unpin()

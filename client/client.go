@@ -427,12 +427,15 @@ func (c *Conn) deliver(t wire.Type, p []byte, ownID uint32, own *call) (done boo
 			cl.rows.cols, cl.rows.strategy = d.Columns, d.Strategy
 		}
 	case wire.TypeRowBatch:
-		id, batch, err := wire.DecodeRowBatch(p)
+		// Checked now, decoded when the caller first asks for a row: a
+		// caller that only forwards the rows never decodes them.
+		id, n, tuples, err := wire.CheckRowBatch(p)
 		if err != nil {
 			return false, err
 		}
 		if cl := lookup(id); cl != nil {
-			cl.rows.rows = append(cl.rows.rows, batch...)
+			cl.rows.enc = append(cl.rows.enc, tuples...)
+			cl.rows.n += n
 		}
 	case wire.TypeComplete:
 		complete, err := wire.DecodeComplete(p)
@@ -534,19 +537,58 @@ func (c *Conn) closedErr() error {
 }
 
 // Rows is a materialized query result, mirroring recdb.Rows: iterate
-// with Next, read with Row or Scan.
+// with Next, read with Row or Scan. The tuples of an answer off the wire
+// are kept as they arrived — checked, in the engine's encoding — and
+// decoded on the first Next, Row, All or Scan, so code that only relays
+// them (the sharding router) takes them from Encoded instead. Like an
+// iterator, a Rows is for one goroutine at a time.
 type Rows struct {
 	cols     []string
 	strategy string
-	rows     []Row
-	pos      int
+	// enc holds the n tuples back to back until decode moves them to rows.
+	enc     []byte
+	n       int
+	rows    []Row
+	decoded bool
+	pos     int
 }
 
 // NewRows builds a Rows from already-materialized tuples — for code
 // that produces results client-side (the sharding router's merges, test
 // fixtures) in the same shape the wire delivers them.
 func NewRows(cols []string, strategy string, rows []Row) *Rows {
-	return &Rows{cols: cols, strategy: strategy, rows: rows, pos: -1}
+	return &Rows{cols: cols, strategy: strategy, rows: rows, n: len(rows), decoded: true, pos: -1}
+}
+
+// decode materializes the encoded tuples, once.
+func (r *Rows) decode() {
+	if r.decoded {
+		return
+	}
+	r.decoded = true
+	if r.n > 0 {
+		r.rows = make([]Row, 0, r.n)
+	}
+	for rest := r.enc; len(rest) > 0; {
+		row, used, err := types.DecodeRow(rest)
+		if err != nil {
+			break // unreachable: wire.CheckRowBatch accepted these bytes
+		}
+		r.rows = append(r.rows, row)
+		rest = rest[used:]
+	}
+	r.enc = nil
+}
+
+// Encoded returns the rows still in the engine's tuple encoding, back to
+// back as the server sent them, and their count — ok is false once they
+// have been decoded, and for a Rows built by NewRows. A relay hands the
+// bytes on as they are.
+func (r *Rows) Encoded() (tuples []byte, n int, ok bool) {
+	if r.decoded {
+		return nil, 0, false
+	}
+	return r.enc, r.n, true
 }
 
 // Columns returns the result column names.
@@ -557,10 +599,11 @@ func (r *Rows) Columns() []string { return r.cols }
 func (r *Rows) Strategy() string { return r.strategy }
 
 // Len returns the number of rows.
-func (r *Rows) Len() int { return len(r.rows) }
+func (r *Rows) Len() int { return r.n }
 
 // Next advances to the next row.
 func (r *Rows) Next() bool {
+	r.decode()
 	if r.pos+1 >= len(r.rows) {
 		return false
 	}
@@ -570,6 +613,7 @@ func (r *Rows) Next() bool {
 
 // Row returns the current row.
 func (r *Rows) Row() Row {
+	r.decode()
 	if r.pos < 0 || r.pos >= len(r.rows) {
 		return nil
 	}
@@ -577,11 +621,15 @@ func (r *Rows) Row() Row {
 }
 
 // All returns every row.
-func (r *Rows) All() []Row { return r.rows }
+func (r *Rows) All() []Row {
+	r.decode()
+	return r.rows
+}
 
 // Scan copies the current row into dest pointers (*int64, *float64,
 // *string, *bool, or *types.Value), exactly as recdb.Rows.Scan does.
 func (r *Rows) Scan(dest ...any) error {
+	r.decode()
 	if r.pos < 0 || r.pos >= len(r.rows) {
 		return fmt.Errorf("client: Scan called without a current row")
 	}

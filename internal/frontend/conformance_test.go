@@ -934,3 +934,35 @@ func TestMetricsHTTPEndpoints(t *testing.T) {
 		}
 	})
 }
+
+// TestOversizedRowAnswered: a result row too large for one frame (a
+// 3 000-byte value projected 6 000 times, ~18 MB against the 16 MiB frame
+// bound) is answered at once with a typed "query" error that names the
+// bound, and the same connection serves the next statement.
+func TestOversizedRowAnswered(t *testing.T) {
+	eachBackend(t, func(t *testing.T, start starter) {
+		c := dial(t, start(t, frontend.Options{}, nil).addr)
+		ctx := context.Background()
+		if _, err := c.Exec(ctx, `CREATE TABLE wide (uid INT, s TEXT)`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Exec(ctx, `INSERT INTO wide VALUES (1, '`+strings.Repeat("x", 3000)+`')`); err != nil {
+			t.Fatal(err)
+		}
+		qctx, cancel := context.WithTimeout(ctx, 3*time.Second)
+		defer cancel()
+		_, err := c.Query(qctx, `SELECT `+strings.Repeat("s, ", 5999)+`s FROM wide WHERE uid = 1`)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeQuery ||
+			!strings.Contains(se.Message, fmt.Sprintf("exceeds the %d-byte bound", wire.MaxFrameSize)) {
+			t.Fatalf("oversized row: %v, want a %q error naming the %d-byte bound", err, wire.CodeQuery, wire.MaxFrameSize)
+		}
+		rows, err := c.Query(ctx, `SELECT uid FROM wide WHERE uid = 1`)
+		if err != nil {
+			t.Fatalf("the statement after the oversized row: %v", err)
+		}
+		if rows.Len() != 1 {
+			t.Fatalf("the statement after the oversized row returned %d rows, want 1", rows.Len())
+		}
+	})
+}

@@ -102,7 +102,9 @@ type Session interface {
 	Close() error
 }
 
-// Rows iterates a Query answer.
+// Rows iterates a Query answer. One that also has an Encoded method
+// (client.Rows) hands its tuples over still encoded, and they are sent
+// without being decoded.
 type Rows interface {
 	Columns() []string
 	Strategy() string

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -357,7 +356,10 @@ func (s *session) serve(r request, start time.Time) {
 		err = s.out.writeComplete(wire.Complete{ID: r.req.ID, Rows: affected})
 	}
 	if err != nil {
-		return // connection-level failure; the token holder will notice too
+		// An answer too large to frame has been answered with an error; any
+		// other failure is the connection's, and the token holder will
+		// notice too.
+		return
 	}
 	s.f.m.queries.Inc()
 	s.f.m.queryNs.ObserveSince(start)
@@ -568,53 +570,136 @@ const (
 	flushTarget = 64 << 10
 )
 
+// unframable is an answer the writer cannot put into frames: a row past
+// wire.MaxFrameSize, or relayed tuples that do not parse.
+type unframable struct{ error }
+
 // writeRows streams a Query answer: RowDescription, the data rows, then
-// CommandComplete. Consecutive tuples coalesce into RowBatch frames of
-// about rowBatchTarget encoded bytes (a one-tuple answer is a RowBatch of
-// count 1). Both backends hand over materialized rows, so holding the
-// write lock here costs encoding time only, never executor time.
+// CommandComplete. Consecutive tuples coalesce into RowBatch frames, each
+// closed at the first tuple boundary at or past rowBatchTarget encoded
+// bytes (a one-tuple answer is a RowBatch of count 1). Rows that arrive
+// still encoded (see encodedRows) are framed as they are; any others are
+// encoded here. Both backends hand over materialized rows, so holding the
+// write lock costs framing time only, never executor time.
+//
+// An answer that cannot be framed is cut short: what of it is unsent is
+// dropped, and a "query" Error frame naming the size and the bound
+// answers the request instead — the client discards the rows it has of
+// it — so the connection serves the next statement. writeRows then
+// reports the unframable error; any other error is the connection's.
 func (w *frameWriter) writeRows(id uint32, rows Rows) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	err := w.rowsLocked(id, rows)
+	var u unframable
+	if !errors.As(err, &u) {
+		return err
+	}
+	// What grew to hold the answer is not kept for the session's next one.
+	w.buf, w.tuples = nil, nil
+	start := w.beginLocked(wire.TypeError)
+	w.buf = wire.AppendError(w.buf, wire.ErrorMsg{ID: id, Code: wire.CodeQuery,
+		Message: "answer cannot be sent: " + u.Error()})
+	if err := w.sendLocked(start); err != nil {
+		return err
+	}
+	return u
+}
+
+// encodedRows is a Rows that can give up its tuples still in the engine's
+// encoding, back to back — a shard's answer the router relays
+// (client.Rows). ok is false once they have been decoded.
+type encodedRows interface {
+	Encoded() (tuples []byte, n int, ok bool)
+}
+
+// rowsLocked frames a whole answer. Framing failures come back
+// unframable.
+func (w *frameWriter) rowsLocked(id uint32, rows Rows) error {
 	start := w.beginLocked(wire.TypeRowDesc)
 	w.buf = wire.AppendRowDesc(w.buf, wire.RowDesc{ID: id, Strategy: rows.Strategy(), Columns: rows.Columns()})
 	if err := w.endLocked(start); err != nil {
-		return err
+		return unframable{err}
 	}
 	var n int64
-	count := 0
-	w.tuples = w.tuples[:0]
-	flushBatch := func() error {
-		if count == 0 {
-			return nil
-		}
-		start := w.beginLocked(wire.TypeRowBatch)
-		w.buf = wire.AppendID(w.buf, id)
-		w.buf = binary.AppendUvarint(w.buf, uint64(count))
-		w.buf = append(w.buf, w.tuples...)
-		w.tuples, count = w.tuples[:0], 0
-		if err := w.endLocked(start); err != nil {
-			return err
-		}
-		if len(w.buf) > flushTarget {
-			return w.flushLocked()
-		}
-		return nil
+	var err error
+	if tuples, count, ok := encoded(rows); ok {
+		n, err = int64(count), w.relayLocked(id, tuples, count)
+	} else {
+		n, err = w.encodeLocked(id, rows)
 	}
-	for rows.Next() {
-		w.tuples = types.EncodeRow(w.tuples, rows.Row())
-		count++
-		n++
-		if len(w.tuples) >= rowBatchTarget {
-			if err := flushBatch(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flushBatch(); err != nil {
+	if err != nil {
 		return err
 	}
 	start = w.beginLocked(wire.TypeComplete)
 	w.buf = wire.AppendComplete(w.buf, wire.Complete{ID: id, Rows: n})
 	return w.sendLocked(start)
+}
+
+// encoded returns rows' tuples still encoded, when it has them so.
+func encoded(rows Rows) (tuples []byte, n int, ok bool) {
+	if er, is := rows.(encodedRows); is {
+		return er.Encoded()
+	}
+	return nil, 0, false
+}
+
+// encodeLocked encodes rows into RowBatch frames and counts them.
+func (w *frameWriter) encodeLocked(id uint32, rows Rows) (int64, error) {
+	var n int64
+	w.tuples = w.tuples[:0]
+	count := 0
+	for rows.Next() {
+		w.tuples = types.EncodeRow(w.tuples, rows.Row())
+		count++
+		n++
+		if len(w.tuples) >= rowBatchTarget {
+			if err := w.batchLocked(id, count, w.tuples); err != nil {
+				return n, err
+			}
+			w.tuples, count = w.tuples[:0], 0
+		}
+	}
+	return n, w.batchLocked(id, count, w.tuples)
+}
+
+// relayLocked frames n encoded tuples, cutting batches where the encoding
+// path would: an answer under rowBatchTarget is one batch as it stands,
+// and only a longer one is walked for its tuple boundaries.
+func (w *frameWriter) relayLocked(id uint32, tuples []byte, n int) error {
+	for len(tuples) > 0 {
+		cut, count := len(tuples), n
+		if cut >= rowBatchTarget {
+			cut, count = 0, 0
+			for cut < rowBatchTarget {
+				size, err := types.RowSize(tuples[cut:])
+				if err != nil {
+					return unframable{err}
+				}
+				cut, count = cut+size, count+1
+			}
+		}
+		if err := w.batchLocked(id, count, tuples[:cut]); err != nil {
+			return err
+		}
+		tuples, n = tuples[cut:], n-count
+	}
+	return nil
+}
+
+// batchLocked appends one RowBatch of count tuples (none: no frame), and
+// sends what has accumulated once it passes flushTarget.
+func (w *frameWriter) batchLocked(id uint32, count int, tuples []byte) error {
+	if count == 0 {
+		return nil
+	}
+	start := w.beginLocked(wire.TypeRowBatch)
+	w.buf = wire.AppendRowBatchTuples(w.buf, id, count, tuples)
+	if err := w.endLocked(start); err != nil {
+		return unframable{err}
+	}
+	if len(w.buf) > flushTarget {
+		return w.flushLocked()
+	}
+	return nil
 }

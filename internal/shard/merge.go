@@ -5,9 +5,11 @@ import (
 	"recdb/internal/types"
 )
 
-// result is one statement answer ready to stream to the client: either
-// a row set (reads) or an affected count (writes).
+// result is one statement answer ready to stream to the client: a row
+// set (reads) — one shard's answer as it arrived, or rows merged from
+// several — or an affected count (writes).
 type result struct {
+	relay    *client.Rows
 	cols     []string
 	strategy string
 	rows     []types.Row

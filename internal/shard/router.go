@@ -213,6 +213,9 @@ func (c routed) Query(ctx context.Context, text string) (frontend.Rows, error) {
 	if err != nil {
 		return nil, wireError(err)
 	}
+	if res.relay != nil {
+		return res.relay, nil
+	}
 	return client.NewRows(res.cols, res.strategy, res.rows), nil
 }
 
@@ -388,14 +391,15 @@ func (r *Router) execute(ctx context.Context, kind wire.Type, text string, stmt 
 	}
 }
 
-// one runs a single-shard statement.
+// one runs a single-shard statement. A read's answer is the shard's
+// whole answer, relayed with its tuples still encoded.
 func (r *Router) one(ctx context.Context, shard int, kind wire.Type, text string) (result, error) {
 	complete, rows, err := r.do(ctx, shard, kind, text)
 	if err != nil {
 		return result{}, err
 	}
 	if kind == wire.TypeQuery {
-		return result{cols: rows.Columns(), strategy: rows.Strategy(), rows: rows.All()}, nil
+		return result{relay: rows}, nil
 	}
 	return result{affected: complete.Rows}, nil
 }

@@ -11,107 +11,167 @@ import (
 // and a byte past 0x7f is a fragment of a character, not a letter. Strings use single quotes
 // with ” as the escape for a literal quote. Line comments start with --.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
-	line, col := 1, 1
-	i := 0
 	n := len(input)
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if input[i+j] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-		}
-		i += k
-	}
+	// Tokens average two bytes or more with the separators between them
+	// (only something like "1,2,3" averages less), so this one allocation
+	// holds every token of nearly every statement.
+	toks := make([]Token, 0, n/2+2)
+	i := 0
 	for i < n {
 		c := input[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
+			i++
 		case c == '-' && i+1 < n && input[i+1] == '-':
-			for i < n && input[i] != '\n' {
-				advance(1)
+			if j := strings.IndexByte(input[i:], '\n'); j >= 0 {
+				i += j
+			} else {
+				i = n
 			}
 		case isIdentStart(c):
-			start, sl, sc := i, line, col
-			for i < n && isIdentPart(input[i]) {
-				advance(1)
+			start := i
+			for i < n && identPart[input[i]] {
+				i++
 			}
-			toks = append(toks, Token{Kind: TokIdent, Text: input[start:i], Pos: start, Line: sl, Col: sc})
+			text := input[start:i]
+			toks = append(toks, Token{Kind: TokIdent, word: asciiWord(text), Text: text, Pos: start})
 		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9'):
-			start, sl, sc := i, line, col
+			start := i
 			seenDot, seenExp := false, false
 			for i < n {
 				ch := input[i]
 				if ch >= '0' && ch <= '9' {
-					advance(1)
+					i++
 				} else if ch == '.' && !seenDot && !seenExp {
 					seenDot = true
-					advance(1)
+					i++
 				} else if (ch == 'e' || ch == 'E') && !seenExp && i+1 < n &&
 					(input[i+1] >= '0' && input[i+1] <= '9' || input[i+1] == '+' || input[i+1] == '-') {
 					seenExp = true
-					advance(2)
+					i += 2
 				} else {
 					break
 				}
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: input[start:i], Pos: start, Line: sl, Col: sc})
+			toks = append(toks, Token{Kind: TokNumber, float: seenDot || seenExp, Text: input[start:i], Pos: start})
 		case c == '\'':
-			start, sl, sc := i, line, col
-			advance(1)
-			var sb strings.Builder
-			closed := false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' {
-						sb.WriteByte('\'')
-						advance(2)
-						continue
-					}
-					advance(1)
-					closed = true
-					break
-				}
-				sb.WriteByte(input[i])
-				advance(1)
+			start := i
+			text, end, ok := lexString(input, i+1)
+			if !ok {
+				return nil, errorAt(input, start, "unterminated string literal")
 			}
-			if !closed {
-				return nil, &ParseError{Msg: "unterminated string literal", Line: sl, Col: sc}
-			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start, Line: sl, Col: sc})
+			i = end
+			toks = append(toks, Token{Kind: TokString, Text: text, Pos: start})
 		case c == '"':
 			// Double-quoted identifier.
-			start, sl, sc := i, line, col
-			advance(1)
-			j := strings.IndexByte(input[i:], '"')
+			start := i
+			j := strings.IndexByte(input[i+1:], '"')
 			if j < 0 {
-				return nil, &ParseError{Msg: "unterminated quoted identifier", Line: sl, Col: sc}
+				return nil, errorAt(input, start, "unterminated quoted identifier")
 			}
-			text := input[i : i+j]
-			advance(j + 1)
-			toks = append(toks, Token{Kind: TokIdent, Text: text, Pos: start, Line: sl, Col: sc})
+			text := input[i+1 : i+1+j]
+			i += j + 2
+			// The parser has always matched keywords and symbols against an
+			// identifier's text however it was written, so "(" in double
+			// quotes still reads as a parenthesis.
+			w := identWord(text)
+			if len(text) == 1 || len(text) == 2 {
+				if sym, size := symbolAt(text, 0); size == len(text) {
+					w = sym
+				}
+			}
+			toks = append(toks, Token{Kind: TokIdent, word: w, Text: text, Pos: start})
 		default:
-			start, sl, sc := i, line, col
-			var sym string
-			switch {
-			case strings.HasPrefix(input[i:], "<="), strings.HasPrefix(input[i:], ">="),
-				strings.HasPrefix(input[i:], "<>"), strings.HasPrefix(input[i:], "!="):
-				sym = input[i : i+2]
-			case strings.ContainsRune("()*,.=<>+-/;", rune(c)):
-				sym = string(c)
-			default:
-				return nil, &ParseError{Msg: fmt.Sprintf("unexpected character %q", c), Line: sl, Col: sc}
+			w, size := symbolAt(input, i)
+			if w == wNone {
+				return nil, errorAt(input, i, fmt.Sprintf("unexpected character %q", c))
 			}
-			advance(len(sym))
-			toks = append(toks, Token{Kind: TokSymbol, Text: sym, Pos: start, Line: sl, Col: sc})
+			toks = append(toks, Token{Kind: TokSymbol, word: w, Text: input[i : i+size], Pos: i})
+			i += size
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Pos: n, Line: line, Col: col})
+	toks = append(toks, Token{Kind: TokEOF, Pos: n})
 	return toks, nil
+}
+
+// lexString scans a single-quoted literal whose body starts at i and
+// returns its value and the offset just past the closing quote. A literal
+// without a doubled quote is a substring of the input.
+func lexString(input string, i int) (text string, end int, ok bool) {
+	start := i
+	for i < len(input) {
+		if input[i] == '\'' {
+			if i+1 < len(input) && input[i+1] == '\'' {
+				break // an escape: build the value
+			}
+			return input[start:i], i + 1, true
+		}
+		i++
+	}
+	var sb strings.Builder
+	sb.WriteString(input[start:i])
+	for i < len(input) {
+		if input[i] == '\'' {
+			if i+1 < len(input) && input[i+1] == '\'' {
+				sb.WriteByte('\'')
+				i += 2
+				continue
+			}
+			return sb.String(), i + 1, true
+		}
+		sb.WriteByte(input[i])
+		i++
+	}
+	return "", 0, false
+}
+
+// symbolAt returns the symbol at input[i] and its length in bytes, or
+// wNone when the byte starts none.
+func symbolAt(input string, i int) (word, int) {
+	var next byte
+	if i+1 < len(input) {
+		next = input[i+1]
+	}
+	switch input[i] {
+	case '(':
+		return wLParen, 1
+	case ')':
+		return wRParen, 1
+	case ',':
+		return wComma, 1
+	case '.':
+		return wDot, 1
+	case '*':
+		return wStar, 1
+	case '=':
+		return wEq, 1
+	case '+':
+		return wPlus, 1
+	case '-':
+		return wMinus, 1
+	case '/':
+		return wSlash, 1
+	case ';':
+		return wSemi, 1
+	case '<':
+		switch next {
+		case '=':
+			return wLe, 2
+		case '>':
+			return wNe, 2
+		}
+		return wLt, 1
+	case '>':
+		if next == '=' {
+			return wGe, 2
+		}
+		return wGt, 1
+	case '!':
+		if next == '=' {
+			return wBangEq, 2
+		}
+	}
+	return wNone, 0
 }
 
 func isIdentStart(c byte) bool {
@@ -121,3 +181,11 @@ func isIdentStart(c byte) bool {
 func isIdentPart(c byte) bool {
 	return isIdentStart(c) || c >= '0' && c <= '9'
 }
+
+// identPart is isIdentPart as a table, for the lexer's inner loop.
+var identPart = func() (t [256]bool) {
+	for c := range t {
+		t[c] = isIdentPart(byte(c))
+	}
+	return t
+}()

@@ -15,12 +15,12 @@ func Parse(input string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := newParser(input, toks)
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
 	}
-	p.accept(";")
+	p.accept(wSemi)
 	if !p.atEOF() {
 		return nil, p.errorf("unexpected %s after statement", p.peek())
 	}
@@ -55,118 +55,191 @@ func ParseScript(input string) ([]ScriptStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := newParser(input, toks)
 	var out []ScriptStmt
 	for {
-		for p.accept(";") {
+		for p.accept(wSemi) {
 		}
 		if p.atEOF() {
 			return out, nil
 		}
-		start := p.peek().Pos
+		start := p.cur().Pos
 		stmt, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
 		// The statement's text ends where the next token (the semicolon or
 		// EOF) begins.
-		end := p.peek().Pos
+		end := p.cur().Pos
 		if end > len(input) {
 			end = len(input)
 		}
 		out = append(out, ScriptStmt{Stmt: stmt, Text: strings.TrimSpace(input[start:end])})
-		if !p.accept(";") && !p.atEOF() {
+		if !p.accept(wSemi) && !p.atEOF() {
 			return nil, p.errorf("expected ';' between statements, got %s", p.peek())
 		}
 	}
 }
 
+// parser is one statement's (or script's) recursive descent over its
+// tokens. Expression nodes come from slabs, and every list is sized by
+// listLen before it is filled, so a statement costs a handful of
+// allocations however many literals it carries.
 type parser struct {
+	src  string
 	toks []Token
 	pos  int
+
+	lits slab[Literal]
+	cols slab[ColumnRef]
+	bins slab[Binary]
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
-func (p *parser) atEOF() bool { return p.peek().Kind == TokEOF }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// newParser starts a parse of src's tokens. Literals and column
+// references are counted off the tokens first, so each of those slabs is
+// one allocation.
+func newParser(src string, toks []Token) parser {
+	p := parser{src: src, toks: toks}
+	for i := range toks {
+		switch t := &toks[i]; {
+		case t.Kind == TokNumber || t.Kind == TokString || t.word == wTrue || t.word == wFalse || t.word == wNull:
+			p.lits.next++
+		case t.Kind == TokIdent && t.word == wNone:
+			p.cols.next++ // a bound: a qualified reference takes two
+		}
+	}
+	return p
+}
+
+// slab hands out nodes of one type from chunks it allocates: a first one
+// of next nodes (four when nobody said), then doubling up to sixty-four a
+// chunk. A node keeps its chunk alive, which costs nothing: a statement's
+// nodes live and die together.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+func (s *slab[T]) new() *T {
+	if len(s.free) == 0 {
+		n := s.next
+		if n == 0 {
+			n = 4
+		}
+		s.free = make([]T, n)
+		s.next = min(2*n, 64)
+	}
+	x := &s.free[0]
+	s.free = s.free[1:]
+	return x
+}
+
+func (p *parser) lit(v types.Value) *Literal {
+	l := p.lits.new()
+	l.Value = v
+	return l
+}
+
+func (p *parser) col(qualifier, name string) *ColumnRef {
+	c := p.cols.new()
+	c.Qualifier, c.Name = qualifier, name
+	return c
+}
+
+func (p *parser) bin(op BinaryOp, l, r Expr) *Binary {
+	b := p.bins.new()
+	b.Op, b.L, b.R = op, l, r
+	return b
+}
+
+func (p *parser) cur() *Token        { return &p.toks[p.pos] }
+func (p *parser) peek() Token        { return p.toks[p.pos] }
+func (p *parser) atEOF() bool        { return p.toks[p.pos].Kind == TokEOF }
+func (p *parser) peekIs(w word) bool { return p.toks[p.pos].word == w }
 
 func (p *parser) errorf(format string, args ...any) error {
-	t := p.peek()
-	return &ParseError{Msg: fmt.Sprintf(format, args...), Line: t.Line, Col: t.Col}
+	return errorAt(p.src, p.cur().Pos, fmt.Sprintf(format, args...))
 }
 
-// accept consumes the next token when it matches word (a keyword, matched
-// case-insensitively against identifiers, or a symbol).
-func (p *parser) accept(word string) bool {
-	t := p.peek()
-	switch t.Kind {
-	case TokIdent:
-		if strings.EqualFold(t.Text, word) {
-			p.pos++
-			return true
-		}
-	case TokSymbol:
-		if t.Text == word {
-			p.pos++
-			return true
-		}
+// accept consumes the next token when it is w: a keyword (an identifier
+// spelling it in any case) or a symbol.
+func (p *parser) accept(w word) bool {
+	if p.toks[p.pos].word == w {
+		p.pos++
+		return true
 	}
 	return false
 }
 
-func (p *parser) expect(word string) error {
-	if !p.accept(word) {
-		return p.errorf("expected %q, got %s", word, p.peek())
+func (p *parser) expect(w word) error {
+	if !p.accept(w) {
+		return p.errorf("expected %q, got %s", wordText[w], p.peek())
 	}
 	return nil
 }
 
-func (p *parser) peekIs(word string) bool {
-	t := p.peek()
-	return (t.Kind == TokIdent && strings.EqualFold(t.Text, word)) ||
-		(t.Kind == TokSymbol && t.Text == word)
-}
-
 func (p *parser) ident() (string, error) {
-	t := p.peek()
+	t := p.cur()
 	if t.Kind != TokIdent {
-		return "", p.errorf("expected identifier, got %s", t)
+		return "", p.errorf("expected identifier, got %s", *t)
 	}
 	p.pos++
 	return t.Text, nil
 }
 
-var reservedAliasWords = map[string]bool{
-	"where": true, "recommend": true, "order": true, "limit": true,
-	"group": true, "having": true, "on": true, "using": true, "set": true,
-	"from": true, "to": true, "and": true, "or": true, "not": true,
-	"inner": true, "join": true, "values": true, "as": true, "asc": true,
-	"desc": true, "in": true, "is": true, "like": true, "between": true, "offset": true, "select": true, "distinct": true, "explain": true,
+// listLen is the capacity to give the comma-separated list that starts at
+// the next token: one more than the commas outside parentheses before the
+// list ends at an unmatched ')', a ';', the end of input or a clause
+// keyword. It only sizes the slice; the parse decides the list.
+func (p *parser) listLen() int {
+	n, depth := 1, 0
+	for i := p.pos; i < len(p.toks); i++ {
+		switch p.toks[i].word {
+		case wLParen:
+			depth++
+		case wRParen:
+			if depth == 0 {
+				return n
+			}
+			depth--
+		case wComma:
+			if depth == 0 {
+				n++
+			}
+		case wSemi, wFrom, wRecommend, wWhere, wGroup, wHaving, wOrder, wLimit, wOffset:
+			if depth == 0 {
+				return n
+			}
+		}
+	}
+	return n
 }
 
 func (p *parser) parseStatement() (Statement, error) {
-	switch {
-	case p.accept("CREATE"):
+	switch p.cur().word {
+	case wCreate:
+		p.pos++
 		switch {
-		case p.accept("TABLE"):
+		case p.accept(wTable):
 			return p.parseCreateTable()
-		case p.accept("INDEX"):
+		case p.accept(wIndex):
 			return p.parseCreateIndex()
-		case p.accept("RECOMMENDER"):
+		case p.accept(wRecommender):
 			return p.parseCreateRecommender()
 		default:
 			return nil, p.errorf("expected TABLE, INDEX, or RECOMMENDER after CREATE")
 		}
-	case p.accept("DROP"):
+	case wDrop:
+		p.pos++
 		switch {
-		case p.accept("TABLE"):
+		case p.accept(wTable):
 			ifExists := p.acceptIfExists()
 			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
 			return &DropTable{Name: name, IfExists: ifExists}, nil
-		case p.accept("RECOMMENDER"):
+		case p.accept(wRecommender):
 			ifExists := p.acceptIfExists()
 			name, err := p.ident()
 			if err != nil {
@@ -176,31 +249,40 @@ func (p *parser) parseStatement() (Statement, error) {
 		default:
 			return nil, p.errorf("expected TABLE or RECOMMENDER after DROP")
 		}
-	case p.accept("BEGIN"):
-		p.accept("TRANSACTION")
+	case wBegin:
+		p.pos++
+		p.accept(wTransaction)
 		return &Begin{}, nil
-	case p.accept("START"):
-		if err := p.expect("TRANSACTION"); err != nil {
+	case wStart:
+		p.pos++
+		if err := p.expect(wTransaction); err != nil {
 			return nil, err
 		}
 		return &Begin{}, nil
-	case p.accept("COMMIT"):
-		p.accept("TRANSACTION")
+	case wCommit:
+		p.pos++
+		p.accept(wTransaction)
 		return &Commit{}, nil
-	case p.accept("ROLLBACK"):
-		p.accept("TRANSACTION")
+	case wRollback:
+		p.pos++
+		p.accept(wTransaction)
 		return &Rollback{}, nil
-	case p.accept("INSERT"):
+	case wInsert:
+		p.pos++
 		return p.parseInsert()
-	case p.accept("DELETE"):
+	case wDelete:
+		p.pos++
 		return p.parseDelete()
-	case p.accept("UPDATE"):
+	case wUpdate:
+		p.pos++
 		return p.parseUpdate()
-	case p.accept("SELECT"):
+	case wSelect:
+		p.pos++
 		return p.parseSelect()
-	case p.accept("EXPLAIN"):
-		analyze := p.accept("ANALYZE")
-		if err := p.expect("SELECT"); err != nil {
+	case wExplain:
+		p.pos++
+		analyze := p.accept(wAnalyze)
+		if err := p.expect(wSelect); err != nil {
 			return nil, err
 		}
 		sel, err := p.parseSelect()
@@ -214,10 +296,10 @@ func (p *parser) parseStatement() (Statement, error) {
 }
 
 func (p *parser) acceptIfExists() bool {
-	if p.peekIs("IF") {
+	if p.peekIs(wIf) {
 		save := p.pos
 		p.pos++
-		if p.accept("EXISTS") {
+		if p.accept(wExists) {
 			return true
 		}
 		p.pos = save
@@ -227,10 +309,10 @@ func (p *parser) acceptIfExists() bool {
 
 func (p *parser) parseCreateTable() (*CreateTable, error) {
 	ct := &CreateTable{}
-	if p.peekIs("IF") {
+	if p.peekIs(wIf) {
 		save := p.pos
 		p.pos++
-		if p.accept("NOT") && p.accept("EXISTS") {
+		if p.accept(wNot) && p.accept(wExists) {
 			ct.IfNotExists = true
 		} else {
 			p.pos = save
@@ -241,9 +323,10 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 		return nil, err
 	}
 	ct.Name = name
-	if err := p.expect("("); err != nil {
+	if err := p.expect(wLParen); err != nil {
 		return nil, err
 	}
+	ct.Cols = make([]ColumnDef, 0, p.listLen())
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -254,19 +337,19 @@ func (p *parser) parseCreateTable() (*CreateTable, error) {
 			return nil, err
 		}
 		def := ColumnDef{Name: col, TypeName: typ}
-		if p.accept("PRIMARY") {
-			if err := p.expect("KEY"); err != nil {
+		if p.accept(wPrimary) {
+			if err := p.expect(wKey); err != nil {
 				return nil, err
 			}
 			def.PrimaryKey = true
 		}
 		ct.Cols = append(ct.Cols, def)
-		if p.accept(",") {
+		if p.accept(wComma) {
 			continue
 		}
 		break
 	}
-	if err := p.expect(")"); err != nil {
+	if err := p.expect(wRParen); err != nil {
 		return nil, err
 	}
 	return ct, nil
@@ -277,21 +360,21 @@ func (p *parser) parseCreateIndex() (*CreateIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect("ON"); err != nil {
+	if err := p.expect(wOn); err != nil {
 		return nil, err
 	}
 	table, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect("("); err != nil {
+	if err := p.expect(wLParen); err != nil {
 		return nil, err
 	}
 	col, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(")"); err != nil {
+	if err := p.expect(wRParen); err != nil {
 		return nil, err
 	}
 	return &CreateIndex{Name: name, Table: table, Column: col}, nil
@@ -310,46 +393,46 @@ func (p *parser) parseCreateRecommender() (*CreateRecommender, error) {
 		return nil, err
 	}
 	cr.Name = name
-	if err := p.expect("ON"); err != nil {
+	if err := p.expect(wOn); err != nil {
 		return nil, err
 	}
 	if cr.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	if err := p.expect("USERS"); err != nil {
+	if err := p.expect(wUsers); err != nil {
 		return nil, err
 	}
-	if err := p.expect("FROM"); err != nil {
+	if err := p.expect(wFrom); err != nil {
 		return nil, err
 	}
 	if cr.UserCol, err = p.ident(); err != nil {
 		return nil, err
 	}
-	if !p.accept("ITEMS") && !p.accept("ITEM") {
+	if !p.accept(wItems) && !p.accept(wItem) {
 		return nil, p.errorf("expected ITEMS, got %s", p.peek())
 	}
-	if err := p.expect("FROM"); err != nil {
+	if err := p.expect(wFrom); err != nil {
 		return nil, err
 	}
 	if cr.ItemCol, err = p.ident(); err != nil {
 		return nil, err
 	}
-	if err := p.expect("RATINGS"); err != nil {
+	if err := p.expect(wRatings); err != nil {
 		return nil, err
 	}
-	if err := p.expect("FROM"); err != nil {
+	if err := p.expect(wFrom); err != nil {
 		return nil, err
 	}
 	if cr.RatingCol, err = p.ident(); err != nil {
 		return nil, err
 	}
-	if p.accept("USING") {
+	if p.accept(wUsing) {
 		if cr.Algorithm, err = p.ident(); err != nil {
 			return nil, err
 		}
 	}
-	if p.accept("WITH") {
-		if err := p.expect("WORKERS"); err != nil {
+	if p.accept(wWith) {
+		if err := p.expect(wWorkers); err != nil {
 			return nil, err
 		}
 		t := p.peek()
@@ -367,7 +450,7 @@ func (p *parser) parseCreateRecommender() (*CreateRecommender, error) {
 }
 
 func (p *parser) parseInsert() (*Insert, error) {
-	if err := p.expect("INTO"); err != nil {
+	if err := p.expect(wInto); err != nil {
 		return nil, err
 	}
 	table, err := p.ident()
@@ -375,46 +458,40 @@ func (p *parser) parseInsert() (*Insert, error) {
 		return nil, err
 	}
 	ins := &Insert{Table: table}
-	if p.accept("(") {
+	if p.accept(wLParen) {
+		ins.Cols = make([]string, 0, p.listLen())
 		for {
 			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
 			ins.Cols = append(ins.Cols, col)
-			if p.accept(",") {
+			if p.accept(wComma) {
 				continue
 			}
 			break
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(wRParen); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expect("VALUES"); err != nil {
+	if err := p.expect(wValues); err != nil {
 		return nil, err
 	}
+	ins.Rows = make([][]Expr, 0, p.listLen())
 	for {
-		if err := p.expect("("); err != nil {
+		if err := p.expect(wLParen); err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.accept(",") {
-				continue
-			}
-			break
+		row, err := p.parseExprList()
+		if err != nil {
+			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(wRParen); err != nil {
 			return nil, err
 		}
 		ins.Rows = append(ins.Rows, row)
-		if p.accept(",") {
+		if p.accept(wComma) {
 			continue
 		}
 		break
@@ -422,8 +499,23 @@ func (p *parser) parseInsert() (*Insert, error) {
 	return ins, nil
 }
 
+// parseExprList parses one or more comma-separated expressions.
+func (p *parser) parseExprList() ([]Expr, error) {
+	list := make([]Expr, 0, p.listLen())
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if !p.accept(wComma) {
+			return list, nil
+		}
+	}
+}
+
 func (p *parser) parseDelete() (*Delete, error) {
-	if err := p.expect("FROM"); err != nil {
+	if err := p.expect(wFrom); err != nil {
 		return nil, err
 	}
 	table, err := p.ident()
@@ -431,7 +523,7 @@ func (p *parser) parseDelete() (*Delete, error) {
 		return nil, err
 	}
 	d := &Delete{Table: table}
-	if p.accept("WHERE") {
+	if p.accept(wWhere) {
 		if d.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
@@ -445,15 +537,16 @@ func (p *parser) parseUpdate() (*Update, error) {
 		return nil, err
 	}
 	u := &Update{Table: table}
-	if err := p.expect("SET"); err != nil {
+	if err := p.expect(wSet); err != nil {
 		return nil, err
 	}
+	u.Set = make([]Assignment, 0, p.listLen())
 	for {
 		col, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("="); err != nil {
+		if err := p.expect(wEq); err != nil {
 			return nil, err
 		}
 		val, err := p.parseExpr()
@@ -461,12 +554,12 @@ func (p *parser) parseUpdate() (*Update, error) {
 			return nil, err
 		}
 		u.Set = append(u.Set, Assignment{Column: col, Value: val})
-		if p.accept(",") {
+		if p.accept(wComma) {
 			continue
 		}
 		break
 	}
-	if p.accept("WHERE") {
+	if p.accept(wWhere) {
 		if u.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
@@ -476,102 +569,99 @@ func (p *parser) parseUpdate() (*Update, error) {
 
 func (p *parser) parseSelect() (*Select, error) {
 	s := &Select{}
-	if p.accept("DISTINCT") {
+	if p.accept(wDistinct) {
 		s.Distinct = true
 	}
 	// Projection list.
+	s.Items = make([]SelectItem, 0, p.listLen())
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
 			return nil, err
 		}
 		s.Items = append(s.Items, item)
-		if p.accept(",") {
+		if p.accept(wComma) {
 			continue
 		}
 		break
 	}
-	if err := p.expect("FROM"); err != nil {
+	if err := p.expect(wFrom); err != nil {
 		return nil, err
 	}
+	s.From = make([]TableRef, 0, p.listLen())
 	for {
 		ref, err := p.parseTableRef()
 		if err != nil {
 			return nil, err
 		}
 		s.From = append(s.From, ref)
-		if p.accept(",") {
+		if p.accept(wComma) {
 			continue
 		}
 		break
 	}
-	if p.accept("RECOMMEND") {
+	if p.accept(wRecommend) {
 		rc, err := p.parseRecommendClause()
 		if err != nil {
 			return nil, err
 		}
 		s.Recommend = rc
 	}
-	if p.accept("WHERE") {
+	if p.accept(wWhere) {
 		w, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		s.Where = w
 	}
-	if p.accept("GROUP") {
-		if err := p.expect("BY"); err != nil {
+	if p.accept(wGroup) {
+		if err := p.expect(wBy); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if p.accept(",") {
-				continue
-			}
-			break
+		g, err := p.parseExprList()
+		if err != nil {
+			return nil, err
 		}
+		s.GroupBy = g
 	}
-	if p.accept("HAVING") {
+	if p.accept(wHaving) {
 		h, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		s.Having = h
 	}
-	if p.accept("ORDER") {
-		if err := p.expect("BY"); err != nil {
+	if p.accept(wOrder) {
+		if err := p.expect(wBy); err != nil {
 			return nil, err
 		}
+		s.OrderBy = make([]OrderItem, 0, p.listLen())
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			item := OrderItem{Expr: e}
-			if p.accept("DESC") {
+			if p.accept(wDesc) {
 				item.Desc = true
 			} else {
-				p.accept("ASC")
+				p.accept(wAsc)
 			}
 			s.OrderBy = append(s.OrderBy, item)
-			if p.accept(",") {
+			if p.accept(wComma) {
 				continue
 			}
 			break
 		}
 	}
-	if p.accept("LIMIT") {
+	if p.accept(wLimit) {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		s.Limit = e
 	}
-	if p.accept("OFFSET") {
+	if p.accept(wOffset) {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -582,7 +672,7 @@ func (p *parser) parseSelect() (*Select, error) {
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
-	if p.accept("*") {
+	if p.accept(wStar) {
 		return SelectItem{Star: true}, nil
 	}
 	e, err := p.parseExpr()
@@ -590,13 +680,13 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		return SelectItem{}, err
 	}
 	item := SelectItem{Expr: e}
-	if p.accept("AS") {
+	if p.accept(wAs) {
 		alias, err := p.ident()
 		if err != nil {
 			return SelectItem{}, err
 		}
 		item.Alias = alias
-	} else if t := p.peek(); t.Kind == TokIdent && !reservedAliasWords[strings.ToLower(t.Text)] {
+	} else if t := p.cur(); aliasable(t) {
 		item.Alias = t.Text
 		p.pos++
 	}
@@ -609,11 +699,11 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		return TableRef{}, err
 	}
 	ref := TableRef{Table: table}
-	if p.accept("AS") {
+	if p.accept(wAs) {
 		if ref.Alias, err = p.ident(); err != nil {
 			return TableRef{}, err
 		}
-	} else if t := p.peek(); t.Kind == TokIdent && !reservedAliasWords[strings.ToLower(t.Text)] {
+	} else if t := p.cur(); aliasable(t) {
 		ref.Alias = t.Text
 		p.pos++
 	}
@@ -629,19 +719,19 @@ func (p *parser) parseRecommendClause() (*RecommendClause, error) {
 	if rc.Item, err = p.parseColumnRef(); err != nil {
 		return nil, err
 	}
-	if err := p.expect("TO"); err != nil {
+	if err := p.expect(wTo); err != nil {
 		return nil, err
 	}
 	if rc.User, err = p.parseColumnRef(); err != nil {
 		return nil, err
 	}
-	if err := p.expect("ON"); err != nil {
+	if err := p.expect(wOn); err != nil {
 		return nil, err
 	}
 	if rc.Rating, err = p.parseColumnRef(); err != nil {
 		return nil, err
 	}
-	if p.accept("USING") {
+	if p.accept(wUsing) {
 		if rc.Algorithm, err = p.ident(); err != nil {
 			return nil, err
 		}
@@ -654,14 +744,14 @@ func (p *parser) parseColumnRef() (*ColumnRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept(".") {
+	if p.accept(wDot) {
 		second, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		return &ColumnRef{Qualifier: first, Name: second}, nil
+		return p.col(first, second), nil
 	}
-	return &ColumnRef{Name: first}, nil
+	return p.col("", first), nil
 }
 
 // ---- Expressions (precedence climbing) ----
@@ -673,12 +763,12 @@ func (p *parser) parseOr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("OR") {
+	for p.accept(wOr) {
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: OpOr, L: l, R: r}
+		l = p.bin(OpOr, l, r)
 	}
 	return l, nil
 }
@@ -688,18 +778,18 @@ func (p *parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("AND") {
+	for p.accept(wAnd) {
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: OpAnd, L: l, R: r}
+		l = p.bin(OpAnd, l, r)
 	}
 	return l, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
-	if p.accept("NOT") {
+	if p.accept(wNot) {
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -709,89 +799,83 @@ func (p *parser) parseNot() (Expr, error) {
 	return p.parseComparison()
 }
 
+// comparisonOps maps each comparison symbol to its operator.
+var comparisonOps = [numWords]BinaryOp{
+	wLe: OpLe, wGe: OpGe, wNe: OpNe, wBangEq: OpNe, wEq: OpEq, wLt: OpLt, wGt: OpGt,
+}
+
 func (p *parser) parseComparison() (Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
 	}
-	// IS [NOT] NULL
-	if p.accept("IS") {
-		neg := p.accept("NOT")
-		if err := p.expect("NULL"); err != nil {
+	// One look at the next token picks the alternative; most expressions
+	// (a list element, a select item) are followed by none of them.
+	negate := false
+	switch w := p.cur().word; w {
+	case wIs:
+		// IS [NOT] NULL
+		p.pos++
+		neg := p.accept(wNot)
+		if err := p.expect(wNull); err != nil {
 			return nil, err
 		}
 		return &IsNull{X: l, Negate: neg}, nil
-	}
-	// [NOT] IN / LIKE / BETWEEN
-	negIn := false
-	if p.peekIs("NOT") {
-		save := p.pos
-		p.pos++
-		if p.peekIs("IN") || p.peekIs("LIKE") || p.peekIs("BETWEEN") {
-			negIn = true
-		} else {
-			p.pos = save
+	case wNot:
+		// NOT IN / LIKE / BETWEEN; any other NOT is not ours.
+		switch p.toks[p.pos+1].word {
+		case wIn, wLike, wBetween:
+			p.pos++
+			negate = true
+		default:
+			return l, nil
 		}
+	case wIn, wLike, wBetween:
+	case wLe, wGe, wNe, wBangEq, wEq, wLt, wGt:
+		p.pos++
+		r, err := p.parseAdditive()
+		if err != nil {
+			return nil, err
+		}
+		return p.bin(comparisonOps[w], l, r), nil
+	default:
+		return l, nil
 	}
-	if p.accept("LIKE") {
+	op := p.cur().word // LIKE, BETWEEN or IN
+	p.pos++
+	switch op {
+	case wLike:
 		pat, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
-		return &Like{X: l, Pattern: pat, Negate: negIn}, nil
-	}
-	if p.accept("BETWEEN") {
+		return &Like{X: l, Pattern: pat, Negate: negate}, nil
+	case wBetween:
 		lo, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("AND"); err != nil {
+		if err := p.expect(wAnd); err != nil {
 			return nil, err
 		}
 		hi, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
-		return &Between{X: l, Lo: lo, Hi: hi, Negate: negIn}, nil
-	}
-	if p.accept("IN") {
-		if err := p.expect("("); err != nil {
+		return &Between{X: l, Lo: lo, Hi: hi, Negate: negate}, nil
+	default: // IN
+		if err := p.expect(wLParen); err != nil {
 			return nil, err
 		}
-		var list []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if p.accept(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expect(")"); err != nil {
+		list, err := p.parseExprList()
+		if err != nil {
 			return nil, err
 		}
-		return &In{X: l, List: list, Negate: negIn}, nil
-	}
-	ops := []struct {
-		text string
-		op   BinaryOp
-	}{
-		{"<=", OpLe}, {">=", OpGe}, {"<>", OpNe}, {"!=", OpNe},
-		{"=", OpEq}, {"<", OpLt}, {">", OpGt},
-	}
-	for _, o := range ops {
-		if p.accept(o.text) {
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return &Binary{Op: o.op, L: l, R: r}, nil
+		if err := p.expect(wRParen); err != nil {
+			return nil, err
 		}
+		return &In{X: l, List: list, Negate: negate}, nil
 	}
-	return l, nil
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
@@ -800,22 +884,20 @@ func (p *parser) parseAdditive() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.accept("+"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpAdd, L: l, R: r}
-		case p.accept("-"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpSub, L: l, R: r}
+		op := OpAdd
+		switch p.cur().word {
+		case wPlus:
+		case wMinus:
+			op = OpSub
 		default:
 			return l, nil
 		}
+		p.pos++
+		r, err := p.parseMultiplicative()
+		if err != nil {
+			return nil, err
+		}
+		l = p.bin(op, l, r)
 	}
 }
 
@@ -825,39 +907,41 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.accept("*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpMul, L: l, R: r}
-		case p.accept("/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpDiv, L: l, R: r}
+		op := OpMul
+		switch p.cur().word {
+		case wStar:
+		case wSlash:
+			op = OpDiv
 		default:
 			return l, nil
 		}
+		p.pos++
+		r, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		l = p.bin(op, l, r)
 	}
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.accept("-") {
+	if p.accept(wMinus) {
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		// A negated number literal is folded into it: the node is this
+		// parse's own, so it is rewritten in place.
 		if lit, ok := x.(*Literal); ok {
 			if f, isF := lit.Value.AsFloat(); isF && lit.Value.Kind() == types.KindFloat {
 				// 0 - f, not -f: -0.0 would render "-0", which reads back
 				// as the integer 0.
-				return &Literal{Value: types.NewFloat(0 - f)}, nil
+				lit.Value = types.NewFloat(0 - f)
+				return lit, nil
 			}
 			if i, isI := lit.Value.AsInt(); isI && lit.Value.Kind() == types.KindInt {
-				return &Literal{Value: types.NewInt(-i)}, nil
+				lit.Value = types.NewInt(-i)
+				return lit, nil
 			}
 		}
 		return &Unary{Op: "-", X: x}, nil
@@ -866,88 +950,95 @@ func (p *parser) parseUnary() (Expr, error) {
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
-	t := p.peek()
+	t := p.cur()
 	switch t.Kind {
 	case TokNumber:
 		p.pos++
-		if strings.ContainsAny(t.Text, ".eE") {
+		if t.float {
 			f, err := strconv.ParseFloat(t.Text, 64)
 			if err != nil {
 				return nil, p.errorf("bad number %q", t.Text)
 			}
-			return &Literal{Value: types.NewFloat(f)}, nil
+			return p.lit(types.NewFloat(f)), nil
 		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
+		i, err := parseInt(t.Text)
 		if err != nil {
 			return nil, p.errorf("bad integer %q", t.Text)
 		}
-		return &Literal{Value: types.NewInt(i)}, nil
+		return p.lit(types.NewInt(i)), nil
 	case TokString:
 		p.pos++
-		return &Literal{Value: types.NewText(t.Text)}, nil
+		return p.lit(types.NewText(t.Text)), nil
 	case TokIdent:
-		switch strings.ToUpper(t.Text) {
-		case "TRUE":
+		switch t.word {
+		case wTrue:
 			p.pos++
-			return &Literal{Value: types.NewBool(true)}, nil
-		case "FALSE":
+			return p.lit(types.NewBool(true)), nil
+		case wFalse:
 			p.pos++
-			return &Literal{Value: types.NewBool(false)}, nil
-		case "NULL":
+			return p.lit(types.NewBool(false)), nil
+		case wNull:
 			p.pos++
-			return &Literal{Value: types.Null()}, nil
+			return p.lit(types.Null()), nil
 		}
-		name, _ := p.ident()
-		// Function call?
-		if p.peekIs("(") {
+		p.pos++
+		name := t.Text
+		switch p.cur().word {
+		case wLParen: // a function call
 			p.pos++
 			call := &Call{Name: name}
-			if p.peekIs("*") {
-				p.pos++
-				if err := p.expect(")"); err != nil {
+			if p.accept(wStar) {
+				if err := p.expect(wRParen); err != nil {
 					return nil, err
 				}
-				call.Args = append(call.Args, &Star{})
+				call.Args = []Expr{&Star{}}
 				return call, nil
 			}
-			if !p.accept(")") {
-				for {
-					arg, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, arg)
-					if p.accept(",") {
-						continue
-					}
-					break
-				}
-				if err := p.expect(")"); err != nil {
+			if !p.accept(wRParen) {
+				args, err := p.parseExprList()
+				if err != nil {
 					return nil, err
 				}
+				if err := p.expect(wRParen); err != nil {
+					return nil, err
+				}
+				call.Args = args
 			}
 			return call, nil
-		}
-		if p.accept(".") {
+		case wDot:
+			p.pos++
 			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			return &ColumnRef{Qualifier: name, Name: col}, nil
+			return p.col(name, col), nil
 		}
-		return &ColumnRef{Name: name}, nil
+		return p.col("", name), nil
 	case TokSymbol:
-		if t.Text == "(" {
+		if t.word == wLParen {
 			p.pos++
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(")"); err != nil {
+			if err := p.expect(wRParen); err != nil {
 				return nil, err
 			}
 			return e, nil
 		}
 	}
-	return nil, p.errorf("expected expression, got %s", t)
+	return nil, p.errorf("expected expression, got %s", *t)
+}
+
+// parseInt reads an integer token's digits: eighteen of them cannot
+// overflow, and anything longer is strconv's to judge.
+func parseInt(digits string) (int64, error) {
+	if len(digits) > 18 {
+		return strconv.ParseInt(digits, 10, 64)
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		n = 10*n + int64(digits[i]-'0')
+	}
+	return n, nil
 }

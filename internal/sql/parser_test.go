@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,14 +48,45 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestLexPositions pins the whole text, line and column of lex and parse
+// errors: lines count from 1 at each '\n', columns in bytes from 1 (a CR,
+// a tab and a two-byte character are one column per byte), on the first
+// line, a later one, and past a -- comment.
 func TestLexPositions(t *testing.T) {
-	toks, err := Lex("a\n  bb")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		input     string
+		err       string
+		line, col int
+	}{
+		{"SELECT a @ b", "sql: syntax error at line 1, column 10: unexpected character '@'", 1, 10},
+		{"SELECT a\n  FROM t WHERE s = 'open", "sql: syntax error at line 2, column 20: unterminated string literal", 2, 20},
+		{"SELECT \"a FROM t", "sql: syntax error at line 1, column 8: unterminated quoted identifier", 1, 8},
+		{"SELECT a FROM", "sql: syntax error at line 1, column 14: expected identifier, got end of input", 1, 14},
+		{"SELECT a\nFROM t\nWHERE a IN ()", "sql: syntax error at line 3, column 13: expected expression, got )", 3, 13},
+		{"-- header\nSELECT a FROM t GARBAGE trailing", "sql: syntax error at line 2, column 25: unexpected trailing after statement", 2, 25},
+		{"SELECT a -- the column\n  FROM", "sql: syntax error at line 2, column 7: expected identifier, got end of input", 2, 7},
+		{"SELECT 'héllo' FROM", "sql: syntax error at line 1, column 21: expected identifier, got end of input", 1, 21},
+		{"SELECT a\r\n\tFROM 1", "sql: syntax error at line 2, column 7: expected identifier, got 1", 2, 7},
+		{"-- only a comment", "sql: syntax error at line 1, column 18: expected a statement, got end of input", 1, 18},
+		{"SELECT a FROM t WHERE b = 99999999999999999999", "sql: syntax error at line 1, column 47: bad integer \"99999999999999999999\"", 1, 47},
 	}
-	if toks[1].Line != 2 || toks[1].Col != 3 {
-		t.Fatalf("bb at line %d col %d", toks[1].Line, toks[1].Col)
+	check := func(input string, err error, want string, line, col int) {
+		t.Helper()
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%q: %v, want a *ParseError", input, err)
+		}
+		if err.Error() != want || pe.Line != line || pe.Col != col {
+			t.Fatalf("%q:\n got %q at %d:%d\nwant %q at %d:%d", input, err, pe.Line, pe.Col, want, line, col)
+		}
 	}
+	for _, tc := range cases {
+		_, err := Parse(tc.input)
+		check(tc.input, err, tc.err, tc.line, tc.col)
+	}
+	const script = "SELECT a FROM t\n  SELECT b FROM u"
+	_, err := ParseScript(script)
+	check(script, err, "sql: syntax error at line 2, column 3: expected ';' between statements, got SELECT", 2, 3)
 }
 
 func TestParseCreateTable(t *testing.T) {

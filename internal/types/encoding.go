@@ -119,71 +119,96 @@ func (r *TupleReader) fail(want Kind) {
 // DecodeRow decodes one row from buf. It returns the row and the number of
 // bytes consumed.
 func DecodeRow(buf []byte) (Row, int, error) {
+	var row Row
+	n, err := walkRow(buf, &row)
+	if err != nil {
+		return nil, 0, err
+	}
+	return row, n, nil
+}
+
+// RowSize checks the row encoded at the front of buf exactly as DecodeRow
+// does — the same bytes pass, the same error for the rest — without
+// building it, and returns its length. It allocates only to parse a
+// GEOMETRY value's text.
+func RowSize(buf []byte) (int, error) { return walkRow(buf, nil) }
+
+// walkRow validates the row at the front of buf and returns its length,
+// appending its values to *row when row is not nil.
+func walkRow(buf []byte, row *Row) (int, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		return nil, 0, fmt.Errorf("types: truncated row header")
+		return 0, fmt.Errorf("types: truncated row header")
 	}
 	off := sz
 	// Every value takes at least its kind byte, so a count past the bytes
 	// that follow is refused before it sizes the row.
 	if n > uint64(len(buf)-off) {
-		return nil, 0, fmt.Errorf("types: row header declares %d values, %d bytes follow", n, len(buf)-off)
+		return 0, fmt.Errorf("types: row header declares %d values, %d bytes follow", n, len(buf)-off)
 	}
-	row := make(Row, 0, n)
+	if row != nil {
+		*row = make(Row, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		if off >= len(buf) {
-			return nil, 0, fmt.Errorf("types: truncated value %d", i)
+			return 0, fmt.Errorf("types: truncated value %d", i)
 		}
 		kind := Kind(buf[off])
 		off++
+		var v Value
 		switch kind {
 		case KindNull:
-			row = append(row, Null())
 		case KindInt:
-			v, sz := binary.Varint(buf[off:])
+			x, sz := binary.Varint(buf[off:])
 			if sz <= 0 {
-				return nil, 0, fmt.Errorf("types: truncated int value %d", i)
+				return 0, fmt.Errorf("types: truncated int value %d", i)
 			}
 			off += sz
-			row = append(row, NewInt(v))
+			v = NewInt(x)
 		case KindFloat:
 			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("types: truncated float value %d", i)
+				return 0, fmt.Errorf("types: truncated float value %d", i)
 			}
 			bits := binary.BigEndian.Uint64(buf[off:])
 			off += 8
-			row = append(row, NewFloat(math.Float64frombits(bits)))
+			v = NewFloat(math.Float64frombits(bits))
 		case KindText, KindGeometry:
 			ln, sz := binary.Uvarint(buf[off:])
 			if sz <= 0 {
-				return nil, 0, fmt.Errorf("types: truncated string header %d", i)
+				return 0, fmt.Errorf("types: truncated string header %d", i)
 			}
 			off += sz
 			if ln > uint64(len(buf)-off) {
-				return nil, 0, fmt.Errorf("types: truncated string value %d", i)
+				return 0, fmt.Errorf("types: truncated string value %d", i)
 			}
-			s := string(buf[off : off+int(ln)])
+			b := buf[off : off+int(ln)]
 			off += int(ln)
-			if kind == KindText {
-				row = append(row, NewText(s))
-			} else if s == "" {
-				row = append(row, Value{kind: KindGeometry})
-			} else {
-				g, err := geo.Parse(s)
-				if err != nil {
-					return nil, 0, fmt.Errorf("types: bad geometry value %d: %w", i, err)
+			switch {
+			case kind == KindText:
+				if row != nil {
+					v = NewText(string(b))
 				}
-				row = append(row, NewGeometry(g))
+			case len(b) == 0:
+				v = Value{kind: KindGeometry}
+			default:
+				g, err := geo.Parse(string(b))
+				if err != nil {
+					return 0, fmt.Errorf("types: bad geometry value %d: %w", i, err)
+				}
+				v = NewGeometry(g)
 			}
 		case KindBool:
 			if off >= len(buf) {
-				return nil, 0, fmt.Errorf("types: truncated bool value %d", i)
+				return 0, fmt.Errorf("types: truncated bool value %d", i)
 			}
-			row = append(row, NewBool(buf[off] != 0))
+			v = NewBool(buf[off] != 0)
 			off++
 		default:
-			return nil, 0, fmt.Errorf("types: unknown value kind %d", kind)
+			return 0, fmt.Errorf("types: unknown value kind %d", kind)
+		}
+		if row != nil {
+			*row = append(*row, v)
 		}
 	}
-	return row, off, nil
+	return off, nil
 }

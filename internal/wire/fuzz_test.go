@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
+	"recdb/internal/geo"
 	"recdb/internal/types"
 )
 
@@ -32,8 +34,9 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // boundary, or a *FrameError — never a panic, never a frame whose bytes
 // did not arrive, and never a buffer past the one frame MaxFrameSize
 // allows. Each frame it accepts re-encodes to the bytes it was read from.
-// The same bytes also go to every payload decoder as a payload (no panic)
-// and, framed by the writer, back through the Reader. The seeds are the frames and
+// The same bytes also go to every payload decoder as a payload (no panic),
+// to the relay's RowBatch check, which must agree with DecodeRowBatch on
+// every payload, and, framed by the writer, back through the Reader. The seeds are the frames and
 // the damage of the table tests in wire_test.go, so the corpus runs under
 // plain `go test`.
 func FuzzReader(f *testing.F) {
@@ -75,6 +78,23 @@ func FuzzReader(f *testing.F) {
 	f.Add(make([]byte, frameHeaderSize), uint8(8)) // zero-length frame
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 0, 0, 0, 0x80, 0x80, 0x80, 0x08}, uint8(0)) // a batch of 2^24 tuples, it says
+	// RowBatch payloads for the relay's check: every value kind, a tuple
+	// with a kind no encoding uses, a bad GEOMETRY, and trailing bytes.
+	geom, err := geo.Parse("POINT(1 2)")
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide := types.Row{types.NewFloat(-0.5), types.NewBool(true), types.NewGeometry(geom), types.NewText(""), types.NewInt(-1 << 40)}
+	batch := AppendRowBatch(nil, 9, []types.Row{wide, row})
+	f.Add(batch, uint8(3))
+	badKind := append([]byte(nil), batch...)
+	badKind[6] = 0xee // the first tuple's first value kind
+	f.Add(badKind, uint8(3))
+	f.Add(AppendRowBatch(nil, 9, []types.Row{{types.NewText("POINT(")}}), uint8(3))
+	badGeom := AppendRowBatch(nil, 9, []types.Row{{types.NewText("POINT(")}})
+	badGeom[6] = byte(types.KindGeometry)
+	f.Add(badGeom, uint8(3))
+	f.Add(append(append([]byte(nil), batch...), 0), uint8(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		fr := NewReader(&chunkReader{data: data, max: int(chunk) + 1})
@@ -110,9 +130,41 @@ func FuzzReader(f *testing.F) {
 		_, _ = DecodeID(data)
 		_, _ = DecodeHello(data)
 		_, _ = DecodeRowDesc(data)
-		_, _, _ = DecodeRowBatch(data)
 		_, _ = DecodeComplete(data)
 		_, _ = DecodeError(data)
+
+		// The relay's check and the decoder agree on every payload: both
+		// refuse it with the same error, or both accept it with the same id
+		// and count, and the checked tuples decode to the decoder's rows.
+		id, rows, derr := DecodeRowBatch(data)
+		cid, n, tuples, cerr := CheckRowBatch(data)
+		if (derr == nil) != (cerr == nil) || derr != nil && derr.Error() != cerr.Error() {
+			t.Fatalf("DecodeRowBatch: %v; CheckRowBatch: %v", derr, cerr)
+		}
+		if derr == nil {
+			if cid != id || n != len(rows) {
+				t.Fatalf("CheckRowBatch read id %d and %d tuples, DecodeRowBatch %d and %d", cid, n, id, len(rows))
+			}
+			for i, want := range rows {
+				got, used, err := types.DecodeRow(tuples)
+				if err != nil {
+					t.Fatalf("checked tuple %d does not decode: %v", i, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("tuple %d: %d values, DecodeRowBatch has %d", i, len(got), len(want))
+				}
+				for j, v := range got {
+					w := want[j]
+					if v.Kind() != w.Kind() || v.String() != w.String() || math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+						t.Fatalf("tuple %d value %d: %v, DecodeRowBatch has %v", i, j, v, w)
+					}
+				}
+				tuples = tuples[used:]
+			}
+			if len(tuples) != 0 {
+				t.Fatalf("%d bytes past the checked tuples", len(tuples))
+			}
+		}
 
 		// Framed by the writer, the bytes come back as one frame.
 		framed, err := AppendFrame(nil, Type(chunk), data)

@@ -442,18 +442,12 @@ func AppendRowBatch(dst []byte, id uint32, rows []types.Row) []byte {
 
 // DecodeRowBatch decodes a RowBatch payload.
 func DecodeRowBatch(p []byte) (uint32, []types.Row, error) {
-	if len(p) < 4 {
-		return 0, nil, &FrameError{Reason: "truncated row batch"}
+	id, n, rest, err := rowBatchHeader(p)
+	if err != nil {
+		return 0, nil, err
 	}
-	id := binary.LittleEndian.Uint32(p[0:4])
-	// As in DecodeRowDesc: a tuple is at least one byte.
-	n, sz := binary.Uvarint(p[4:])
-	if sz <= 0 || n > uint64(len(p)-4-sz) {
-		return 0, nil, &FrameError{Reason: "truncated batch count"}
-	}
-	rest := p[4+sz:]
 	rows := make([]types.Row, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		row, used, err := types.DecodeRow(rest)
 		if err != nil {
 			return 0, nil, fmt.Errorf("wire: %w", err)
@@ -465,6 +459,54 @@ func DecodeRowBatch(p []byte) (uint32, []types.Row, error) {
 		return 0, nil, &FrameError{Reason: "trailing bytes after row batch"}
 	}
 	return id, rows, nil
+}
+
+// CheckRowBatch validates a RowBatch payload without decoding it: it
+// accepts exactly the payloads DecodeRowBatch accepts, failing the rest
+// with the same error, and returns the request id, the tuple count and
+// the tuples still encoded, back to back (aliasing p). It allocates
+// nothing, unless a tuple holds GEOMETRY text to parse. A relay that only
+// forwards the rows checks them with this and decodes nothing.
+func CheckRowBatch(p []byte) (id uint32, n int, tuples []byte, err error) {
+	id, n, rest, err := rowBatchHeader(p)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	tuples = rest
+	for i := 0; i < n; i++ {
+		used, err := types.RowSize(rest)
+		if err != nil {
+			return 0, 0, nil, fmt.Errorf("wire: %w", err)
+		}
+		rest = rest[used:]
+	}
+	if len(rest) != 0 {
+		return 0, 0, nil, &FrameError{Reason: "trailing bytes after row batch"}
+	}
+	return id, n, tuples, nil
+}
+
+// rowBatchHeader reads a RowBatch payload's request id and tuple count and
+// returns the tuple bytes that follow.
+func rowBatchHeader(p []byte) (id uint32, n int, rest []byte, err error) {
+	if len(p) < 4 {
+		return 0, 0, nil, &FrameError{Reason: "truncated row batch"}
+	}
+	id = binary.LittleEndian.Uint32(p[0:4])
+	// As in DecodeRowDesc: a tuple is at least one byte.
+	count, sz := binary.Uvarint(p[4:])
+	if sz <= 0 || count > uint64(len(p)-4-sz) {
+		return 0, 0, nil, &FrameError{Reason: "truncated batch count"}
+	}
+	return id, int(count), p[4+sz:], nil
+}
+
+// AppendRowBatchTuples encodes a RowBatch payload from n tuples already
+// in the engine's encoding, back to back — what CheckRowBatch returns.
+func AppendRowBatchTuples(dst []byte, id uint32, n int, tuples []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, id)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	return append(dst, tuples...)
 }
 
 // Complete is the terminal success frame: the affected row count for Exec,

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-ann bench-paper ledger ledger-compare fault-sweep fuzz vet lint fmt examples clean
+.PHONY: all build test race cover bench bench-smoke bench-ann bench-paper ledger ledger-compare fault-sweep fuzz vet lint fmt examples clean
 
 all: vet lint test build
 
@@ -21,6 +21,12 @@ cover:
 # testing.B benches for every paper table/figure (scaled datasets).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every testing.B in the module, one iteration each: the micro-benchmarks
+# performance claims are sized by cannot rot unnoticed. ~40 s on 2 cores;
+# the figures it prints mean nothing at one iteration.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # IVF vector index frontier: recall@10 vs throughput speedup over the
 # exact scan, swept across nprobe and dataset scales. Writes

@@ -33,8 +33,9 @@ type Config struct {
 	PoolPages int
 	// Rec configures model building and maintenance.
 	Rec rec.Options
-	// HotnessThreshold is the cache manager's HOTNESS-THRESHOLD (§IV-D).
-	// The zero value selects 0.5.
+	// HotnessThreshold is the cache manager's HOTNESS-THRESHOLD (§IV-D),
+	// taken as given: 0 admits every pair with demand. recdb.Open and
+	// OpenDir start from DefaultHotnessThreshold.
 	HotnessThreshold float64
 	// CacheClock overrides the cache managers' clock (tests).
 	CacheClock reccache.Clock
@@ -50,6 +51,10 @@ type Config struct {
 	// engine itself does not read it.
 	SnapshotRetain int
 }
+
+// DefaultHotnessThreshold is the HOTNESS-THRESHOLD a database opened
+// without WithHotnessThreshold uses.
+const DefaultHotnessThreshold = 0.5
 
 // Engine is one embedded database instance.
 type Engine struct {
@@ -110,9 +115,6 @@ func mutates(stmt sql.Statement) bool {
 
 // New creates an empty engine.
 func New(cfg Config) *Engine {
-	if cfg.HotnessThreshold == 0 {
-		cfg.HotnessThreshold = 0.5
-	}
 	reg := metrics.NewRegistry()
 	stats := &storage.Stats{}
 	bridgeStorageStats(reg, stats)

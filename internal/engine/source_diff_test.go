@@ -56,8 +56,8 @@ var diffRuns = []diffRun{
 
 // newSourceDiffDB builds 30 users x 150 items with genre-structured
 // ratings, an item table and a geometry table to join against, one
-// recommender per algorithm, and users 1, 3 and 4 materialized in every
-// RecScoreIndex.
+// recommender per algorithm, users 1, 3 and 4 materialized in every
+// RecScoreIndex and users 2 and 5 partially.
 func newSourceDiffDB(t *testing.T) *Engine {
 	t.Helper()
 	const users, items, perUser = 30, 150, 25
@@ -110,11 +110,19 @@ func newSourceDiffDB(t *testing.T) *Engine {
 			USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING %s`, algo, algo)); err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range []int64{1, 3, 4} {
+		for _, u := range []int64{1, 2, 3, 4, 5} {
 			if err := e.MaterializeUser("Diff"+algo, u); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// Users 2 and 5 are left partial, as Algorithm 4's pair-grained
+		// decisions leave a tree: 2 lost one pair to an eviction, 5 holds
+		// only its one admitted pair.
+		ix := e.cacheOf("Diff" + algo).Index()
+		ix.Remove(2, ix.TopK(2, 1, nil)[0].Item)
+		top := ix.TopK(5, 1, nil)[0]
+		ix.RemoveUser(5)
+		ix.Put(5, top.Item, top.Score)
 	}
 	return e
 }
@@ -177,7 +185,9 @@ func TestSourceDifferential(t *testing.T) {
 		return strings.Join(parts, ", ")
 	}
 
-	userPreds := []string{"R.uid = 3", "R.uid IN (4, 3, 1)"}
+	// The RecTree serves the complete users 1, 3 and 4 and neither partial
+	// one.
+	userPreds := []string{"R.uid = 3", "R.uid IN (4, 3, 1)", "R.uid IN (2, 5)"}
 	joins := []struct{ from, where string }{
 		{"", ""},
 		{", movies M", " AND M.mid = R.iid AND M.genre <> 'Drama'"},

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"recdb/internal/catalog"
@@ -46,41 +47,61 @@ func filterRecommendTop10(store *rec.ModelStore, user int64) Operator {
 	return NewLimit(op, 10)
 }
 
+// BenchmarkFilterRecommendTop10 times a single-user item-based top-10 over
+// whole similarity lists, scored from the user's side, and over lists cut
+// to 64 entries (recdb-bench's cap), scored item by item.
 func BenchmarkFilterRecommendTop10(b *testing.B) {
-	store := benchStore(b, 0)
-	users := store.UserIDs()
-	plans := make([]Operator, len(users))
-	for i, u := range users {
-		plans[i] = filterRecommendTop10(store, u)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := Collect(plans[i%len(plans)])
-		if err != nil || len(rows) != 10 {
-			b.Fatalf("top-10: %d rows, %v", len(rows), err)
-		}
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"lists=full", 0}, {"lists=64", 64}} {
+		b.Run(c.name, func(b *testing.B) {
+			store := benchStore(b, c.size)
+			users := store.UserIDs()
+			plans := make([]Operator, len(users))
+			for i, u := range users {
+				plans[i] = filterRecommendTop10(store, u)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := Collect(plans[i%len(plans)])
+				if err != nil || len(rows) != 10 {
+					b.Fatalf("top-10: %d rows, %v", len(rows), err)
+				}
+			}
+		})
 	}
 }
 
-// TestFilterRecommendTop10Allocs: a single-user item-based top-10 streams
-// every similarity run past the user's ratings, so what it allocates is
-// set by the number of candidate items (output rows, one seek per item),
-// not by how many neighbour rows it reads: a model with 30x the rows
-// must stay inside the same budget.
+// TestFilterRecommendTop10Allocs: a single-user item-based top-10 reads
+// every similarity run it needs once, item-driven over truncated lists and
+// user-driven over whole ones, so what it allocates — in count and in
+// bytes — is set by the number of candidate items (output rows, one seek
+// per item, one accumulator per item), not by how many neighbour rows it
+// reads: a model with 30x the rows must stay inside the same budget.
 func TestFilterRecommendTop10Allocs(t *testing.T) {
-	measure := func(neighborhoodSize int) (allocs float64, neighborRows int64, items int) {
+	measure := func(neighborhoodSize int) (allocs, bytes float64, neighborRows int64, items int) {
 		store := benchStore(t, neighborhoodSize)
 		plan := filterRecommendTop10(store, store.UserIDs()[0])
-		allocs = testing.AllocsPerRun(5, func() {
+		run := func() {
 			if rows, err := Collect(plan); err != nil || len(rows) != 10 {
 				t.Fatalf("top-10: %d rows, %v", len(rows), err)
 			}
-		})
-		return allocs, store.ItemNeighborhood.Heap.NumRows(), len(store.ItemIDs())
+		}
+		allocs = testing.AllocsPerRun(5, run)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
+		return allocs, bytes, store.ItemNeighborhood.Heap.NumRows(), len(store.ItemIDs())
 	}
-	small, smallRows, items := measure(5)
-	full, fullRows, _ := measure(0)
+	small, smallBytes, smallRows, items := measure(5)
+	full, fullBytes, fullRows, _ := measure(0)
 	if fullRows < 30*smallRows {
 		t.Fatalf("fixture: %d vs %d neighbour rows", fullRows, smallRows)
 	}
@@ -88,5 +109,10 @@ func TestFilterRecommendTop10Allocs(t *testing.T) {
 	if small > budget || full > budget {
 		t.Fatalf("allocs per top-10 over %d items: %.0f at %d neighbour rows, %.0f at %d; budget %.0f",
 			items, small, smallRows, full, fullRows, budget)
+	}
+	bytesBudget := float64(160*items + 16<<10)
+	if smallBytes > bytesBudget || fullBytes > bytesBudget {
+		t.Fatalf("bytes per top-10 over %d items: %.0f at %d neighbour rows, %.0f at %d; budget %.0f",
+			items, smallBytes, smallRows, fullBytes, fullRows, bytesBudget)
 	}
 }

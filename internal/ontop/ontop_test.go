@@ -1,8 +1,11 @@
 package ontop
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"recdb/internal/engine"
@@ -85,6 +88,119 @@ func TestQueryMatchesInDBMSResults(t *testing.T) {
 			t.Fatalf("scores differ at %d: %v vs %v", i, inDB.Rows[i], onTop.Rows[i])
 		}
 	}
+}
+
+// TestScoresTableAddsInAscendingID: OnTopDB's scores table has the bits of
+// the in-DBMS RECOMMEND, which scores from the user's side, on ratings
+// where Equation 2 added strongest neighbour first would round differently.
+func TestScoresTableAddsInAscendingID(t *testing.T) {
+	e := engine.New(engine.Config{})
+	if _, err := e.Exec("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	state := uint64(11)
+	next := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 33
+	}
+	var ratings []rec.Rating
+	var values []string
+	for u := int64(1); u <= 30; u++ {
+		for i := int64(1); i <= 40; i++ {
+			if next()%3 == 0 {
+				r := rec.Rating{User: u, Item: i, Value: 1 + float64(next()%4000)/997}
+				ratings = append(ratings, r)
+				values = append(values, fmt.Sprintf("(%d, %d, %v)", u, i, r.Value))
+			}
+		}
+	}
+	if _, err := e.Exec("INSERT INTO ratings VALUES " + strings.Join(values, ", ")); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"ItemCosCF", "UserPearCF"} {
+		if _, err := e.Exec(fmt.Sprintf(`CREATE RECOMMENDER In%s ON ratings
+			USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING %s`, algo, algo)); err != nil {
+			t.Fatal(err)
+		}
+		inDB, err := e.Query(fmt.Sprintf(`SELECT R.uid, R.iid, R.ratingval FROM ratings R
+			RECOMMEND R.iid TO R.uid ON R.ratingval USING %s`, algo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[[2]int64]float64, len(inDB.Rows))
+		for _, r := range inDB.Rows {
+			want[[2]int64{r[0].Int(), r[1].Int()}] = r[2].Float()
+		}
+		c := New(e)
+		if err := c.CreateRecommender("r", "ratings", "uid", "iid", "ratingval", algo, rec.BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		onTop, err := c.Query("r", "SELECT s.uid, s.iid, s.ratingval FROM "+ScoresTable+" s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range onTop.Rows {
+			key := [2]int64{r[0].Int(), r[1].Int()}
+			if w, ok := want[key]; !ok || math.Float64bits(w) != math.Float64bits(r[2].Float()) {
+				t.Fatalf("%s: OnTopDB scores %v %v, RECOMMEND %v (present %v)", algo, key, r[2].Float(), w, ok)
+			}
+		}
+		if diverged := strongestFirstDivergence(t, ratings, algo); diverged == 0 {
+			t.Fatalf("%s fixture: strongest-first and ascending-id order agree on every pair", algo)
+		}
+	}
+}
+
+// strongestFirstDivergence counts the (user, item) pairs whose Equation 2
+// sum, added in descending |sim|, differs in its bits from the in-memory
+// model's.
+func strongestFirstDivergence(t *testing.T, ratings []rec.Rating, algo string) int {
+	t.Helper()
+	a, err := rec.ParseAlgorithm(algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := rec.BuildNeighborhood(ratings, a, rec.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byUser, byItem := map[int64]map[int64]float64{}, map[int64]map[int64]float64{}
+	for _, r := range ratings {
+		if byUser[r.User] == nil {
+			byUser[r.User] = map[int64]float64{}
+		}
+		if byItem[r.Item] == nil {
+			byItem[r.Item] = map[int64]float64{}
+		}
+		byUser[r.User][r.Item], byItem[r.Item][r.User] = r.Value, r.Value
+	}
+	diverged := 0
+	for _, u := range model.Users() {
+		for _, i := range model.Items() {
+			list, known := model.Neighbors(i), byUser[u]
+			if !a.ItemBased() {
+				list, known = model.Neighbors(u), byItem[i]
+			}
+			list = slices.Clone(list)
+			slices.SortFunc(list, func(a, b rec.Neighbor) int {
+				if c := cmp.Compare(math.Abs(b.Sim), math.Abs(a.Sim)); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.ID, b.ID)
+			})
+			var num, den float64
+			for _, n := range list {
+				if r, ok := known[n.ID]; ok {
+					num += n.Sim * r
+					den += math.Abs(n.Sim)
+				}
+			}
+			if got, ok := model.Predict(u, i); ok && math.Float64bits(got) != math.Float64bits(num/den) {
+				diverged++
+			}
+		}
+	}
+	return diverged
 }
 
 func TestQueryJoinShape(t *testing.T) {

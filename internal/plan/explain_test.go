@@ -6,6 +6,7 @@ import (
 
 	"recdb/internal/exec"
 	"recdb/internal/geo"
+	"recdb/internal/recindex"
 	"recdb/internal/sql"
 	"recdb/internal/types"
 )
@@ -50,8 +51,7 @@ func TestDescribePlanCoversOperators(t *testing.T) {
 	}
 
 	// IndexRecommend with the row target pushed down.
-	ix.Put(1, 2, 4.0)
-	ix.Put(1, 3, 2.0)
+	ix.Fill(1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}})
 	got := planAndDescribe(t, p, `SELECT R.uid FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval
 		WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 7`)

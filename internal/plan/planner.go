@@ -458,13 +458,14 @@ func (p *Planner) chooseSource(r *rec.Recommender, op *exec.Recommend) (exec.Sou
 	eligible := func(s exec.Source) bool {
 		switch s {
 		case exec.SourceRecTree:
-			// Every requested user is materialized in the RecScoreIndex.
+			// Every requested user's RecTree is complete: a tree Algorithm
+			// 4 built or evicted from pair by pair lacks unseen items.
 			if p.IndexFor == nil || len(op.Users) == 0 {
 				return false
 			}
 			ix := p.IndexFor(r)
 			for _, u := range op.Users {
-				if ix == nil || !ix.HasUser(u) {
+				if ix == nil || !ix.Complete(u) {
 					return false
 				}
 			}

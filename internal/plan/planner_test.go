@@ -104,12 +104,23 @@ func TestIndexStrategyRequiresCoverage(t *testing.T) {
 	if ex.Strategy != "FilterRecommend" {
 		t.Fatalf("without coverage: %q", ex.Strategy)
 	}
+	// A pair admitted on its own (Algorithm 4) is not coverage.
 	ix.Put(1, 2, 4.0)
-	ix.Put(1, 3, 2.0)
+	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
+		t.Fatalf("partial tree: %q", ex.Strategy)
+	}
+	fill := func() { ix.Fill(1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}}) }
+	fill()
 	_, ex = planQuery(t, p, q)
 	if ex.Strategy != "IndexRecommend" || !ex.SortSkipped {
 		t.Fatalf("with coverage: %+v", ex)
 	}
+	// One eviction ends it.
+	ix.Remove(1, 3)
+	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
+		t.Fatalf("after an eviction: %q", ex.Strategy)
+	}
+	fill()
 	// Ascending order cannot skip the sort or use the limit pushdown, but
 	// the index path still applies.
 	q2 := `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval
@@ -125,7 +136,7 @@ func TestIndexStrategyRequiresCoverage(t *testing.T) {
 // statement is not eligible for instead of falling back.
 func TestForcedSource(t *testing.T) {
 	p, ix := fixture(t)
-	ix.Put(1, 2, 4.0)
+	ix.Fill(1, []recindex.Entry{{Item: 2, Score: 4.0}})
 	plan := func(q string) (exec.Operator, *Explain, error) {
 		stmt, err := sql.Parse(q)
 		if err != nil {

@@ -151,7 +151,7 @@ type NeighborhoodModel struct {
 	algo Algorithm
 	ix   *ratingsIndex
 	// neighbors maps the entity id (item for item-based, user for
-	// user-based) to its similarity list, sorted by descending |sim|.
+	// user-based) to its similarity list, in ascending id order.
 	neighbors map[int64][]Neighbor
 	// cut says NeighborhoodSize truncated at least one list. Until it
 	// does, the lists are their own transpose: j is in i's list with
@@ -175,10 +175,12 @@ type NeighborhoodModel struct {
 // ascending order, of its value there times each co-occurring entity's, so
 // one pass over the entity's dimensions fills a dense accumulator with
 // every pair's dot product, formed in ascending dimension order, and the
-// touched positions are the list. The entities are split into one
-// contiguous range per worker of opts.Workers; each list is owned by the
-// worker that owns its entity and is computed in full by it, so the model
-// is bit-identical at any worker count.
+// touched positions, sorted, are the list in ascending id (positions follow
+// the sorted ids). A truncated list keeps its NeighborhoodSize strongest
+// entries (strongerFirst), still in id order. The entities are split into
+// one contiguous range per worker of opts.Workers; each list is owned by
+// the worker that owns its entity and is computed in full by it, so the
+// model is bit-identical at any worker count.
 func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*NeighborhoodModel, error) {
 	if !algo.ItemBased() && !algo.UserBased() {
 		return nil, fmt.Errorf("rec: %v is not a neighborhood algorithm", algo)
@@ -307,6 +309,12 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 					dots[pb] += va * vseg[y]
 				}
 			}
+			// Sorted positions give the list in id order. A list that may
+			// be cut is ranked instead, and put in id order after the cut.
+			mayCut := opts.NeighborhoodSize > 0 && len(touched) > opts.NeighborhoodSize
+			if !mayCut {
+				slices.Sort(touched)
+			}
 			list := make([]Neighbor, 0, len(touched))
 			for _, pb := range touched {
 				dot := dots[pb]
@@ -317,10 +325,13 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 				}
 				list = append(list, Neighbor{ID: entities[pb], Sim: dot / (na * nb)})
 			}
-			slices.SortFunc(list, strongerFirst)
-			if opts.NeighborhoodSize > 0 && len(list) > opts.NeighborhoodSize {
-				list = list[:opts.NeighborhoodSize]
-				cutBy[w] = true
+			if mayCut {
+				if len(list) > opts.NeighborhoodSize {
+					slices.SortFunc(list, strongerFirst)
+					list = list[:opts.NeighborhoodSize]
+					cutBy[w] = true
+				}
+				slices.SortFunc(list, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) })
 			}
 			lists[pe] = list
 		}
@@ -335,7 +346,7 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	return &NeighborhoodModel{algo: algo, ix: ix, neighbors: neighbors, cut: slices.Contains(cutBy, true)}, nil
 }
 
-// strongerFirst is the order of every similarity list: descending |sim|,
+// strongerFirst ranks a list's entries for truncation: descending |sim|,
 // then ascending id. It is total over one list, whose ids are distinct.
 func strongerFirst(a, b Neighbor) int {
 	if sa, sb := math.Abs(a.Sim), math.Abs(b.Sim); sa != sb {
@@ -366,7 +377,7 @@ func (m *NeighborhoodModel) Seen(user, item int64) (float64, bool) { return m.ix
 func (m *NeighborhoodModel) Ratings() []Rating { return m.ix.allRatings() }
 
 // Neighbors returns the similarity list for an item (item-based) or user
-// (user-based), sorted by descending |similarity|.
+// (user-based), in ascending id order.
 func (m *NeighborhoodModel) Neighbors(id int64) []Neighbor { return m.neighbors[id] }
 
 // Predict implements Model using Equation 2: the weighted average of the
@@ -382,7 +393,8 @@ func (m *NeighborhoodModel) Predict(user, item int64) (float64, bool) {
 
 // PredictWeighted evaluates Equation 2 given a similarity list and the map
 // of known ratings keyed by the same id space as the list. ok is false when
-// the intersection is empty (the operators then emit 0).
+// the intersection is empty (the operators then emit 0). It adds the
+// matched terms in list order, which is ascending neighbour id.
 func PredictWeighted(neighbors []Neighbor, known map[int64]float64) (float64, bool) {
 	if len(neighbors) == 0 || len(known) == 0 {
 		return 0, false
@@ -396,9 +408,11 @@ func PredictWeighted(neighbors []Neighbor, known map[int64]float64) (float64, bo
 	return sum.score()
 }
 
-// weightedSum accumulates Equation 2 one matched neighbour at a time, so
-// a list held in memory and a run streamed from the model table add up in
-// the same order to the same bits.
+// weightedSum accumulates Equation 2 one matched neighbour at a time. Every
+// scoring path adds the terms in one order, ascending neighbour id — a list
+// held in memory, a run streamed from the model table, and the user-driven
+// side walking the rated items in ascending order — so all of them add the
+// same terms in the same order to the same bits.
 type weightedSum struct{ num, den float64 }
 
 func (w *weightedSum) add(sim, rating float64) {

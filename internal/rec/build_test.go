@@ -2,6 +2,7 @@ package rec
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,7 +188,7 @@ func TestNeighborhoodTruncation(t *testing.T) {
 		t.Fatalf("truncated list has %d entries", len(trunc.Neighbors(1)))
 	}
 	// Truncation keeps the highest-|sim| neighbor.
-	if trunc.Neighbors(1)[0].ID != full.Neighbors(1)[0].ID {
+	if trunc.Neighbors(1)[0].ID != slices.MinFunc(full.Neighbors(1), strongerFirst).ID {
 		t.Error("truncation should keep the top neighbor")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // whose lower entity position is ≡ w mod workers into a map keyed by the
 // pair, summing over the shared dimensions in ascending order; a merge then
 // hands each pair's one similarity to both its entities' lists, which are
-// sorted on (|sim| desc, id asc) and truncated.
+// sorted on (|sim| desc, id asc), truncated, and put in id order.
 func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (map[int64][]Neighbor, bool) {
 	opts = opts.withDefaults()
 	workers := opts.Workers
@@ -131,6 +131,7 @@ func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (map[
 			list = list[:opts.NeighborhoodSize]
 			cut = true
 		}
+		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
 		if len(list) > 0 {
 			neighbors[entities[pe]] = list
 		}

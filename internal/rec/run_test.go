@@ -83,8 +83,7 @@ func checkDirectory(t *testing.T, tab *catalog.Table, dir runDir) (keys []int64,
 // the read fetches each page of the run once — plus the next page only
 // when the run fills its last page, since the key boundary is then the
 // first tuple over the page break; and, for similarity lists, that
-// physical order is (|sim| desc, id asc), the order the deleted per-list
-// sort produced.
+// physical order is ascending id, the order every path adds Equation 2 in.
 func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, dir runDir, similarity bool) runShapes {
 	t.Helper()
 	keys, runs := checkDirectory(t, tab, dir)
@@ -99,8 +98,7 @@ func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, dir runDi
 				t.Fatalf("%s key %d: rows %v and %v are not consecutive", tab.Name, key, a, b)
 			}
 			if similarity {
-				pa, pb := math.Abs(want[y-1].val), math.Abs(want[y].val)
-				if pa < pb || (pa == pb && want[y-1].id >= want[y].id) {
+				if want[y-1].id >= want[y].id {
 					t.Fatalf("%s key %d: list order broken at %d: %+v then %+v", tab.Name, key, y, want[y-1], want[y])
 				}
 			}

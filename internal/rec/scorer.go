@@ -1,9 +1,6 @@
 package rec
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // Scorer predicts RecScore(u, i) from a materialized model for one user at
 // a time: ForUser loads that user's side of the model once — rated items,
@@ -13,14 +10,15 @@ import (
 // cache materialization all score through it. A Scorer is not safe for
 // concurrent use; take one per scan.
 //
-// Item-based models have two sides that give the same bits. Item-driven,
-// Score(i) walks i's similarity run past the user's ratings — one run per
-// candidate. User-driven, ForUser walks the run of each item j the user
-// rated and adds sim(i, j)·r_j into every i's accumulator, so Score is an
-// array read — one run per rated item. The second reads j's run for i's
-// terms, which is exact only while every list is whole (the store is
-// symmetric); ForUser takes it when that holds and the scan has more
-// candidates than the user has ratings.
+// Item-based models have two sides that give the same bits, because every
+// path adds Equation 2's terms in ascending neighbour id (weightedSum).
+// Item-driven, Score(i) walks i's similarity run past the user's ratings —
+// one run per candidate. User-driven, ForUser walks the run of each item j
+// the user rated, in ascending j, and adds sim(i, j)·r_j into every i's
+// accumulator, so Score is an array read — one run per rated item. The
+// second reads j's run for i's terms, which is exact only while every list
+// is whole (the store is symmetric); ForUser takes it when that holds and
+// the scan has more candidates than the user has ratings.
 type Scorer struct {
 	store      *ModelStore
 	candidates int // items the scan scores per user
@@ -29,13 +27,11 @@ type Scorer struct {
 	neighbors []Neighbor // user-based: the user's similarity list
 	factors   []float64  // SVD: the user's factor vector
 
-	// User-driven state: sums[p] is Equation 2 for model item p, runs the
-	// rated items' similarity runs back to back, in ascending item order.
+	// User-driven state: sums[p] is Equation 2 for model item p, rated the
+	// user's items in ascending order.
 	userDriven bool
 	sums       []weightedSum
 	rated      []int64
-	runs       []runEntry
-	heads      []runHead
 
 	// Item-side state kept across users (nil when the scan serves one
 	// user). Algorithm 1 needs the same item-side run for every user, so
@@ -105,7 +101,7 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 	s := sc.store
 	switch {
 	case sc.userDriven:
-		p, known := s.itemPos[i]
+		p, known := s.itemPos.lookup(i)
 		if !known {
 			return 0, false, nil
 		}
@@ -140,55 +136,12 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 	return score, ok, nil
 }
 
-// runEntry is one row of a rated item's similarity run: the neighbour's
-// model position and the pair's similarity.
-type runEntry struct {
-	sim float64
-	pos int32
-}
-
-// runHead is a merge cursor over one run of Scorer.runs: the |sim| of its
-// next entry (the merge key, kept here so comparing two heads reads no
-// entry), that entry, the entry past its end, and the rating the user gave
-// the run's item.
-type runHead struct {
-	abs     float64
-	at, end int
-	rating  float64
-}
-
-// before reports whether a's next entry merges before b's: greater |sim|,
-// or equal |sim| and an earlier run. Runs lie in Scorer.runs in ascending
-// item order, so the earlier position is the smaller item id.
-func (a runHead) before(b runHead) bool {
-	return a.abs > b.abs || (a.abs == b.abs && a.at < b.at)
-}
-
-// siftDown restores the heap order of h below position i, the head that
-// merges first at the root.
-func siftDown(h []runHead, i int) {
-	for {
-		first := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if h[c].before(h[first]) {
-				first = c
-			}
-		}
-		if first == i {
-			return
-		}
-		h[i], h[first] = h[first], h[i]
-		i = first
-	}
-}
-
 // scoreFromUser fills sums for the current user from the user's side.
 // Equation 2's terms for candidate i are sim(i, j)·r_j and |sim(i, j)|
-// over the rated j in i's list, and item-driven scoring adds them in list
-// order: |sim| descending, then j ascending. The rated runs are merged on
-// exactly that key — each run is already in |sim| order, and the runs lie
-// in ascending j — so each candidate's terms arrive in its own list order
-// and its sum has the item-driven bits, with no per-candidate storage.
+// over the rated j in i's list, and every path adds them in ascending j.
+// Walking the rated items in ascending order, each one's run once, delivers
+// every candidate's terms in exactly that order, so each row is added
+// straight into its candidate's sum: no per-candidate storage, no merge.
 func (sc *Scorer) scoreFromUser() error {
 	s := sc.store
 	if sc.sums == nil {
@@ -200,44 +153,17 @@ func (sc *Scorer) scoreFromUser() error {
 		sc.rated = append(sc.rated, j)
 	}
 	slices.Sort(sc.rated)
-	if sc.runs == nil && len(s.itemIDs) > 0 {
-		// Room for the user's runs at the table's mean run length, so a
-		// one-user scan does not grow the buffer by doubling.
-		mean := int(s.ItemNeighborhood.Heap.NumRows()) / len(s.itemIDs)
-		sc.runs = make([]runEntry, 0, (mean+1)*len(sc.rated))
-	}
-	sc.runs, sc.heads = sc.runs[:0], sc.heads[:0]
 	for _, j := range sc.rated {
-		start := len(sc.runs)
+		r := sc.seen[j]
 		err := s.itemNeighborRuns.scan(s.ItemNeighborhood, j, func(n int64, sim float64) bool {
-			if p, ok := s.itemPos[n]; ok {
-				sc.runs = append(sc.runs, runEntry{sim: sim, pos: p})
+			if p, ok := s.itemPos.lookup(n); ok {
+				sc.sums[p].add(sim, r)
 			}
 			return true
 		})
 		if err != nil {
 			return err
 		}
-		if start < len(sc.runs) {
-			sc.heads = append(sc.heads, runHead{abs: math.Abs(sc.runs[start].sim), at: start, end: len(sc.runs), rating: sc.seen[j]})
-		}
-	}
-
-	h := sc.heads
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 0 {
-		head := &h[0]
-		e := sc.runs[head.at]
-		sc.sums[e.pos].add(e.sim, head.rating)
-		if head.at++; head.at < head.end {
-			head.abs = math.Abs(sc.runs[head.at].sim)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package rec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"recdb/internal/catalog"
@@ -10,15 +12,15 @@ import (
 
 // TestScorerMatchesModel: whichever side the Scorer's rule picks, every
 // score has the in-memory model's bits, and a store whose lists were
-// truncated is never scored from the user's side. Each user is scored
-// over every item (more candidates than ratings: user-driven when the
-// lists are whole) and over a two-item list (item-driven: no user here
-// rated fewer than two items).
+// truncated, or that is user-based, is never scored from the user's side.
+// Each user is scored over every item (more candidates than ratings:
+// user-driven when item lists are whole) and over a two-item list
+// (item-driven: no user here rated fewer than two items).
 func TestScorerMatchesModel(t *testing.T) {
-	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF} {
+	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
 		for _, size := range []int{0, 1, 3, 10} {
 			t.Run(fmt.Sprintf("%v/top%d", algo, size), func(t *testing.T) {
-				model, err := BuildNeighborhood(hubRatings(true), algo, BuildOptions{NeighborhoodSize: size})
+				model, err := BuildNeighborhood(hubRatings(algo.ItemBased()), algo, BuildOptions{NeighborhoodSize: size})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -26,7 +28,8 @@ func TestScorerMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if store.symmetric != (size == 0) {
+				whole := algo.ItemBased() && size == 0 // the only stores with a user-driven side
+				if store.symmetric != whole {
 					t.Fatalf("store symmetric = %v with NeighborhoodSize %d (the hub's list is longer than every cap)", store.symmetric, size)
 				}
 				all := store.ItemIDs()
@@ -39,10 +42,10 @@ func TestScorerMatchesModel(t *testing.T) {
 						if err := sc.ForUser(u); err != nil {
 							t.Fatal(err)
 						}
-						if size > 0 && sc.UserDriven() {
-							t.Fatalf("user %d of a truncated store scored user-driven", u)
+						if !whole && sc.UserDriven() {
+							t.Fatalf("user %d of a truncated or user-based store scored user-driven", u)
 						}
-						if want := size == 0 && len(items) > len(sc.seen); sc.UserDriven() != want {
+						if want := whole && len(items) > len(sc.seen); sc.UserDriven() != want {
 							t.Fatalf("user %d with %d ratings over %d candidates: user-driven %v", u, len(sc.seen), len(items), sc.UserDriven())
 						}
 						sides[sc.UserDriven()]++
@@ -56,10 +59,134 @@ func TestScorerMatchesModel(t *testing.T) {
 						}
 					}
 				}
-				if sides[false] == 0 || (size == 0 && sides[true] == 0) {
+				if sides[false] == 0 || (whole && sides[true] == 0) {
 					t.Fatalf("fixture did not reach both sides: %v", sides)
 				}
 			})
 		}
+	}
+}
+
+// orderRatings is 40 users x 60 items, about a third of the pairs rated,
+// at ratings with many mantissa bits: Equation 2's sums then round one way
+// added strongest neighbour first and another added in ascending id for
+// many pairs.
+func orderRatings() []Rating {
+	rng := newDeterministicRand(11)
+	var out []Rating
+	for u := int64(1); u <= 40; u++ {
+		for i := int64(1); i <= 60; i++ {
+			if rng.next()%3 == 0 {
+				out = append(out, Rating{User: u, Item: i, Value: 1 + float64(rng.next()%4000)/997})
+			}
+		}
+	}
+	return out
+}
+
+// equation2 is the reference: the matched terms of list against known,
+// added in the order order puts the list in.
+func equation2(list []Neighbor, known map[int64]float64, order func(a, b Neighbor) int) (float64, bool) {
+	list = slices.Clone(list)
+	slices.SortFunc(list, order)
+	var num, den float64
+	for _, n := range list {
+		if r, ok := known[n.ID]; ok {
+			num += n.Sim * r
+			den += math.Abs(n.Sim)
+		}
+	}
+	if den == 0 {
+		return 0, false
+	}
+	return num / den, true
+}
+
+// TestEquation2AddsInAscendingID pins the summation order: on a fixture
+// where strongest-first and ascending-id order round differently, every
+// path — user-driven, streamed item-driven, memoised item-driven and the
+// in-memory model — returns the ascending-id bits.
+func TestEquation2AddsInAscendingID(t *testing.T) {
+	ratings := orderRatings()
+	byUser, byItem := map[int64]map[int64]float64{}, map[int64]map[int64]float64{}
+	for _, r := range ratings {
+		if byUser[r.User] == nil {
+			byUser[r.User] = map[int64]float64{}
+		}
+		if byItem[r.Item] == nil {
+			byItem[r.Item] = map[int64]float64{}
+		}
+		byUser[r.User][r.Item], byItem[r.Item][r.User] = r.Value, r.Value
+	}
+	for _, algo := range []Algorithm{ItemCosCF, UserPearCF} {
+		t.Run(algo.String(), func(t *testing.T) {
+			model, err := BuildNeighborhood(ratings, algo, BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := Materialize(catalog.New(nil, 0), "m", model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := store.ItemIDs()
+			scorers := []struct {
+				name string
+				sc   *Scorer
+			}{
+				{"all items", store.Scorer(false, len(all))}, // user-driven when item-based
+				{"streamed", store.Scorer(false, 1)},
+				{"memoised", store.Scorer(true, 1)},
+			}
+			diverged := 0
+			for _, u := range store.UserIDs() {
+				for _, s := range scorers {
+					if err := s.sc.ForUser(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if scorers[0].sc.UserDriven() != algo.ItemBased() {
+					t.Fatalf("user %d: user-driven %v", u, scorers[0].sc.UserDriven())
+				}
+				for _, i := range all {
+					list, known := model.Neighbors(i), byUser[u]
+					if !algo.ItemBased() {
+						list, known = model.Neighbors(u), byItem[i]
+					}
+					want, wantOK := equation2(list, known, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) })
+					if strongFirst, _ := equation2(list, known, strongerFirst); math.Float64bits(strongFirst) != math.Float64bits(want) {
+						diverged++
+					}
+					if got, ok := model.Predict(u, i); ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("model.Predict(%d, %d) = %v %v, ascending id gives %v %v", u, i, got, ok, want, wantOK)
+					}
+					for _, s := range scorers {
+						got, ok, err := s.sc.Score(i)
+						if err != nil || ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s scorer (%d, %d) = %v %v %v, ascending id gives %v %v", s.name, u, i, got, ok, err, want, wantOK)
+						}
+					}
+				}
+			}
+			if diverged == 0 {
+				t.Fatal("fixture: strongest-first and ascending-id order agree on every pair")
+			}
+		})
+	}
+}
+
+// TestPredictWeightedAllocatesNothing: the in-memory model, which OnTopDB
+// scores through, adds its list in stored order and allocates nothing.
+func TestPredictWeightedAllocatesNothing(t *testing.T) {
+	model, err := BuildNeighborhood(orderRatings(), ItemCosCF, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, items := model.Users(), model.Items()
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		model.Predict(users[n%len(users)], items[n%len(items)])
+		n++
+	}); allocs != 0 {
+		t.Fatalf("Predict allocates %.1f times per call", allocs)
 	}
 }

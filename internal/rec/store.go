@@ -21,7 +21,7 @@ import (
 // model access is page I/O like any other relational access path.
 //
 // Materialize is the only writer of these tables. It bulk-loads each one in
-// key order, every similarity list in (|sim| desc, id asc) order, and
+// key order, every similarity list in ascending id order, and
 // publishes a model's tables once, together, when all of them are whole;
 // so a key's rows are one physically contiguous run already in list order,
 // and a by-name reader sees a complete model or none. The run-keyed tables
@@ -54,7 +54,7 @@ type ModelStore struct {
 
 	userIDs []int64
 	itemIDs []int64
-	itemPos map[int64]int32 // item id → its position in itemIDs
+	itemPos posTable // item id → its position in itemIDs
 
 	// The run directories of the run-keyed tables, by user (uservector,
 	// userneighborhood) and by item (itemneighborhood, itemvector).
@@ -250,10 +250,7 @@ func (ml *modelLoad) neighborhood(suffix, key, id string, ids []int64, model *Ne
 // previous tables stay as they were.
 func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore, error) {
 	s := &ModelStore{Algo: m.Algorithm(), userIDs: m.Users(), itemIDs: m.Items()}
-	s.itemPos = make(map[int64]int32, len(s.itemIDs))
-	for p, i := range s.itemIDs {
-		s.itemPos[i] = int32(p)
-	}
+	s.itemPos = newPosTable(s.itemIDs)
 	ml := &modelLoad{cat: cat, prefix: prefixFor(recommender)}
 	ratings := m.Ratings() // sorted by (user, item)
 	var err error
@@ -380,8 +377,58 @@ func (s *ModelStore) ItemIDs() []int64 { return s.itemIDs }
 // HasItem reports whether the model knows item i (i.e. it had at least one
 // rating when the model was built).
 func (s *ModelStore) HasItem(i int64) bool {
-	_, ok := s.itemPos[i]
+	_, ok := s.itemPos.lookup(i)
 	return ok
+}
+
+// posTable maps each id of a sorted id list to its position in the list:
+// open addressing over a power-of-two slot array at most half full, homed
+// by Fibonacci hashing and probed linearly. The Scorer's user-driven side
+// looks up every similarity row it reads here, so a probe is one
+// multiply, a shift and, mostly, one slot.
+type posTable struct {
+	slots []posSlot
+	shift uint // 64 − log2(len(slots)): keeps a hash's top bits
+}
+
+// posSlot is one slot of a posTable; at is the position plus one, so the
+// zero slot is empty.
+type posSlot struct {
+	id int64
+	at int32
+}
+
+func newPosTable(ids []int64) posTable {
+	bits := uint(1)
+	for 1<<bits < 2*len(ids) {
+		bits++
+	}
+	t := posTable{slots: make([]posSlot, 1<<bits), shift: 64 - bits}
+	for p, id := range ids {
+		h := t.home(id)
+		for t.slots[h].at != 0 {
+			h = (h + 1) & (len(t.slots) - 1)
+		}
+		t.slots[h] = posSlot{id: id, at: int32(p) + 1}
+	}
+	return t
+}
+
+// home is id's first slot: the top bits of id times 2⁶⁴/φ.
+func (t posTable) home(id int64) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// lookup returns id's position, if the table holds id.
+func (t posTable) lookup(id int64) (int32, bool) {
+	for h := t.home(id); ; h = (h + 1) & (len(t.slots) - 1) {
+		switch s := t.slots[h]; {
+		case s.at == 0:
+			return 0, false
+		case s.id == id:
+			return s.at - 1, true
+		}
+	}
 }
 
 // scanRun visits the run of t keyed by key — the rows whose first column
@@ -434,13 +481,13 @@ func (s *ModelStore) ItemRaters(i int64) (map[int64]float64, error) {
 }
 
 // ItemNeighbors fetches item i's similarity list from itemneighborhood,
-// in the order it was built: descending |sim|, then ascending id.
+// in the order it was built: ascending id.
 func (s *ModelStore) ItemNeighbors(i int64) ([]Neighbor, error) {
 	return neighborsRun(s.ItemNeighborhood, s.itemNeighborRuns, i)
 }
 
 // UserNeighbors fetches user u's similarity list from userneighborhood,
-// in the order it was built: descending |sim|, then ascending id.
+// in the order it was built: ascending id.
 func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
 	return neighborsRun(s.UserNeighborhood, s.userNeighborRuns, u)
 }

@@ -67,7 +67,7 @@ func TestStoreAccessors(t *testing.T) {
 	if err != nil || len(neigh) != len(model.Neighbors(1)) {
 		t.Fatalf("ItemNeighbors(1) = %v, %v", neigh, err)
 	}
-	// Sorted by descending |sim| like the in-memory model.
+	// In the in-memory model's order, ascending id.
 	for i, n := range model.Neighbors(1) {
 		if neigh[i].ID != n.ID || math.Abs(neigh[i].Sim-n.Sim) > 1e-12 {
 			t.Fatalf("neighbor %d: store %v model %v", i, neigh[i], n)

@@ -337,7 +337,7 @@ func (m *Manager) Run(pred Predictor) (Decision, error) {
 			return dec, err
 		}
 		for _, e := range entries {
-			m.index.Put(u, e.item, e.score)
+			m.index.Put(u, e.Item, e.Score)
 			dec.Admitted++
 		}
 	}
@@ -346,16 +346,10 @@ func (m *Manager) Run(pred Predictor) (Decision, error) {
 	return dec, nil
 }
 
-// entry is one computed (item, score) prediction awaiting insertion.
-type entry struct {
-	item  int64
-	score float64
-}
-
 // unseenEntries computes the predictions to materialize for user u among
 // items: those u has not rated. Unpredictable pairs score 0, as Algorithm 1
 // emits.
-func unseenEntries(pred Predictor, u int64, items []int64) ([]entry, error) {
+func unseenEntries(pred Predictor, u int64, items []int64) ([]recindex.Entry, error) {
 	seen, err := pred.UserItems(u)
 	if err != nil {
 		return nil, err
@@ -370,27 +364,25 @@ func unseenEntries(pred Predictor, u int64, items []int64) ([]entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]entry, len(todo))
+	out := make([]recindex.Entry, len(todo))
 	for x, i := range todo {
 		if !oks[x] {
 			scores[x] = 0
 		}
-		out[x] = entry{item: i, score: scores[x]}
+		out[x] = recindex.Entry{Item: i, Score: scores[x]}
 	}
 	return out, nil
 }
 
 // MaterializeUser pre-computes and stores predictions for every item the
 // user has not rated (full per-user materialization, the warm state of the
-// top-k experiments in §VI-C).
+// top-k experiments in §VI-C): the user's tree is then complete.
 func (m *Manager) MaterializeUser(pred Predictor, u int64) error {
 	entries, err := unseenEntries(pred, u, pred.ItemIDs())
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		m.index.Put(u, e.item, e.score)
-	}
+	m.index.Fill(u, entries)
 	return nil
 }
 
@@ -406,7 +398,7 @@ func (m *Manager) MaterializeAll(pred Predictor) error {
 	batch := workers * 4
 	for lo := 0; lo < len(users); lo += batch {
 		span := users[lo:min(lo+batch, len(users))]
-		results := make([][]entry, len(span))
+		results := make([][]recindex.Entry, len(span))
 		errs := make([]error, len(span))
 		ann.RunWorkers(workers, func(w int) {
 			for x := w; x < len(span); x += workers {
@@ -417,9 +409,7 @@ func (m *Manager) MaterializeAll(pred Predictor) error {
 			if errs[x] != nil {
 				return errs[x]
 			}
-			for _, e := range results[x] {
-				m.index.Put(u, e.item, e.score)
-			}
+			m.index.Fill(u, results[x])
 		}
 	}
 	return nil

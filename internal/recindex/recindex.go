@@ -24,6 +24,10 @@ type Entry struct {
 type recTree struct {
 	tree  *btree.Tree
 	items map[int64]float64 // item → score currently in the tree
+	// complete says the tree holds a score for every item the user has not
+	// rated (Fill). Algorithm 4 admits and evicts (user, item) pairs, so a
+	// tree it built, or one it evicted from, is partial.
+	complete bool
 }
 
 // Index is the RecScoreIndex. It is safe for concurrent use.
@@ -47,7 +51,7 @@ func (ix *Index) Put(user, item int64, score float64) {
 	defer ix.mu.Unlock()
 	rt := ix.users[user]
 	if rt == nil {
-		rt = &recTree{tree: btree.New(0), items: make(map[int64]float64)}
+		rt = newRecTree()
 		ix.users[user] = rt
 	}
 	if old, ok := rt.items[item]; ok {
@@ -57,8 +61,26 @@ func (ix *Index) Put(user, item int64, score float64) {
 	rt.tree.Insert(key(score, item), score)
 }
 
-// Remove evicts the entry for (user, item). It reports whether an entry
-// existed.
+func newRecTree() *recTree {
+	return &recTree{tree: btree.New(0), items: make(map[int64]float64)}
+}
+
+// Fill replaces user's tree with entries, the scores of every item the
+// user has not rated, and marks it complete (MaterializeUser/All).
+func (ix *Index) Fill(user int64, entries []Entry) {
+	rt := newRecTree()
+	rt.complete = true
+	for _, e := range entries {
+		rt.items[e.Item] = e.Score
+		rt.tree.Insert(key(e.Score, e.Item), e.Score)
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.users[user] = rt
+}
+
+// Remove evicts the entry for (user, item), which leaves the user's tree
+// partial. It reports whether an entry existed.
 func (ix *Index) Remove(user, item int64) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -72,6 +94,7 @@ func (ix *Index) Remove(user, item int64) bool {
 	}
 	delete(rt.items, item)
 	rt.tree.Delete(key(old, item))
+	rt.complete = false
 	if len(rt.items) == 0 {
 		delete(ix.users, user)
 	}
@@ -92,12 +115,14 @@ func (ix *Index) Clear() {
 	ix.users = make(map[int64]*recTree)
 }
 
-// HasUser reports whether any entries are materialized for user (Phase I
-// of Algorithm 3).
-func (ix *Index) HasUser(user int64) bool {
+// Complete reports whether user's tree holds a score for every item the
+// user has not rated: filled whole and not evicted from since. Only then
+// can Algorithm 3 answer for the user from the tree alone (its Phase I).
+func (ix *Index) Complete(user int64) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.users[user] != nil
+	rt := ix.users[user]
+	return rt != nil && rt.complete
 }
 
 // Get returns the materialized score for (user, item), if present.

@@ -104,19 +104,49 @@ func TestHasUserUsersClear(t *testing.T) {
 	ix := New()
 	ix.Put(1, 1, 1)
 	ix.Put(2, 1, 1)
-	if !ix.HasUser(1) || ix.HasUser(3) {
-		t.Fatal("HasUser wrong")
+	if ix.UserLen(1) == 0 || ix.UserLen(3) != 0 {
+		t.Fatal("users with entries wrong")
 	}
 	if len(ix.Users()) != 2 {
 		t.Fatalf("Users: %v", ix.Users())
 	}
 	ix.RemoveUser(1)
-	if ix.HasUser(1) {
+	if ix.UserLen(1) != 0 {
 		t.Fatal("RemoveUser failed")
 	}
 	ix.Clear()
-	if ix.Len() != 0 || ix.HasUser(2) {
+	if ix.Len() != 0 || ix.UserLen(2) != 0 {
 		t.Fatal("Clear failed")
+	}
+}
+
+// TestCompleteTrees: only a tree filled whole is complete; a pair-by-pair
+// tree never is, and one eviction ends completeness until the next Fill,
+// which replaces the tree.
+func TestCompleteTrees(t *testing.T) {
+	ix := New()
+	ix.Put(1, 1, 1)
+	if ix.UserLen(1) == 0 || ix.Complete(1) {
+		t.Fatal("a tree of admitted pairs is not complete")
+	}
+	ix.Fill(1, []Entry{{Item: 2, Score: 4}, {Item: 3, Score: 2}})
+	if !ix.Complete(1) || ix.UserLen(1) != 2 {
+		t.Fatalf("filled tree: complete %v, %d entries", ix.Complete(1), ix.UserLen(1))
+	}
+	ix.Put(1, 4, 1)
+	if !ix.Complete(1) {
+		t.Fatal("an admission keeps a complete tree complete")
+	}
+	if ix.Remove(1, 99) || !ix.Complete(1) {
+		t.Fatal("evicting an absent pair changes nothing")
+	}
+	ix.Remove(1, 3)
+	if ix.Complete(1) || ix.UserLen(1) == 0 {
+		t.Fatal("an eviction leaves the tree partial")
+	}
+	ix.Fill(2, nil) // a user with nothing unrated
+	if !ix.Complete(2) || ix.Complete(3) {
+		t.Fatal("completeness of an empty fill or an absent user")
 	}
 }
 
@@ -124,7 +154,7 @@ func TestRemoveLastEntryDropsUser(t *testing.T) {
 	ix := New()
 	ix.Put(1, 1, 1)
 	ix.Remove(1, 1)
-	if ix.HasUser(1) {
+	if ix.UserLen(1) != 0 {
 		t.Fatal("user with no entries should not be materialized")
 	}
 }

@@ -40,11 +40,7 @@ func (db *DB) SaveTo(dir string) error {
 // their ratings tables using the options in effect here (so a snapshot
 // can be reopened with different tuning).
 func OpenDir(dir string, opts ...Option) (*DB, error) {
-	var cfg engine.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return openDirFS(fault.OS, dir, cfg)
+	return openDirFS(fault.OS, dir, applyOptions(opts))
 }
 
 func openDirFS(fs fault.FS, dir string, cfg engine.Config) (*DB, error) {

@@ -94,7 +94,8 @@ func WithRebuildThresholdPct(pct float64) Option {
 }
 
 // WithHotnessThreshold sets HOTNESS-THRESHOLD for the recommendation
-// cache: 0 materializes every user/item pair, 1 materializes nothing.
+// cache: 0 materializes every user/item pair, 1 materializes nothing. The
+// default is 0.5.
 func WithHotnessThreshold(t float64) Option {
 	return func(c *engine.Config) { c.HotnessThreshold = t }
 }
@@ -143,11 +144,17 @@ type DB struct {
 // Open creates a new in-memory database. Call SaveTo to checkpoint it to
 // disk and make it durable from that point on.
 func Open(opts ...Option) *DB {
-	var cfg engine.Config
+	cfg := applyOptions(opts)
+	return &DB{eng: engine.New(cfg), fs: fault.OS, retain: cfg.SnapshotRetain}
+}
+
+// applyOptions is the engine configuration opts make of the defaults.
+func applyOptions(opts []Option) engine.Config {
+	cfg := engine.Config{HotnessThreshold: engine.DefaultHotnessThreshold}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &DB{eng: engine.New(cfg), fs: fault.OS, retain: cfg.SnapshotRetain}
+	return cfg
 }
 
 // Close stops background workers and syncs and closes the write-ahead

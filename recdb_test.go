@@ -1,6 +1,7 @@
 package recdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,84 @@ func TestRunCacheMaintenance(t *testing.T) {
 	}
 	if dec.Admitted == 0 {
 		t.Fatalf("maintenance admitted nothing: %+v", dec)
+	}
+}
+
+// TestPartialRecTreeIsNotServed: one Algorithm 4 pass admits the pair
+// (user 1, item 3) alone, so user 1's RecTree lacks item 2. The top-10
+// must still be the whole answer, scored online, not the one cached row.
+func TestPartialRecTreeIsNotServed(t *testing.T) {
+	db := newDB(t, WithHotnessThreshold(0.1))
+	db.MustExec(`CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF`)
+	topK := func() ([][2]float64, string) {
+		t.Helper()
+		rows, err := db.Query(`SELECT R.iid, R.ratingval FROM ratings R
+			RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
+			WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 10`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][2]float64
+		for rows.Next() {
+			var iid int64
+			var score float64
+			if err := rows.Scan(&iid, &score); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, [2]float64{float64(iid), score})
+		}
+		return out, rows.Strategy()
+	}
+	for i := 0; i < 5; i++ {
+		topK() // demand from user 1
+	}
+	db.MustExec("INSERT INTO ratings VALUES (4, 3, 2.0)") // consumption on item 3
+	want, _ := topK()
+	if len(want) != 2 {
+		t.Fatalf("user 1 has two unrated items, top-10 gave %v", want)
+	}
+	dec, err := db.RunCacheMaintenance("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Admitted != 1 {
+		t.Fatalf("maintenance admitted %d pairs, want (1, 3) alone: %+v", dec.Admitted, dec)
+	}
+	got, strategy := topK()
+	if strategy == "IndexRecommend" || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("after maintenance: %v via %s, want %v", got, strategy, want)
+	}
+}
+
+// TestHotnessThresholdZeroAdmitsEveryPair: §IV-D's "0 materializes
+// everything" — threshold 0 admits every pair with demand, including one
+// whose hotness is under the 0.5 a database gets by default.
+func TestHotnessThresholdZeroAdmitsEveryPair(t *testing.T) {
+	for _, c := range []struct {
+		opts     []Option
+		admitted int
+	}{
+		{nil, 1},
+		{[]Option{WithHotnessThreshold(0)}, 2},
+	} {
+		db := newDB(t, c.opts...)
+		db.MustExec(`CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval`)
+		// Users 1 and 3 have not rated item 3; user 3's demand is a fifth
+		// of user 1's, so the pair (3, 3) is 0.2 hot.
+		for _, u := range []int{1, 1, 1, 1, 1, 3} {
+			if _, err := db.Query(fmt.Sprintf(`SELECT R.iid FROM ratings R
+				RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = %d`, u)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.MustExec("INSERT INTO ratings VALUES (4, 3, 2.0)") // consumption on item 3
+		dec, err := db.RunCacheMaintenance("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Admitted != c.admitted {
+			t.Fatalf("%d options: admitted %d pairs, want %d", len(c.opts), dec.Admitted, c.admitted)
+		}
 	}
 }
 

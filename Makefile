@@ -58,10 +58,10 @@ fault-sweep:
 # Native fuzzing of the byte-level decoders, 15 s per target (their seed
 # corpora already run under plain `go test`): WAL records and segments,
 # SQL text, wire streams (with the relay's RowBatch check against the
-# decoder), the IVF index codec, the in-place tuple reader that model-table
-# reads decode raw page bytes with, and a snapshot's manifest and row
-# files. `go test -fuzz` takes one target per run, so this is the one list
-# CI's fuzz job runs.
+# decoder), the IVF index codec, the fixed-shape decoder that model-table
+# run reads decode raw page tuples with (against DecodeRow), and a
+# snapshot's manifest and row files. `go test -fuzz` takes one target per
+# run, so this is the one list CI's fuzz job runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=15s ./internal/wal
 	$(GO) test -run '^$$' -fuzz='^FuzzReplay$$' -fuzztime=15s ./internal/wal

@@ -244,14 +244,13 @@ func BenchmarkAblation_HotnessThreshold(b *testing.B) {
 			b.Fatal(err)
 		}
 		cache.Threshold = threshold
-		r, _ := env.Eng.Recommenders().Get("Rec_ItemCosCF")
 		for i := 0; i < 10; i++ {
 			cache.RecordQuery(env.QueryUser)
 		}
 		for _, it := range env.Data.Items {
 			cache.RecordUpdate(it.ID)
 		}
-		if _, err := cache.Run(r.Store()); err != nil {
+		if _, err := env.Eng.RunCacheMaintenance("Rec_ItemCosCF"); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("threshold=%.2f", threshold), func(b *testing.B) {

@@ -367,7 +367,6 @@ func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
 		// Drive demand and consumption with skew, so hotness spans the
 		// whole (0, 1] range: the query user is the hottest, other users
 		// trail off, and item consumption decays with rank.
-		r, _ := env.Eng.Recommenders().Get("Rec_ItemCosCF")
 		for i := 0; i < 16; i++ {
 			cache.RecordQuery(env.QueryUser)
 		}
@@ -385,7 +384,7 @@ func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
 				cache.RecordUpdate(it.ID)
 			}
 		}
-		if _, err := cache.Run(r.Store()); err != nil {
+		if _, err := env.Eng.RunCacheMaintenance("Rec_ItemCosCF"); err != nil {
 			return t, err
 		}
 		var strategy string

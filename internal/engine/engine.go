@@ -740,7 +740,7 @@ func (e *Engine) RunCacheMaintenance(recommender string) (reccache.Decision, err
 	if c == nil {
 		return reccache.Decision{}, fmt.Errorf("engine: no cache manager for %q", recommender)
 	}
-	return c.Run(r.Store())
+	return c.Run(func() reccache.Predictor { return r.Store() })
 }
 
 // Materialize fully pre-computes the RecScoreIndex for a recommender

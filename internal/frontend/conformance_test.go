@@ -733,15 +733,27 @@ func TestShutdownDuringStatement(t *testing.T) {
 func TestTokenHandOvers(t *testing.T) {
 	eachBackend(t, func(t *testing.T, start starter) {
 		// Each statement held announces itself with the channel that lets
-		// it go.
+		// it go. A failed check ends the test with a statement still held
+		// or still announcing itself; the cleanup, which runs before the
+		// server's Shutdown, lets every such statement go, so the failure
+		// is reported at once instead of Shutdown waiting for it.
 		holds := make(chan chan struct{})
+		ended := make(chan struct{})
 		s := start(t, frontend.Options{}, func(sql string) {
 			if strings.Contains(sql, "iid > 0") {
 				release := make(chan struct{})
-				holds <- release
-				<-release
+				select {
+				case holds <- release:
+				case <-ended:
+					return
+				}
+				select {
+				case <-release:
+				case <-ended:
+				}
 			}
 		})
+		t.Cleanup(func() { close(ended) })
 		handOvers := func() int64 { return frontend.HandOversForTest(s.front) }
 		ctx := context.Background()
 		const short, long = `SELECT iid FROM ratings WHERE uid = 3`, `SELECT iid FROM ratings WHERE uid = 1 AND iid > 0`

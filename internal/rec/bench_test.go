@@ -132,6 +132,8 @@ func BenchmarkRebuildCrossing(b *testing.B) {
 
 // BenchmarkItemNeighbors reads one similarity list per iteration from the
 // materialized itemneighborhood table (directory seek + clustered-run walk).
+// ns/row is the time per neighbour row read, the per-row cost of a run
+// read that every neighbourhood accessor pays.
 func BenchmarkItemNeighbors(b *testing.B) {
 	m, err := BuildNeighborhood(benchRatings(200, 400, 0.06), ItemCosCF, BuildOptions{})
 	if err != nil {
@@ -153,4 +155,5 @@ func BenchmarkItemNeighbors(b *testing.B) {
 		rows += len(list)
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }

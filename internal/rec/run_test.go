@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -120,11 +121,12 @@ func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, dir runDi
 
 		var got []runRow
 		stats.Reset()
-		err := dir.scan(tab, key, func(id int64, val float64) bool {
+		rr := dir.read(tab, key)
+		for rr.Next() {
+			id, val := rr.Row()
 			got = append(got, runRow{id: id, val: val})
-			return true
-		})
-		if err != nil {
+		}
+		if err := rr.Close(); err != nil {
 			t.Fatalf("%s key %d: %v", tab.Name, key, err)
 		}
 		if reads, _, _ := stats.Snapshot(); reads != fetches {
@@ -140,10 +142,11 @@ func checkRuns(t *testing.T, stats *storage.Stats, tab *catalog.Table, dir runDi
 		}
 	}
 	// An absent key reads nothing and is not an error.
-	if err := dir.scan(tab, math.MinInt64, func(int64, float64) bool {
+	rr := dir.read(tab, math.MinInt64)
+	if rr.Next() {
 		t.Fatalf("%s: row returned for an absent key", tab.Name)
-		return false
-	}); err != nil {
+	}
+	if err := rr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if n := tab.Heap.OpenSnapshots(); n != 0 {
@@ -208,7 +211,11 @@ func TestScanRunBoundaries(t *testing.T) {
 	// An early stop returns without reading on.
 	seen := 0
 	stats.Reset()
-	if err := dir.scan(tab, 100+2*7, func(int64, float64) bool { seen++; return seen < 2 }); err != nil || seen != 2 {
+	rr := dir.read(tab, 100+2*7)
+	for seen < 2 && rr.Next() {
+		seen++
+	}
+	if err := rr.Close(); err != nil || seen != 2 {
 		t.Fatalf("early stop: %d rows, %v", seen, err)
 	}
 	if reads, _, _ := stats.Snapshot(); reads != 1 {
@@ -348,5 +355,95 @@ func TestRunDirectoryFollowsKeys(t *testing.T) {
 		if _, _, err := load(keys...); err == nil {
 			t.Errorf("rows keyed %v loaded", keys)
 		}
+	}
+}
+
+// TestForeignRunTupleIsAnError: a tuple inside a run that is not the
+// (key, id, value) row Materialize writes — a row of another shape, or
+// one cut short — fails the read of that run with a *RunError naming the
+// table, whether UserItems, the user-driven side or the item-driven side
+// reads it; none of them takes the rows before it for the whole run, and
+// none leaves a snapshot open.
+func TestForeignRunTupleIsAnError(t *testing.T) {
+	plants := map[string]func(t *testing.T, tab *catalog.Table, rid storage.RID){
+		"wrong shape": func(t *testing.T, tab *catalog.Table, rid storage.RID) {
+			row, err := tab.Heap.Get(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Shorter than the row it replaces, so it stays in place.
+			at, err := tab.Heap.Update(rid, types.Row{row[0], row[1], types.Null()})
+			if err != nil || at != rid {
+				t.Fatalf("update moved %v to %v: %v", rid, at, err)
+			}
+		},
+		"cut short": func(t *testing.T, tab *catalog.Table, rid storage.RID) {
+			pool := tab.Heap.Pool()
+			buf, err := pool.Fetch(rid.Page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuple, ok := storage.AsPage(buf).Get(rid.Slot)
+			if !ok {
+				t.Fatalf("no tuple at %v", rid)
+			}
+			tuple[0] = 4 // the header declares a fourth value the bytes do not hold
+			pool.Unpin(rid.Page, true)
+		},
+	}
+	// plantMid plants a foreign tuple halfway through key's run of tab.
+	plantMid := func(t *testing.T, plant func(*testing.T, *catalog.Table, storage.RID), tab *catalog.Table, key int64) {
+		t.Helper()
+		_, runs := heapRuns(t, tab)
+		run := runs[key]
+		if len(run) < 3 {
+			t.Fatalf("%s key %d: a %d-row run has no middle", tab.Name, key, len(run))
+		}
+		plant(t, tab, run[len(run)/2].rid)
+	}
+	checkErr := func(t *testing.T, what string, tab *catalog.Table, err error) {
+		t.Helper()
+		var re *RunError
+		if !errors.As(err, &re) || re.Table != tab.Name || !errors.Is(err, types.ErrRunRow) {
+			t.Fatalf("%s: got %v, want a *RunError naming %s", what, err, tab.Name)
+		}
+		if n := tab.Heap.OpenSnapshots(); n != 0 {
+			t.Fatalf("%s: %d snapshots left open", what, n)
+		}
+	}
+	// In hubRatings(true), user 1000 rated the hub item 1, whose run is
+	// ~900 rows, and one spoke; user 9000 rated a dozen block items.
+	const hub, hubRater, blockRater = 1, 1000, 9000
+	for name, plant := range plants {
+		t.Run(name, func(t *testing.T) {
+			model, err := BuildNeighborhood(hubRatings(true), ItemCosCF, BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := Materialize(catalog.New(nil, 0), "m", model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rated, err := store.UserItems(hubRater)
+			if err != nil || len(rated) != 2 {
+				t.Fatalf("user %d rated %v, %v", hubRater, rated, err)
+			}
+
+			plantMid(t, plant, store.UserVector, blockRater)
+			_, err = store.UserItems(blockRater)
+			checkErr(t, "UserItems", store.UserVector, err)
+
+			plantMid(t, plant, store.ItemNeighborhood, hub)
+			sc := store.Scorer(false, len(store.ItemIDs()))
+			err = sc.ForUser(hubRater)
+			checkErr(t, "user-driven ForUser", store.ItemNeighborhood, err)
+			if !sc.UserDriven() {
+				t.Fatal("ForUser did not take the user-driven side")
+			}
+			_, _, err = store.PredictItemBased(hub, rated)
+			checkErr(t, "item-driven PredictItemBased", store.ItemNeighborhood, err)
+			_, err = store.ItemNeighbors(hub)
+			checkErr(t, "ItemNeighbors", store.ItemNeighborhood, err)
+		})
 	}
 }

@@ -155,13 +155,14 @@ func (sc *Scorer) scoreFromUser() error {
 	slices.Sort(sc.rated)
 	for _, j := range sc.rated {
 		r := sc.seen[j]
-		err := s.itemNeighborRuns.scan(s.ItemNeighborhood, j, func(n int64, sim float64) bool {
+		rr := s.itemNeighborRuns.read(s.ItemNeighborhood, j)
+		for rr.Next() {
+			n, sim := rr.Row()
 			if p, ok := s.itemPos.lookup(n); ok {
 				sc.sums[p].add(sim, r)
 			}
-			return true
-		})
-		if err != nil {
+		}
+		if err := rr.Close(); err != nil {
 			return err
 		}
 	}

@@ -27,7 +27,7 @@ import (
 // and a by-name reader sees a complete model or none. The run-keyed tables
 // carry no catalog index: the store keeps, per key, the RID its run starts
 // at (runDir), and the accessors seek there and read the rest from the heap
-// (scanRun); they never sort. SQL against one of these tables answers by
+// (runReader); they never sort. SQL against one of these tables answers by
 // heap scan. A rebuild materializes fresh tables; it does not edit these.
 //
 // Tables per algorithm (all prefixed "_rec_<name>_"):
@@ -212,18 +212,102 @@ type runDir struct {
 	first []storage.RID
 }
 
-// scan visits key's run of t, the table d directs (see scanRun). A key the
-// model does not know, or one with no rows, has an empty run.
-func (d runDir) scan(t *catalog.Table, key int64, fn func(id int64, val float64) bool) error {
-	if t == nil {
-		return fmt.Errorf("rec: model has no table for this access path")
-	}
+// read opens key's run of t, the table d directs (see runReader). A key
+// the model does not know, or one with no rows, has an empty run.
+func (d runDir) read(t *catalog.Table, key int64) runReader {
+	rr := runReader{table: t, key: key}
 	p, ok := slices.BinarySearch(d.keys, key)
-	if !ok || d.first[p] == noRun {
-		return nil
+	switch {
+	case t == nil:
+		rr.err = fmt.Errorf("rec: model has no table for this access path")
+	case ok && d.first[p] != noRun:
+		rr.cur, rr.open = t.Heap.Cursor(d.first[p]), true
 	}
-	return scanRun(t, d.first[p], key, fn)
+	return rr
 }
+
+// runReader reads one key's run of a run-keyed model table — the rows
+// whose first column is the key — and yields the two fields after the
+// key. It is the one read path under every neighbourhood accessor: a
+// storage.RunCursor starts at the run's first row, from the run
+// directory, and walks the heap forward in physical order — the key's
+// rows are one contiguous run (see Materialize) — until the key changes,
+// pinning each page of the run once and decoding each tuple in place with
+// types.DecodeRunRow. The caller owns the loop:
+//
+//	rr := dir.read(t, key)
+//	for rr.Next() {
+//		id, val := rr.Row()
+//		...
+//	}
+//	if err := rr.Close(); err != nil { ... }
+//
+// A tuple in the run that is not a (key, id, value) row ends the read
+// with a *RunError rather than a short run.
+type runReader struct {
+	cur     storage.RunCursor
+	open    bool // cur holds a snapshot until Close
+	table   *catalog.Table
+	key, id int64
+	val     float64
+	err     error
+}
+
+// Next advances to the run's next row. It reports false at the run's end
+// or on an error, which Close returns, and releases the cursor then.
+func (rr *runReader) Next() bool {
+	for rr.open {
+		tuple, ok := rr.cur.Next()
+		if !ok {
+			if rr.cur.Turn() {
+				continue
+			}
+			break
+		}
+		key, id, val, err := types.DecodeRunRow(tuple)
+		if err != nil {
+			rr.err = &RunError{Table: rr.table.Name, Key: rr.key, Err: err}
+			break
+		}
+		if key != rr.key {
+			break
+		}
+		rr.id, rr.val = id, val
+		return true
+	}
+	_ = rr.Close() // keeps the error in rr.err for the caller's Close
+	return false
+}
+
+// Row returns the current row's id and value.
+func (rr *runReader) Row() (id int64, val float64) { return rr.id, rr.val }
+
+// Close releases the cursor, if the read has not already, and returns the
+// error that ended the read, if any.
+func (rr *runReader) Close() error {
+	if rr.open {
+		rr.open = false
+		if rr.err == nil {
+			rr.err = rr.cur.Err()
+		}
+		rr.cur.Close()
+	}
+	return rr.err
+}
+
+// RunError reports a tuple inside a model table's run that is not the
+// (key, id, value) row Materialize writes.
+type RunError struct {
+	Table string // the model table
+	Key   int64  // the key whose run was being read
+	Err   error  // why the tuple was refused; wraps types.ErrRunRow
+}
+
+func (e *RunError) Error() string {
+	return fmt.Sprintf("rec: model table %q, run of key %d: %v", e.Table, e.Key, e.Err)
+}
+
+func (e *RunError) Unwrap() error { return e.Err }
 
 func intCol(name string) types.Column   { return types.Column{Name: name, Kind: types.KindInt} }
 func floatCol(name string) types.Column { return types.Column{Name: name, Kind: types.KindFloat} }
@@ -431,42 +515,15 @@ func (t posTable) lookup(id int64) (int32, bool) {
 	}
 }
 
-// scanRun visits the run of t keyed by key — the rows whose first column
-// equals it — starting at its first row, first, and passes fn the two
-// fields that follow the key. It is the one read path under every
-// neighbourhood accessor: a snapshot iterator seeks to first and walks the
-// heap forward in physical order — the key's rows are one contiguous run
-// (see Materialize) — until the key changes or fn returns false, pinning
-// each page of the run once and decoding fields straight from the tuple
-// bytes.
-func scanRun(t *catalog.Table, first storage.RID, key int64, fn func(id int64, val float64) bool) error {
-	it := t.Heap.Scan()
-	defer it.Close()
-	it.Seek(first)
-	for {
-		tuple, _, ok, err := it.NextTuple()
-		if err != nil || !ok {
-			return err
-		}
-		r := types.ReadTuple(tuple)
-		k, id, val := r.Int(), r.Int(), r.Float()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("rec: table %q: %w", t.Name, err)
-		}
-		if k != key || !fn(id, val) {
-			return nil
-		}
-	}
-}
-
 // ratingsRun collects one key's run of a (key, id, ratingval) table.
 func ratingsRun(t *catalog.Table, dir runDir, key int64) (map[int64]float64, error) {
 	out := make(map[int64]float64)
-	err := dir.scan(t, key, func(id int64, rating float64) bool {
+	rr := dir.read(t, key)
+	for rr.Next() {
+		id, rating := rr.Row()
 		out[id] = rating
-		return true
-	})
-	return out, err
+	}
+	return out, rr.Close()
 }
 
 // UserItems fetches user u's rated items (iid → rating) from uservector.
@@ -494,11 +551,12 @@ func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
 
 func neighborsRun(t *catalog.Table, dir runDir, id int64) ([]Neighbor, error) {
 	var out []Neighbor
-	err := dir.scan(t, id, func(n int64, sim float64) bool {
+	rr := dir.read(t, id)
+	for rr.Next() {
+		n, sim := rr.Row()
 		out = append(out, Neighbor{ID: n, Sim: sim})
-		return true
-	})
-	return out, err
+	}
+	return out, rr.Close()
 }
 
 // PredictItemBased evaluates Equation 2 for item i against a user's rated
@@ -507,13 +565,14 @@ func neighborsRun(t *catalog.Table, dir runDir, id int64) ([]Neighbor, error) {
 // the list being built.
 func (s *ModelStore) PredictItemBased(i int64, userItems map[int64]float64) (float64, bool, error) {
 	var sum weightedSum
-	err := s.itemNeighborRuns.scan(s.ItemNeighborhood, i, func(n int64, sim float64) bool {
+	rr := s.itemNeighborRuns.read(s.ItemNeighborhood, i)
+	for rr.Next() {
+		n, sim := rr.Row()
 		if r, ok := userItems[n]; ok {
 			sum.add(sim, r)
 		}
-		return true
-	})
-	if err != nil {
+	}
+	if err := rr.Close(); err != nil {
 		return 0, false, err
 	}
 	score, ok := sum.score()
@@ -614,11 +673,11 @@ func (s *ModelStore) ItemScoreOf(i int64) (float64, bool, error) {
 // Seen returns the rating user u gave item i, looked up in the uservector
 // table.
 func (s *ModelStore) Seen(u, i int64) (rating float64, found bool, err error) {
-	err = s.userVectorRuns.scan(s.UserVector, u, func(item int64, r float64) bool {
-		if item == i {
+	rr := s.userVectorRuns.read(s.UserVector, u)
+	for !found && rr.Next() {
+		if item, r := rr.Row(); item == i {
 			rating, found = r, true
 		}
-		return !found
-	})
-	return rating, found, err
+	}
+	return rating, found, rr.Close()
 }

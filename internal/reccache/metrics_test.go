@@ -54,7 +54,7 @@ func TestCacheMetricsDeterministic(t *testing.T) {
 	// decision it returns.
 	ix.Put(2, 2, 3.3)
 	ts = 15
-	dec, err := m.Run(&fakePredictor{users: []int64{1, 2}, items: []int64{1, 2, 3}})
+	dec, err := m.Run(fixed(&fakePredictor{users: []int64{1, 2}, items: []int64{1, 2, 3}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,9 +257,15 @@ type Pair struct {
 // for users and items touched since the last run; Step 2 computes the
 // hotness ratio for every candidate pair and splits them into admission
 // and eviction lists; finally the lists are applied to the RecScoreIndex,
-// computing predictions through pred for admitted pairs.
-func (m *Manager) Run(pred Predictor) (Decision, error) {
+// computing predictions for admitted pairs with the predictor model
+// returns — the recommender's current model, read once per run. A model
+// rebuild clears the index (Invalidate) while a run may be predicting, so
+// a user's admissions are stored only if the index has not been cleared
+// since before model was read.
+func (m *Manager) Run(model func() Predictor) (Decision, error) {
 	m.Metrics.Runs.Inc()
+	gen := m.index.Generation()
+	pred := model()
 	m.mu.Lock()
 	now := m.clock()
 	elapsed := now - m.tsInit
@@ -336,9 +342,8 @@ func (m *Manager) Run(pred Predictor) (Decision, error) {
 		if err != nil {
 			return dec, err
 		}
-		for _, e := range entries {
-			m.index.Put(u, e.Item, e.Score)
-			dec.Admitted++
+		if m.index.PutAll(gen, u, entries) {
+			dec.Admitted += len(entries)
 		}
 	}
 	dec.AdmissionList = admit
@@ -419,9 +424,9 @@ func (m *Manager) MaterializeAll(pred Predictor) error {
 func (m *Manager) Invalidate() { m.index.Clear() }
 
 // Start launches a background goroutine running maintenance every
-// interval, mirroring the asynchronous cache manager of §IV-D. Stop halts
-// it.
-func (m *Manager) Start(pred Predictor, interval time.Duration) {
+// interval, mirroring the asynchronous cache manager of §IV-D; each tick
+// scores with the predictor model returns then (see Run). Stop halts it.
+func (m *Manager) Start(model func() Predictor, interval time.Duration) {
 	m.mu.Lock()
 	if m.stopCh != nil {
 		m.mu.Unlock()
@@ -443,7 +448,7 @@ func (m *Manager) Start(pred Predictor, interval time.Duration) {
 				// A failed run degrades (recorded in Health) rather than
 				// killing the daemon: the cache serves stale entries and
 				// the next tick retries.
-				_, err := m.Run(pred)
+				_, err := m.Run(model)
 				m.recordRun(err)
 			}
 		}

@@ -42,6 +42,47 @@ func (f *fakePredictor) UserItems(u int64) (map[int64]float64, error) {
 func (f *fakePredictor) ItemIDs() []int64 { return f.items }
 func (f *fakePredictor) UserIDs() []int64 { return f.users }
 
+// fixed is a model that is never rebuilt.
+func fixed(p Predictor) func() Predictor { return func() Predictor { return p } }
+
+// rebuildingPredictor is a model rebuilt while it predicts: the rebuild
+// invalidates the manager's index, as the engine's rebuild hook does.
+type rebuildingPredictor struct {
+	fakePredictor
+	m *Manager
+}
+
+func (p *rebuildingPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
+	p.m.Invalidate()
+	return p.fakePredictor.PredictForUser(u, items)
+}
+
+// TestRunDropsAdmissionsAcrossARebuild: a run whose model is rebuilt while
+// it predicts stores none of those predictions, so nothing computed from
+// the replaced model outlives the rebuild's Invalidate.
+func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
+	ix := recindex.New()
+	m := New(ix, 0, func() float64 { return 1 })
+	m.RecordQuery(1)
+	m.RecordUpdate(5)
+	m.RecordUpdate(6)
+	pred := &rebuildingPredictor{fakePredictor{users: []int64{1}, items: []int64{5, 6}}, m}
+	dec, err := m.Run(fixed(pred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Admitted != 0 || ix.Len() != 0 {
+		t.Fatalf("admitted %d, index holds %d entries after the model was rebuilt mid-run", dec.Admitted, ix.Len())
+	}
+	// With the model left alone the same pairs are admitted.
+	m.RecordQuery(1)
+	m.RecordUpdate(5)
+	m.RecordUpdate(6)
+	if dec, err = m.Run(fixed(&pred.fakePredictor)); err != nil || dec.Admitted != 2 || ix.Len() != 2 {
+		t.Fatalf("admitted %d (index %d), %v", dec.Admitted, ix.Len(), err)
+	}
+}
+
 // TestTable1_PaperExample replays the worked example of Table I: two users
 // (Alice=1, Bob=2), three movies (Spartacus=1, Inception=2, TheMatrix=3),
 // TSinit=10, maintenance at TSnow=15, HOTNESS-THRESHOLD=0.5.
@@ -78,7 +119,7 @@ func TestTable1_PaperExample(t *testing.T) {
 
 	ts = 15
 	pred := &fakePredictor{users: []int64{1, 2}, items: []int64{1, 2, 3}}
-	dec, err := m.Run(pred)
+	dec, err := m.Run(fixed(pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +184,7 @@ func TestThresholdZeroMaterializesEverything(t *testing.T) {
 	m.RecordUpdate(6)
 	ts = 10
 	pred := &fakePredictor{users: []int64{1, 2}, items: []int64{5, 6}}
-	dec, err := m.Run(pred)
+	dec, err := m.Run(fixed(pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +201,7 @@ func TestThresholdOneMaterializesNothing(t *testing.T) {
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	ts = 10
-	dec, err := m.Run(&fakePredictor{users: []int64{1}, items: []int64{5}})
+	dec, err := m.Run(fixed(&fakePredictor{users: []int64{1}, items: []int64{5}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +224,7 @@ func TestAdmissionSkipsSeenItems(t *testing.T) {
 		items: []int64{5, 6},
 		seen:  map[int64]map[int64]float64{1: {5: 4.0}},
 	}
-	dec, err := m.Run(pred)
+	dec, err := m.Run(fixed(pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +248,12 @@ func TestRunOnlyConsidersTouchedSinceLastRun(t *testing.T) {
 	m.RecordUpdate(5)
 	ts = 10
 	pred := &fakePredictor{users: []int64{1}, items: []int64{5}}
-	if _, err := m.Run(pred); err != nil {
+	if _, err := m.Run(fixed(pred)); err != nil {
 		t.Fatal(err)
 	}
 	// Second run with no new activity considers nobody.
 	ts = 20
-	dec, err := m.Run(pred)
+	dec, err := m.Run(fixed(pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +294,7 @@ func TestBackgroundMaintenance(t *testing.T) {
 	pred := &fakePredictor{users: []int64{1}, items: []int64{5}}
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
-	m.Start(pred, 5*time.Millisecond)
+	m.Start(fixed(pred), 5*time.Millisecond)
 	defer m.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {

@@ -34,6 +34,7 @@ type recTree struct {
 type Index struct {
 	mu    sync.RWMutex
 	users map[int64]*recTree
+	gen   uint64 // Clears so far
 }
 
 // New returns an empty RecScoreIndex.
@@ -49,6 +50,27 @@ func key(score float64, item int64) types.Row {
 func (ix *Index) Put(user, item int64, score float64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.putLocked(user, item, score)
+}
+
+// PutAll stores user's entries as Put does, but only while the index is
+// still at generation gen, and reports whether it was. A caller reads the
+// generation before the model it scores with: a rebuild replaces the model
+// and then clears the index, so scores computed from a model that has
+// since been replaced are dropped rather than served.
+func (ix *Index) PutAll(gen uint64, user int64, entries []Entry) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.gen != gen {
+		return false
+	}
+	for _, e := range entries {
+		ix.putLocked(user, e.Item, e.Score)
+	}
+	return true
+}
+
+func (ix *Index) putLocked(user, item int64, score float64) {
 	rt := ix.users[user]
 	if rt == nil {
 		rt = newRecTree()
@@ -108,11 +130,19 @@ func (ix *Index) RemoveUser(user int64) {
 	delete(ix.users, user)
 }
 
-// Clear evicts everything.
+// Clear evicts everything and starts the index's next generation.
 func (ix *Index) Clear() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.users = make(map[int64]*recTree)
+	ix.gen++
+}
+
+// Generation counts the Clears so far (see PutAll).
+func (ix *Index) Generation() uint64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.gen
 }
 
 // Complete reports whether user's tree holds a score for every item the

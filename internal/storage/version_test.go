@@ -272,13 +272,13 @@ func TestConcurrentSnapshotHammer(t *testing.T) {
 	}
 }
 
-// TestIteratorSeekRunRead drives the clustered-run read: Seek to a RID,
-// then NextTuple forward. From any starting row — mid-page, last slot of a
-// page, a deleted slot — the walk returns exactly the live tuples from
-// there to the end in physical order, fetches each page it crosses once,
-// sees its snapshot rather than later writes, and holds no pin once it
-// runs off the end or is closed early.
-func TestIteratorSeekRunRead(t *testing.T) {
+// TestRunCursorReadsFromRID drives the clustered-run read: a RunCursor
+// opened at a RID, then Next and Turn forward. From any starting row —
+// mid-page, last slot of a page, a deleted slot — the walk returns exactly
+// the live tuples from there to the end in physical order, fetches each
+// page it crosses once, sees its snapshot rather than later writes, and
+// holds no pin once it runs off the end or is closed early.
+func TestRunCursorReadsFromRID(t *testing.T) {
 	const n = 1500
 	h, rids := versionedHeap(t, n, 8)
 	if h.NumPages() < 4 {
@@ -301,37 +301,44 @@ func TestIteratorSeekRunRead(t *testing.T) {
 		}
 		return total
 	}
+	// rowAt is the row number a tuple of the fixture carries.
+	rowAt := func(tuple []byte) int {
+		t.Helper()
+		row, _, err := types.DecodeRow(tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(row[0].Int())
+	}
 	stats := h.pool.stats
 
 	for _, start := range []int{0, 1, 7, 333, 700, n - 2, n - 1} {
-		it := h.Scan()
+		c := h.Cursor(rids[start])
 		// Writes after the snapshot must not show up in the walk.
 		late, err := h.Insert(types.Row{types.NewInt(-1), types.NewText("late")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats.Reset()
-		it.Seek(rids[start])
 		want := start
 		for {
-			tuple, rid, ok, err := it.NextTuple()
-			if err != nil {
-				t.Fatal(err)
-			}
+			tuple, ok := c.Next()
 			if !ok {
+				if c.Turn() {
+					continue
+				}
 				break
 			}
 			for dead[want] {
 				want++
 			}
-			if want >= n || rid != rids[want] {
-				t.Fatalf("from %d: got rid %v, want row %d", start, rid, want)
-			}
-			r := types.ReadTuple(tuple)
-			if got := r.Int(); got != int64(want) || r.Err() != nil {
-				t.Fatalf("from %d: tuple at %v decodes to %d (%v), want %d", start, rid, got, r.Err(), want)
+			if got := rowAt(tuple); want >= n || got != want {
+				t.Fatalf("from %d: got row %d, want row %d", start, got, want)
 			}
 			want++
+		}
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
 		}
 		for want < n && dead[want] {
 			want++
@@ -346,42 +353,36 @@ func TestIteratorSeekRunRead(t *testing.T) {
 		if p := pinned(); p != 0 {
 			t.Fatalf("from %d: %d pins held after the walk ran off the end", start, p)
 		}
-		it.Close()
+		c.Close()
 		if err := h.Delete(late); err != nil {
 			t.Fatal(err)
 		}
 	}
 
+	// A cursor pins nothing until it turns onto its first page.
+	c := h.Cursor(rids[333])
+	if _, ok := c.Next(); ok || pinned() != 0 {
+		t.Fatalf("Next before the first Turn: ok=%v, %d pins", ok, pinned())
+	}
 	// Early exit: Close mid-page releases the pin and the snapshot.
-	it := h.Scan()
-	it.Seek(rids[333])
-	if _, _, ok, err := it.NextTuple(); !ok || err != nil {
-		t.Fatalf("NextTuple after Seek: %v %v", ok, err)
+	if !c.Turn() {
+		t.Fatalf("Turn onto the first page: %v", c.Err())
+	}
+	if tuple, ok := c.Next(); !ok || rowAt(tuple) != 333 {
+		t.Fatalf("first Next landed on %v %v", tuple, ok)
 	}
 	if p := pinned(); p != 1 {
 		t.Fatalf("%d pins held mid-walk, want 1", p)
 	}
-	// Seeking within the pinned page keeps it; seeking away releases it.
-	it.Seek(rids[334])
-	if p := pinned(); p != 1 {
-		t.Fatalf("%d pins after same-page Seek, want 1", p)
-	}
-	it.Seek(rids[n-2])
-	if p := pinned(); p != 0 {
-		t.Fatalf("%d pins after Seek to another page, want 0", p)
-	}
-	if _, rid, ok, _ := it.NextTuple(); !ok || rid != rids[n-2] {
-		t.Fatalf("re-Seek landed on %v %v", rid, ok)
-	}
-	it.Close()
+	c.Close()
+	c.Close()
 	if p, s := pinned(), h.OpenSnapshots(); p != 0 || s != 0 {
 		t.Fatalf("after Close: %d pins, %d snapshots", p, s)
 	}
-	// A Seek past the snapshot's last page is simply the end.
-	it = h.Scan()
-	defer it.Close()
-	it.Seek(RID{Page: PageID(h.NumPages() + 3)})
-	if _, _, ok, err := it.NextTuple(); ok || err != nil {
-		t.Fatalf("Seek past end: ok=%v err=%v", ok, err)
+	// A cursor opened past the snapshot's last page is simply at the end.
+	c = h.Cursor(RID{Page: PageID(h.NumPages() + 3)})
+	defer c.Close()
+	if c.Turn() || c.Err() != nil {
+		t.Fatalf("Turn past the end: err=%v", c.Err())
 	}
 }

@@ -2,8 +2,10 @@ package types
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"recdb/internal/geo"
 )
@@ -53,67 +55,76 @@ func EncodeRow(dst []byte, row Row) []byte {
 	return dst
 }
 
-// TupleReader decodes the leading scalar fields of one encoded row in
-// place, front to back, without building a Row: a clustered-run read of a
-// model table needs two or three numbers from each tuple and must not
-// allocate per tuple. The first failure is sticky and later calls return
-// zero, so a caller checks Err once per tuple.
-type TupleReader struct {
-	buf  []byte
-	off  int
-	left uint64 // fields not yet consumed; zeroed by a failure
-	err  error
-}
+// ErrRunRow is the error DecodeRunRow wraps for bytes that are not a
+// (BIGINT, BIGINT, DOUBLE) row as EncodeRow writes one.
+var ErrRunRow = errors.New("types: not a (BIGINT, BIGINT, DOUBLE) row")
 
-// ReadTuple starts reading the row encoded at the front of buf.
-func ReadTuple(buf []byte) TupleReader {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return TupleReader{err: fmt.Errorf("types: truncated row header")}
+// DecodeRunRow decodes the one row shape a run-keyed model table holds,
+// (BIGINT key, BIGINT id, DOUBLE val), straight from tuple bytes: a clustered
+// run read decodes every row of the run and must not build a Row or
+// allocate for one. It checks in one pass what EncodeRow writes for that
+// shape — a one-byte header of 3, the three kind bytes in order, varints
+// that end inside buf, the float's eight bytes, and nothing after them.
+// Anything else, including encodings EncodeRow never produces and rows
+// DecodeRow would read as another shape, fails with an error wrapping
+// ErrRunRow.
+func DecodeRunRow(buf []byte) (key, id int64, val float64, err error) {
+	// 14 bytes is the shortest such row: the header, two kind + one-byte
+	// varint pairs, and a kind + eight-byte float.
+	if len(buf) < 14 || buf[0] != 3 || Kind(buf[1]) != KindInt {
+		return 0, 0, 0, runRowError(buf)
 	}
-	return TupleReader{buf: buf, off: sz, left: n}
+	key, off := varintAt(buf, 2)
+	if off < 0 || off >= len(buf) || Kind(buf[off]) != KindInt {
+		return 0, 0, 0, runRowError(buf)
+	}
+	id, off = varintAt(buf, off+1)
+	if off < 0 || off+9 != len(buf) || Kind(buf[off]) != KindFloat {
+		return 0, 0, 0, runRowError(buf)
+	}
+	return key, id, math.Float64frombits(binary.BigEndian.Uint64(buf[off+1:])), nil
 }
 
-// Err returns the first decoding failure, if any.
-func (r *TupleReader) Err() error { return r.err }
-
-// Int consumes the next field, which must be a BIGINT.
-func (r *TupleReader) Int() int64 {
-	if r.left > 0 && r.off < len(r.buf) && Kind(r.buf[r.off]) == KindInt {
-		if v, sz := binary.Varint(r.buf[r.off+1:]); sz > 0 {
-			r.off += 1 + sz
-			r.left--
-			return v
+// varintAt decodes the zigzag varint at buf[off:], accepting exactly what
+// binary.Varint accepts, and returns it with the offset just past it, or
+// a negative offset when it runs off buf or overflows 64 bits.
+func varintAt(buf []byte, off int) (int64, int) {
+	var ux uint64
+	for s := uint(0); off < len(buf); s += 7 {
+		b := buf[off]
+		off++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1
+			}
+			ux |= uint64(b) << s
+			return int64(ux>>1) ^ -int64(ux&1), off
 		}
+		if s == 63 {
+			return 0, -1
+		}
+		ux |= uint64(b&0x7f) << s
 	}
-	r.fail(KindInt)
-	return 0
+	return 0, -1
 }
 
-// Float consumes the next field, which must be a DOUBLE.
-func (r *TupleReader) Float() float64 {
-	if r.left > 0 && r.off+9 <= len(r.buf) && Kind(r.buf[r.off]) == KindFloat {
-		bits := binary.BigEndian.Uint64(r.buf[r.off+1:])
-		r.off += 9
-		r.left--
-		return math.Float64frombits(bits)
-	}
-	r.fail(KindFloat)
-	return 0
-}
-
-// fail records why the next field could not be read as want.
-func (r *TupleReader) fail(want Kind) {
+// runRowError says why DecodeRunRow refused buf, off its fast path.
+func runRowError(buf []byte) error {
+	row, n, err := DecodeRow(buf)
 	switch {
-	case r.err != nil:
-	case r.left == 0 || r.off >= len(r.buf):
-		r.err = fmt.Errorf("types: row has no %s field at byte %d", want, r.off)
-	case Kind(r.buf[r.off]) != want:
-		r.err = fmt.Errorf("types: field at byte %d is %s, not %s", r.off, Kind(r.buf[r.off]), want)
+	case err != nil:
+		return fmt.Errorf("%w: %w", ErrRunRow, err)
+	case len(row) != 3 || row[0].Kind() != KindInt || row[1].Kind() != KindInt || row[2].Kind() != KindFloat:
+		kinds := make([]string, len(row))
+		for i, v := range row {
+			kinds[i] = v.Kind().String()
+		}
+		return fmt.Errorf("%w: a (%s) row", ErrRunRow, strings.Join(kinds, ", "))
+	case n != len(buf):
+		return fmt.Errorf("%w: %d bytes after the row", ErrRunRow, len(buf)-n)
 	default:
-		r.err = fmt.Errorf("types: truncated %s at byte %d", want, r.off)
+		return fmt.Errorf("%w: an encoding EncodeRow does not write", ErrRunRow)
 	}
-	r.left = 0
 }
 
 // DecodeRow decodes one row from buf. It returns the row and the number of

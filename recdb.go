@@ -345,7 +345,8 @@ func (db *DB) MaterializeUser(recommender string, user int64) error {
 }
 
 // StartCacheDaemon runs the cache manager asynchronously every interval,
-// as in §IV-D. Stop it with StopCacheDaemon or Close.
+// as in §IV-D, each tick scoring with the recommender's model of that
+// tick. Stop it with StopCacheDaemon or Close.
 func (db *DB) StartCacheDaemon(recommender string, interval time.Duration) error {
 	r, ok := db.eng.Recommenders().Get(recommender)
 	if !ok {
@@ -355,7 +356,7 @@ func (db *DB) StartCacheDaemon(recommender string, interval time.Duration) error
 	if err != nil {
 		return err
 	}
-	c.Start(r.Store(), interval)
+	c.Start(func() reccache.Predictor { return r.Store() }, interval)
 	return nil
 }
 

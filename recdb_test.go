@@ -2,9 +2,12 @@ package recdb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"recdb/internal/recindex"
 )
 
 func newDB(t *testing.T, opts ...Option) *DB {
@@ -156,6 +159,83 @@ func TestCacheDaemonLifecycle(t *testing.T) {
 	}
 	if err := db.StartCacheDaemon("missing", time.Second); err == nil {
 		t.Fatal("missing recommender should fail")
+	}
+}
+
+// TestCacheDaemonAdmitsFromTheCurrentModel: the cache daemon reads the
+// recommender's model on every tick, so after a rebuild between two ticks
+// every pair it admits carries the rebuilt model's prediction, bit for
+// bit — not the prediction of the model that was current when the daemon
+// started.
+func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
+	db := newDB(t, WithHotnessThreshold(0))
+	db.MustExec(`CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval`)
+	r, _ := db.eng.Recommenders().Get("r")
+	c, err := db.eng.CacheOf("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// waitRuns waits until the daemon has finished n more ticks.
+	waitRuns := func(n int) {
+		t.Helper()
+		want := c.Health().Runs + n
+		for deadline := time.Now().Add(10 * time.Second); c.Health().Runs < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("the daemon ran %d ticks, want %d", c.Health().Runs, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := db.StartCacheDaemon("r", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.StopCacheDaemon("r") })
+	waitRuns(1)
+
+	// New ratings change item 3's similarities, then the model is rebuilt
+	// between ticks. User 3 rated items 1 and 2 differently, so their
+	// weights decide the prediction for item 3.
+	old := r.Store()
+	db.MustExec("INSERT INTO ratings VALUES (4, 3, 5), (4, 1, 3)")
+	if err := db.eng.Recommenders().Rebuild("r"); err != nil {
+		t.Fatal(err)
+	}
+	c.RecordQuery(3)
+	c.RecordUpdate(3)
+	waitRuns(2) // the first may have started before the records
+	if err := db.StopCacheDaemon("r"); err != nil {
+		t.Fatal(err)
+	}
+
+	current := r.Store()
+	was, _, err := old.Predict(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, _, err := current.Predict(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(was) == math.Float64bits(now) {
+		t.Fatalf("fixture: the rebuild left the prediction for (3, 3) at %v", now)
+	}
+	if _, ok := c.Index().Get(3, 3); !ok {
+		t.Fatal("the daemon never admitted (3, 3) after the rebuild")
+	}
+	for _, u := range c.Index().Users() {
+		c.Index().Descend(u, nil, func(e recindex.Entry) bool {
+			want, ok, err := current.Predict(u, e.Item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				want = 0
+			}
+			if math.Float64bits(e.Score) != math.Float64bits(want) {
+				t.Errorf("admitted (%d, %d) at %v, the current model predicts %v", u, e.Item, e.Score, want)
+			}
+			return true
+		})
 	}
 }
 

@@ -68,7 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=15s ./internal/sql
 	$(GO) test -run '^$$' -fuzz='^FuzzReader$$' -fuzztime=15s ./internal/wire
 	$(GO) test -run '^$$' -fuzz='^FuzzDecode$$' -fuzztime=15s ./internal/ann
-	$(GO) test -run '^$$' -fuzz='^FuzzTupleReader$$' -fuzztime=15s ./internal/types
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRunRow$$' -fuzztime=15s ./internal/types
 	$(GO) test -run '^$$' -fuzz='^FuzzManifest$$' -fuzztime=15s ./internal/persist
 	$(GO) test -run '^$$' -fuzz='^FuzzRowFile$$' -fuzztime=15s ./internal/persist
 

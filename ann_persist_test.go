@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"recdb/internal/catalog"
 	"recdb/internal/exec"
+	"recdb/internal/storage"
+	"recdb/internal/types"
 )
 
 // newVectorDB seeds a database whose item universe is large enough that
@@ -127,7 +130,9 @@ func TestVectorIndexSurvivesCheckpointRecovery(t *testing.T) {
 // damaged last chunk, a deleted tail, and a fully emptied table. In every
 // case the planner must detect the bad index at decode time, fall back to
 // the exact scan strategy, and return exactly the exact plan's rows — a
-// corrupt index may cost speed, never correctness.
+// corrupt index may cost speed, never correctness. SQL cannot write a
+// model table, so the damage is planted below it, through the table's
+// heap.
 func TestVectorIndexCorruptionFallsBackToExactScan(t *testing.T) {
 	// The exact baseline from an uncorrupted twin with the vector path
 	// disabled by hand.
@@ -138,17 +143,47 @@ func TestVectorIndexCorruptionFallsBackToExactScan(t *testing.T) {
 		t.Fatalf("baseline expected 10 rows, got %d", len(want))
 	}
 
-	chunks := func(db *DB) int64 {
-		rows, err := db.Query("SELECT COUNT(*) FROM _rec_vecrec_annivf")
+	// chunks returns the index table and the RID of each chunk, by seq:
+	// Materialize loads the chunks in seq order.
+	chunks := func(db *DB) (*catalog.Table, []storage.RID) {
+		tab, err := db.eng.Catalog().Get("_rec_vecrec_annivf")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows.Next()
-		var n int64
-		if err := rows.Scan(&n); err != nil {
+		var rids []storage.RID
+		it := tab.Heap.Scan()
+		defer it.Close()
+		for {
+			row, rid, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if seq := row[0].Int(); seq != int64(len(rids)) {
+				t.Fatalf("chunk %d found where chunk %d belongs", seq, len(rids))
+			}
+			rids = append(rids, rid)
+		}
+		return tab, rids
+	}
+	setChunk := func(db *DB, seq int, text string) {
+		tab, rids := chunks(db)
+		if seq < 0 {
+			seq += len(rids)
+		}
+		if _, err := tab.Update(rids[seq], types.Row{types.NewInt(int64(seq)), types.NewText(text)}); err != nil {
 			t.Fatal(err)
 		}
-		return n
+	}
+	deleteFrom := func(db *DB, seq int) {
+		tab, rids := chunks(db)
+		for _, rid := range rids[seq:] {
+			if err := tab.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	cases := []struct {
@@ -156,18 +191,18 @@ func TestVectorIndexCorruptionFallsBackToExactScan(t *testing.T) {
 		corrupt func(db *DB)
 	}{
 		{"first-chunk-garbled", func(db *DB) {
-			db.MustExec("UPDATE _rec_vecrec_annivf SET chunk = '!!not base64!!' WHERE seq = 0")
+			setChunk(db, 0, "!!not base64!!")
 		}},
 		{"last-chunk-garbled", func(db *DB) {
 			// Valid base64, wrong bytes: the trailing checksum must catch it.
-			db.MustExec(fmt.Sprintf(
-				"UPDATE _rec_vecrec_annivf SET chunk = 'AAAAAAAAAAAA' WHERE seq = %d", chunks(db)-1))
+			setChunk(db, -1, "AAAAAAAAAAAA")
 		}},
 		{"truncated-tail", func(db *DB) {
-			db.MustExec(fmt.Sprintf("DELETE FROM _rec_vecrec_annivf WHERE seq >= %d", chunks(db)/2))
+			_, rids := chunks(db)
+			deleteFrom(db, len(rids)/2)
 		}},
 		{"emptied", func(db *DB) {
-			db.MustExec("DELETE FROM _rec_vecrec_annivf")
+			deleteFrom(db, 0)
 		}},
 	}
 	for _, tc := range cases {

@@ -301,6 +301,9 @@ func (e *Engine) ExecParsedCtx(ctx context.Context, stmt sql.Statement, text str
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("engine: statement not started: %w", err)
 	}
+	if err := e.refuseModelWrite(stmt); err != nil {
+		return Result{}, err
+	}
 	if table := dmlTable(stmt); table != "" {
 		e.commitMu.RLock()
 		defer e.commitMu.RUnlock()
@@ -315,6 +318,20 @@ func (e *Engine) ExecParsedCtx(ctx context.Context, stmt sql.Statement, text str
 	}
 	res, muts, err := e.execMutation(stmt, text)
 	return res, e.commitLocked(0, muts, err)
+}
+
+// refuseModelWrite fails DML and DROP TABLE aimed at a table a
+// recommender owns (rec.ModelTableError) before the statement takes a lock
+// or is logged. Replay redoes logged records below this check.
+func (e *Engine) refuseModelWrite(stmt sql.Statement) error {
+	table := dmlTable(stmt)
+	if d, ok := stmt.(*sql.DropTable); ok {
+		table = d.Name
+	}
+	if table == "" {
+		return nil
+	}
+	return e.rec.CheckWritable(stmtName(stmt), table)
 }
 
 // execReadOnlyCtx runs the non-mutating statement kinds.
@@ -754,7 +771,7 @@ func (e *Engine) Materialize(recommender string) error {
 	if c == nil {
 		return fmt.Errorf("engine: no cache manager for %q", recommender)
 	}
-	return c.MaterializeAll(r.Store())
+	return c.MaterializeAll(func() reccache.Predictor { return r.Store() })
 }
 
 // MaterializeUser pre-computes one user's RecTree.
@@ -767,7 +784,7 @@ func (e *Engine) MaterializeUser(recommender string, user int64) error {
 	if c == nil {
 		return fmt.Errorf("engine: no cache manager for %q", recommender)
 	}
-	return c.MaterializeUser(r.Store(), user)
+	return c.MaterializeUser(func() reccache.Predictor { return r.Store() }, user)
 }
 
 // Close syncs and closes the write-ahead log, if attached, and stops

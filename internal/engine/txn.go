@@ -588,6 +588,9 @@ func (t *Txn) ExecParsedCtx(ctx context.Context, stmt sql.Statement, text string
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("engine: statement not started: %w", err)
 	}
+	if err := t.e.refuseModelWrite(stmt); err != nil {
+		return Result{}, err
+	}
 	if err := t.touch(ctx, table); err != nil {
 		return Result{}, err
 	}
@@ -644,6 +647,12 @@ func dmlTable(stmt sql.Statement) string {
 // stmtName renders a statement kind for error messages.
 func stmtName(stmt sql.Statement) string {
 	switch stmt.(type) {
+	case *sql.Insert:
+		return "INSERT"
+	case *sql.Update:
+		return "UPDATE"
+	case *sql.Delete:
+		return "DELETE"
 	case *sql.CreateTable:
 		return "CREATE TABLE"
 	case *sql.DropTable:

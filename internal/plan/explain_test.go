@@ -51,7 +51,7 @@ func TestDescribePlanCoversOperators(t *testing.T) {
 	}
 
 	// IndexRecommend with the row target pushed down.
-	ix.Fill(1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}})
+	ix.Fill(ix.Generation(), 1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}})
 	got := planAndDescribe(t, p, `SELECT R.uid FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval
 		WHERE R.uid = 1 ORDER BY R.ratingval DESC LIMIT 7`)

@@ -109,7 +109,7 @@ func TestIndexStrategyRequiresCoverage(t *testing.T) {
 	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
 		t.Fatalf("partial tree: %q", ex.Strategy)
 	}
-	fill := func() { ix.Fill(1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}}) }
+	fill := func() { ix.Fill(ix.Generation(), 1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}}) }
 	fill()
 	_, ex = planQuery(t, p, q)
 	if ex.Strategy != "IndexRecommend" || !ex.SortSkipped {
@@ -136,7 +136,7 @@ func TestIndexStrategyRequiresCoverage(t *testing.T) {
 // statement is not eligible for instead of falling back.
 func TestForcedSource(t *testing.T) {
 	p, ix := fixture(t)
-	ix.Fill(1, []recindex.Entry{{Item: 2, Score: 4.0}})
+	ix.Fill(ix.Generation(), 1, []recindex.Entry{{Item: 2, Score: 4.0}})
 	plan := func(q string) (exec.Operator, *Explain, error) {
 		stmt, err := sql.Parse(q)
 		if err != nil {

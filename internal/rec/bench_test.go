@@ -130,10 +130,11 @@ func BenchmarkRebuildCrossing(b *testing.B) {
 	}
 }
 
-// BenchmarkItemNeighbors reads one similarity list per iteration from the
-// materialized itemneighborhood table (directory seek + clustered-run walk).
-// ns/row is the time per neighbour row read, the per-row cost of a run
-// read that every neighbourhood accessor pays.
+// BenchmarkItemNeighbors decodes one similarity list per iteration from
+// the materialized itemneighborhood table (directory seek + clustered-run
+// walk through a runReader), the fill path of the store's decoded runs.
+// ns/row is the time per neighbour row read, the per-row cost the first
+// read of each run pays.
 func BenchmarkItemNeighbors(b *testing.B) {
 	m, err := BuildNeighborhood(benchRatings(200, 400, 0.06), ItemCosCF, BuildOptions{})
 	if err != nil {
@@ -148,7 +149,7 @@ func BenchmarkItemNeighbors(b *testing.B) {
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
-		list, err := store.ItemNeighbors(items[i%len(items)])
+		list, err := store.itemNeighborRuns.decode(store.ItemNeighborhood, items[i%len(items)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package rec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -336,6 +337,40 @@ func (m *Manager) Drop(name string) error {
 	}
 	delete(m.recs, key)
 	DropTables(m.cat, name)
+	return nil
+}
+
+// ModelTableError refuses a statement that would write or drop a table a
+// recommender owns. Materialize is the only writer of model tables, and a
+// store's run directories and decoded runs rely on that; DROP RECOMMENDER
+// removes the tables with the recommender.
+type ModelTableError struct {
+	Statement   string // INSERT, UPDATE, DELETE or DROP TABLE
+	Table       string
+	Recommender string
+}
+
+func (e *ModelTableError) Error() string {
+	return fmt.Sprintf("rec: %s on %q refused: the table is recommender %q's model, which only its build writes; DROP RECOMMENDER %s removes it",
+		e.Statement, e.Table, e.Recommender, e.Recommender)
+}
+
+// CheckWritable returns a *ModelTableError when table belongs to a
+// recommender, and nil otherwise; statement names what would write it.
+func (m *Manager) CheckWritable(statement, table string) error {
+	const prefix = "_rec_"
+	if len(table) <= len(prefix) || !strings.EqualFold(table[:len(prefix)], prefix) {
+		return nil
+	}
+	name := strings.ToLower(table)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, r := range m.recs {
+		own := prefixFor(r.Name)
+		if strings.HasPrefix(name, own) && slices.Contains(modelTables, name[len(own):]) {
+			return &ModelTableError{Statement: statement, Table: table, Recommender: r.Name}
+		}
+	}
 	return nil
 }
 

@@ -18,7 +18,9 @@ import "slices"
 // accumulator, so Score is an array read — one run per rated item. The
 // second reads j's run for i's terms, which is exact only while every list
 // is whole (the store is symmetric); ForUser takes it when that holds and
-// the scan has more candidates than the user has ratings.
+// the scan has more candidates than the user has ratings. Either side reads
+// the store's decoded runs (runDir.rows), which every scan of the model
+// version shares, so the Scorer keeps no item-based state across users.
 type Scorer struct {
 	store      *ModelStore
 	candidates int // items the scan scores per user
@@ -33,25 +35,21 @@ type Scorer struct {
 	sums       []weightedSum
 	rated      []int64
 
-	// Item-side state kept across users (nil when the scan serves one
-	// user). Algorithm 1 needs the same item-side run for every user, so
-	// each is read from the model table once per scan and held decoded for
-	// the users that follow. A one-user scan has nobody to share with and
-	// streams item-based runs instead (PredictItemBased).
-	itemNeighbors map[int64][]Neighbor
-	itemRaters    map[int64]map[int64]float64
-	itemFactors   map[int64][]float64
+	// Item-side state of user-based and SVD models kept across users (nil
+	// when the scan serves one user). Algorithm 1 needs the same item-side
+	// rater map or factor vector for every user, so each is built once per
+	// scan and held for the users that follow.
+	itemRaters  map[int64]map[int64]float64
+	itemFactors map[int64][]float64
 }
 
 // Scorer returns a scorer over s. shared says the scan will score the same
-// items for several users, which turns on the item-side memo; candidates
-// is how many items it scores per user.
+// items for several users, which turns on the item-side memo of user-based
+// and SVD models; candidates is how many items it scores per user.
 func (s *ModelStore) Scorer(shared bool, candidates int) *Scorer {
 	sc := &Scorer{store: s, candidates: candidates}
 	if shared {
 		switch {
-		case s.Algo.ItemBased():
-			sc.itemNeighbors = make(map[int64][]Neighbor)
 		case s.Algo.UserBased():
 			sc.itemRaters = make(map[int64]map[int64]float64)
 		case s.Algo == SVD:
@@ -107,14 +105,7 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 		}
 		score, ok = sc.sums[p].score()
 	case s.Algo.ItemBased():
-		if sc.itemNeighbors == nil {
-			return s.PredictItemBased(i, sc.seen)
-		}
-		neighbors, err := memo(sc.itemNeighbors, i, s.ItemNeighbors)
-		if err != nil {
-			return 0, false, err
-		}
-		score, ok = PredictWeighted(neighbors, sc.seen)
+		return s.PredictItemBased(i, sc.seen)
 	case s.Algo.UserBased():
 		raters, err := memo(sc.itemRaters, i, s.ItemRaters)
 		if err != nil {
@@ -154,16 +145,15 @@ func (sc *Scorer) scoreFromUser() error {
 	}
 	slices.Sort(sc.rated)
 	for _, j := range sc.rated {
-		r := sc.seen[j]
-		rr := s.itemNeighborRuns.read(s.ItemNeighborhood, j)
-		for rr.Next() {
-			n, sim := rr.Row()
-			if p, ok := s.itemPos.lookup(n); ok {
-				sc.sums[p].add(sim, r)
-			}
-		}
-		if err := rr.Close(); err != nil {
+		run, err := s.ItemNeighbors(j)
+		if err != nil {
 			return err
+		}
+		r := sc.seen[j]
+		for _, n := range run {
+			if p, ok := s.itemPos.lookup(n.ID); ok {
+				sc.sums[p].add(n.Sim, r)
+			}
 		}
 	}
 	return nil
@@ -192,9 +182,10 @@ func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
 
 // PredictForUser estimates RecScore(u, i) for a whole batch of items,
 // loading the per-user state once instead of once per pair the way
-// repeated Predict calls would. The storage layer's page latches make
-// concurrent PredictForUser calls for different users safe, which is what
-// parallel cache materialization relies on.
+// repeated Predict calls would. The storage layer's page latches and the
+// atomic publication of decoded runs make concurrent PredictForUser calls
+// for different users safe, which is what parallel cache materialization
+// relies on.
 func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
 	sc := s.Scorer(false, len(items))
 	if err := sc.ForUser(u); err != nil {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"recdb/internal/ann"
 	"recdb/internal/catalog"
@@ -17,8 +18,11 @@ import (
 
 // ModelStore is a recommendation model materialized into catalog heap
 // tables, the way RecDB stores models inside the database (§IV-A). The
-// RECOMMEND operator family reads these tables through the buffer pool, so
-// model access is page I/O like any other relational access path.
+// RECOMMEND operator family reads these tables through the buffer pool:
+// the primary-key tables on every read, the run-keyed ones once per model
+// version — the first read of a key's run decodes it from its pages and
+// every later read of that run, by any scan, gets the same decoded rows
+// (runDir.rows), as the IVF index is decoded once per store (ANN).
 //
 // Materialize is the only writer of these tables. It bulk-loads each one in
 // key order, every similarity list in ascending id order, and
@@ -27,8 +31,9 @@ import (
 // and a by-name reader sees a complete model or none. The run-keyed tables
 // carry no catalog index: the store keeps, per key, the RID its run starts
 // at (runDir), and the accessors seek there and read the rest from the heap
-// (runReader); they never sort. SQL against one of these tables answers by
-// heap scan. A rebuild materializes fresh tables; it does not edit these.
+// (runReader); they never sort. SQL can read one of these tables, by heap
+// scan, but not write or drop it (ModelTableError). A rebuild materializes
+// fresh tables into a fresh store; it does not edit these.
 //
 // Tables per algorithm (all prefixed "_rec_<name>_"):
 //
@@ -188,6 +193,7 @@ func (tl *tableLoad) finish() (*catalog.Table, runDir, error) {
 	tl.ml.tables = append(tl.ml.tables, t)
 	dir := runDir{keys: tl.keys}
 	if tl.starts != nil {
+		dir.decoded = make([]atomic.Pointer[[]Neighbor], len(tl.starts))
 		dir.first = make([]storage.RID, len(tl.starts))
 		for p, r := range tl.starts {
 			dir.first[p] = noRun
@@ -206,10 +212,53 @@ var noRun = storage.RID{Page: storage.InvalidPageID}
 // keeps in place of an index on the table's key: first[p] is the RID of
 // the first row of keys[p]'s run, or noRun when that key has no rows. keys
 // is the model's userIDs or itemIDs, shared, so a directory costs one RID
-// per key and no pointer per row.
+// per key and no pointer per row. decoded[p] is keys[p]'s run once a read
+// has decoded it (rows), nil before.
 type runDir struct {
-	keys  []int64
-	first []storage.RID
+	keys    []int64
+	first   []storage.RID
+	decoded []atomic.Pointer[[]Neighbor]
+}
+
+// rows returns key's run of t, the table d directs, as (id, value) pairs
+// in run order — ascending id for a similarity list. The first read of a
+// run decodes it from t's pages (decode) and publishes it; every later
+// read gets the published rows, with the same bits, and fetches no page.
+// The tables never change under a store (Materialize is their only
+// writer), so a published run stays right until the store is replaced,
+// and goes with it. Two first reads may race: both decode the same bytes
+// and either result is kept. A failed read publishes nothing, so every
+// read of that run fails the same way. The rows are shared: the caller
+// reads them and does not write them; an append copies (len == cap).
+func (d runDir) rows(t *catalog.Table, key int64) ([]Neighbor, error) {
+	p, ok := slices.BinarySearch(d.keys, key)
+	if !ok || t == nil {
+		return d.decode(t, key) // no run to keep: empty, or an error
+	}
+	if run := d.decoded[p].Load(); run != nil {
+		return *run, nil
+	}
+	run, err := d.decode(t, key)
+	if err != nil {
+		return nil, err
+	}
+	d.decoded[p].CompareAndSwap(nil, &run)
+	return run, nil
+}
+
+// decode reads key's run of t from its pages, through a runReader, into a
+// fresh slice with no spare capacity.
+func (d runDir) decode(t *catalog.Table, key int64) ([]Neighbor, error) {
+	var run []Neighbor
+	rr := d.read(t, key)
+	for rr.Next() {
+		id, val := rr.Row()
+		run = append(run, Neighbor{ID: id, Sim: val})
+	}
+	if err := rr.Close(); err != nil {
+		return nil, err
+	}
+	return slices.Clip(run), nil
 }
 
 // read opens key's run of t, the table d directs (see runReader). A key
@@ -228,9 +277,9 @@ func (d runDir) read(t *catalog.Table, key int64) runReader {
 
 // runReader reads one key's run of a run-keyed model table — the rows
 // whose first column is the key — and yields the two fields after the
-// key. It is the one read path under every neighbourhood accessor: a
-// storage.RunCursor starts at the run's first row, from the run
-// directory, and walks the heap forward in physical order — the key's
+// key. It is the one path that decodes a run from its table (runDir.decode,
+// under every neighbourhood accessor): a storage.RunCursor starts at the
+// run's first row, from the run directory, and walks the heap forward in physical order — the key's
 // rows are one contiguous run (see Materialize) — until the key changes,
 // pinning each page of the run once and decoding each tuple in place with
 // types.DecodeRunRow. The caller owns the loop:
@@ -517,13 +566,15 @@ func (t posTable) lookup(id int64) (int32, bool) {
 
 // ratingsRun collects one key's run of a (key, id, ratingval) table.
 func ratingsRun(t *catalog.Table, dir runDir, key int64) (map[int64]float64, error) {
-	out := make(map[int64]float64)
-	rr := dir.read(t, key)
-	for rr.Next() {
-		id, rating := rr.Row()
-		out[id] = rating
+	run, err := dir.rows(t, key)
+	if err != nil {
+		return nil, err
 	}
-	return out, rr.Close()
+	out := make(map[int64]float64, len(run))
+	for _, r := range run {
+		out[r.ID] = r.Sim
+	}
+	return out, nil
 }
 
 // UserItems fetches user u's rated items (iid → rating) from uservector.
@@ -538,44 +589,27 @@ func (s *ModelStore) ItemRaters(i int64) (map[int64]float64, error) {
 }
 
 // ItemNeighbors fetches item i's similarity list from itemneighborhood,
-// in the order it was built: ascending id.
+// in the order it was built: ascending id. The list is the store's
+// decoded run (runDir.rows), shared and read-only.
 func (s *ModelStore) ItemNeighbors(i int64) ([]Neighbor, error) {
-	return neighborsRun(s.ItemNeighborhood, s.itemNeighborRuns, i)
+	return s.itemNeighborRuns.rows(s.ItemNeighborhood, i)
 }
 
 // UserNeighbors fetches user u's similarity list from userneighborhood,
-// in the order it was built: ascending id.
+// in the order it was built: ascending id. The list is the store's
+// decoded run (runDir.rows), shared and read-only.
 func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
-	return neighborsRun(s.UserNeighborhood, s.userNeighborRuns, u)
-}
-
-func neighborsRun(t *catalog.Table, dir runDir, id int64) ([]Neighbor, error) {
-	var out []Neighbor
-	rr := dir.read(t, id)
-	for rr.Next() {
-		n, sim := rr.Row()
-		out = append(out, Neighbor{ID: n, Sim: sim})
-	}
-	return out, rr.Close()
+	return s.userNeighborRuns.rows(s.UserNeighborhood, u)
 }
 
 // PredictItemBased evaluates Equation 2 for item i against a user's rated
-// items by streaming i's similarity run past them, in list order, so the
-// sum is bit-identical to PredictWeighted over ItemNeighbors(i) without
-// the list being built.
+// items over i's decoded similarity run, in list order (PredictWeighted).
 func (s *ModelStore) PredictItemBased(i int64, userItems map[int64]float64) (float64, bool, error) {
-	var sum weightedSum
-	rr := s.itemNeighborRuns.read(s.ItemNeighborhood, i)
-	for rr.Next() {
-		n, sim := rr.Row()
-		if r, ok := userItems[n]; ok {
-			sum.add(sim, r)
-		}
-	}
-	if err := rr.Close(); err != nil {
+	run, err := s.ItemNeighbors(i)
+	if err != nil {
 		return 0, false, err
 	}
-	score, ok := sum.score()
+	score, ok := PredictWeighted(run, userItems)
 	return score, ok, nil
 }
 
@@ -673,11 +707,11 @@ func (s *ModelStore) ItemScoreOf(i int64) (float64, bool, error) {
 // Seen returns the rating user u gave item i, looked up in the uservector
 // table.
 func (s *ModelStore) Seen(u, i int64) (rating float64, found bool, err error) {
-	rr := s.userVectorRuns.read(s.UserVector, u)
-	for !found && rr.Next() {
-		if item, r := rr.Row(); item == i {
-			rating, found = r, true
+	run, err := s.userVectorRuns.rows(s.UserVector, u)
+	for _, r := range run {
+		if r.ID == i {
+			return r.Sim, true, nil
 		}
 	}
-	return rating, found, rr.Close()
+	return 0, false, err
 }

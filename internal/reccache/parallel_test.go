@@ -31,7 +31,7 @@ func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 		ix := recindex.New()
 		m := New(ix, 0, clock)
 		m.Workers = workers
-		if err := m.MaterializeAll(pred); err != nil {
+		if err := m.MaterializeAll(fixed(pred)); err != nil {
 			t.Fatal(err)
 		}
 		return ix
@@ -65,7 +65,7 @@ func TestMaterializeUserUsesBatch(t *testing.T) {
 	}
 	ix := recindex.New()
 	m := New(ix, 0, func() float64 { return 0 })
-	if err := m.MaterializeUser(pred, 2); err != nil {
+	if err := m.MaterializeUser(fixed(pred), 2); err != nil {
 		t.Fatal(err)
 	}
 	if n := pred.batchCalls.Load(); n != 1 {
@@ -109,7 +109,7 @@ func BenchmarkMaterializeAll(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := New(recindex.New(), 0, func() float64 { return 0 })
 				m.Workers = workers
-				if err := m.MaterializeAll(pred); err != nil {
+				if err := m.MaterializeAll(fixed(pred)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@
 package reccache
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -379,24 +380,45 @@ func unseenEntries(pred Predictor, u int64, items []int64) ([]recindex.Entry, er
 	return out, nil
 }
 
+// ModelReplacedError reports that a rebuild replaced the model while
+// MaterializeUser or MaterializeAll scored with it: User's tree was not
+// filled (nor any after it), and materializing again scores with the new
+// model.
+type ModelReplacedError struct{ User int64 }
+
+func (e *ModelReplacedError) Error() string {
+	return fmt.Sprintf("reccache: the model was rebuilt while user %d's scores were computed; materialize again", e.User)
+}
+
 // MaterializeUser pre-computes and stores predictions for every item the
 // user has not rated (full per-user materialization, the warm state of the
-// top-k experiments in §VI-C): the user's tree is then complete.
-func (m *Manager) MaterializeUser(pred Predictor, u int64) error {
+// top-k experiments in §VI-C) with the predictor model returns: the user's
+// tree is then complete. As in Run, the index generation is read before
+// the model, and a tree scored by a model a rebuild has since replaced is
+// refused with a *ModelReplacedError.
+func (m *Manager) MaterializeUser(model func() Predictor, u int64) error {
+	gen := m.index.Generation()
+	pred := model()
 	entries, err := unseenEntries(pred, u, pred.ItemIDs())
 	if err != nil {
 		return err
 	}
-	m.index.Fill(u, entries)
+	if !m.index.Fill(gen, u, entries) {
+		return &ModelReplacedError{User: u}
+	}
 	return nil
 }
 
 // MaterializeAll pre-computes predictions for every user (HOTNESS-THRESHOLD
-// = 0 behaviour). Users are processed in batches: a bounded pool of
-// m.Workers workers computes each batch's predictions concurrently, then
-// the results are written to the RecScoreIndex in ascending user order, so
-// the index contents match the serial path exactly.
-func (m *Manager) MaterializeAll(pred Predictor) error {
+// = 0 behaviour) with the predictor model returns, guarded by the index
+// generation as MaterializeUser is. Users are processed in batches: a
+// bounded pool of m.Workers workers computes each batch's predictions
+// concurrently, then the results are written to the RecScoreIndex in
+// ascending user order, so the index contents match the serial path
+// exactly.
+func (m *Manager) MaterializeAll(model func() Predictor) error {
+	gen := m.index.Generation()
+	pred := model()
 	users := pred.UserIDs()
 	workers := min(ann.ResolveWorkers(m.Workers), len(users))
 	// Batching bounds buffered predictions to ~4 users' worth per worker.
@@ -414,7 +436,9 @@ func (m *Manager) MaterializeAll(pred Predictor) error {
 			if errs[x] != nil {
 				return errs[x]
 			}
-			m.index.Fill(u, results[x])
+			if !m.index.Fill(gen, u, results[x]) {
+				return &ModelReplacedError{User: u}
+			}
 		}
 	}
 	return nil

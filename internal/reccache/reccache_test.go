@@ -1,6 +1,7 @@
 package reccache
 
 import (
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -80,6 +81,32 @@ func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 	m.RecordUpdate(6)
 	if dec, err = m.Run(fixed(&pred.fakePredictor)); err != nil || dec.Admitted != 2 || ix.Len() != 2 {
 		t.Fatalf("admitted %d (index %d), %v", dec.Admitted, ix.Len(), err)
+	}
+}
+
+// TestMaterializeRefusesAReplacedModel: a rebuild that lands while
+// MaterializeUser or MaterializeAll predicts leaves no complete tree of
+// the replaced model's scores; both return a *ModelReplacedError, and
+// materializing again with the model left alone fills the trees.
+func TestMaterializeRefusesAReplacedModel(t *testing.T) {
+	ix := recindex.New()
+	m := New(ix, 0.5, func() float64 { return 0 })
+	pred := &rebuildingPredictor{fakePredictor{users: []int64{1, 2}, items: []int64{10, 11}}, m}
+	for name, materialize := range map[string]func(func() Predictor) error{
+		"MaterializeUser": func(model func() Predictor) error { return m.MaterializeUser(model, 1) },
+		"MaterializeAll":  m.MaterializeAll,
+	} {
+		var mre *ModelReplacedError
+		if err := materialize(fixed(pred)); !errors.As(err, &mre) || mre.User != 1 {
+			t.Fatalf("%s: got %v, want a *ModelReplacedError for user 1", name, err)
+		}
+		if ix.Complete(1) || ix.Len() != 0 {
+			t.Fatalf("%s: the index kept %d scores of the replaced model", name, ix.Len())
+		}
+		if err := materialize(fixed(&pred.fakePredictor)); err != nil || !ix.Complete(1) {
+			t.Fatalf("%s: again with the model left alone: %v, complete %v", name, err, ix.Complete(1))
+		}
+		m.Invalidate()
 	}
 }
 
@@ -270,13 +297,13 @@ func TestMaterializeUserAndAll(t *testing.T) {
 		items: []int64{10, 11, 12},
 		seen:  map[int64]map[int64]float64{1: {10: 5}},
 	}
-	if err := m.MaterializeUser(pred, 1); err != nil {
+	if err := m.MaterializeUser(fixed(pred), 1); err != nil {
 		t.Fatal(err)
 	}
 	if ix.UserLen(1) != 2 {
 		t.Fatalf("UserLen(1) = %d, want 2 (one item seen)", ix.UserLen(1))
 	}
-	if err := m.MaterializeAll(pred); err != nil {
+	if err := m.MaterializeAll(fixed(pred)); err != nil {
 		t.Fatal(err)
 	}
 	if ix.UserLen(2) != 3 {

@@ -88,8 +88,10 @@ func newRecTree() *recTree {
 }
 
 // Fill replaces user's tree with entries, the scores of every item the
-// user has not rated, and marks it complete (MaterializeUser/All).
-func (ix *Index) Fill(user int64, entries []Entry) {
+// user has not rated, and marks it complete (MaterializeUser/All) — only
+// while the index is still at generation gen, as PutAll does, and reports
+// whether it was.
+func (ix *Index) Fill(gen uint64, user int64, entries []Entry) bool {
 	rt := newRecTree()
 	rt.complete = true
 	for _, e := range entries {
@@ -98,7 +100,11 @@ func (ix *Index) Fill(user int64, entries []Entry) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if ix.gen != gen {
+		return false
+	}
 	ix.users[user] = rt
+	return true
 }
 
 // Remove evicts the entry for (user, item), which leaves the user's tree

@@ -129,7 +129,7 @@ func TestCompleteTrees(t *testing.T) {
 	if ix.UserLen(1) == 0 || ix.Complete(1) {
 		t.Fatal("a tree of admitted pairs is not complete")
 	}
-	ix.Fill(1, []Entry{{Item: 2, Score: 4}, {Item: 3, Score: 2}})
+	ix.Fill(ix.Generation(), 1, []Entry{{Item: 2, Score: 4}, {Item: 3, Score: 2}})
 	if !ix.Complete(1) || ix.UserLen(1) != 2 {
 		t.Fatalf("filled tree: complete %v, %d entries", ix.Complete(1), ix.UserLen(1))
 	}
@@ -144,9 +144,14 @@ func TestCompleteTrees(t *testing.T) {
 	if ix.Complete(1) || ix.UserLen(1) == 0 {
 		t.Fatal("an eviction leaves the tree partial")
 	}
-	ix.Fill(2, nil) // a user with nothing unrated
+	ix.Fill(ix.Generation(), 2, nil) // a user with nothing unrated
 	if !ix.Complete(2) || ix.Complete(3) {
 		t.Fatal("completeness of an empty fill or an absent user")
+	}
+	gen := ix.Generation()
+	ix.Clear()
+	if ix.Fill(gen, 3, []Entry{{Item: 2, Score: 4}}) || ix.Complete(3) || ix.Len() != 0 {
+		t.Fatal("a fill from before a Clear was stored")
 	}
 }
 

@@ -417,14 +417,14 @@ func TestAsIntNonNumeric(t *testing.T) {
 	}
 }
 
-// FuzzTupleReader is the differential target for the tuple reader of
+// FuzzDecodeRunRow is the differential target for the decoder of
 // model-table runs, DecodeRunRow, which reads raw page tuples with no
 // DecodeRow between it and the disk. On arbitrary bytes it must not panic;
 // whenever it accepts, DecodeRow must read the same bytes as exactly an
 // (INT, INT, FLOAT) row with the same values and float bits; and every
 // EncodeRow output of that shape must be accepted. The seeds are model
 // rows, their truncations, and rows of a near shape.
-func FuzzTupleReader(f *testing.F) {
+func FuzzDecodeRunRow(f *testing.F) {
 	for _, row := range []Row{
 		{NewInt(7), NewInt(1_000_042), NewFloat(-0.25)},
 		{NewInt(math.MaxInt64), NewInt(math.MinInt64), NewFloat(math.Copysign(0, -1))},

@@ -10,6 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
+# The race tier, and the one list CI's race job runs. The second pass runs
+# the parallel build kernels again at forced GOMAXPROCS extremes: -cpu=1
+# exercises the serial fallback, -cpu=4 the worker pools; the root
+# package's writer hammers drive the engine's commit locks and gates at
+# both settings too. The serving tier's hand-overs (a session's read
+# token, a client connection's reader role, the router pool's pick) depend
+# on who gets there first, so one pass proves little: the third runs five.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4 . ./internal/ann/... ./internal/btree/... ./internal/catalog/... ./internal/metrics/... ./internal/rec/... ./internal/reccache/... ./internal/exec/... ./internal/plan/... ./internal/engine/... ./internal/storage/... ./internal/frontend/... ./internal/server/... ./internal/shard/... ./internal/wire/... ./client/...

@@ -235,7 +235,7 @@ func (r *Recommend) Open() error {
 		}
 		r.src = &itemCursor{items: restrict}
 	}
-	r.scorer = r.Store.Scorer(len(r.users) > 1, len(restrict))
+	r.scorer = r.Store.Scorer(len(restrict))
 	return nil
 }
 

@@ -17,16 +17,17 @@ import (
 const (
 	// inlineBudget is how long a statement may take for the session's next
 	// one to run on the goroutine that read it without giving up the read
-	// token first. It sits above the server-side p95 of the short
-	// statement classes in the ledger (benchmark/README.md: routed point
-	// lookup 0.4–0.6 ms, IVF top-10 0.7–0.8 ms, durable INSERT 0.9–1.0 ms,
-	// all client-observed) and at less than half of the shortest long
-	// one's p50 (un-materialised ItemCosCF top-10, ~3.3 ms): a session of
-	// long statements must keep handing the token over before it
-	// computes, because a goroutine the runtime's blocking netpoll made
-	// ready starts no other thread, so while it computes nothing in the
-	// process polls the network and every other connection waits for
-	// sysmon (up to 10 ms).
+	// token first. It sits above the p95 of every statement class the
+	// ledger runs (benchmark/README.md, client-observed: routed point
+	// lookup, IVF top-10 and un-materialised ItemCosCF top-10 each under
+	// 0.6 ms, durable INSERT 0.9–1.0 ms), so all of those run inline. The
+	// long statements are the ones past it — a RECOMMEND over every user, a
+	// full scan or join of a large table, a model build — which take
+	// milliseconds to seconds. A session of long statements must keep
+	// handing the token over before it computes, because a goroutine the
+	// runtime's blocking netpoll made ready starts no other thread, so
+	// while it computes nothing in the process polls the network and every
+	// other connection waits for sysmon (up to 10 ms).
 	inlineBudget = 1500 * time.Microsecond
 	// overseerTick is how often the front end's overseer looks for an
 	// inline statement that has outrun inlineBudget, so a Cancel or Ping

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"recdb/internal/ann"
 )
@@ -79,69 +78,134 @@ type Model interface {
 	Ratings() []Rating
 }
 
-// ratingsIndex is the shared per-user / per-item view of the input.
+// ratingsIndex is a model's view of its input ratings, a repeated (user,
+// item) reduced to its last value, held twice as ascending (id, value)
+// runs: by user, each run ascending in item, and by item, each ascending in
+// user. A run is []Neighbor, the shape the store's uservector and
+// itemvector runs decode to.
 type ratingsIndex struct {
-	byUser map[int64]map[int64]float64 // user → item → rating
-	byItem map[int64]map[int64]float64 // item → user → rating
-	users  []int64
-	items  []int64
-	n      int
+	users, items   []int64
+	byUser, byItem runSet // run p is users[p]'s, or items[p]'s
+	n              int
+}
+
+// runSet holds the runs of one key side back to back (CSR): run p is
+// rows[off[p]:off[p+1]], and at[x] is the position of rows[x].ID among
+// the other side's ids — the column BuildNeighborhood accumulates in.
+type runSet struct {
+	off  []int
+	rows []Neighbor
+	at   []int32
+}
+
+// run returns run p, clipped so that an append copies it.
+func (s runSet) run(p int) []Neighbor { return s.rows[s.off[p]:s.off[p+1]:s.off[p+1]] }
+
+// find returns key's run, keys being the side's ids; nil when key is not
+// one of them.
+func (s runSet) find(keys []int64, key int64) []Neighbor {
+	if p, ok := slices.BinarySearch(keys, key); ok {
+		return s.run(p)
+	}
+	return nil
 }
 
 func indexRatings(ratings []Rating) *ratingsIndex {
-	ix := &ratingsIndex{
-		byUser: make(map[int64]map[int64]float64),
-		byItem: make(map[int64]map[int64]float64),
+	// Sorted by (user, item), stably: a repeated pair keeps its input
+	// order, so the last of its ratings is the one kept.
+	kept := slices.Clone(ratings)
+	slices.SortStableFunc(kept, func(a, b Rating) int {
+		return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.Item, b.Item))
+	})
+	ix := &ratingsIndex{}
+	n := 0
+	for _, r := range kept {
+		if n > 0 && kept[n-1].User == r.User && kept[n-1].Item == r.Item {
+			kept[n-1].Value = r.Value
+			continue
+		}
+		if n == 0 || kept[n-1].User != r.User {
+			ix.users = append(ix.users, r.User)
+		}
+		ix.items = append(ix.items, r.Item)
+		kept[n] = r
+		n++
 	}
-	for _, r := range ratings {
-		u := ix.byUser[r.User]
-		if u == nil {
-			u = make(map[int64]float64)
-			ix.byUser[r.User] = u
+	kept = kept[:n]
+	slices.Sort(ix.items)
+	ix.items = slices.Clip(slices.Compact(ix.items))
+	ix.n = n
+
+	// By user, in kept's order; by item, placed walking the users in
+	// ascending order, so each item's run comes out ascending in user.
+	itemAt := newPosTable(ix.items)
+	ix.byUser = runSet{off: make([]int, len(ix.users)+1), rows: make([]Neighbor, n), at: make([]int32, n)}
+	ix.byItem = runSet{off: make([]int, len(ix.items)+1), rows: make([]Neighbor, n), at: make([]int32, n)}
+	pu := 0
+	for x, r := range kept {
+		if ix.users[pu] != r.User {
+			pu++
 		}
-		if _, dup := u[r.Item]; !dup {
-			ix.n++
-		}
-		u[r.Item] = r.Value
-		it := ix.byItem[r.Item]
-		if it == nil {
-			it = make(map[int64]float64)
-			ix.byItem[r.Item] = it
-		}
-		it[r.User] = r.Value
+		pi, _ := itemAt.lookup(r.Item)
+		ix.byUser.rows[x], ix.byUser.at[x] = Neighbor{ID: r.Item, Sim: r.Value}, pi
+		ix.byUser.off[pu+1] = x + 1
+		ix.byItem.off[pi+1]++
 	}
-	ix.users = sortedKeys(ix.byUser)
-	ix.items = sortedKeys(ix.byItem)
+	for pi := range ix.items {
+		ix.byItem.off[pi+1] += ix.byItem.off[pi]
+	}
+	fill := slices.Clone(ix.byItem.off[:len(ix.items)])
+	for pu, u := range ix.users {
+		for x := ix.byUser.off[pu]; x < ix.byUser.off[pu+1]; x++ {
+			pi := ix.byUser.at[x]
+			ix.byItem.rows[fill[pi]] = Neighbor{ID: u, Sim: ix.byUser.rows[x].Sim}
+			ix.byItem.at[fill[pi]] = int32(pu)
+			fill[pi]++
+		}
+	}
 	return ix
 }
 
-func sortedKeys(m map[int64]map[int64]float64) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// userRun returns user's ratings, ascending in item.
+func (ix *ratingsIndex) userRun(user int64) []Neighbor { return ix.byUser.find(ix.users, user) }
+
+// itemRun returns item's ratings, ascending in user.
+func (ix *ratingsIndex) itemRun(item int64) []Neighbor { return ix.byItem.find(ix.items, item) }
+
+// NumRatings implements Model.
+func (ix *ratingsIndex) NumRatings() int { return ix.n }
+
+// Users implements Model.
+func (ix *ratingsIndex) Users() []int64 { return ix.users }
+
+// Items implements Model.
+func (ix *ratingsIndex) Items() []int64 { return ix.items }
+
+// Seen implements Model.
+func (ix *ratingsIndex) Seen(user, item int64) (float64, bool) {
+	return ValueOf(ix.userRun(user), item)
 }
 
-func (ix *ratingsIndex) seen(user, item int64) (float64, bool) {
-	v, ok := ix.byUser[user][item]
-	return v, ok
-}
-
-func (ix *ratingsIndex) allRatings() []Rating {
+// Ratings implements Model.
+func (ix *ratingsIndex) Ratings() []Rating {
 	out := make([]Rating, 0, ix.n)
-	for _, u := range ix.users {
-		items := make([]int64, 0, len(ix.byUser[u]))
-		for i := range ix.byUser[u] {
-			items = append(items, i)
-		}
-		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		for _, i := range items {
-			out = append(out, Rating{User: u, Item: i, Value: ix.byUser[u][i]})
+	for p, u := range ix.users {
+		for _, r := range ix.byUser.run(p) {
+			out = append(out, Rating{User: u, Item: r.ID, Value: r.Sim})
 		}
 	}
 	return out
+}
+
+// ValueOf returns the value run holds for id, if any; run is ascending in
+// id, as every run is: a similarity list, or a user's or an item's
+// ratings.
+func ValueOf(run []Neighbor, id int64) (float64, bool) {
+	x, ok := slices.BinarySearchFunc(run, id, func(n Neighbor, id int64) int { return cmp.Compare(n.ID, id) })
+	if !ok {
+		return 0, false
+	}
+	return run[x].Sim, true
 }
 
 // ---- Neighborhood models (ItemCosCF / ItemPearCF / UserCosCF / UserPearCF) ----
@@ -149,7 +213,7 @@ func (ix *ratingsIndex) allRatings() []Rating {
 // NeighborhoodModel is a similarity-list model: item-item or user-user.
 type NeighborhoodModel struct {
 	algo Algorithm
-	ix   *ratingsIndex
+	*ratingsIndex
 	// neighbors maps the entity id (item for item-based, user for
 	// user-based) to its similarity list, in ascending id order.
 	neighbors map[int64][]Neighbor
@@ -190,69 +254,19 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 	ix := indexRatings(ratings)
 
 	// For item-based models the "entities" are items and the shared
-	// dimension is users; user-based swaps the roles. shared[d] maps
-	// entity → value on dimension d.
-	var shared map[int64]map[int64]float64
-	var entities, dims []int64
-	if algo.ItemBased() {
-		entities = ix.items
-		shared, dims = ix.byUser, ix.users // user → items rated
-	} else {
-		entities = ix.users
-		shared, dims = ix.byItem, ix.items // item → users who rated
+	// dimension is users; user-based swaps the roles. The index holds the
+	// ratings as CSR both ways: by dimension (dimOff/dimEnt: for each
+	// dimension, the ascending positions of the entities on it) and by
+	// entity (entOff/entDim: for each entity, its ascending dimension
+	// positions). Centering writes the values, so the kernel takes copies
+	// of them (dimVal, entVal).
+	entities, byEnt, byDim := ix.items, ix.byItem, ix.byUser
+	if !algo.ItemBased() {
+		entities, byEnt, byDim = ix.users, ix.byUser, ix.byItem
 	}
-	ne, nd := len(entities), len(dims)
-	pos := make(map[int64]int32, ne)
-	for p, e := range entities {
-		pos[e] = int32(p)
-	}
-
-	// The ratings twice, as CSR: by dimension (dimOff/dimEnt/dimVal: for
-	// each dimension, the ascending positions of the entities on it) and by
-	// entity (entOff/entDim/entVal: for each entity, its ascending dimension
-	// positions). The second is the transpose of the first, filled walking
-	// the dimensions in ascending order, so each entity's dimensions arrive
-	// sorted.
-	dimOff := make([]int, nd+1)
-	for pd, d := range dims {
-		dimOff[pd+1] = dimOff[pd] + len(shared[d])
-	}
-	nnz := dimOff[nd]
-	dimEnt := make([]int32, nnz)
-	dimVal := make([]float64, nnz)
-	ann.RunChunks(workers, nd, func(_, lo, hi int) {
-		for pd := lo; pd < hi; pd++ {
-			row := shared[dims[pd]]
-			seg := dimEnt[dimOff[pd]:dimOff[pd+1]]
-			x := 0
-			for e := range row {
-				seg[x] = pos[e]
-				x++
-			}
-			slices.Sort(seg)
-			vseg := dimVal[dimOff[pd]:dimOff[pd+1]]
-			for x, pe := range seg {
-				vseg[x] = row[entities[pe]]
-			}
-		}
-	})
-	entOff := make([]int, ne+1)
-	for _, pe := range dimEnt {
-		entOff[pe+1]++
-	}
-	for pe := 0; pe < ne; pe++ {
-		entOff[pe+1] += entOff[pe]
-	}
-	entDim := make([]int32, nnz)
-	entVal := make([]float64, nnz)
-	fill := slices.Clone(entOff[:ne])
-	for pd := 0; pd < nd; pd++ {
-		for x := dimOff[pd]; x < dimOff[pd+1]; x++ {
-			pe := dimEnt[x]
-			entDim[fill[pe]], entVal[fill[pe]] = int32(pd), dimVal[x]
-			fill[pe]++
-		}
-	}
+	ne := len(entities)
+	dimOff, dimEnt, dimVal := byDim.off, byDim.at, values(byDim.rows)
+	entOff, entDim, entVal := byEnt.off, byEnt.at, values(byEnt.rows)
 
 	// Per-entity mean (Pearson only) and vector norm, summed in ascending
 	// dimension order; then both copies of the values are centered.
@@ -343,7 +357,16 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 			neighbors[entities[pe]] = list
 		}
 	}
-	return &NeighborhoodModel{algo: algo, ix: ix, neighbors: neighbors, cut: slices.Contains(cutBy, true)}, nil
+	return &NeighborhoodModel{algo: algo, ratingsIndex: ix, neighbors: neighbors, cut: slices.Contains(cutBy, true)}, nil
+}
+
+// values returns a copy of the values of rows.
+func values(rows []Neighbor) []float64 {
+	out := make([]float64, len(rows))
+	for x, r := range rows {
+		out[x] = r.Sim
+	}
+	return out
 }
 
 // strongerFirst ranks a list's entries for truncation: descending |sim|,
@@ -361,21 +384,6 @@ func strongerFirst(a, b Neighbor) int {
 // Algorithm implements Model.
 func (m *NeighborhoodModel) Algorithm() Algorithm { return m.algo }
 
-// NumRatings implements Model.
-func (m *NeighborhoodModel) NumRatings() int { return m.ix.n }
-
-// Users implements Model.
-func (m *NeighborhoodModel) Users() []int64 { return m.ix.users }
-
-// Items implements Model.
-func (m *NeighborhoodModel) Items() []int64 { return m.ix.items }
-
-// Seen implements Model.
-func (m *NeighborhoodModel) Seen(user, item int64) (float64, bool) { return m.ix.seen(user, item) }
-
-// Ratings implements Model.
-func (m *NeighborhoodModel) Ratings() []Rating { return m.ix.allRatings() }
-
 // Neighbors returns the similarity list for an item (item-based) or user
 // (user-based), in ascending id order.
 func (m *NeighborhoodModel) Neighbors(id int64) []Neighbor { return m.neighbors[id] }
@@ -386,23 +394,27 @@ func (m *NeighborhoodModel) Neighbors(id int64) []Neighbor { return m.neighbors[
 // for the candidate item (user-based).
 func (m *NeighborhoodModel) Predict(user, item int64) (float64, bool) {
 	if m.algo.ItemBased() {
-		return PredictWeighted(m.neighbors[item], m.ix.byUser[user])
+		return PredictWeighted(m.neighbors[item], m.userRun(user))
 	}
-	return PredictWeighted(m.neighbors[user], m.ix.byItem[item])
+	return PredictWeighted(m.neighbors[user], m.itemRun(item))
 }
 
-// PredictWeighted evaluates Equation 2 given a similarity list and the map
-// of known ratings keyed by the same id space as the list. ok is false when
-// the intersection is empty (the operators then emit 0). It adds the
-// matched terms in list order, which is ascending neighbour id.
-func PredictWeighted(neighbors []Neighbor, known map[int64]float64) (float64, bool) {
-	if len(neighbors) == 0 || len(known) == 0 {
-		return 0, false
-	}
+// PredictWeighted evaluates Equation 2 given a similarity list and the
+// known ratings keyed by the same id space as the list, both runs ascending
+// in id: one merge of the two, adding the matched terms in list order. ok
+// is false when the intersection is empty (the operators then emit 0).
+func PredictWeighted(neighbors, known []Neighbor) (float64, bool) {
 	var sum weightedSum
-	for _, n := range neighbors {
-		if r, ok := known[n.ID]; ok {
-			sum.add(n.Sim, r)
+	for x, y := 0, 0; x < len(neighbors) && y < len(known); {
+		switch a, b := neighbors[x].ID, known[y].ID; {
+		case a < b:
+			x++
+		case a > b:
+			y++
+		default:
+			sum.add(neighbors[x].Sim, known[y].Sim)
+			x++
+			y++
 		}
 	}
 	return sum.score()
@@ -410,9 +422,10 @@ func PredictWeighted(neighbors []Neighbor, known map[int64]float64) (float64, bo
 
 // weightedSum accumulates Equation 2 one matched neighbour at a time. Every
 // scoring path adds the terms in one order, ascending neighbour id — a list
-// held in memory, a run streamed from the model table, and the user-driven
-// side walking the rated items in ascending order — so all of them add the
-// same terms in the same order to the same bits.
+// held in memory or decoded from the model table, merged with the known
+// ratings (PredictWeighted), and the user-driven side walking the user's
+// ratings in ascending order — so all of them add the same terms in the
+// same order to the same bits.
 type weightedSum struct{ num, den float64 }
 
 func (w *weightedSum) add(sim, rating float64) {
@@ -434,7 +447,7 @@ func (w weightedSum) score() (float64, bool) {
 // IVF is the inverted-file ANN index over the item factors, built after
 // training so RECOMMEND top-k can probe instead of scanning every item.
 type FactorModel struct {
-	ix          *ratingsIndex
+	*ratingsIndex
 	UserFactors map[int64][]float64
 	ItemFactors map[int64][]float64
 	K           int
@@ -458,10 +471,10 @@ func TrainSVD(ratings []Rating, opts BuildOptions) (*FactorModel, error) {
 	k := opts.SVDFactors
 	rng := rand.New(rand.NewSource(opts.SVDSeed))
 	m := &FactorModel{
-		ix:          ix,
-		UserFactors: make(map[int64][]float64, len(ix.users)),
-		ItemFactors: make(map[int64][]float64, len(ix.items)),
-		K:           k,
+		ratingsIndex: ix,
+		UserFactors:  make(map[int64][]float64, len(ix.users)),
+		ItemFactors:  make(map[int64][]float64, len(ix.items)),
+		K:            k,
 	}
 	initVec := func() []float64 {
 		v := make([]float64, k)
@@ -502,18 +515,15 @@ const svdStrata = 8
 // are assigned to workers.
 func trainStratified(m *FactorModel, ix *ratingsIndex, opts BuildOptions) {
 	k, lr, lam := m.K, opts.SVDRate, opts.SVDLambda
-	userStratum := make(map[int64]int, len(ix.users))
-	for p, u := range ix.users {
-		userStratum[u] = p % svdStrata
-	}
-	itemStratum := make(map[int64]int, len(ix.items))
-	for p, i := range ix.items {
-		itemStratum[i] = p % svdStrata
-	}
+	// Block (user position mod S, item position mod S), each block's
+	// ratings in (user, item) order.
 	blocks := make([][]Rating, svdStrata*svdStrata)
-	for _, r := range ix.allRatings() {
-		b := userStratum[r.User]*svdStrata + itemStratum[r.Item]
-		blocks[b] = append(blocks[b], r)
+	for pu, u := range ix.users {
+		for x := ix.byUser.off[pu]; x < ix.byUser.off[pu+1]; x++ {
+			b := pu%svdStrata*svdStrata + int(ix.byUser.at[x])%svdStrata
+			r := ix.byUser.rows[x]
+			blocks[b] = append(blocks[b], Rating{User: u, Item: r.ID, Value: r.Sim})
+		}
 	}
 	workers := opts.Workers
 	if workers > svdStrata {
@@ -557,21 +567,6 @@ func Dot(a, b []float64) float64 {
 
 // Algorithm implements Model.
 func (m *FactorModel) Algorithm() Algorithm { return SVD }
-
-// NumRatings implements Model.
-func (m *FactorModel) NumRatings() int { return m.ix.n }
-
-// Users implements Model.
-func (m *FactorModel) Users() []int64 { return m.ix.users }
-
-// Items implements Model.
-func (m *FactorModel) Items() []int64 { return m.ix.items }
-
-// Seen implements Model.
-func (m *FactorModel) Seen(user, item int64) (float64, bool) { return m.ix.seen(user, item) }
-
-// Ratings implements Model.
-func (m *FactorModel) Ratings() []Rating { return m.ix.allRatings() }
 
 // Predict implements Model: the dot product of the user and item factor
 // vectors (Algorithm 2).

@@ -274,13 +274,13 @@ func TestBuildDispatch(t *testing.T) {
 
 func TestPredictWeighted(t *testing.T) {
 	neighbors := []Neighbor{{ID: 1, Sim: 0.5}, {ID: 2, Sim: -0.25}, {ID: 3, Sim: 0.8}}
-	known := map[int64]float64{1: 4, 2: 2}
+	known := []Neighbor{{ID: 1, Sim: 4}, {ID: 2, Sim: 2}}
 	// (0.5*4 + -0.25*2) / (0.5 + 0.25) = 1.5/0.75 = 2.
 	got, ok := PredictWeighted(neighbors, known)
 	if !ok || math.Abs(got-2) > 1e-12 {
 		t.Fatalf("PredictWeighted = %v, %v", got, ok)
 	}
-	if _, ok := PredictWeighted(neighbors, map[int64]float64{9: 1}); ok {
+	if _, ok := PredictWeighted(neighbors, []Neighbor{{ID: 9, Sim: 1}}); ok {
 		t.Error("no intersection should not predict")
 	}
 	if _, ok := PredictWeighted(nil, known); ok {

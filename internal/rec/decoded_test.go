@@ -168,67 +168,233 @@ func TestDecodedRunKeepsNoForeignTuple(t *testing.T) {
 	}
 }
 
-// TestDecodedRunsUnderRebuild races first reads of the same runs against
-// each other and against rebuilds that swap the recommender's store: every
-// read, of whichever store a reader took, equals a fresh runReader read of
-// that store. Run it under -race.
+// TestDecodedRunsUnderRebuild races first reads of the same runs, or of
+// the same factor vectors (SVD), against each other and against rebuilds
+// that swap the recommender's store: every read, of whichever store a
+// reader took, equals a fresh decode of that store's table. Run it under
+// -race.
 func TestDecodedRunsUnderRebuild(t *testing.T) {
-	ratings := hubRatings(true)
-	cat, _ := newCatalogWithRatings(t, ratings)
-	m := NewManager(cat, Options{})
-	r, err := m.Create("m", "ratings", "uid", "iid", "ratingval", "ItemCosCF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const readers, rebuilds = 4, 3
-	var wg sync.WaitGroup
-	errs := make(chan error, readers+1)
-	start := make(chan struct{})
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for pass := 0; pass < rebuilds; pass++ {
-				s := r.Store()
-				for _, i := range s.ItemIDs() {
-					got, err := s.ItemNeighbors(i)
-					if err != nil {
-						errs <- err
-						return
+	for _, algo := range []string{"ItemCosCF", "SVD"} {
+		t.Run(algo, func(t *testing.T) {
+			ratings := hubRatings(true)
+			cat, _ := newCatalogWithRatings(t, ratings)
+			m := NewManager(cat, Options{})
+			r, err := m.Create("m", "ratings", "uid", "iid", "ratingval", algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const readers, rebuilds = 4, 3
+			var wg sync.WaitGroup
+			errs := make(chan error, readers+1)
+			start := make(chan struct{})
+			for w := 0; w < readers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for pass := 0; pass < rebuilds; pass++ {
+						if err := readEveryKey(r.Store()); err != nil {
+							errs <- err
+							return
+						}
 					}
-					want, err := s.itemNeighborRuns.decode(s.ItemNeighborhood, i)
-					if err != nil {
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := 0; k < rebuilds; k++ {
+					if err := m.Rebuild("m"); err != nil {
 						errs <- err
-						return
-					}
-					if d := sameRun(got, want); d != "" {
-						errs <- fmt.Errorf("item %d: %s", i, d)
 						return
 					}
 				}
+			}()
+			close(start)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
 			}
-		}()
+			if r.Rebuilds() != rebuilds {
+				t.Fatalf("%d rebuilds, want %d", r.Rebuilds(), rebuilds)
+			}
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		for k := 0; k < rebuilds; k++ {
-			if err := m.Rebuild("m"); err != nil {
-				errs <- err
-				return
+}
+
+// readEveryKey reads every item's similarity run of s (item-based) or
+// every user's and item's factor vector (SVD) and holds each to a fresh
+// decode of s's table.
+func readEveryKey(s *ModelStore) error {
+	if s.Algo == SVD {
+		for _, side := range factorSides(s) {
+			for _, id := range side.ids {
+				got, err := side.read(id)
+				if err != nil {
+					return err
+				}
+				want, err := tableVec(side.tab, id)
+				if err != nil {
+					return err
+				}
+				if d := sameVec(got, want); d != "" {
+					return fmt.Errorf("%s key %d: %s", side.tab.Name, id, d)
+				}
 			}
 		}
-	}()
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+		return nil
 	}
-	if r.Rebuilds() != rebuilds {
-		t.Fatalf("%d rebuilds, want %d", r.Rebuilds(), rebuilds)
+	for _, i := range s.ItemIDs() {
+		got, err := s.ItemNeighbors(i)
+		if err != nil {
+			return err
+		}
+		want, err := s.itemNeighborRuns.decode(s.ItemNeighborhood, i)
+		if err != nil {
+			return err
+		}
+		if d := sameRun(got, want); d != "" {
+			return fmt.Errorf("item %d: %s", i, d)
+		}
+	}
+	return nil
+}
+
+// factorSide is one factor table of an SVD store, its keys and the store's
+// accessor for it.
+type factorSide struct {
+	tab  *catalog.Table
+	ids  []int64
+	read func(int64) ([]float64, error)
+}
+
+func factorSides(s *ModelStore) []factorSide {
+	return []factorSide{
+		{s.UserFactor, s.UserIDs(), s.UserFactors},
+		{s.ItemFactor, s.ItemIDs(), s.ItemFactors},
+	}
+}
+
+// tableVec decodes id's factor vector from its row, looked up by primary
+// key: the oracle the decoded vectors are held to.
+func tableVec(tab *catalog.Table, id int64) ([]float64, error) {
+	row, _, found, err := tab.LookupPK(types.NewInt(id))
+	if err != nil || !found {
+		return nil, fmt.Errorf("%s key %d: found %v, %v", tab.Name, id, found, err)
+	}
+	return decodeVec(row[1].Text())
+}
+
+// sameVec reports the first difference between two vectors, by
+// math.Float64bits, or "" when there is none.
+func sameVec(got, want []float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d factors, want %d", len(got), len(want))
+	}
+	for f := range want {
+		if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+			return fmt.Sprintf("factor %d is %v, want %v", f, got[f], want[f])
+		}
+	}
+	return ""
+}
+
+// TestDecodedFactorsMatchTable: every user's and item's factor vector,
+// read first or again, equals decodeVec of its row by primary key, bit for
+// bit; the second read fetches no page and returns the published vector,
+// and a key the model does not know has none.
+func TestDecodedFactorsMatchTable(t *testing.T) {
+	model, err := TrainSVD(hubRatings(true), BuildOptions{SVDSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := &storage.Stats{}
+	store, err := Materialize(catalog.New(stats, 0), "m", model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range factorSides(store) {
+		for _, id := range side.ids {
+			want, err := tableVec(side.tab, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := side.read(id)
+			if err != nil {
+				t.Fatalf("%s key %d: first read: %v", side.tab.Name, id, err)
+			}
+			stats.Reset()
+			second, err := side.read(id)
+			if err != nil {
+				t.Fatalf("%s key %d: second read: %v", side.tab.Name, id, err)
+			}
+			if reads, _, _ := stats.Snapshot(); reads != 0 {
+				t.Fatalf("%s key %d: second read fetched %d pages", side.tab.Name, id, reads)
+			}
+			for name, got := range map[string][]float64{"first": first, "second": second} {
+				if d := sameVec(got, want); d != "" || len(got) != model.K {
+					t.Fatalf("%s key %d: %s read: %s (%d factors)", side.tab.Name, id, name, d, len(got))
+				}
+			}
+			if &second[0] != &first[0] {
+				t.Fatalf("%s key %d: second read did not return the published vector", side.tab.Name, id)
+			}
+		}
+		if got, err := side.read(math.MinInt64); err != nil || got != nil {
+			t.Fatalf("%s: absent key read %v, %v", side.tab.Name, got, err)
+		}
+	}
+}
+
+// TestDecodedFactorKeepsNoMalformedRow: a malformed itemfactor row,
+// planted below SQL before its first read, fails that read, publishes
+// nothing, and so fails every later read — and the Scorer's — with the
+// same error.
+func TestDecodedFactorKeepsNoMalformedRow(t *testing.T) {
+	model, err := TrainSVD(hubRatings(true), BuildOptions{SVDSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := Materialize(catalog.New(nil, 0), "m", model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := store.ItemIDs()[3]
+	tab := store.ItemFactor
+	row, rid, found, err := tab.LookupPK(types.NewInt(item))
+	if err != nil || !found {
+		t.Fatalf("item %d: found %v, %v", item, found, err)
+	}
+	if _, err := tab.Update(rid, types.Row{row[0], types.NewText("0.25,not-a-number")}); err != nil {
+		t.Fatal(err)
+	}
+	var first error
+	for read := 0; read < 3; read++ {
+		vec, err := store.ItemFactors(item)
+		if err == nil || vec != nil {
+			t.Fatalf("read %d: %v, %v; want an error", read, vec, err)
+		}
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("read %d failed with %q, the first with %q", read, err, first)
+		}
+	}
+	p, _ := slices.BinarySearch(store.itemVecs.keys, item)
+	if store.itemVecs.decoded[p].Load() != nil {
+		t.Fatal("a failed read published a vector")
+	}
+	sc := store.Scorer(1)
+	if err := sc.ForUser(store.UserIDs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sc.Score(item); err == nil || err.Error() != first.Error() {
+		t.Fatalf("Score(%d) = %v, want %q", item, err, first)
+	}
+	if _, err := store.ItemFactors(store.ItemIDs()[4]); err != nil {
+		t.Fatalf("another item's vector: %v", err)
 	}
 }
 

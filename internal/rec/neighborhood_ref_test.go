@@ -21,15 +21,15 @@ import (
 func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (map[int64][]Neighbor, bool) {
 	opts = opts.withDefaults()
 	workers := opts.Workers
-	ix := indexRatings(ratings)
+	byUser, byItem, users, items := refIndex(ratings)
 	var vectors, shared map[int64]map[int64]float64
 	var entities, dims []int64
 	if algo.ItemBased() {
-		vectors, entities = ix.byItem, ix.items
-		shared, dims = ix.byUser, ix.users
+		vectors, entities = byItem, items
+		shared, dims = byUser, users
 	} else {
-		vectors, entities = ix.byUser, ix.users
-		shared, dims = ix.byItem, ix.items
+		vectors, entities = byUser, users
+		shared, dims = byItem, items
 	}
 	ne := len(entities)
 	pos := make(map[int64]int32, ne)
@@ -137,6 +137,28 @@ func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (map[
 		}
 	}
 	return neighbors, cut
+}
+
+// refIndex is the reference's own view of the input, independent of
+// indexRatings: user → item → rating and item → user → rating maps, a
+// repeated (user, item) keeping its last rating, and the sorted user and
+// item ids.
+func refIndex(ratings []Rating) (byUser, byItem map[int64]map[int64]float64, users, items []int64) {
+	byUser, byItem = map[int64]map[int64]float64{}, map[int64]map[int64]float64{}
+	for _, r := range ratings {
+		if byUser[r.User] == nil {
+			byUser[r.User] = map[int64]float64{}
+			users = append(users, r.User)
+		}
+		if byItem[r.Item] == nil {
+			byItem[r.Item] = map[int64]float64{}
+			items = append(items, r.Item)
+		}
+		byUser[r.User][r.Item], byItem[r.Item][r.User] = r.Value, r.Value
+	}
+	slices.Sort(users)
+	slices.Sort(items)
+	return byUser, byItem, users, items
 }
 
 // TestNeighborhoodMatchesPairReference: the row-wise kernel builds, bit

@@ -11,7 +11,7 @@ import "sort"
 // global mean, the standard "true Bayesian estimate" used by e.g. IMDb's
 // Top-250 chart. The same score is returned for every user.
 type PopularityModel struct {
-	ix         *ratingsIndex
+	*ratingsIndex
 	scores     map[int64]float64
 	globalMean float64
 }
@@ -19,24 +19,24 @@ type PopularityModel struct {
 // PopularityDamping is K in the damped-mean formula.
 const PopularityDamping = 5.0
 
-// BuildPopularity computes the damped mean score for every item.
+// BuildPopularity computes the damped mean score for every item. Every sum
+// is added in run order — the global one over the users' runs, an item's
+// over its run — so equal ratings build equal bits in any input order.
 func BuildPopularity(ratings []Rating) *PopularityModel {
 	ix := indexRatings(ratings)
-	var sum float64
-	for _, byItem := range ix.byUser {
-		for _, v := range byItem {
-			sum += v
-		}
-	}
-	m := &PopularityModel{ix: ix, scores: make(map[int64]float64, len(ix.items))}
+	m := &PopularityModel{ratingsIndex: ix, scores: make(map[int64]float64, len(ix.items))}
 	if ix.n > 0 {
+		var sum float64
+		for _, r := range ix.byUser.rows {
+			sum += r.Sim
+		}
 		m.globalMean = sum / float64(ix.n)
 	}
-	for _, i := range ix.items {
+	for p, i := range ix.items {
 		var itemSum float64
-		raters := ix.byItem[i]
-		for _, v := range raters {
-			itemSum += v
+		raters := ix.byItem.run(p)
+		for _, r := range raters {
+			itemSum += r.Sim
 		}
 		m.scores[i] = (itemSum + PopularityDamping*m.globalMean) /
 			(float64(len(raters)) + PopularityDamping)
@@ -46,21 +46,6 @@ func BuildPopularity(ratings []Rating) *PopularityModel {
 
 // Algorithm implements Model.
 func (m *PopularityModel) Algorithm() Algorithm { return Popularity }
-
-// NumRatings implements Model.
-func (m *PopularityModel) NumRatings() int { return m.ix.n }
-
-// Users implements Model.
-func (m *PopularityModel) Users() []int64 { return m.ix.users }
-
-// Items implements Model.
-func (m *PopularityModel) Items() []int64 { return m.ix.items }
-
-// Seen implements Model.
-func (m *PopularityModel) Seen(user, item int64) (float64, bool) { return m.ix.seen(user, item) }
-
-// Ratings implements Model.
-func (m *PopularityModel) Ratings() []Rating { return m.ix.allRatings() }
 
 // Predict implements Model: the item's damped mean, independent of user.
 // Unknown users still get predictions (the cold-start property), unknown
@@ -81,7 +66,7 @@ func (m *PopularityModel) Score(item int64) (float64, bool) {
 
 // Ranking returns all items sorted by descending score (ties by id).
 func (m *PopularityModel) Ranking() []int64 {
-	out := append([]int64(nil), m.ix.items...)
+	out := append([]int64(nil), m.items...)
 	sort.Slice(out, func(a, b int) bool {
 		sa, sb := m.scores[out[a]], m.scores[out[b]]
 		if sa != sb {

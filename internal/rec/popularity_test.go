@@ -2,6 +2,7 @@ package rec
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -103,5 +104,42 @@ func TestPopularityEmptyRatings(t *testing.T) {
 	}
 	if _, ok := m.Predict(1, 1); ok {
 		t.Fatal("empty model should not predict")
+	}
+}
+
+// TestPopularityBuildIsDeterministic: the same fractional ratings, given
+// again or in another order, build the same global mean and the same
+// score for every item, bit for bit.
+func TestPopularityBuildIsDeterministic(t *testing.T) {
+	rng := newDeterministicRand(29)
+	var ratings []Rating
+	for u := int64(1); u <= 200; u++ {
+		for k := int64(0); k < 30; k++ {
+			item := 1 + (u*7+k*13)%90 // 30 distinct items per user
+			ratings = append(ratings, Rating{User: u, Item: item, Value: 1 + float64(rng.next()%4000)/997})
+		}
+	}
+	shuffled := slices.Clone(ratings)
+	for x := len(shuffled) - 1; x > 0; x-- {
+		y := int(rng.next() % int64(x+1))
+		shuffled[x], shuffled[y] = shuffled[y], shuffled[x]
+	}
+	first := BuildPopularity(ratings)
+	for pass := 0; pass < 20; pass++ {
+		input := ratings
+		if pass%2 == 1 {
+			input = shuffled
+		}
+		m := BuildPopularity(input)
+		if math.Float64bits(m.GlobalMean()) != math.Float64bits(first.GlobalMean()) {
+			t.Fatalf("build %d: global mean %v, first build %v", pass, m.GlobalMean(), first.GlobalMean())
+		}
+		for _, i := range first.Items() {
+			got, _ := m.Score(i)
+			want, _ := first.Score(i)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("build %d: item %d scores %v, first build %v", pass, i, got, want)
+			}
+		}
 	}
 }

@@ -198,7 +198,7 @@ func TestScanRunBoundaries(t *testing.T) {
 	// The directory Materialize would keep, from the oracle, plus a key
 	// past the last run that has none.
 	keys, runs := heapRuns(t, tab)
-	dir := runDir{keys: append(keys, key)}
+	dir := runDir{perKey: newPerKey[[]Neighbor](append(keys, key))}
 	for _, k := range keys {
 		dir.first = append(dir.first, runs[k][0].rid)
 	}
@@ -434,7 +434,7 @@ func TestForeignRunTupleIsAnError(t *testing.T) {
 			checkErr(t, "UserItems", store.UserVector, err)
 
 			plantMid(t, plant, store.ItemNeighborhood, hub)
-			sc := store.Scorer(false, len(store.ItemIDs()))
+			sc := store.Scorer(len(store.ItemIDs()))
 			err = sc.ForUser(hubRater)
 			checkErr(t, "user-driven ForUser", store.ItemNeighborhood, err)
 			if !sc.UserDriven() {

@@ -1,7 +1,5 @@
 package rec
 
-import "slices"
-
 // Scorer predicts RecScore(u, i) from a materialized model for one user at
 // a time: ForUser loads that user's side of the model once — rated items,
 // plus the similarity list (user-based) or factor vector (SVD) — and Score
@@ -12,51 +10,35 @@ import "slices"
 //
 // Item-based models have two sides that give the same bits, because every
 // path adds Equation 2's terms in ascending neighbour id (weightedSum).
-// Item-driven, Score(i) walks i's similarity run past the user's ratings —
+// Item-driven, Score(i) merges i's similarity run with the user's ratings —
 // one run per candidate. User-driven, ForUser walks the run of each item j
 // the user rated, in ascending j, and adds sim(i, j)·r_j into every i's
 // accumulator, so Score is an array read — one run per rated item. The
 // second reads j's run for i's terms, which is exact only while every list
 // is whole (the store is symmetric); ForUser takes it when that holds and
-// the scan has more candidates than the user has ratings. Either side reads
-// the store's decoded runs (runDir.rows), which every scan of the model
-// version shares, so the Scorer keeps no item-based state across users.
+// the scan has more candidates than the user has ratings.
+//
+// Every run and factor vector the Scorer reads is the store's decoded one
+// (perKey), which every scan of the model version shares, so the Scorer
+// keeps no model state across users, and a user whose runs are decoded is
+// loaded without allocating.
 type Scorer struct {
 	store      *ModelStore
 	candidates int // items the scan scores per user
 
-	seen      map[int64]float64
+	seen      []Neighbor // the user's ratings, ascending in item
 	neighbors []Neighbor // user-based: the user's similarity list
 	factors   []float64  // SVD: the user's factor vector
 
-	// User-driven state: sums[p] is Equation 2 for model item p, rated the
-	// user's items in ascending order.
+	// User-driven state: sums[p] is Equation 2 for model item p.
 	userDriven bool
 	sums       []weightedSum
-	rated      []int64
-
-	// Item-side state of user-based and SVD models kept across users (nil
-	// when the scan serves one user). Algorithm 1 needs the same item-side
-	// rater map or factor vector for every user, so each is built once per
-	// scan and held for the users that follow.
-	itemRaters  map[int64]map[int64]float64
-	itemFactors map[int64][]float64
 }
 
-// Scorer returns a scorer over s. shared says the scan will score the same
-// items for several users, which turns on the item-side memo of user-based
-// and SVD models; candidates is how many items it scores per user.
-func (s *ModelStore) Scorer(shared bool, candidates int) *Scorer {
-	sc := &Scorer{store: s, candidates: candidates}
-	if shared {
-		switch {
-		case s.Algo.UserBased():
-			sc.itemRaters = make(map[int64]map[int64]float64)
-		case s.Algo == SVD:
-			sc.itemFactors = make(map[int64][]float64)
-		}
-	}
-	return sc
+// Scorer returns a scorer over s for a scan that scores candidates items
+// per user.
+func (s *ModelStore) Scorer(candidates int) *Scorer {
+	return &Scorer{store: s, candidates: candidates}
 }
 
 // ForUser makes u the user Score and Rated answer for.
@@ -83,10 +65,7 @@ func (sc *Scorer) UserDriven() bool { return sc.userDriven }
 
 // Rated returns the rating the current user gave item i, if any. Before
 // the first ForUser nothing is rated.
-func (sc *Scorer) Rated(i int64) (float64, bool) {
-	r, ok := sc.seen[i]
-	return r, ok
-}
+func (sc *Scorer) Rated(i int64) (float64, bool) { return ValueOf(sc.seen, i) }
 
 // Factors returns the current user's latent vector (SVD), nil when the
 // model does not know the user.
@@ -107,7 +86,7 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 	case s.Algo.ItemBased():
 		return s.PredictItemBased(i, sc.seen)
 	case s.Algo.UserBased():
-		raters, err := memo(sc.itemRaters, i, s.ItemRaters)
+		raters, err := s.ItemRaters(i)
 		if err != nil {
 			return 0, false, err
 		}
@@ -118,7 +97,7 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 		if sc.factors == nil {
 			return 0, false, nil
 		}
-		q, err := memo(sc.itemFactors, i, s.ItemFactors)
+		q, err := s.ItemFactors(i)
 		if err != nil || q == nil {
 			return 0, false, err
 		}
@@ -130,50 +109,33 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 // scoreFromUser fills sums for the current user from the user's side.
 // Equation 2's terms for candidate i are sim(i, j)·r_j and |sim(i, j)|
 // over the rated j in i's list, and every path adds them in ascending j.
-// Walking the rated items in ascending order, each one's run once, delivers
-// every candidate's terms in exactly that order, so each row is added
-// straight into its candidate's sum: no per-candidate storage, no merge.
+// Walking the user's ratings, which are in ascending j, each one's run
+// once, delivers every candidate's terms in exactly that order, so each row
+// is added straight into its candidate's sum: no per-candidate storage, no
+// merge.
 func (sc *Scorer) scoreFromUser() error {
 	s := sc.store
 	if sc.sums == nil {
 		sc.sums = make([]weightedSum, len(s.itemIDs))
 	}
 	clear(sc.sums)
-	sc.rated = sc.rated[:0]
-	for j := range sc.seen {
-		sc.rated = append(sc.rated, j)
-	}
-	slices.Sort(sc.rated)
-	for _, j := range sc.rated {
-		run, err := s.ItemNeighbors(j)
+	for _, j := range sc.seen {
+		run, err := s.ItemNeighbors(j.ID)
 		if err != nil {
 			return err
 		}
-		r := sc.seen[j]
 		for _, n := range run {
 			if p, ok := s.itemPos.lookup(n.ID); ok {
-				sc.sums[p].add(n.Sim, r)
+				sc.sums[p].add(n.Sim, j.Sim)
 			}
 		}
 	}
 	return nil
 }
 
-// memo returns load(key), remembering the result in m when m is non-nil.
-func memo[V any](m map[int64]V, key int64, load func(int64) (V, error)) (V, error) {
-	if v, ok := m[key]; ok {
-		return v, nil
-	}
-	v, err := load(key)
-	if err == nil && m != nil {
-		m[key] = v
-	}
-	return v, err
-}
-
 // Predict estimates RecScore(u, i) from the materialized tables.
 func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
-	sc := s.Scorer(false, 1)
+	sc := s.Scorer(1)
 	if err := sc.ForUser(u); err != nil {
 		return 0, false, err
 	}
@@ -187,7 +149,7 @@ func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
 // for different users safe, which is what parallel cache materialization
 // relies on.
 func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
-	sc := s.Scorer(false, len(items))
+	sc := s.Scorer(len(items))
 	if err := sc.ForUser(u); err != nil {
 		return nil, nil, err
 	}

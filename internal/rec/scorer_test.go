@@ -35,9 +35,7 @@ func TestScorerMatchesModel(t *testing.T) {
 				all := store.ItemIDs()
 				sides := map[bool]int{}
 				for _, items := range [][]int64{all, {all[0], all[len(all)-1]}} {
-					// The memo serves the long list's item-driven side; the
-					// two-item list streams its runs.
-					sc := store.Scorer(len(items) > 2, len(items))
+					sc := store.Scorer(len(items))
 					for _, u := range store.UserIDs() {
 						if err := sc.ForUser(u); err != nil {
 							t.Fatal(err)
@@ -104,8 +102,8 @@ func equation2(list []Neighbor, known map[int64]float64, order func(a, b Neighbo
 
 // TestEquation2AddsInAscendingID pins the summation order: on a fixture
 // where strongest-first and ascending-id order round differently, every
-// path — user-driven, streamed item-driven, memoised item-driven and the
-// in-memory model — returns the ascending-id bits.
+// path — user-driven, streamed item-driven and the in-memory model —
+// returns the ascending-id bits.
 func TestEquation2AddsInAscendingID(t *testing.T) {
 	ratings := orderRatings()
 	byUser, byItem := map[int64]map[int64]float64{}, map[int64]map[int64]float64{}
@@ -133,9 +131,8 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 				name string
 				sc   *Scorer
 			}{
-				{"all items", store.Scorer(false, len(all))}, // user-driven when item-based
-				{"streamed", store.Scorer(false, 1)},
-				{"memoised", store.Scorer(true, 1)},
+				{"all items", store.Scorer(len(all))}, // user-driven when item-based
+				{"streamed", store.Scorer(1)},
 			}
 			diverged := 0
 			for _, u := range store.UserIDs() {
@@ -188,5 +185,45 @@ func TestPredictWeightedAllocatesNothing(t *testing.T) {
 		n++
 	}); allocs != 0 {
 		t.Fatalf("Predict allocates %.1f times per call", allocs)
+	}
+}
+
+// TestWarmForUserAllocatesNothing: once a user's runs and factor vector
+// are decoded, loading the user again allocates nothing — item-based
+// user-driven and truncated (item-driven), user-based, and SVD.
+func TestWarmForUserAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		algo Algorithm
+		size int
+	}{{ItemCosCF, 0}, {ItemCosCF, 10}, {UserCosCF, 0}, {SVD, 0}} {
+		t.Run(fmt.Sprintf("%v/top%d", tc.algo, tc.size), func(t *testing.T) {
+			model, err := Build(orderRatings(), tc.algo, BuildOptions{NeighborhoodSize: tc.size, SVDSeed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := Materialize(catalog.New(nil, 0), "m", model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			users := store.UserIDs()
+			sc := store.Scorer(len(store.ItemIDs()))
+			for _, u := range users {
+				if err := sc.ForUser(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := tc.algo.ItemBased() && tc.size == 0; sc.UserDriven() != want {
+				t.Fatalf("user-driven %v, want %v", sc.UserDriven(), want)
+			}
+			n := 0
+			if allocs := testing.AllocsPerRun(100, func() {
+				if err := sc.ForUser(users[n%len(users)]); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}); allocs != 0 {
+				t.Fatalf("a warmed ForUser allocates %.1f times per call", allocs)
+			}
+		})
 	}
 }

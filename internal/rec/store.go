@@ -19,10 +19,10 @@ import (
 // ModelStore is a recommendation model materialized into catalog heap
 // tables, the way RecDB stores models inside the database (§IV-A). The
 // RECOMMEND operator family reads these tables through the buffer pool:
-// the primary-key tables on every read, the run-keyed ones once per model
-// version — the first read of a key's run decodes it from its pages and
-// every later read of that run, by any scan, gets the same decoded rows
-// (runDir.rows), as the IVF index is decoded once per store (ANN).
+// itemscore on every read, the rest once per model version — the first
+// read of a key's run, or of its factor vector, decodes it from its pages
+// and every later read of it, by any scan, gets the same decoded value
+// (perKey), as the IVF index is decoded once per store (ANN).
 //
 // Materialize is the only writer of these tables. It bulk-loads each one in
 // key order, every similarity list in ascending id order, and
@@ -65,6 +65,10 @@ type ModelStore struct {
 	// userneighborhood) and by item (itemneighborhood, itemvector).
 	userVectorRuns, userNeighborRuns runDir
 	itemNeighborRuns, itemVectorRuns runDir
+
+	// The decoded factor vectors of userfactor and itemfactor (SVD), by
+	// user and by item.
+	userVecs, itemVecs perKey[[]float64]
 
 	// symmetric says the itemneighborhood table is its own transpose: no
 	// list was truncated, so j is in i's run with similarity s exactly when
@@ -191,9 +195,9 @@ func (tl *tableLoad) finish() (*catalog.Table, runDir, error) {
 		return nil, runDir{}, err
 	}
 	tl.ml.tables = append(tl.ml.tables, t)
-	dir := runDir{keys: tl.keys}
+	var dir runDir
 	if tl.starts != nil {
-		dir.decoded = make([]atomic.Pointer[[]Neighbor], len(tl.starts))
+		dir.perKey = newPerKey[[]Neighbor](tl.keys)
 		dir.first = make([]storage.RID, len(tl.starts))
 		for p, r := range tl.starts {
 			dir.first[p] = noRun
@@ -212,38 +216,54 @@ var noRun = storage.RID{Page: storage.InvalidPageID}
 // keeps in place of an index on the table's key: first[p] is the RID of
 // the first row of keys[p]'s run, or noRun when that key has no rows. keys
 // is the model's userIDs or itemIDs, shared, so a directory costs one RID
-// per key and no pointer per row. decoded[p] is keys[p]'s run once a read
-// has decoded it (rows), nil before.
+// per key and no pointer per row. The perKey holds each run once a read
+// has decoded it (rows).
 type runDir struct {
+	perKey[[]Neighbor]
+	first []storage.RID
+}
+
+// perKey holds one value per key of keys — a model's userIDs or itemIDs —
+// decoded from a model table once per store: decoded[p] is keys[p]'s value
+// once a read has decoded it, nil before.
+type perKey[T any] struct {
 	keys    []int64
-	first   []storage.RID
-	decoded []atomic.Pointer[[]Neighbor]
+	decoded []atomic.Pointer[T]
+}
+
+func newPerKey[T any](keys []int64) perKey[T] {
+	return perKey[T]{keys: keys, decoded: make([]atomic.Pointer[T], len(keys))}
+}
+
+// get returns key's value. The first read decodes it and publishes it;
+// every later read gets the published value, with the same bits, and
+// fetches no page. The tables never change under a store (Materialize is
+// their only writer), so a published value stays right until the store is
+// replaced, and goes with it. Two first reads may race: both decode the
+// same bytes and either result is kept. A failed decode publishes nothing,
+// so every read of that key fails the same way, and a key outside keys
+// has no slot: its value is decoded on every read. The values are shared:
+// the caller reads them and does not write them.
+func (d perKey[T]) get(key int64, decode func(int64) (T, error)) (T, error) {
+	p, ok := slices.BinarySearch(d.keys, key)
+	if !ok {
+		return decode(key)
+	}
+	if v := d.decoded[p].Load(); v != nil {
+		return *v, nil
+	}
+	v, err := decode(key)
+	if err == nil {
+		d.decoded[p].CompareAndSwap(nil, &v)
+	}
+	return v, err
 }
 
 // rows returns key's run of t, the table d directs, as (id, value) pairs
-// in run order — ascending id for a similarity list. The first read of a
-// run decodes it from t's pages (decode) and publishes it; every later
-// read gets the published rows, with the same bits, and fetches no page.
-// The tables never change under a store (Materialize is their only
-// writer), so a published run stays right until the store is replaced,
-// and goes with it. Two first reads may race: both decode the same bytes
-// and either result is kept. A failed read publishes nothing, so every
-// read of that run fails the same way. The rows are shared: the caller
-// reads them and does not write them; an append copies (len == cap).
+// in run order — ascending id — decoded once per store (perKey.get). A run
+// has no spare capacity (len == cap), so an append copies.
 func (d runDir) rows(t *catalog.Table, key int64) ([]Neighbor, error) {
-	p, ok := slices.BinarySearch(d.keys, key)
-	if !ok || t == nil {
-		return d.decode(t, key) // no run to keep: empty, or an error
-	}
-	if run := d.decoded[p].Load(); run != nil {
-		return *run, nil
-	}
-	run, err := d.decode(t, key)
-	if err != nil {
-		return nil, err
-	}
-	d.decoded[p].CompareAndSwap(nil, &run)
-	return run, nil
+	return d.get(key, func(key int64) ([]Neighbor, error) { return d.decode(t, key) })
 }
 
 // decode reads key's run of t from its pages, through a runReader, into a
@@ -410,14 +430,10 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 		if s.UserNeighborhood, s.userNeighborRuns, err = ml.neighborhood("userneighborhood", "uid", "nuid", s.userIDs, model); err != nil {
 			return nil, err
 		}
-		byItem := make(map[int64][]Rating)
-		for _, r := range ratings {
-			byItem[r.Item] = append(byItem[r.Item], r)
-		}
 		iv := ml.startRuns("itemvector", s.itemIDs, len(ratings), intCol("iid"), intCol("uid"), floatCol("ratingval"))
-		for _, i := range s.itemIDs {
-			for _, r := range byItem[i] {
-				iv.add(types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value))
+		for p, i := range s.itemIDs {
+			for _, r := range model.byItem.run(p) {
+				iv.add(types.NewInt(i), types.NewInt(r.ID), types.NewFloat(r.Sim))
 			}
 		}
 		if s.ItemVector, s.itemVectorRuns, err = iv.finish(); err != nil {
@@ -425,6 +441,7 @@ func Materialize(cat *catalog.Catalog, recommender string, m Model) (*ModelStore
 		}
 	case *FactorModel:
 		s.K = model.K
+		s.userVecs, s.itemVecs = newPerKey[[]float64](s.userIDs), newPerKey[[]float64](s.itemIDs)
 		uf := ml.start("userfactor", 0, len(s.userIDs), intCol("uid"), textCol("features"))
 		for _, u := range s.userIDs {
 			uf.add(types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u])))
@@ -564,28 +581,17 @@ func (t posTable) lookup(id int64) (int32, bool) {
 	}
 }
 
-// ratingsRun collects one key's run of a (key, id, ratingval) table.
-func ratingsRun(t *catalog.Table, dir runDir, key int64) (map[int64]float64, error) {
-	run, err := dir.rows(t, key)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64]float64, len(run))
-	for _, r := range run {
-		out[r.ID] = r.Sim
-	}
-	return out, nil
+// UserItems fetches user u's ratings from uservector: the store's decoded
+// run (runDir.rows), ascending in item, shared and read-only.
+func (s *ModelStore) UserItems(u int64) ([]Neighbor, error) {
+	return s.userVectorRuns.rows(s.UserVector, u)
 }
 
-// UserItems fetches user u's rated items (iid → rating) from uservector.
-func (s *ModelStore) UserItems(u int64) (map[int64]float64, error) {
-	return ratingsRun(s.UserVector, s.userVectorRuns, u)
-}
-
-// ItemRaters fetches the users who rated item i (uid → rating) from
-// itemvector (user-based algorithms).
-func (s *ModelStore) ItemRaters(i int64) (map[int64]float64, error) {
-	return ratingsRun(s.ItemVector, s.itemVectorRuns, i)
+// ItemRaters fetches the ratings of item i from itemvector (user-based
+// algorithms): the store's decoded run, ascending in user, shared and
+// read-only.
+func (s *ModelStore) ItemRaters(i int64) ([]Neighbor, error) {
+	return s.itemVectorRuns.rows(s.ItemVector, i)
 }
 
 // ItemNeighbors fetches item i's similarity list from itemneighborhood,
@@ -602,9 +608,9 @@ func (s *ModelStore) UserNeighbors(u int64) ([]Neighbor, error) {
 	return s.userNeighborRuns.rows(s.UserNeighborhood, u)
 }
 
-// PredictItemBased evaluates Equation 2 for item i against a user's rated
-// items over i's decoded similarity run, in list order (PredictWeighted).
-func (s *ModelStore) PredictItemBased(i int64, userItems map[int64]float64) (float64, bool, error) {
+// PredictItemBased evaluates Equation 2 for item i against a user's
+// ratings (UserItems) over i's decoded similarity run (PredictWeighted).
+func (s *ModelStore) PredictItemBased(i int64, userItems []Neighbor) (float64, bool, error) {
 	run, err := s.ItemNeighbors(i)
 	if err != nil {
 		return 0, false, err
@@ -613,28 +619,29 @@ func (s *ModelStore) PredictItemBased(i int64, userItems map[int64]float64) (flo
 	return score, ok, nil
 }
 
-// UserFactors fetches user u's latent factor vector (SVD).
+// UserFactors fetches user u's latent factor vector (SVD), nil when the
+// model does not know u. The vector is decoded once per store (perKey),
+// shared and read-only.
 func (s *ModelStore) UserFactors(u int64) ([]float64, error) {
-	return s.factorsFrom(s.UserFactor, u)
+	return factorsFrom(s.UserFactor, s.userVecs, u)
 }
 
-// ItemFactors fetches item i's latent factor vector (SVD).
+// ItemFactors fetches item i's latent factor vector (SVD), as UserFactors.
 func (s *ModelStore) ItemFactors(i int64) ([]float64, error) {
-	return s.factorsFrom(s.ItemFactor, i)
+	return factorsFrom(s.ItemFactor, s.itemVecs, i)
 }
 
-func (s *ModelStore) factorsFrom(t *catalog.Table, id int64) ([]float64, error) {
+func factorsFrom(t *catalog.Table, vecs perKey[[]float64], id int64) ([]float64, error) {
 	if t == nil {
 		return nil, fmt.Errorf("rec: model has no factor tables")
 	}
-	row, _, found, err := t.LookupPK(types.NewInt(id))
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, nil
-	}
-	return decodeVec(row[1].Text())
+	return vecs.get(id, func(id int64) ([]float64, error) {
+		row, _, found, err := t.LookupPK(types.NewInt(id))
+		if err != nil || !found {
+			return nil, err
+		}
+		return decodeVec(row[1].Text())
+	})
 }
 
 // ANN returns the model's IVF index over item latent factors, decoding
@@ -704,14 +711,10 @@ func (s *ModelStore) ItemScoreOf(i int64) (float64, bool, error) {
 	return row[1].Float(), true, nil
 }
 
-// Seen returns the rating user u gave item i, looked up in the uservector
-// table.
+// Seen returns the rating user u gave item i, looked up in the user's
+// uservector run.
 func (s *ModelStore) Seen(u, i int64) (rating float64, found bool, err error) {
-	run, err := s.userVectorRuns.rows(s.UserVector, u)
-	for _, r := range run {
-		if r.ID == i {
-			return r.Sim, true, nil
-		}
-	}
-	return 0, false, err
+	run, err := s.UserItems(u)
+	rating, found = ValueOf(run, i)
+	return rating, found, err
 }

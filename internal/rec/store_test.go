@@ -60,7 +60,7 @@ func TestStoreAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	items, err := store.UserItems(2)
-	if err != nil || len(items) != 3 || items[1] != 4.5 {
+	if r, _ := ValueOf(items, 1); err != nil || len(items) != 3 || r != 4.5 {
 		t.Fatalf("UserItems(2) = %v, %v", items, err)
 	}
 	neigh, err := store.ItemNeighbors(1)

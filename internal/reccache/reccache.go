@@ -145,7 +145,7 @@ func (m *Manager) recordRun(err error) {
 // different users.
 type Predictor interface {
 	PredictForUser(user int64, items []int64) ([]float64, []bool, error)
-	UserItems(user int64) (map[int64]float64, error)
+	UserItems(user int64) ([]rec.Neighbor, error) // the user's ratings, ascending in item
 	ItemIDs() []int64
 	UserIDs() []int64
 }
@@ -362,7 +362,7 @@ func unseenEntries(pred Predictor, u int64, items []int64) ([]recindex.Entry, er
 	}
 	todo := make([]int64, 0, len(items))
 	for _, i := range items {
-		if _, rated := seen[i]; !rated {
+		if _, rated := rec.ValueOf(seen, i); !rated {
 			todo = append(todo, i)
 		}
 	}

@@ -1,12 +1,15 @@
 package reccache
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"recdb/internal/rec"
 	"recdb/internal/recindex"
 )
 
@@ -29,15 +32,13 @@ func (f *fakePredictor) PredictForUser(u int64, items []int64) ([]float64, []boo
 	return scores, oks, nil
 }
 
-func (f *fakePredictor) UserItems(u int64) (map[int64]float64, error) {
-	if f.seen == nil {
-		return map[int64]float64{}, nil
+func (f *fakePredictor) UserItems(u int64) ([]rec.Neighbor, error) {
+	var run []rec.Neighbor
+	for i, v := range f.seen[u] {
+		run = append(run, rec.Neighbor{ID: i, Sim: v})
 	}
-	m := f.seen[u]
-	if m == nil {
-		m = map[int64]float64{}
-	}
-	return m, nil
+	slices.SortFunc(run, func(a, b rec.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
+	return run, nil
 }
 
 func (f *fakePredictor) ItemIDs() []int64 { return f.items }

@@ -10,7 +10,7 @@
 //	recdb-bench -exp ann -json BENCH_ann.json
 //
 // Experiment ids: table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
-// ablations (or individual a1..a6), ann, all. Serving-path throughput and
+// ablations (or individual a1..a5), ann, all. Serving-path throughput and
 // latency are measured by `go run ./benchmark`, not here.
 //
 // Exit codes: 0 when every selected experiment ran, 1 when one failed,
@@ -142,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}},
 		{"a5", func() (bench.Table, error) {
 			return bench.RunAblationHotness(spec(dataset.MovieLens), *neighborhood)
-		}},
-		{"a6", func() (bench.Table, error) {
-			return bench.RunPageIO(spec(dataset.MovieLens), *neighborhood)
 		}},
 		{"ann", func() (bench.Table, error) {
 			return bench.RunANN(dataset.MovieLens, annScales, 10)

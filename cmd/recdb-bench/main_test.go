@@ -16,12 +16,13 @@ func runBench(t *testing.T, args ...string) (int, string, string) {
 
 // TestUnknownExperimentExitsTwo pins that an -exp id naming no experiment
 // is a usage error that lists the valid ids and runs nothing — alone,
-// beside valid ids (the typo case), and for each harness id the ledger
-// (go run ./benchmark) retired.
+// beside valid ids (the typo case), for each harness id the ledger
+// (go run ./benchmark) retired, and for a6, the model-page-read ablation
+// retired when models stopped having pages.
 func TestUnknownExperimentExitsTwo(t *testing.T) {
 	for _, exp := range []string{
 		"typo", "fig6,typo", "typo,fig6", "", ",",
-		"serve", "sharded", "durability", "metrics", "scaling", "fig6,serve",
+		"serve", "sharded", "durability", "metrics", "scaling", "a6", "fig6,serve",
 	} {
 		code, stdout, stderr := runBench(t, "-exp", exp, "-scale", "0.02")
 		if code != 2 {
@@ -30,7 +31,7 @@ func TestUnknownExperimentExitsTwo(t *testing.T) {
 		if stdout != "" {
 			t.Errorf("-exp %q: ran something before refusing:\n%s", exp, stdout)
 		}
-		for _, id := range []string{"table2", "fig6", "fig12", "a1", "a6", "ann", "ablations", "all"} {
+		for _, id := range []string{"table2", "fig6", "fig12", "a1", "a5", "ann", "ablations", "all"} {
 			if !strings.Contains(stderr, id) {
 				t.Errorf("-exp %q: stderr does not list valid id %q:\n%s", exp, id, stderr)
 			}
@@ -50,9 +51,9 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
-// TestAblationsSelectsA1ToA6 runs the group alias end to end at a tiny
-// scale: exactly the six ablation tables, in order, and exit 0.
-func TestAblationsSelectsA1ToA6(t *testing.T) {
+// TestAblationsSelectsA1ToA5 runs the group alias end to end at a tiny
+// scale: exactly the five ablation tables, in order, and exit 0.
+func TestAblationsSelectsA1ToA5(t *testing.T) {
 	code, stdout, stderr := runBench(t, "-exp", "ablations", "-scale", "0.02", "-reps", "1")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, stderr)
@@ -63,7 +64,7 @@ func TestAblationsSelectsA1ToA6(t *testing.T) {
 			got = append(got, strings.Fields(line)[2])
 		}
 	}
-	if want := "A1 A2 A3 A4 A5 A6"; strings.Join(got, " ") != want {
+	if want := "A1 A2 A3 A4 A5"; strings.Join(got, " ") != want {
 		t.Errorf("tables = %v, want %s", got, want)
 	}
 }

@@ -370,12 +370,8 @@ func meta(db *recdb.DB, cmd string) bool {
 	case "\\q", "\\quit":
 		return true
 	case "\\d":
-		for _, name := range eng.Catalog().Names() {
-			t, err := eng.Catalog().Get(name)
-			if err != nil {
-				continue
-			}
-			fmt.Printf("%s (%d rows, %d pages)\n", name, t.Heap.NumRows(), t.Heap.NumPages())
+		for _, t := range db.Tables() {
+			fmt.Printf("%s (%d rows, %d pages)\n", t.Name, t.Rows, t.Pages)
 		}
 	case "\\rec":
 		for _, r := range eng.Recommenders().List() {

@@ -1,9 +1,10 @@
 package ann
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -193,66 +194,56 @@ func TestDefaultProbeRecall(t *testing.T) {
 	}
 }
 
-// TestBuildWorkerDeterminism: the serialized index must be byte-identical
-// at any worker count under one seed.
+// TestBuildWorkerDeterminism: the built index — its centroids, item
+// vectors, assignments and posting lists — must be bit-identical at any
+// worker count under one seed.
 func TestBuildWorkerDeterminism(t *testing.T) {
 	items, vecs := synthFactors(600, 12, 99)
-	base := Build(items, vecs, Options{Workers: 1, Seed: 99}).Encode()
+	base := Build(items, vecs, Options{Workers: 1, Seed: 99})
 	for _, w := range []int{2, 3, 4, 8} {
-		got := Build(items, vecs, Options{Workers: w, Seed: 99}).Encode()
-		if !bytes.Equal(base, got) {
-			t.Fatalf("index built with %d workers differs from serial build", w)
+		got := Build(items, vecs, Options{Workers: w, Seed: 99})
+		if d := indexDiff(base, got); d != "" {
+			t.Fatalf("index built with %d workers differs from serial build: %s", w, d)
 		}
 	}
 	// And a different seed must (overwhelmingly) differ.
-	other := Build(items, vecs, Options{Workers: 1, Seed: 100}).Encode()
-	if bytes.Equal(base, other) {
+	other := Build(items, vecs, Options{Workers: 1, Seed: 100})
+	if indexDiff(base, other) == "" {
 		t.Fatalf("different seeds produced identical indexes")
 	}
 }
 
-// TestCodecRoundTrip: Encode→Decode is lossless, and decoded indexes
-// serve identical probes.
-func TestCodecRoundTrip(t *testing.T) {
-	items, vecs := synthFactors(300, 10, 5)
-	ix := Build(items, vecs, Options{Seed: 5})
-	blob := ix.Encode()
-	back, err := Decode(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+// indexDiff reports the first difference between two indexes, floats
+// compared by math.Float64bits, or "" when there is none.
+func indexDiff(a, b *Index) string {
+	if a.dim != b.dim || a.seed != b.seed || a.defaultNProbe != b.defaultNProbe {
+		return fmt.Sprintf("header (%d, %d, %d) vs (%d, %d, %d)", a.dim, a.seed, a.defaultNProbe, b.dim, b.seed, b.defaultNProbe)
 	}
-	if !bytes.Equal(blob, back.Encode()) {
-		t.Fatalf("re-encode differs from original blob")
+	if d := vecsDiff(a.centroids, b.centroids); d != "" {
+		return "centroids: " + d
 	}
-	q := vecs[items[7]]
-	a := annTopK(ix, q, ix.DefaultNProbe(), 10)
-	b := annTopK(back, q, back.DefaultNProbe(), 10)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decoded index serves different top-k: %v vs %v", a, b)
-		}
+	if d := vecsDiff(a.vecs, b.vecs); d != "" {
+		return "item vectors: " + d
 	}
+	if !slices.Equal(a.items, b.items) || !slices.Equal(a.assign, b.assign) {
+		return "items or assignments differ"
+	}
+	if !slices.EqualFunc(a.lists, b.lists, slices.Equal[[]int32]) {
+		return "posting lists differ"
+	}
+	return ""
 }
 
-// TestCodecCorruption: any single bit flip, truncation, or garbage must
-// fail closed.
-func TestCodecCorruption(t *testing.T) {
-	items, vecs := synthFactors(100, 8, 6)
-	blob := Build(items, vecs, Options{Seed: 6}).Encode()
-	if _, err := Decode(nil); err == nil {
-		t.Fatalf("decoded empty blob")
+func vecsDiff(a, b [][]float64) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d vectors vs %d", len(a), len(b))
 	}
-	if _, err := Decode(blob[:len(blob)/2]); err == nil {
-		t.Fatalf("decoded truncated blob")
-	}
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 32; trial++ {
-		c := append([]byte(nil), blob...)
-		c[rng.Intn(len(c))] ^= 1 << uint(rng.Intn(8))
-		if _, err := Decode(c); err == nil {
-			t.Fatalf("decoded bit-flipped blob (trial %d)", trial)
+	for x := range a {
+		if !slices.EqualFunc(a[x], b[x], func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }) {
+			return fmt.Sprintf("vector %d: %v vs %v", x, a[x], b[x])
 		}
 	}
+	return ""
 }
 
 // TestEmptyAndTiny: degenerate inputs must not panic and stay consistent.

@@ -96,11 +96,7 @@ func runANNScale(t *Table, spec dataset.Spec, k int) error {
 	if !ok {
 		return fmt.Errorf("bench: recommender Rec_SVD missing")
 	}
-	index, err := rcmd.Store().ANN()
-	if err != nil {
-		return err
-	}
-	centroids := index.NumCentroids()
+	centroids := rcmd.Store().ANN().NumCentroids()
 
 	t.Rows = append(t.Rows, []string{
 		spec.Name, fmt.Sprintf("%d", spec.Items), fmt.Sprintf("%d", centroids),

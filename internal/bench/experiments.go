@@ -406,66 +406,3 @@ func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
 	}
 	return t, nil
 }
-
-// RunPageIO reports logical page reads per query for each recommendation
-// strategy on the same top-10 workload — the I/O-cost view of §IV's
-// operator cost model (the paper's latency claims are grounded in how many
-// pages each plan touches).
-func RunPageIO(spec dataset.Spec, neighborhood int) (Table, error) {
-	t := Table{
-		ID:     "Ablation A6",
-		Title:  fmt.Sprintf("Logical page reads per top-10 query (%s)", spec.Name),
-		Header: []string{"strategy", "page reads", "time"},
-	}
-	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
-	if err != nil {
-		return t, err
-	}
-	stats := env.Eng.Stats()
-
-	measure := func(label string, setup func() error, fn func() error) error {
-		if setup != nil {
-			if err := setup(); err != nil {
-				return err
-			}
-		}
-		// Warm once so model-table pages are cached (steady state).
-		if err := fn(); err != nil {
-			return err
-		}
-		stats.Reset()
-		d, err := Time(fn)
-		if err != nil {
-			return err
-		}
-		reads, _, _ := stats.Snapshot()
-		t.Rows = append(t.Rows, []string{label, fmt.Sprintf("%d", reads), dur(d)})
-		return nil
-	}
-
-	// Full Recommend (no user predicate): touches every user's vector and
-	// every item's neighborhood.
-	if err := measure("Recommend (all users)", nil, func() error {
-		_, err := env.Eng.Query(`SELECT R.uid, R.iid, R.ratingval FROM ratings R
-			RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
-			ORDER BY R.ratingval DESC LIMIT 10`)
-		return err
-	}); err != nil {
-		return t, err
-	}
-	// FilterRecommend: one user's vector + candidate neighborhoods.
-	if err := measure("FilterRecommend", nil,
-		func() error { _, _, err := env.RecDBTopK("ItemCosCF", 10); return err },
-	); err != nil {
-		return t, err
-	}
-	// IndexRecommend: no model-table pages at all.
-	if err := measure("IndexRecommend",
-		func() error { return env.MaterializeQueryUser([]string{"ItemCosCF"}) },
-		func() error { _, _, err := env.RecDBTopK("ItemCosCF", 10); return err },
-	); err != nil {
-		return t, err
-	}
-	t.Metrics = env.MetricsSnapshot()
-	return t, nil
-}

@@ -1,8 +1,8 @@
 // Package catalog manages the database's tables and indexes: schemas, heap
-// storage, primary-key enforcement, and secondary index maintenance. The
-// recommendation layer stores its model tables (item neighborhoods, factor
-// tables, user vectors) through the same catalog, so the RECOMMEND
-// operators read them with ordinary block-by-block heap scans.
+// storage, primary-key enforcement, and secondary index maintenance. A
+// recommender's model is not a catalog table: the planner resolves a
+// model relation's name through the recommendation layer when the catalog
+// does not have it.
 package catalog
 
 import (
@@ -123,32 +123,23 @@ func (c *Catalog) newTable(name string, schema *types.Schema, pkCol int) (*Table
 	return t, nil
 }
 
-// Publish registers tables built off to the side (Loader.Finish) and
-// removes the tables named in drop, in one catalog generation: a by-name
-// reader sees every old name or every new one, never a mixture, and never
-// a table that is still being filled. Names in drop that do not exist are
-// ignored; an added name must be free or be dropped by the same call, and
-// be added once.
-func (c *Catalog) Publish(add []*Table, drop []string) error {
+// Publish registers tables built off to the side (Loader.Finish) in one
+// catalog generation: a by-name reader sees every one of them or none, and
+// never a table that is still being filled. Each name must be free and be
+// added once; on refusal nothing is registered.
+func (c *Catalog) Publish(add []*Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := *c.tables.Load()
-	dropped := make(map[string]bool, len(drop))
-	for _, name := range drop {
-		dropped[strings.ToLower(name)] = true
-	}
 	added := make(map[string]bool, len(add))
 	for _, t := range add {
 		key := strings.ToLower(t.Name)
-		if _, exists := cur[key]; exists && !dropped[key] || added[key] {
+		if _, exists := cur[key]; exists || added[key] {
 			return fmt.Errorf("catalog: table %q already exists", t.Name)
 		}
 		added[key] = true
 	}
 	c.publishLocked(func(m map[string]*Table) {
-		for key := range dropped {
-			delete(m, key)
-		}
 		for _, t := range add {
 			m[strings.ToLower(t.Name)] = t
 		}

@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 
-	"recdb/internal/storage"
 	"recdb/internal/types"
 )
 
@@ -88,20 +87,19 @@ func (l *Loader) Add(row types.Row) error {
 }
 
 // Finish stores the rows and builds the indexes, and returns the table,
-// whole but unpublished, with where each row went: rids[i] is the RID of
-// the i-th row added. A duplicate primary key fails here. The Loader must
-// not be used afterwards.
-func (l *Loader) Finish() (*Table, []storage.RID, error) {
+// whole but unpublished. A duplicate primary key fails here. The Loader
+// must not be used afterwards.
+func (l *Loader) Finish() (*Table, error) {
 	l.t.mu.Lock()
 	defer l.t.mu.Unlock()
 	rids, err := l.t.Heap.AppendTuples(l.tuples)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, run := range l.runs {
 		if err := run.finish(rids); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return l.t, rids, nil
+	return l.t, nil
 }

@@ -178,7 +178,7 @@ func TestLoaderMatchesPerRow(t *testing.T) {
 	if err := l.Index("t_late", "id"); err == nil {
 		t.Fatal("Index after Add was accepted")
 	}
-	got, rids, err := l.Finish()
+	got, err := l.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +186,6 @@ func TestLoaderMatchesPerRow(t *testing.T) {
 		t.Fatal("table visible by name before Publish")
 	}
 	sameTable(t, got, want)
-	// Finish says where each row went, in add order.
-	if len(rids) != len(rows) {
-		t.Fatalf("Finish returned %d RIDs for %d rows", len(rids), len(rows))
-	}
-	for i, rid := range rids {
-		if row, err := got.Heap.Get(rid); err != nil || row.String() != rows[i].String() {
-			t.Fatalf("row %d: RID %v holds %v (%v), want %v", i, rid, row, err, rows[i])
-		}
-	}
 
 	// Sorted arrival takes the no-sort path and must agree too.
 	sorted := make([]types.Row, 300)
@@ -214,7 +205,7 @@ func TestLoaderMatchesPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _, err = l.Finish(); err != nil {
+	if got, err = l.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	sameTable(t, got, want)
@@ -232,7 +223,7 @@ func TestLoaderRefusesBadPrimaryKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := l.Finish(); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		if _, err := l.Finish(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 			t.Fatalf("%s duplicates: Finish returned %v", name, err)
 		}
 	}
@@ -265,7 +256,7 @@ func TestLoaderSpatialIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tab, _, err := l.Finish()
+	tab, err := l.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +268,9 @@ func TestLoaderSpatialIndex(t *testing.T) {
 	}
 }
 
-// TestPublishSwapsInOneGeneration: Publish adds and drops together, refuses
-// a name that is taken and not dropped by the same call, and changes
-// nothing when it refuses.
+// TestPublishSwapsInOneGeneration: Publish adds its tables together,
+// refuses a name that is taken or added twice, and changes nothing when it
+// refuses.
 func TestPublishSwapsInOneGeneration(t *testing.T) {
 	c := New(nil, 0)
 	load := func(name string) *Table {
@@ -287,33 +278,33 @@ func TestPublishSwapsInOneGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, _, err := l.Finish()
+		tab, err := l.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tab
 	}
 	oldA, oldB := load("a"), load("b")
-	if err := c.Publish([]*Table{oldA, oldB}, nil); err != nil {
+	if err := c.Publish([]*Table{oldA, oldB}); err != nil {
 		t.Fatal(err)
 	}
 	newA, newC := load("A"), load("c")
-	if err := c.Publish([]*Table{newC, newA}, []string{"missing"}); err == nil {
-		t.Fatal("Publish replaced a table it was not told to drop")
+	if err := c.Publish([]*Table{newC, newA}); err == nil {
+		t.Fatal("Publish replaced a table")
 	}
 	if c.Has("c") {
 		t.Fatal("a refused Publish registered part of its tables")
 	}
-	if err := c.Publish([]*Table{newC, load("C")}, nil); err == nil {
+	if err := c.Publish([]*Table{newC, load("C")}); err == nil {
 		t.Fatal("Publish added two tables under one name")
 	}
-	if err := c.Publish([]*Table{newA, newC}, []string{"a", "B", "missing"}); err != nil {
+	if err := c.Publish([]*Table{newC}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.Get("a"); got != newA {
-		t.Fatal("a was not replaced")
+	if got, _ := c.Get("a"); got != oldA {
+		t.Fatal("a was replaced")
 	}
-	if c.Has("b") || !c.Has("c") {
-		t.Fatalf("after the swap: has b = %v, has c = %v", c.Has("b"), c.Has("c"))
+	if !c.Has("b") || !c.Has("c") {
+		t.Fatalf("after the publish: has b = %v, has c = %v", c.Has("b"), c.Has("c"))
 	}
 }

@@ -177,7 +177,6 @@ func New(cfg Config) *Engine {
 			Candidates:      reg.Counter("ann.candidates"),
 			ExactFallbacks:  reg.Counter("ann.exact_fallbacks"),
 			Widenings:       reg.Counter("ann.widenings"),
-			DecodeFailures:  reg.Counter("ann.decode_failures"),
 		},
 	}
 	mgr.OnRebuild(func(r *rec.Recommender) {
@@ -320,18 +319,42 @@ func (e *Engine) ExecParsedCtx(ctx context.Context, stmt sql.Statement, text str
 	return res, e.commitLocked(0, muts, err)
 }
 
-// refuseModelWrite fails DML and DROP TABLE aimed at a table a
-// recommender owns (rec.ModelTableError) before the statement takes a lock
-// or is logged. Replay redoes logged records below this check.
+// refuseModelWrite fails DML and DROP TABLE aimed at a recommender's model
+// relation (rec.ModelTableError), and CREATE TABLE of a reserved name
+// (ReservedNameError), before the statement takes a lock or is logged.
+// Replay redoes logged records below this check.
 func (e *Engine) refuseModelWrite(stmt sql.Statement) error {
 	table := dmlTable(stmt)
-	if d, ok := stmt.(*sql.DropTable); ok {
-		table = d.Name
+	switch s := stmt.(type) {
+	case *sql.DropTable:
+		table = s.Name
+	case *sql.CreateTable:
+		for _, prefix := range reservedPrefixes {
+			if len(s.Name) >= len(prefix) && strings.EqualFold(s.Name[:len(prefix)], prefix) {
+				return &ReservedNameError{Table: s.Name, Prefix: prefix}
+			}
+		}
 	}
 	if table == "" {
 		return nil
 	}
 	return e.rec.CheckWritable(stmtName(stmt), table)
+}
+
+// reservedPrefixes are the table-name prefixes the engine keeps for its
+// own relations: a recommender's model relations (_rec_) and the OnTopDB
+// scratch table (_ontop_), which no snapshot stores.
+var reservedPrefixes = []string{"_rec_", "_ontop_"}
+
+// ReservedNameError refuses CREATE TABLE of a name that starts with one of
+// the reserved prefixes.
+type ReservedNameError struct {
+	Table  string
+	Prefix string
+}
+
+func (e *ReservedNameError) Error() string {
+	return fmt.Sprintf("engine: CREATE TABLE %q refused: names starting with %q are reserved for the engine's own relations", e.Table, e.Prefix)
 }
 
 // execReadOnlyCtx runs the non-mutating statement kinds.

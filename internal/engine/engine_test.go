@@ -364,7 +364,7 @@ func TestMaintenanceRebuildOnInserts(t *testing.T) {
 	if r.Rebuilds() != 1 {
 		t.Fatalf("rebuilds = %d, want 1", r.Rebuilds())
 	}
-	if _, found, _ := r.Store().Seen(3, 2); !found {
+	if _, found := r.Store().Seen(3, 2); !found {
 		t.Fatal("rebuilt model missing the new rating")
 	}
 }
@@ -511,7 +511,7 @@ func TestMaintenanceCountsUpdatesAndDeletes(t *testing.T) {
 	if r.Rebuilds() != 1 {
 		t.Fatalf("rebuilds after update = %d", r.Rebuilds())
 	}
-	if v, found, _ := r.Store().Seen(3, 1); !found || v != 5 {
+	if v, found := r.Store().Seen(3, 1); !found || v != 5 {
 		t.Fatalf("rebuilt model missing updated rating: %v %v", v, found)
 	}
 	if _, err := e.Exec("DELETE FROM ratings WHERE uid = 3"); err != nil {
@@ -520,7 +520,7 @@ func TestMaintenanceCountsUpdatesAndDeletes(t *testing.T) {
 	if r.Rebuilds() != 2 {
 		t.Fatalf("rebuilds after delete = %d", r.Rebuilds())
 	}
-	if _, found, _ := r.Store().Seen(3, 1); found {
+	if _, found := r.Store().Seen(3, 1); found {
 		t.Fatal("deleted rating still in rebuilt model")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"recdb/internal/catalog"
 	"recdb/internal/rec"
 )
 
@@ -30,7 +29,7 @@ func benchStore(tb testing.TB, neighborhoodSize int) *rec.ModelStore {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store, err := rec.Materialize(catalog.New(nil, 0), "bench", model)
+	store, err := rec.Materialize(model)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,11 +74,11 @@ func BenchmarkFilterRecommendTop10(b *testing.B) {
 }
 
 // TestFilterRecommendTop10Allocs: a single-user item-based top-10 reads
-// every similarity run it needs once, item-driven over truncated lists and
+// every similarity list it needs once, item-driven over truncated lists and
 // user-driven over whole ones, so what it allocates — in count and in
-// bytes — is set by the number of candidate items (output rows, one seek
-// per item, one accumulator per item), not by how many neighbour rows it
-// reads: a model with 30x the rows must stay inside the same budget.
+// bytes — is set by the number of candidate items (output rows, one
+// accumulator per item), not by how many neighbour rows it reads: a model
+// with 30x the rows must stay inside the same budget.
 func TestFilterRecommendTop10Allocs(t *testing.T) {
 	measure := func(neighborhoodSize int) (allocs, bytes float64, neighborRows int64, items int) {
 		store := benchStore(t, neighborhoodSize)
@@ -98,7 +97,10 @@ func TestFilterRecommendTop10Allocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
-		return allocs, bytes, store.ItemNeighborhood.Heap.NumRows(), len(store.ItemIDs())
+		for _, i := range store.ItemIDs() {
+			neighborRows += int64(len(store.ItemNeighbors(i)))
+		}
+		return allocs, bytes, neighborRows, len(store.ItemIDs())
 	}
 	small, smallBytes, smallRows, items := measure(5)
 	full, fullBytes, fullRows, _ := measure(0)

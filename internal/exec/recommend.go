@@ -56,9 +56,6 @@ type VectorMetrics struct {
 	// Widenings counts probe-width growths forced by predicates eating the
 	// candidate set (over-fetch + recheck).
 	Widenings *metrics.Counter
-	// DecodeFailures counts queries that wanted the vector path but fell
-	// back because the persisted index failed to decode.
-	DecodeFailures *metrics.Counter
 }
 
 // Recommend is the one RECOMMEND operator (§IV). Every variant of the
@@ -292,9 +289,7 @@ func (r *Recommend) Next() (types.Row, bool, error) {
 			r.ui++
 			r.top, r.seq = r.top[:0], 0
 			if r.scorer != nil {
-				if err := r.scorer.ForUser(r.user); err != nil {
-					return nil, false, err
-				}
+				r.scorer.ForUser(r.user)
 				r.Scored++
 				if r.scorer.UserDriven() {
 					r.UserDriven++
@@ -338,10 +333,7 @@ func (r *Recommend) offer(item int64, score float64, known bool) error {
 		}
 	}
 	if !known {
-		s, ok, err := r.scorer.Score(item)
-		if err != nil {
-			return err
-		}
+		s, ok := r.scorer.Score(item)
 		if !ok {
 			s = 0 // Algorithm 1 line 14
 		}
@@ -509,8 +501,8 @@ const (
 // candidates exactly, and widen until K rows per user survive the tail's
 // predicates (over-fetch + recheck for non-selective filters). In the two
 // exact modes it scores the whole universe in the scan or list source's
-// order, with bit-equal scores since the stored vectors round-trip
-// losslessly, which makes full-probe output byte-identical to theirs.
+// order, with bit-equal scores since the index holds the model's own item
+// vectors, which makes full-probe output byte-identical to theirs.
 type ivfSource struct {
 	ix       *ann.Index
 	universe []int64        // the restricted item list, or every model item

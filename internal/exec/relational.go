@@ -6,6 +6,7 @@ import (
 
 	"recdb/internal/catalog"
 	"recdb/internal/expr"
+	"recdb/internal/rec"
 	"recdb/internal/storage"
 	"recdb/internal/types"
 )
@@ -52,6 +53,54 @@ func (s *SeqScan) Close() error {
 		s.it.Close()
 		s.it = nil
 	}
+	return nil
+}
+
+// ---- ModelScan ----
+
+// ModelScan reads one of a recommender's model relations (rec.Relation)
+// under a visible qualifier: its rows in key order, produced from the
+// model a key at a time.
+type ModelScan struct {
+	Relation  *rec.Relation
+	Qualifier string
+
+	schema *types.Schema
+	key    int         // the next key to produce rows for
+	rows   []types.Row // the current key's rows not yet returned
+}
+
+// NewModelScan creates a scan of rel visible under qualifier.
+func NewModelScan(rel *rec.Relation, qualifier string) *ModelScan {
+	return &ModelScan{Relation: rel, Qualifier: qualifier, schema: rel.Schema.WithQualifier(qualifier)}
+}
+
+// Schema implements Operator.
+func (s *ModelScan) Schema() *types.Schema { return s.schema }
+
+// Open implements Operator.
+func (s *ModelScan) Open() error {
+	s.key, s.rows = 0, nil
+	return nil
+}
+
+// Next implements Operator.
+func (s *ModelScan) Next() (types.Row, bool, error) {
+	for len(s.rows) == 0 {
+		if s.key == s.Relation.Keys() {
+			return nil, false, nil
+		}
+		s.rows = s.Relation.Rows(s.key)
+		s.key++
+	}
+	row := s.rows[0]
+	s.rows = s.rows[1:]
+	return row, true, nil
+}
+
+// Close implements Operator.
+func (s *ModelScan) Close() error {
+	s.rows = nil
 	return nil
 }
 

@@ -132,10 +132,10 @@ type recommenderMeta struct {
 }
 
 // isDerivedTable reports whether a table is engine-managed state that a
-// snapshot must not carry (model tables, the OnTopDB scratch table).
+// snapshot must not carry: the OnTopDB scratch table. A recommender's
+// model is no table; recovery rebuilds it.
 func isDerivedTable(name string) bool {
-	lower := strings.ToLower(name)
-	return strings.HasPrefix(lower, "_rec_") || strings.HasPrefix(lower, "_ontop_")
+	return strings.HasPrefix(strings.ToLower(name), "_ontop_")
 }
 
 // genName renders a generation id as its directory name.
@@ -631,13 +631,13 @@ func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config) (*engi
 		if loaded != tm.RowCount {
 			return nil, corrupt(rowsPath, fmt.Sprintf("has %d rows, manifest says %d", loaded, tm.RowCount), nil)
 		}
-		tab, _, err := l.Finish()
+		tab, err := l.Finish()
 		if err != nil {
 			return nil, err
 		}
 		tables = append(tables, tab)
 	}
-	if err := e.Catalog().Publish(tables, nil); err != nil {
+	if err := e.Catalog().Publish(tables); err != nil {
 		return nil, err
 	}
 	for _, rm := range m.Recommenders {

@@ -89,6 +89,8 @@ func nodeLine(op exec.Operator) string {
 	switch v := op.(type) {
 	case *exec.SeqScan:
 		return fmt.Sprintf("SeqScan on %s as %s (%d pages)", v.Table.Name, v.Qualifier, v.Table.Heap.NumPages())
+	case *exec.ModelScan:
+		return fmt.Sprintf("ModelScan on %s as %s (%d rows)", v.Relation.Name, v.Qualifier, v.Relation.Len())
 	case *exec.IndexScan:
 		return fmt.Sprintf("IndexScan on %s as %s using %s", v.Table.Name, v.Qualifier, v.Index.Name)
 	case *exec.SpatialIndexScan:

@@ -220,11 +220,16 @@ func (p *Planner) planPlain(stmt *sql.Select, conjuncts []sql.Expr, applied map[
 // when an R-tree-eligible spatial conjunct targets this table, an
 // IndexScan when an equality conjunct probes a B-tree-indexed column,
 // otherwise a sequential scan; remaining single-table conjuncts stack as
-// filters.
+// filters. A name the catalog does not have may be one of a recommender's
+// model relations, read by a ModelScan of its current model.
 func (p *Planner) scanTable(ref sql.TableRef, conjuncts []sql.Expr, applied map[sql.Expr]bool) (exec.Operator, error) {
 	tab, err := p.Catalog.Get(ref.Table)
 	if err != nil {
-		return nil, err
+		rel, ok := p.Rec.Relation(ref.Table)
+		if !ok {
+			return nil, err
+		}
+		return applyFilters(exec.NewModelScan(rel, ref.Name()), conjuncts, applied)
 	}
 	var op exec.Operator
 	for _, c := range conjuncts {
@@ -427,7 +432,7 @@ func (p *Planner) planRecommend(stmt *sql.Select, conjuncts []sql.Expr, applied 
 			op.MaxScore = &bound
 		}
 	case exec.SourceIVF:
-		op.IVF, _ = store.ANN() // chooseSource saw it decode
+		op.IVF = store.ANN()
 		op.NProbe = p.VectorProbe
 		op.Metrics = p.VecMetrics
 	}
@@ -480,13 +485,7 @@ func (p *Planner) chooseSource(r *rec.Recommender, op *exec.Recommend) (exec.Sou
 			if op.Items != nil && len(op.Items) == 0 {
 				return false // contradictory IN-lists: the list source is already O(0)
 			}
-			index, err := op.Store.ANN()
-			if err != nil {
-				// Corrupt persisted index: count it and serve exact.
-				p.VecMetrics.DecodeFailures.Inc()
-				return false
-			}
-			return index != nil && index.NumCentroids() > 0
+			return op.Store.ANN() != nil
 		case exec.SourceOuter:
 			return op.Outer != nil
 		case exec.SourceList:

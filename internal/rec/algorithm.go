@@ -7,10 +7,10 @@
 //   - in-memory model building (Step I of §II) shared by the in-DBMS
 //     operators and the OnTopDB baseline;
 //   - recommendation-score prediction (Step II, Equation 2);
-//   - the model store, which materializes a built model into catalog heap
-//     tables (ItemNeighborhood, UserNeighborhood, UserVector, ItemVector,
-//     UserFactor, ItemFactor) that the RECOMMEND operators scan block by
-//     block (Algorithms 1-2);
+//   - the model store, which serves a built model to the RECOMMEND
+//     operators (Algorithms 1-2) and to SQL as read-only relations
+//     (ItemNeighborhood, UserNeighborhood, UserVector, ItemVector,
+//     UserFactor, ItemFactor, ItemScore);
 //   - the recommender manager behind CREATE/DROP RECOMMENDER, including
 //     the N% staleness-threshold maintenance policy (§III-A).
 package rec

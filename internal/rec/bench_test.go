@@ -1,10 +1,6 @@
 package rec
 
-import (
-	"testing"
-
-	"recdb/internal/catalog"
-)
+import "testing"
 
 func benchRatings(users, items int, density float64) []Rating {
 	rng := newDeterministicRand(99)
@@ -57,30 +53,6 @@ func BenchmarkPredictItemCF(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterialize writes one built model into catalog tables, at the
-// shape of one shard of the benchmark ledger (~1 900 ratings, 94 users x
-// 336 items): what each threshold crossing of ratings.mixed pays per
-// recommender on top of the model build.
-func BenchmarkMaterialize(b *testing.B) {
-	ratings := benchRatings(94, 336, 0.06)
-	for _, algo := range []Algorithm{ItemCosCF, SVD} {
-		b.Run(algo.String(), func(b *testing.B) {
-			m, err := Build(ratings, algo, BuildOptions{SVDSeed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cat := catalog.New(nil, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Materialize(cat, "bench", m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // withFreshItems appends fresh items to ratings, each rated once, at 3.0,
 // by one of users 1..users — how ratings.mixed grows the ratings table
 // between two model rebuilds.
@@ -94,10 +66,10 @@ func withFreshItems(ratings []Rating, users, fresh int) []Rating {
 
 // BenchmarkRebuildCrossing times the stages of one §III-A model rebuild at
 // the end-of-window shape of a ratings.mixed shard — the seed ratings of
-// BenchmarkMaterialize plus ~6 000 fresh items rated once each — for the
-// two recommenders the ledger creates: the ItemCosCF build and its
-// materialization, the SVD training (with its IVF index) and its
-// materialization.
+// one shard of the benchmark ledger (~1 900 ratings, 94 users x 336 items)
+// plus ~6 000 fresh items rated once each — for the two recommenders the
+// ledger creates: the ItemCosCF build and its store, the SVD training
+// (with its IVF index) and its store.
 func BenchmarkRebuildCrossing(b *testing.B) {
 	ratings := withFreshItems(benchRatings(94, 336, 0.06), 94, 6000)
 	opts := BuildOptions{SVDSeed: 1}
@@ -109,15 +81,14 @@ func BenchmarkRebuildCrossing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cat := catalog.New(nil, 0)
 	for _, stage := range []struct {
 		name string
 		run  func() error
 	}{
 		{"BuildNeighborhood", func() error { _, err := BuildNeighborhood(ratings, ItemCosCF, opts); return err }},
-		{"Materialize/ItemCosCF", func() error { _, err := Materialize(cat, "bench", cos); return err }},
+		{"Materialize/ItemCosCF", func() error { _, err := Materialize(cos); return err }},
 		{"TrainSVD", func() error { _, err := TrainSVD(ratings, opts); return err }},
-		{"Materialize/SVD", func() error { _, err := Materialize(cat, "bench", svd); return err }},
+		{"Materialize/SVD", func() error { _, err := Materialize(svd); return err }},
 	} {
 		b.Run(stage.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -128,33 +99,4 @@ func BenchmarkRebuildCrossing(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkItemNeighbors decodes one similarity list per iteration from
-// the materialized itemneighborhood table (directory seek + clustered-run
-// walk through a runReader), the fill path of the store's decoded runs.
-// ns/row is the time per neighbour row read, the per-row cost the first
-// read of each run pays.
-func BenchmarkItemNeighbors(b *testing.B) {
-	m, err := BuildNeighborhood(benchRatings(200, 400, 0.06), ItemCosCF, BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := Materialize(catalog.New(nil, 0), "bench", m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	items := store.ItemIDs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		list, err := store.itemNeighborRuns.decode(store.ItemNeighborhood, items[i%len(items)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows += len(list)
-	}
-	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }

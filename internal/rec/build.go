@@ -81,8 +81,8 @@ type Model interface {
 // ratingsIndex is a model's view of its input ratings, a repeated (user,
 // item) reduced to its last value, held twice as ascending (id, value)
 // runs: by user, each run ascending in item, and by item, each ascending in
-// user. A run is []Neighbor, the shape the store's uservector and
-// itemvector runs decode to.
+// user. A run is []Neighbor, the shape a similarity list has too; the
+// store serves the uservector and itemvector relations from these runs.
 type ratingsIndex struct {
 	users, items   []int64
 	byUser, byItem runSet // run p is users[p]'s, or items[p]'s
@@ -421,11 +421,10 @@ func PredictWeighted(neighbors, known []Neighbor) (float64, bool) {
 }
 
 // weightedSum accumulates Equation 2 one matched neighbour at a time. Every
-// scoring path adds the terms in one order, ascending neighbour id — a list
-// held in memory or decoded from the model table, merged with the known
-// ratings (PredictWeighted), and the user-driven side walking the user's
-// ratings in ascending order — so all of them add the same terms in the
-// same order to the same bits.
+// scoring path adds the terms in one order, ascending neighbour id — a
+// list merged with the known ratings (PredictWeighted), and the
+// user-driven side walking the user's ratings in ascending order — so all
+// of them add the same terms in the same order to the same bits.
 type weightedSum struct{ num, den float64 }
 
 func (w *weightedSum) add(sim, rating float64) {

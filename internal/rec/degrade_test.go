@@ -27,9 +27,9 @@ func TestRebuildFailureKeepsPreviousModel(t *testing.T) {
 	}
 	goodStore := r.Store()
 	pred := func() float64 {
-		v, ok, err := goodStore.Predict(1, 3)
-		if err != nil || !ok {
-			t.Fatalf("predict: %v, %v", ok, err)
+		v, ok := goodStore.Predict(1, 3)
+		if !ok {
+			t.Fatal("no prediction")
 		}
 		return v
 	}

@@ -23,7 +23,7 @@ type Metrics struct {
 	// BuildFailures counts failed rebuilds (the previous model kept
 	// serving).
 	BuildFailures *metrics.Counter
-	// BuildNanos records model build wall time (build + materialize).
+	// BuildNanos records model build wall time.
 	BuildNanos *metrics.Histogram
 	// HealthTransitions counts healthy->degraded and degraded->healthy
 	// flips across all recommenders.
@@ -50,8 +50,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Recommender is one created recommender: its definition, its materialized
-// model store, and its maintenance state.
+// Recommender is one created recommender: its definition, its model
+// store, and its maintenance state.
 type Recommender struct {
 	Name      string
 	Table     string
@@ -114,7 +114,7 @@ func (r *Recommender) Health() Health {
 	}
 }
 
-// Store returns the current materialized model. The returned store remains
+// Store returns the current model. The returned store remains
 // readable even if a rebuild swaps in a replacement concurrently.
 func (r *Recommender) Store() *ModelStore {
 	r.mu.RLock()
@@ -144,7 +144,7 @@ func (r *Recommender) Rebuilds() int {
 }
 
 // Manager owns every recommender created with CREATE RECOMMENDER: it
-// builds models, materializes them into the catalog, resolves RECOMMEND
+// builds models, serves their relations by name, resolves RECOMMEND
 // clauses to recommenders, and applies the N% maintenance policy on
 // ratings-table inserts.
 type Manager struct {
@@ -214,9 +214,8 @@ type CreateSpec struct {
 	Workers int
 }
 
-// Create implements CREATE RECOMMENDER: it loads the ratings table, builds
-// the model for the algorithm, and materializes it (Recommender
-// Initialization, §III-A).
+// Create implements CREATE RECOMMENDER: it loads the ratings table and
+// builds the model for the algorithm (Recommender Initialization, §III-A).
 func (m *Manager) Create(name, table, userCol, itemCol, ratingCol, algoName string) (*Recommender, error) {
 	return m.CreateFromSpec(CreateSpec{
 		Name: name, Table: table,
@@ -255,7 +254,6 @@ func (m *Manager) CreateFromSpec(spec CreateSpec) (*Recommender, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, exists := m.recs[key]; exists {
-		DropTables(m.cat, spec.Name)
 		return nil, fmt.Errorf("rec: recommender %q already exists", spec.Name)
 	}
 	m.recs[key] = r
@@ -272,7 +270,7 @@ func (m *Manager) buildAndSwap(r *Recommender, ratings []Rating) error {
 	if err != nil {
 		return err
 	}
-	store, err := Materialize(m.cat, r.Name, model)
+	store, err := Materialize(model)
 	if err != nil {
 		return err
 	}
@@ -336,14 +334,12 @@ func (m *Manager) Drop(name string) error {
 		return fmt.Errorf("rec: recommender %q does not exist", name)
 	}
 	delete(m.recs, key)
-	DropTables(m.cat, name)
 	return nil
 }
 
-// ModelTableError refuses a statement that would write or drop a table a
-// recommender owns. Materialize is the only writer of model tables, and a
-// store's run directories and decoded runs rely on that; DROP RECOMMENDER
-// removes the tables with the recommender.
+// ModelTableError refuses a statement that would write or drop one of a
+// recommender's relations. They are read-only views of its model, which
+// only a build makes; DROP RECOMMENDER removes them with the recommender.
 type ModelTableError struct {
 	Statement   string // INSERT, UPDATE, DELETE or DROP TABLE
 	Table       string
@@ -358,20 +354,62 @@ func (e *ModelTableError) Error() string {
 // CheckWritable returns a *ModelTableError when table belongs to a
 // recommender, and nil otherwise; statement names what would write it.
 func (m *Manager) CheckWritable(statement, table string) error {
-	const prefix = "_rec_"
-	if len(table) <= len(prefix) || !strings.EqualFold(table[:len(prefix)], prefix) {
-		return nil
+	if r, _, ok := m.owner(table); ok {
+		return &ModelTableError{Statement: statement, Table: table, Recommender: r.Name}
 	}
-	name := strings.ToLower(table)
+	return nil
+}
+
+// owner returns the recommender a relation name belongs to —
+// _rec_<recommender>_<table>, in any case — and the table's suffix.
+func (m *Manager) owner(name string) (*Recommender, string, bool) {
+	lower := strings.ToLower(name)
+	if !strings.HasPrefix(lower, "_rec_") {
+		return nil, "", false
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, r := range m.recs {
-		own := prefixFor(r.Name)
-		if strings.HasPrefix(name, own) && slices.Contains(modelTables, name[len(own):]) {
-			return &ModelTableError{Statement: statement, Table: table, Recommender: r.Name}
+		if suffix, ok := strings.CutPrefix(lower, prefixFor(r.Name)); ok && slices.Contains(modelTables, suffix) {
+			return r, suffix, true
 		}
 	}
-	return nil
+	return nil, "", false
+}
+
+// Relation returns the relation called name over its recommender's current
+// model, or false when no recommender's model has one by that name.
+func (m *Manager) Relation(name string) (*Relation, bool) {
+	r, suffix, ok := m.owner(name)
+	if !ok {
+		return nil, false
+	}
+	rel := r.relation(r.Store(), suffix)
+	return rel, rel != nil
+}
+
+// Relations returns every relation of every recommender's current model.
+func (m *Manager) Relations() []*Relation {
+	var out []*Relation
+	for _, r := range m.List() {
+		s := r.Store()
+		for _, suffix := range modelTables {
+			if rel := r.relation(s, suffix); rel != nil {
+				out = append(out, rel)
+			}
+		}
+	}
+	return out
+}
+
+// relation returns r's relation with the given suffix over store s, named,
+// or nil when the model has no such table.
+func (r *Recommender) relation(s *ModelStore, suffix string) *Relation {
+	rel := s.relation(suffix)
+	if rel != nil {
+		rel.Name = prefixFor(r.Name) + suffix
+	}
+	return rel
 }
 
 // Get returns the recommender with the given name.

@@ -29,11 +29,14 @@ func TestManagerCreateGetDrop(t *testing.T) {
 	if len(m.List()) != 1 {
 		t.Fatal("List should have one entry")
 	}
+	if _, ok := m.Relation("_rec_generalrec_uservector"); !ok {
+		t.Fatal("no uservector relation")
+	}
 	if err := m.Drop("GeneralRec"); err != nil {
 		t.Fatal(err)
 	}
-	if cat.Has("_rec_generalrec_uservector") {
-		t.Fatal("drop should remove model tables")
+	if _, ok := m.Relation("_rec_generalrec_uservector"); ok {
+		t.Fatal("drop should remove the model relations")
 	}
 	if err := m.Drop("GeneralRec"); err == nil {
 		t.Fatal("double drop should fail")
@@ -114,8 +117,8 @@ func TestMaintenanceThreshold(t *testing.T) {
 		t.Fatalf("pending after rebuild = %d", r.Pending())
 	}
 	// The rebuilt model includes the new ratings.
-	if _, found, err := r.Store().Seen(1, 2); err != nil || !found {
-		t.Fatalf("rebuilt model missing new rating: %v %v", found, err)
+	if _, found := r.Store().Seen(1, 2); !found {
+		t.Fatal("rebuilt model missing new rating")
 	}
 	// Inserts to unrelated tables are ignored.
 	if err := m.NotifyInsert("unrelated", 100); err != nil {
@@ -134,7 +137,7 @@ func TestManualRebuild(t *testing.T) {
 	if err := m.Rebuild("r"); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, _ := r.Store().Seen(9, 1); !found {
+	if _, found := r.Store().Seen(9, 1); !found {
 		t.Fatal("manual rebuild should pick up new ratings")
 	}
 	if err := m.Rebuild("missing"); err == nil {

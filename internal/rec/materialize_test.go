@@ -1,136 +1,105 @@
 package rec
 
 import (
-	"encoding/base64"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
-	"recdb/internal/catalog"
 	"recdb/internal/types"
 )
 
-// materializePerRow is the reference materialization, kept for the
-// differential below: every table is registered empty and every row goes
-// through Table.Insert — the path Materialize took before it bulk-loaded —
-// with the primary-key tables' unique index maintained row by row. The
-// run-keyed tables (pk < 0) get no index, as Materialize gives them none.
-func materializePerRow(t *testing.T, cat *catalog.Catalog, recommender string, m Model) {
+// perRowRelations is the reference for a model's relations, kept for the
+// differential below: each relation's rows built one at a time from the
+// model's exported view — its ratings, lists, factors and scores — in key
+// order, each key's rows in ascending id.
+func perRowRelations(t *testing.T, m Model) map[string][]types.Row {
 	t.Helper()
-	prefix := prefixFor(recommender)
-	table := func(suffix string, pk int, cols ...types.Column) func(...types.Value) {
-		tab, err := cat.CreateTable(prefix+suffix, types.NewSchema(cols...), pk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func(row ...types.Value) {
-			if _, err := tab.Insert(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	add := table("uservector", -1, intCol("uid"), intCol("iid"), floatCol("ratingval"))
+	out := map[string][]types.Row{}
+	add := func(name string, row ...types.Value) { out[name] = append(out[name], row) }
 	for _, r := range m.Ratings() {
-		add(types.NewInt(r.User), types.NewInt(r.Item), types.NewFloat(r.Value))
+		add("uservector", types.NewInt(r.User), types.NewInt(r.Item), types.NewFloat(r.Value))
 	}
 	switch model := m.(type) {
 	case *NeighborhoodModel:
 		if model.algo.ItemBased() {
-			add := table("itemneighborhood", -1, intCol("iid"), intCol("niid"), floatCol("sim"))
 			for _, i := range m.Items() {
 				for _, n := range model.Neighbors(i) {
-					add(types.NewInt(i), types.NewInt(n.ID), types.NewFloat(n.Sim))
+					add("itemneighborhood", types.NewInt(i), types.NewInt(n.ID), types.NewFloat(n.Sim))
 				}
 			}
-			return
+			break
 		}
-		add := table("userneighborhood", -1, intCol("uid"), intCol("nuid"), floatCol("sim"))
 		for _, u := range m.Users() {
 			for _, n := range model.Neighbors(u) {
-				add(types.NewInt(u), types.NewInt(n.ID), types.NewFloat(n.Sim))
+				add("userneighborhood", types.NewInt(u), types.NewInt(n.ID), types.NewFloat(n.Sim))
 			}
 		}
-		add = table("itemvector", -1, intCol("iid"), intCol("uid"), floatCol("ratingval"))
 		for _, i := range m.Items() {
 			for _, r := range m.Ratings() {
 				if r.Item == i {
-					add(types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value))
+					add("itemvector", types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value))
 				}
 			}
 		}
 	case *FactorModel:
-		add := table("userfactor", 0, intCol("uid"), textCol("features"))
 		for _, u := range m.Users() {
-			add(types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u])))
+			add("userfactor", types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u])))
 		}
-		add = table("itemfactor", 0, intCol("iid"), textCol("features"))
 		for _, i := range m.Items() {
-			add(types.NewInt(i), types.NewText(encodeVec(model.ItemFactors[i])))
-		}
-		if model.IVF != nil && model.IVF.NumCentroids() > 0 {
-			add := table("annivf", 0, intCol("seq"), textCol("chunk"))
-			enc := base64.StdEncoding.EncodeToString(model.IVF.Encode())
-			for seq := 0; len(enc) > 0; seq++ {
-				n := min(4096, len(enc))
-				add(types.NewInt(int64(seq)), types.NewText(enc[:n]))
-				enc = enc[n:]
-			}
+			add("itemfactor", types.NewInt(i), types.NewText(encodeVec(model.ItemFactors[i])))
 		}
 	case *PopularityModel:
-		add := table("itemscore", 0, intCol("iid"), floatCol("score"))
 		for _, i := range m.Items() {
 			score, _ := model.Score(i)
-			add(types.NewInt(i), types.NewFloat(score))
+			add("itemscore", types.NewInt(i), types.NewFloat(score))
 		}
 	default:
-		t.Fatalf("no reference materialization for %T", m)
-	}
-}
-
-// dumpTable renders a table's rows in heap order with their RIDs, then
-// every index's entries in tree order.
-func dumpTable(t *testing.T, tab *catalog.Table) []string {
-	t.Helper()
-	var out []string
-	it := tab.Heap.Scan()
-	defer it.Close()
-	for {
-		row, rid, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, fmt.Sprintf("%v @ %v", row, rid))
-	}
-	for _, col := range tab.Schema.Columns {
-		idx, ok := tab.IndexOn(col.Name)
-		if !ok {
-			continue
-		}
-		if err := idx.Tree.Validate(); err != nil {
-			t.Fatalf("%s: index %s: %v", tab.Name, idx.Name, err)
-		}
-		out = append(out, fmt.Sprintf("index %s on %s unique=%v", idx.Name, col.Name, idx.Unique))
-		idx.Tree.Ascend(nil, func(k types.Row, v any) bool {
-			out = append(out, fmt.Sprintf("%v -> %v", k, v))
-			return true
-		})
+		t.Fatalf("no reference relations for %T", m)
 	}
 	return out
 }
 
-// TestMaterializeMatchesPerRow is the materialization differential: for
-// every algorithm, with full and with truncated similarity lists, each
-// model table the loader builds — rows in heap order with their RIDs, and
-// each index's entries in order — equals the per-row reference's, and each
-// run-keyed table's directory points every key at its first row in heap
-// order.
+// relationSchemas are the relations' columns, as the model tables had them.
+var relationSchemas = map[string]*types.Schema{
+	"uservector":       types.NewSchema(intCol("uid"), intCol("iid"), floatCol("ratingval")),
+	"itemneighborhood": types.NewSchema(intCol("iid"), intCol("niid"), floatCol("sim")),
+	"userneighborhood": types.NewSchema(intCol("uid"), intCol("nuid"), floatCol("sim")),
+	"itemvector":       types.NewSchema(intCol("iid"), intCol("uid"), floatCol("ratingval")),
+	"userfactor":       types.NewSchema(intCol("uid"), textCol("features")),
+	"itemfactor":       types.NewSchema(intCol("iid"), textCol("features")),
+	"itemscore":        types.NewSchema(intCol("iid"), floatCol("score")),
+}
+
+// sameRow reports whether two rows hold the same values, floats compared
+// by math.Float64bits.
+func sameRow(a, b types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for c := range a {
+		if a[c].Kind() != b[c].Kind() {
+			return false
+		}
+		if a[c].Kind() == types.KindFloat {
+			if math.Float64bits(a[c].Float()) != math.Float64bits(b[c].Float()) {
+				return false
+			}
+		} else if a[c].String() != b[c].String() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMaterializeMatchesPerRow is the relation differential: for every
+// algorithm, with full and with truncated similarity lists, each relation
+// of the store Materialize makes — its schema, its row count, and its rows
+// in order, key by key — equals the per-row reference's, value by value,
+// and the store has no relation the reference lacks.
 func TestMaterializeMatchesPerRow(t *testing.T) {
-	ratings := benchRatings(90, 140, 0.12) // big enough for several heap pages and an IVF index
+	ratings := benchRatings(90, 140, 0.12)
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD, Popularity} {
 		for _, size := range []int{0, 7} {
 			t.Run(fmt.Sprintf("%v/neighborhood=%d", algo, size), func(t *testing.T) {
@@ -138,55 +107,34 @@ func TestMaterializeMatchesPerRow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bulk, ref := catalog.New(nil, 0), catalog.New(nil, 0)
-				store, err := Materialize(bulk, "R", m)
+				store, err := Materialize(m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				materializePerRow(t, ref, "R", m)
-				if algo == SVD && store.AnnIVF == nil {
-					t.Fatal("fixture too small: the SVD model has no IVF index to compare")
-				}
-				dirs := map[string]runDir{}
-				for suffix, dir := range map[string]runDir{
-					"uservector": store.userVectorRuns, "itemneighborhood": store.itemNeighborRuns,
-					"userneighborhood": store.userNeighborRuns, "itemvector": store.itemVectorRuns,
-				} {
-					if dir.first != nil {
-						dirs[prefixFor("R")+suffix] = dir
+				ref := perRowRelations(t, m)
+				for _, suffix := range modelTables {
+					want, wantOK := ref[suffix]
+					rel := store.relation(suffix)
+					if (rel != nil) != wantOK {
+						t.Fatalf("%s: store has it %v, reference %v", suffix, rel != nil, wantOK)
 					}
-				}
-				for _, name := range tableNames("R") {
-					want, err := ref.Get(name)
-					if err != nil {
-						if bulk.Has(name) {
-							t.Fatalf("Materialize made %s, the reference did not", name)
-						}
+					if rel == nil {
 						continue
 					}
-					got, err := bulk.Get(name)
-					if err != nil {
-						t.Fatal(err)
+					if !reflect.DeepEqual(rel.Schema, relationSchemas[suffix]) {
+						t.Fatalf("%s: schema %v", suffix, rel.Schema)
 					}
-					if got.PKCol != want.PKCol || !reflect.DeepEqual(got.Schema, want.Schema) {
-						t.Fatalf("%s: schema %v pk %d, want %v pk %d", name, got.Schema, got.PKCol, want.Schema, want.PKCol)
+					var got []types.Row
+					for p := 0; p < rel.Keys(); p++ {
+						got = append(got, rel.Rows(p)...)
 					}
-					g, w := dumpTable(t, got), dumpTable(t, want)
-					if len(w) < 2 {
-						t.Fatalf("%s: reference is empty", name)
+					if rel.Len() != int64(len(want)) || len(got) != len(want) {
+						t.Fatalf("%s: Len %d, %d rows, reference %d", suffix, rel.Len(), len(got), len(want))
 					}
-					if !reflect.DeepEqual(g, w) {
-						for i := range w {
-							if i >= len(g) || g[i] != w[i] {
-								t.Fatalf("%s differs at line %d of %d/%d: got %q, want %q", name, i, len(g), len(w), at(g, i), w[i])
-							}
+					for x := range want {
+						if !sameRow(got[x], want[x]) {
+							t.Fatalf("%s row %d: %v, reference %v", suffix, x, got[x], want[x])
 						}
-						t.Fatalf("%s: %d lines, want %d", name, len(g), len(w))
-					}
-					if dir, ok := dirs[name]; ok {
-						checkDirectory(t, got, dir)
-					} else if got.PKCol < 0 {
-						t.Fatalf("%s: run-keyed table without a run directory", name)
 					}
 				}
 			})
@@ -194,18 +142,11 @@ func TestMaterializeMatchesPerRow(t *testing.T) {
 	}
 }
 
-func at(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<missing>"
-}
-
 // TestRebuildPublishesWholeModels hammers by-name reads of a recommender's
-// tables while it is rebuilt over a growing source table. A reader must
-// always find each table, and find it whole: uservector holds one row per
-// source rating as of some build, so anything below the first build's
-// count is a table caught missing, empty or half filled.
+// relations while it is rebuilt over a growing source table. A reader must
+// always find each relation, and find it whole: uservector holds one row
+// per source rating as of some build, so anything below the first build's
+// count is a relation caught missing, empty or half made.
 func TestRebuildPublishesWholeModels(t *testing.T) {
 	ratings := benchRatings(40, 60, 0.2)
 	cat, src := newCatalogWithRatings(t, ratings)
@@ -228,12 +169,12 @@ func TestRebuildPublishesWholeModels(t *testing.T) {
 					return
 				default:
 				}
-				tab, err := cat.Get(name)
-				if err != nil {
-					t.Errorf("by-name read during a rebuild: %v", err)
+				rel, ok := m.Relation(name)
+				if !ok {
+					t.Errorf("by-name read of %s during a rebuild found nothing", name)
 					return
 				}
-				n := tab.Heap.NumRows()
+				n := rel.Len()
 				if n < floor && name == "_rec_live_uservector" || n == 0 {
 					t.Errorf("%s read with %d rows: not a whole model (first build had %d ratings)", name, n, floor)
 					return
@@ -256,11 +197,11 @@ func TestRebuildPublishesWholeModels(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	uv, err := cat.Get("_rec_live_uservector")
-	if err != nil {
-		t.Fatal(err)
+	uv, ok := m.Relation("_rec_live_uservector")
+	if !ok {
+		t.Fatal("uservector is gone")
 	}
-	if got := uv.Heap.NumRows(); got != floor+rebuilds {
+	if got := uv.Len(); got != floor+rebuilds {
 		t.Fatalf("uservector holds %d rows after %d rebuilds, want %d", got, rebuilds, floor+rebuilds)
 	}
 }
@@ -314,7 +255,7 @@ func TestMaintenanceSharesSourceScan(t *testing.T) {
 		if r.Rebuilds() != 2 || r.Pending() != 0 {
 			t.Fatalf("%s: %d rebuilds, %d pending after the crossing", r.Name, r.Rebuilds(), r.Pending())
 		}
-		if got := r.Store().UserVector.Heap.NumRows(); got != int64(len(ratings))+2 {
+		if got := r.Store().relation("uservector").Len(); got != int64(len(ratings))+2 {
 			t.Fatalf("%s rebuilt from %d ratings, want %d", r.Name, got, len(ratings)+2)
 		}
 	}

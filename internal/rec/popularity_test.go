@@ -72,28 +72,21 @@ func TestPopularityModelInterface(t *testing.T) {
 }
 
 func TestPopularityMaterializeAndPredict(t *testing.T) {
-	cat, _ := newCatalogWithRatings(t, paperRatings())
 	model := BuildPopularity(paperRatings())
-	store, err := Materialize(cat, "pop", model)
+	store, err := Materialize(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cat.Has("_rec_pop_itemscore") {
-		t.Fatal("itemscore table missing")
-	}
+	hasRelations(t, store, "uservector", "itemscore")
 	for _, i := range model.Items() {
 		want, _ := model.Score(i)
-		got, ok, err := store.Predict(1, i)
-		if err != nil || !ok || math.Abs(got-want) > 1e-12 {
-			t.Fatalf("store predict(%d): %v %v %v, want %v", i, got, ok, err, want)
+		got, ok := store.Predict(1, i)
+		if !ok || math.Abs(got-want) > 1e-12 {
+			t.Fatalf("store predict(%d): %v %v, want %v", i, got, ok, want)
 		}
 	}
-	if _, ok, err := store.Predict(1, 99); err != nil || ok {
-		t.Fatalf("unknown item: %v %v", ok, err)
-	}
-	DropTables(cat, "pop")
-	if cat.Has("_rec_pop_itemscore") {
-		t.Fatal("drop left itemscore behind")
+	if _, ok := store.Predict(1, 99); ok {
+		t.Fatal("unknown item predicted")
 	}
 }
 

@@ -1,6 +1,6 @@
 package rec
 
-// Scorer predicts RecScore(u, i) from a materialized model for one user at
+// Scorer predicts RecScore(u, i) from a model store for one user at
 // a time: ForUser loads that user's side of the model once — rated items,
 // plus the similarity list (user-based) or factor vector (SVD) — and Score
 // reads the item side. It is the single place that chooses a prediction
@@ -18,10 +18,9 @@ package rec
 // is whole (the store is symmetric); ForUser takes it when that holds and
 // the scan has more candidates than the user has ratings.
 //
-// Every run and factor vector the Scorer reads is the store's decoded one
-// (perKey), which every scan of the model version shares, so the Scorer
-// keeps no model state across users, and a user whose runs are decoded is
-// loaded without allocating.
+// Every run and factor vector the Scorer reads is the model's own, which
+// every scan of the model version shares, so the Scorer keeps no model
+// state across users and loads a user without allocating.
 type Scorer struct {
 	store      *ModelStore
 	candidates int // items the scan scores per user
@@ -42,21 +41,17 @@ func (s *ModelStore) Scorer(candidates int) *Scorer {
 }
 
 // ForUser makes u the user Score and Rated answer for.
-func (sc *Scorer) ForUser(u int64) error {
-	var err error
-	if sc.seen, err = sc.store.UserItems(u); err != nil {
-		return err
-	}
+func (sc *Scorer) ForUser(u int64) {
+	sc.seen = sc.store.UserItems(u)
 	sc.userDriven = sc.store.symmetric && sc.candidates > len(sc.seen)
 	switch {
 	case sc.userDriven:
-		err = sc.scoreFromUser()
+		sc.scoreFromUser()
 	case sc.store.Algo.UserBased():
-		sc.neighbors, err = sc.store.UserNeighbors(u)
+		sc.neighbors = sc.store.UserNeighbors(u)
 	case sc.store.Algo == SVD:
-		sc.factors, err = sc.store.UserFactors(u)
+		sc.factors = sc.store.UserFactors(u)
 	}
-	return err
 }
 
 // UserDriven reports whether the current user was scored from the user's
@@ -74,36 +69,28 @@ func (sc *Scorer) Factors() []float64 { return sc.factors }
 // Score estimates RecScore(current user, i), following the per-algorithm
 // operators of §IV-A. ok is false when the model has no basis for a
 // prediction (Algorithm 1 then emits 0).
-func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
+func (sc *Scorer) Score(i int64) (score float64, ok bool) {
 	s := sc.store
 	switch {
 	case sc.userDriven:
 		p, known := s.itemPos.lookup(i)
 		if !known {
-			return 0, false, nil
+			return 0, false
 		}
-		score, ok = sc.sums[p].score()
+		return sc.sums[p].score()
 	case s.Algo.ItemBased():
 		return s.PredictItemBased(i, sc.seen)
 	case s.Algo.UserBased():
-		raters, err := s.ItemRaters(i)
-		if err != nil {
-			return 0, false, err
-		}
-		score, ok = PredictWeighted(sc.neighbors, raters)
+		return PredictWeighted(sc.neighbors, s.ItemRaters(i))
 	case s.Algo == Popularity:
 		return s.ItemScoreOf(i)
 	default: // SVD, Algorithm 2
-		if sc.factors == nil {
-			return 0, false, nil
+		q := s.ItemFactors(i)
+		if sc.factors == nil || q == nil {
+			return 0, false
 		}
-		q, err := s.ItemFactors(i)
-		if err != nil || q == nil {
-			return 0, false, err
-		}
-		score, ok = Dot(sc.factors, q), true
+		return Dot(sc.factors, q), true
 	}
-	return score, ok, nil
 }
 
 // scoreFromUser fills sums for the current user from the user's side.
@@ -113,53 +100,40 @@ func (sc *Scorer) Score(i int64) (score float64, ok bool, err error) {
 // once, delivers every candidate's terms in exactly that order, so each row
 // is added straight into its candidate's sum: no per-candidate storage, no
 // merge.
-func (sc *Scorer) scoreFromUser() error {
+func (sc *Scorer) scoreFromUser() {
 	s := sc.store
 	if sc.sums == nil {
-		sc.sums = make([]weightedSum, len(s.itemIDs))
+		sc.sums = make([]weightedSum, len(s.ItemIDs()))
 	}
 	clear(sc.sums)
 	for _, j := range sc.seen {
-		run, err := s.ItemNeighbors(j.ID)
-		if err != nil {
-			return err
-		}
-		for _, n := range run {
+		for _, n := range s.ItemNeighbors(j.ID) {
 			if p, ok := s.itemPos.lookup(n.ID); ok {
 				sc.sums[p].add(n.Sim, j.Sim)
 			}
 		}
 	}
-	return nil
 }
 
-// Predict estimates RecScore(u, i) from the materialized tables.
-func (s *ModelStore) Predict(u, i int64) (float64, bool, error) {
+// Predict estimates RecScore(u, i) from the model.
+func (s *ModelStore) Predict(u, i int64) (float64, bool) {
 	sc := s.Scorer(1)
-	if err := sc.ForUser(u); err != nil {
-		return 0, false, err
-	}
+	sc.ForUser(u)
 	return sc.Score(i)
 }
 
 // PredictForUser estimates RecScore(u, i) for a whole batch of items,
 // loading the per-user state once instead of once per pair the way
-// repeated Predict calls would. The storage layer's page latches and the
-// atomic publication of decoded runs make concurrent PredictForUser calls
-// for different users safe, which is what parallel cache materialization
-// relies on.
-func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
+// repeated Predict calls would. The store is read-only, so concurrent
+// PredictForUser calls are safe, which is what parallel cache
+// materialization relies on.
+func (s *ModelStore) PredictForUser(u int64, items []int64) ([]float64, []bool) {
 	sc := s.Scorer(len(items))
-	if err := sc.ForUser(u); err != nil {
-		return nil, nil, err
-	}
+	sc.ForUser(u)
 	scores := make([]float64, len(items))
 	oks := make([]bool, len(items))
 	for x, i := range items {
-		var err error
-		if scores[x], oks[x], err = sc.Score(i); err != nil {
-			return nil, nil, err
-		}
+		scores[x], oks[x] = sc.Score(i)
 	}
-	return scores, oks, nil
+	return scores, oks
 }

@@ -6,8 +6,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-
-	"recdb/internal/catalog"
 )
 
 // TestScorerMatchesModel: whichever side the Scorer's rule picks, every
@@ -24,7 +22,7 @@ func TestScorerMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				store, err := Materialize(catalog.New(nil, 0), "m", model)
+				store, err := Materialize(model)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -37,9 +35,7 @@ func TestScorerMatchesModel(t *testing.T) {
 				for _, items := range [][]int64{all, {all[0], all[len(all)-1]}} {
 					sc := store.Scorer(len(items))
 					for _, u := range store.UserIDs() {
-						if err := sc.ForUser(u); err != nil {
-							t.Fatal(err)
-						}
+						sc.ForUser(u)
 						if !whole && sc.UserDriven() {
 							t.Fatalf("user %d of a truncated or user-based store scored user-driven", u)
 						}
@@ -48,11 +44,11 @@ func TestScorerMatchesModel(t *testing.T) {
 						}
 						sides[sc.UserDriven()]++
 						for _, i := range items {
-							got, gotOK, err := sc.Score(i)
+							got, gotOK := sc.Score(i)
 							want, wantOK := model.Predict(u, i)
-							if err != nil || gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("user %d item %d (user-driven %v): %v %v %v, model %v %v",
-									u, i, sc.UserDriven(), got, gotOK, err, want, wantOK)
+							if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("user %d item %d (user-driven %v): %v %v, model %v %v",
+									u, i, sc.UserDriven(), got, gotOK, want, wantOK)
 							}
 						}
 					}
@@ -122,7 +118,7 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store, err := Materialize(catalog.New(nil, 0), "m", model)
+			store, err := Materialize(model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,9 +133,7 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 			diverged := 0
 			for _, u := range store.UserIDs() {
 				for _, s := range scorers {
-					if err := s.sc.ForUser(u); err != nil {
-						t.Fatal(err)
-					}
+					s.sc.ForUser(u)
 				}
 				if scorers[0].sc.UserDriven() != algo.ItemBased() {
 					t.Fatalf("user %d: user-driven %v", u, scorers[0].sc.UserDriven())
@@ -157,9 +151,9 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 						t.Fatalf("model.Predict(%d, %d) = %v %v, ascending id gives %v %v", u, i, got, ok, want, wantOK)
 					}
 					for _, s := range scorers {
-						got, ok, err := s.sc.Score(i)
-						if err != nil || ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s scorer (%d, %d) = %v %v %v, ascending id gives %v %v", s.name, u, i, got, ok, err, want, wantOK)
+						got, ok := s.sc.Score(i)
+						if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s scorer (%d, %d) = %v %v, ascending id gives %v %v", s.name, u, i, got, ok, want, wantOK)
 						}
 					}
 				}
@@ -188,9 +182,9 @@ func TestPredictWeightedAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWarmForUserAllocatesNothing: once a user's runs and factor vector
-// are decoded, loading the user again allocates nothing — item-based
-// user-driven and truncated (item-driven), user-based, and SVD.
+// TestWarmForUserAllocatesNothing: once a scorer has loaded a user,
+// loading a user again allocates nothing — item-based user-driven and
+// truncated (item-driven), user-based, and SVD.
 func TestWarmForUserAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		algo Algorithm
@@ -201,25 +195,21 @@ func TestWarmForUserAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store, err := Materialize(catalog.New(nil, 0), "m", model)
+			store, err := Materialize(model)
 			if err != nil {
 				t.Fatal(err)
 			}
 			users := store.UserIDs()
 			sc := store.Scorer(len(store.ItemIDs()))
 			for _, u := range users {
-				if err := sc.ForUser(u); err != nil {
-					t.Fatal(err)
-				}
+				sc.ForUser(u)
 			}
 			if want := tc.algo.ItemBased() && tc.size == 0; sc.UserDriven() != want {
 				t.Fatalf("user-driven %v, want %v", sc.UserDriven(), want)
 			}
 			n := 0
 			if allocs := testing.AllocsPerRun(100, func() {
-				if err := sc.ForUser(users[n%len(users)]); err != nil {
-					t.Fatal(err)
-				}
+				sc.ForUser(users[n%len(users)])
 				n++
 			}); allocs != 0 {
 				t.Fatalf("a warmed ForUser allocates %.1f times per call", allocs)

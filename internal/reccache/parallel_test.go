@@ -93,13 +93,13 @@ func (s *slowPredictor) score(u, i int64) float64 {
 	return acc
 }
 
-func (s *slowPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
+func (s *slowPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool) {
 	scores := make([]float64, len(items))
 	oks := make([]bool, len(items))
 	for x, i := range items {
 		scores[x], oks[x] = s.score(u, i), true
 	}
-	return scores, oks, nil
+	return scores, oks
 }
 
 func BenchmarkMaterializeAll(b *testing.B) {

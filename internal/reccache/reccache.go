@@ -144,8 +144,8 @@ func (m *Manager) recordRun(err error) {
 // model once for the whole batch and must be safe to call concurrently for
 // different users.
 type Predictor interface {
-	PredictForUser(user int64, items []int64) ([]float64, []bool, error)
-	UserItems(user int64) ([]rec.Neighbor, error) // the user's ratings, ascending in item
+	PredictForUser(user int64, items []int64) ([]float64, []bool)
+	UserItems(user int64) []rec.Neighbor // the user's ratings, ascending in item
 	ItemIDs() []int64
 	UserIDs() []int64
 }
@@ -339,10 +339,7 @@ func (m *Manager) Run(model func() Predictor) (Decision, error) {
 		if len(admitItems[x]) == 0 {
 			continue
 		}
-		entries, err := unseenEntries(pred, u, admitItems[x])
-		if err != nil {
-			return dec, err
-		}
+		entries := unseenEntries(pred, u, admitItems[x])
 		if m.index.PutAll(gen, u, entries) {
 			dec.Admitted += len(entries)
 		}
@@ -355,21 +352,15 @@ func (m *Manager) Run(model func() Predictor) (Decision, error) {
 // unseenEntries computes the predictions to materialize for user u among
 // items: those u has not rated. Unpredictable pairs score 0, as Algorithm 1
 // emits.
-func unseenEntries(pred Predictor, u int64, items []int64) ([]recindex.Entry, error) {
-	seen, err := pred.UserItems(u)
-	if err != nil {
-		return nil, err
-	}
+func unseenEntries(pred Predictor, u int64, items []int64) []recindex.Entry {
+	seen := pred.UserItems(u)
 	todo := make([]int64, 0, len(items))
 	for _, i := range items {
 		if _, rated := rec.ValueOf(seen, i); !rated {
 			todo = append(todo, i)
 		}
 	}
-	scores, oks, err := pred.PredictForUser(u, todo)
-	if err != nil {
-		return nil, err
-	}
+	scores, oks := pred.PredictForUser(u, todo)
 	out := make([]recindex.Entry, len(todo))
 	for x, i := range todo {
 		if !oks[x] {
@@ -377,7 +368,7 @@ func unseenEntries(pred Predictor, u int64, items []int64) ([]recindex.Entry, er
 		}
 		out[x] = recindex.Entry{Item: i, Score: scores[x]}
 	}
-	return out, nil
+	return out
 }
 
 // ModelReplacedError reports that a rebuild replaced the model while
@@ -399,11 +390,7 @@ func (e *ModelReplacedError) Error() string {
 func (m *Manager) MaterializeUser(model func() Predictor, u int64) error {
 	gen := m.index.Generation()
 	pred := model()
-	entries, err := unseenEntries(pred, u, pred.ItemIDs())
-	if err != nil {
-		return err
-	}
-	if !m.index.Fill(gen, u, entries) {
+	if !m.index.Fill(gen, u, unseenEntries(pred, u, pred.ItemIDs())) {
 		return &ModelReplacedError{User: u}
 	}
 	return nil
@@ -426,16 +413,12 @@ func (m *Manager) MaterializeAll(model func() Predictor) error {
 	for lo := 0; lo < len(users); lo += batch {
 		span := users[lo:min(lo+batch, len(users))]
 		results := make([][]recindex.Entry, len(span))
-		errs := make([]error, len(span))
 		ann.RunWorkers(workers, func(w int) {
 			for x := w; x < len(span); x += workers {
-				results[x], errs[x] = unseenEntries(pred, span[x], pred.ItemIDs())
+				results[x] = unseenEntries(pred, span[x], pred.ItemIDs())
 			}
 		})
 		for x, u := range span {
-			if errs[x] != nil {
-				return errs[x]
-			}
 			if !m.index.Fill(gen, u, results[x]) {
 				return &ModelReplacedError{User: u}
 			}

@@ -22,23 +22,23 @@ type fakePredictor struct {
 	batchCalls   atomic.Int64
 }
 
-func (f *fakePredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
+func (f *fakePredictor) PredictForUser(u int64, items []int64) ([]float64, []bool) {
 	f.batchCalls.Add(1)
 	scores := make([]float64, len(items))
 	oks := make([]bool, len(items))
 	for x, i := range items {
 		scores[x], oks[x] = float64(u*10+i), true
 	}
-	return scores, oks, nil
+	return scores, oks
 }
 
-func (f *fakePredictor) UserItems(u int64) ([]rec.Neighbor, error) {
+func (f *fakePredictor) UserItems(u int64) []rec.Neighbor {
 	var run []rec.Neighbor
 	for i, v := range f.seen[u] {
 		run = append(run, rec.Neighbor{ID: i, Sim: v})
 	}
 	slices.SortFunc(run, func(a, b rec.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
-	return run, nil
+	return run
 }
 
 func (f *fakePredictor) ItemIDs() []int64 { return f.items }
@@ -54,7 +54,7 @@ type rebuildingPredictor struct {
 	m *Manager
 }
 
-func (p *rebuildingPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool, error) {
+func (p *rebuildingPredictor) PredictForUser(u int64, items []int64) ([]float64, []bool) {
 	p.m.Invalidate()
 	return p.fakePredictor.PredictForUser(u, items)
 }

@@ -1,9 +1,10 @@
 // Package storage implements the paged storage layer: 8 KB slotted pages,
 // disk managers (file-backed and in-memory), an LRU buffer pool with
 // pin/unpin and I/O accounting, and heap files with block-by-block
-// iterators. The recommendation operators in the paper (Algorithms 1-3) are
-// block-nested-loop algorithms over heap tables, so the page granularity
-// here is what makes their cost model meaningful.
+// iterators. The paper's recommendation operators (Algorithms 1-3) are
+// block-nested-loop algorithms over heap tables in PostgreSQL; here they
+// read the model in memory (package rec), and the pages hold the user
+// tables they filter and join with.
 package storage
 
 import (

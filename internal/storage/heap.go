@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -407,88 +406,5 @@ func (it *Iterator) Close() {
 			it.snap.Close()
 		}
 		it.closed = true
-	}
-}
-
-// RunCursor reads the live tuples of one heap snapshot forward from a RID,
-// in physical order. It is the clustered-run read under every model-table
-// neighbourhood access: a key's rows are stored consecutively and the
-// model store's run directory keeps the first one's RID, so a run is a
-// cursor opened there and read until the key changes. The cursor pins each
-// page once, and Next walks the pinned page's slot directory in place — a
-// slot read per tuple, no RID, no error value — while Turn, the page
-// switch (unpin, fetch), runs out of line when Next runs off a page.
-type RunCursor struct {
-	snap   *Snapshot
-	page   PageID
-	buf    []byte // the page's bytes as of the snapshot; nil until fetched
-	slot   int    // the next slot to read
-	slots  int    // buf's slot count; 0 while buf is nil
-	pinned bool
-	err    error
-}
-
-// Cursor opens a run cursor on a snapshot of the heap's current version:
-// the first tuple it reads is the first live one at or after rid. Close it
-// to release the snapshot and its pin.
-func (h *HeapFile) Cursor(rid RID) RunCursor {
-	return RunCursor{snap: h.Snapshot(), page: rid.Page, slot: int(rid.Slot)}
-}
-
-// Next returns the next live tuple on the cursor's page. The bytes alias
-// the snapshot's page and are valid only until the cursor turns the page.
-// ok=false means the page has no more: Turn onto the next one.
-func (c *RunCursor) Next() (tuple []byte, ok bool) {
-	for c.slot < c.slots {
-		// A slot is a little-endian uint16 offset, then a uint16 length.
-		e := binary.LittleEndian.Uint32(c.buf[pageHeaderSize+c.slot*slotSize:])
-		c.slot++
-		if off := int(uint16(e)); off != 0 {
-			return c.buf[off : off+int(e>>16)], true
-		}
-	}
-	return nil, false
-}
-
-// Turn moves the cursor onto the page it was opened at, or past the page
-// Next has read to the end of, and pins it: the page switch, kept out of
-// Next. It reports false at the end of the snapshot or on a failed fetch
-// (see Err).
-func (c *RunCursor) Turn() bool {
-	if c.buf != nil {
-		c.unpin()
-		c.page++
-		c.slot = 0
-	}
-	if c.err != nil || uint32(c.page) >= c.snap.numPages {
-		return false
-	}
-	buf, pinned, err := c.snap.pageBytes(c.page)
-	if err != nil {
-		c.err = err
-		return false
-	}
-	c.buf, c.pinned, c.slots = buf, pinned, AsPage(buf).NumSlots()
-	return true
-}
-
-// Err returns the page fetch failure that ended the walk, if any.
-func (c *RunCursor) Err() error { return c.err }
-
-func (c *RunCursor) unpin() {
-	if c.pinned {
-		c.snap.h.pool.Unpin(c.page, false)
-		c.pinned = false
-	}
-	c.buf, c.slots = nil, 0
-}
-
-// Close releases the cursor's pin and its snapshot. Safe to call more
-// than once.
-func (c *RunCursor) Close() {
-	if c.snap != nil {
-		c.unpin()
-		c.snap.Close()
-		c.snap = nil
 	}
 }

@@ -271,118 +271,3 @@ func TestConcurrentSnapshotHammer(t *testing.T) {
 	default:
 	}
 }
-
-// TestRunCursorReadsFromRID drives the clustered-run read: a RunCursor
-// opened at a RID, then Next and Turn forward. From any starting row —
-// mid-page, last slot of a page, a deleted slot — the walk returns exactly
-// the live tuples from there to the end in physical order, fetches each
-// page it crosses once, sees its snapshot rather than later writes, and
-// holds no pin once it runs off the end or is closed early.
-func TestRunCursorReadsFromRID(t *testing.T) {
-	const n = 1500
-	h, rids := versionedHeap(t, n, 8)
-	if h.NumPages() < 4 {
-		t.Fatalf("fixture spans %d pages, want >= 4", h.NumPages())
-	}
-	dead := map[int]bool{0: true, 7: true, 700: true, n - 1: true}
-	for i := range dead {
-		if err := h.Delete(rids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pinned := func() int {
-		total := 0
-		for _, p := range h.pool.parts {
-			p.mu.Lock()
-			for _, f := range p.frames {
-				total += f.pins
-			}
-			p.mu.Unlock()
-		}
-		return total
-	}
-	// rowAt is the row number a tuple of the fixture carries.
-	rowAt := func(tuple []byte) int {
-		t.Helper()
-		row, _, err := types.DecodeRow(tuple)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int(row[0].Int())
-	}
-	stats := h.pool.stats
-
-	for _, start := range []int{0, 1, 7, 333, 700, n - 2, n - 1} {
-		c := h.Cursor(rids[start])
-		// Writes after the snapshot must not show up in the walk.
-		late, err := h.Insert(types.Row{types.NewInt(-1), types.NewText("late")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats.Reset()
-		want := start
-		for {
-			tuple, ok := c.Next()
-			if !ok {
-				if c.Turn() {
-					continue
-				}
-				break
-			}
-			for dead[want] {
-				want++
-			}
-			if got := rowAt(tuple); want >= n || got != want {
-				t.Fatalf("from %d: got row %d, want row %d", start, got, want)
-			}
-			want++
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-		for want < n && dead[want] {
-			want++
-		}
-		if want != n {
-			t.Fatalf("from %d: walk stopped at row %d of %d", start, want, n)
-		}
-		reads, _, _ := stats.Snapshot()
-		if span := int64(rids[n-1].Page-rids[start].Page) + 1; reads != span {
-			t.Fatalf("from %d: %d page fetches for a %d-page walk", start, reads, span)
-		}
-		if p := pinned(); p != 0 {
-			t.Fatalf("from %d: %d pins held after the walk ran off the end", start, p)
-		}
-		c.Close()
-		if err := h.Delete(late); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A cursor pins nothing until it turns onto its first page.
-	c := h.Cursor(rids[333])
-	if _, ok := c.Next(); ok || pinned() != 0 {
-		t.Fatalf("Next before the first Turn: ok=%v, %d pins", ok, pinned())
-	}
-	// Early exit: Close mid-page releases the pin and the snapshot.
-	if !c.Turn() {
-		t.Fatalf("Turn onto the first page: %v", c.Err())
-	}
-	if tuple, ok := c.Next(); !ok || rowAt(tuple) != 333 {
-		t.Fatalf("first Next landed on %v %v", tuple, ok)
-	}
-	if p := pinned(); p != 1 {
-		t.Fatalf("%d pins held mid-walk, want 1", p)
-	}
-	c.Close()
-	c.Close()
-	if p, s := pinned(), h.OpenSnapshots(); p != 0 || s != 0 {
-		t.Fatalf("after Close: %d pins, %d snapshots", p, s)
-	}
-	// A cursor opened past the snapshot's last page is simply at the end.
-	c = h.Cursor(RID{Page: PageID(h.NumPages() + 3)})
-	defer c.Close()
-	if c.Turn() || c.Err() != nil {
-		t.Fatalf("Turn past the end: err=%v", c.Err())
-	}
-}

@@ -2,10 +2,8 @@ package types
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"recdb/internal/geo"
 )
@@ -53,78 +51,6 @@ func EncodeRow(dst []byte, row Row) []byte {
 		}
 	}
 	return dst
-}
-
-// ErrRunRow is the error DecodeRunRow wraps for bytes that are not a
-// (BIGINT, BIGINT, DOUBLE) row as EncodeRow writes one.
-var ErrRunRow = errors.New("types: not a (BIGINT, BIGINT, DOUBLE) row")
-
-// DecodeRunRow decodes the one row shape a run-keyed model table holds,
-// (BIGINT key, BIGINT id, DOUBLE val), straight from tuple bytes: a clustered
-// run read decodes every row of the run and must not build a Row or
-// allocate for one. It checks in one pass what EncodeRow writes for that
-// shape — a one-byte header of 3, the three kind bytes in order, varints
-// that end inside buf, the float's eight bytes, and nothing after them.
-// Anything else, including encodings EncodeRow never produces and rows
-// DecodeRow would read as another shape, fails with an error wrapping
-// ErrRunRow.
-func DecodeRunRow(buf []byte) (key, id int64, val float64, err error) {
-	// 14 bytes is the shortest such row: the header, two kind + one-byte
-	// varint pairs, and a kind + eight-byte float.
-	if len(buf) < 14 || buf[0] != 3 || Kind(buf[1]) != KindInt {
-		return 0, 0, 0, runRowError(buf)
-	}
-	key, off := varintAt(buf, 2)
-	if off < 0 || off >= len(buf) || Kind(buf[off]) != KindInt {
-		return 0, 0, 0, runRowError(buf)
-	}
-	id, off = varintAt(buf, off+1)
-	if off < 0 || off+9 != len(buf) || Kind(buf[off]) != KindFloat {
-		return 0, 0, 0, runRowError(buf)
-	}
-	return key, id, math.Float64frombits(binary.BigEndian.Uint64(buf[off+1:])), nil
-}
-
-// varintAt decodes the zigzag varint at buf[off:], accepting exactly what
-// binary.Varint accepts, and returns it with the offset just past it, or
-// a negative offset when it runs off buf or overflows 64 bits.
-func varintAt(buf []byte, off int) (int64, int) {
-	var ux uint64
-	for s := uint(0); off < len(buf); s += 7 {
-		b := buf[off]
-		off++
-		if b < 0x80 {
-			if s == 63 && b > 1 {
-				return 0, -1
-			}
-			ux |= uint64(b) << s
-			return int64(ux>>1) ^ -int64(ux&1), off
-		}
-		if s == 63 {
-			return 0, -1
-		}
-		ux |= uint64(b&0x7f) << s
-	}
-	return 0, -1
-}
-
-// runRowError says why DecodeRunRow refused buf, off its fast path.
-func runRowError(buf []byte) error {
-	row, n, err := DecodeRow(buf)
-	switch {
-	case err != nil:
-		return fmt.Errorf("%w: %w", ErrRunRow, err)
-	case len(row) != 3 || row[0].Kind() != KindInt || row[1].Kind() != KindInt || row[2].Kind() != KindFloat:
-		kinds := make([]string, len(row))
-		for i, v := range row {
-			kinds[i] = v.Kind().String()
-		}
-		return fmt.Errorf("%w: a (%s) row", ErrRunRow, strings.Join(kinds, ", "))
-	case n != len(buf):
-		return fmt.Errorf("%w: %d bytes after the row", ErrRunRow, len(buf)-n)
-	default:
-		return fmt.Errorf("%w: an encoding EncodeRow does not write", ErrRunRow)
-	}
 }
 
 // DecodeRow decodes one row from buf. It returns the row and the number of

@@ -1,9 +1,6 @@
 package types
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -199,60 +196,6 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestDecodeRunRowAgreesWithDecodeRow: the run-row decoder and the Row
-// decoder are two readers of one format, so on every (int, int, float)
-// row EncodeRow writes they must return the same values, and every
-// truncation of one, or the row with a byte after it, must fail.
-func TestDecodeRunRowAgreesWithDecodeRow(t *testing.T) {
-	f := func(a, b int64, fl float64) bool {
-		buf := EncodeRow(nil, Row{NewInt(a), NewInt(b), NewFloat(fl)})
-		row, _, err := DecodeRow(buf)
-		if err != nil {
-			return false
-		}
-		k, id, val, err := DecodeRunRow(buf)
-		if err != nil || k != row[0].Int() || id != row[1].Int() ||
-			math.Float64bits(val) != math.Float64bits(row[2].Float()) {
-			return false
-		}
-		for cut := 0; cut < len(buf); cut++ {
-			if _, _, _, err := DecodeRunRow(buf[:cut]); !errors.Is(err, ErrRunRow) {
-				return false
-			}
-		}
-		_, _, _, err = DecodeRunRow(append(buf, 0))
-		return errors.Is(err, ErrRunRow)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDecodeRunRowRejectsWrongShape: a row of any other shape, or one
-// EncodeRow would not write, fails with ErrRunRow however DecodeRow reads
-// it.
-func TestDecodeRunRowRejectsWrongShape(t *testing.T) {
-	run := EncodeRow(nil, Row{NewInt(1), NewInt(2), NewFloat(3)})
-	for name, buf := range map[string][]byte{
-		"empty":             nil,
-		"no fields":         EncodeRow(nil, Row{}),
-		"two fields":        EncodeRow(nil, Row{NewInt(1), NewInt(2)}),
-		"four fields":       EncodeRow(nil, Row{NewInt(1), NewInt(2), NewFloat(3), NewInt(4)}),
-		"float key":         EncodeRow(nil, Row{NewFloat(1), NewInt(2), NewFloat(3)}),
-		"float id":          EncodeRow(nil, Row{NewInt(1), NewFloat(2), NewFloat(3)}),
-		"int value":         EncodeRow(nil, Row{NewInt(1), NewInt(2), NewInt(3)}),
-		"null value":        EncodeRow(nil, Row{NewInt(1), NewInt(2), Null()}),
-		"text value":        EncodeRow(nil, Row{NewInt(1), NewInt(2), NewText("3.0000000")}),
-		"non-minimal count": append([]byte{0x83, 0x00}, run[1:]...),
-		"varint overflow":   append([]byte{3, byte(KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, run[3:]...),
-	} {
-		k, id, val, err := DecodeRunRow(buf)
-		if !errors.Is(err, ErrRunRow) || k != 0 || id != 0 || val != 0 {
-			t.Errorf("%s: (%d, %d, %v, %v), want ErrRunRow and zeros", name, k, id, val, err)
-		}
-	}
-}
-
 func TestSchemaResolve(t *testing.T) {
 	s := NewSchema(
 		Column{Qualifier: "r", Name: "uid", Kind: KindInt},
@@ -415,58 +358,4 @@ func TestAsIntNonNumeric(t *testing.T) {
 	if _, ok := NewBool(true).AsInt(); ok {
 		t.Error("bool AsInt should fail")
 	}
-}
-
-// FuzzDecodeRunRow is the differential target for the decoder of
-// model-table runs, DecodeRunRow, which reads raw page tuples with no
-// DecodeRow between it and the disk. On arbitrary bytes it must not panic;
-// whenever it accepts, DecodeRow must read the same bytes as exactly an
-// (INT, INT, FLOAT) row with the same values and float bits; and every
-// EncodeRow output of that shape must be accepted. The seeds are model
-// rows, their truncations, and rows of a near shape.
-func FuzzDecodeRunRow(f *testing.F) {
-	for _, row := range []Row{
-		{NewInt(7), NewInt(1_000_042), NewFloat(-0.25)},
-		{NewInt(math.MaxInt64), NewInt(math.MinInt64), NewFloat(math.Copysign(0, -1))},
-	} {
-		enc := EncodeRow(nil, row)
-		for _, cut := range []int{len(enc), len(enc) - 1, 4, 1, 0} {
-			f.Add(enc[:cut])
-		}
-	}
-	f.Add(EncodeRow(nil, Row{NewInt(1), NewFloat(2), NewFloat(3)}))
-	f.Add(EncodeRow(nil, Row{NewInt(1), NewInt(2), NewText("3")}))
-	f.Add(EncodeRow(nil, Row{NewInt(1), NewInt(2), Null()}))
-	f.Add(EncodeRow(nil, Row{NewInt(1), NewInt(2), NewFloat(3), NewInt(4)}))
-
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		if len(buf) >= 24 {
-			a, b := int64(binary.LittleEndian.Uint64(buf)), int64(binary.LittleEndian.Uint64(buf[8:]))
-			bits := binary.LittleEndian.Uint64(buf[16:])
-			k, id, val, err := DecodeRunRow(EncodeRow(nil, Row{NewInt(a), NewInt(b), NewFloat(math.Float64frombits(bits))}))
-			if err != nil || k != a || id != b || math.Float64bits(val) != bits {
-				t.Fatalf("EncodeRow(%d, %d, %#x) read back as (%d, %d, %#x), %v", a, b, bits, k, id, math.Float64bits(val), err)
-			}
-		}
-		k, id, val, err := DecodeRunRow(buf)
-		row, n, rowErr := DecodeRow(buf)
-		if err != nil {
-			if !errors.Is(err, ErrRunRow) {
-				t.Fatalf("refusal %v does not wrap ErrRunRow", err)
-			}
-			if rowErr == nil && n == len(buf) && len(row) == 3 && row[0].Kind() == KindInt &&
-				row[1].Kind() == KindInt && row[2].Kind() == KindFloat &&
-				bytes.Equal(EncodeRow(nil, row), buf) {
-				t.Fatalf("EncodeRow output %v refused: %v", row, err)
-			}
-			return
-		}
-		if rowErr != nil {
-			t.Fatalf("decoded (%d, %d, %v), DecodeRow failed: %v", k, id, val, rowErr)
-		}
-		if len(row) != 3 || row[0].Kind() != KindInt || row[1].Kind() != KindInt || row[2].Kind() != KindFloat ||
-			row[0].Int() != k || row[1].Int() != id || math.Float64bits(row[2].Float()) != math.Float64bits(val) {
-			t.Fatalf("decoded (%d, %d, %v), DecodeRow %v", k, id, val, row)
-		}
-	})
 }

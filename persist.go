@@ -10,7 +10,7 @@ import (
 
 // SaveTo checkpoints the database into dir as a new snapshot generation
 // (user tables, rows, secondary indexes, and recommender definitions;
-// derived state — model tables and the RecScoreIndex — is rebuilt by
+// derived state — the models and the RecScoreIndex — is rebuilt by
 // OpenDir). The snapshot is crash-safe: every file is written to a temp
 // name, fsynced, renamed, and the directory fsynced, and the manifest
 // carries CRC32-C checksums for itself and every data file.

@@ -408,15 +408,16 @@ func Algorithms() []string {
 	}
 }
 
-// TableInfo describes one user table.
+// TableInfo describes one table or model relation.
 type TableInfo struct {
 	Name  string
 	Rows  int64
 	Pages uint32
 }
 
-// Tables lists the database's tables (including internal model tables,
-// whose names start with "_rec_").
+// Tables lists the database's tables, and each recommender's model
+// relations (names starting with "_rec_"), which hold no pages: they are
+// read from the model in memory.
 func (db *DB) Tables() []TableInfo {
 	var out []TableInfo
 	for _, name := range db.eng.Catalog().Names() {
@@ -425,6 +426,9 @@ func (db *DB) Tables() []TableInfo {
 			continue
 		}
 		out = append(out, TableInfo{Name: t.Name, Rows: t.Heap.NumRows(), Pages: t.Heap.NumPages()})
+	}
+	for _, rel := range db.eng.Recommenders().Relations() {
+		out = append(out, TableInfo{Name: rel.Name, Rows: rel.Len()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

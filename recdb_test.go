@@ -208,14 +208,8 @@ func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
 	}
 
 	current := r.Store()
-	was, _, err := old.Predict(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, _, err := current.Predict(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	was, _ := old.Predict(3, 3)
+	now, _ := current.Predict(3, 3)
 	if math.Float64bits(was) == math.Float64bits(now) {
 		t.Fatalf("fixture: the rebuild left the prediction for (3, 3) at %v", now)
 	}
@@ -224,10 +218,7 @@ func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
 	}
 	for _, u := range c.Index().Users() {
 		c.Index().Descend(u, nil, func(e recindex.Entry) bool {
-			want, ok, err := current.Predict(u, e.Item)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, ok := current.Predict(u, e.Item)
 			if !ok {
 				want = 0
 			}

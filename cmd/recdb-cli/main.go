@@ -10,8 +10,9 @@
 //	                       there (later commits go through DIR's write-ahead
 //	                       log; -open replays them)
 //	\health                recommender rebuild health (failures, backoff)
-//	\evaluate NAME [K]     hold out every K-th rating (default 10), retrain,
-//	                       and report RMSE/MAE
+//	\evaluate NAME [K]     hold out every K-th rating (default 10), retrain
+//	                       with the served model's build options, and report
+//	                       RMSE/MAE
 //	\stats                 show page-I/O counters
 //	\metrics               show the full engine metrics snapshot
 //	\timing                toggle per-statement timing
@@ -47,7 +48,6 @@ import (
 	"recdb/client"
 	"recdb/internal/dataset"
 	"recdb/internal/engine"
-	"recdb/internal/rec"
 )
 
 func main() {
@@ -457,28 +457,20 @@ func meta(db *recdb.DB, cmd string) bool {
 	return false
 }
 
-// evaluate retrains the named recommender's algorithm on a train split
-// and reports held-out accuracy.
+// evaluate retrains the named recommender's algorithm on a train split,
+// with the options its served model is built with, and reports held-out
+// accuracy.
 func evaluate(eng *engine.Engine, name string, k int) error {
 	r, ok := eng.Recommenders().Get(name)
 	if !ok {
 		return fmt.Errorf("no recommender %q", name)
 	}
-	ratings, err := eng.Recommenders().RatingsOf(r)
+	ev, err := eng.Recommenders().Evaluate(r, k)
 	if err != nil {
 		return err
 	}
-	train, test := rec.SplitRatings(ratings, k)
-	if len(test) == 0 {
-		return fmt.Errorf("not enough ratings to hold out 1/%d", k)
-	}
-	model, err := rec.Build(train, r.Algo, rec.BuildOptions{SVDSeed: 1})
-	if err != nil {
-		return err
-	}
-	ev := rec.Evaluate(model, test)
 	fmt.Printf("%s (%v): RMSE %.4f  MAE %.4f  (%d scorable, %d unscorable of %d held out)\n",
-		r.Name, r.Algo, ev.RMSE, ev.MAE, ev.Scorable, ev.Unscorable, len(test))
+		r.Name, r.Algo, ev.RMSE, ev.MAE, ev.Scorable, ev.Unscorable, ev.Scorable+ev.Unscorable)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"recdb"
+	"recdb/internal/rec"
 )
 
 // capture redirects stdout while fn runs and returns what it printed.
@@ -258,33 +259,55 @@ func TestPreloadCheckpointsDurableImport(t *testing.T) {
 	}
 }
 
+// TestMetaEvaluate: \evaluate reports the held-out accuracy of the model
+// the recommender serves: its algorithm built on the train split with the
+// engine's build options, scored on the held-out ratings.
 func TestMetaEvaluate(t *testing.T) {
-	db := recdb.Open()
+	const factors, epochs, rate, lambda = 6, 15, 0.02, 0.04
+	db := recdb.Open(recdb.WithSVD(factors, epochs, rate, lambda))
 	defer db.Close()
 	if _, err := db.ExecScript(`CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT);`); err != nil {
 		t.Fatal(err)
 	}
 	var rows []string
+	var ratings []rec.Rating
 	for u := 1; u <= 25; u++ {
-		for i := 1; i <= 30; i++ {
-			if (u*31+i*17)%4 != 0 {
+		for i := 1; i <= 32; i++ {
+			if (u+2*i)%3 == 0 {
 				continue
 			}
-			rows = append(rows, fmt.Sprintf("(%d, %d, %d)", u, i, 1+(u+i)%5))
+			v := 1 + (u*i)%5
+			rows = append(rows, fmt.Sprintf("(%d, %d, %d)", u, i, v))
+			ratings = append(ratings, rec.Rating{User: int64(u), Item: int64(i), Value: float64(v)})
 		}
 	}
 	if _, err := db.Exec("INSERT INTO ratings VALUES " + strings.Join(rows, ", ")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec(`CREATE RECOMMENDER EvalRec ON ratings
-		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF`); err != nil {
+		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING SVD WITH WORKERS 2`); err != nil {
 		t.Fatal(err)
 	}
 	out := capture(t, func() { meta(db, "\\evaluate EvalRec 5") })
-	if !strings.Contains(out, "RMSE") || !strings.Contains(out, "MAE") {
-		t.Fatalf("\\evaluate output:\n%s", out)
+
+	train, test := rec.SplitRatings(ratings, 5)
+	model, err := rec.Build(train, rec.SVD, rec.BuildOptions{SVDFactors: factors, SVDEpochs: epochs, SVDRate: rate, SVDLambda: lambda})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := rec.Evaluate(model, test)
+	if ev.Scorable == 0 {
+		t.Fatalf("fixture: none of %d held-out ratings is scorable", len(test))
+	}
+	want := fmt.Sprintf("EvalRec (SVD): RMSE %.4f  MAE %.4f  (%d scorable, %d unscorable of %d held out)\n",
+		ev.RMSE, ev.MAE, ev.Scorable, ev.Unscorable, len(test))
+	if out != want {
+		t.Fatalf("\\evaluate printed\n%s\nwant\n%s", out, want)
 	}
 	if err := evaluate(db.Engine(), "missing", 5); err == nil {
 		t.Fatal("missing recommender should fail")
+	}
+	if err := evaluate(db.Engine(), "EvalRec", len(ratings)+1); err == nil {
+		t.Fatal("holding out 1 in more ratings than the table has should fail")
 	}
 }

@@ -109,7 +109,7 @@ func TestRatingsHaveLearnableStructure(t *testing.T) {
 	d := Generate(MovieLens.Scaled(0.3))
 	split := len(d.Ratings) * 9 / 10
 	train, test := d.Ratings[:split], d.Ratings[split:]
-	m, err := rec.TrainSVD(train, rec.BuildOptions{SVDFactors: 8, SVDEpochs: 120, SVDRate: 0.02, SVDSeed: 5})
+	m, err := rec.Build(train, rec.SVD, rec.BuildOptions{SVDFactors: 8, SVDEpochs: 120, SVDRate: 0.02, SVDSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

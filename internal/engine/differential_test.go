@@ -12,10 +12,10 @@ import (
 )
 
 // TestDifferentialSQLVsModel cross-checks the whole SQL path (parser →
-// planner → operators → model tables) against the in-memory model: for
-// random rating matrices, the RECOMMEND clause must return exactly the
-// model's predictions for every user's unseen items, under every plan
-// variant.
+// planner → operators → model store) against a model rec.Build makes from
+// the same ratings: for random rating matrices, the RECOMMEND clause must
+// return exactly the model's predictions (Predict) for every user's unseen
+// items, under every plan variant.
 func TestDifferentialSQLVsModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := seed
@@ -64,8 +64,8 @@ func TestDifferentialSQLVsModel(t *testing.T) {
 				return false
 			}
 			want := map[[2]int64]float64{}
-			for _, u := range model.Users() {
-				for _, i := range model.Items() {
+			for _, u := range model.UserIDs() {
+				for _, i := range model.ItemIDs() {
 					if _, rated := model.Seen(u, i); rated {
 						continue
 					}
@@ -101,7 +101,7 @@ func TestDifferentialSQLVsModel(t *testing.T) {
 			return false
 		}
 		// Per-user FilterRecommend plans must agree with the model too.
-		for _, u := range model.Users() {
+		for _, u := range model.UserIDs() {
 			q, err := e.Query(fmt.Sprintf(`SELECT R.iid, R.ratingval FROM ratings R
 				RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
 				WHERE R.uid = %d`, u))

@@ -25,11 +25,7 @@ func benchRatings(users, items int) []rec.Rating {
 
 func benchStore(tb testing.TB, neighborhoodSize int) *rec.ModelStore {
 	tb.Helper()
-	model, err := rec.Build(benchRatings(150, 300), rec.ItemCosCF, rec.BuildOptions{NeighborhoodSize: neighborhoodSize})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	store, err := rec.Materialize(model)
+	store, err := rec.Build(benchRatings(150, 300), rec.ItemCosCF, rec.BuildOptions{NeighborhoodSize: neighborhoodSize})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -23,24 +23,19 @@ func paperRatings() []rec.Rating {
 	}
 }
 
-func buildStore(t *testing.T, algo rec.Algorithm) (*catalog.Catalog, *rec.ModelStore, rec.Model) {
+func buildStore(t *testing.T, algo rec.Algorithm) *rec.ModelStore {
 	t.Helper()
-	cat := catalog.New(nil, 0)
-	model, err := rec.Build(paperRatings(), algo, rec.BuildOptions{SVDSeed: 3})
+	store, err := rec.Build(paperRatings(), algo, rec.BuildOptions{SVDSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := rec.Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cat, store, model
+	return store
 }
 
 func recTestSchema() *types.Schema { return RecSchema("r", "uid", "iid", "ratingval") }
 
 func TestRecommendFullItemCF(t *testing.T) {
-	_, store, model := buildStore(t, rec.ItemCosCF)
+	store := buildStore(t, rec.ItemCosCF)
 	op := NewRecommend(store, recTestSchema())
 	rows, err := Collect(op)
 	if err != nil {
@@ -52,13 +47,13 @@ func TestRecommendFullItemCF(t *testing.T) {
 	}
 	for _, row := range rows {
 		u, i, r := row[0].Int(), row[1].Int(), row[2].Float()
-		if actual, rated := model.Seen(u, i); rated {
+		if actual, rated := store.Seen(u, i); rated {
 			if r != actual {
 				t.Fatalf("rated pair (%d,%d) emitted %v, want actual %v", u, i, r, actual)
 			}
 			continue
 		}
-		want, ok := model.Predict(u, i)
+		want, ok := store.Predict(u, i)
 		if !ok {
 			want = 0
 		}
@@ -70,7 +65,7 @@ func TestRecommendFullItemCF(t *testing.T) {
 
 func TestRecommendAllAlgorithms(t *testing.T) {
 	for _, algo := range []rec.Algorithm{rec.ItemCosCF, rec.ItemPearCF, rec.UserCosCF, rec.UserPearCF, rec.SVD} {
-		_, store, model := buildStore(t, algo)
+		store := buildStore(t, algo)
 		rows, err := Collect(NewRecommend(store, recTestSchema()))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -80,13 +75,13 @@ func TestRecommendAllAlgorithms(t *testing.T) {
 		}
 		for _, row := range rows {
 			u, i, r := row[0].Int(), row[1].Int(), row[2].Float()
-			if actual, rated := model.Seen(u, i); rated {
+			if actual, rated := store.Seen(u, i); rated {
 				if r != actual {
 					t.Fatalf("%v: rated (%d,%d) = %v, want %v", algo, u, i, r, actual)
 				}
 				continue
 			}
-			want, ok := model.Predict(u, i)
+			want, ok := store.Predict(u, i)
 			if !ok {
 				want = 0
 			}
@@ -98,7 +93,7 @@ func TestRecommendAllAlgorithms(t *testing.T) {
 }
 
 func TestFilterRecommendPrunesComputation(t *testing.T) {
-	_, store, model := buildStore(t, rec.ItemCosCF)
+	store := buildStore(t, rec.ItemCosCF)
 
 	// Full recommend loads every user and scores every unseen pair; a
 	// single-user, single-item FILTERRECOMMEND loads one user and scores
@@ -119,7 +114,7 @@ func TestFilterRecommendPrunesComputation(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("filtered recommend: %v", rows)
 	}
-	want, _ := model.Predict(3, 3)
+	want, _ := store.Predict(3, 3)
 	if math.Abs(rows[0][2].Float()-want) > 1e-12 {
 		t.Fatalf("score %v, want %v", rows[0][2].Float(), want)
 	}
@@ -130,7 +125,7 @@ func TestFilterRecommendPrunesComputation(t *testing.T) {
 }
 
 func TestRecommendExcludeSeen(t *testing.T) {
-	_, store, _ := buildStore(t, rec.ItemCosCF)
+	store := buildStore(t, rec.ItemCosCF)
 	op := NewRecommend(store, recTestSchema())
 	op.Users = []int64{2}
 	op.IncludeSeen = false
@@ -145,7 +140,7 @@ func TestRecommendExcludeSeen(t *testing.T) {
 }
 
 func TestRecommendRatingPredicate(t *testing.T) {
-	_, store, _ := buildStore(t, rec.ItemCosCF)
+	store := buildStore(t, rec.ItemCosCF)
 	op := NewRecommend(store, recTestSchema())
 	op.RatingPred = compilePred(t, "r.ratingval >= 2.0", op.Schema())
 	rows, err := Collect(op)
@@ -163,7 +158,7 @@ func TestRecommendRatingPredicate(t *testing.T) {
 }
 
 func TestJoinRecommend(t *testing.T) {
-	cat, store, model := buildStore(t, rec.ItemCosCF)
+	cat, store := catalog.New(nil, 0), buildStore(t, rec.ItemCosCF)
 	movies := moviesFixture(t, cat)
 	outer := NewFilter(NewSeqScan(movies, "m"),
 		compilePred(t, "m.genre = 'Action'", movies.Schema.WithQualifier("m")))
@@ -188,11 +183,10 @@ func TestJoinRecommend(t *testing.T) {
 	if r[1].Int() != 1 || r[2].Float() != 2 {
 		t.Fatalf("item 1 row: %v", r)
 	}
-	_ = model
 }
 
 func TestJoinRecommendAllUsers(t *testing.T) {
-	cat, store, _ := buildStore(t, rec.SVD)
+	cat, store := catalog.New(nil, 0), buildStore(t, rec.SVD)
 	movies := moviesFixture(t, cat)
 	outer := NewFilter(NewSeqScan(movies, "m"),
 		compilePred(t, "m.mid = 2", movies.Schema.WithQualifier("m")))
@@ -278,7 +272,7 @@ func TestIndexRecommendRequiresUsers(t *testing.T) {
 // ties in emission order — for K below, at and above the row count.
 func TestTopKEqualsStableSortLimit(t *testing.T) {
 	for _, algo := range []rec.Algorithm{rec.ItemCosCF, rec.UserCosCF, rec.SVD, rec.Popularity} {
-		_, store, _ := buildStore(t, algo)
+		store := buildStore(t, algo)
 		build := func() *Recommend {
 			op := NewRecommend(store, recTestSchema())
 			op.Users = []int64{4, 1}
@@ -321,7 +315,7 @@ func TestTopKEqualsStableSortLimit(t *testing.T) {
 
 func TestRecommendComposesWithSortLimit(t *testing.T) {
 	// Query 1 shape: recommend → filter uid → sort by rating desc → limit.
-	_, store, model := buildStore(t, rec.ItemCosCF)
+	store := buildStore(t, rec.ItemCosCF)
 	op := NewRecommend(store, recTestSchema())
 	op.Users = []int64{1}
 	op.IncludeSeen = false
@@ -339,8 +333,8 @@ func TestRecommendComposesWithSortLimit(t *testing.T) {
 		t.Fatal("top-k not sorted")
 	}
 	// Highest prediction for user 1 among unseen items {2,3}.
-	p2, _ := model.Predict(1, 2)
-	p3, _ := model.Predict(1, 3)
+	p2, _ := store.Predict(1, 2)
+	p3, _ := store.Predict(1, 3)
 	want := math.Max(p2, p3)
 	if math.Abs(rows[0][2].Float()-want) > 1e-12 {
 		t.Fatalf("top score %v, want %v", rows[0][2].Float(), want)

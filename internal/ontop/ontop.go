@@ -44,7 +44,7 @@ type appRecommender struct {
 	table            string
 	uCol, iCol, rCol string
 	algo             rec.Algorithm
-	model            rec.Model
+	model            *rec.ModelStore
 }
 
 // New creates an OnTopDB client over the engine.
@@ -124,8 +124,8 @@ func (c *Client) Query(recommender, selectSQL string) (*engine.QueryResult, erro
 	}
 
 	// Step 2: generate recommendations in application memory.
-	users := r.model.Users()
-	items := r.model.Items()
+	users := r.model.UserIDs()
+	items := r.model.ItemIDs()
 	scores := make([]rec.Rating, 0, len(users)*len(items)/2)
 	for _, u := range users {
 		for _, i := range items {

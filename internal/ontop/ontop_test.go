@@ -160,7 +160,7 @@ func strongestFirstDivergence(t *testing.T, ratings []rec.Rating, algo string) i
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := rec.BuildNeighborhood(ratings, a, rec.BuildOptions{})
+	model, err := rec.Build(ratings, a, rec.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func strongestFirstDivergence(t *testing.T, ratings []rec.Rating, algo string) i
 		byUser[r.User][r.Item], byItem[r.Item][r.User] = r.Value, r.Value
 	}
 	diverged := 0
-	for _, u := range model.Users() {
-		for _, i := range model.Items() {
-			list, known := model.Neighbors(i), byUser[u]
+	for _, u := range model.UserIDs() {
+		for _, i := range model.ItemIDs() {
+			list, known := model.ItemNeighbors(i), byUser[u]
 			if !a.ItemBased() {
-				list, known = model.Neighbors(u), byItem[i]
+				list, known = model.UserNeighbors(u), byItem[i]
 			}
 			list = slices.Clone(list)
 			slices.SortFunc(list, func(a, b rec.Neighbor) int {

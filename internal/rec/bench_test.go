@@ -23,7 +23,7 @@ func BenchmarkBuildItemCosCF(b *testing.B) {
 	ratings := benchRatings(200, 400, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildNeighborhood(ratings, ItemCosCF, BuildOptions{}); err != nil {
+		if _, err := Build(ratings, ItemCosCF, BuildOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkTrainSVD(b *testing.B) {
 	ratings := benchRatings(200, 400, 0.06)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainSVD(ratings, BuildOptions{SVDSeed: 1}); err != nil {
+		if _, err := Build(ratings, SVD, BuildOptions{SVDSeed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,12 +41,9 @@ func BenchmarkTrainSVD(b *testing.B) {
 
 func BenchmarkPredictItemCF(b *testing.B) {
 	ratings := benchRatings(200, 400, 0.06)
-	m, err := BuildNeighborhood(ratings, ItemCosCF, BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := m.Users()
-	items := m.Items()
+	m := mustBuild(b, ratings, ItemCosCF, BuildOptions{})
+	users := m.UserIDs()
+	items := m.ItemIDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(users[i%len(users)], items[i%len(items)])
@@ -68,27 +65,17 @@ func withFreshItems(ratings []Rating, users, fresh int) []Rating {
 // the end-of-window shape of a ratings.mixed shard — the seed ratings of
 // one shard of the benchmark ledger (~1 900 ratings, 94 users x 336 items)
 // plus ~6 000 fresh items rated once each — for the two recommenders the
-// ledger creates: the ItemCosCF build and its store, the SVD training
-// (with its IVF index) and its store.
+// ledger creates: the ItemCosCF build and the SVD training with its IVF
+// index.
 func BenchmarkRebuildCrossing(b *testing.B) {
 	ratings := withFreshItems(benchRatings(94, 336, 0.06), 94, 6000)
 	opts := BuildOptions{SVDSeed: 1}
-	cos, err := BuildNeighborhood(ratings, ItemCosCF, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svd, err := TrainSVD(ratings, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, stage := range []struct {
 		name string
 		run  func() error
 	}{
-		{"BuildNeighborhood", func() error { _, err := BuildNeighborhood(ratings, ItemCosCF, opts); return err }},
-		{"Materialize/ItemCosCF", func() error { _, err := Materialize(cos); return err }},
-		{"TrainSVD", func() error { _, err := TrainSVD(ratings, opts); return err }},
-		{"Materialize/SVD", func() error { _, err := Materialize(svd); return err }},
+		{"BuildNeighborhood", func() error { _, err := Build(ratings, ItemCosCF, opts); return err }},
+		{"TrainSVD", func() error { _, err := Build(ratings, SVD, opts); return err }},
 	} {
 		b.Run(stage.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -58,26 +58,6 @@ func (o BuildOptions) withDefaults() BuildOptions {
 	return o
 }
 
-// Model is a built recommendation model: it predicts RecScore(u, i) per
-// Step II of §II and knows which (user, item) pairs are already rated.
-type Model interface {
-	// Algorithm returns the algorithm that built the model.
-	Algorithm() Algorithm
-	// Predict estimates RecScore(u, i). ok is false when the model has no
-	// basis for a prediction (the operators then emit 0, per Algorithm 1).
-	Predict(user, item int64) (score float64, ok bool)
-	// Seen returns the rating user gave item, if any.
-	Seen(user, item int64) (float64, bool)
-	// Users returns all user ids known to the model, ascending.
-	Users() []int64
-	// Items returns all item ids known to the model, ascending.
-	Items() []int64
-	// NumRatings returns the number of ratings the model was built from.
-	NumRatings() int
-	// Ratings returns the training ratings sorted by (user, item).
-	Ratings() []Rating
-}
-
 // ratingsIndex is a model's view of its input ratings, a repeated (user,
 // item) reduced to its last value, held twice as ascending (id, value)
 // runs: by user, each run ascending in item, and by item, each ascending in
@@ -91,7 +71,7 @@ type ratingsIndex struct {
 
 // runSet holds the runs of one key side back to back (CSR): run p is
 // rows[off[p]:off[p+1]], and at[x] is the position of rows[x].ID among
-// the other side's ids — the column BuildNeighborhood accumulates in.
+// the other side's ids — the column neighborhoodLists accumulates in.
 type runSet struct {
 	off  []int
 	rows []Neighbor
@@ -172,31 +152,6 @@ func (ix *ratingsIndex) userRun(user int64) []Neighbor { return ix.byUser.find(i
 // itemRun returns item's ratings, ascending in user.
 func (ix *ratingsIndex) itemRun(item int64) []Neighbor { return ix.byItem.find(ix.items, item) }
 
-// NumRatings implements Model.
-func (ix *ratingsIndex) NumRatings() int { return ix.n }
-
-// Users implements Model.
-func (ix *ratingsIndex) Users() []int64 { return ix.users }
-
-// Items implements Model.
-func (ix *ratingsIndex) Items() []int64 { return ix.items }
-
-// Seen implements Model.
-func (ix *ratingsIndex) Seen(user, item int64) (float64, bool) {
-	return ValueOf(ix.userRun(user), item)
-}
-
-// Ratings implements Model.
-func (ix *ratingsIndex) Ratings() []Rating {
-	out := make([]Rating, 0, ix.n)
-	for p, u := range ix.users {
-		for _, r := range ix.byUser.run(p) {
-			out = append(out, Rating{User: u, Item: r.ID, Value: r.Sim})
-		}
-	}
-	return out
-}
-
 // ValueOf returns the value run holds for id, if any; run is ascending in
 // id, as every run is: a similarity list, or a user's or an item's
 // ratings.
@@ -210,29 +165,12 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 
 // ---- Neighborhood models (ItemCosCF / ItemPearCF / UserCosCF / UserPearCF) ----
 
-// NeighborhoodModel is a similarity-list model: item-item or user-user.
-type NeighborhoodModel struct {
-	algo Algorithm
-	*ratingsIndex
-	// neighbors maps the entity id (item for item-based, user for
-	// user-based) to its similarity list, in ascending id order.
-	neighbors map[int64][]Neighbor
-	// cut says NeighborhoodSize truncated at least one list. Until it
-	// does, the lists are their own transpose: j is in i's list with
-	// similarity s exactly when i is in j's with the same s, bit for bit.
-	// BuildNeighborhood computes the pair (i, j) once from each side, and
-	// the two sides form the same dot product — the same products, since
-	// IEEE multiplication commutes, summed over the shared dimensions in
-	// the same ascending order — and divide it by the same two norms, also
-	// multiplied in swapped order. The Scorer's user-driven side relies on
-	// this (ModelStore.symmetric).
-	cut bool
-}
-
-// BuildNeighborhood computes the similarity lists for a neighborhood
-// algorithm (Step I of §II; Equation 1 for cosine). For Pearson variants
-// the vectors are mean-centered per entity before the cosine, the classic
-// adjusted formulation.
+// neighborhoodLists computes the similarity lists for a neighborhood
+// algorithm (Step I of §II; Equation 1 for cosine), keyed by the entity
+// (item for item-based, user for user-based), each in ascending id order.
+// For Pearson variants the vectors are mean-centered per entity before the
+// cosine, the classic adjusted formulation. cut says NeighborhoodSize
+// truncated at least one list (ModelStore.symmetric).
 //
 // The lists are accumulated row by row (Gustavson's sparse product): the
 // entity's row of the similarity matrix is the sum, over its dimensions in
@@ -245,13 +183,8 @@ type NeighborhoodModel struct {
 // one contiguous range per worker of opts.Workers; each list is owned by
 // the worker that owns its entity and is computed in full by it, so the
 // model is bit-identical at any worker count.
-func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*NeighborhoodModel, error) {
-	if !algo.ItemBased() && !algo.UserBased() {
-		return nil, fmt.Errorf("rec: %v is not a neighborhood algorithm", algo)
-	}
-	opts = opts.withDefaults()
+func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions) (neighbors map[int64][]Neighbor, cut bool) {
 	workers := opts.Workers
-	ix := indexRatings(ratings)
 
 	// For item-based models the "entities" are items and the shared
 	// dimension is users; user-based swaps the roles. The index holds the
@@ -351,13 +284,13 @@ func BuildNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (*Ne
 		}
 	})
 
-	neighbors := make(map[int64][]Neighbor, ne)
+	neighbors = make(map[int64][]Neighbor, ne)
 	for pe, list := range lists {
 		if len(list) > 0 {
 			neighbors[entities[pe]] = list
 		}
 	}
-	return &NeighborhoodModel{algo: algo, ratingsIndex: ix, neighbors: neighbors, cut: slices.Contains(cutBy, true)}, nil
+	return neighbors, slices.Contains(cutBy, true)
 }
 
 // values returns a copy of the values of rows.
@@ -379,24 +312,6 @@ func strongerFirst(a, b Neighbor) int {
 		return 1
 	}
 	return cmp.Compare(a.ID, b.ID)
-}
-
-// Algorithm implements Model.
-func (m *NeighborhoodModel) Algorithm() Algorithm { return m.algo }
-
-// Neighbors returns the similarity list for an item (item-based) or user
-// (user-based), in ascending id order.
-func (m *NeighborhoodModel) Neighbors(id int64) []Neighbor { return m.neighbors[id] }
-
-// Predict implements Model using Equation 2: the weighted average of the
-// user's ratings over the intersection of the candidate's similarity list
-// with the user's rated items (item-based), or of the neighbors' ratings
-// for the candidate item (user-based).
-func (m *NeighborhoodModel) Predict(user, item int64) (float64, bool) {
-	if m.algo.ItemBased() {
-		return PredictWeighted(m.neighbors[item], m.userRun(user))
-	}
-	return PredictWeighted(m.neighbors[user], m.itemRun(item))
 }
 
 // PredictWeighted evaluates Equation 2 given a similarity list and the
@@ -441,20 +356,11 @@ func (w weightedSum) score() (float64, bool) {
 
 // ---- Matrix factorization (SVD) ----
 
-// FactorModel is the matrix-factorization model of §IV-A3: one latent
-// factor vector per user and per item; prediction is their dot product.
-// IVF is the inverted-file ANN index over the item factors, built after
-// training so RECOMMEND top-k can probe instead of scanning every item.
-type FactorModel struct {
-	*ratingsIndex
-	UserFactors map[int64][]float64
-	ItemFactors map[int64][]float64
-	K           int
-	IVF         *ann.Index
-}
-
-// TrainSVD learns the factor model by stochastic gradient descent on the
-// regularized squared error of Equation 3.
+// trainSVD learns the matrix-factorization model of §IV-A3 — one latent
+// factor vector per user and per item, whose dot product is the prediction
+// — by stochastic gradient descent on the regularized squared error of
+// Equation 3, and builds the inverted-file ANN index over the item factors
+// so RECOMMEND top-k can probe instead of scanning every item.
 //
 // Training uses a stratified parallel schedule (Gemulla et al., KDD 2011):
 // users and items are each split into svdStrata strata, and within one
@@ -464,17 +370,11 @@ type FactorModel struct {
 // streams — is fixed by SVDSeed alone, so the trained factors are
 // bit-identical at any worker count (Workers: 1 runs the same schedule
 // serially).
-func TrainSVD(ratings []Rating, opts BuildOptions) (*FactorModel, error) {
-	opts = opts.withDefaults()
-	ix := indexRatings(ratings)
+func trainSVD(ix *ratingsIndex, opts BuildOptions) (userVecs, itemVecs map[int64][]float64, ivf *ann.Index) {
 	k := opts.SVDFactors
 	rng := rand.New(rand.NewSource(opts.SVDSeed))
-	m := &FactorModel{
-		ratingsIndex: ix,
-		UserFactors:  make(map[int64][]float64, len(ix.users)),
-		ItemFactors:  make(map[int64][]float64, len(ix.items)),
-		K:            k,
-	}
+	userVecs = make(map[int64][]float64, len(ix.users))
+	itemVecs = make(map[int64][]float64, len(ix.items))
 	initVec := func() []float64 {
 		v := make([]float64, k)
 		for i := range v {
@@ -483,22 +383,22 @@ func TrainSVD(ratings []Rating, opts BuildOptions) (*FactorModel, error) {
 		return v
 	}
 	for _, u := range ix.users {
-		m.UserFactors[u] = initVec()
+		userVecs[u] = initVec()
 	}
 	for _, i := range ix.items {
-		m.ItemFactors[i] = initVec()
+		itemVecs[i] = initVec()
 	}
-	trainStratified(m, ix, opts)
+	trainStratified(userVecs, itemVecs, ix, opts)
 	// The IVF index over the trained item factors. The build is a
 	// deterministic function of (factors, seed) at any worker count, so
 	// the index is bit-identical run to run, as the factors are.
-	m.IVF = ann.Build(ix.items, m.ItemFactors, ann.Options{
+	ivf = ann.Build(ix.items, itemVecs, ann.Options{
 		Centroids: opts.ANNCentroids,
 		NProbe:    opts.ANNProbe,
 		Workers:   opts.Workers,
 		Seed:      opts.SVDSeed,
 	})
-	return m, nil
+	return userVecs, itemVecs, ivf
 }
 
 // svdStrata is the stratification degree S of the DSGD schedule: ratings
@@ -512,8 +412,8 @@ const svdStrata = 8
 // Each block shuffles and applies its ratings under an RNG derived from
 // (SVDSeed, epoch, rot, us), so the result does not depend on how blocks
 // are assigned to workers.
-func trainStratified(m *FactorModel, ix *ratingsIndex, opts BuildOptions) {
-	k, lr, lam := m.K, opts.SVDRate, opts.SVDLambda
+func trainStratified(userVecs, itemVecs map[int64][]float64, ix *ratingsIndex, opts BuildOptions) {
+	k, lr, lam := opts.SVDFactors, opts.SVDRate, opts.SVDLambda
 	// Block (user position mod S, item position mod S), each block's
 	// ratings in (user, item) order.
 	blocks := make([][]Rating, svdStrata*svdStrata)
@@ -540,7 +440,7 @@ func trainStratified(m *FactorModel, ix *ratingsIndex, opts BuildOptions) {
 					rng := rand.New(rand.NewSource(ann.MixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))))
 					rng.Shuffle(len(block), func(a, b int) { block[a], block[b] = block[b], block[a] })
 					for _, r := range block {
-						p, q := m.UserFactors[r.User], m.ItemFactors[r.Item]
+						p, q := userVecs[r.User], itemVecs[r.Item]
 						pred := Dot(p, q)
 						err := r.Value - pred
 						for f := 0; f < k; f++ {
@@ -564,28 +464,32 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Algorithm implements Model.
-func (m *FactorModel) Algorithm() Algorithm { return SVD }
-
-// Predict implements Model: the dot product of the user and item factor
-// vectors (Algorithm 2).
-func (m *FactorModel) Predict(user, item int64) (float64, bool) {
-	p, pok := m.UserFactors[user]
-	q, qok := m.ItemFactors[item]
-	if !pok || !qok {
-		return 0, false
-	}
-	return Dot(p, q), true
-}
-
-// Build constructs the model for any supported algorithm.
-func Build(ratings []Rating, algo Algorithm, opts BuildOptions) (Model, error) {
-	switch algo {
-	case SVD:
-		return TrainSVD(ratings, opts)
-	case Popularity:
-		return BuildPopularity(ratings), nil
+// Build builds the model of algo over ratings (Step I of §II): the ratings
+// index every model keeps, and the algorithm's own structures — the
+// similarity lists, the factor vectors and their IVF index, or the
+// popularity scores. The store it returns is the model; nothing writes it
+// afterwards. The family builders it calls take opts with its defaults
+// applied.
+func Build(ratings []Rating, algo Algorithm, opts BuildOptions) (*ModelStore, error) {
+	opts = opts.withDefaults()
+	s := &ModelStore{Algo: algo, ratings: indexRatings(ratings)}
+	switch {
+	case algo.ItemBased():
+		lists, cut := neighborhoodLists(s.ratings, algo, opts)
+		s.itemLists, s.symmetric = lists, !cut
+	case algo.UserBased():
+		s.userLists, _ = neighborhoodLists(s.ratings, algo, opts)
+	case algo == SVD:
+		var ivf *ann.Index
+		s.userVecs, s.itemVecs, ivf = trainSVD(s.ratings, opts)
+		if ivf.NumCentroids() > 0 {
+			s.ivf = ivf
+		}
+	case algo == Popularity:
+		s.scores = popularityScores(s.ratings)
 	default:
-		return BuildNeighborhood(ratings, algo, opts)
+		return nil, fmt.Errorf("rec: cannot build %v", algo)
 	}
+	s.itemPos = newPosTable(s.ratings.items)
+	return s, nil
 }

@@ -52,7 +52,7 @@ func paperRatings() []Rating {
 }
 
 func TestItemCosineSimilarityHandComputed(t *testing.T) {
-	m, err := BuildNeighborhood(paperRatings(), ItemCosCF, BuildOptions{})
+	m, err := Build(paperRatings(), ItemCosCF, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,19 +78,27 @@ func TestItemCosineSimilarityHandComputed(t *testing.T) {
 	}
 }
 
-func simOf(t *testing.T, m *NeighborhoodModel, a, b int64) float64 {
-	t.Helper()
-	for _, n := range m.Neighbors(a) {
-		if n.ID == b {
-			return n.Sim
-		}
+// mustBuild builds algo's model over ratings, failing the test on an error.
+func mustBuild(tb testing.TB, ratings []Rating, algo Algorithm, opts BuildOptions) *ModelStore {
+	tb.Helper()
+	s, err := Build(ratings, algo, opts)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	t.Fatalf("no neighbor %d of %d", b, a)
-	return 0
+	return s
+}
+
+func simOf(t *testing.T, s *ModelStore, a, b int64) float64 {
+	t.Helper()
+	sim, ok := ValueOf(lists(s)[a], b)
+	if !ok {
+		t.Fatalf("no neighbor %d of %d", b, a)
+	}
+	return sim
 }
 
 func TestItemCFPredictEquation2(t *testing.T) {
-	m, _ := BuildNeighborhood(paperRatings(), ItemCosCF, BuildOptions{})
+	m, _ := Build(paperRatings(), ItemCosCF, BuildOptions{})
 	// Predict item 3 for user 3 (rated items 1 and 2).
 	// RecScore = (sim(3,1)*r31 + sim(3,2)*r32) / (|sim(3,1)| + |sim(3,2)|).
 	s31, s32 := simOf(t, m, 3, 1), simOf(t, m, 3, 2)
@@ -103,40 +111,39 @@ func TestItemCFPredictEquation2(t *testing.T) {
 
 func TestPredictNoOverlap(t *testing.T) {
 	// User 5 has rated nothing: no prediction basis.
-	m, _ := BuildNeighborhood(paperRatings(), ItemCosCF, BuildOptions{})
+	m, _ := Build(paperRatings(), ItemCosCF, BuildOptions{})
 	if _, ok := m.Predict(5, 1); ok {
 		t.Error("prediction for unknown user should fail")
 	}
 	// Disjoint items: two users rating disjoint item sets.
-	m2, _ := BuildNeighborhood([]Rating{{1, 1, 5}, {2, 2, 3}}, ItemCosCF, BuildOptions{})
+	m2, _ := Build([]Rating{{1, 1, 5}, {2, 2, 3}}, ItemCosCF, BuildOptions{})
 	if _, ok := m2.Predict(1, 2); ok {
 		t.Error("prediction with empty neighborhood intersection should fail")
 	}
 }
 
 func TestSeenAndAccessors(t *testing.T) {
-	m, _ := BuildNeighborhood(paperRatings(), ItemCosCF, BuildOptions{})
+	m, _ := Build(paperRatings(), ItemCosCF, BuildOptions{})
 	if v, ok := m.Seen(2, 1); !ok || v != 4.5 {
 		t.Errorf("Seen(2,1) = %v, %v", v, ok)
 	}
 	if _, ok := m.Seen(1, 3); ok {
 		t.Error("Seen(1,3) should be false")
 	}
-	if got := m.Users(); len(got) != 4 || got[0] != 1 || got[3] != 4 {
+	if got := m.UserIDs(); len(got) != 4 || got[0] != 1 || got[3] != 4 {
 		t.Errorf("Users: %v", got)
 	}
-	if got := m.Items(); len(got) != 3 {
+	if got := m.ItemIDs(); len(got) != 3 {
 		t.Errorf("Items: %v", got)
 	}
-	if m.NumRatings() != 7 {
-		t.Errorf("NumRatings = %d", m.NumRatings())
+	if m.ratings.n != 7 {
+		t.Errorf("%d ratings", m.ratings.n)
 	}
-	if m.Algorithm() != ItemCosCF {
-		t.Errorf("Algorithm = %v", m.Algorithm())
+	if m.Algo != ItemCosCF {
+		t.Errorf("Algo = %v", m.Algo)
 	}
-	rs := m.Ratings()
-	if len(rs) != 7 || rs[0] != (Rating{1, 1, 1.5}) {
-		t.Errorf("Ratings: %v", rs)
+	if rs := m.UserItems(1); len(rs) != 1 || rs[0] != (Neighbor{ID: 1, Sim: 1.5}) {
+		t.Errorf("UserItems(1): %v", rs)
 	}
 }
 
@@ -148,14 +155,14 @@ func TestPearsonCentersVectors(t *testing.T) {
 		{1, 1, 1}, {2, 1, 2}, {3, 1, 3},
 		{1, 2, 3}, {2, 2, 4}, {3, 2, 5},
 	}
-	m, _ := BuildNeighborhood(ratings, ItemPearCF, BuildOptions{})
+	m, _ := Build(ratings, ItemPearCF, BuildOptions{})
 	if got := simOf(t, m, 1, 2); math.Abs(got-1) > 1e-9 {
 		t.Errorf("Pearson sim of linearly related items = %v, want 1", got)
 	}
 }
 
 func TestUserBasedModel(t *testing.T) {
-	m, err := BuildNeighborhood(paperRatings(), UserCosCF, BuildOptions{})
+	m, err := Build(paperRatings(), UserCosCF, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,23 +186,23 @@ func TestUserBasedModel(t *testing.T) {
 
 func TestNeighborhoodTruncation(t *testing.T) {
 	ratings := paperRatings()
-	full, _ := BuildNeighborhood(ratings, ItemCosCF, BuildOptions{})
-	trunc, _ := BuildNeighborhood(ratings, ItemCosCF, BuildOptions{NeighborhoodSize: 1})
-	if len(full.Neighbors(1)) < 2 {
+	full, _ := Build(ratings, ItemCosCF, BuildOptions{})
+	trunc, _ := Build(ratings, ItemCosCF, BuildOptions{NeighborhoodSize: 1})
+	if len(full.ItemNeighbors(1)) < 2 {
 		t.Skip("need at least 2 neighbors for this test")
 	}
-	if len(trunc.Neighbors(1)) != 1 {
-		t.Fatalf("truncated list has %d entries", len(trunc.Neighbors(1)))
+	if len(trunc.ItemNeighbors(1)) != 1 {
+		t.Fatalf("truncated list has %d entries", len(trunc.ItemNeighbors(1)))
 	}
 	// Truncation keeps the highest-|sim| neighbor.
-	if trunc.Neighbors(1)[0].ID != slices.MinFunc(full.Neighbors(1), strongerFirst).ID {
+	if trunc.ItemNeighbors(1)[0].ID != slices.MinFunc(full.ItemNeighbors(1), strongerFirst).ID {
 		t.Error("truncation should keep the top neighbor")
 	}
 }
 
 func TestBuildRejectsWrongAlgorithm(t *testing.T) {
-	if _, err := BuildNeighborhood(paperRatings(), SVD, BuildOptions{}); err == nil {
-		t.Error("BuildNeighborhood(SVD) should fail")
+	if _, err := Build(paperRatings(), Algorithm(99), BuildOptions{}); err == nil {
+		t.Error("Build(Algorithm(99)) should fail")
 	}
 }
 
@@ -212,7 +219,7 @@ func TestSVDLearnsRatings(t *testing.T) {
 			ratings = append(ratings, Rating{int64(u + 1), int64(i + 1), userW[u] * itemW[i]})
 		}
 	}
-	m, err := TrainSVD(ratings, BuildOptions{SVDFactors: 4, SVDEpochs: 200, SVDRate: 0.02, SVDSeed: 42})
+	m, err := Build(ratings, SVD, BuildOptions{SVDFactors: 4, SVDEpochs: 200, SVDRate: 0.02, SVDSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +248,8 @@ func TestSVDLearnsRatings(t *testing.T) {
 
 func TestSVDDeterministic(t *testing.T) {
 	ratings := paperRatings()
-	m1, _ := TrainSVD(ratings, BuildOptions{SVDSeed: 7})
-	m2, _ := TrainSVD(ratings, BuildOptions{SVDSeed: 7})
+	m1, _ := Build(ratings, SVD, BuildOptions{SVDSeed: 7})
+	m2, _ := Build(ratings, SVD, BuildOptions{SVDSeed: 7})
 	p1, _ := m1.Predict(1, 2)
 	p2, _ := m2.Predict(1, 2)
 	if p1 != p2 {
@@ -251,7 +258,7 @@ func TestSVDDeterministic(t *testing.T) {
 }
 
 func TestSVDUnknownIDs(t *testing.T) {
-	m, _ := TrainSVD(paperRatings(), BuildOptions{})
+	m, _ := Build(paperRatings(), SVD, BuildOptions{})
 	if _, ok := m.Predict(99, 1); ok {
 		t.Error("unknown user should not predict")
 	}
@@ -261,13 +268,13 @@ func TestSVDUnknownIDs(t *testing.T) {
 }
 
 func TestBuildDispatch(t *testing.T) {
-	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD} {
+	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD, Popularity} {
 		m, err := Build(paperRatings(), algo, BuildOptions{})
 		if err != nil {
 			t.Fatalf("Build(%v): %v", algo, err)
 		}
-		if m.Algorithm() != algo {
-			t.Fatalf("Build(%v) returned %v model", algo, m.Algorithm())
+		if m.Algo != algo {
+			t.Fatalf("Build(%v) returned %v model", algo, m.Algo)
 		}
 	}
 }
@@ -301,25 +308,25 @@ func TestSimilarityBoundsProperty(t *testing.T) {
 				}
 			}
 		}
-		m, err := BuildNeighborhood(ratings, ItemCosCF, BuildOptions{})
+		m, err := Build(ratings, ItemCosCF, BuildOptions{})
 		if err != nil {
 			return false
 		}
-		for _, i := range m.Items() {
-			for _, n := range m.Neighbors(i) {
+		for _, i := range m.ItemIDs() {
+			for _, n := range m.ItemNeighbors(i) {
 				if n.Sim < -1-1e-9 || n.Sim > 1+1e-9 {
 					return false
 				}
 			}
 		}
-		for _, u := range m.Users() {
+		for _, u := range m.UserIDs() {
 			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, i := range m.Items() {
+			for _, i := range m.ItemIDs() {
 				if v, ok := m.Seen(u, i); ok {
 					lo, hi = math.Min(lo, v), math.Max(hi, v)
 				}
 			}
-			for _, i := range m.Items() {
+			for _, i := range m.ItemIDs() {
 				if p, ok := m.Predict(u, i); ok {
 					// Weighted average with non-negative weights stays in
 					// [lo, hi]; negative sims can exceed slightly, so allow

@@ -22,7 +22,7 @@ type Evaluation struct {
 
 // Evaluate scores model against test ratings. Pairs the model cannot
 // predict are counted in Unscorable and excluded from the error metrics.
-func Evaluate(model Model, test []Rating) Evaluation {
+func Evaluate(model *ModelStore, test []Rating) Evaluation {
 	var ev Evaluation
 	var se, ae float64
 	for _, r := range test {

@@ -5,26 +5,14 @@ import (
 	"testing"
 )
 
-// perfectModel predicts exactly 3.0 for every known pair.
-type perfectModel struct{ known map[[2]int64]bool }
-
-func (m perfectModel) Algorithm() Algorithm { return ItemCosCF }
-func (m perfectModel) Predict(u, i int64) (float64, bool) {
-	if m.known[[2]int64{u, i}] {
-		return 3.0, true
-	}
-	return 0, false
+// threesModel predicts exactly 3.0 for items 1 and 2, for every user: a
+// Popularity store whose every item scores 3.
+func threesModel() *ModelStore {
+	return &ModelStore{Algo: Popularity, ratings: indexRatings(nil), scores: map[int64]float64{1: 3, 2: 3}}
 }
-func (m perfectModel) Seen(u, i int64) (float64, bool) { return 0, false }
-func (m perfectModel) Users() []int64                  { return nil }
-func (m perfectModel) Items() []int64                  { return nil }
-func (m perfectModel) NumRatings() int                 { return 0 }
-func (m perfectModel) Ratings() []Rating               { return nil }
 
 func TestEvaluateMetrics(t *testing.T) {
-	m := perfectModel{known: map[[2]int64]bool{
-		{1, 1}: true, {1, 2}: true, {2, 1}: true,
-	}}
+	m := threesModel()
 	test := []Rating{
 		{1, 1, 3.0}, // error 0
 		{1, 2, 5.0}, // error 2
@@ -45,7 +33,7 @@ func TestEvaluateMetrics(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	ev := Evaluate(perfectModel{}, nil)
+	ev := Evaluate(threesModel(), nil)
 	if ev.RMSE != 0 || ev.Scorable != 0 {
 		t.Fatalf("%+v", ev)
 	}

@@ -260,17 +260,19 @@ func (m *Manager) CreateFromSpec(spec CreateSpec) (*Recommender, error) {
 	return r, nil
 }
 
-func (m *Manager) buildAndSwap(r *Recommender, ratings []Rating) error {
-	start := time.Now()
+// buildOptions returns the options r's models are built with: the
+// manager's, with r's own worker count when CREATE RECOMMENDER set one.
+func (m *Manager) buildOptions(r *Recommender) BuildOptions {
 	opts := m.opts.Build
 	if r.Workers != 0 {
 		opts.Workers = r.Workers
 	}
-	model, err := Build(ratings, r.Algo, opts)
-	if err != nil {
-		return err
-	}
-	store, err := Materialize(model)
+	return opts
+}
+
+func (m *Manager) buildAndSwap(r *Recommender, ratings []Rating) error {
+	start := time.Now()
+	store, err := Build(ratings, r.Algo, m.buildOptions(r))
 	if err != nil {
 		return err
 	}
@@ -279,7 +281,7 @@ func (m *Manager) buildAndSwap(r *Recommender, ratings []Rating) error {
 	m.opts.Metrics.BuildNanos.Observe(int64(elapsed))
 	r.mu.Lock()
 	r.store = store
-	r.buildCount = model.NumRatings()
+	r.buildCount = store.ratings.n
 	r.pending = 0
 	r.buildTime = elapsed
 	r.mu.Unlock()
@@ -576,10 +578,24 @@ func (m *Manager) HealthAll() []Health {
 	return out
 }
 
-// RatingsOf loads the current contents of a recommender's source table as
-// rating triples (used by the OnTopDB baseline and the cache manager).
-func (m *Manager) RatingsOf(r *Recommender) ([]Rating, error) {
-	return m.loadRatings(r.Table, r.UserCol, r.ItemCol, r.RatingCol)
+// Evaluate measures r's held-out accuracy: every k-th rating of its source
+// table is held out (SplitRatings), r's algorithm is built on the rest with
+// the options r's own model is built with, and the held-out ratings are
+// scored against that model.
+func (m *Manager) Evaluate(r *Recommender, k int) (Evaluation, error) {
+	ratings, err := m.loadRatings(r.Table, r.UserCol, r.ItemCol, r.RatingCol)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	train, test := SplitRatings(ratings, k)
+	if len(test) == 0 {
+		return Evaluation{}, fmt.Errorf("rec: not enough ratings to hold out 1/%d", k)
+	}
+	model, err := Build(train, r.Algo, m.buildOptions(r))
+	if err != nil {
+		return Evaluation{}, err
+	}
+	return Evaluate(model, test), nil
 }
 
 // ResolveRatingColumns maps a recommender's (user, item, rating) column

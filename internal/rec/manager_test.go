@@ -145,14 +145,10 @@ func TestManualRebuild(t *testing.T) {
 	}
 }
 
-func TestRatingsOfAndResolve(t *testing.T) {
+func TestResolveRatingColumns(t *testing.T) {
 	cat, _ := newCatalogWithRatings(t, paperRatings())
 	m := NewManager(cat, Options{})
 	r, _ := m.Create("r", "ratings", "uid", "iid", "ratingval", "")
-	got, err := m.RatingsOf(r)
-	if err != nil || len(got) != 7 {
-		t.Fatalf("RatingsOf: %d, %v", len(got), err)
-	}
 	tab, _ := cat.Get("ratings")
 	u, i, v, err := r.ResolveRatingColumns(tab.Schema)
 	if err != nil || u != 0 || i != 1 || v != 2 {
@@ -168,7 +164,7 @@ func TestLoadRatingsSkipsNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := m.RatingsOf(r); len(got) != 7 {
+	if got, _ := m.loadRatings(r.Table, r.UserCol, r.ItemCol, r.RatingCol); len(got) != 7 {
 		t.Fatalf("null row should be skipped, got %d ratings", len(got))
 	}
 }

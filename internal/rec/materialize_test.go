@@ -1,9 +1,11 @@
 package rec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,52 +13,53 @@ import (
 )
 
 // perRowRelations is the reference for a model's relations, kept for the
-// differential below: each relation's rows built one at a time from the
-// model's exported view — its ratings, lists, factors and scores — in key
-// order, each key's rows in ascending id.
-func perRowRelations(t *testing.T, m Model) map[string][]types.Row {
-	t.Helper()
+// differential below: each relation's rows built one at a time, in key
+// order, each key's rows in ascending id — the rating relations from the
+// input ratings (a repeated pair keeps its last value), the others from
+// the model's lists, factors and scores.
+func perRowRelations(ratings []Rating, s *ModelStore) map[string][]types.Row {
 	out := map[string][]types.Row{}
 	add := func(name string, row ...types.Value) { out[name] = append(out[name], row) }
-	for _, r := range m.Ratings() {
-		add("uservector", types.NewInt(r.User), types.NewInt(r.Item), types.NewFloat(r.Value))
+	last := map[[2]int64]float64{}
+	for _, r := range ratings {
+		last[[2]int64{r.User, r.Item}] = r.Value
 	}
-	switch model := m.(type) {
-	case *NeighborhoodModel:
-		if model.algo.ItemBased() {
-			for _, i := range m.Items() {
-				for _, n := range model.Neighbors(i) {
-					add("itemneighborhood", types.NewInt(i), types.NewInt(n.ID), types.NewFloat(n.Sim))
-				}
+	var pairs [][2]int64
+	for p := range last {
+		pairs = append(pairs, p)
+	}
+	slices.SortFunc(pairs, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	for _, p := range pairs {
+		add("uservector", types.NewInt(p[0]), types.NewInt(p[1]), types.NewFloat(last[p]))
+	}
+	switch {
+	case s.Algo.ItemBased():
+		for _, i := range s.ItemIDs() {
+			for _, n := range s.itemLists[i] {
+				add("itemneighborhood", types.NewInt(i), types.NewInt(n.ID), types.NewFloat(n.Sim))
 			}
-			break
 		}
-		for _, u := range m.Users() {
-			for _, n := range model.Neighbors(u) {
+	case s.Algo.UserBased():
+		for _, u := range s.UserIDs() {
+			for _, n := range s.userLists[u] {
 				add("userneighborhood", types.NewInt(u), types.NewInt(n.ID), types.NewFloat(n.Sim))
 			}
 		}
-		for _, i := range m.Items() {
-			for _, r := range m.Ratings() {
-				if r.Item == i {
-					add("itemvector", types.NewInt(i), types.NewInt(r.User), types.NewFloat(r.Value))
-				}
-			}
+		slices.SortFunc(pairs, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0])) })
+		for _, p := range pairs {
+			add("itemvector", types.NewInt(p[1]), types.NewInt(p[0]), types.NewFloat(last[p]))
 		}
-	case *FactorModel:
-		for _, u := range m.Users() {
-			add("userfactor", types.NewInt(u), types.NewText(encodeVec(model.UserFactors[u])))
+	case s.Algo == SVD:
+		for _, u := range s.UserIDs() {
+			add("userfactor", types.NewInt(u), types.NewText(encodeVec(s.userVecs[u])))
 		}
-		for _, i := range m.Items() {
-			add("itemfactor", types.NewInt(i), types.NewText(encodeVec(model.ItemFactors[i])))
+		for _, i := range s.ItemIDs() {
+			add("itemfactor", types.NewInt(i), types.NewText(encodeVec(s.itemVecs[i])))
 		}
-	case *PopularityModel:
-		for _, i := range m.Items() {
-			score, _ := model.Score(i)
-			add("itemscore", types.NewInt(i), types.NewFloat(score))
+	case s.Algo == Popularity:
+		for _, i := range s.ItemIDs() {
+			add("itemscore", types.NewInt(i), types.NewFloat(s.scores[i]))
 		}
-	default:
-		t.Fatalf("no reference relations for %T", m)
 	}
 	return out
 }
@@ -95,23 +98,16 @@ func sameRow(a, b types.Row) bool {
 
 // TestMaterializeMatchesPerRow is the relation differential: for every
 // algorithm, with full and with truncated similarity lists, each relation
-// of the store Materialize makes — its schema, its row count, and its rows
-// in order, key by key — equals the per-row reference's, value by value,
-// and the store has no relation the reference lacks.
+// of the store Build makes — its schema, its row count, and its rows in
+// order, key by key — equals the per-row reference's, value by value, and
+// the store has no relation the reference lacks.
 func TestMaterializeMatchesPerRow(t *testing.T) {
 	ratings := benchRatings(90, 140, 0.12)
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD, Popularity} {
 		for _, size := range []int{0, 7} {
 			t.Run(fmt.Sprintf("%v/neighborhood=%d", algo, size), func(t *testing.T) {
-				m, err := Build(ratings, algo, BuildOptions{NeighborhoodSize: size, SVDSeed: 1, SVDEpochs: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				store, err := Materialize(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := perRowRelations(t, m)
+				store := mustBuild(t, ratings, algo, BuildOptions{NeighborhoodSize: size, SVDSeed: 1, SVDEpochs: 3})
+				ref := perRowRelations(ratings, store)
 				for _, suffix := range modelTables {
 					want, wantOK := ref[suffix]
 					rel := store.relation(suffix)

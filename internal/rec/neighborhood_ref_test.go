@@ -11,7 +11,7 @@ import (
 )
 
 // pairNeighborhood is the reference similarity-list kernel: the pair-map
-// formulation BuildNeighborhood used before it accumulated row by row,
+// formulation neighborhoodLists used before it accumulated row by row,
 // kept whole — its own mean/norm pass and CSR — so the differential below
 // compares two independent computations. Worker w accumulates every pair
 // whose lower entity position is ≡ w mod workers into a map keyed by the
@@ -185,19 +185,16 @@ func TestNeighborhoodMatchesPairReference(t *testing.T) {
 				want, wantCut := pairNeighborhood(ratings, algo, BuildOptions{Workers: 1, NeighborhoodSize: size})
 				for _, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("%s/%v/top%d/workers=%d", fx.name, algo, size, workers)
-					m, err := BuildNeighborhood(ratings, algo, BuildOptions{Workers: workers, NeighborhoodSize: size})
-					if err != nil {
-						t.Fatal(err)
+					lists, cut := neighborhoodLists(indexRatings(ratings), algo, BuildOptions{Workers: workers, NeighborhoodSize: size}.withDefaults())
+					if cut != wantCut {
+						t.Fatalf("%s: cut = %v, reference %v", name, cut, wantCut)
 					}
-					if m.cut != wantCut {
-						t.Fatalf("%s: cut = %v, reference %v", name, m.cut, wantCut)
-					}
-					if len(m.neighbors) != len(want) {
-						t.Fatalf("%s: %d lists, reference %d", name, len(m.neighbors), len(want))
+					if len(lists) != len(want) {
+						t.Fatalf("%s: %d lists, reference %d", name, len(lists), len(want))
 					}
 					for e, w := range want {
-						if !slices.EqualFunc(m.neighbors[e], w, sameNeighbor) {
-							t.Fatalf("%s: list of %d differs:\n got %v\nwant %v", name, e, m.neighbors[e], w)
+						if !slices.EqualFunc(lists[e], w, sameNeighbor) {
+							t.Fatalf("%s: list of %d differs:\n got %v\nwant %v", name, e, lists[e], w)
 						}
 					}
 				}

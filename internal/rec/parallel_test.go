@@ -31,21 +31,21 @@ func equivalenceRatings() []Rating {
 func TestNeighborhoodParallelEquivalence(t *testing.T) {
 	ratings := equivalenceRatings()
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
-		serial, err := BuildNeighborhood(ratings, algo, BuildOptions{Workers: 1, NeighborhoodSize: 10})
+		serial, err := Build(ratings, algo, BuildOptions{Workers: 1, NeighborhoodSize: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 1000} {
-			parallel, err := BuildNeighborhood(ratings, algo, BuildOptions{Workers: workers, NeighborhoodSize: 10})
+			parallel, err := Build(ratings, algo, BuildOptions{Workers: workers, NeighborhoodSize: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(parallel.neighbors) != len(serial.neighbors) {
+			if len(lists(parallel)) != len(lists(serial)) {
 				t.Fatalf("%v workers=%d: %d entities with neighbors, want %d",
-					algo, workers, len(parallel.neighbors), len(serial.neighbors))
+					algo, workers, len(lists(parallel)), len(lists(serial)))
 			}
-			for e, want := range serial.neighbors {
-				got := parallel.neighbors[e]
+			for e, want := range lists(serial) {
+				got := lists(parallel)[e]
 				if len(got) != len(want) {
 					t.Fatalf("%v workers=%d entity %d: %d neighbors, want %d", algo, workers, e, len(got), len(want))
 				}
@@ -60,29 +60,38 @@ func TestNeighborhoodParallelEquivalence(t *testing.T) {
 	}
 }
 
+// lists returns a neighbourhood model's similarity lists, by item or by
+// user.
+func lists(s *ModelStore) map[int64][]Neighbor {
+	if s.Algo.ItemBased() {
+		return s.itemLists
+	}
+	return s.userLists
+}
+
 // TestSVDParallelEquivalence asserts the stratified SGD schedule trains
 // bit-identical factors at any worker count.
 func TestSVDParallelEquivalence(t *testing.T) {
 	ratings := equivalenceRatings()
-	serial, err := TrainSVD(ratings, BuildOptions{Workers: 1, SVDSeed: 42, SVDEpochs: 5})
+	serial, err := Build(ratings, SVD, BuildOptions{Workers: 1, SVDSeed: 42, SVDEpochs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 32} {
-		parallel, err := TrainSVD(ratings, BuildOptions{Workers: workers, SVDSeed: 42, SVDEpochs: 5})
+		parallel, err := Build(ratings, SVD, BuildOptions{Workers: workers, SVDSeed: 42, SVDEpochs: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u, want := range serial.UserFactors {
-			got := parallel.UserFactors[u]
+		for u, want := range serial.userVecs {
+			got := parallel.userVecs[u]
 			for f := range want {
 				if got[f] != want[f] {
 					t.Fatalf("workers=%d user %d factor %d: got %v, want %v", workers, u, f, got[f], want[f])
 				}
 			}
 		}
-		for i, want := range serial.ItemFactors {
-			got := parallel.ItemFactors[i]
+		for i, want := range serial.itemVecs {
+			got := parallel.itemVecs[i]
 			for f := range want {
 				if got[f] != want[f] {
 					t.Fatalf("workers=%d item %d factor %d: got %v, want %v", workers, i, f, got[f], want[f])
@@ -92,7 +101,7 @@ func TestSVDParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestPredictionParallelEquivalence closes the loop at the Model level for
+// TestPredictionParallelEquivalence closes the loop at the Predict level for
 // all five algorithms: every (user, item) prediction from a Workers: 4
 // build equals the Workers: 1 build exactly.
 func TestPredictionParallelEquivalence(t *testing.T) {
@@ -106,8 +115,8 @@ func TestPredictionParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range serial.Users() {
-			for _, i := range serial.Items() {
+		for _, u := range serial.UserIDs() {
+			for _, i := range serial.ItemIDs() {
 				ws, wok := serial.Predict(u, i)
 				ps, pok := parallel.Predict(u, i)
 				if wok != pok || ws != ps {
@@ -131,7 +140,7 @@ func BenchmarkBuildNeighborhood(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildNeighborhood(ratings, ItemCosCF, BuildOptions{Workers: workers}); err != nil {
+				if _, err := Build(ratings, ItemCosCF, BuildOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -144,7 +153,7 @@ func BenchmarkBuildSVD(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := TrainSVD(ratings, BuildOptions{Workers: workers, SVDSeed: 1, SVDEpochs: 5}); err != nil {
+				if _, err := Build(ratings, SVD, BuildOptions{Workers: workers, SVDSeed: 1, SVDEpochs: 5}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,31 +7,28 @@ import (
 )
 
 func TestBuildPopularityScores(t *testing.T) {
-	m := BuildPopularity(paperRatings())
+	m := mustBuild(t, paperRatings(), Popularity, BuildOptions{})
 	// Global mean = (1.5+3.5+4.5+2+1+2+1)/7 = 15.5/7.
 	wantMean := 15.5 / 7
-	if math.Abs(m.GlobalMean()-wantMean) > 1e-12 {
-		t.Fatalf("global mean %v, want %v", m.GlobalMean(), wantMean)
-	}
 	// Item 1: ratings 1.5, 4.5, 2 → (8 + 5·mean)/(3+5).
 	want1 := (8 + PopularityDamping*wantMean) / (3 + PopularityDamping)
-	got1, ok := m.Score(1)
+	got1, ok := m.ItemScoreOf(1)
 	if !ok || math.Abs(got1-want1) > 1e-12 {
 		t.Fatalf("score(1) = %v, want %v", got1, want1)
 	}
 	// Item 3 has a single rating of 2 and is pulled toward the mean.
-	got3, _ := m.Score(3)
+	got3, _ := m.ItemScoreOf(3)
 	want3 := (2 + PopularityDamping*wantMean) / (1 + PopularityDamping)
 	if math.Abs(got3-want3) > 1e-12 {
 		t.Fatalf("score(3) = %v, want %v", got3, want3)
 	}
-	if _, ok := m.Score(99); ok {
+	if _, ok := m.ItemScoreOf(99); ok {
 		t.Fatal("unknown item should have no score")
 	}
 }
 
 func TestPopularityPredictIsUserIndependent(t *testing.T) {
-	m := BuildPopularity(paperRatings())
+	m := mustBuild(t, paperRatings(), Popularity, BuildOptions{})
 	p1, ok1 := m.Predict(1, 2)
 	p2, ok2 := m.Predict(3, 2)
 	pCold, okCold := m.Predict(999, 2) // unknown user: cold-start works
@@ -43,28 +40,10 @@ func TestPopularityPredictIsUserIndependent(t *testing.T) {
 	}
 }
 
-func TestPopularityRanking(t *testing.T) {
-	m := BuildPopularity(paperRatings())
-	ranking := m.Ranking()
-	if len(ranking) != 3 {
-		t.Fatalf("ranking: %v", ranking)
-	}
-	for i := 1; i < len(ranking); i++ {
-		a, _ := m.Score(ranking[i-1])
-		b, _ := m.Score(ranking[i])
-		if a < b {
-			t.Fatalf("ranking not descending: %v", ranking)
-		}
-	}
-}
-
-func TestPopularityModelInterface(t *testing.T) {
-	m, err := Build(paperRatings(), Popularity, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Algorithm() != Popularity || m.NumRatings() != 7 {
-		t.Fatalf("model: %v %d", m.Algorithm(), m.NumRatings())
+func TestPopularityStoreAccessors(t *testing.T) {
+	m := mustBuild(t, paperRatings(), Popularity, BuildOptions{})
+	if m.Algo != Popularity || m.ratings.n != 7 {
+		t.Fatalf("model: %v %d", m.Algo, m.ratings.n)
 	}
 	if v, ok := m.Seen(2, 1); !ok || v != 4.5 {
 		t.Fatalf("Seen: %v %v", v, ok)
@@ -72,16 +51,12 @@ func TestPopularityModelInterface(t *testing.T) {
 }
 
 func TestPopularityMaterializeAndPredict(t *testing.T) {
-	model := BuildPopularity(paperRatings())
-	store, err := Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := mustBuild(t, paperRatings(), Popularity, BuildOptions{})
 	hasRelations(t, store, "uservector", "itemscore")
-	for _, i := range model.Items() {
-		want, _ := model.Score(i)
+	for _, i := range store.ItemIDs() {
+		want := store.scores[i]
 		got, ok := store.Predict(1, i)
-		if !ok || math.Abs(got-want) > 1e-12 {
+		if !ok || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("store predict(%d): %v %v, want %v", i, got, ok, want)
 		}
 	}
@@ -91,9 +66,9 @@ func TestPopularityMaterializeAndPredict(t *testing.T) {
 }
 
 func TestPopularityEmptyRatings(t *testing.T) {
-	m := BuildPopularity(nil)
-	if m.GlobalMean() != 0 || m.NumRatings() != 0 {
-		t.Fatalf("empty model: %v %d", m.GlobalMean(), m.NumRatings())
+	m := mustBuild(t, nil, Popularity, BuildOptions{})
+	if len(m.scores) != 0 || m.ratings.n != 0 {
+		t.Fatalf("empty model: %v %d", m.scores, m.ratings.n)
 	}
 	if _, ok := m.Predict(1, 1); ok {
 		t.Fatal("empty model should not predict")
@@ -101,8 +76,8 @@ func TestPopularityEmptyRatings(t *testing.T) {
 }
 
 // TestPopularityBuildIsDeterministic: the same fractional ratings, given
-// again or in another order, build the same global mean and the same
-// score for every item, bit for bit.
+// again or in another order, build the same score for every item, bit for
+// bit.
 func TestPopularityBuildIsDeterministic(t *testing.T) {
 	rng := newDeterministicRand(29)
 	var ratings []Rating
@@ -117,19 +92,16 @@ func TestPopularityBuildIsDeterministic(t *testing.T) {
 		y := int(rng.next() % int64(x+1))
 		shuffled[x], shuffled[y] = shuffled[y], shuffled[x]
 	}
-	first := BuildPopularity(ratings)
+	first := mustBuild(t, ratings, Popularity, BuildOptions{})
 	for pass := 0; pass < 20; pass++ {
 		input := ratings
 		if pass%2 == 1 {
 			input = shuffled
 		}
-		m := BuildPopularity(input)
-		if math.Float64bits(m.GlobalMean()) != math.Float64bits(first.GlobalMean()) {
-			t.Fatalf("build %d: global mean %v, first build %v", pass, m.GlobalMean(), first.GlobalMean())
-		}
-		for _, i := range first.Items() {
-			got, _ := m.Score(i)
-			want, _ := first.Score(i)
+		m := mustBuild(t, input, Popularity, BuildOptions{})
+		for _, i := range first.ItemIDs() {
+			got, _ := m.ItemScoreOf(i)
+			want, _ := first.ItemScoreOf(i)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("build %d: item %d scores %v, first build %v", pass, i, got, want)
 			}

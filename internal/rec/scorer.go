@@ -4,9 +4,9 @@ package rec
 // a time: ForUser loads that user's side of the model once — rated items,
 // plus the similarity list (user-based) or factor vector (SVD) — and Score
 // reads the item side. It is the single place that chooses a prediction
-// rule by algorithm; the RECOMMEND operator, Predict, PredictForUser and
-// cache materialization all score through it. A Scorer is not safe for
-// concurrent use; take one per scan.
+// rule by algorithm; the RECOMMEND operator, cache materialization
+// (PredictForUser), OnTopDB and Evaluate (Predict) all score through it. A
+// Scorer is not safe for concurrent use; take one per scan.
 //
 // Item-based models have two sides that give the same bits, because every
 // path adds Equation 2's terms in ascending neighbour id (weightedSum).
@@ -16,7 +16,10 @@ package rec
 // accumulator, so Score is an array read — one run per rated item. The
 // second reads j's run for i's terms, which is exact only while every list
 // is whole (the store is symmetric); ForUser takes it when that holds and
-// the scan has more candidates than the user has ratings.
+// the scan has more candidates than the user has ratings, of which there
+// is at least one: a user with none has no score on either side, and the
+// user-driven side would allocate and clear an item-sized accumulator
+// to say so.
 //
 // Every run and factor vector the Scorer reads is the model's own, which
 // every scan of the model version shares, so the Scorer keeps no model
@@ -43,7 +46,7 @@ func (s *ModelStore) Scorer(candidates int) *Scorer {
 // ForUser makes u the user Score and Rated answer for.
 func (sc *Scorer) ForUser(u int64) {
 	sc.seen = sc.store.UserItems(u)
-	sc.userDriven = sc.store.symmetric && sc.candidates > len(sc.seen)
+	sc.userDriven = sc.store.symmetric && len(sc.seen) > 0 && sc.candidates > len(sc.seen)
 	switch {
 	case sc.userDriven:
 		sc.scoreFromUser()

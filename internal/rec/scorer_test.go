@@ -9,23 +9,23 @@ import (
 )
 
 // TestScorerMatchesModel: whichever side the Scorer's rule picks, every
-// score has the in-memory model's bits, and a store whose lists were
-// truncated, or that is user-based, is never scored from the user's side.
-// Each user is scored over every item (more candidates than ratings:
-// user-driven when item lists are whole) and over a two-item list
-// (item-driven: no user here rated fewer than two items).
+// score has the reference's bits (refPredict: Equation 2 added in ascending
+// id over the rating maps, or a dot product of the factors), and a store
+// whose lists were truncated, or that is user-based or SVD, is never scored
+// from the user's side. Each user is scored over every item (more
+// candidates than ratings: user-driven when item lists are whole) and over
+// a two-item list (item-driven: no user here rated fewer than two items).
 func TestScorerMatchesModel(t *testing.T) {
-	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
-		for _, size := range []int{0, 1, 3, 10} {
+	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD} {
+		sizes := []int{0, 1, 3, 10}
+		if algo == SVD {
+			sizes = sizes[:1]
+		}
+		for _, size := range sizes {
 			t.Run(fmt.Sprintf("%v/top%d", algo, size), func(t *testing.T) {
-				model, err := BuildNeighborhood(hubRatings(algo.ItemBased()), algo, BuildOptions{NeighborhoodSize: size})
-				if err != nil {
-					t.Fatal(err)
-				}
-				store, err := Materialize(model)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ratings := hubRatings(algo.ItemBased())
+				store := mustBuild(t, ratings, algo, BuildOptions{NeighborhoodSize: size, SVDSeed: 1, SVDEpochs: 3})
+				byUser, byItem := ratingMaps(ratings)
 				whole := algo.ItemBased() && size == 0 // the only stores with a user-driven side
 				if store.symmetric != whole {
 					t.Fatalf("store symmetric = %v with NeighborhoodSize %d (the hub's list is longer than every cap)", store.symmetric, size)
@@ -45,9 +45,9 @@ func TestScorerMatchesModel(t *testing.T) {
 						sides[sc.UserDriven()]++
 						for _, i := range items {
 							got, gotOK := sc.Score(i)
-							want, wantOK := model.Predict(u, i)
+							want, wantOK := refPredict(store, byUser, byItem, u, i)
 							if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("user %d item %d (user-driven %v): %v %v, model %v %v",
+								t.Fatalf("user %d item %d (user-driven %v): %v %v, reference %v %v",
 									u, i, sc.UserDriven(), got, gotOK, want, wantOK)
 							}
 						}
@@ -60,6 +60,46 @@ func TestScorerMatchesModel(t *testing.T) {
 		}
 	}
 }
+
+// ratingMaps returns ratings keyed by user then item, and by item then
+// user; a repeated pair keeps its last value, as the model does.
+func ratingMaps(ratings []Rating) (byUser, byItem map[int64]map[int64]float64) {
+	byUser, byItem = map[int64]map[int64]float64{}, map[int64]map[int64]float64{}
+	for _, r := range ratings {
+		if byUser[r.User] == nil {
+			byUser[r.User] = map[int64]float64{}
+		}
+		if byItem[r.Item] == nil {
+			byItem[r.Item] = map[int64]float64{}
+		}
+		byUser[r.User][r.Item], byItem[r.Item][r.User] = r.Value, r.Value
+	}
+	return byUser, byItem
+}
+
+// refPredict is the reference prediction of (u, i) from s's lists or
+// factors, independent of the Scorer: Equation 2 over the rating maps,
+// added in ascending id (neighbourhood algorithms), or the dot product of
+// the two factor vectors (SVD).
+func refPredict(s *ModelStore, byUser, byItem map[int64]map[int64]float64, u, i int64) (float64, bool) {
+	switch {
+	case s.Algo.ItemBased():
+		return equation2(s.itemLists[i], byUser[u], ascendingID)
+	case s.Algo.UserBased():
+		return equation2(s.userLists[u], byItem[i], ascendingID)
+	}
+	p, q := s.userVecs[u], s.itemVecs[i]
+	if p == nil || q == nil {
+		return 0, false
+	}
+	var dot float64
+	for f := range p {
+		dot += p[f] * q[f]
+	}
+	return dot, true
+}
+
+func ascendingID(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) }
 
 // orderRatings is 40 users x 60 items, about a third of the pairs rated,
 // at ratings with many mantissa bits: Equation 2's sums then round one way
@@ -98,30 +138,14 @@ func equation2(list []Neighbor, known map[int64]float64, order func(a, b Neighbo
 
 // TestEquation2AddsInAscendingID pins the summation order: on a fixture
 // where strongest-first and ascending-id order round differently, every
-// path — user-driven, streamed item-driven and the in-memory model —
+// path — user-driven, streamed item-driven and Predict —
 // returns the ascending-id bits.
 func TestEquation2AddsInAscendingID(t *testing.T) {
 	ratings := orderRatings()
-	byUser, byItem := map[int64]map[int64]float64{}, map[int64]map[int64]float64{}
-	for _, r := range ratings {
-		if byUser[r.User] == nil {
-			byUser[r.User] = map[int64]float64{}
-		}
-		if byItem[r.Item] == nil {
-			byItem[r.Item] = map[int64]float64{}
-		}
-		byUser[r.User][r.Item], byItem[r.Item][r.User] = r.Value, r.Value
-	}
+	byUser, byItem := ratingMaps(ratings)
 	for _, algo := range []Algorithm{ItemCosCF, UserPearCF} {
 		t.Run(algo.String(), func(t *testing.T) {
-			model, err := BuildNeighborhood(ratings, algo, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			store, err := Materialize(model)
-			if err != nil {
-				t.Fatal(err)
-			}
+			store := mustBuild(t, ratings, algo, BuildOptions{})
 			all := store.ItemIDs()
 			scorers := []struct {
 				name string
@@ -139,16 +163,16 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 					t.Fatalf("user %d: user-driven %v", u, scorers[0].sc.UserDriven())
 				}
 				for _, i := range all {
-					list, known := model.Neighbors(i), byUser[u]
+					list, known := store.itemLists[i], byUser[u]
 					if !algo.ItemBased() {
-						list, known = model.Neighbors(u), byItem[i]
+						list, known = store.userLists[u], byItem[i]
 					}
-					want, wantOK := equation2(list, known, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) })
+					want, wantOK := equation2(list, known, ascendingID)
 					if strongFirst, _ := equation2(list, known, strongerFirst); math.Float64bits(strongFirst) != math.Float64bits(want) {
 						diverged++
 					}
-					if got, ok := model.Predict(u, i); ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("model.Predict(%d, %d) = %v %v, ascending id gives %v %v", u, i, got, ok, want, wantOK)
+					if got, ok := store.Predict(u, i); ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("Predict(%d, %d) = %v %v, ascending id gives %v %v", u, i, got, ok, want, wantOK)
 					}
 					for _, s := range scorers {
 						got, ok := s.sc.Score(i)
@@ -165,20 +189,38 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 	}
 }
 
-// TestPredictWeightedAllocatesNothing: the in-memory model, which OnTopDB
-// scores through, adds its list in stored order and allocates nothing.
+// TestPredictWeightedAllocatesNothing: Predict, which OnTopDB and
+// Evaluate score every pair through, merges the item's list with the
+// user's ratings (PredictWeighted) and allocates nothing.
 func TestPredictWeightedAllocatesNothing(t *testing.T) {
-	model, err := BuildNeighborhood(orderRatings(), ItemCosCF, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	users, items := model.Users(), model.Items()
+	model := mustBuild(t, orderRatings(), ItemCosCF, BuildOptions{})
+	users, items := model.UserIDs(), model.ItemIDs()
 	n := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		model.Predict(users[n%len(users)], items[n%len(items)])
 		n++
 	}); allocs != 0 {
 		t.Fatalf("Predict allocates %.1f times per call", allocs)
+	}
+}
+
+// TestPredictForUnknownUserAllocatesNothing: a user with no ratings has
+// no score on either side, so Predict answers without the user-driven
+// side's item-sized accumulator — on a store that has that side.
+func TestPredictForUnknownUserAllocatesNothing(t *testing.T) {
+	model := mustBuild(t, benchRatings(60, 300, 0.1), ItemCosCF, BuildOptions{})
+	if !model.symmetric || len(model.ItemIDs()) != 300 {
+		t.Fatalf("fixture: symmetric %v, %d items", model.symmetric, len(model.ItemIDs()))
+	}
+	items := model.ItemIDs()
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := model.Predict(-1, items[n%len(items)]); ok {
+			t.Fatal("an unknown user was scored")
+		}
+		n++
+	}); allocs != 0 {
+		t.Fatalf("Predict for an unknown user allocates %.1f times per call", allocs)
 	}
 }
 
@@ -191,14 +233,7 @@ func TestWarmForUserAllocatesNothing(t *testing.T) {
 		size int
 	}{{ItemCosCF, 0}, {ItemCosCF, 10}, {UserCosCF, 0}, {SVD, 0}} {
 		t.Run(fmt.Sprintf("%v/top%d", tc.algo, tc.size), func(t *testing.T) {
-			model, err := Build(orderRatings(), tc.algo, BuildOptions{NeighborhoodSize: tc.size, SVDSeed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			store, err := Materialize(model)
-			if err != nil {
-				t.Fatal(err)
-			}
+			store := mustBuild(t, orderRatings(), tc.algo, BuildOptions{NeighborhoodSize: tc.size, SVDSeed: 1})
 			users := store.UserIDs()
 			sc := store.Scorer(len(store.ItemIDs()))
 			for _, u := range users {

@@ -1,7 +1,6 @@
 package rec
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,13 +9,14 @@ import (
 	"recdb/internal/types"
 )
 
-// ModelStore is a built recommendation model as the RECOMMEND operator
-// family reads it: the model Build returned, held once, for the model's
-// life. Every accessor reads the model's own structures — the ratings
-// runs, the similarity lists, the factor vectors, the IVF index, the
-// popularity scores — so a read fetches no page and cannot fail, and the
-// values it returns are shared and read-only. A rebuild makes a fresh
-// store; it does not edit this one.
+// ModelStore is a built recommendation model, the one type every reader
+// of a model uses: the RECOMMEND operator family, OnTopDB, Evaluate and
+// SQL. Build makes it, and nothing writes it afterwards. Every accessor
+// reads the model's own structures — the ratings runs, the similarity
+// lists, the factor vectors, the IVF index, the popularity scores — so a
+// read fetches no page and cannot fail, and the values it returns are
+// shared and read-only. A rebuild makes a fresh store; it does not edit
+// this one.
 //
 // RecDB keeps a model as relations (§IV-A), and so does this store, at the
 // SQL interface: each table below is a read-only relation named
@@ -35,7 +35,6 @@ import (
 //	Popularity: itemscore       (iid, score)
 type ModelStore struct {
 	Algo Algorithm
-	K    int // SVD factor count
 
 	ratings *ratingsIndex // uservector and itemvector runs
 
@@ -51,10 +50,12 @@ type ModelStore struct {
 
 	// symmetric says the item lists are their own transpose: no list was
 	// truncated, so j is in i's list with similarity s exactly when i is
-	// in j's list with the same s — the same bits, because the build
-	// computes the pair from each side with the same operands, only
-	// multiplied in swapped order, and IEEE multiplication commutes
-	// (NeighborhoodModel.cut). The Scorer's user-driven side depends on it.
+	// in j's list with the same s, bit for bit. neighborhoodLists computes
+	// the pair (i, j) once from each side, and the two sides form the same
+	// dot product — the same products, since IEEE multiplication
+	// commutes, summed over the shared dimensions in the same ascending
+	// order — and divide it by the same two norms, also multiplied in
+	// swapped order. The Scorer's user-driven side depends on it.
 	symmetric bool
 }
 
@@ -67,34 +68,6 @@ func prefixFor(recommender string) string {
 var modelTables = []string{
 	"uservector", "itemneighborhood", "userneighborhood",
 	"itemvector", "userfactor", "itemfactor", "itemscore",
-}
-
-// Materialize makes the store over a built model. It copies nothing: the
-// store holds the model's structures, which nothing writes once Build has
-// returned them.
-func Materialize(m Model) (*ModelStore, error) {
-	s := &ModelStore{Algo: m.Algorithm()}
-	switch model := m.(type) {
-	case *NeighborhoodModel:
-		s.ratings = model.ratingsIndex
-		if model.algo.ItemBased() {
-			s.itemLists, s.symmetric = model.neighbors, !model.cut
-		} else {
-			s.userLists = model.neighbors
-		}
-	case *FactorModel:
-		s.ratings, s.K = model.ratingsIndex, model.K
-		s.userVecs, s.itemVecs = model.UserFactors, model.ItemFactors
-		if model.IVF != nil && model.IVF.NumCentroids() > 0 {
-			s.ivf = model.IVF
-		}
-	case *PopularityModel:
-		s.ratings, s.scores = model.ratingsIndex, model.scores
-	default:
-		return nil, fmt.Errorf("rec: cannot materialize model type %T", m)
-	}
-	s.itemPos = newPosTable(s.ratings.items)
-	return s, nil
 }
 
 // Relation is one of a model's SQL relations: read-only rows produced from

@@ -42,44 +42,37 @@ func hasRelations(t *testing.T, s *ModelStore, want ...string) {
 	}
 }
 
-func TestMaterializeItemCF(t *testing.T) {
-	model, _ := BuildNeighborhood(paperRatings(), ItemCosCF, BuildOptions{})
-	store, err := Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasRelations(t, store, "uservector", "itemneighborhood")
-	// Store predictions match the in-memory model for every pair.
-	for _, u := range model.Users() {
-		for _, i := range model.Items() {
-			want, wantOK := model.Predict(u, i)
-			got, gotOK := store.Predict(u, i)
-			if gotOK != wantOK || math.Abs(got-want) > 1e-12 {
-				t.Fatalf("Predict(%d,%d): store %v,%v model %v,%v", u, i, got, gotOK, want, wantOK)
+// predictsAsReference fails the test unless s predicts every (user, item)
+// pair of its model as refPredict does, bit for bit.
+func predictsAsReference(t *testing.T, s *ModelStore, ratings []Rating) {
+	t.Helper()
+	byUser, byItem := ratingMaps(ratings)
+	for _, u := range s.UserIDs() {
+		for _, i := range s.ItemIDs() {
+			want, wantOK := refPredict(s, byUser, byItem, u, i)
+			got, gotOK := s.Predict(u, i)
+			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v Predict(%d,%d) = %v,%v, reference %v,%v", s.Algo, u, i, got, gotOK, want, wantOK)
 			}
 		}
 	}
 }
 
+func TestMaterializeItemCF(t *testing.T) {
+	store := mustBuild(t, paperRatings(), ItemCosCF, BuildOptions{})
+	hasRelations(t, store, "uservector", "itemneighborhood")
+	predictsAsReference(t, store, paperRatings())
+}
+
 func TestStoreAccessors(t *testing.T) {
-	model, _ := BuildNeighborhood(paperRatings(), ItemCosCF, BuildOptions{})
-	store, err := Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := mustBuild(t, paperRatings(), ItemCosCF, BuildOptions{})
 	items := store.UserItems(2)
 	if r, _ := ValueOf(items, 1); len(items) != 3 || r != 4.5 {
 		t.Fatalf("UserItems(2) = %v", items)
 	}
-	neigh := store.ItemNeighbors(1)
-	if len(neigh) != len(model.Neighbors(1)) {
+	// Item 1 is co-rated with items 2 and 3; its list is ascending in id.
+	if neigh := store.ItemNeighbors(1); len(neigh) != 2 || neigh[0].ID != 2 || neigh[1].ID != 3 {
 		t.Fatalf("ItemNeighbors(1) = %v", neigh)
-	}
-	// In the in-memory model's order, ascending id.
-	for i, n := range model.Neighbors(1) {
-		if neigh[i].ID != n.ID || math.Abs(neigh[i].Sim-n.Sim) > 1e-12 {
-			t.Fatalf("neighbor %d: store %v model %v", i, neigh[i], n)
-		}
 	}
 	if v, found := store.Seen(2, 1); !found || v != 4.5 {
 		t.Fatalf("Seen(2,1) = %v %v", v, found)
@@ -96,47 +89,24 @@ func TestStoreAccessors(t *testing.T) {
 }
 
 func TestMaterializeUserCF(t *testing.T) {
-	model, _ := BuildNeighborhood(paperRatings(), UserPearCF, BuildOptions{})
-	store, err := Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := mustBuild(t, paperRatings(), UserPearCF, BuildOptions{})
 	hasRelations(t, store, "uservector", "userneighborhood", "itemvector")
 	if raters := store.ItemRaters(2); len(raters) != 3 {
 		t.Fatalf("ItemRaters(2) = %v", raters)
 	}
-	for _, u := range model.Users() {
-		for _, i := range model.Items() {
-			want, wantOK := model.Predict(u, i)
-			got, gotOK := store.Predict(u, i)
-			if gotOK != wantOK || math.Abs(got-want) > 1e-9 {
-				t.Fatalf("UserCF Predict(%d,%d): store %v,%v model %v,%v", u, i, got, gotOK, want, wantOK)
-			}
-		}
-	}
+	predictsAsReference(t, store, paperRatings())
 }
 
 func TestMaterializeSVD(t *testing.T) {
-	model, _ := TrainSVD(paperRatings(), BuildOptions{SVDSeed: 1})
-	store, err := Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := mustBuild(t, paperRatings(), SVD, BuildOptions{SVDSeed: 1})
 	hasRelations(t, store, "uservector", "userfactor", "itemfactor")
-	if store.K != model.K {
-		t.Fatalf("K = %d, want %d", store.K, model.K)
-	}
-	for _, u := range model.Users() {
-		vec := store.UserFactors(u)
-		if d := sameVec(vec, model.UserFactors[u]); d != "" || len(vec) != model.K {
-			t.Fatalf("UserFactors(%d): %s", u, d)
+	factors := BuildOptions{}.withDefaults().SVDFactors
+	for _, u := range store.UserIDs() {
+		if vec := store.UserFactors(u); len(vec) != factors {
+			t.Fatalf("UserFactors(%d) has %d factors, want %d", u, len(vec), factors)
 		}
 	}
-	got, ok := store.Predict(1, 2)
-	want, wantOK := model.Predict(1, 2)
-	if ok != wantOK || math.Abs(got-want) > 1e-12 {
-		t.Fatalf("SVD store predict: %v %v", got, ok)
-	}
+	predictsAsReference(t, store, paperRatings())
 	// Unknown ids yield no prediction.
 	if _, ok := store.Predict(99, 1); ok {
 		t.Fatal("unknown user predicted")
@@ -246,20 +216,15 @@ func hubRatings(itemBased bool) []Rating {
 }
 
 // TestPredictItemBasedMatchesList: Equation 2 through the store gives the
-// bits PredictWeighted gives over the model's list.
+// bits the reference adds over the model's list in ascending id.
 func TestPredictItemBasedMatchesList(t *testing.T) {
-	model, err := BuildNeighborhood(hubRatings(true), ItemPearCF, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := Materialize(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ratings := hubRatings(true)
+	store := mustBuild(t, ratings, ItemPearCF, BuildOptions{})
+	byUser, _ := ratingMaps(ratings)
 	for _, u := range store.UserIDs()[:50] {
 		rated := store.UserItems(u)
 		for _, i := range store.ItemIDs()[:80] {
-			want, wantOK := PredictWeighted(model.Neighbors(i), rated)
+			want, wantOK := equation2(store.itemLists[i], byUser[u], ascendingID)
 			got, gotOK := store.PredictItemBased(i, rated)
 			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("PredictItemBased(%d) for user %d = %v %v, list gives %v %v", i, u, got, gotOK, want, wantOK)
@@ -389,14 +354,7 @@ func readEveryKey(s *ModelStore) error {
 // longer.
 func TestAppendToDecodedRunCopies(t *testing.T) {
 	for _, size := range []int{0, 3} {
-		model, err := BuildNeighborhood(hubRatings(true), ItemCosCF, BuildOptions{NeighborhoodSize: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := Materialize(model)
-		if err != nil {
-			t.Fatal(err)
-		}
+		store := mustBuild(t, hubRatings(true), ItemCosCF, BuildOptions{NeighborhoodSize: size})
 		for _, i := range store.ItemIDs()[:20] {
 			run := store.ItemNeighbors(i)
 			want := append([]Neighbor(nil), run...)

@@ -54,13 +54,14 @@ ledger-compare:
 
 # Exhaustive crash simulation: every fault point x every fault mode
 # (fail / torn write / power cut / bit flip), every byte of a snapshot
-# flipped, the page-I/O sweep under the file-backed buffer pool, and the
+# flipped, the page-fault sweep (a failed or flipped page operation
+# under a 4-frame buffer pool over MemDisk), and the
 # transaction-atomicity matrix — a crash at every WAL/FS operation inside
 # an explicit transaction recovers the whole transaction or none of it.
 # The default test run samples all four; this is the full matrix, and the
 # one list CI's fault-sweep job runs.
 fault-sweep:
-	RECDB_FAULT_SWEEP=1 $(GO) test -run 'TestCrashSweep|TestSnapshotCorruptionSweep|TestHeapCrashSweep|TestTxnCrashSweep' -v . ./internal/storage
+	RECDB_FAULT_SWEEP=1 $(GO) test -run 'TestCrashSweep|TestSnapshotCorruptionSweep|TestHeapPageFaultSweep|TestTxnCrashSweep' -v . ./internal/storage
 
 # Native fuzzing of the byte-level decoders, 15 s per target (their seed
 # corpora already run under plain `go test`): WAL records and segments,

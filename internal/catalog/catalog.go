@@ -101,14 +101,10 @@ func (c *Catalog) newTable(name string, schema *types.Schema, pkCol int) (*Table
 		return nil, fmt.Errorf("catalog: primary key column %d out of range", pkCol)
 	}
 	pool := storage.NewBufferPool(storage.NewMemDisk(), c.poolPages, c.stats)
-	heap, err := storage.NewHeapFile(pool)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Name:    name,
 		Schema:  schema,
-		Heap:    heap,
+		Heap:    storage.NewHeapFile(pool),
 		PKCol:   pkCol,
 		indexes: make(map[string]*Index),
 	}

@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"recdb/internal/geo"
@@ -137,6 +139,65 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	row, gotRID, found, _ := tab.LookupPK(types.NewInt(3))
 	if !found || row[1].Text() != "c" || gotRID != nrid {
 		t.Fatalf("new pk lookup: %v %v %v", row, gotRID, found)
+	}
+}
+
+// TestFailedUpdateKeepsRowAndIndexes: an update whose row must move to
+// another page, and cannot get one, changes neither the row nor any index.
+func TestFailedUpdateKeepsRowAndIndexes(t *testing.T) {
+	c := New(nil, 1)
+	schema := types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "g", Kind: types.KindInt},
+		types.Column{Name: "v", Kind: types.KindText},
+	)
+	tab, err := c.CreateTable("t", schema, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tab.CreateIndex("t_g", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Repeat("a", 3000)
+	rid, err := tab.Insert(types.Row{types.NewInt(1), types.NewInt(10), types.NewText(old)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Insert(types.Row{types.NewInt(2), types.NewInt(20), types.NewText(old)}); err != nil {
+		t.Fatal(err)
+	}
+	// A scan holds page 0, the pool's one frame, so the grown row can get
+	// no fresh page.
+	it := tab.Heap.Scan()
+	if _, _, ok, err := it.Next(); err != nil || !ok {
+		t.Fatalf("scan: ok=%v err=%v", ok, err)
+	}
+	grown := types.Row{types.NewInt(3), types.NewInt(30), types.NewText(strings.Repeat("b", 6000))}
+	if _, err := tab.Update(rid, grown); err == nil {
+		t.Fatal("relocating update with every frame pinned should fail")
+	}
+	it.Close()
+
+	row, got, found, err := tab.LookupPK(types.NewInt(1))
+	if err != nil || !found || got != rid || row[2].Text() != old {
+		t.Fatalf("pk 1 after failed update: found=%v rid=%v (want %v) err=%v", found, got, rid, err)
+	}
+	if _, _, found, _ := tab.LookupPK(types.NewInt(3)); found {
+		t.Fatal("pk 3 indexed by a failed update")
+	}
+	for _, k := range []struct {
+		key  int64
+		want []storage.RID
+	}{{10, []storage.RID{rid}}, {30, nil}} {
+		var rids []storage.RID
+		tab.ScanIndexRange(g, types.NewInt(k.key), types.NewInt(k.key), func(r storage.RID) bool {
+			rids = append(rids, r)
+			return true
+		})
+		if !reflect.DeepEqual(rids, k.want) {
+			t.Fatalf("index t_g at %d: %v, want %v", k.key, rids, k.want)
+		}
 	}
 }
 

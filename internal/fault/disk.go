@@ -8,9 +8,11 @@ import (
 )
 
 // FaultDisk wraps a storage.DiskManager and injects one fault at a planned
-// page-I/O operation, mirroring InjectFS for the paged layer: the buffer
-// pool and heap must propagate a failed or corrupted page operation as an
-// error, never serve stale or torn page contents.
+// page operation, so tests can check that the buffer pool and heap
+// propagate a failed page operation as an error and leave no half-done
+// edit behind, and that a corrupted page is never served as good rows.
+// Pages live only in memory, so a crash loses them all and there is no
+// torn write or power cut to model here: FaultDisk knows fail and flip.
 type FaultDisk struct {
 	inner storage.DiskManager
 
@@ -18,7 +20,6 @@ type FaultDisk struct {
 	ops  int64
 	mode Mode
 	at   int64
-	dead bool
 }
 
 // NewDisk wraps inner with an unarmed injector.
@@ -27,13 +28,19 @@ func NewDisk(inner storage.DiskManager) *FaultDisk {
 }
 
 // SetPlan arms the injector at the at-th page operation (1-based) and
-// resets the counter.
-func (d *FaultDisk) SetPlan(mode Mode, at int64) {
+// resets the counter. Only ModeNone, ModeFail and ModeFlip apply to pages;
+// any other mode is an error and leaves the plan as it was.
+func (d *FaultDisk) SetPlan(mode Mode, at int64) error {
+	switch mode {
+	case ModeNone, ModeFail, ModeFlip:
+	default:
+		return fmt.Errorf("fault: page injector has no mode %d", mode)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.mode, d.at = mode, at
 	d.ops = 0
-	d.dead = false
+	return nil
 }
 
 // Ops returns the page operations counted since the last SetPlan.
@@ -47,63 +54,32 @@ func (d *FaultDisk) Ops() int64 {
 func (d *FaultDisk) step(isWrite bool) action {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dead {
-		return actDead
-	}
 	d.ops++
-	if d.mode == ModeNone || d.ops != d.at {
+	if d.ops != d.at {
 		return actProceed
 	}
-	switch d.mode {
-	case ModeFail:
+	switch {
+	case d.mode == ModeFail:
 		return actFail
-	case ModeFlip:
-		if isWrite {
-			return actFlip
-		}
-		return actProceed
-	case ModeTorn:
-		if isWrite {
-			d.dead = true
-			return actTorn
-		}
-		d.dead = true
-		return actDead
-	case ModePowerCut:
-		d.dead = true
-		return actDead
+	case d.mode == ModeFlip && isWrite:
+		return actFlip
 	}
 	return actProceed
 }
 
 // ReadPage implements storage.DiskManager.
 func (d *FaultDisk) ReadPage(id storage.PageID, buf []byte) error {
-	switch d.step(false) {
-	case actFail:
+	if d.step(false) == actFail {
 		return fmt.Errorf("fault: read page %d: %w", id, ErrInjected)
-	case actDead:
-		return fmt.Errorf("fault: read page %d: %w", id, ErrCrashed)
 	}
 	return d.inner.ReadPage(id, buf)
 }
 
-// WritePage implements storage.DiskManager. A torn fault persists the
-// first half of the page and zeroes the rest; a flip fault corrupts one
-// bit and reports success.
+// WritePage implements storage.DiskManager. A flip fault corrupts one bit
+// and reports success.
 func (d *FaultDisk) WritePage(id storage.PageID, buf []byte) error {
 	switch d.step(true) {
 	case actFail:
-		return fmt.Errorf("fault: write page %d: %w", id, ErrInjected)
-	case actDead:
-		return fmt.Errorf("fault: write page %d: %w", id, ErrCrashed)
-	case actTorn:
-		torn := append([]byte(nil), buf...)
-		for i := len(torn) / 2; i < len(torn); i++ {
-			torn[i] = 0
-		}
-		if err := d.inner.WritePage(id, torn); err != nil {
-			return fmt.Errorf("fault: torn write page %d: %w", id, err)
-		}
 		return fmt.Errorf("fault: write page %d: %w", id, ErrInjected)
 	case actFlip:
 		flipped := append([]byte(nil), buf...)
@@ -115,28 +91,8 @@ func (d *FaultDisk) WritePage(id storage.PageID, buf []byte) error {
 
 // Allocate implements storage.DiskManager.
 func (d *FaultDisk) Allocate() (storage.PageID, error) {
-	switch d.step(false) {
-	case actFail:
+	if d.step(false) == actFail {
 		return storage.InvalidPageID, fmt.Errorf("fault: allocate: %w", ErrInjected)
-	case actDead:
-		return storage.InvalidPageID, fmt.Errorf("fault: allocate: %w", ErrCrashed)
 	}
 	return d.inner.Allocate()
 }
-
-// NumPages implements storage.DiskManager.
-func (d *FaultDisk) NumPages() uint32 { return d.inner.NumPages() }
-
-// Sync implements storage.DiskManager.
-func (d *FaultDisk) Sync() error {
-	switch d.step(false) {
-	case actFail:
-		return fmt.Errorf("fault: sync: %w", ErrInjected)
-	case actDead:
-		return fmt.Errorf("fault: sync: %w", ErrCrashed)
-	}
-	return d.inner.Sync()
-}
-
-// Close implements storage.DiskManager. Closes are not injection points.
-func (d *FaultDisk) Close() error { return d.inner.Close() }

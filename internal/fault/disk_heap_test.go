@@ -14,10 +14,7 @@ import (
 func TestFaultDiskPropagatesThroughHeap(t *testing.T) {
 	d := NewDisk(storage.NewMemDisk())
 	pool := storage.NewBufferPool(d, 2, nil)
-	h, err := storage.NewHeapFile(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := storage.NewHeapFile(pool)
 	// Fill several pages so scans and inserts must touch the disk through
 	// the tiny pool.
 	pad := make([]byte, 512)
@@ -34,7 +31,9 @@ func TestFaultDiskPropagatesThroughHeap(t *testing.T) {
 	}
 
 	// A failed read must abort the scan with the injected error.
-	d.SetPlan(ModeFail, 2)
+	if err := d.SetPlan(ModeFail, 2); err != nil {
+		t.Fatal(err)
+	}
 	it := h.Scan()
 	var scanErr error
 	for {
@@ -54,7 +53,9 @@ func TestFaultDiskPropagatesThroughHeap(t *testing.T) {
 
 	// With the plan cleared the same scan succeeds again: ModeFail leaves
 	// the substrate intact.
-	d.SetPlan(ModeNone, 0)
+	if err := d.SetPlan(ModeNone, 0); err != nil {
+		t.Fatal(err)
+	}
 	it = h.Scan()
 	rows := 0
 	for {

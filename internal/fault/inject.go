@@ -6,7 +6,8 @@ import (
 	"sync"
 )
 
-// Mode selects what happens at the planned I/O operation.
+// Mode selects what happens at the planned I/O operation. InjectFS takes
+// every mode; FaultDisk takes ModeNone, ModeFail and ModeFlip.
 type Mode int
 
 const (

@@ -7,10 +7,7 @@ import (
 )
 
 func BenchmarkHeapInsert(b *testing.B) {
-	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
 	row := types.Row{types.NewInt(1), types.NewInt(2), types.NewFloat(4.5)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -23,10 +20,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 // BenchmarkHeapAppendTuples stores BenchmarkHeapInsert's rows as one
 // batch: ns/op is per row, encoding included.
 func BenchmarkHeapAppendTuples(b *testing.B) {
-	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
 	row := types.Row{types.NewInt(1), types.NewInt(2), types.NewFloat(4.5)}
 	b.ResetTimer()
 	var slab []byte
@@ -45,10 +39,7 @@ func BenchmarkHeapAppendTuples(b *testing.B) {
 }
 
 func BenchmarkHeapScan(b *testing.B) {
-	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := NewHeapFile(NewBufferPool(NewMemDisk(), 1024, nil))
 	row := types.Row{types.NewInt(1), types.NewInt(2), types.NewFloat(4.5)}
 	for i := 0; i < 10000; i++ {
 		h.Insert(row)

@@ -88,6 +88,13 @@ type BufferPool struct {
 	parts    []*partition
 	mask     uint32
 	stats    *Stats
+
+	// unframed holds pages the disk allocated for a NewPage that then got
+	// no frame. NewPage hands them out, oldest first, before it allocates
+	// again, so a failed NewPage leaves no page behind the ones a heap
+	// has counted.
+	unframedMu sync.Mutex
+	unframed   []PageID
 }
 
 // partitionsFor picks the stripe count for a pool: one stripe per 32
@@ -144,12 +151,6 @@ func NewBufferPool(disk DiskManager, capacity int, stats *Stats) *BufferPool {
 	return bp
 }
 
-// Disk returns the underlying disk manager.
-func (bp *BufferPool) Disk() DiskManager { return bp.disk }
-
-// NumPartitions returns the pool's lock-stripe count.
-func (bp *BufferPool) NumPartitions() int { return len(bp.parts) }
-
 func (bp *BufferPool) part(id PageID) *partition {
 	return bp.parts[uint32(id)&bp.mask]
 }
@@ -181,7 +182,7 @@ func (bp *BufferPool) Fetch(id PageID) ([]byte, error) {
 // NewPage allocates a fresh page on disk, pins it, and returns its id and a
 // zeroed buffer.
 func (bp *BufferPool) NewPage() (PageID, []byte, error) {
-	id, err := bp.disk.Allocate()
+	id, err := bp.allocate()
 	if err != nil {
 		return InvalidPageID, nil, err
 	}
@@ -190,6 +191,9 @@ func (bp *BufferPool) NewPage() (PageID, []byte, error) {
 	defer p.mu.Unlock()
 	f, err := bp.allocFrameLocked(p, id)
 	if err != nil {
+		bp.unframedMu.Lock()
+		bp.unframed = append(bp.unframed, id)
+		bp.unframedMu.Unlock()
 		return InvalidPageID, nil, err
 	}
 	for i := range f.buf {
@@ -197,6 +201,19 @@ func (bp *BufferPool) NewPage() (PageID, []byte, error) {
 	}
 	f.dirty = true
 	return id, f.buf, nil
+}
+
+// allocate returns the oldest unframed page, or else a page newly
+// allocated on disk.
+func (bp *BufferPool) allocate() (PageID, error) {
+	bp.unframedMu.Lock()
+	defer bp.unframedMu.Unlock()
+	if len(bp.unframed) == 0 {
+		return bp.disk.Allocate()
+	}
+	id := bp.unframed[0]
+	bp.unframed = bp.unframed[1:]
+	return id, nil
 }
 
 // Publish replaces the frame buffer of page id with buf and marks it
@@ -237,25 +254,6 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	if f.pins == 0 {
 		f.lruElem = p.lru.PushFront(id)
 	}
-}
-
-// FlushAll writes back every dirty page.
-func (bp *BufferPool) FlushAll() error {
-	for _, p := range bp.parts {
-		p.mu.Lock()
-		for id, f := range p.frames {
-			if f.dirty {
-				if err := bp.disk.WritePage(id, f.buf); err != nil {
-					p.mu.Unlock()
-					return err
-				}
-				bp.stats.PageWrites.Add(1)
-				f.dirty = false
-			}
-		}
-		p.mu.Unlock()
-	}
-	return bp.disk.Sync()
 }
 
 func (p *partition) pinLocked(f *frame) {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -45,46 +46,17 @@ type HeapFile struct {
 	overlay map[PageID][]pageVersion
 }
 
-// NewHeapFile creates a heap over the pool's disk. The disk may already
-// contain pages (reopening an existing table), in which case the row count
-// is rebuilt by scanning.
-func NewHeapFile(pool *BufferPool) (*HeapFile, error) {
+// NewHeapFile creates an empty heap over the pool, whose disk must hold
+// no pages yet.
+func NewHeapFile(pool *BufferPool) *HeapFile {
 	h := &HeapFile{
 		pool:     pool,
 		lastPage: InvalidPageID,
 		live:     make(map[uint64]int),
 		overlay:  make(map[PageID][]pageVersion),
 	}
-	n := pool.Disk().NumPages()
-	h.state.Store(&heapState{seq: 0, numPages: n, rowCount: 0})
-	if n > 0 {
-		h.lastPage = PageID(n - 1)
-		if err := h.recount(); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
-}
-
-func (h *HeapFile) recount() error {
-	var count int64
-	it := h.Scan()
-	defer it.Close()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	h.verMu.Lock()
-	st := h.state.Load()
-	h.state.Store(&heapState{seq: st.seq, numPages: st.numPages, rowCount: count})
-	h.verMu.Unlock()
-	return nil
+	h.state.Store(&heapState{})
+	return h
 }
 
 // Pool returns the heap's buffer pool.
@@ -283,7 +255,7 @@ func (h *HeapFile) Delete(rid RID) error {
 
 // Update replaces the row at rid in place when it fits in the page after
 // compaction, otherwise deletes and re-inserts, returning the (possibly
-// new) RID.
+// new) RID. A failed Update leaves the row at rid as it was.
 func (h *HeapFile) Update(rid RID, row types.Row) (RID, error) {
 	tuple := types.EncodeRow(nil, row)
 	if len(tuple) > maxTupleSize {
@@ -305,27 +277,65 @@ func (h *HeapFile) Update(rid RID, row types.Row) (RID, error) {
 			p.setSlot(rid.Slot, off, uint16(len(tuple)))
 			return 0, true, nil
 		}
-		// Try same page after dropping the old tuple and compacting.
-		if err := p.Delete(rid.Slot); err != nil {
+		// Try the same page after dropping the old tuple and compacting.
+		// The trial runs on a copy, so a tuple that still does not fit
+		// leaves the page untouched.
+		trial := AsPage(append([]byte(nil), p.buf...))
+		if err := trial.Delete(rid.Slot); err != nil {
 			return 0, false, err
 		}
-		p.Compact()
-		if slot, err := p.Insert(tuple); err == nil {
-			out = RID{Page: rid.Page, Slot: slot}
-			return 0, true, nil
+		trial.Compact()
+		slot, err := trial.Insert(tuple)
+		if err == ErrPageFull {
+			relocate = true
+			return 0, false, nil
 		}
-		// Relocate: commit the delete; the re-insert elsewhere happens
-		// below, under the same exclusive h.mu.
-		relocate = true
-		return -1, true, nil
+		if err != nil {
+			return 0, false, err
+		}
+		copy(p.buf, trial.buf)
+		out = RID{Page: rid.Page, Slot: slot}
+		return 0, true, nil
 	})
 	if err != nil {
 		return RID{}, err
 	}
 	if relocate {
-		return h.insertLocked(tuple)
+		return h.relocateLocked(rid, tuple)
 	}
 	return out, nil
+}
+
+// relocateLocked deletes the row at rid and stores tuple on another page.
+// rid's page stays pinned throughout, so each edit of it is a pool hit
+// that needs no frame and no I/O: when storing tuple fails, the old row is
+// put back in its slot and the update has no effect. The caller holds mu
+// exclusively and has found that tuple does not fit rid's page.
+func (h *HeapFile) relocateLocked(rid RID, tuple []byte) (RID, error) {
+	if _, err := h.pool.Fetch(rid.Page); err != nil {
+		return RID{}, err
+	}
+	defer h.pool.Unpin(rid.Page, false)
+	var off, ln uint16
+	err := h.editPage(rid.Page, func(p *Page) (int64, bool, error) {
+		off, ln = p.slot(rid.Slot)
+		p.setSlot(rid.Slot, 0, 0)
+		return -1, true, nil
+	})
+	if err != nil {
+		return RID{}, err
+	}
+	out, err := h.insertLocked(tuple)
+	if err == nil {
+		return out, nil
+	}
+	// A failed insert stored nothing, so the old tuple's bytes are still
+	// at off: the delete above left them in place.
+	rerr := h.editPage(rid.Page, func(p *Page) (int64, bool, error) {
+		p.setSlot(rid.Slot, off, ln)
+		return 1, true, nil
+	})
+	return RID{}, errors.Join(err, rerr)
 }
 
 // Iterator walks all live rows of one heap snapshot in page order. It

@@ -2,11 +2,8 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -107,45 +104,6 @@ func TestMemDisk(t *testing.T) {
 	}
 }
 
-func TestFileDiskPersists(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.pages")
-	d, err := OpenFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := d.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	copy(buf, "persist me")
-	if err := d.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if d2.NumPages() != 1 {
-		t.Fatalf("NumPages = %d, want 1", d2.NumPages())
-	}
-	got := make([]byte, PageSize)
-	if err := d2.ReadPage(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, []byte("persist me")) {
-		t.Fatal("data did not persist")
-	}
-}
-
 func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	disk := NewMemDisk()
 	stats := &Stats{}
@@ -193,34 +151,9 @@ func TestBufferPoolAllPinned(t *testing.T) {
 	}
 }
 
-func TestBufferPoolFlushAll(t *testing.T) {
-	disk := NewMemDisk()
-	bp := NewBufferPool(disk, 4, nil)
-	id, buf, err := bp.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[7] = 0x7F
-	bp.Unpin(id, true)
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	raw := make([]byte, PageSize)
-	if err := disk.ReadPage(id, raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw[7] != 0x7F {
-		t.Fatal("FlushAll did not persist dirty page")
-	}
-}
-
 func newTestHeap(t *testing.T, poolPages int) *HeapFile {
 	t.Helper()
-	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), poolPages, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return NewHeapFile(NewBufferPool(NewMemDisk(), poolPages, nil))
 }
 
 func TestHeapInsertGetScan(t *testing.T) {
@@ -343,26 +276,65 @@ func TestHeapUpdateInPlaceAndRelocated(t *testing.T) {
 	}
 }
 
-func TestHeapReopenRecounts(t *testing.T) {
-	disk := NewMemDisk()
-	h, err := NewHeapFile(NewBufferPool(disk, 8, nil))
+// TestHeapFailedNewPageSkipsNoPage: a NewPage that gets a disk page but
+// no frame must not leave that page behind the heap's page count, where
+// no scan would read the rows stored on it.
+func TestHeapFailedNewPageSkipsNoPage(t *testing.T) {
+	h := newTestHeap(t, 1)
+	pad := strings.Repeat("x", 5000)
+	if _, err := h.Insert(types.Row{types.NewInt(0), types.NewText(pad)}); err != nil {
+		t.Fatal(err)
+	}
+	// With page 0 pinned, the one frame is taken: the next row needs a
+	// fresh page and cannot have one.
+	if _, err := h.Pool().Fetch(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Insert(types.Row{types.NewInt(1), types.NewText(pad)}); err == nil {
+		t.Fatal("insert with every frame pinned should fail")
+	}
+	h.Pool().Unpin(0, false)
+	rid, err := h.Insert(types.Row{types.NewInt(1), types.NewText(pad)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		if _, err := h.Insert(types.Row{types.NewInt(int64(i))}); err != nil {
+	if want := (RID{Page: 1, Slot: 0}); rid != want {
+		t.Fatalf("row stored at %v, want %v", rid, want)
+	}
+	rows, _ := scanAll(t, h.Scan())
+	if h.NumPages() != 2 || h.NumRows() != 2 || len(rows) != 2 {
+		t.Fatalf("pages=%d rows=%d scanned=%d, want 2, 2, 2", h.NumPages(), h.NumRows(), len(rows))
+	}
+}
+
+// TestHeapFailedRelocationKeepsRow: an update that must move its row to
+// another page and cannot get one fails without touching the row.
+func TestHeapFailedRelocationKeepsRow(t *testing.T) {
+	h := newTestHeap(t, 1)
+	var rids []RID
+	for i := int64(0); i < 2; i++ {
+		rid, err := h.Insert(types.Row{types.NewInt(i), types.NewText(strings.Repeat("a", 3000))})
+		if err != nil {
 			t.Fatal(err)
 		}
+		rids = append(rids, rid)
 	}
-	if err := h.Pool().FlushAll(); err != nil {
-		t.Fatal(err)
+	// A scan holds page 0 pinned, so the moved row can get no fresh page.
+	it := h.Scan()
+	if _, _, ok, err := it.Next(); err != nil || !ok {
+		t.Fatalf("scan: ok=%v err=%v", ok, err)
 	}
-	h2, err := NewHeapFile(NewBufferPool(disk, 8, nil))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := h.Update(rids[0], types.Row{types.NewInt(0), types.NewText(strings.Repeat("b", 6000))}); err == nil {
+		t.Fatal("relocating update with every frame pinned should fail")
 	}
-	if h2.NumRows() != 50 {
-		t.Fatalf("reopened NumRows = %d, want 50", h2.NumRows())
+	it.Close()
+	row, err := h.Get(rids[0])
+	if err != nil || row[1].Text() != strings.Repeat("a", 3000) {
+		t.Fatalf("row after failed update: %v, %v", row, err)
+	}
+	rows, _ := scanAll(t, h.Scan())
+	if h.NumRows() != 2 || len(rows) != 2 {
+		t.Fatalf("rows=%d scanned=%d, want 2, 2", h.NumRows(), len(rows))
 	}
 }
 
@@ -443,115 +415,6 @@ func TestConcurrentScanAndInsert(t *testing.T) {
 	}
 	if h.NumRows() != 1100 {
 		t.Fatalf("final rows = %d", h.NumRows())
-	}
-}
-
-func TestOpenFileDiskErrors(t *testing.T) {
-	// A file whose size is not a multiple of the page size is rejected.
-	path := filepath.Join(t.TempDir(), "bad.pages")
-	if err := os.WriteFile(path, []byte("not a page"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileDisk(path); err == nil {
-		t.Fatal("misaligned file should be rejected")
-	}
-	// An unopenable path errors.
-	if _, err := OpenFileDisk(filepath.Join(t.TempDir(), "no", "such", "dir", "x")); err == nil {
-		t.Fatal("bad path should fail")
-	}
-}
-
-func TestFileDiskBounds(t *testing.T) {
-	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "t.pages"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	buf := make([]byte, PageSize)
-	if err := d.ReadPage(0, buf); err == nil {
-		t.Fatal("read of unallocated page should fail")
-	}
-	if err := d.WritePage(0, buf); err == nil {
-		t.Fatal("write of unallocated page should fail")
-	}
-}
-
-func TestHeapFileOnFileDisk(t *testing.T) {
-	// The heap works identically over the file-backed disk manager, and
-	// survives a flush + reopen.
-	path := filepath.Join(t.TempDir(), "heap.pages")
-	d, err := OpenFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewBufferPool(d, 4, nil)
-	h, err := NewHeapFile(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if _, err := h.Insert(types.Row{types.NewInt(int64(i)), types.NewText("file-backed")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	h2, err := NewHeapFile(NewBufferPool(d2, 4, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.NumRows() != 300 {
-		t.Fatalf("reopened rows: %d", h2.NumRows())
-	}
-	it := h2.Scan()
-	defer it.Close()
-	row, _, ok, err := it.Next()
-	if err != nil || !ok || row[0].Int() != 0 || row[1].Text() != "file-backed" {
-		t.Fatalf("reopened first row: %v %v %v", row, ok, err)
-	}
-}
-
-func TestFileDiskShortReadIsError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.pages")
-	d, err := OpenFileDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := d.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	for i := range buf {
-		buf[i] = 0x5A
-	}
-	if err := d.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the file mid-page, as a crash during an extending write
-	// would: the page is allocated but only half its bytes exist.
-	if err := os.Truncate(path, PageSize/2); err != nil {
-		t.Fatal(err)
-	}
-	err = d.ReadPage(id, buf)
-	if err == nil {
-		t.Fatal("short read must be an error, not a silently half-filled buffer")
-	}
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short read err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

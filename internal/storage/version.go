@@ -10,13 +10,11 @@ import (
 // the page-version overlay, and the copy-on-write page-edit protocol.
 //
 // The design versions page *buffers*, never page identity: a page's id
-// and on-disk location are immutable, so RIDs stay valid across
-// versions, secondary indexes never need rewriting, and the crash-safety
-// story (which counts and orders disk writes) is untouched. What changes
-// under a writer is only which byte buffer backs a pool frame:
+// is immutable, so RIDs stay valid across versions and secondary indexes
+// never need rewriting. What changes under a writer is only which byte
+// buffer backs a pool frame:
 //
-//   - With no live snapshot, a mutation edits the frame buffer in place —
-//     exactly the pre-versioning behaviour, same disk-op sequence.
+//   - With no live snapshot, a mutation edits the frame buffer in place.
 //   - With live snapshots, the mutation clones the buffer, edits the
 //     clone, records the old buffer in the overlay (tagged with the last
 //     sequence number it was current for), and swaps the clone in with

@@ -12,10 +12,7 @@ import (
 // over a striped pool of poolPages frames.
 func versionedHeap(t *testing.T, nRows, poolPages int) (*HeapFile, []RID) {
 	t.Helper()
-	h, err := NewHeapFile(NewBufferPool(NewMemDisk(), poolPages, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHeapFile(NewBufferPool(NewMemDisk(), poolPages, nil))
 	rids := make([]RID, nRows)
 	for i := 0; i < nRows; i++ {
 		rid, err := h.Insert(types.Row{types.NewInt(int64(i)), types.NewText(fmt.Sprintf("v0-%04d", i))})

@@ -239,10 +239,7 @@ func BenchmarkAblation_HotnessThreshold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cache, err := env.Eng.CacheOf("Rec_ItemCosCF")
-		if err != nil {
-			b.Fatal(err)
-		}
+		cache := env.Eng.Recommenders().List()[0].Cache() // Rec_ItemCosCF, the only one
 		cache.Threshold = threshold
 		for i := 0; i < 10; i++ {
 			cache.RecordQuery(env.QueryUser)
@@ -250,9 +247,7 @@ func BenchmarkAblation_HotnessThreshold(b *testing.B) {
 		for _, it := range env.Data.Items {
 			cache.RecordUpdate(it.ID)
 		}
-		if _, err := env.Eng.RunCacheMaintenance("Rec_ItemCosCF"); err != nil {
-			b.Fatal(err)
-		}
+		cache.Run()
 		b.Run(fmt.Sprintf("threshold=%.2f", threshold), func(b *testing.B) {
 			b.ReportMetric(float64(cache.Index().Len()), "materialized_entries")
 			for i := 0; i < b.N; i++ {

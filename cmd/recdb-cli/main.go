@@ -383,7 +383,7 @@ func meta(db *recdb.DB, cmd string) bool {
 			fmt.Fprintln(os.Stderr, "usage: \\materialize RECOMMENDER")
 			break
 		}
-		if err := eng.Materialize(fields[1]); err != nil {
+		if err := db.Materialize(fields[1]); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		} else {
 			fmt.Println("materialized")
@@ -393,7 +393,7 @@ func meta(db *recdb.DB, cmd string) bool {
 			fmt.Fprintln(os.Stderr, "usage: \\maintain RECOMMENDER")
 			break
 		}
-		dec, err := eng.RunCacheMaintenance(fields[1])
+		dec, err := db.RunCacheMaintenance(fields[1])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		} else {

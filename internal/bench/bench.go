@@ -188,7 +188,8 @@ func (e *Env) RecDBTopK(algo string, k int) (int, string, error) {
 // given algorithm (the pre-computation of §IV-C).
 func (e *Env) MaterializeQueryUser(algos []string) error {
 	for _, algo := range algos {
-		if err := e.Eng.MaterializeUser("Rec_"+algo, e.QueryUser); err != nil {
+		r, _ := e.Eng.Recommenders().Get("Rec_" + algo)
+		if err := r.Cache().MaterializeUser(e.QueryUser); err != nil {
 			return err
 		}
 	}

@@ -359,10 +359,8 @@ func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		cache, err := env.Eng.CacheOf("Rec_ItemCosCF")
-		if err != nil {
-			return t, err
-		}
+		r := env.Eng.Recommenders().List()[0] // Rec_ItemCosCF, the only one
+		cache := r.Cache()
 		cache.Threshold = threshold
 		// Drive demand and consumption with skew, so hotness spans the
 		// whole (0, 1] range: the query user is the hottest, other users
@@ -370,7 +368,7 @@ func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
 		for i := 0; i < 16; i++ {
 			cache.RecordQuery(env.QueryUser)
 		}
-		for rank, u := range env.Eng.Recommenders().List()[0].Store().UserIDs() {
+		for rank, u := range r.Store().UserIDs() {
 			if rank >= 8 {
 				break
 			}
@@ -384,9 +382,7 @@ func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
 				cache.RecordUpdate(it.ID)
 			}
 		}
-		if _, err := env.Eng.RunCacheMaintenance("Rec_ItemCosCF"); err != nil {
-			return t, err
-		}
+		cache.Run()
 		var strategy string
 		q, err := TimeN(Reps, func() error {
 			_, s, err := env.RecDBTopK("ItemCosCF", 10)

@@ -42,7 +42,8 @@ func TestConcurrentReaders(t *testing.T) {
 func TestConcurrentReadersWithWrites(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.Materialize("GeneralRec"); err != nil {
+	cache := recCache(t, e, "GeneralRec")
+	if err := cache.MaterializeAll(); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -81,10 +82,7 @@ func TestConcurrentReadersWithWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := e.RunCacheMaintenance("GeneralRec"); err != nil {
-				errs <- err
-				return
-			}
+			cache.Run()
 		}
 	}()
 	wg.Wait()

@@ -130,7 +130,7 @@ func TestDifferentialSQLVsModel(t *testing.T) {
 func TestIndexRecommendWithItemFilter(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	q, err := e.Query(`SELECT R.iid, R.ratingval FROM ratings R

@@ -1,8 +1,7 @@
 // Package engine wires the subsystems into a working database: it
 // dispatches SQL statements (DDL, DML, CREATE/DROP RECOMMENDER, and
-// recommendation-aware SELECTs), owns the per-recommender cache managers,
-// and connects rating inserts to model maintenance and histogram
-// statistics.
+// recommendation-aware SELECTs) and connects rating inserts to model
+// maintenance and histogram statistics.
 package engine
 
 import (
@@ -20,7 +19,6 @@ import (
 	"recdb/internal/plan"
 	"recdb/internal/rec"
 	"recdb/internal/reccache"
-	"recdb/internal/recindex"
 	"recdb/internal/sql"
 	"recdb/internal/storage"
 	"recdb/internal/types"
@@ -31,14 +29,9 @@ import (
 type Config struct {
 	// PoolPages is the buffer-pool capacity per table (0 = default).
 	PoolPages int
-	// Rec configures model building and maintenance.
+	// Rec configures model building, maintenance and the recommenders'
+	// caches.
 	Rec rec.Options
-	// HotnessThreshold is the cache manager's HOTNESS-THRESHOLD (§IV-D),
-	// taken as given: 0 admits every pair with demand. recdb.Open and
-	// OpenDir start from DefaultHotnessThreshold.
-	HotnessThreshold float64
-	// CacheClock overrides the cache managers' clock (tests).
-	CacheClock reccache.Clock
 	// WALSyncEvery is the write-ahead log's group-commit factor (1 =
 	// fsync every commit), applied whenever a log is attached.
 	WALSyncEvery int
@@ -52,10 +45,6 @@ type Config struct {
 	SnapshotRetain int
 }
 
-// DefaultHotnessThreshold is the HOTNESS-THRESHOLD a database opened
-// without WithHotnessThreshold uses.
-const DefaultHotnessThreshold = 0.5
-
 // Engine is one embedded database instance.
 type Engine struct {
 	cat     *catalog.Catalog
@@ -65,9 +54,6 @@ type Engine struct {
 	cfg     Config
 	reg     *metrics.Registry
 	em      engineMetrics
-
-	mu     sync.RWMutex
-	caches map[string]*reccache.Manager // by lower-case recommender name
 
 	// commitMu frames durability and DDL (txn.go has the whole protocol):
 	// DML holds it shared plus its table's gate, an explicit transaction
@@ -99,7 +85,6 @@ type engineMetrics struct {
 	joinRec        *metrics.Counter
 	indexRec       *metrics.Counter // RecScoreIndex probe plans
 	vectorRec      *metrics.Counter // IVF probe plans
-	cache          reccache.Metrics // shared by every recommender's cache
 	analyzeQueries *metrics.Counter
 }
 
@@ -123,6 +108,13 @@ func New(cfg Config) *Engine {
 		BuildFailures:     reg.Counter("rec.build_failures"),
 		BuildNanos:        reg.Histogram("rec.build_ns"),
 		HealthTransitions: reg.Counter("rec.health_transitions"),
+		Cache: reccache.Metrics{
+			Queries:  reg.Counter("reccache.queries"),
+			Updates:  reg.Counter("reccache.updates"),
+			Runs:     reg.Counter("reccache.runs"),
+			Admitted: reg.Counter("reccache.admitted"),
+			Evicted:  reg.Counter("reccache.evicted"),
+		},
 	}
 	cat := catalog.New(stats, cfg.PoolPages)
 	mgr := rec.NewManager(cat, cfg.Rec)
@@ -132,7 +124,6 @@ func New(cfg Config) *Engine {
 		rec:        mgr,
 		cfg:        cfg,
 		reg:        reg,
-		caches:     make(map[string]*reccache.Manager),
 		tableGates: make(map[string]chan struct{}),
 		txnGate:    make(chan struct{}, 1),
 	}
@@ -146,32 +137,10 @@ func New(cfg Config) *Engine {
 		indexRec:       reg.Counter("plan.index_recommend"),
 		vectorRec:      reg.Counter("plan.vector_recommend"),
 		analyzeQueries: reg.Counter("exec.analyze_queries"),
-		cache: reccache.Metrics{
-			Queries:           reg.Counter("reccache.queries"),
-			Updates:           reg.Counter("reccache.updates"),
-			Runs:              reg.Counter("reccache.runs"),
-			RunFailures:       reg.Counter("reccache.run_failures"),
-			Admitted:          reg.Counter("reccache.admitted"),
-			Evicted:           reg.Counter("reccache.evicted"),
-			HealthTransitions: reg.Counter("reccache.health_transitions"),
-		},
 	}
 	e.planner = &plan.Planner{
 		Catalog: cat,
 		Rec:     mgr,
-		IndexFor: func(r *rec.Recommender) *recindex.Index {
-			if c := e.cacheOf(r.Name); c != nil {
-				return c.Index()
-			}
-			return nil
-		},
-		RecordQuery: func(r *rec.Recommender, users []int64) {
-			if c := e.cacheOf(r.Name); c != nil {
-				for _, u := range users {
-					c.RecordQuery(u)
-				}
-			}
-		},
 		VecMetrics: exec.VectorMetrics{
 			ProbedCentroids: reg.Counter("ann.probed_centroids"),
 			Candidates:      reg.Counter("ann.candidates"),
@@ -179,11 +148,6 @@ func New(cfg Config) *Engine {
 			Widenings:       reg.Counter("ann.widenings"),
 		},
 	}
-	mgr.OnRebuild(func(r *rec.Recommender) {
-		if c := e.cacheOf(r.Name); c != nil {
-			c.Invalidate()
-		}
-	})
 	return e
 }
 
@@ -226,11 +190,13 @@ func bridgeStorageStats(reg *metrics.Registry, stats *storage.Stats) {
 	}
 }
 
-// countStrategy tallies which recommendation path the planner chose: an
-// IndexRecommend plan probes pre-computed RecScoreIndex entries, the
-// others fall back to full model scans.
-func (e *Engine) countStrategy(strategy string) {
-	switch strategy {
+// countExecuted accounts for an executed SELECT or EXPLAIN ANALYZE: it
+// tallies which recommendation path the planner chose (an IndexRecommend
+// plan probes pre-computed RecScoreIndex entries, the others score
+// online) and records the statement's §IV-D demand.
+func (e *Engine) countExecuted(ex *plan.Explain) {
+	ex.RecordDemand()
+	switch ex.Strategy {
 	case "Recommend":
 		e.em.recommend.Inc()
 	case "FilterRecommend":
@@ -242,20 +208,6 @@ func (e *Engine) countStrategy(strategy string) {
 	case "VectorRecommend":
 		e.em.vectorRec.Inc()
 	}
-}
-
-func (e *Engine) cacheOf(name string) *reccache.Manager {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.caches[strings.ToLower(name)]
-}
-
-// CacheOf returns the cache manager for a recommender.
-func (e *Engine) CacheOf(name string) (*reccache.Manager, error) {
-	if c := e.cacheOf(name); c != nil {
-		return c, nil
-	}
-	return nil, fmt.Errorf("engine: no recommender %q", name)
 }
 
 // Result reports the effect of a non-query statement.
@@ -416,7 +368,7 @@ func (e *Engine) execMutation(stmt sql.Statement, text string) (Result, []mutati
 	case *sql.Update:
 		return e.execUpdate(s)
 	case *sql.CreateRecommender:
-		err := e.CreateRecommender(rec.CreateSpec{
+		_, err := e.rec.CreateFromSpec(rec.CreateSpec{
 			Name: s.Name, Table: s.Table,
 			UserCol: s.UserCol, ItemCol: s.ItemCol, RatingCol: s.RatingCol,
 			Algorithm: s.Algorithm, Workers: s.Workers,
@@ -426,21 +378,14 @@ func (e *Engine) execMutation(stmt sql.Statement, text string) (Result, []mutati
 		}
 		return Result{}, ddl, nil
 	case *sql.DropRecommender:
-		name := strings.ToLower(s.Name)
 		if s.IfExists {
-			if _, ok := e.rec.Get(name); !ok {
+			if _, ok := e.rec.Get(s.Name); !ok {
 				return Result{}, ddl, nil
 			}
 		}
 		if err := e.rec.Drop(s.Name); err != nil {
 			return Result{}, nil, err
 		}
-		e.mu.Lock()
-		if c := e.caches[name]; c != nil {
-			c.Stop()
-			delete(e.caches, name)
-		}
-		e.mu.Unlock()
 		return Result{}, ddl, nil
 	default:
 		return Result{}, nil, fmt.Errorf("engine: unsupported statement %T", stmt)
@@ -491,7 +436,7 @@ func (e *Engine) explain(s *sql.Explain) (*QueryResult, error) {
 		elapsed := time.Since(start)
 		e.em.analyzeQueries.Inc()
 		e.em.rowsReturned.Add(int64(len(resultRows)))
-		e.countStrategy(explain.Strategy)
+		e.countExecuted(explain)
 		lines = plan.DescribePlan(root)
 		lines = append(lines, fmt.Sprintf("Execution time: %s", elapsed))
 	} else {
@@ -528,7 +473,7 @@ func (e *Engine) queryCtx(ctx context.Context, sel *sql.Select) (*QueryResult, e
 	e.em.queries.Inc()
 	e.em.rowsReturned.Add(int64(len(rows)))
 	e.em.queryNanos.ObserveSince(start)
-	e.countStrategy(explain.Strategy)
+	e.countExecuted(explain)
 	return &QueryResult{Schema: op.Schema(), Rows: rows, Explain: explain}, nil
 }
 
@@ -748,70 +693,8 @@ func matchRIDs(tab *catalog.Table, pred expr.Compiled) ([]storage.RID, error) {
 	}
 }
 
-// CreateRecommender builds and registers a recommender with its cache
-// manager: the body of the CREATE RECOMMENDER statement, and the way a
-// snapshot load recreates the definitions its manifest carries. Called
-// directly it takes no lock and is not logged.
-func (e *Engine) CreateRecommender(spec rec.CreateSpec) error {
-	if _, err := e.rec.CreateFromSpec(spec); err != nil {
-		return err
-	}
-	cache := reccache.New(recindex.New(), e.cfg.HotnessThreshold, e.cfg.CacheClock)
-	cache.Metrics = e.em.cache
-	// The recommender's WORKERS setting also bounds cache materialization;
-	// with none given, fall back to the engine-wide build parallelism.
-	cache.Workers = spec.Workers
-	if cache.Workers == 0 {
-		cache.Workers = e.cfg.Rec.Build.Workers
-	}
-	e.mu.Lock()
-	e.caches[strings.ToLower(spec.Name)] = cache
-	e.mu.Unlock()
-	return nil
-}
-
-// RunCacheMaintenance triggers Algorithm 4 for one recommender.
-func (e *Engine) RunCacheMaintenance(recommender string) (reccache.Decision, error) {
-	r, ok := e.rec.Get(recommender)
-	if !ok {
-		return reccache.Decision{}, fmt.Errorf("engine: no recommender %q", recommender)
-	}
-	c := e.cacheOf(recommender)
-	if c == nil {
-		return reccache.Decision{}, fmt.Errorf("engine: no cache manager for %q", recommender)
-	}
-	return c.Run(func() reccache.Predictor { return r.Store() })
-}
-
-// Materialize fully pre-computes the RecScoreIndex for a recommender
-// (HOTNESS-THRESHOLD = 0 behaviour; the warm state of §VI-C).
-func (e *Engine) Materialize(recommender string) error {
-	r, ok := e.rec.Get(recommender)
-	if !ok {
-		return fmt.Errorf("engine: no recommender %q", recommender)
-	}
-	c := e.cacheOf(recommender)
-	if c == nil {
-		return fmt.Errorf("engine: no cache manager for %q", recommender)
-	}
-	return c.MaterializeAll(func() reccache.Predictor { return r.Store() })
-}
-
-// MaterializeUser pre-computes one user's RecTree.
-func (e *Engine) MaterializeUser(recommender string, user int64) error {
-	r, ok := e.rec.Get(recommender)
-	if !ok {
-		return fmt.Errorf("engine: no recommender %q", recommender)
-	}
-	c := e.cacheOf(recommender)
-	if c == nil {
-		return fmt.Errorf("engine: no cache manager for %q", recommender)
-	}
-	return c.MaterializeUser(func() reccache.Predictor { return r.Store() }, user)
-}
-
-// Close syncs and closes the write-ahead log, if attached, and stops
-// background cache managers.
+// Close syncs and closes the write-ahead log, if attached, and stops the
+// recommenders' cache daemons.
 func (e *Engine) Close() {
 	e.commitMu.Lock()
 	if e.log != nil {
@@ -821,13 +704,7 @@ func (e *Engine) Close() {
 		e.log = nil
 	}
 	e.commitMu.Unlock()
-	e.mu.Lock()
-	caches := make([]*reccache.Manager, 0, len(e.caches))
-	for _, c := range e.caches {
-		caches = append(caches, c)
-	}
-	e.mu.Unlock()
-	for _, c := range caches {
-		c.Stop()
+	for _, r := range e.rec.List() {
+		r.Cache().Stop()
 	}
 }

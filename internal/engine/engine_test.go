@@ -9,6 +9,7 @@ import (
 	"recdb/internal/exec"
 	"recdb/internal/fault"
 	"recdb/internal/rec"
+	"recdb/internal/reccache"
 	"recdb/internal/wal"
 )
 
@@ -40,6 +41,16 @@ func newMovieDB(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// recCache returns the §IV-D cache of the recommender called name.
+func recCache(t *testing.T, e *Engine, name string) *reccache.Manager {
+	t.Helper()
+	r, ok := e.Recommenders().Get(name)
+	if !ok {
+		t.Fatalf("no recommender %q", name)
+	}
+	return r.Cache()
 }
 
 func createGeneralRec(t *testing.T, e *Engine) {
@@ -235,7 +246,7 @@ func TestQuery5TopKWithJoin(t *testing.T) {
 func TestIndexRecommendStrategy(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	q, err := e.Query(`Select R.uid, R.iid, R.ratingval From ratings as R
@@ -290,7 +301,7 @@ func TestIndexRecommendStrategy(t *testing.T) {
 func TestIndexRecommendNotUsedForUncoveredUser(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	q, err := e.Query(`Select R.uid, R.iid, R.ratingval From ratings as R
@@ -378,10 +389,10 @@ func TestRebuildInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	createGeneralRec(t, e)
-	if err := e.Materialize("GeneralRec"); err != nil {
+	cache := recCache(t, e, "GeneralRec")
+	if err := cache.MaterializeAll(); err != nil {
 		t.Fatal(err)
 	}
-	cache, _ := e.CacheOf("GeneralRec")
 	if cache.Index().Len() == 0 {
 		t.Fatal("index should be materialized")
 	}
@@ -395,7 +406,7 @@ func TestRebuildInvalidatesCache(t *testing.T) {
 
 func TestCacheMaintenanceEndToEnd(t *testing.T) {
 	ts := 0.0
-	e := New(Config{HotnessThreshold: 0.5, CacheClock: func() float64 { return ts }})
+	e := New(Config{Rec: rec.Options{HotnessThreshold: 0.5, CacheClock: func() float64 { return ts }}})
 	if _, err := e.ExecScript(`
 		CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT);
 		INSERT INTO ratings VALUES (1,1,5),(1,2,3),(2,1,4),(2,3,2),(3,2,1);
@@ -414,15 +425,12 @@ func TestCacheMaintenanceEndToEnd(t *testing.T) {
 	}
 	// Item 3 gets updates → high consumption. (Small enough not to trigger
 	// rebuild: threshold is 10% default... 5 ratings → 1. Use manual stat.)
-	cache, _ := e.CacheOf("GeneralRec")
+	cache := recCache(t, e, "GeneralRec")
 	for i := 0; i < 50; i++ {
 		cache.RecordUpdate(3)
 	}
 	ts = 2
-	dec, err := e.RunCacheMaintenance("GeneralRec")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := cache.Run()
 	if dec.Admitted == 0 {
 		t.Fatalf("hot pair should be admitted: %+v", dec)
 	}
@@ -447,12 +455,6 @@ func TestExecErrors(t *testing.T) {
 	}
 	if _, err := e.Query("INSERT INTO t VALUES (1)"); err == nil {
 		t.Error("Query of non-SELECT should fail")
-	}
-	if _, err := e.RunCacheMaintenance("nope"); err == nil {
-		t.Error("maintenance of missing recommender should fail")
-	}
-	if err := e.Materialize("nope"); err == nil {
-		t.Error("materialize of missing recommender should fail")
 	}
 }
 
@@ -610,15 +612,9 @@ func TestCreateRecommenderWithWorkers(t *testing.T) {
 	if r.Workers != 3 {
 		t.Fatalf("recommender workers = %d, want 3", r.Workers)
 	}
-	c, err := e.CacheOf("ParRec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Workers != 3 {
-		t.Fatalf("cache workers = %d, want 3", c.Workers)
-	}
 	// The parallel build must serve queries exactly like the serial one.
-	if err := e.Materialize("ParRec"); err != nil {
+	c := r.Cache()
+	if err := c.MaterializeAll(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Index().Len() == 0 {

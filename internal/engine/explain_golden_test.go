@@ -72,13 +72,13 @@ func TestExplainGolden(t *testing.T) {
 	createGeneralRec(t, movie)
 	warm := newMovieDB(t)
 	createGeneralRec(t, warm)
-	if err := warm.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, warm, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	warmAll := newMovieDB(t)
 	createGeneralRec(t, warmAll)
 	for _, u := range []int64{4, 3, 1} {
-		if err := warmAll.MaterializeUser("GeneralRec", u); err != nil {
+		if err := recCache(t, warmAll, "GeneralRec").MaterializeUser(u); err != nil {
 			t.Fatal(err)
 		}
 	}

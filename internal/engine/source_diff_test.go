@@ -111,14 +111,14 @@ func newSourceDiffDB(t *testing.T) *Engine {
 			t.Fatal(err)
 		}
 		for _, u := range []int64{1, 2, 3, 4, 5} {
-			if err := e.MaterializeUser("Diff"+algo, u); err != nil {
+			if err := recCache(t, e, "Diff"+algo).MaterializeUser(u); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Users 2 and 5 are left partial, as Algorithm 4's pair-grained
 		// decisions leave a tree: 2 lost one pair to an eviction, 5 holds
 		// only its one admitted pair.
-		ix := e.cacheOf("Diff" + algo).Index()
+		ix := recCache(t, e, "Diff"+algo).Index()
 		ix.Remove(2, ix.TopK(2, 1, nil)[0].Item)
 		top := ix.TopK(5, 1, nil)[0]
 		ix.RemoveUser(5)
@@ -296,7 +296,7 @@ func checkSameAnswer(t *testing.T, run diffRun, q string, limited bool, want, go
 func TestResidualConjunctKeepsLimitAboveFilter(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	q := `SELECT R.uid, R.iid, R.ratingval FROM ratings R
@@ -323,7 +323,7 @@ func TestMultiUserOrderByUnderRecTreeIsGlobal(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
 	for _, u := range []int64{4, 3, 1} {
-		if err := e.MaterializeUser("GeneralRec", u); err != nil {
+		if err := recCache(t, e, "GeneralRec").MaterializeUser(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +372,7 @@ func TestIDListsAreSets(t *testing.T) {
 	}
 	check("list")
 	for _, u := range []int64{1, 4} {
-		if err := e.MaterializeUser("GeneralRec", u); err != nil {
+		if err := recCache(t, e, "GeneralRec").MaterializeUser(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +387,7 @@ func TestIDListsAreSets(t *testing.T) {
 func TestErroringQueryReleasesSnapshots(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	const boom = "1/(m.mid - m.mid) > 0"

@@ -199,7 +199,7 @@ func TestExplainRecommend(t *testing.T) {
 
 	// After materialization the plan shows the index path with the same
 	// row target.
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	q, err = e.Query(`EXPLAIN SELECT R.iid, R.ratingval FROM ratings R
@@ -278,7 +278,7 @@ func TestPopularityRecommenderEndToEnd(t *testing.T) {
 		t.Fatalf("popularity join: %v %v", qj, err)
 	}
 	// Works with the RecScoreIndex too.
-	if err := e.MaterializeUser("PopRec", 1); err != nil {
+	if err := recCache(t, e, "PopRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	qi, err := e.Query(`SELECT R.iid, R.ratingval FROM ratings R
@@ -352,7 +352,7 @@ func TestLimitOffset(t *testing.T) {
 	// With RECOMMEND + materialized index, OFFSET disables limit pushdown
 	// but still answers correctly.
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	all, err := e.Query(`SELECT R.iid FROM ratings R
@@ -375,12 +375,12 @@ func TestLimitOffset(t *testing.T) {
 func TestIndexRecommendRatingBoundPushdown(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	if err := e.MaterializeUser("GeneralRec", 2); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(2); err != nil {
 		t.Fatal(err)
 	}
 	// User 2 rated everything, so materialization stores nothing; use a
 	// user with unseen items instead.
-	if err := e.MaterializeUser("GeneralRec", 1); err != nil {
+	if err := recCache(t, e, "GeneralRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	q, err := e.Query(`SELECT R.iid, R.ratingval FROM ratings R

@@ -281,17 +281,13 @@ func (e *Engine) maintainTable(table string, tab *catalog.Table, inserted []type
 		if !strings.EqualFold(r.Table, table) {
 			continue
 		}
-		cache := e.cacheOf(r.Name)
-		if cache == nil {
-			continue
-		}
 		_, itemIdx, _, err := r.ResolveRatingColumns(tab.Schema)
 		if err != nil {
 			continue
 		}
 		for _, row := range inserted {
 			if id, ok := row[itemIdx].AsInt(); ok {
-				cache.RecordUpdate(id)
+				r.Cache().RecordUpdate(id)
 			}
 		}
 	}

@@ -489,7 +489,7 @@ func TestVectorRecommendCacheGenerationAcrossSwap(t *testing.T) {
 	e := newVectorDB(t, 1)
 	q := fmt.Sprintf(vecTopK, 1)
 
-	if err := e.MaterializeUser("VecRec", 1); err != nil {
+	if err := recCache(t, e, "VecRec").MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Query(q)

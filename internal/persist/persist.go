@@ -641,7 +641,7 @@ func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config) (*engi
 		return nil, err
 	}
 	for _, rm := range m.Recommenders {
-		err := e.CreateRecommender(rec.CreateSpec{
+		_, err := e.Recommenders().CreateFromSpec(rec.CreateSpec{
 			Name: rm.Name, Table: rm.Table,
 			UserCol: rm.UserCol, ItemCol: rm.ItemCol, RatingCol: rm.RatingCol,
 			Algorithm: rm.Algorithm, Workers: rm.Workers,

@@ -22,7 +22,6 @@ import (
 	"recdb/internal/exec"
 	"recdb/internal/expr"
 	"recdb/internal/rec"
-	"recdb/internal/recindex"
 	"recdb/internal/sql"
 	"recdb/internal/types"
 )
@@ -31,12 +30,6 @@ import (
 type Planner struct {
 	Catalog *catalog.Catalog
 	Rec     *rec.Manager
-	// IndexFor returns the RecScoreIndex for a recommender, or nil when no
-	// pre-computation exists. May itself be nil.
-	IndexFor func(*rec.Recommender) *recindex.Index
-	// RecordQuery, when set, feeds the cache manager's Users Histogram
-	// with the users targeted by a recommendation query.
-	RecordQuery func(r *rec.Recommender, users []int64)
 	// Source forces the RECOMMEND operator's candidate source; the zero
 	// value lets chooseSource pick. A statement the forced source cannot
 	// serve fails to plan (ErrSourceIneligible) — there is no silent
@@ -58,6 +51,20 @@ type Explain struct {
 	// SortSkipped reports that the RECOMMEND operator's fused top-k already
 	// delivers the statement's ORDER BY, so no Sort was planned.
 	SortSkipped bool
+
+	// The recommender a RECOMMEND plan scores with, and the users its
+	// predicate names: the statement's §IV-D demand (RecordDemand).
+	recommender *rec.Recommender
+	users       []int64
+}
+
+// RecordDemand feeds the users the statement's RECOMMEND predicate names
+// to its recommender's Users Histogram (§IV-D). Call it once the statement
+// has run: a statement that only plans, or fails, is no demand.
+func (ex *Explain) RecordDemand() {
+	for _, u := range ex.users {
+		ex.recommender.Cache().RecordQuery(u)
+	}
 }
 
 // PlanSelect builds the operator tree for a SELECT statement.
@@ -353,9 +360,7 @@ func (p *Planner) planRecommend(stmt *sql.Select, conjuncts []sql.Expr, applied 
 	// Extract pushdownable predicates. A forced scan source is the "no
 	// item pushdown" ablation: the iid list stays a filter above it.
 	pd := extractRecPreds(conjuncts, alias, recommender, applied, p.Source != exec.SourceScan)
-	if p.RecordQuery != nil && len(pd.users) > 0 {
-		p.RecordQuery(recommender, pd.users)
-	}
+	ex.recommender, ex.users = recommender, pd.users
 
 	// Compile rating conjuncts against the bare rec schema for pushdown.
 	var ratingPred expr.Compiled
@@ -425,7 +430,7 @@ func (p *Planner) planRecommend(stmt *sql.Select, conjuncts []sql.Expr, applied 
 	}
 	switch src {
 	case exec.SourceRecTree:
-		op.Index = p.IndexFor(recommender)
+		op.Index = recommender.Cache().Index()
 		// Phase II of Algorithm 3: an upper bound on ratingval starts the
 		// RecTree traversal below it.
 		if bound, ok := ratingUpperBound(pd.ratingConjuncts, alias, recommender); ok {
@@ -465,12 +470,12 @@ func (p *Planner) chooseSource(r *rec.Recommender, op *exec.Recommend) (exec.Sou
 		case exec.SourceRecTree:
 			// Every requested user's RecTree is complete: a tree Algorithm
 			// 4 built or evicted from pair by pair lacks unseen items.
-			if p.IndexFor == nil || len(op.Users) == 0 {
+			if len(op.Users) == 0 {
 				return false
 			}
-			ix := p.IndexFor(r)
+			ix := r.Cache().Index()
 			for _, u := range op.Users {
-				if ix == nil || !ix.Complete(u) {
+				if !ix.Complete(u) {
 					return false
 				}
 			}

@@ -48,16 +48,11 @@ func fixture(t *testing.T) (*Planner, *recindex.Index) {
 		movies.Insert(types.Row{types.NewInt(m.id), types.NewText(m.name), types.NewText(m.genre)})
 	}
 	mgr := rec.NewManager(cat, rec.Options{})
-	if _, err := mgr.Create("GeneralRec", "ratings", "uid", "iid", "ratingval", "ItemCosCF"); err != nil {
+	r, err := mgr.Create("GeneralRec", "ratings", "uid", "iid", "ratingval", "ItemCosCF")
+	if err != nil {
 		t.Fatal(err)
 	}
-	ix := recindex.New()
-	p := &Planner{
-		Catalog:  cat,
-		Rec:      mgr,
-		IndexFor: func(*rec.Recommender) *recindex.Index { return ix },
-	}
-	return p, ix
+	return &Planner{Catalog: cat, Rec: mgr}, r.Cache().Index()
 }
 
 func planQuery(t *testing.T, p *Planner, q string) (exec.Operator, *Explain) {
@@ -268,16 +263,25 @@ func TestStarExpansion(t *testing.T) {
 	}
 }
 
-func TestRecordQueryHook(t *testing.T) {
+// TestRecordDemand: planning a RECOMMEND statement records no demand;
+// RecordDemand feeds the users its predicate names to the recommender's
+// Users Histogram.
+func TestRecordDemand(t *testing.T) {
 	p, _ := fixture(t)
-	var recorded []int64
-	p.RecordQuery = func(_ *rec.Recommender, users []int64) {
-		recorded = append(recorded, users...)
-	}
-	planQuery(t, p, `SELECT R.uid FROM ratings R
+	_, ex := planQuery(t, p, `SELECT R.uid FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval WHERE R.uid = 2`)
-	if len(recorded) != 1 || recorded[0] != 2 {
-		t.Fatalf("recorded: %v", recorded)
+	r, _ := p.Rec.Get("GeneralRec")
+	if _, ok := r.Cache().UserStatOf(2); ok {
+		t.Fatal("planning alone recorded demand")
+	}
+	ex.RecordDemand()
+	if s, ok := r.Cache().UserStatOf(2); !ok || s.QueryCount != 1 {
+		t.Fatalf("after RecordDemand: %+v, %v", s, ok)
+	}
+	_, ex = planQuery(t, p, `SELECT uid FROM ratings WHERE uid = 2`)
+	ex.RecordDemand() // a plain query has none to record
+	if s, _ := r.Cache().UserStatOf(2); s.QueryCount != 1 {
+		t.Fatalf("a plain query recorded demand: %+v", s)
 	}
 }
 

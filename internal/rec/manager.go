@@ -10,6 +10,7 @@ import (
 
 	"recdb/internal/catalog"
 	"recdb/internal/metrics"
+	"recdb/internal/reccache"
 	"recdb/internal/types"
 )
 
@@ -28,6 +29,8 @@ type Metrics struct {
 	// HealthTransitions counts healthy->degraded and degraded->healthy
 	// flips across all recommenders.
 	HealthTransitions *metrics.Counter
+	// Cache is shared by every recommender's §IV-D cache.
+	Cache reccache.Metrics
 }
 
 // Options configures the manager.
@@ -38,10 +41,20 @@ type Options struct {
 	// number of new ratings reaches N% of the ratings used for the current
 	// model. Default 10.
 	RebuildThresholdPct float64
+	// HotnessThreshold is every recommender's cache HOTNESS-THRESHOLD
+	// (§IV-D), taken as given: 0 admits every pair with demand. recdb.Open
+	// and OpenDir start from DefaultHotnessThreshold.
+	HotnessThreshold float64
+	// CacheClock overrides the caches' clock (tests).
+	CacheClock reccache.Clock
 	// Metrics receives build/maintenance instrumentation; the zero value
 	// records nothing.
 	Metrics Metrics
 }
+
+// DefaultHotnessThreshold is the HOTNESS-THRESHOLD a database opened
+// without WithHotnessThreshold uses.
+const DefaultHotnessThreshold = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.RebuildThresholdPct <= 0 {
@@ -51,7 +64,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Recommender is one created recommender: its definition, its model
-// store, and its maintenance state.
+// store, its §IV-D cache, and its maintenance state.
 type Recommender struct {
 	Name      string
 	Table     string
@@ -63,6 +76,8 @@ type Recommender struct {
 	// ... WITH WORKERS n). 0 defers to the manager-wide
 	// Options.Build.Workers.
 	Workers int
+
+	cache *reccache.Manager // its RecScoreIndex and hotness statistics
 
 	mu         sync.RWMutex
 	store      *ModelStore
@@ -122,6 +137,11 @@ func (r *Recommender) Store() *ModelStore {
 	return r.store
 }
 
+// Cache returns the recommender's §IV-D cache: its RecScoreIndex and the
+// histograms Algorithm 4 reads. A rebuild clears the index; DROP
+// RECOMMENDER stops its daemon.
+func (r *Recommender) Cache() *reccache.Manager { return r.cache }
+
 // BuildTime returns the duration of the most recent model build.
 func (r *Recommender) BuildTime() time.Duration {
 	r.mu.RLock()
@@ -153,10 +173,6 @@ type Manager struct {
 
 	mu   sync.RWMutex
 	recs map[string]*Recommender // keyed by lower-case name
-
-	// onRebuild, when set, is invoked after a model rebuild so dependent
-	// structures (the RecScoreIndex cache) can invalidate.
-	onRebuild func(*Recommender)
 
 	// now is the clock used for the rebuild-failure backoff (tests swap it).
 	now func() time.Time
@@ -192,13 +208,6 @@ func NewManager(cat *catalog.Catalog, opts Options) *Manager {
 	}
 }
 
-// OnRebuild registers a callback fired after maintenance rebuilds a model.
-func (m *Manager) OnRebuild(fn func(*Recommender)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onRebuild = fn
-}
-
 // CreateSpec is the full definition accepted by CreateFromSpec, carrying
 // the per-recommender build options of CREATE RECOMMENDER.
 type CreateSpec struct {
@@ -215,7 +224,8 @@ type CreateSpec struct {
 }
 
 // Create implements CREATE RECOMMENDER: it loads the ratings table and
-// builds the model for the algorithm (Recommender Initialization, §III-A).
+// builds the model for the algorithm (Recommender Initialization, §III-A),
+// with an empty cache beside it.
 func (m *Manager) Create(name, table, userCol, itemCol, ratingCol, algoName string) (*Recommender, error) {
 	return m.CreateFromSpec(CreateSpec{
 		Name: name, Table: table,
@@ -247,6 +257,9 @@ func (m *Manager) CreateFromSpec(spec CreateSpec) (*Recommender, error) {
 		UserCol: spec.UserCol, ItemCol: spec.ItemCol, RatingCol: spec.RatingCol,
 		Algo: algo, Workers: spec.Workers,
 	}
+	// The recommender's WORKERS setting also bounds cache materialization.
+	r.cache = reccache.New(func() reccache.Predictor { return r.Store() },
+		m.opts.HotnessThreshold, m.opts.CacheClock, m.buildOptions(r).Workers, m.opts.Metrics.Cache)
 	if err := m.buildAndSwap(r, ratings); err != nil {
 		return nil, err
 	}
@@ -285,6 +298,10 @@ func (m *Manager) buildAndSwap(r *Recommender, ratings []Rating) error {
 	r.pending = 0
 	r.buildTime = elapsed
 	r.mu.Unlock()
+	// Scores of the replaced model must not outlive the swap: clearing the
+	// index advances its generation, so a materialization still scoring
+	// with the old model is refused (reccache.ModelReplacedError).
+	r.cache.Invalidate()
 	return nil
 }
 
@@ -327,15 +344,18 @@ func (m *Manager) loadRatings(table, userCol, itemCol, ratingCol string) ([]Rati
 	}
 }
 
-// Drop implements DROP RECOMMENDER.
+// Drop implements DROP RECOMMENDER; it stops the recommender's cache
+// daemon, if running.
 func (m *Manager) Drop(name string) error {
 	key := strings.ToLower(name)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, exists := m.recs[key]; !exists {
+	r, exists := m.recs[key]
+	delete(m.recs, key)
+	m.mu.Unlock()
+	if !exists {
 		return fmt.Errorf("rec: recommender %q does not exist", name)
 	}
-	delete(m.recs, key)
+	r.cache.Stop()
 	return nil
 }
 
@@ -484,10 +504,9 @@ func (m *Manager) NotifyInsert(table string, count int) error {
 	// the table is scanned once and each build is handed the same ratings.
 	loaded := make(map[ratingSource][]Rating)
 	for _, r := range due {
-		// rebuildFrom fires the onRebuild cache invalidation itself on
-		// success. Graceful degradation on error: the failure is recorded
-		// in the recommender's Health and retried with backoff; the
-		// insert that triggered maintenance must not fail.
+		// Graceful degradation on error: the failure is recorded in the
+		// recommender's Health and retried with backoff; the insert that
+		// triggered maintenance must not fail.
 		_ = m.rebuildFrom(r, loaded)
 	}
 	return nil
@@ -534,17 +553,6 @@ func (m *Manager) rebuildFrom(r *Recommender, loaded map[ratingSource][]Rating) 
 	}
 	if wasHealthy != nowHealthy {
 		m.opts.Metrics.HealthTransitions.Inc()
-	}
-	if err == nil {
-		// Every successful rebuild — maintenance-driven or explicit — must
-		// advance dependent caches to the new model generation; a stale
-		// RecScoreIndex would keep serving the pre-swap scores.
-		m.mu.RLock()
-		onRebuild := m.onRebuild
-		m.mu.RUnlock()
-		if onRebuild != nil {
-			onRebuild(r)
-		}
 	}
 	return err
 }

@@ -87,13 +87,9 @@ func TestMaintenanceThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := 0
-	m.OnRebuild(func(rr *Recommender) {
-		if rr != r {
-			t.Error("wrong recommender in rebuild callback")
-		}
-		rebuilt++
-	})
+	// A cached score of the current model; the rebuild must clear it.
+	ix := r.Cache().Index()
+	ix.Put(2, 3, 4.5)
 
 	insert := func(u, i int64, v float64) {
 		t.Helper()
@@ -106,12 +102,12 @@ func TestMaintenanceThreshold(t *testing.T) {
 	}
 	insert(1, 2, 3) // pending 1 < 3
 	insert(1, 3, 4) // pending 2 < 3
-	if r.Rebuilds() != 0 || rebuilt != 0 {
-		t.Fatalf("premature rebuild: %d", r.Rebuilds())
+	if r.Rebuilds() != 0 || ix.Len() != 1 {
+		t.Fatalf("premature rebuild: %d, cache holds %d scores", r.Rebuilds(), ix.Len())
 	}
 	insert(4, 1, 2) // pending 3 ≥ 3 → rebuild
-	if r.Rebuilds() != 1 || rebuilt != 1 {
-		t.Fatalf("rebuilds = %d, callback = %d", r.Rebuilds(), rebuilt)
+	if r.Rebuilds() != 1 || ix.Len() != 0 {
+		t.Fatalf("rebuilds = %d, cache holds %d scores of the replaced model", r.Rebuilds(), ix.Len())
 	}
 	if r.Pending() != 0 {
 		t.Fatalf("pending after rebuild = %d", r.Pending())

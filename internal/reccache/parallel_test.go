@@ -28,13 +28,11 @@ func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 
 	pred := &fakePredictor{users: users, items: items, seen: seen}
 	build := func(workers int) *recindex.Index {
-		ix := recindex.New()
-		m := New(ix, 0, clock)
-		m.Workers = workers
-		if err := m.MaterializeAll(fixed(pred)); err != nil {
+		m := New(func() Predictor { return pred }, 0, clock, workers, Metrics{})
+		if err := m.MaterializeAll(); err != nil {
 			t.Fatal(err)
 		}
-		return ix
+		return m.Index()
 	}
 
 	want := build(1)
@@ -63,9 +61,9 @@ func TestMaterializeUserUsesBatch(t *testing.T) {
 		users: idRange(3), items: idRange(5),
 		seen: map[int64]map[int64]float64{2: {4: 3.5}},
 	}
-	ix := recindex.New()
-	m := New(ix, 0, func() float64 { return 0 })
-	if err := m.MaterializeUser(fixed(pred), 2); err != nil {
+	m := newFixed(pred, 0, func() float64 { return 0 })
+	ix := m.Index()
+	if err := m.MaterializeUser(2); err != nil {
 		t.Fatal(err)
 	}
 	if n := pred.batchCalls.Load(); n != 1 {
@@ -107,9 +105,8 @@ func BenchmarkMaterializeAll(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := New(recindex.New(), 0, func() float64 { return 0 })
-				m.Workers = workers
-				if err := m.MaterializeAll(fixed(pred)); err != nil {
+				m := New(func() Predictor { return pred }, 0, func() float64 { return 0 }, workers, Metrics{})
+				if err := m.MaterializeAll(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,7 +13,6 @@ import (
 
 	"recdb/internal/ann"
 	"recdb/internal/metrics"
-	"recdb/internal/rec"
 	"recdb/internal/recindex"
 )
 
@@ -28,14 +27,10 @@ type Metrics struct {
 	Updates *metrics.Counter
 	// Runs counts hotness-refresh maintenance runs (Algorithm 4).
 	Runs *metrics.Counter
-	// RunFailures counts daemon maintenance runs that failed.
-	RunFailures *metrics.Counter
 	// Admitted and Evicted count pairs moved in and out of the
 	// RecScoreIndex by maintenance decisions.
 	Admitted *metrics.Counter
 	Evicted  *metrics.Counter
-	// HealthTransitions counts the daemon flipping healthy <-> degraded.
-	HealthTransitions *metrics.Counter
 }
 
 // Clock abstracts time so the paper's worked example (Table I) is testable
@@ -72,71 +67,13 @@ type Manager struct {
 	// Threshold is HOTNESS-THRESHOLD ∈ [0, 1].
 	Threshold float64
 
-	// Metrics receives cache instrumentation; the zero value records
-	// nothing. Set it before Start — the daemon reads it without locking.
-	Metrics Metrics
-
-	// Workers bounds the pool used by MaterializeAll to compute
-	// predictions concurrently. 0 selects runtime.NumCPU(); 1 keeps the
-	// serial path. The RecScoreIndex contents are identical at any
-	// setting: predictions are computed in parallel but applied in
-	// ascending user order.
-	Workers int
-
-	index *recindex.Index
+	model   func() Predictor // the recommender's current model
+	ins     Metrics
+	workers int // MaterializeAll's pool bound (ann.ResolveWorkers)
+	index   *recindex.Index
 
 	stopCh chan struct{}
 	doneCh chan struct{}
-
-	// Daemon health: the background maintenance loop records run failures
-	// here instead of dropping them; the cache keeps serving its current
-	// contents while degraded.
-	runs        int
-	runFailures int   // consecutive failed runs (0 when healthy)
-	lastRunErr  error // most recent failed run's error, nil when healthy
-}
-
-// Health describes the cache maintenance daemon's state: how many runs
-// completed, whether the most recent one succeeded, and the error if not.
-type Health struct {
-	Runs      int
-	Failures  int
-	LastError error
-	Healthy   bool
-}
-
-// Health reports the daemon's current state.
-func (m *Manager) Health() Health {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Health{
-		Runs:      m.runs,
-		Failures:  m.runFailures,
-		LastError: m.lastRunErr,
-		Healthy:   m.lastRunErr == nil,
-	}
-}
-
-// recordRun folds one maintenance run's outcome into the health state.
-func (m *Manager) recordRun(err error) {
-	m.mu.Lock()
-	wasHealthy := m.lastRunErr == nil
-	m.runs++
-	if err != nil {
-		m.runFailures++
-		m.lastRunErr = err
-	} else {
-		m.runFailures = 0
-		m.lastRunErr = nil
-	}
-	nowHealthy := m.lastRunErr == nil
-	m.mu.Unlock()
-	if err != nil {
-		m.Metrics.RunFailures.Inc()
-	}
-	if wasHealthy != nowHealthy {
-		m.Metrics.HealthTransitions.Inc()
-	}
 }
 
 // Predictor supplies predictions and seen-ness for admission; it is the
@@ -145,14 +82,19 @@ func (m *Manager) recordRun(err error) {
 // different users.
 type Predictor interface {
 	PredictForUser(user int64, items []int64) ([]float64, []bool)
-	UserItems(user int64) []rec.Neighbor // the user's ratings, ascending in item
+	Seen(user, item int64) (rating float64, found bool)
 	ItemIDs() []int64
 	UserIDs() []int64
 }
 
-// New creates a manager over the given RecScoreIndex. clock may be nil, in
-// which case wall-clock seconds since creation are used.
-func New(index *recindex.Index, threshold float64, clock Clock) *Manager {
+// New creates a manager over an empty RecScoreIndex. model returns the
+// recommender's current model; every run and materialization reads it
+// once. clock may be nil, in which case wall-clock seconds since creation
+// are used. workers bounds the pool MaterializeAll predicts with: 0
+// selects runtime.NumCPU(), 1 keeps the serial path, and the index
+// contents are identical at any setting. ins receives instrumentation; the
+// zero Metrics records nothing.
+func New(model func() Predictor, threshold float64, clock Clock, workers int, ins Metrics) *Manager {
 	if clock == nil {
 		start := time.Now()
 		clock = func() float64 { return time.Since(start).Seconds() }
@@ -162,7 +104,10 @@ func New(index *recindex.Index, threshold float64, clock Clock) *Manager {
 		users:     make(map[int64]*UserStat),
 		items:     make(map[int64]*ItemStat),
 		Threshold: threshold,
-		index:     index,
+		model:     model,
+		ins:       ins,
+		workers:   workers,
+		index:     recindex.New(),
 	}
 	m.tsInit = clock()
 	m.tsMat = m.tsInit
@@ -184,7 +129,7 @@ func (m *Manager) RecordQuery(u int64) {
 	}
 	s.QueryCount++
 	s.LastQuery = m.clock()
-	m.Metrics.Queries.Inc()
+	m.ins.Queries.Inc()
 }
 
 // RecordUpdate updates the Items Histogram for a rating inserted on item i.
@@ -198,7 +143,7 @@ func (m *Manager) RecordUpdate(i int64) {
 	}
 	s.UpdateCount++
 	s.LastUpdate = m.clock()
-	m.Metrics.Updates.Inc()
+	m.ins.Updates.Inc()
 }
 
 // UserStatOf returns a copy of the histogram row for user u.
@@ -258,15 +203,14 @@ type Pair struct {
 // for users and items touched since the last run; Step 2 computes the
 // hotness ratio for every candidate pair and splits them into admission
 // and eviction lists; finally the lists are applied to the RecScoreIndex,
-// computing predictions for admitted pairs with the predictor model
-// returns — the recommender's current model, read once per run. A model
-// rebuild clears the index (Invalidate) while a run may be predicting, so
-// a user's admissions are stored only if the index has not been cleared
-// since before model was read.
-func (m *Manager) Run(model func() Predictor) (Decision, error) {
-	m.Metrics.Runs.Inc()
+// computing predictions for admitted pairs with the recommender's current
+// model, read once per run. A model rebuild clears the index (Invalidate)
+// while a run may be predicting, so a user's admissions are stored only if
+// the index has not been cleared since before the model was read.
+func (m *Manager) Run() Decision {
+	m.ins.Runs.Inc()
 	gen := m.index.Generation()
-	pred := model()
+	pred := m.model()
 	m.mu.Lock()
 	now := m.clock()
 	elapsed := now - m.tsInit
@@ -307,8 +251,8 @@ func (m *Manager) Run(model func() Predictor) (Decision, error) {
 	// STEP 2: materialization decision over U' × I'.
 	var dec Decision
 	defer func() {
-		m.Metrics.Admitted.Add(int64(dec.Admitted))
-		m.Metrics.Evicted.Add(int64(dec.Evicted))
+		m.ins.Admitted.Add(int64(dec.Admitted))
+		m.ins.Evicted.Add(int64(dec.Evicted))
 	}()
 	threshold := m.Threshold
 	var admit, evict []Pair
@@ -346,17 +290,16 @@ func (m *Manager) Run(model func() Predictor) (Decision, error) {
 	}
 	dec.AdmissionList = admit
 	dec.EvictionList = evict
-	return dec, nil
+	return dec
 }
 
 // unseenEntries computes the predictions to materialize for user u among
 // items: those u has not rated. Unpredictable pairs score 0, as Algorithm 1
 // emits.
 func unseenEntries(pred Predictor, u int64, items []int64) []recindex.Entry {
-	seen := pred.UserItems(u)
 	todo := make([]int64, 0, len(items))
 	for _, i := range items {
-		if _, rated := rec.ValueOf(seen, i); !rated {
+		if _, rated := pred.Seen(u, i); !rated {
 			todo = append(todo, i)
 		}
 	}
@@ -383,13 +326,13 @@ func (e *ModelReplacedError) Error() string {
 
 // MaterializeUser pre-computes and stores predictions for every item the
 // user has not rated (full per-user materialization, the warm state of the
-// top-k experiments in §VI-C) with the predictor model returns: the user's
-// tree is then complete. As in Run, the index generation is read before
-// the model, and a tree scored by a model a rebuild has since replaced is
-// refused with a *ModelReplacedError.
-func (m *Manager) MaterializeUser(model func() Predictor, u int64) error {
+// top-k experiments in §VI-C) with the recommender's current model: the
+// user's tree is then complete. As in Run, the index generation is read
+// before the model, and a tree scored by a model a rebuild has since
+// replaced is refused with a *ModelReplacedError.
+func (m *Manager) MaterializeUser(u int64) error {
 	gen := m.index.Generation()
-	pred := model()
+	pred := m.model()
 	if !m.index.Fill(gen, u, unseenEntries(pred, u, pred.ItemIDs())) {
 		return &ModelReplacedError{User: u}
 	}
@@ -397,17 +340,17 @@ func (m *Manager) MaterializeUser(model func() Predictor, u int64) error {
 }
 
 // MaterializeAll pre-computes predictions for every user (HOTNESS-THRESHOLD
-// = 0 behaviour) with the predictor model returns, guarded by the index
-// generation as MaterializeUser is. Users are processed in batches: a
-// bounded pool of m.Workers workers computes each batch's predictions
+// = 0 behaviour) with the recommender's current model, guarded by the
+// index generation as MaterializeUser is. Users are processed in batches:
+// a bounded pool of workers computes each batch's predictions
 // concurrently, then the results are written to the RecScoreIndex in
 // ascending user order, so the index contents match the serial path
 // exactly.
-func (m *Manager) MaterializeAll(model func() Predictor) error {
+func (m *Manager) MaterializeAll() error {
 	gen := m.index.Generation()
-	pred := model()
+	pred := m.model()
 	users := pred.UserIDs()
-	workers := min(ann.ResolveWorkers(m.Workers), len(users))
+	workers := min(ann.ResolveWorkers(m.workers), len(users))
 	// Batching bounds buffered predictions to ~4 users' worth per worker.
 	batch := workers * 4
 	for lo := 0; lo < len(users); lo += batch {
@@ -432,8 +375,9 @@ func (m *Manager) Invalidate() { m.index.Clear() }
 
 // Start launches a background goroutine running maintenance every
 // interval, mirroring the asynchronous cache manager of §IV-D; each tick
-// scores with the predictor model returns then (see Run). Stop halts it.
-func (m *Manager) Start(model func() Predictor, interval time.Duration) {
+// scores with the recommender's model of that tick (see Run). Stop halts
+// it.
+func (m *Manager) Start(interval time.Duration) {
 	m.mu.Lock()
 	if m.stopCh != nil {
 		m.mu.Unlock()
@@ -452,11 +396,7 @@ func (m *Manager) Start(model func() Predictor, interval time.Duration) {
 			case <-stop:
 				return
 			case <-ticker.C:
-				// A failed run degrades (recorded in Health) rather than
-				// killing the daemon: the cache serves stale entries and
-				// the next tick retries.
-				_, err := m.Run(model)
-				m.recordRun(err)
+				m.Run()
 			}
 		}
 	}()
@@ -473,6 +413,3 @@ func (m *Manager) Stop() {
 		<-done
 	}
 }
-
-// Predictor mirrors *rec.ModelStore.
-var _ Predictor = (*rec.ModelStore)(nil)

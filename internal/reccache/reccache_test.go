@@ -1,16 +1,11 @@
 package reccache
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"recdb/internal/rec"
-	"recdb/internal/recindex"
 )
 
 // fakePredictor is a deterministic Predictor for tests. batchCalls is
@@ -32,23 +27,26 @@ func (f *fakePredictor) PredictForUser(u int64, items []int64) ([]float64, []boo
 	return scores, oks
 }
 
-func (f *fakePredictor) UserItems(u int64) []rec.Neighbor {
-	var run []rec.Neighbor
-	for i, v := range f.seen[u] {
-		run = append(run, rec.Neighbor{ID: i, Sim: v})
-	}
-	slices.SortFunc(run, func(a, b rec.Neighbor) int { return cmp.Compare(a.ID, b.ID) })
-	return run
+func (f *fakePredictor) Seen(u, i int64) (float64, bool) {
+	v, ok := f.seen[u][i]
+	return v, ok
 }
 
 func (f *fakePredictor) ItemIDs() []int64 { return f.items }
 func (f *fakePredictor) UserIDs() []int64 { return f.users }
 
-// fixed is a model that is never rebuilt.
-func fixed(p Predictor) func() Predictor { return func() Predictor { return p } }
+// newFixed creates a manager over a model that is never rebuilt.
+func newFixed(p Predictor, threshold float64, clock Clock) *Manager {
+	return New(func() Predictor { return p }, threshold, clock, 0, Metrics{})
+}
+
+// swappable is a model source a test points at another predictor.
+type swappable struct{ p Predictor }
+
+func (s *swappable) model() Predictor { return s.p }
 
 // rebuildingPredictor is a model rebuilt while it predicts: the rebuild
-// invalidates the manager's index, as the engine's rebuild hook does.
+// invalidates the manager's index, as a recommender's rebuild does.
 type rebuildingPredictor struct {
 	fakePredictor
 	m *Manager
@@ -63,16 +61,15 @@ func (p *rebuildingPredictor) PredictForUser(u int64, items []int64) ([]float64,
 // it predicts stores none of those predictions, so nothing computed from
 // the replaced model outlives the rebuild's Invalidate.
 func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
-	ix := recindex.New()
-	m := New(ix, 0, func() float64 { return 1 })
+	src := &swappable{}
+	m := New(src.model, 0, func() float64 { return 1 }, 0, Metrics{})
+	ix := m.Index()
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	m.RecordUpdate(6)
 	pred := &rebuildingPredictor{fakePredictor{users: []int64{1}, items: []int64{5, 6}}, m}
-	dec, err := m.Run(fixed(pred))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src.p = pred
+	dec := m.Run()
 	if dec.Admitted != 0 || ix.Len() != 0 {
 		t.Fatalf("admitted %d, index holds %d entries after the model was rebuilt mid-run", dec.Admitted, ix.Len())
 	}
@@ -80,8 +77,9 @@ func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	m.RecordUpdate(6)
-	if dec, err = m.Run(fixed(&pred.fakePredictor)); err != nil || dec.Admitted != 2 || ix.Len() != 2 {
-		t.Fatalf("admitted %d (index %d), %v", dec.Admitted, ix.Len(), err)
+	src.p = &pred.fakePredictor
+	if dec = m.Run(); dec.Admitted != 2 || ix.Len() != 2 {
+		t.Fatalf("admitted %d (index %d)", dec.Admitted, ix.Len())
 	}
 }
 
@@ -90,21 +88,24 @@ func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 // the replaced model's scores; both return a *ModelReplacedError, and
 // materializing again with the model left alone fills the trees.
 func TestMaterializeRefusesAReplacedModel(t *testing.T) {
-	ix := recindex.New()
-	m := New(ix, 0.5, func() float64 { return 0 })
+	src := &swappable{}
+	m := New(src.model, 0.5, func() float64 { return 0 }, 0, Metrics{})
+	ix := m.Index()
 	pred := &rebuildingPredictor{fakePredictor{users: []int64{1, 2}, items: []int64{10, 11}}, m}
-	for name, materialize := range map[string]func(func() Predictor) error{
-		"MaterializeUser": func(model func() Predictor) error { return m.MaterializeUser(model, 1) },
+	for name, materialize := range map[string]func() error{
+		"MaterializeUser": func() error { return m.MaterializeUser(1) },
 		"MaterializeAll":  m.MaterializeAll,
 	} {
 		var mre *ModelReplacedError
-		if err := materialize(fixed(pred)); !errors.As(err, &mre) || mre.User != 1 {
+		src.p = pred
+		if err := materialize(); !errors.As(err, &mre) || mre.User != 1 {
 			t.Fatalf("%s: got %v, want a *ModelReplacedError for user 1", name, err)
 		}
 		if ix.Complete(1) || ix.Len() != 0 {
 			t.Fatalf("%s: the index kept %d scores of the replaced model", name, ix.Len())
 		}
-		if err := materialize(fixed(&pred.fakePredictor)); err != nil || !ix.Complete(1) {
+		src.p = &pred.fakePredictor
+		if err := materialize(); err != nil || !ix.Complete(1) {
 			t.Fatalf("%s: again with the model left alone: %v, complete %v", name, err, ix.Complete(1))
 		}
 		m.Invalidate()
@@ -117,8 +118,9 @@ func TestMaterializeRefusesAReplacedModel(t *testing.T) {
 func TestTable1_PaperExample(t *testing.T) {
 	ts := 10.0
 	clock := func() float64 { return ts }
-	ix := recindex.New()
-	m := New(ix, 0.5, clock)
+	pred := &fakePredictor{users: []int64{1, 2}, items: []int64{1, 2, 3}}
+	m := newFixed(pred, 0.5, clock)
+	ix := m.Index()
 
 	// Alice: QC=100 at TS=10 → D = 100/(15-10) = 20.
 	for q := 0; q < 100; q++ {
@@ -146,11 +148,7 @@ func TestTable1_PaperExample(t *testing.T) {
 	ix.Put(2, 2, 3.3)
 
 	ts = 15
-	pred := &fakePredictor{users: []int64{1, 2}, items: []int64{1, 2, 3}}
-	dec, err := m.Run(fixed(pred))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := m.Run()
 
 	// Rates per the table.
 	if s, _ := m.UserStatOf(1); math.Abs(s.DemandRate-20) > 1e-9 {
@@ -204,18 +202,13 @@ func TestTable1_PaperExample(t *testing.T) {
 func TestThresholdZeroMaterializesEverything(t *testing.T) {
 	ts := 0.0
 	clock := func() float64 { return ts }
-	ix := recindex.New()
-	m := New(ix, 0, clock)
+	m := newFixed(&fakePredictor{users: []int64{1, 2}, items: []int64{5, 6}}, 0, clock)
 	m.RecordQuery(1)
 	m.RecordQuery(2)
 	m.RecordUpdate(5)
 	m.RecordUpdate(6)
 	ts = 10
-	pred := &fakePredictor{users: []int64{1, 2}, items: []int64{5, 6}}
-	dec, err := m.Run(fixed(pred))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := m.Run()
 	if dec.Admitted != 4 {
 		t.Fatalf("admitted = %d, want all 4 pairs", dec.Admitted)
 	}
@@ -224,38 +217,31 @@ func TestThresholdZeroMaterializesEverything(t *testing.T) {
 func TestThresholdOneMaterializesNothing(t *testing.T) {
 	ts := 0.0
 	clock := func() float64 { return ts }
-	ix := recindex.New()
-	m := New(ix, 1.0000001, clock)
+	m := newFixed(&fakePredictor{users: []int64{1}, items: []int64{5}}, 1.0000001, clock)
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	ts = 10
-	dec, err := m.Run(fixed(&fakePredictor{users: []int64{1}, items: []int64{5}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Admitted != 0 || ix.Len() != 0 {
-		t.Fatalf("admitted = %d with len %d, want 0", dec.Admitted, ix.Len())
+	dec := m.Run()
+	if dec.Admitted != 0 || m.Index().Len() != 0 {
+		t.Fatalf("admitted = %d with len %d, want 0", dec.Admitted, m.Index().Len())
 	}
 }
 
 func TestAdmissionSkipsSeenItems(t *testing.T) {
 	ts := 0.0
 	clock := func() float64 { return ts }
-	ix := recindex.New()
-	m := New(ix, 0, clock)
-	m.RecordQuery(1)
-	m.RecordUpdate(5)
-	m.RecordUpdate(6)
-	ts = 10
 	pred := &fakePredictor{
 		users: []int64{1},
 		items: []int64{5, 6},
 		seen:  map[int64]map[int64]float64{1: {5: 4.0}},
 	}
-	dec, err := m.Run(fixed(pred))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newFixed(pred, 0, clock)
+	ix := m.Index()
+	m.RecordQuery(1)
+	m.RecordUpdate(5)
+	m.RecordUpdate(6)
+	ts = 10
+	dec := m.Run()
 	if dec.Admitted != 1 {
 		t.Fatalf("admitted = %d, want 1 (item 5 already rated)", dec.Admitted)
 	}
@@ -270,41 +256,34 @@ func TestAdmissionSkipsSeenItems(t *testing.T) {
 func TestRunOnlyConsidersTouchedSinceLastRun(t *testing.T) {
 	ts := 0.0
 	clock := func() float64 { return ts }
-	ix := recindex.New()
-	m := New(ix, 0, clock)
+	m := newFixed(&fakePredictor{users: []int64{1}, items: []int64{5}}, 0, clock)
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	ts = 10
-	pred := &fakePredictor{users: []int64{1}, items: []int64{5}}
-	if _, err := m.Run(fixed(pred)); err != nil {
-		t.Fatal(err)
-	}
+	m.Run()
 	// Second run with no new activity considers nobody.
 	ts = 20
-	dec, err := m.Run(fixed(pred))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := m.Run()
 	if len(dec.AdmissionList)+len(dec.EvictionList) != 0 {
 		t.Fatalf("stale users/items considered: %+v", dec)
 	}
 }
 
 func TestMaterializeUserAndAll(t *testing.T) {
-	ix := recindex.New()
-	m := New(ix, 0.5, func() float64 { return 0 })
 	pred := &fakePredictor{
 		users: []int64{1, 2},
 		items: []int64{10, 11, 12},
 		seen:  map[int64]map[int64]float64{1: {10: 5}},
 	}
-	if err := m.MaterializeUser(fixed(pred), 1); err != nil {
+	m := newFixed(pred, 0.5, func() float64 { return 0 })
+	ix := m.Index()
+	if err := m.MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
 	if ix.UserLen(1) != 2 {
 		t.Fatalf("UserLen(1) = %d, want 2 (one item seen)", ix.UserLen(1))
 	}
-	if err := m.MaterializeAll(fixed(pred)); err != nil {
+	if err := m.MaterializeAll(); err != nil {
 		t.Fatal(err)
 	}
 	if ix.UserLen(2) != 3 {
@@ -317,12 +296,11 @@ func TestMaterializeUserAndAll(t *testing.T) {
 }
 
 func TestBackgroundMaintenance(t *testing.T) {
-	ix := recindex.New()
-	m := New(ix, 0, nil) // wall clock
-	pred := &fakePredictor{users: []int64{1}, items: []int64{5}}
+	m := newFixed(&fakePredictor{users: []int64{1}, items: []int64{5}}, 0, nil) // wall clock
+	ix := m.Index()
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
-	m.Start(fixed(pred), 5*time.Millisecond)
+	m.Start(5 * time.Millisecond)
 	defer m.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -337,7 +315,7 @@ func TestBackgroundMaintenance(t *testing.T) {
 }
 
 func TestHotnessUnknownIsZero(t *testing.T) {
-	m := New(recindex.New(), 0.5, func() float64 { return 0 })
+	m := newFixed(&fakePredictor{}, 0.5, func() float64 { return 0 })
 	if m.Hotness(1, 1) != 0 {
 		t.Fatal("unknown user/item hotness should be 0")
 	}
@@ -345,7 +323,7 @@ func TestHotnessUnknownIsZero(t *testing.T) {
 
 func TestWallClockDefault(t *testing.T) {
 	// nil clock uses wall time; rates stay finite and ordered.
-	m := New(recindex.New(), 0.5, nil)
+	m := newFixed(&fakePredictor{}, 0.5, nil)
 	m.RecordQuery(1)
 	m.RecordUpdate(2)
 	if s, ok := m.UserStatOf(1); !ok || s.QueryCount != 1 {

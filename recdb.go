@@ -97,7 +97,7 @@ func WithRebuildThresholdPct(pct float64) Option {
 // cache: 0 materializes every user/item pair, 1 materializes nothing. The
 // default is 0.5.
 func WithHotnessThreshold(t float64) Option {
-	return func(c *engine.Config) { c.HotnessThreshold = t }
+	return func(c *engine.Config) { c.Rec.HotnessThreshold = t }
 }
 
 // WithWALSyncEvery sets the write-ahead log's group-commit factor: 1
@@ -150,7 +150,7 @@ func Open(opts ...Option) *DB {
 
 // applyOptions is the engine configuration opts make of the defaults.
 func applyOptions(opts []Option) engine.Config {
-	cfg := engine.Config{HotnessThreshold: engine.DefaultHotnessThreshold}
+	cfg := engine.Config{Rec: rec.Options{HotnessThreshold: rec.DefaultHotnessThreshold}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -320,11 +320,24 @@ func (r *Rows) Scan(dest ...any) error {
 
 // ---- Recommendation management ----
 
+// recommenderCache returns the §IV-D cache of the recommender called name.
+func (db *DB) recommenderCache(name string) (*reccache.Manager, error) {
+	r, ok := db.eng.Recommenders().Get(name)
+	if !ok {
+		return nil, fmt.Errorf("recdb: no recommender %q", name)
+	}
+	return r.Cache(), nil
+}
+
 // RunCacheMaintenance triggers one pass of the hotness-based caching
 // algorithm (Algorithm 4) for a recommender.
 func (db *DB) RunCacheMaintenance(recommender string) (CacheDecision, error) {
-	dec, err := db.eng.RunCacheMaintenance(recommender)
-	return CacheDecision{Admitted: dec.Admitted, Evicted: dec.Evicted}, err
+	c, err := db.recommenderCache(recommender)
+	if err != nil {
+		return CacheDecision{}, err
+	}
+	dec := c.Run()
+	return CacheDecision{Admitted: dec.Admitted, Evicted: dec.Evicted}, nil
 }
 
 // CacheDecision summarizes one cache-maintenance pass.
@@ -336,33 +349,37 @@ type CacheDecision struct {
 // Materialize fully pre-computes the RecScoreIndex for a recommender so
 // subsequent top-k queries use the INDEXRECOMMEND path.
 func (db *DB) Materialize(recommender string) error {
-	return db.eng.Materialize(recommender)
+	c, err := db.recommenderCache(recommender)
+	if err != nil {
+		return err
+	}
+	return c.MaterializeAll()
 }
 
 // MaterializeUser pre-computes a single user's predictions.
 func (db *DB) MaterializeUser(recommender string, user int64) error {
-	return db.eng.MaterializeUser(recommender, user)
+	c, err := db.recommenderCache(recommender)
+	if err != nil {
+		return err
+	}
+	return c.MaterializeUser(user)
 }
 
 // StartCacheDaemon runs the cache manager asynchronously every interval,
 // as in §IV-D, each tick scoring with the recommender's model of that
 // tick. Stop it with StopCacheDaemon or Close.
 func (db *DB) StartCacheDaemon(recommender string, interval time.Duration) error {
-	r, ok := db.eng.Recommenders().Get(recommender)
-	if !ok {
-		return fmt.Errorf("recdb: no recommender %q", recommender)
-	}
-	c, err := db.eng.CacheOf(recommender)
+	c, err := db.recommenderCache(recommender)
 	if err != nil {
 		return err
 	}
-	c.Start(func() reccache.Predictor { return r.Store() }, interval)
+	c.Start(interval)
 	return nil
 }
 
 // StopCacheDaemon halts a recommender's background cache manager.
 func (db *DB) StopCacheDaemon(recommender string) error {
-	c, err := db.eng.CacheOf(recommender)
+	c, err := db.recommenderCache(recommender)
 	if err != nil {
 		return err
 	}
@@ -393,10 +410,6 @@ func (db *DB) ResetStats() { db.eng.Stats().Reset() }
 // bench harness uses it to flip planner ablation switches). Most callers
 // never need it.
 func (db *DB) Engine() *engine.Engine { return db.eng }
-
-// CacheManagerClock is re-exported for tests that need deterministic cache
-// timestamps.
-type CacheManagerClock = reccache.Clock
 
 // Algorithms lists the supported recommendation algorithm names: the
 // paper's five plus the non-personalized Popularity extension.

@@ -160,6 +160,12 @@ func TestCacheDaemonLifecycle(t *testing.T) {
 	if err := db.StartCacheDaemon("missing", time.Second); err == nil {
 		t.Fatal("missing recommender should fail")
 	}
+	if _, err := db.RunCacheMaintenance("missing"); err == nil {
+		t.Fatal("maintenance of a missing recommender should fail")
+	}
+	if err := db.Materialize("missing"); err == nil {
+		t.Fatal("materialize of a missing recommender should fail")
+	}
 }
 
 // TestCacheDaemonAdmitsFromTheCurrentModel: the cache daemon reads the
@@ -171,17 +177,18 @@ func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
 	db := newDB(t, WithHotnessThreshold(0))
 	db.MustExec(`CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval`)
 	r, _ := db.eng.Recommenders().Get("r")
-	c, err := db.eng.CacheOf("r")
-	if err != nil {
-		t.Fatal(err)
+	c := r.Cache()
+	runs := func() int64 {
+		v, _ := db.Metrics().Get("reccache.runs")
+		return v
 	}
-	// waitRuns waits until the daemon has finished n more ticks.
-	waitRuns := func(n int) {
+	// waitRuns waits until the daemon has started n more ticks.
+	waitRuns := func(n int64) {
 		t.Helper()
-		want := c.Health().Runs + n
-		for deadline := time.Now().Add(10 * time.Second); c.Health().Runs < want; {
+		want := runs() + n
+		for deadline := time.Now().Add(10 * time.Second); runs() < want; {
 			if time.Now().After(deadline) {
-				t.Fatalf("the daemon ran %d ticks, want %d", c.Health().Runs, want)
+				t.Fatalf("the daemon ran %d ticks, want %d", runs(), want)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -239,22 +239,23 @@ func BenchmarkAblation_HotnessThreshold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cache := env.Eng.Recommenders().List()[0].Cache() // Rec_ItemCosCF, the only one
-		cache.Threshold = threshold
-		for i := 0; i < 10; i++ {
-			cache.RecordQuery(env.QueryUser)
-		}
-		for _, it := range env.Data.Items {
-			cache.RecordUpdate(it.ID)
-		}
-		cache.Run()
+		// Zipf-skewed demand, one Algorithm 4 pass, then the same draws
+		// are served: the hot users from their RecTrees.
+		draws := bench.ZipfUsers(env.Eng.Recommenders().List()[0].Store().UserIDs(), 200)
+		ix := env.HotnessPass(threshold, draws).Index()
 		b.Run(fmt.Sprintf("threshold=%.2f", threshold), func(b *testing.B) {
-			b.ReportMetric(float64(cache.Index().Len()), "materialized_entries")
+			indexed := 0
 			for i := 0; i < b.N; i++ {
-				if _, _, err := env.RecDBTopK("ItemCosCF", 10); err != nil {
+				_, strategy, err := env.RecDBTopKFor("ItemCosCF", draws[i%len(draws)], 10)
+				if err != nil {
 					b.Fatal(err)
 				}
+				if strategy == "IndexRecommend" {
+					indexed++
+				}
 			}
+			b.ReportMetric(float64(ix.Len()), "materialized_entries")
+			b.ReportMetric(float64(indexed)/float64(b.N), "index_share")
 		})
 	}
 }

@@ -397,7 +397,7 @@ func meta(db *recdb.DB, cmd string) bool {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		} else {
-			fmt.Printf("admitted %d, evicted %d\n", dec.Admitted, dec.Evicted)
+			fmt.Printf("admitted %d users, evicted %d\n", dec.Admitted, dec.Evicted)
 		}
 	case "\\save":
 		if len(fields) != 2 {

@@ -48,7 +48,9 @@ func main() {
 
 	// 3. Hotness-driven caching: user 6 issues many queries (demand) while
 	// item 3 receives rating updates (consumption). The cache manager's
-	// next pass materializes the hot pairs on its own.
+	// next pass finds user 6 hot and fills its RecTree on its own, so the
+	// planner switches user 6 to the RecScoreIndex too. User 5's two
+	// queries leave it cold, and its tree is dropped.
 	for i := 0; i < 40; i++ {
 		topK(6)
 	}
@@ -57,7 +59,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncache maintenance: admitted %d pairs, evicted %d\n", dec.Admitted, dec.Evicted)
+	fmt.Printf("\ncache maintenance: admitted %d users, evicted %d\n", dec.Admitted, dec.Evicted)
+	d, plan = topK(6)
+	fmt.Printf("user 6's top-10 after maintenance: [plan: %s] %v\n", plan, d.Round(time.Microsecond))
 
 	// 4. Model maintenance: inserts beyond N% of the build size trigger a
 	// rebuild, which invalidates the RecScoreIndex (stale predictions are

@@ -22,7 +22,7 @@ func TestExamplesRun(t *testing.T) {
 		{"quickstart", []string{"GeneralRec model built", "Recommendations for Alice", "plan: JoinRecommend"}},
 		{"movies", []string{"plan: FilterRecommend", "plan: JoinRecommend", "plan: IndexRecommend", "overlap on"}},
 		{"poi", []string{"Query 6", "Query 7", "Query 8", "SpatialIndexScan"}},
-		{"caching", []string{"plan: IndexRecommend", "cache maintenance", "index invalidated", "stopped cleanly"}},
+		{"caching", []string{"plan: IndexRecommend", "cache maintenance: admitted 1 users, evicted 1", "user 6's top-10 after maintenance: [plan: IndexRecommend]", "index invalidated", "stopped cleanly"}},
 		{"analytics", []string{"Average rating", "USING Popularity", "strategy: FilterRecommend", "strategy: IndexRecommend"}},
 	}
 	root, err := os.Getwd()

@@ -173,10 +173,15 @@ func (e *Env) RecDBJoin(algo string, twoWay bool) (int, error) {
 // predicted rating. Call MaterializeQueryUser first for the warm
 // (IndexRecommend) configuration the paper measures.
 func (e *Env) RecDBTopK(algo string, k int) (int, string, error) {
+	return e.RecDBTopKFor(algo, e.QueryUser, k)
+}
+
+// RecDBTopKFor is RecDBTopK for the given user.
+func (e *Env) RecDBTopKFor(algo string, user int64, k int) (int, string, error) {
 	q := fmt.Sprintf(`SELECT R.uid, R.iid, R.ratingval FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval USING %s
 		WHERE R.uid = %d
-		ORDER BY R.ratingval DESC LIMIT %d`, algo, e.QueryUser, k)
+		ORDER BY R.ratingval DESC LIMIT %d`, algo, user, k)
 	res, err := e.Eng.Query(q)
 	if err != nil {
 		return 0, "", err

@@ -90,7 +90,10 @@ func TestRecreatedRecommenderHasAFreshCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := e.Recommenders().Get("GeneralRec")
-	for _, u := range old.Index().Users() {
+	for _, u := range r.Store().UserIDs() {
+		if !old.Index().Complete(u) {
+			t.Fatalf("fixture: user %d has no tree in the dropped recommender's cache", u)
+		}
 		if r.Cache().Index().Complete(u) {
 			t.Fatalf("user %d's tree is complete in the new recommender's cache", u)
 		}

@@ -431,11 +431,19 @@ func TestCacheMaintenanceEndToEnd(t *testing.T) {
 	}
 	ts = 2
 	dec := cache.Run()
-	if dec.Admitted == 0 {
-		t.Fatalf("hot pair should be admitted: %+v", dec)
+	if dec.Admitted != 1 {
+		t.Fatalf("hot user 1 should be admitted alone: %+v", dec)
 	}
-	if _, ok := cache.Index().Get(1, 3); !ok {
-		t.Fatal("pair (1,3) should be materialized")
+	if !cache.Index().Complete(1) {
+		t.Fatal("user 1's tree should be materialized")
+	}
+	res, err := e.Query(`Select R.uid, R.iid, R.ratingval From ratings as R
+		Recommend R.iid To R.uid On R.ratingval Where R.uid = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Explain.Strategy != "IndexRecommend" || len(res.Rows) != 1 || res.Rows[0][1].Int() != 3 {
+		t.Fatalf("user 1 via %s: %v, want (1, 3) from the RecTree", res.Explain.Strategy, res.Rows)
 	}
 }
 

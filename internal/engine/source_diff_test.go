@@ -57,7 +57,7 @@ var diffRuns = []diffRun{
 // newSourceDiffDB builds 30 users x 150 items with genre-structured
 // ratings, an item table and a geometry table to join against, one
 // recommender per algorithm, users 1, 3 and 4 materialized in every
-// RecScoreIndex and users 2 and 5 partially.
+// RecScoreIndex and users 2 and 5 given their trees by Algorithm 4.
 func newSourceDiffDB(t *testing.T) *Engine {
 	t.Helper()
 	const users, items, perUser = 30, 150, 25
@@ -110,21 +110,42 @@ func newSourceDiffDB(t *testing.T) *Engine {
 			USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING %s`, algo, algo)); err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range []int64{1, 2, 3, 4, 5} {
-			if err := recCache(t, e, "Diff"+algo).MaterializeUser(u); err != nil {
+		c := recCache(t, e, "Diff"+algo)
+		for _, u := range []int64{1, 3, 4} {
+			if err := c.MaterializeUser(u); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Users 2 and 5 are left partial, as Algorithm 4's pair-grained
-		// decisions leave a tree: 2 lost one pair to an eviction, 5 holds
-		// only its one admitted pair.
-		ix := recCache(t, e, "Diff"+algo).Index()
-		ix.Remove(2, ix.TopK(2, 1, nil)[0].Item)
-		top := ix.TopK(5, 1, nil)[0]
-		ix.RemoveUser(5)
-		ix.Put(5, top.Item, top.Score)
+		// Users 2 and 5 demand four times what user 6 does, and one item
+		// is rated: at HOTNESS-THRESHOLD 0.5, 2 and 5 are hot and 6 is not.
+		for q := 0; q < 4; q++ {
+			c.RecordQuery(2)
+			c.RecordQuery(5)
+		}
+		c.RecordQuery(6)
+		c.RecordUpdate(1)
+	}
+	algorithm4(t, e, 0.5)
+	for _, algo := range diffAlgos {
+		if recCache(t, e, "Diff"+algo).Index().Complete(6) {
+			t.Fatalf("%s: user 6, at a quarter of the top demand, was given a tree", algo)
+		}
 	}
 	return e
+}
+
+// algorithm4 runs one Algorithm 4 pass at threshold in every
+// recommender's cache and checks that it left users 2 and 5 with trees.
+func algorithm4(t *testing.T, e *Engine, threshold float64) {
+	t.Helper()
+	for _, algo := range diffAlgos {
+		c := recCache(t, e, "Diff"+algo)
+		c.Threshold = threshold
+		c.Run()
+		if !c.Index().Complete(2) || !c.Index().Complete(5) {
+			t.Fatalf("%s: Algorithm 4 gave users 2 and 5 no trees", algo)
+		}
+	}
 }
 
 type scored struct {
@@ -168,8 +189,62 @@ func sortedRows(rows []scored) []scored {
 	return out
 }
 
+// TestSourceDifferential runs the table twice: over the trees of
+// newSourceDiffDB, then after new ratings and a rebuild of every model,
+// over trees Algorithm 4 filled from the rebuilt models.
 func TestSourceDifferential(t *testing.T) {
 	e := newSourceDiffDB(t)
+	served := map[string]int{}
+	sourceDiffTable(t, e, served)
+
+	store := func(algo string) *rec.ModelStore {
+		r, _ := e.Recommenders().Get("Diff" + algo)
+		return r.Store()
+	}
+	before := make(map[string]float64)
+	for _, algo := range diffAlgos {
+		before[algo], _ = store(algo).Predict(2, 150)
+	}
+	if _, err := e.Exec(`INSERT INTO ratings VALUES (31, 1, 5), (31, 6, 5), (31, 11, 1),
+		(31, 150, 5), (32, 150, 1), (32, 2, 4), (2, 149, 5), (5, 148, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	changed := 0
+	for _, algo := range diffAlgos {
+		if err := e.Recommenders().Rebuild("Diff" + algo); err != nil {
+			t.Fatal(err)
+		}
+		c := recCache(t, e, "Diff"+algo)
+		for u := int64(1); u <= 6; u++ {
+			if c.Index().Complete(u) {
+				t.Fatalf("%s: user %d's tree outlived the rebuild", algo, u)
+			}
+		}
+		if now, _ := store(algo).Predict(2, 150); now != before[algo] {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("fixture: the rebuild changed no model's prediction for (2, 150)")
+	}
+	// Every user the first table queried has demand since the last pass.
+	algorithm4(t, e, 0)
+	sourceDiffTable(t, e, served)
+
+	// Every source must actually have been exercised, or the table proves
+	// nothing about it.
+	for _, run := range diffRuns {
+		if served[run.name] == 0 {
+			t.Errorf("no statement was eligible for %s", run.name)
+		}
+	}
+	t.Logf("statements served per source: %v", served)
+}
+
+// sourceDiffTable runs every statement of the table down every eligible
+// source, counting the statements each source served.
+func sourceDiffTable(t *testing.T, e *Engine, served map[string]int) {
+	t.Helper()
 	store := func(algo string) *rec.ModelStore {
 		r, ok := e.Recommenders().Get("Diff" + algo)
 		if !ok {
@@ -185,9 +260,9 @@ func TestSourceDifferential(t *testing.T) {
 		return strings.Join(parts, ", ")
 	}
 
-	// The RecTree serves the complete users 1, 3 and 4 and neither partial
-	// one.
-	userPreds := []string{"R.uid = 3", "R.uid IN (4, 3, 1)", "R.uid IN (2, 5)"}
+	// The RecTree serves users with trees: 1, 3 and 4 materialized, 2 and
+	// 5 hot in Algorithm 4; user 6 has one only after the second pass.
+	userPreds := []string{"R.uid = 3", "R.uid IN (4, 3, 1)", "R.uid IN (2, 5)", "R.uid IN (5, 6)"}
 	joins := []struct{ from, where string }{
 		{"", ""},
 		{", movies M", " AND M.mid = R.iid AND M.genre <> 'Drama'"},
@@ -204,7 +279,6 @@ func TestSourceDifferential(t *testing.T) {
 		{" ORDER BY R.ratingval DESC LIMIT 5 OFFSET 3", true},
 	}
 
-	served := map[string]int{}
 	for _, algo := range diffAlgos {
 		items := store(algo).ItemIDs()
 		filters := []string{
@@ -241,14 +315,6 @@ func TestSourceDifferential(t *testing.T) {
 			}
 		}
 	}
-	// Every source must actually have been exercised, or the table proves
-	// nothing about it.
-	for _, run := range diffRuns {
-		if served[run.name] == 0 {
-			t.Errorf("no statement was eligible for %s", run.name)
-		}
-	}
-	t.Logf("statements served per source: %v", served)
 }
 
 func checkSameAnswer(t *testing.T, run diffRun, q string, limited bool, want, got []scored, member map[scored]bool) {

@@ -211,9 +211,11 @@ func indexRecommend(ix *recindex.Index, users []int64) *Recommend {
 
 func TestIndexRecommendPhases(t *testing.T) {
 	ix := recindex.New()
+	var tree []recindex.Entry
 	for i := int64(1); i <= 20; i++ {
-		ix.Put(7, i, float64(i)/2)
+		tree = append(tree, recindex.Entry{Item: i, Score: float64(i) / 2})
 	}
+	ix.Fill(ix.Generation(), 7, tree)
 	op := indexRecommend(ix, []int64{7})
 	rows, err := Collect(op)
 	if err != nil {

@@ -468,8 +468,7 @@ func (p *Planner) chooseSource(r *rec.Recommender, op *exec.Recommend) (exec.Sou
 	eligible := func(s exec.Source) bool {
 		switch s {
 		case exec.SourceRecTree:
-			// Every requested user's RecTree is complete: a tree Algorithm
-			// 4 built or evicted from pair by pair lacks unseen items.
+			// Every requested user has a RecTree, which Fill writes whole.
 			if len(op.Users) == 0 {
 				return false
 			}

@@ -99,23 +99,31 @@ func TestIndexStrategyRequiresCoverage(t *testing.T) {
 	if ex.Strategy != "FilterRecommend" {
 		t.Fatalf("without coverage: %q", ex.Strategy)
 	}
-	// A pair admitted on its own (Algorithm 4) is not coverage.
-	ix.Put(1, 2, 4.0)
-	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
-		t.Fatalf("partial tree: %q", ex.Strategy)
+	// Another user's tree is not coverage.
+	fill := func(u int64) {
+		ix.Fill(ix.Generation(), u, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}})
 	}
-	fill := func() { ix.Fill(ix.Generation(), 1, []recindex.Entry{{Item: 2, Score: 4.0}, {Item: 3, Score: 2.0}}) }
-	fill()
+	fill(2)
+	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
+		t.Fatalf("another user's tree: %q", ex.Strategy)
+	}
+	fill(1)
 	_, ex = planQuery(t, p, q)
 	if ex.Strategy != "IndexRecommend" || !ex.SortSkipped {
 		t.Fatalf("with coverage: %+v", ex)
 	}
-	// One eviction ends it.
-	ix.Remove(1, 3)
-	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
-		t.Fatalf("after an eviction: %q", ex.Strategy)
+	// Every requested user needs a tree.
+	q3 := `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval
+	       WHERE R.uid IN (1, 3) ORDER BY R.ratingval DESC LIMIT 5`
+	if _, ex = planQuery(t, p, q3); ex.Strategy != "FilterRecommend" {
+		t.Fatalf("user 3 without a tree: %q", ex.Strategy)
 	}
-	fill()
+	// Dropping the tree (a cold user, Algorithm 4) ends it.
+	ix.RemoveUser(1)
+	if _, ex = planQuery(t, p, q); ex.Strategy != "FilterRecommend" {
+		t.Fatalf("after the tree was dropped: %q", ex.Strategy)
+	}
+	fill(1)
 	// Ascending order cannot skip the sort or use the limit pushdown, but
 	// the index path still applies.
 	q2 := `SELECT R.uid FROM ratings R RECOMMEND R.iid TO R.uid ON R.ratingval

@@ -42,7 +42,7 @@ type Options struct {
 	// model. Default 10.
 	RebuildThresholdPct float64
 	// HotnessThreshold is every recommender's cache HOTNESS-THRESHOLD
-	// (§IV-D), taken as given: 0 admits every pair with demand. recdb.Open
+	// (§IV-D), taken as given: 0 admits every user with demand. recdb.Open
 	// and OpenDir start from DefaultHotnessThreshold.
 	HotnessThreshold float64
 	// CacheClock overrides the caches' clock (tests).

@@ -87,9 +87,12 @@ func TestMaintenanceThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cached score of the current model; the rebuild must clear it.
+	// A cached tree of the current model (user 1 has not rated items 2
+	// and 3); the rebuild must clear it.
 	ix := r.Cache().Index()
-	ix.Put(2, 3, 4.5)
+	if err := r.Cache().MaterializeUser(1); err != nil {
+		t.Fatal(err)
+	}
 
 	insert := func(u, i int64, v float64) {
 		t.Helper()
@@ -102,7 +105,7 @@ func TestMaintenanceThreshold(t *testing.T) {
 	}
 	insert(1, 2, 3) // pending 1 < 3
 	insert(1, 3, 4) // pending 2 < 3
-	if r.Rebuilds() != 0 || ix.Len() != 1 {
+	if r.Rebuilds() != 0 || ix.Len() != 2 {
 		t.Fatalf("premature rebuild: %d, cache holds %d scores", r.Rebuilds(), ix.Len())
 	}
 	insert(4, 1, 2) // pending 3 ≥ 3 → rebuild

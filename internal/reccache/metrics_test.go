@@ -8,7 +8,8 @@ import (
 
 // TestCacheMetricsDeterministic pins the cache manager's instrument
 // semantics under an integer fake clock: histogram updates, maintenance
-// runs and admission/eviction volumes each count exactly once per event.
+// runs and the users admitted and evicted each count exactly once per
+// event.
 func TestCacheMetricsDeterministic(t *testing.T) {
 	ts := 10.0
 	reg := metrics.NewRegistry()
@@ -46,11 +47,16 @@ func TestCacheMetricsDeterministic(t *testing.T) {
 
 	// One maintenance run: the admitted/evicted counters must match the
 	// decision it returns.
-	m.Index().Put(2, 2, 3.3)
+	if err := m.MaterializeUser(2); err != nil {
+		t.Fatal(err)
+	}
 	ts = 15
 	dec := m.Run()
 	if got := get("reccache.runs"); got != 1 {
 		t.Fatalf("runs = %d, want 1", got)
+	}
+	if dec.Admitted != 1 || dec.Evicted != 1 {
+		t.Fatalf("decision %+v, want user 1 admitted and user 2 evicted", dec)
 	}
 	if got := get("reccache.admitted"); got != int64(dec.Admitted) {
 		t.Fatalf("admitted = %d, want %d", got, dec.Admitted)

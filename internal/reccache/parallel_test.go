@@ -42,12 +42,13 @@ func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: index has %d entries, want %d", workers, got.Len(), want.Len())
 		}
 		for _, u := range users {
-			for _, i := range items {
-				gs, gok := got.Get(u, i)
-				ws, wok := want.Get(u, i)
-				if gok != wok || gs != ws {
-					t.Fatalf("workers=%d (%d,%d): got (%v,%v), want (%v,%v)",
-						workers, u, i, gs, gok, ws, wok)
+			g, w := entries(got, u), entries(want, u)
+			if len(g) != len(w) {
+				t.Fatalf("workers=%d user %d: %d entries, want %d", workers, u, len(g), len(w))
+			}
+			for x := range w {
+				if g[x] != w[x] {
+					t.Fatalf("workers=%d user %d entry %d: got %v, want %v", workers, u, x, g[x], w[x])
 				}
 			}
 		}
@@ -69,11 +70,10 @@ func TestMaterializeUserUsesBatch(t *testing.T) {
 	if n := pred.batchCalls.Load(); n != 1 {
 		t.Fatalf("batchCalls = %d, want 1", n)
 	}
-	if _, ok := ix.Get(2, 4); ok {
-		t.Fatal("rated pair (2,4) should not be materialized")
-	}
-	if s, ok := ix.Get(2, 5); !ok || s != 25 {
-		t.Fatalf("Get(2,5) = (%v,%v), want (25,true)", s, ok)
+	// Item 4 is rated: the tree is items 5, 3, 2, 1 scored 20+i.
+	got := entries(ix, 2)
+	if len(got) != 4 || got[0] != (recindex.Entry{Item: 5, Score: 25}) || got[1].Item != 3 {
+		t.Fatalf("user 2's tree = %v, want items 5, 3, 2, 1", got)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package reccache implements §IV-D: the statistics (users/items
 // histograms, demand and consumption rates) and the caching algorithm
-// (Algorithm 4) that decide which 〈user, item, ratingval〉 triplets to
-// materialize in the RecScoreIndex. HOTNESS-THRESHOLD trades query latency
-// against storage/maintenance cost: 0 fully materializes, 1 materializes
-// nothing.
+// (Algorithm 4) that decide which users' 〈user, item, ratingval〉 triplets
+// to materialize in the RecScoreIndex, each hot user's RecTree whole.
+// HOTNESS-THRESHOLD trades query latency against storage/maintenance cost:
+// 0 materializes every user with demand, above 1 nothing.
 package reccache
 
 import (
@@ -27,8 +27,8 @@ type Metrics struct {
 	Updates *metrics.Counter
 	// Runs counts hotness-refresh maintenance runs (Algorithm 4).
 	Runs *metrics.Counter
-	// Admitted and Evicted count pairs moved in and out of the
-	// RecScoreIndex by maintenance decisions.
+	// Admitted and Evicted count users whose RecTrees maintenance
+	// decisions filled and dropped.
 	Admitted *metrics.Counter
 	Evicted  *metrics.Counter
 }
@@ -69,7 +69,7 @@ type Manager struct {
 
 	model   func() Predictor // the recommender's current model
 	ins     Metrics
-	workers int // MaterializeAll's pool bound (ann.ResolveWorkers)
+	workers int // fill's pool bound (ann.ResolveWorkers)
 	index   *recindex.Index
 
 	stopCh chan struct{}
@@ -90,7 +90,7 @@ type Predictor interface {
 // New creates a manager over an empty RecScoreIndex. model returns the
 // recommender's current model; every run and materialization reads it
 // once. clock may be nil, in which case wall-clock seconds since creation
-// are used. workers bounds the pool MaterializeAll predicts with: 0
+// are used. workers bounds the pool trees are filled with: 0
 // selects runtime.NumCPU(), 1 keeps the serial path, and the index
 // contents are identical at any setting. ins receives instrumentation; the
 // zero Metrics records nothing.
@@ -173,40 +173,38 @@ func (m *Manager) ItemStatOf(i int64) (ItemStat, bool) {
 func (m *Manager) Hotness(u, i int64) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.hotnessLocked(u, i)
-}
-
-func (m *Manager) hotnessLocked(u, i int64) float64 {
-	us, uok := m.users[u]
-	is, iok := m.items[i]
-	if !uok || !iok || m.dMax == 0 || m.pMax == 0 {
+	is, ok := m.items[i]
+	if !ok {
 		return 0
 	}
-	return (us.DemandRate / m.dMax) * (is.ConsumptionRate / m.pMax)
+	return m.hotnessLocked(u, is.ConsumptionRate)
+}
+
+// hotnessLocked is the hotness ratio of user u paired with an item whose
+// consumption rate is p.
+func (m *Manager) hotnessLocked(u int64, p float64) float64 {
+	us, ok := m.users[u]
+	if !ok || m.dMax == 0 || m.pMax == 0 {
+		return 0
+	}
+	return (us.DemandRate / m.dMax) * (p / m.pMax)
 }
 
 // Decision is the outcome of one maintenance run.
 type Decision struct {
-	Admitted      int // pairs added to the RecScoreIndex
-	Evicted       int // pairs removed from the RecScoreIndex
-	AdmissionList []Pair
-	EvictionList  []Pair
+	Admitted int // users whose RecTrees were filled
+	Evicted  int // users whose RecTrees were dropped
 }
 
-// Pair is one user/item pair considered by the materialization decision.
-type Pair struct {
-	User, Item int64
-	Hotness    float64
-}
-
-// Run executes Algorithm 4: Step 1 refreshes the demand/consumption rates
-// for users and items touched since the last run; Step 2 computes the
-// hotness ratio for every candidate pair and splits them into admission
-// and eviction lists; finally the lists are applied to the RecScoreIndex,
-// computing predictions for admitted pairs with the recommender's current
-// model, read once per run. A model rebuild clears the index (Invalidate)
-// while a run may be predicting, so a user's admissions are stored only if
-// the index has not been cleared since before the model was read.
+// Run executes Algorithm 4. Step 1 refreshes the demand/consumption rates
+// for the users U′ and items I′ touched since the last run. Step 2 lifts
+// the paper's pair test to the user: u ∈ U′ is hot when one of its pairs
+// (u, i), i ∈ I′, reaches HOTNESS-THRESHOLD, which is when
+// (Du/DMAX) × (max Pi/PMAX) does, so a pass costs |U′| + |I′|. A hot user
+// without a RecTree is filled whole with the recommender's current model,
+// read once per run; a hot user's tree stays valid until a rebuild clears
+// the index. A user of U′ who is not hot loses its tree. With I′ empty
+// there is no pair and so no decision.
 func (m *Manager) Run() Decision {
 	m.ins.Runs.Inc()
 	gen := m.index.Generation()
@@ -248,54 +246,47 @@ func (m *Manager) Run() Decision {
 		}
 	}
 
-	// STEP 2: materialization decision over U' × I'.
-	var dec Decision
-	defer func() {
-		m.ins.Admitted.Add(int64(dec.Admitted))
-		m.ins.Evicted.Add(int64(dec.Evicted))
-	}()
-	threshold := m.Threshold
-	var admit, evict []Pair
-	admitItems := make([][]int64, len(usersDue)) // admit's items, per due user
-	for x, u := range usersDue {
+	// STEP 2: materialization decision, per user of U′.
+	var hot, cold []int64
+	if len(itemsDue) > 0 {
+		pHot := 0.0 // max Pi over I′
 		for _, i := range itemsDue {
-			hot := m.hotnessLocked(u, i)
-			p := Pair{User: u, Item: i, Hotness: hot}
-			if hot >= threshold {
-				admit = append(admit, p)
-				admitItems[x] = append(admitItems[x], i)
+			pHot = max(pHot, m.items[i].ConsumptionRate)
+		}
+		for _, u := range usersDue {
+			if m.hotnessLocked(u, pHot) >= m.Threshold {
+				hot = append(hot, u)
 			} else {
-				evict = append(evict, p)
+				cold = append(cold, u)
 			}
 		}
 	}
 	m.tsMat = now
 	m.mu.Unlock()
 
-	// Apply outside the stats lock: batch-delete the eviction list, then
-	// batch-insert the admission list (skipping already-seen items).
-	for _, p := range evict {
-		if m.index.Remove(p.User, p.Item) {
+	// Apply outside the stats lock.
+	var dec Decision
+	for _, u := range cold {
+		if m.index.Complete(u) {
+			m.index.RemoveUser(u)
 			dec.Evicted++
 		}
 	}
-	for x, u := range usersDue {
-		if len(admitItems[x]) == 0 {
-			continue
-		}
-		entries := unseenEntries(pred, u, admitItems[x])
-		if m.index.PutAll(gen, u, entries) {
-			dec.Admitted += len(entries)
+	var todo []int64
+	for _, u := range hot {
+		if !m.index.Complete(u) {
+			todo = append(todo, u)
 		}
 	}
-	dec.AdmissionList = admit
-	dec.EvictionList = evict
+	dec.Admitted, _ = m.fill(gen, pred, todo) // a rebuild mid-run: the next run decides again
+	m.ins.Admitted.Add(int64(dec.Admitted))
+	m.ins.Evicted.Add(int64(dec.Evicted))
 	return dec
 }
 
-// unseenEntries computes the predictions to materialize for user u among
-// items: those u has not rated. Unpredictable pairs score 0, as Algorithm 1
-// emits.
+// unseenEntries computes the predictions to materialize for user u: every
+// item of items u has not rated. Unpredictable pairs score 0, as Algorithm
+// 1 emits.
 func unseenEntries(pred Predictor, u int64, items []int64) []recindex.Entry {
 	todo := make([]int64, 0, len(items))
 	for _, i := range items {
@@ -324,50 +315,56 @@ func (e *ModelReplacedError) Error() string {
 	return fmt.Sprintf("reccache: the model was rebuilt while user %d's scores were computed; materialize again", e.User)
 }
 
-// MaterializeUser pre-computes and stores predictions for every item the
-// user has not rated (full per-user materialization, the warm state of the
-// top-k experiments in §VI-C) with the recommender's current model: the
-// user's tree is then complete. As in Run, the index generation is read
-// before the model, and a tree scored by a model a rebuild has since
-// replaced is refused with a *ModelReplacedError.
-func (m *Manager) MaterializeUser(u int64) error {
-	gen := m.index.Generation()
-	pred := m.model()
-	if !m.index.Fill(gen, u, unseenEntries(pred, u, pred.ItemIDs())) {
-		return &ModelReplacedError{User: u}
-	}
-	return nil
-}
-
-// MaterializeAll pre-computes predictions for every user (HOTNESS-THRESHOLD
-// = 0 behaviour) with the recommender's current model, guarded by the
-// index generation as MaterializeUser is. Users are processed in batches:
-// a bounded pool of workers computes each batch's predictions
-// concurrently, then the results are written to the RecScoreIndex in
-// ascending user order, so the index contents match the serial path
-// exactly.
-func (m *Manager) MaterializeAll() error {
-	gen := m.index.Generation()
-	pred := m.model()
-	users := pred.UserIDs()
+// fill fills the complete RecTree of each of users, in order, with pred's
+// scores for every item the user has not rated, and returns how many it
+// filled. gen is the index generation read before pred: once a rebuild has
+// cleared the index since, a tree is refused with a *ModelReplacedError
+// and no user after it is filled. Users are processed in batches: a
+// bounded pool of workers computes each batch's predictions concurrently,
+// then the trees are written in order, so the index contents match the
+// serial path exactly.
+func (m *Manager) fill(gen uint64, pred Predictor, users []int64) (int, error) {
+	items := pred.ItemIDs()
 	workers := min(ann.ResolveWorkers(m.workers), len(users))
 	// Batching bounds buffered predictions to ~4 users' worth per worker.
 	batch := workers * 4
 	for lo := 0; lo < len(users); lo += batch {
 		span := users[lo:min(lo+batch, len(users))]
-		results := make([][]recindex.Entry, len(span))
+		trees := make([][]recindex.Entry, len(span))
 		ann.RunWorkers(workers, func(w int) {
 			for x := w; x < len(span); x += workers {
-				results[x] = unseenEntries(pred, span[x], pred.ItemIDs())
+				trees[x] = unseenEntries(pred, span[x], items)
 			}
 		})
 		for x, u := range span {
-			if !m.index.Fill(gen, u, results[x]) {
-				return &ModelReplacedError{User: u}
+			if !m.index.Fill(gen, u, trees[x]) {
+				return lo + x, &ModelReplacedError{User: u}
 			}
 		}
 	}
-	return nil
+	return len(users), nil
+}
+
+// MaterializeUser pre-computes and stores predictions for every item the
+// user has not rated (full per-user materialization, the warm state of the
+// top-k experiments in §VI-C) with the recommender's current model. As in
+// Run, the index generation is read before the model, and a tree scored by
+// a model a rebuild has since replaced is refused with a
+// *ModelReplacedError.
+func (m *Manager) MaterializeUser(u int64) error {
+	gen := m.index.Generation()
+	_, err := m.fill(gen, m.model(), []int64{u})
+	return err
+}
+
+// MaterializeAll pre-computes predictions for every user (HOTNESS-THRESHOLD
+// = 0 behaviour) with the recommender's current model, guarded by the
+// index generation as MaterializeUser is.
+func (m *Manager) MaterializeAll() error {
+	gen := m.index.Generation()
+	pred := m.model()
+	_, err := m.fill(gen, pred, pred.UserIDs())
+	return err
 }
 
 // Invalidate clears the RecScoreIndex (called when the model is rebuilt).

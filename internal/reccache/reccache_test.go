@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"recdb/internal/recindex"
 )
 
 // fakePredictor is a deterministic Predictor for tests. batchCalls is
@@ -58,7 +60,7 @@ func (p *rebuildingPredictor) PredictForUser(u int64, items []int64) ([]float64,
 }
 
 // TestRunDropsAdmissionsAcrossARebuild: a run whose model is rebuilt while
-// it predicts stores none of those predictions, so nothing computed from
+// it predicts fills no tree with those predictions, so nothing computed from
 // the replaced model outlives the rebuild's Invalidate.
 func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 	src := &swappable{}
@@ -73,12 +75,12 @@ func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 	if dec.Admitted != 0 || ix.Len() != 0 {
 		t.Fatalf("admitted %d, index holds %d entries after the model was rebuilt mid-run", dec.Admitted, ix.Len())
 	}
-	// With the model left alone the same pairs are admitted.
+	// With the model left alone the same user is admitted, its tree whole.
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	m.RecordUpdate(6)
 	src.p = &pred.fakePredictor
-	if dec = m.Run(); dec.Admitted != 2 || ix.Len() != 2 {
+	if dec = m.Run(); dec.Admitted != 1 || !ix.Complete(1) || ix.Len() != 2 {
 		t.Fatalf("admitted %d (index %d)", dec.Admitted, ix.Len())
 	}
 }
@@ -114,7 +116,9 @@ func TestMaterializeRefusesAReplacedModel(t *testing.T) {
 
 // TestTable1_PaperExample replays the worked example of Table I: two users
 // (Alice=1, Bob=2), three movies (Spartacus=1, Inception=2, TheMatrix=3),
-// TSinit=10, maintenance at TSnow=15, HOTNESS-THRESHOLD=0.5.
+// TSinit=10, maintenance at TSnow=15, HOTNESS-THRESHOLD=0.5. The paper
+// admits the one pair (Alice, Spartacus) and evicts (Bob, Inception); per
+// user, Alice's tree is filled whole and Bob's is dropped.
 func TestTable1_PaperExample(t *testing.T) {
 	ts := 10.0
 	clock := func() float64 { return ts }
@@ -144,8 +148,10 @@ func TestTable1_PaperExample(t *testing.T) {
 	}
 
 	// RecScoreIndex initially holds t1 = (Bob, Inception), which the paper
-	// says lands on the eviction list.
-	ix.Put(2, 2, 3.3)
+	// says lands on the eviction list: Bob has a tree.
+	if err := m.MaterializeUser(2); err != nil {
+		t.Fatal(err)
+	}
 
 	ts = 15
 	dec := m.Run()
@@ -180,23 +186,28 @@ func TestTable1_PaperExample(t *testing.T) {
 		}
 	}
 
-	// Threshold 0.5: only (Alice, Spartacus) admitted; (Bob, Inception)
-	// evicted from the index.
-	if dec.Admitted != 1 {
-		t.Errorf("admitted = %d, want 1", dec.Admitted)
+	// Threshold 0.5: Alice is hot through (Alice, Spartacus), and her tree
+	// is filled with all three movies; Bob's hottest pair is 0.1, so his
+	// tree is dropped.
+	if dec.Admitted != 1 || dec.Evicted != 1 {
+		t.Errorf("admitted %d, evicted %d users, want 1 and 1", dec.Admitted, dec.Evicted)
 	}
-	if _, ok := ix.Get(1, 1); !ok {
-		t.Error("(Alice, Spartacus) should be materialized")
+	if got := entries(ix, 1); len(got) != 3 || got[0] != (recindex.Entry{Item: 3, Score: 13}) {
+		t.Errorf("Alice's tree = %v, want every movie, The Matrix first", got)
 	}
-	if _, ok := ix.Get(2, 2); ok {
-		t.Error("(Bob, Inception) should be evicted")
+	if ix.Complete(2) {
+		t.Error("Bob's tree should be dropped")
 	}
-	if dec.Evicted != 1 {
-		t.Errorf("evicted = %d, want 1", dec.Evicted)
-	}
-	if len(dec.AdmissionList) != 1 || len(dec.EvictionList) != 5 {
-		t.Errorf("list sizes: %d admit, %d evict", len(dec.AdmissionList), len(dec.EvictionList))
-	}
+}
+
+// entries collects user's RecTree in Descend order.
+func entries(ix *recindex.Index, user int64) []recindex.Entry {
+	var out []recindex.Entry
+	ix.Descend(user, nil, func(e recindex.Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
 }
 
 func TestThresholdZeroMaterializesEverything(t *testing.T) {
@@ -209,8 +220,8 @@ func TestThresholdZeroMaterializesEverything(t *testing.T) {
 	m.RecordUpdate(6)
 	ts = 10
 	dec := m.Run()
-	if dec.Admitted != 4 {
-		t.Fatalf("admitted = %d, want all 4 pairs", dec.Admitted)
+	if dec.Admitted != 2 || m.Index().Len() != 4 {
+		t.Fatalf("admitted %d users, %d entries; want both users, all 4 pairs", dec.Admitted, m.Index().Len())
 	}
 }
 
@@ -241,15 +252,12 @@ func TestAdmissionSkipsSeenItems(t *testing.T) {
 	m.RecordUpdate(5)
 	m.RecordUpdate(6)
 	ts = 10
-	dec := m.Run()
-	if dec.Admitted != 1 {
-		t.Fatalf("admitted = %d, want 1 (item 5 already rated)", dec.Admitted)
+	if dec := m.Run(); dec.Admitted != 1 {
+		t.Fatalf("admitted %d users, want 1", dec.Admitted)
 	}
-	if _, ok := ix.Get(1, 5); ok {
-		t.Fatal("rated item must not be materialized")
-	}
-	if _, ok := ix.Get(1, 6); !ok {
-		t.Fatal("unrated item should be materialized")
+	// Item 5 is rated: the tree holds item 6 alone, as in MaterializeUser.
+	if got := entries(ix, 1); len(got) != 1 || got[0].Item != 6 {
+		t.Fatalf("user 1's tree = %v, want item 6 alone", got)
 	}
 }
 
@@ -260,12 +268,36 @@ func TestRunOnlyConsidersTouchedSinceLastRun(t *testing.T) {
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
 	ts = 10
-	m.Run()
-	// Second run with no new activity considers nobody.
+	if dec := m.Run(); dec.Admitted != 1 {
+		t.Fatalf("first run: %+v", dec)
+	}
+	// Second run with no new activity considers nobody: user 1 would be
+	// cold at this threshold, and keeps its tree.
+	m.Threshold = 2
 	ts = 20
-	dec := m.Run()
-	if len(dec.AdmissionList)+len(dec.EvictionList) != 0 {
+	if dec := m.Run(); dec != (Decision{}) || !m.Index().Complete(1) {
 		t.Fatalf("stale users/items considered: %+v", dec)
+	}
+	// Demand with no consumption since is still no pair: no decision.
+	m.RecordQuery(1)
+	ts = 30
+	if dec := m.Run(); dec != (Decision{}) || !m.Index().Complete(1) {
+		t.Fatalf("a user decided with I' empty: %+v", dec)
+	}
+	// A hot user who already has a tree keeps it; a cold one loses it.
+	m.Threshold = 0
+	m.RecordQuery(1)
+	m.RecordUpdate(5)
+	ts = 40
+	if dec := m.Run(); dec != (Decision{}) || !m.Index().Complete(1) {
+		t.Fatalf("a hot user's tree was refilled: %+v", dec)
+	}
+	m.Threshold = 2
+	m.RecordQuery(1)
+	m.RecordUpdate(5)
+	ts = 50
+	if dec := m.Run(); dec.Evicted != 1 || m.Index().Complete(1) {
+		t.Fatalf("a cold user kept its tree: %+v", dec)
 	}
 }
 
@@ -280,14 +312,14 @@ func TestMaterializeUserAndAll(t *testing.T) {
 	if err := m.MaterializeUser(1); err != nil {
 		t.Fatal(err)
 	}
-	if ix.UserLen(1) != 2 {
-		t.Fatalf("UserLen(1) = %d, want 2 (one item seen)", ix.UserLen(1))
+	if n := len(entries(ix, 1)); n != 2 {
+		t.Fatalf("user 1's tree has %d entries, want 2 (one item seen)", n)
 	}
 	if err := m.MaterializeAll(); err != nil {
 		t.Fatal(err)
 	}
-	if ix.UserLen(2) != 3 {
-		t.Fatalf("UserLen(2) = %d, want 3", ix.UserLen(2))
+	if n := len(entries(ix, 2)); n != 3 {
+		t.Fatalf("user 2's tree has %d entries, want 3", n)
 	}
 	m.Invalidate()
 	if ix.Len() != 0 {
@@ -304,14 +336,14 @@ func TestBackgroundMaintenance(t *testing.T) {
 	defer m.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := ix.Get(1, 5); ok {
+		if ix.Complete(1) {
 			m.Stop()
 			m.Stop() // double-stop is safe
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("background maintenance never materialized the hot pair")
+	t.Fatal("background maintenance never materialized the hot user")
 }
 
 func TestHotnessUnknownIsZero(t *testing.T) {

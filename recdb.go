@@ -94,8 +94,8 @@ func WithRebuildThresholdPct(pct float64) Option {
 }
 
 // WithHotnessThreshold sets HOTNESS-THRESHOLD for the recommendation
-// cache: 0 materializes every user/item pair, 1 materializes nothing. The
-// default is 0.5.
+// cache: 0 materializes the RecTree of every user with demand, above 1
+// nothing. The default is 0.5.
 func WithHotnessThreshold(t float64) Option {
 	return func(c *engine.Config) { c.Rec.HotnessThreshold = t }
 }
@@ -340,7 +340,8 @@ func (db *DB) RunCacheMaintenance(recommender string) (CacheDecision, error) {
 	return CacheDecision{Admitted: dec.Admitted, Evicted: dec.Evicted}, nil
 }
 
-// CacheDecision summarizes one cache-maintenance pass.
+// CacheDecision summarizes one cache-maintenance pass in users: Admitted
+// users had their RecTrees filled whole, Evicted users had theirs dropped.
 type CacheDecision struct {
 	Admitted int
 	Evicted  int

@@ -170,8 +170,8 @@ func TestCacheDaemonLifecycle(t *testing.T) {
 
 // TestCacheDaemonAdmitsFromTheCurrentModel: the cache daemon reads the
 // recommender's model on every tick, so after a rebuild between two ticks
-// every pair it admits carries the rebuilt model's prediction, bit for
-// bit — not the prediction of the model that was current when the daemon
+// every tree it fills carries the rebuilt model's predictions, bit for
+// bit — not the predictions of the model that was current when the daemon
 // started.
 func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
 	db := newDB(t, WithHotnessThreshold(0))
@@ -220,11 +220,13 @@ func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
 	if math.Float64bits(was) == math.Float64bits(now) {
 		t.Fatalf("fixture: the rebuild left the prediction for (3, 3) at %v", now)
 	}
-	if _, ok := c.Index().Get(3, 3); !ok {
-		t.Fatal("the daemon never admitted (3, 3) after the rebuild")
+	if !c.Index().Complete(3) {
+		t.Fatal("the daemon never admitted user 3 after the rebuild")
 	}
-	for _, u := range c.Index().Users() {
+	entries := 0
+	for _, u := range current.UserIDs() {
 		c.Index().Descend(u, nil, func(e recindex.Entry) bool {
+			entries++
 			want, ok := current.Predict(u, e.Item)
 			if !ok {
 				want = 0
@@ -234,6 +236,9 @@ func TestCacheDaemonAdmitsFromTheCurrentModel(t *testing.T) {
 			}
 			return true
 		})
+	}
+	if entries != c.Index().Len() {
+		t.Fatalf("walked %d entries of the model's users, the index holds %d", entries, c.Index().Len())
 	}
 }
 
@@ -257,10 +262,11 @@ func TestRunCacheMaintenance(t *testing.T) {
 	}
 }
 
-// TestPartialRecTreeIsNotServed: one Algorithm 4 pass admits the pair
-// (user 1, item 3) alone, so user 1's RecTree lacks item 2. The top-10
-// must still be the whole answer, scored online, not the one cached row.
-func TestPartialRecTreeIsNotServed(t *testing.T) {
+// TestHotUserIsServedFromItsRecTree: one Algorithm 4 pass finds user 1
+// hot through the pair (user 1, item 3) and fills user 1's RecTree whole,
+// so the top-10 is served by IndexRecommend: both unrated items, the same
+// rows bit for bit as scored online.
+func TestHotUserIsServedFromItsRecTree(t *testing.T) {
 	db := newDB(t, WithHotnessThreshold(0.1))
 	db.MustExec(`CREATE RECOMMENDER r ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF`)
 	topK := func() ([][2]float64, string) {
@@ -286,26 +292,32 @@ func TestPartialRecTreeIsNotServed(t *testing.T) {
 		topK() // demand from user 1
 	}
 	db.MustExec("INSERT INTO ratings VALUES (4, 3, 2.0)") // consumption on item 3
-	want, _ := topK()
-	if len(want) != 2 {
-		t.Fatalf("user 1 has two unrated items, top-10 gave %v", want)
+	want, strategy := topK()
+	if len(want) != 2 || strategy != "FilterRecommend" {
+		t.Fatalf("user 1 has two unrated items, top-10 gave %v via %s", want, strategy)
 	}
 	dec, err := db.RunCacheMaintenance("r")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Admitted != 1 {
-		t.Fatalf("maintenance admitted %d pairs, want (1, 3) alone: %+v", dec.Admitted, dec)
+		t.Fatalf("maintenance admitted %d users, want user 1 alone: %+v", dec.Admitted, dec)
 	}
 	got, strategy := topK()
-	if strategy == "IndexRecommend" || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("after maintenance: %v via %s, want %v", got, strategy, want)
+	if strategy != "IndexRecommend" || len(got) != len(want) {
+		t.Fatalf("after maintenance: %v via %s, want %v via IndexRecommend", got, strategy, want)
+	}
+	for x := range want {
+		if got[x][0] != want[x][0] || math.Float64bits(got[x][1]) != math.Float64bits(want[x][1]) {
+			t.Fatalf("after maintenance: %v, scored online %v", got, want)
+		}
 	}
 }
 
 // TestHotnessThresholdZeroAdmitsEveryPair: §IV-D's "0 materializes
-// everything" — threshold 0 admits every pair with demand, including one
-// whose hotness is under the 0.5 a database gets by default.
+// everything" — threshold 0 fills the tree, every pair, of each user with
+// demand, including one whose hotness is under the 0.5 a database gets by
+// default.
 func TestHotnessThresholdZeroAdmitsEveryPair(t *testing.T) {
 	for _, c := range []struct {
 		opts     []Option
@@ -330,7 +342,11 @@ func TestHotnessThresholdZeroAdmitsEveryPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		if dec.Admitted != c.admitted {
-			t.Fatalf("%d options: admitted %d pairs, want %d", len(c.opts), dec.Admitted, c.admitted)
+			t.Fatalf("%d options: admitted %d users, want %d", len(c.opts), dec.Admitted, c.admitted)
+		}
+		r, _ := db.eng.Recommenders().Get("r")
+		if ix := r.Cache().Index(); !ix.Complete(1) || ix.Complete(3) != (c.admitted == 2) {
+			t.Fatalf("%d options: trees for users 1 and 3: %v, %v", len(c.opts), ix.Complete(1), ix.Complete(3))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke bench-ann bench-paper ledger ledger-compare fault-sweep fuzz vet lint fmt examples clean
+.PHONY: all build test race cover bench bench-smoke bench-ann bench-paper ledger ledger-compare fault-sweep fuzz vet lint fmt fmt-check examples clean
 
 all: vet lint test build
 
@@ -92,6 +92,13 @@ lint:
 # deliberately unparseable loader fixture) are left alone.
 fmt:
 	$(GO) fmt ./...
+
+# Fails, listing the files, when any Go source outside testdata/ is not
+# gofmt-formatted (or does not parse). CI's fmt-check job runs this.
+fmt-check:
+	@files=$$(find . -name testdata -prune -o -name '*.go' -print); \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -12,8 +12,8 @@ import (
 // the catalog's published generation and page-level snapshots — while
 // writers to one table serialize on the engine's commit lock and that
 // table's write gate. Under -race this covers the
-// whole stack: parser, planner, executor, heap snapshots, and the striped
-// buffer pool, with writes continuously republishing generations.
+// whole stack: parser, planner, executor, heap snapshots, and the buffer
+// pool, with writes continuously republishing generations.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	db := Open()
 	t.Cleanup(db.Close)

@@ -268,9 +268,13 @@ func TestSharedStats(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("inserts should count page reads")
 	}
-	stats.Reset()
-	if r, m, w := stats.Snapshot(); r != 0 || m != 0 || w != 0 {
-		t.Fatal("Reset should zero counters")
+	// A second table's pool counts into the same Stats.
+	other, _ := c.CreateTable("u", ratingsSchema(), -1)
+	for i := int64(0); i < 2; i++ {
+		other.Insert(types.Row{types.NewInt(i), types.NewInt(i), types.NewFloat(1)})
+	}
+	if after, _, _ := stats.Snapshot(); after <= reads {
+		t.Fatalf("second table's insert counted no reads: %d then %d", reads, after)
 	}
 }
 

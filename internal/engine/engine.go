@@ -179,15 +179,6 @@ func bridgeStorageStats(reg *metrics.Registry, stats *storage.Stats) {
 	})
 	reg.RegisterFunc("bufferpool.page_writes", stats.PageWrites.Load)
 	reg.RegisterFunc("bufferpool.evictions", stats.Evictions.Load)
-	// Per-stripe traffic of the lock-partitioned pools. Every pool of the
-	// database aggregates into the same MaxPartitions slots, so these read
-	// as engine-wide per-stripe contention indicators.
-	for i := range stats.Partitions {
-		p := &stats.Partitions[i]
-		reg.RegisterFunc(fmt.Sprintf("bufferpool.partition%02d.hits", i), p.Hits.Load)
-		reg.RegisterFunc(fmt.Sprintf("bufferpool.partition%02d.misses", i), p.Misses.Load)
-		reg.RegisterFunc(fmt.Sprintf("bufferpool.partition%02d.evictions", i), p.Evictions.Load)
-	}
 }
 
 // countExecuted accounts for an executed SELECT or EXPLAIN ANALYZE: it

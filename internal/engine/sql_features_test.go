@@ -217,14 +217,14 @@ func TestExplainRecommend(t *testing.T) {
 func TestExplainDoesNotExecute(t *testing.T) {
 	e := newMovieDB(t)
 	createGeneralRec(t, e)
-	e.Stats().Reset()
+	before, _, _ := e.Stats().Snapshot()
 	if _, err := e.Query(`EXPLAIN SELECT R.uid FROM ratings R
 		RECOMMEND R.iid TO R.uid ON R.ratingval`); err != nil {
 		t.Fatal(err)
 	}
 	// Planning touches no heap pages for this query shape.
-	reads, _, _ := e.Stats().Snapshot()
-	if reads > 0 {
+	after, _, _ := e.Stats().Snapshot()
+	if reads := after - before; reads > 0 {
 		t.Fatalf("EXPLAIN read %d pages", reads)
 	}
 }

@@ -61,8 +61,10 @@ type Manager struct {
 
 	users map[int64]*UserStat
 	items map[int64]*ItemStat
-	dMax  float64 // DMAX
-	pMax  float64 // PMAX
+	qcMax int64   // largest QCu in the Users Histogram
+	ucMax int64   // largest UCi in the Items Histogram
+	dMax  float64 // DMAX as of the last run: qcMax / (now − TSinit)
+	pMax  float64 // PMAX as of the last run: ucMax / (now − TSinit)
 
 	// Threshold is HOTNESS-THRESHOLD ∈ [0, 1].
 	Threshold float64
@@ -129,6 +131,7 @@ func (m *Manager) RecordQuery(u int64) {
 	}
 	s.QueryCount++
 	s.LastQuery = m.clock()
+	m.qcMax = max(m.qcMax, s.QueryCount)
 	m.ins.Queries.Inc()
 }
 
@@ -143,6 +146,7 @@ func (m *Manager) RecordUpdate(i int64) {
 	}
 	s.UpdateCount++
 	s.LastUpdate = m.clock()
+	m.ucMax = max(m.ucMax, s.UpdateCount)
 	m.ins.Updates.Inc()
 }
 
@@ -197,7 +201,10 @@ type Decision struct {
 }
 
 // Run executes Algorithm 4. Step 1 refreshes the demand/consumption rates
-// for the users U′ and items I′ touched since the last run. Step 2 lifts
+// for the users U′ and items I′ touched since the last run, and DMAX and
+// PMAX as of this run: every rate is a count over the same now − TSinit,
+// so they are the largest QCu and UCi over that span, and a burst early
+// in the cache's life does not outweigh later demand. Step 2 lifts
 // the paper's pair test to the user: u ∈ U′ is hot when one of its pairs
 // (u, i), i ∈ I′, reaches HOTNESS-THRESHOLD, which is when
 // (Du/DMAX) × (max Pi/PMAX) does, so a pass costs |U′| + |I′|. A hot user
@@ -234,17 +241,13 @@ func (m *Manager) Run() Decision {
 	for _, i := range itemsDue {
 		s := m.items[i]
 		s.ConsumptionRate = float64(s.UpdateCount) / elapsed
-		if s.ConsumptionRate > m.pMax {
-			m.pMax = s.ConsumptionRate
-		}
 	}
 	for _, u := range usersDue {
 		s := m.users[u]
 		s.DemandRate = float64(s.QueryCount) / elapsed
-		if s.DemandRate > m.dMax {
-			m.dMax = s.DemandRate
-		}
 	}
+	m.pMax = float64(m.ucMax) / elapsed
+	m.dMax = float64(m.qcMax) / elapsed
 
 	// STEP 2: materialization decision, per user of U′.
 	var hot, cold []int64

@@ -200,6 +200,41 @@ func TestTable1_PaperExample(t *testing.T) {
 	}
 }
 
+// TestEarlyBurstDoesNotPinTheMaxima: DMAX and PMAX are the largest rates
+// as of the run, not the largest ever seen. A burst of 4 queries and 1
+// update in the cache's first millisecond would otherwise set DMAX to
+// 4 000 and PMAX to 1 000, and user 1's 1 000 queries by t = 100 s would
+// score 5e-8 against them.
+func TestEarlyBurstDoesNotPinTheMaxima(t *testing.T) {
+	ts := 0.0
+	clock := func() float64 { return ts }
+	m := newFixed(&fakePredictor{users: []int64{1, 2}, items: []int64{5, 6}}, 0.5, clock)
+	ts = 0.001
+	for q := 0; q < 4; q++ {
+		m.RecordQuery(2)
+	}
+	m.RecordUpdate(6)
+	m.Run()
+	if err := m.MaterializeAll(); err != nil {
+		t.Fatal(err)
+	}
+	m.Invalidate() // a rebuild
+	for q := 0; q < 1000; q++ {
+		ts = 0.001 + float64(q+1)*0.0999
+		m.RecordQuery(1)
+	}
+	m.RecordUpdate(5)
+	m.RecordUpdate(5)
+	ts = 100
+	dec := m.Run()
+	if got := m.Hotness(1, 5); math.Abs(got-1) > 1e-9 {
+		t.Errorf("Hot(1,5) = %v, want 1", got)
+	}
+	if dec.Admitted != 1 || !m.Index().Complete(1) {
+		t.Errorf("admitted %d, user 1 complete %v: want user 1 refilled", dec.Admitted, m.Index().Complete(1))
+	}
+}
+
 // entries collects user's RecTree in Descend order.
 func entries(ix *recindex.Index, user int64) []recindex.Entry {
 	var out []recindex.Entry

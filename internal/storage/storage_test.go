@@ -133,6 +133,40 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	if _, misses, writes := stats.Snapshot(); misses == 0 || writes == 0 {
 		t.Fatalf("expected misses and write-backs, got misses=%d writes=%d", misses, writes)
 	}
+
+	// Eviction is LRU over the whole pool: with page 1 unpinned before
+	// every other page, a 65th page evicts page 1 and no other.
+	stats = &Stats{}
+	bp = NewBufferPool(NewMemDisk(), 64, stats)
+	for i := 0; i < 64; i++ {
+		if _, _, err := bp.NewPage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp.Unpin(1, true)
+	for i := 0; i < 64; i++ {
+		if i != 1 {
+			bp.Unpin(PageID(i), true)
+		}
+	}
+	id, _, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(id, true)
+	for _, c := range []struct {
+		id   PageID
+		miss bool
+	}{{0, false}, {1, true}} {
+		_, before, _ := stats.Snapshot()
+		if _, err := bp.Fetch(c.id); err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(c.id, false)
+		if _, after, _ := stats.Snapshot(); (after > before) != c.miss {
+			t.Fatalf("fetch of page %d: missed=%v, want %v", c.id, after > before, c.miss)
+		}
+	}
 }
 
 func TestBufferPoolAllPinned(t *testing.T) {
@@ -148,6 +182,22 @@ func TestBufferPoolAllPinned(t *testing.T) {
 	bp.Unpin(id, false)
 	if _, _, err := bp.NewPage(); err != nil {
 		t.Fatalf("after unpin, NewPage should succeed: %v", err)
+	}
+
+	// Every frame is open to every page: a 64-frame pool pins any 33 of
+	// its pages at once, here the even-numbered ones of 66.
+	bp = NewBufferPool(NewMemDisk(), 64, nil)
+	for i := 0; i < 66; i++ {
+		id, _, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(id, true)
+	}
+	for id := PageID(0); id < 66; id += 2 {
+		if _, err := bp.Fetch(id); err != nil {
+			t.Fatalf("pin of page %d with %d pages pinned: %v", id, id/2, err)
+		}
 	}
 }
 

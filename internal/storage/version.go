@@ -22,7 +22,7 @@ import (
 //
 // A snapshot reader resolves page id → bytes by pinning the frame first
 // and consulting the overlay second. Both sides cross verMu (and the
-// frame's partition mutex), which makes the interleaving sound: if the
+// pool's latch), which makes the interleaving sound: if the
 // reader finds no overlay entry covering its sequence, its pin happened
 // before any swap, so the pinned buffer is the snapshot's version; if it
 // finds one, that entry is the exact pre-edit buffer.
@@ -163,7 +163,7 @@ func (h *HeapFile) versionLocked(id PageID, seq uint64) []byte {
 //
 // The pin-then-lookup order is load-bearing: a writer preserves the old
 // buffer in the overlay before swapping the frame (both under verMu and
-// the frame's partition mutex), so a reader that pinned the frame and
+// the pool's latch), so a reader that pinned the frame and
 // then finds no covering overlay entry is guaranteed its pin predates
 // any swap — the pinned buffer is the snapshot's version.
 func (s *Snapshot) pageBytes(id PageID) (buf []byte, pinned bool, err error) {

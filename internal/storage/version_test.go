@@ -9,7 +9,7 @@ import (
 )
 
 // versionedHeap builds a heap with nRows rows of the shape (i, "v0-i")
-// over a striped pool of poolPages frames.
+// over a pool of poolPages frames.
 func versionedHeap(t *testing.T, nRows, poolPages int) (*HeapFile, []RID) {
 	t.Helper()
 	h := NewHeapFile(NewBufferPool(NewMemDisk(), poolPages, nil))
@@ -186,9 +186,9 @@ func TestOverlayReclamation(t *testing.T) {
 }
 
 // TestConcurrentSnapshotHammer drives concurrent scanning readers against
-// a writer mutating the heap through a small striped buffer pool. Run
+// a writer mutating the heap through a small buffer pool. Run
 // with -race this is the torn-read check for the whole read path: pin
-// ordering, overlay lookups, partition eviction, and the atomic state
+// ordering, overlay lookups, eviction, and the atomic state
 // publish. The correctness invariant is that every scan sees exactly its
 // snapshot's row count, and every row it yields decodes to a value the
 // snapshot's generation could contain.

@@ -399,13 +399,10 @@ func (db *DB) ModelBuildTime(recommender string) (time.Duration, error) {
 }
 
 // Stats reports cumulative page I/O: logical reads, buffer misses, and
-// physical writes.
+// physical writes. The counts only rise; take deltas to measure a span.
 func (db *DB) Stats() (reads, misses, writes int64) {
 	return db.eng.Stats().Snapshot()
 }
-
-// ResetStats zeroes the I/O counters.
-func (db *DB) ResetStats() { db.eng.Stats().Reset() }
 
 // Engine exposes the underlying engine for advanced integration (the
 // bench harness uses it to flip planner ablation switches). Most callers

@@ -436,4 +436,3 @@ func TestConcurrentAutocommitDisjointTables(t *testing.T) {
 		t.Fatalf("t3 rows = %d, want %d committed", n, perWorker/2)
 	}
 }
-

@@ -11,10 +11,11 @@ test:
 	$(GO) test ./...
 
 # The race tier, and the one list CI's race job runs. The second pass runs
-# the parallel build kernels again at forced GOMAXPROCS extremes: -cpu=1
-# exercises the serial fallback, -cpu=4 the worker pools; the root
-# package's writer hammers drive the engine's commit locks and gates at
-# both settings too. The serving tier's hand-overs (a session's read
+# again at forced GOMAXPROCS extremes. Every model build, IVF build and
+# RecTree fill sizes its worker pool from GOMAXPROCS, so -cpu=1 runs them
+# on one worker (the serial path, no goroutines) and -cpu=4 on four; the
+# root package's writer hammers drive the engine's commit locks and gates
+# at both settings too. The serving tier's hand-overs (a session's read
 # token, a client connection's reader role, the router pool's pick) depend
 # on who gets there first, so one pass proves little: the third runs five.
 race:

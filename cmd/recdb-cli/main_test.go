@@ -285,7 +285,7 @@ func TestMetaEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec(`CREATE RECOMMENDER EvalRec ON ratings
-		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING SVD WITH WORKERS 2`); err != nil {
+		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING SVD`); err != nil {
 		t.Fatal(err)
 	}
 	out := capture(t, func() { meta(db, "\\evaluate EvalRec 5") })

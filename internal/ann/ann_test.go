@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -101,7 +102,7 @@ func annTopK(ix *Index, q []float64, nprobe, k int) []int64 {
 func TestFullProbeEquivalence(t *testing.T) {
 	cases := []struct {
 		n, dim    int
-		centroids int
+		centroids int // 0 builds Build's ⌈√n⌉
 		seed      int64
 	}{
 		{40, 8, 0, 1},
@@ -113,7 +114,12 @@ func TestFullProbeEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("n%d_dim%d_seed%d", tc.n, tc.dim, tc.seed), func(t *testing.T) {
 			items, vecs := synthFactors(tc.n, tc.dim, tc.seed)
-			ix := Build(items, vecs, Options{Centroids: tc.centroids, Seed: tc.seed})
+			var ix *Index
+			if tc.centroids == 0 {
+				ix = Build(items, vecs, tc.seed)
+			} else {
+				ix = build(items, vecs, tc.seed, tc.centroids, runtime.GOMAXPROCS(0))
+			}
 			k := ix.NumCentroids()
 
 			// Every item in exactly one posting list.
@@ -161,7 +167,7 @@ func TestDefaultProbeRecall(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			const n, dim, queries = 800, 10, 50
 			items, vecs := synthFactors(n, dim, seed)
-			ix := Build(items, vecs, Options{Seed: seed})
+			ix := Build(items, vecs, seed)
 			if ix.DefaultNProbe() >= ix.NumCentroids() {
 				t.Fatalf("default nprobe %d does not prune (K=%d)", ix.DefaultNProbe(), ix.NumCentroids())
 			}
@@ -199,15 +205,16 @@ func TestDefaultProbeRecall(t *testing.T) {
 // worker count under one seed.
 func TestBuildWorkerDeterminism(t *testing.T) {
 	items, vecs := synthFactors(600, 12, 99)
-	base := Build(items, vecs, Options{Workers: 1, Seed: 99})
+	k := int(math.Ceil(math.Sqrt(600)))
+	base := build(items, vecs, 99, k, 1)
 	for _, w := range []int{2, 3, 4, 8} {
-		got := Build(items, vecs, Options{Workers: w, Seed: 99})
+		got := build(items, vecs, 99, k, w)
 		if d := indexDiff(base, got); d != "" {
 			t.Fatalf("index built with %d workers differs from serial build: %s", w, d)
 		}
 	}
 	// And a different seed must (overwhelmingly) differ.
-	other := Build(items, vecs, Options{Workers: 1, Seed: 100})
+	other := build(items, vecs, 100, k, 1)
 	if indexDiff(base, other) == "" {
 		t.Fatalf("different seeds produced identical indexes")
 	}
@@ -248,32 +255,17 @@ func vecsDiff(a, b [][]float64) string {
 
 // TestEmptyAndTiny: degenerate inputs must not panic and stay consistent.
 func TestEmptyAndTiny(t *testing.T) {
-	ix := Build(nil, nil, Options{Seed: 1})
+	ix := Build(nil, nil, 1)
 	if ix.NumCentroids() != 0 || ix.NumItems() != 0 {
 		t.Fatalf("empty build: %d centroids %d items", ix.NumCentroids(), ix.NumItems())
 	}
-	one := Build([]int64{7}, map[int64][]float64{7: {1, 2}}, Options{Seed: 1})
+	one := Build([]int64{7}, map[int64][]float64{7: {1, 2}}, 1)
 	if one.NumCentroids() != 1 || one.DefaultNProbe() != 1 {
 		t.Fatalf("single-item build: K=%d nprobe=%d", one.NumCentroids(), one.DefaultNProbe())
 	}
 	got := annTopK(one, []float64{1, 0}, 1, 10)
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("single-item probe: %v", got)
-	}
-}
-
-func TestResolveWorkers(t *testing.T) {
-	if got := ResolveWorkers(1); got != 1 {
-		t.Fatalf("ResolveWorkers(1) = %d", got)
-	}
-	if got := ResolveWorkers(-3); got != 1 {
-		t.Fatalf("ResolveWorkers(-3) = %d", got)
-	}
-	if got := ResolveWorkers(0); got < 1 {
-		t.Fatalf("ResolveWorkers(0) = %d", got)
-	}
-	if got := ResolveWorkers(16); got != 16 {
-		t.Fatalf("ResolveWorkers(16) = %d", got)
 	}
 }
 

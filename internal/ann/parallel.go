@@ -1,9 +1,6 @@
 package ann
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // The bounded-pool helpers every build kernel fans out through — the
 // k-means here and the model builders in internal/rec, which imports this
@@ -13,18 +10,6 @@ import (
 // calling goroutine when workers == 1, so the serial path spawns nothing,
 // and chunk boundaries depend only on (n, workers), so chunked writes are
 // conflict-free.
-
-// ResolveWorkers maps the Workers knob to an effective pool size:
-// 0 selects runtime.NumCPU(), anything below 1 is clamped to 1.
-func ResolveWorkers(w int) int {
-	if w == 0 {
-		w = runtime.NumCPU()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // RunWorkers runs fn(w) for every w in [0, workers).
 func RunWorkers(workers int, fn func(w int)) {

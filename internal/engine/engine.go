@@ -359,12 +359,7 @@ func (e *Engine) execMutation(stmt sql.Statement, text string) (Result, []mutati
 	case *sql.Update:
 		return e.execUpdate(s)
 	case *sql.CreateRecommender:
-		_, err := e.rec.CreateFromSpec(rec.CreateSpec{
-			Name: s.Name, Table: s.Table,
-			UserCol: s.UserCol, ItemCol: s.ItemCol, RatingCol: s.RatingCol,
-			Algorithm: s.Algorithm, Workers: s.Workers,
-		})
-		if err != nil {
+		if _, err := e.rec.Create(s.Name, s.Table, s.UserCol, s.ItemCol, s.RatingCol, s.Algorithm); err != nil {
 			return Result{}, nil, err
 		}
 		return Result{}, ddl, nil

@@ -606,30 +606,6 @@ func TestDuplicateRecommenderViaSQL(t *testing.T) {
 	}
 }
 
-func TestCreateRecommenderWithWorkers(t *testing.T) {
-	e := newMovieDB(t)
-	if _, err := e.Exec(`CREATE RECOMMENDER ParRec ON ratings
-		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval
-		USING ItemCosCF WITH WORKERS 3`); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := e.Recommenders().Get("ParRec")
-	if !ok {
-		t.Fatal("recommender not registered")
-	}
-	if r.Workers != 3 {
-		t.Fatalf("recommender workers = %d, want 3", r.Workers)
-	}
-	// The parallel build must serve queries exactly like the serial one.
-	c := r.Cache()
-	if err := c.MaterializeAll(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Index().Len() == 0 {
-		t.Fatal("materialization produced no entries")
-	}
-}
-
 func TestInsertArityError(t *testing.T) {
 	e := newMovieDB(t)
 	if _, err := e.Exec("INSERT INTO ratings (uid, iid) VALUES (1, 2, 3)"); err == nil {

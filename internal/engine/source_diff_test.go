@@ -61,7 +61,7 @@ var diffRuns = []diffRun{
 func newSourceDiffDB(t *testing.T) *Engine {
 	t.Helper()
 	const users, items, perUser = 30, 150, 25
-	e := New(Config{Rec: rec.Options{Build: rec.BuildOptions{SVDSeed: 7, Workers: 2}}})
+	e := New(Config{Rec: rec.Options{Build: rec.BuildOptions{SVDSeed: 7}}})
 	if _, err := e.ExecScript(`
 		CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT);
 		CREATE TABLE movies (mid INT PRIMARY KEY, name TEXT, genre TEXT);

@@ -19,7 +19,7 @@ import (
 func newVectorDB(t *testing.T, seed int64) *Engine {
 	t.Helper()
 	const users, items, perUser = 40, 300, 40
-	e := New(Config{Rec: rec.Options{Build: rec.BuildOptions{SVDSeed: seed, Workers: 2}}})
+	e := New(Config{Rec: rec.Options{Build: rec.BuildOptions{SVDSeed: seed}}})
 	if _, err := e.Exec("CREATE TABLE ratings (uid INT, iid INT, ratingval FLOAT)"); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ import (
 	"recdb/internal/catalog"
 	"recdb/internal/engine"
 	"recdb/internal/fault"
-	"recdb/internal/rec"
 	"recdb/internal/types"
 )
 
@@ -126,9 +125,6 @@ type recommenderMeta struct {
 	ItemCol   string `json:"item_col"`
 	RatingCol string `json:"rating_col"`
 	Algorithm string `json:"algorithm"`
-	// Workers is the recommender's WITH WORKERS build parallelism; 0 (the
-	// engine-wide default) is omitted.
-	Workers int `json:"workers,omitempty"`
 }
 
 // isDerivedTable reports whether a table is engine-managed state that a
@@ -247,7 +243,7 @@ func Save(fs fault.FS, e *engine.Engine, dir string, walSeq uint64, retain int) 
 		m.Recommenders = append(m.Recommenders, recommenderMeta{
 			Name: r.Name, Table: r.Table,
 			UserCol: r.UserCol, ItemCol: r.ItemCol, RatingCol: r.RatingCol,
-			Algorithm: r.Algo.String(), Workers: r.Workers,
+			Algorithm: r.Algo.String(),
 		})
 	}
 	sort.Slice(m.Recommenders, func(i, j int) bool {
@@ -641,12 +637,7 @@ func buildEngine(fs fault.FS, dir string, m *manifest, cfg engine.Config) (*engi
 		return nil, err
 	}
 	for _, rm := range m.Recommenders {
-		_, err := e.Recommenders().CreateFromSpec(rec.CreateSpec{
-			Name: rm.Name, Table: rm.Table,
-			UserCol: rm.UserCol, ItemCol: rm.ItemCol, RatingCol: rm.RatingCol,
-			Algorithm: rm.Algorithm, Workers: rm.Workers,
-		})
-		if err != nil {
+		if _, err := e.Recommenders().Create(rm.Name, rm.Table, rm.UserCol, rm.ItemCol, rm.RatingCol, rm.Algorithm); err != nil {
 			return nil, fmt.Errorf("persist: rebuilding recommender %q: %w", rm.Name, err)
 		}
 	}

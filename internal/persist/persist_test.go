@@ -340,3 +340,60 @@ func TestLoadRefusesDuplicatePrimaryKey(t *testing.T) {
 		t.Fatalf("a snapshot with a duplicate primary key loaded: %v", err)
 	}
 }
+
+// TestLoadIgnoresRecommenderWorkers: a manifest from before CREATE
+// RECOMMENDER lost its WITH WORKERS clause carries "workers" on each
+// recommender that set one. The field is ignored on load (the frame and
+// RDBM2 are unchanged), and the recommender is rebuilt and serves.
+func TestLoadIgnoresRecommenderWorkers(t *testing.T) {
+	src := buildSource(t)
+	dir := t.TempDir()
+	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(dir, genName(1), manifestName)
+	framed, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := parseManifest(manifestName, framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := m["recommenders"].([]any)
+	if len(recs) != 1 {
+		t.Fatalf("manifest lists %d recommenders, want 1", len(recs))
+	}
+	recs[0].(map[string]any)["workers"] = 3
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	framed = frameManifest(blob)
+	if !strings.HasPrefix(string(framed), manifestMagic+" ") {
+		t.Fatalf("frame header %q", framed[:16])
+	}
+	if err := os.WriteFile(p, framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dst, _, err := Load(fault.OS, dir, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dst.Recommenders().Get("SavedRec"); !ok {
+		t.Fatal("recommender missing after load")
+	}
+	res, err := dst.Query(`SELECT R.iid, R.ratingval FROM ratings R
+		RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
+		WHERE R.uid = 1 ORDER BY R.ratingval DESC, R.iid ASC`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("the loaded recommender recommends nothing to user 1")
+	}
+}

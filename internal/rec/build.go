@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"recdb/internal/ann"
@@ -22,27 +23,15 @@ type BuildOptions struct {
 	// NeighborhoodSize truncates each similarity list to the top-N most
 	// similar entries; 0 keeps the full list (the paper's default).
 	NeighborhoodSize int
-	// Workers bounds the worker pool used by the model-build kernels
-	// (neighborhood similarity, SVD training, bulk prediction). 0 selects
-	// runtime.NumCPU(); 1 is the serial path (no goroutines). Every kernel
-	// produces a bit-identical model at any worker count.
-	Workers int
 	// SVD hyperparameters (used only by the SVD algorithm).
 	SVDFactors int     // latent factor count (default 10)
 	SVDEpochs  int     // SGD passes over the ratings (default 20)
 	SVDRate    float64 // learning rate (default 0.01)
 	SVDLambda  float64 // L2 regularization λ from Equation 3 (default 0.05)
 	SVDSeed    int64   // deterministic initialization seed
-	// ANNCentroids and ANNProbe tune the IVF index built over the trained
-	// item factors (vector-native top-k). 0 selects the internal/ann
-	// defaults (√n centroids, K/4 probe width); the index build shares
-	// Workers and is deterministic under SVDSeed for a given factor set.
-	ANNCentroids int
-	ANNProbe     int
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
-	o.Workers = ann.ResolveWorkers(o.Workers)
 	if o.SVDFactors <= 0 {
 		o.SVDFactors = 10
 	}
@@ -180,12 +169,10 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 // touched positions, sorted, are the list in ascending id (positions follow
 // the sorted ids). A truncated list keeps its NeighborhoodSize strongest
 // entries (strongerFirst), still in id order. The entities are split into
-// one contiguous range per worker of opts.Workers; each list is owned by
-// the worker that owns its entity and is computed in full by it, so the
-// model is bit-identical at any worker count.
-func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions) (neighbors map[int64][]Neighbor, cut bool) {
-	workers := opts.Workers
-
+// one contiguous range per worker; each list is owned by the worker that
+// owns its entity and is computed in full by it, so the model is
+// bit-identical at any worker count.
+func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions, workers int) (neighbors map[int64][]Neighbor, cut bool) {
 	// For item-based models the "entities" are items and the shared
 	// dimension is users; user-based swaps the roles. The index holds the
 	// ratings as CSR both ways: by dimension (dimOff/dimEnt: for each
@@ -368,9 +355,9 @@ func (w weightedSum) score() (float64, bool) {
 // both users and items, so concurrent updates never touch the same factor
 // vector. The schedule — block order, per-block visit order, and RNG
 // streams — is fixed by SVDSeed alone, so the trained factors are
-// bit-identical at any worker count (Workers: 1 runs the same schedule
+// bit-identical at any worker count (one worker runs the same schedule
 // serially).
-func trainSVD(ix *ratingsIndex, opts BuildOptions) (userVecs, itemVecs map[int64][]float64, ivf *ann.Index) {
+func trainSVD(ix *ratingsIndex, opts BuildOptions, workers int) (userVecs, itemVecs map[int64][]float64, ivf *ann.Index) {
 	k := opts.SVDFactors
 	rng := rand.New(rand.NewSource(opts.SVDSeed))
 	userVecs = make(map[int64][]float64, len(ix.users))
@@ -388,16 +375,11 @@ func trainSVD(ix *ratingsIndex, opts BuildOptions) (userVecs, itemVecs map[int64
 	for _, i := range ix.items {
 		itemVecs[i] = initVec()
 	}
-	trainStratified(userVecs, itemVecs, ix, opts)
+	trainStratified(userVecs, itemVecs, ix, opts, workers)
 	// The IVF index over the trained item factors. The build is a
 	// deterministic function of (factors, seed) at any worker count, so
 	// the index is bit-identical run to run, as the factors are.
-	ivf = ann.Build(ix.items, itemVecs, ann.Options{
-		Centroids: opts.ANNCentroids,
-		NProbe:    opts.ANNProbe,
-		Workers:   opts.Workers,
-		Seed:      opts.SVDSeed,
-	})
+	ivf = ann.Build(ix.items, itemVecs, opts.SVDSeed)
 	return userVecs, itemVecs, ivf
 }
 
@@ -412,7 +394,7 @@ const svdStrata = 8
 // Each block shuffles and applies its ratings under an RNG derived from
 // (SVDSeed, epoch, rot, us), so the result does not depend on how blocks
 // are assigned to workers.
-func trainStratified(userVecs, itemVecs map[int64][]float64, ix *ratingsIndex, opts BuildOptions) {
+func trainStratified(userVecs, itemVecs map[int64][]float64, ix *ratingsIndex, opts BuildOptions, workers int) {
 	k, lr, lam := opts.SVDFactors, opts.SVDRate, opts.SVDLambda
 	// Block (user position mod S, item position mod S), each block's
 	// ratings in (user, item) order.
@@ -424,10 +406,7 @@ func trainStratified(userVecs, itemVecs map[int64][]float64, ix *ratingsIndex, o
 			blocks[b] = append(blocks[b], Rating{User: u, Item: r.ID, Value: r.Sim})
 		}
 	}
-	workers := opts.Workers
-	if workers > svdStrata {
-		workers = svdStrata
-	}
+	workers = min(workers, svdStrata)
 	for epoch := 0; epoch < opts.SVDEpochs; epoch++ {
 		for rot := 0; rot < svdStrata; rot++ {
 			ann.RunWorkers(workers, func(w int) {
@@ -469,19 +448,25 @@ func Dot(a, b []float64) float64 {
 // similarity lists, the factor vectors and their IVF index, or the
 // popularity scores. The store it returns is the model; nothing writes it
 // afterwards. The family builders it calls take opts with its defaults
-// applied.
+// applied and a pool sized from GOMAXPROCS; every one builds a
+// bit-identical model at any pool size.
 func Build(ratings []Rating, algo Algorithm, opts BuildOptions) (*ModelStore, error) {
+	return build(ratings, algo, opts, runtime.GOMAXPROCS(0))
+}
+
+// build is Build with the worker count given.
+func build(ratings []Rating, algo Algorithm, opts BuildOptions, workers int) (*ModelStore, error) {
 	opts = opts.withDefaults()
 	s := &ModelStore{Algo: algo, ratings: indexRatings(ratings)}
 	switch {
 	case algo.ItemBased():
-		lists, cut := neighborhoodLists(s.ratings, algo, opts)
+		lists, cut := neighborhoodLists(s.ratings, algo, opts, workers)
 		s.itemLists, s.symmetric = lists, !cut
 	case algo.UserBased():
-		s.userLists, _ = neighborhoodLists(s.ratings, algo, opts)
+		s.userLists, _ = neighborhoodLists(s.ratings, algo, opts, workers)
 	case algo == SVD:
 		var ivf *ann.Index
-		s.userVecs, s.itemVecs, ivf = trainSVD(s.ratings, opts)
+		s.userVecs, s.itemVecs, ivf = trainSVD(s.ratings, opts, workers)
 		if ivf.NumCentroids() > 0 {
 			s.ivf = ivf
 		}

@@ -72,10 +72,6 @@ type Recommender struct {
 	ItemCol   string
 	RatingCol string
 	Algo      Algorithm
-	// Workers is this recommender's build parallelism (CREATE RECOMMENDER
-	// ... WITH WORKERS n). 0 defers to the manager-wide
-	// Options.Build.Workers.
-	Workers int
 
 	cache *reccache.Manager // its RecScoreIndex and hotness statistics
 
@@ -208,58 +204,33 @@ func NewManager(cat *catalog.Catalog, opts Options) *Manager {
 	}
 }
 
-// CreateSpec is the full definition accepted by CreateFromSpec, carrying
-// the per-recommender build options of CREATE RECOMMENDER.
-type CreateSpec struct {
-	Name      string
-	Table     string
-	UserCol   string
-	ItemCol   string
-	RatingCol string
-	Algorithm string
-	// Workers overrides Options.Build.Workers for this recommender's
-	// builds (including maintenance rebuilds); 0 keeps the manager-wide
-	// default.
-	Workers int
-}
-
 // Create implements CREATE RECOMMENDER: it loads the ratings table and
 // builds the model for the algorithm (Recommender Initialization, §III-A),
 // with an empty cache beside it.
 func (m *Manager) Create(name, table, userCol, itemCol, ratingCol, algoName string) (*Recommender, error) {
-	return m.CreateFromSpec(CreateSpec{
-		Name: name, Table: table,
-		UserCol: userCol, ItemCol: itemCol, RatingCol: ratingCol,
-		Algorithm: algoName,
-	})
-}
-
-// CreateFromSpec is Create with the full option set.
-func (m *Manager) CreateFromSpec(spec CreateSpec) (*Recommender, error) {
-	algo, err := ParseAlgorithm(spec.Algorithm)
+	algo, err := ParseAlgorithm(algoName)
 	if err != nil {
 		return nil, err
 	}
-	key := strings.ToLower(spec.Name)
+	key := strings.ToLower(name)
 	m.mu.Lock()
 	if _, exists := m.recs[key]; exists {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("rec: recommender %q already exists", spec.Name)
+		return nil, fmt.Errorf("rec: recommender %q already exists", name)
 	}
 	m.mu.Unlock()
 
-	ratings, err := m.loadRatings(spec.Table, spec.UserCol, spec.ItemCol, spec.RatingCol)
+	ratings, err := m.loadRatings(table, userCol, itemCol, ratingCol)
 	if err != nil {
 		return nil, err
 	}
 	r := &Recommender{
-		Name: spec.Name, Table: spec.Table,
-		UserCol: spec.UserCol, ItemCol: spec.ItemCol, RatingCol: spec.RatingCol,
-		Algo: algo, Workers: spec.Workers,
+		Name: name, Table: table,
+		UserCol: userCol, ItemCol: itemCol, RatingCol: ratingCol,
+		Algo: algo,
 	}
-	// The recommender's WORKERS setting also bounds cache materialization.
 	r.cache = reccache.New(func() reccache.Predictor { return r.Store() },
-		m.opts.HotnessThreshold, m.opts.CacheClock, m.buildOptions(r).Workers, m.opts.Metrics.Cache)
+		m.opts.HotnessThreshold, m.opts.CacheClock, m.opts.Metrics.Cache)
 	if err := m.buildAndSwap(r, ratings); err != nil {
 		return nil, err
 	}
@@ -267,25 +238,15 @@ func (m *Manager) CreateFromSpec(spec CreateSpec) (*Recommender, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, exists := m.recs[key]; exists {
-		return nil, fmt.Errorf("rec: recommender %q already exists", spec.Name)
+		return nil, fmt.Errorf("rec: recommender %q already exists", name)
 	}
 	m.recs[key] = r
 	return r, nil
 }
 
-// buildOptions returns the options r's models are built with: the
-// manager's, with r's own worker count when CREATE RECOMMENDER set one.
-func (m *Manager) buildOptions(r *Recommender) BuildOptions {
-	opts := m.opts.Build
-	if r.Workers != 0 {
-		opts.Workers = r.Workers
-	}
-	return opts
-}
-
 func (m *Manager) buildAndSwap(r *Recommender, ratings []Rating) error {
 	start := time.Now()
-	store, err := Build(ratings, r.Algo, m.buildOptions(r))
+	store, err := Build(ratings, r.Algo, m.opts.Build)
 	if err != nil {
 		return err
 	}
@@ -599,7 +560,7 @@ func (m *Manager) Evaluate(r *Recommender, k int) (Evaluation, error) {
 	if len(test) == 0 {
 		return Evaluation{}, fmt.Errorf("rec: not enough ratings to hold out 1/%d", k)
 	}
-	model, err := Build(train, r.Algo, m.buildOptions(r))
+	model, err := Build(train, r.Algo, m.opts.Build)
 	if err != nil {
 		return Evaluation{}, err
 	}

@@ -18,9 +18,7 @@ import (
 // pair, summing over the shared dimensions in ascending order; a merge then
 // hands each pair's one similarity to both its entities' lists, which are
 // sorted on (|sim| desc, id asc), truncated, and put in id order.
-func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions) (map[int64][]Neighbor, bool) {
-	opts = opts.withDefaults()
-	workers := opts.Workers
+func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions, workers int) (map[int64][]Neighbor, bool) {
 	byUser, byItem, users, items := refIndex(ratings)
 	var vectors, shared map[int64]map[int64]float64
 	var entities, dims []int64
@@ -182,10 +180,10 @@ func TestNeighborhoodMatchesPairReference(t *testing.T) {
 		for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
 			ratings := fx.ratings(algo)
 			for _, size := range []int{0, 3, 7} {
-				want, wantCut := pairNeighborhood(ratings, algo, BuildOptions{Workers: 1, NeighborhoodSize: size})
+				want, wantCut := pairNeighborhood(ratings, algo, BuildOptions{NeighborhoodSize: size}, 1)
 				for _, workers := range []int{1, 2, 4} {
 					name := fmt.Sprintf("%s/%v/top%d/workers=%d", fx.name, algo, size, workers)
-					lists, cut := neighborhoodLists(indexRatings(ratings), algo, BuildOptions{Workers: workers, NeighborhoodSize: size}.withDefaults())
+					lists, cut := neighborhoodLists(indexRatings(ratings), algo, BuildOptions{NeighborhoodSize: size}.withDefaults(), workers)
 					if cut != wantCut {
 						t.Fatalf("%s: cut = %v, reference %v", name, cut, wantCut)
 					}

@@ -31,12 +31,12 @@ func equivalenceRatings() []Rating {
 func TestNeighborhoodParallelEquivalence(t *testing.T) {
 	ratings := equivalenceRatings()
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
-		serial, err := Build(ratings, algo, BuildOptions{Workers: 1, NeighborhoodSize: 10})
+		serial, err := build(ratings, algo, BuildOptions{NeighborhoodSize: 10}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 1000} {
-			parallel, err := Build(ratings, algo, BuildOptions{Workers: workers, NeighborhoodSize: 10})
+			parallel, err := build(ratings, algo, BuildOptions{NeighborhoodSize: 10}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,12 +73,12 @@ func lists(s *ModelStore) map[int64][]Neighbor {
 // bit-identical factors at any worker count.
 func TestSVDParallelEquivalence(t *testing.T) {
 	ratings := equivalenceRatings()
-	serial, err := Build(ratings, SVD, BuildOptions{Workers: 1, SVDSeed: 42, SVDEpochs: 5})
+	serial, err := build(ratings, SVD, BuildOptions{SVDSeed: 42, SVDEpochs: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 32} {
-		parallel, err := Build(ratings, SVD, BuildOptions{Workers: workers, SVDSeed: 42, SVDEpochs: 5})
+		parallel, err := build(ratings, SVD, BuildOptions{SVDSeed: 42, SVDEpochs: 5}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,16 +102,16 @@ func TestSVDParallelEquivalence(t *testing.T) {
 }
 
 // TestPredictionParallelEquivalence closes the loop at the Predict level for
-// all five algorithms: every (user, item) prediction from a Workers: 4
-// build equals the Workers: 1 build exactly.
+// all five algorithms: every (user, item) prediction from a 4-worker
+// build equals the 1-worker build exactly.
 func TestPredictionParallelEquivalence(t *testing.T) {
 	ratings := equivalenceRatings()
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF, SVD} {
-		serial, err := Build(ratings, algo, BuildOptions{Workers: 1, SVDSeed: 9, SVDEpochs: 4})
+		serial, err := build(ratings, algo, BuildOptions{SVDSeed: 9, SVDEpochs: 4}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := Build(ratings, algo, BuildOptions{Workers: 4, SVDSeed: 9, SVDEpochs: 4})
+		parallel, err := build(ratings, algo, BuildOptions{SVDSeed: 9, SVDEpochs: 4}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkBuildNeighborhood(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(ratings, ItemCosCF, BuildOptions{Workers: workers}); err != nil {
+				if _, err := build(ratings, ItemCosCF, BuildOptions{}, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +153,7 @@ func BenchmarkBuildSVD(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(ratings, SVD, BuildOptions{Workers: workers, SVDSeed: 1, SVDEpochs: 5}); err != nil {
+				if _, err := build(ratings, SVD, BuildOptions{SVDSeed: 1, SVDEpochs: 5}, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,7 +14,7 @@ func TestCacheMetricsDeterministic(t *testing.T) {
 	ts := 10.0
 	reg := metrics.NewRegistry()
 	pred := &fakePredictor{users: []int64{1, 2}, items: []int64{1, 2, 3}}
-	m := New(func() Predictor { return pred }, 0.5, func() float64 { return ts }, 0, Metrics{
+	m := New(func() Predictor { return pred }, 0.5, func() float64 { return ts }, Metrics{
 		Queries:  reg.Counter("reccache.queries"),
 		Updates:  reg.Counter("reccache.updates"),
 		Runs:     reg.Counter("reccache.runs"),

@@ -28,8 +28,8 @@ func TestMaterializeAllWorkersEquivalence(t *testing.T) {
 
 	pred := &fakePredictor{users: users, items: items, seen: seen}
 	build := func(workers int) *recindex.Index {
-		m := New(func() Predictor { return pred }, 0, clock, workers, Metrics{})
-		if err := m.MaterializeAll(); err != nil {
+		m := New(func() Predictor { return pred }, 0, clock, Metrics{})
+		if err := m.materializeAll(workers); err != nil {
 			t.Fatal(err)
 		}
 		return m.Index()
@@ -105,8 +105,8 @@ func BenchmarkMaterializeAll(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := New(func() Predictor { return pred }, 0, func() float64 { return 0 }, workers, Metrics{})
-				if err := m.MaterializeAll(); err != nil {
+				m := New(func() Predictor { return pred }, 0, func() float64 { return 0 }, Metrics{})
+				if err := m.materializeAll(workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,6 +8,7 @@ package reccache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -69,10 +70,9 @@ type Manager struct {
 	// Threshold is HOTNESS-THRESHOLD ∈ [0, 1].
 	Threshold float64
 
-	model   func() Predictor // the recommender's current model
-	ins     Metrics
-	workers int // fill's pool bound (ann.ResolveWorkers)
-	index   *recindex.Index
+	model func() Predictor // the recommender's current model
+	ins   Metrics
+	index *recindex.Index
 
 	stopCh chan struct{}
 	doneCh chan struct{}
@@ -92,11 +92,9 @@ type Predictor interface {
 // New creates a manager over an empty RecScoreIndex. model returns the
 // recommender's current model; every run and materialization reads it
 // once. clock may be nil, in which case wall-clock seconds since creation
-// are used. workers bounds the pool trees are filled with: 0
-// selects runtime.NumCPU(), 1 keeps the serial path, and the index
-// contents are identical at any setting. ins receives instrumentation; the
-// zero Metrics records nothing.
-func New(model func() Predictor, threshold float64, clock Clock, workers int, ins Metrics) *Manager {
+// are used. ins receives instrumentation; the zero Metrics records
+// nothing.
+func New(model func() Predictor, threshold float64, clock Clock, ins Metrics) *Manager {
 	if clock == nil {
 		start := time.Now()
 		clock = func() float64 { return time.Since(start).Seconds() }
@@ -108,7 +106,6 @@ func New(model func() Predictor, threshold float64, clock Clock, workers int, in
 		Threshold: threshold,
 		model:     model,
 		ins:       ins,
-		workers:   workers,
 		index:     recindex.New(),
 	}
 	m.tsInit = clock()
@@ -281,7 +278,7 @@ func (m *Manager) Run() Decision {
 			todo = append(todo, u)
 		}
 	}
-	dec.Admitted, _ = m.fill(gen, pred, todo) // a rebuild mid-run: the next run decides again
+	dec.Admitted, _ = m.fill(gen, pred, todo, runtime.GOMAXPROCS(0)) // a rebuild mid-run: the next run decides again
 	m.ins.Admitted.Add(int64(dec.Admitted))
 	m.ins.Evicted.Add(int64(dec.Evicted))
 	return dec
@@ -322,13 +319,13 @@ func (e *ModelReplacedError) Error() string {
 // scores for every item the user has not rated, and returns how many it
 // filled. gen is the index generation read before pred: once a rebuild has
 // cleared the index since, a tree is refused with a *ModelReplacedError
-// and no user after it is filled. Users are processed in batches: a
-// bounded pool of workers computes each batch's predictions concurrently,
-// then the trees are written in order, so the index contents match the
-// serial path exactly.
-func (m *Manager) fill(gen uint64, pred Predictor, users []int64) (int, error) {
+// and no user after it is filled. Users are processed in batches: a pool
+// of workers computes each batch's predictions concurrently, then the
+// trees are written in order, so the index contents are the same at any
+// worker count.
+func (m *Manager) fill(gen uint64, pred Predictor, users []int64, workers int) (int, error) {
 	items := pred.ItemIDs()
-	workers := min(ann.ResolveWorkers(m.workers), len(users))
+	workers = min(workers, len(users))
 	// Batching bounds buffered predictions to ~4 users' worth per worker.
 	batch := workers * 4
 	for lo := 0; lo < len(users); lo += batch {
@@ -356,17 +353,23 @@ func (m *Manager) fill(gen uint64, pred Predictor, users []int64) (int, error) {
 // *ModelReplacedError.
 func (m *Manager) MaterializeUser(u int64) error {
 	gen := m.index.Generation()
-	_, err := m.fill(gen, m.model(), []int64{u})
+	_, err := m.fill(gen, m.model(), []int64{u}, 1)
 	return err
 }
 
 // MaterializeAll pre-computes predictions for every user (HOTNESS-THRESHOLD
 // = 0 behaviour) with the recommender's current model, guarded by the
-// index generation as MaterializeUser is.
+// index generation as MaterializeUser is. The pool is sized from
+// GOMAXPROCS, as Run's is.
 func (m *Manager) MaterializeAll() error {
+	return m.materializeAll(runtime.GOMAXPROCS(0))
+}
+
+// materializeAll is MaterializeAll with the worker count given.
+func (m *Manager) materializeAll(workers int) error {
 	gen := m.index.Generation()
 	pred := m.model()
-	_, err := m.fill(gen, pred, pred.UserIDs())
+	_, err := m.fill(gen, pred, pred.UserIDs(), workers)
 	return err
 }
 

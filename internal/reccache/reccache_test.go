@@ -39,7 +39,7 @@ func (f *fakePredictor) UserIDs() []int64 { return f.users }
 
 // newFixed creates a manager over a model that is never rebuilt.
 func newFixed(p Predictor, threshold float64, clock Clock) *Manager {
-	return New(func() Predictor { return p }, threshold, clock, 0, Metrics{})
+	return New(func() Predictor { return p }, threshold, clock, Metrics{})
 }
 
 // swappable is a model source a test points at another predictor.
@@ -64,7 +64,7 @@ func (p *rebuildingPredictor) PredictForUser(u int64, items []int64) ([]float64,
 // the replaced model outlives the rebuild's Invalidate.
 func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 	src := &swappable{}
-	m := New(src.model, 0, func() float64 { return 1 }, 0, Metrics{})
+	m := New(src.model, 0, func() float64 { return 1 }, Metrics{})
 	ix := m.Index()
 	m.RecordQuery(1)
 	m.RecordUpdate(5)
@@ -91,7 +91,7 @@ func TestRunDropsAdmissionsAcrossARebuild(t *testing.T) {
 // materializing again with the model left alone fills the trees.
 func TestMaterializeRefusesAReplacedModel(t *testing.T) {
 	src := &swappable{}
-	m := New(src.model, 0.5, func() float64 { return 0 }, 0, Metrics{})
+	m := New(src.model, 0.5, func() float64 { return 0 }, Metrics{})
 	ix := m.Index()
 	pred := &rebuildingPredictor{fakePredictor{users: []int64{1, 2}, items: []int64{10, 11}}, m}
 	for name, materialize := range map[string]func() error{

@@ -71,7 +71,7 @@ type Assignment struct {
 //
 //	CREATE RECOMMENDER name ON ratings
 //	USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval
-//	USING ItemCosCF [WITH WORKERS 4]
+//	USING ItemCosCF
 type CreateRecommender struct {
 	Name      string
 	Table     string
@@ -79,7 +79,6 @@ type CreateRecommender struct {
 	ItemCol   string
 	RatingCol string
 	Algorithm string // empty means the default (ItemCosCF)
-	Workers   int    // WITH WORKERS n; 0 means the engine default
 }
 
 // DropRecommender is DROP RECOMMENDER name.

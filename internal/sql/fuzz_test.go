@@ -16,7 +16,7 @@ func FuzzParse(f *testing.F) {
 		"DELETE FROM t WHERE a = 1 AND b <> 'it''s'",
 		"UPDATE t SET a = a + 1, b = 'y' WHERE a BETWEEN 1 AND 2 AND s LIKE '%x_'",
 		"BEGIN; INSERT INTO t VALUES (1); COMMIT",
-		"CREATE RECOMMENDER R ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF WITH WORKERS 4",
+		"CREATE RECOMMENDER R ON ratings USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF",
 		`SELECT R.uid, R.iid, R.ratingval FROM ratings AS R
 			RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF
 			WHERE R.uid = 1 AND R.iid IN (1, 2, 3) ORDER BY R.ratingval DESC LIMIT 10`,

@@ -383,7 +383,7 @@ func (p *parser) parseCreateIndex() (*CreateIndex, error) {
 // parseCreateRecommender parses the tail of CREATE RECOMMENDER:
 //
 //	name ON table USERS FROM col ITEMS FROM col RATINGS FROM col
-//	[USING alg] [WITH WORKERS n]
+//	[USING alg]
 //
 // The paper's examples also write "ITEM FROM"; both spellings are accepted.
 func (p *parser) parseCreateRecommender() (*CreateRecommender, error) {
@@ -430,21 +430,6 @@ func (p *parser) parseCreateRecommender() (*CreateRecommender, error) {
 		if cr.Algorithm, err = p.ident(); err != nil {
 			return nil, err
 		}
-	}
-	if p.accept(wWith) {
-		if err := p.expect(wWorkers); err != nil {
-			return nil, err
-		}
-		t := p.peek()
-		if t.Kind != TokNumber {
-			return nil, p.errorf("expected worker count, got %s", t)
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 32)
-		if err != nil || n < 1 {
-			return nil, p.errorf("WORKERS needs a positive integer, got %s", t.Text)
-		}
-		p.pos++
-		cr.Workers = int(n)
 	}
 	return cr, nil
 }

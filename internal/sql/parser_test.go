@@ -193,31 +193,22 @@ func TestParseCreateRecommenderDefaultAlgorithm(t *testing.T) {
 	if cr.Algorithm != "" {
 		t.Fatalf("alg should be empty, got %q", cr.Algorithm)
 	}
-	if cr.Workers != 0 {
-		t.Fatalf("workers should default to 0, got %d", cr.Workers)
-	}
 }
 
+// TestParseCreateRecommenderWithWorkers: CREATE RECOMMENDER takes no
+// tuning clause. The statement ends after RATINGS FROM (or USING), so a
+// WITH WORKERS tail is refused, and the error names WITH.
 func TestParseCreateRecommenderWithWorkers(t *testing.T) {
-	cr := mustParse(t, `CREATE RECOMMENDER r ON ratings
-		USERS FROM u ITEMS FROM i RATINGS FROM v
-		USING SVD WITH WORKERS 4`).(*CreateRecommender)
-	if cr.Algorithm != "SVD" || cr.Workers != 4 {
-		t.Fatalf("%+v", cr)
-	}
-	// WITH WORKERS without USING is also valid.
-	cr = mustParse(t, `CREATE RECOMMENDER r ON ratings
-		USERS FROM u ITEMS FROM i RATINGS FROM v WITH WORKERS 2`).(*CreateRecommender)
-	if cr.Algorithm != "" || cr.Workers != 2 {
-		t.Fatalf("%+v", cr)
-	}
 	for _, bad := range []string{
+		`CREATE RECOMMENDER r ON ratings USERS FROM u ITEMS FROM i RATINGS FROM v USING SVD WITH WORKERS 4`,
+		`CREATE RECOMMENDER r ON ratings USERS FROM u ITEMS FROM i RATINGS FROM v WITH WORKERS 2`,
 		`CREATE RECOMMENDER r ON ratings USERS FROM u ITEMS FROM i RATINGS FROM v WITH WORKERS 0`,
 		`CREATE RECOMMENDER r ON ratings USERS FROM u ITEMS FROM i RATINGS FROM v WITH WORKERS many`,
 		`CREATE RECOMMENDER r ON ratings USERS FROM u ITEMS FROM i RATINGS FROM v WITH 4`,
 	} {
-		if _, err := Parse(bad); err == nil {
-			t.Fatalf("expected parse error for %q", bad)
+		_, err := Parse(bad)
+		if err == nil || !strings.Contains(err.Error(), "WITH") {
+			t.Fatalf("Parse(%q) = %v, want an error naming WITH", bad, err)
 		}
 	}
 }

@@ -149,8 +149,6 @@ const (
 	wUsing
 	wValues
 	wWhere
-	wWith
-	wWorkers
 
 	numWords
 	firstKeyword = wAnalyze
@@ -175,7 +173,6 @@ var wordText = [numWords]string{
 	wSelect: "SELECT", wSet: "SET", wStart: "START", wTable: "TABLE", wTo: "TO",
 	wTransaction: "TRANSACTION", wTrue: "TRUE", wUpdate: "UPDATE",
 	wUsers: "USERS", wUsing: "USING", wValues: "VALUES", wWhere: "WHERE",
-	wWith: "WITH", wWorkers: "WORKERS",
 }
 
 // reservedWord marks the words that cannot be an implicit alias

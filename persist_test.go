@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -39,38 +40,6 @@ func TestSaveToOpenDir(t *testing.T) {
 		WHERE R.uid = 1`)
 	if err != nil || rec.Len() != 2 {
 		t.Fatalf("recommendation after reopen: %v, %v", rec, err)
-	}
-}
-
-// TestRecommenderWorkersSurviveReopen: WITH WORKERS is part of a
-// recommender's definition, so it must come back from both recovery
-// sources — the checkpoint manifest (Ckpt, created before SaveTo) and WAL
-// replay (Logged, created after it).
-func TestRecommenderWorkersSurviveReopen(t *testing.T) {
-	const create = `CREATE RECOMMENDER %s ON ratings
-		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING ItemCosCF WITH WORKERS 3`
-	db := newDB(t)
-	db.MustExec(fmt.Sprintf(create, "Ckpt"))
-	dir := t.TempDir()
-	if err := db.SaveTo(dir); err != nil {
-		t.Fatal(err)
-	}
-	db.MustExec(fmt.Sprintf(create, "Logged"))
-	db.Close()
-
-	db2, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for _, name := range []string{"Ckpt", "Logged"} {
-		r, ok := db2.Engine().Recommenders().Get(name)
-		if !ok {
-			t.Fatalf("recommender %s missing after reopen", name)
-		}
-		if r.Workers != 3 {
-			t.Errorf("recommender %s reopened with Workers = %d, want 3", name, r.Workers)
-		}
 	}
 }
 
@@ -297,5 +266,46 @@ func TestReplayMaintainsPerCommit(t *testing.T) {
 	}
 	if top != liveTop {
 		t.Errorf("recovered top-10 differs:\n got %s\nwant %s", top, liveTop)
+	}
+}
+
+// TestSyncWAL: under group commit, SyncWAL fsyncs the commits a group has
+// not synced yet, once, and nothing when none is pending; a database with
+// no durable home has no log to sync.
+func TestSyncWAL(t *testing.T) {
+	mem := newDB(t)
+	if err := mem.SyncWAL(); err == nil || !strings.Contains(err.Error(), "no write-ahead log attached") {
+		t.Fatalf("SyncWAL without a durable home = %v, want the no-log error", err)
+	}
+
+	db := newDB(t, WithWALSyncEvery(8))
+	if err := db.SaveTo(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	syncs := func() int64 {
+		t.Helper()
+		n, ok := db.Metrics().Get("wal.syncs")
+		if !ok {
+			t.Fatal("wal.syncs missing from the metrics")
+		}
+		return n
+	}
+	before := syncs()
+	db.MustExec("INSERT INTO ratings VALUES (9, 9, 4.5)")
+	db.MustExec("INSERT INTO ratings VALUES (9, 8, 3)")
+	if got := syncs(); got != before {
+		t.Fatalf("wal.syncs %d -> %d after two commits of a group of 8", before, got)
+	}
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs(); got != before+1 {
+		t.Fatalf("wal.syncs %d -> %d after SyncWAL, want one more", before, got)
+	}
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs(); got != before+1 {
+		t.Fatalf("wal.syncs %d -> %d after a SyncWAL with nothing pending", before+1, got)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"slices"
 
@@ -80,13 +82,19 @@ func (s runSet) find(keys []int64, key int64) []Neighbor {
 }
 
 func indexRatings(ratings []Rating) *ratingsIndex {
-	// Sorted by (user, item), stably: a repeated pair keeps its input
-	// order, so the last of its ratings is the one kept.
-	kept := slices.Clone(ratings)
-	slices.SortStableFunc(kept, func(a, b Rating) int {
-		return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.Item, b.Item))
+	// Sorted by (user, item, input position): a repeated pair keeps its
+	// input order, so the last of its ratings is the one kept.
+	kept := make([]placedRating, len(ratings))
+	for x, r := range ratings {
+		kept[x] = placedRating{r, x}
+	}
+	slices.SortFunc(kept, func(a, b placedRating) int {
+		return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.Item, b.Item), cmp.Compare(a.at, b.at))
 	})
+	// The distinct items are collected through a set and only they are
+	// sorted, not every rating's item.
 	ix := &ratingsIndex{}
+	seen := make(map[int64]struct{})
 	n := 0
 	for _, r := range kept {
 		if n > 0 && kept[n-1].User == r.User && kept[n-1].Item == r.Item {
@@ -96,13 +104,16 @@ func indexRatings(ratings []Rating) *ratingsIndex {
 		if n == 0 || kept[n-1].User != r.User {
 			ix.users = append(ix.users, r.User)
 		}
-		ix.items = append(ix.items, r.Item)
+		if _, ok := seen[r.Item]; !ok {
+			seen[r.Item] = struct{}{}
+			ix.items = append(ix.items, r.Item)
+		}
 		kept[n] = r
 		n++
 	}
 	kept = kept[:n]
 	slices.Sort(ix.items)
-	ix.items = slices.Clip(slices.Compact(ix.items))
+	ix.items = slices.Clip(ix.items)
 	ix.n = n
 
 	// By user, in kept's order; by item, placed walking the users in
@@ -133,6 +144,12 @@ func indexRatings(ratings []Rating) *ratingsIndex {
 		}
 	}
 	return ix
+}
+
+// placedRating is a rating and its position in indexRatings' input.
+type placedRating struct {
+	Rating
+	at int
 }
 
 // userRun returns user's ratings, ascending in item.
@@ -166,9 +183,14 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 // ascending order, of its value there times each co-occurring entity's, so
 // one pass over the entity's dimensions fills a dense accumulator with
 // every pair's dot product, formed in ascending dimension order, and the
-// touched positions, sorted, are the list in ascending id (positions follow
-// the sorted ids). A truncated list keeps its NeighborhoodSize strongest
-// entries (strongerFirst), still in id order. The entities are split into
+// touched positions, in ascending order, are the list in ascending id
+// (positions follow the sorted ids). They are put in order by sorting
+// them or, when a row touches so many of the ne entities that sorting
+// costs more, by walking the accumulator's marks. Sorting t positions
+// costs about three times as much per t·log₂t step as the walk costs per
+// mark, so the marks are walked once 3·t·log₂t ≥ ne. A
+// truncated list keeps its NeighborhoodSize strongest entries
+// (strongerFirst), still in id order. The entities are split into
 // one contiguous range per worker; each list is owned by the worker that
 // owns its entity and is computed in full by it, so the model is
 // bit-identical at any worker count.
@@ -243,10 +265,22 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions, work
 					dots[pb] += va * vseg[y]
 				}
 			}
-			// Sorted positions give the list in id order. A list that may
-			// be cut is ranked instead, and put in id order after the cut.
+			// Ascending positions give the list in id order: the marks over
+			// [0, ne) are walked when that costs less than sorting the t
+			// touched positions. A list that may be cut is ranked instead,
+			// and put in id order after the cut.
 			mayCut := opts.NeighborhoodSize > 0 && len(touched) > opts.NeighborhoodSize
-			if !mayCut {
+			switch t := len(touched); {
+			case mayCut:
+				// ranked below
+			case 3*t*bits.Len(uint(t)) >= ne:
+				touched = touched[:0]
+				for pb, marked := range in {
+					if marked {
+						touched = append(touched, int32(pb))
+					}
+				}
+			default:
 				slices.Sort(touched)
 			}
 			list := make([]Neighbor, 0, len(touched))
@@ -349,33 +383,31 @@ func (w weightedSum) score() (float64, bool) {
 // Equation 3, and builds the inverted-file ANN index over the item factors
 // so RECOMMEND top-k can probe instead of scanning every item.
 //
-// Training uses a stratified parallel schedule (Gemulla et al., KDD 2011):
-// users and items are each split into svdStrata strata, and within one
+// The factors live in two dense slabs, one per side, vector p at
+// [p·k, (p+1)·k) of its side's slab; the model's userVecs and itemVecs are
+// views into them, clipped so that an append copies. Training uses a
+// stratified parallel schedule (Gemulla et al., KDD 2011): users and items
+// are each split into svdStrata contiguous position ranges, and within one
 // rotation the worker pool processes blocks that are pairwise disjoint in
 // both users and items, so concurrent updates never touch the same factor
-// vector. The schedule — block order, per-block visit order, and RNG
-// streams — is fixed by SVDSeed alone, so the trained factors are
-// bit-identical at any worker count (one worker runs the same schedule
-// serially).
+// vector, nor, the ranges being contiguous, the same stretch of a slab.
+// The schedule — block order, per-block visit order, and RNG streams — is
+// fixed by SVDSeed alone, so the trained factors are bit-identical at any
+// worker count (one worker runs the same schedule serially).
 func trainSVD(ix *ratingsIndex, opts BuildOptions, workers int) (userVecs, itemVecs map[int64][]float64, ivf *ann.Index) {
 	k := opts.SVDFactors
+	// The initial factors, users' then items', are drawn from one source
+	// seeded with SVDSeed.
 	rng := rand.New(rand.NewSource(opts.SVDSeed))
-	userVecs = make(map[int64][]float64, len(ix.users))
-	itemVecs = make(map[int64][]float64, len(ix.items))
-	initVec := func() []float64 {
-		v := make([]float64, k)
-		for i := range v {
-			v[i] = (rng.Float64() - 0.5) * 0.1
+	userSlab := make([]float64, len(ix.users)*k)
+	itemSlab := make([]float64, len(ix.items)*k)
+	for _, slab := range [][]float64{userSlab, itemSlab} {
+		for f := range slab {
+			slab[f] = (rng.Float64() - 0.5) * 0.1
 		}
-		return v
 	}
-	for _, u := range ix.users {
-		userVecs[u] = initVec()
-	}
-	for _, i := range ix.items {
-		itemVecs[i] = initVec()
-	}
-	trainStratified(userVecs, itemVecs, ix, opts, workers)
+	trainStratified(userSlab, itemSlab, ix, opts, workers)
+	userVecs, itemVecs = slabViews(ix.users, userSlab, k), slabViews(ix.items, itemSlab, k)
 	// The IVF index over the trained item factors. The build is a
 	// deterministic function of (factors, seed) at any worker count, so
 	// the index is bit-identical run to run, as the factors are.
@@ -383,55 +415,91 @@ func trainSVD(ix *ratingsIndex, opts BuildOptions, workers int) (userVecs, itemV
 	return userVecs, itemVecs, ivf
 }
 
+// slabViews maps ids[p] to vector p of slab, clipped so that an append
+// copies it.
+func slabViews(ids []int64, slab []float64, k int) map[int64][]float64 {
+	views := make(map[int64][]float64, len(ids))
+	for p, id := range ids {
+		views[id] = slab[p*k : (p+1)*k : (p+1)*k]
+	}
+	return views
+}
+
 // svdStrata is the stratification degree S of the DSGD schedule: ratings
-// are bucketed into an S×S grid of (user stratum, item stratum) blocks.
+// are bucketed into an S×S grid of (user stratum, item stratum) blocks,
+// position p of n being in stratum p·S/n.
 const svdStrata = 8
 
-// trainStratified runs the deterministic DSGD schedule: SVDEpochs epochs
-// of svdStrata rotations; rotation rot processes the blocks
-// (us, (us+rot) mod S) for every user stratum us, which are pairwise
-// disjoint in users and items and therefore safe to run concurrently.
-// Each block shuffles and applies its ratings under an RNG derived from
-// (SVDSeed, epoch, rot, us), so the result does not depend on how blocks
-// are assigned to workers.
-func trainStratified(userVecs, itemVecs map[int64][]float64, ix *ratingsIndex, opts BuildOptions, workers int) {
+// svdStep is one rating of a DSGD block: the positions of its user and
+// item, which index the factor slabs, and its value.
+type svdStep struct {
+	pu, pi int32
+	value  float64
+}
+
+// trainStratified runs the deterministic DSGD schedule over the factor
+// slabs: SVDEpochs epochs of svdStrata rotations; rotation rot processes
+// the blocks (us, (us+rot) mod S) for every user stratum us, which are
+// pairwise disjoint in users and items and therefore safe to run
+// concurrently. Each block shuffles and applies its ratings under a PCG
+// seeded from (SVDSeed, epoch, rot, us), so the result does not depend on
+// how blocks are assigned to workers; each worker holds one PCG and
+// re-seeds it per block, which costs O(1) and allocates nothing.
+func trainStratified(userSlab, itemSlab []float64, ix *ratingsIndex, opts BuildOptions, workers int) {
 	k, lr, lam := opts.SVDFactors, opts.SVDRate, opts.SVDLambda
-	// Block (user position mod S, item position mod S), each block's
-	// ratings in (user, item) order.
-	blocks := make([][]Rating, svdStrata*svdStrata)
-	for pu, u := range ix.users {
-		for x := ix.byUser.off[pu]; x < ix.byUser.off[pu+1]; x++ {
-			b := pu%svdStrata*svdStrata + int(ix.byUser.at[x])%svdStrata
-			r := ix.byUser.rows[x]
-			blocks[b] = append(blocks[b], Rating{User: u, Item: r.ID, Value: r.Sim})
-		}
-	}
+	blocks := svdBlocks(ix)
 	workers = min(workers, svdStrata)
-	for epoch := 0; epoch < opts.SVDEpochs; epoch++ {
-		for rot := 0; rot < svdStrata; rot++ {
-			ann.RunWorkers(workers, func(w int) {
-				for us := w; us < svdStrata; us += workers {
-					is := (us + rot) % svdStrata
-					block := blocks[us*svdStrata+is]
-					if len(block) == 0 {
-						continue
-					}
-					rng := rand.New(rand.NewSource(ann.MixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))))
-					rng.Shuffle(len(block), func(a, b int) { block[a], block[b] = block[b], block[a] })
-					for _, r := range block {
-						p, q := userVecs[r.User], itemVecs[r.Item]
-						pred := Dot(p, q)
-						err := r.Value - pred
-						for f := 0; f < k; f++ {
-							pf, qf := p[f], q[f]
-							p[f] += lr * (err*qf - lam*pf)
-							q[f] += lr * (err*pf - lam*qf)
-						}
-					}
+	// One closure for the whole schedule, reading the rotation from epoch
+	// and rot: a closure made per rotation would be allocated per rotation.
+	var epoch, rot int
+	train := func(w int) {
+		var pcg randv2.PCG
+		for us := w; us < svdStrata; us += workers {
+			block := blocks[us*svdStrata+(us+rot)%svdStrata]
+			if len(block) == 0 {
+				continue
+			}
+			pcg.Seed(uint64(ann.MixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))), 0)
+			// Fisher–Yates; the high word of a draw times x+1 is a draw
+			// in [0, x], biased by under (x+1)/2⁶⁴.
+			for x := len(block) - 1; x > 0; x-- {
+				hi, _ := bits.Mul64(pcg.Uint64(), uint64(x+1))
+				block[x], block[hi] = block[hi], block[x]
+			}
+			for _, s := range block {
+				p := userSlab[int(s.pu)*k : int(s.pu)*k+k]
+				q := itemSlab[int(s.pi)*k : int(s.pi)*k+k]
+				err := s.value - Dot(p, q)
+				for f := range p {
+					pf, qf := p[f], q[f]
+					p[f] += lr * (err*qf - lam*pf)
+					q[f] += lr * (err*pf - lam*qf)
 				}
-			})
+			}
 		}
 	}
+	for epoch = 0; epoch < opts.SVDEpochs; epoch++ {
+		for rot = 0; rot < svdStrata; rot++ {
+			ann.RunWorkers(workers, train)
+		}
+	}
+}
+
+// svdBlocks buckets the ratings into the S×S grid of DSGD blocks: block
+// us·S+is holds the ratings of user stratum us and item stratum is, in
+// (user, item) order.
+func svdBlocks(ix *ratingsIndex) [][]svdStep {
+	nu, ni := len(ix.users), len(ix.items)
+	blocks := make([][]svdStep, svdStrata*svdStrata)
+	for pu := range nu {
+		us := pu * svdStrata / nu
+		for x := ix.byUser.off[pu]; x < ix.byUser.off[pu+1]; x++ {
+			pi := ix.byUser.at[x]
+			b := us*svdStrata + int(pi)*svdStrata/ni
+			blocks[b] = append(blocks[b], svdStep{pu: int32(pu), pi: pi, value: ix.byUser.rows[x].Sim})
+		}
+	}
+	return blocks
 }
 
 // Dot returns the inner product of two equal-length vectors.

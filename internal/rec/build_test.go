@@ -206,8 +206,55 @@ func TestBuildRejectsWrongAlgorithm(t *testing.T) {
 	}
 }
 
-func TestSVDLearnsRatings(t *testing.T) {
-	// A rank-1 rating matrix should be learnable to low error.
+// TestIndexRatingsLastValueWins scatters three copies of one (user, item)
+// pair among 1 000 ratings: the index keeps the last copy's value, and
+// both CSR views stay ascending.
+func TestIndexRatingsLastValueWins(t *testing.T) {
+	rng := newDeterministicRand(11)
+	ratings := make([]Rating, 1000)
+	for x := range ratings {
+		ratings[x] = Rating{User: 1 + rng.next()%40, Item: 1 + rng.next()%60, Value: 1}
+		if ratings[x].User == 7 && ratings[x].Item == 9 {
+			ratings[x].Item = 61 // (7, 9) only where placed below
+		}
+	}
+	ratings[3] = Rating{User: 7, Item: 9, Value: 2}
+	ratings[517] = Rating{User: 7, Item: 9, Value: 3}
+	ratings[996] = Rating{User: 7, Item: 9, Value: 4}
+	ix := indexRatings(ratings)
+	if v, ok := ValueOf(ix.userRun(7), 9); !ok || v != 4 {
+		t.Fatalf("user 7's rating of item 9 = (%v, %v), want (4, true)", v, ok)
+	}
+	if v, ok := ValueOf(ix.itemRun(9), 7); !ok || v != 4 {
+		t.Fatalf("item 9's rating by user 7 = (%v, %v), want (4, true)", v, ok)
+	}
+	for _, side := range []struct {
+		name string
+		keys []int64
+		runs runSet
+	}{{"byUser", ix.users, ix.byUser}, {"byItem", ix.items, ix.byItem}} {
+		if !slices.IsSorted(side.keys) {
+			t.Fatalf("%s keys not ascending", side.name)
+		}
+		total := 0
+		for p := range side.keys {
+			run := side.runs.run(p)
+			total += len(run)
+			for x := 1; x < len(run); x++ {
+				if run[x-1].ID >= run[x].ID {
+					t.Fatalf("%s run %d not strictly ascending at %d: %v", side.name, side.keys[p], x, run)
+				}
+			}
+		}
+		if total != ix.n {
+			t.Fatalf("%s runs hold %d ratings, index holds %d", side.name, total, ix.n)
+		}
+	}
+}
+
+// rankOneRatings is a rank-1 rating matrix over 4 users x 5 items, with
+// the entries where (u+i) mod 3 = 0 held out.
+func rankOneRatings() []Rating {
 	var ratings []Rating
 	userW := []float64{1, 2, 3, 4}
 	itemW := []float64{1.2, 0.8, 1.5, 0.5, 1.0}
@@ -219,6 +266,12 @@ func TestSVDLearnsRatings(t *testing.T) {
 			ratings = append(ratings, Rating{int64(u + 1), int64(i + 1), userW[u] * itemW[i]})
 		}
 	}
+	return ratings
+}
+
+func TestSVDLearnsRatings(t *testing.T) {
+	// A rank-1 rating matrix should be learnable to low error.
+	ratings := rankOneRatings()
 	m, err := Build(ratings, SVD, BuildOptions{SVDFactors: 4, SVDEpochs: 200, SVDRate: 0.02, SVDSeed: 42})
 	if err != nil {
 		t.Fatal(err)

@@ -69,35 +69,91 @@ func lists(s *ModelStore) map[int64][]Neighbor {
 	return s.userLists
 }
 
+// svdFixtures are the rating sets the DSGD schedule is checked on: the
+// irregular equivalence set (60 users, which 8 does not divide), the
+// rank-1 set of TestSVDLearnsRatings (4 users x 5 items, fewer than
+// svdStrata on both sides, so some strata are empty), and a set whose user
+// and item counts 8 does not divide.
+var svdFixtures = []struct {
+	name    string
+	ratings func() []Rating
+}{
+	{"equivalence", equivalenceRatings},
+	{"rank-one", rankOneRatings},
+	{"19x27", func() []Rating { return benchRatings(19, 27, 0.25) }},
+}
+
 // TestSVDParallelEquivalence asserts the stratified SGD schedule trains
 // bit-identical factors at any worker count.
 func TestSVDParallelEquivalence(t *testing.T) {
-	ratings := equivalenceRatings()
-	serial, err := build(ratings, SVD, BuildOptions{SVDSeed: 42, SVDEpochs: 5}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 32} {
-		parallel, err := build(ratings, SVD, BuildOptions{SVDSeed: 42, SVDEpochs: 5}, workers)
+	for _, fx := range svdFixtures {
+		ratings := fx.ratings()
+		serial, err := build(ratings, SVD, BuildOptions{SVDSeed: 42, SVDEpochs: 5}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u, want := range serial.userVecs {
-			got := parallel.userVecs[u]
-			for f := range want {
-				if got[f] != want[f] {
-					t.Fatalf("workers=%d user %d factor %d: got %v, want %v", workers, u, f, got[f], want[f])
+		for _, workers := range []int{2, 4, 32} {
+			parallel, err := build(ratings, SVD, BuildOptions{SVDSeed: 42, SVDEpochs: 5}, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, want := range serial.userVecs {
+				got := parallel.userVecs[u]
+				for f := range want {
+					if got[f] != want[f] {
+						t.Fatalf("%s workers=%d user %d factor %d: got %v, want %v", fx.name, workers, u, f, got[f], want[f])
+					}
+				}
+			}
+			for i, want := range serial.itemVecs {
+				got := parallel.itemVecs[i]
+				for f := range want {
+					if got[f] != want[f] {
+						t.Fatalf("%s workers=%d item %d factor %d: got %v, want %v", fx.name, workers, i, f, got[f], want[f])
+					}
 				}
 			}
 		}
-		for i, want := range serial.itemVecs {
-			got := parallel.itemVecs[i]
-			for f := range want {
-				if got[f] != want[f] {
-					t.Fatalf("workers=%d item %d factor %d: got %v, want %v", workers, i, f, got[f], want[f])
+	}
+}
+
+// TestSVDBlocksPartitionRatings asserts that every deduplicated rating
+// lands in exactly one DSGD block, the one of its user's and its item's
+// strata, so the block sizes sum to the index's rating count.
+func TestSVDBlocksPartitionRatings(t *testing.T) {
+	for _, fx := range svdFixtures {
+		ix := indexRatings(fx.ratings())
+		nu, ni := len(ix.users), len(ix.items)
+		sum := 0
+		for b, block := range svdBlocks(ix) {
+			sum += len(block)
+			for _, s := range block {
+				if us, is := int(s.pu)*svdStrata/nu, int(s.pi)*svdStrata/ni; us*svdStrata+is != b {
+					t.Fatalf("%s: rating (%d, %d) in block %d, want block %d", fx.name, s.pu, s.pi, b, us*svdStrata+is)
 				}
 			}
 		}
+		if sum != ix.n {
+			t.Fatalf("%s: blocks hold %d ratings, index holds %d", fx.name, sum, ix.n)
+		}
+	}
+}
+
+// TestSVDAllocsFlatInEpochs pins the cost of the schedule's RNG: re-seeding
+// a block's shuffle allocates nothing, so an SVD build's allocations do
+// not grow with its epoch count.
+func TestSVDAllocsFlatInEpochs(t *testing.T) {
+	ratings := equivalenceRatings()
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := build(ratings, SVD, BuildOptions{SVDSeed: 3, SVDEpochs: epochs}, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, twenty := allocs(1), allocs(20)
+	if twenty > one+4 {
+		t.Fatalf("SVD build allocates %v times at 20 epochs, %v at 1: the schedule allocates per epoch", twenty, one)
 	}
 }
 
@@ -135,28 +191,41 @@ func movieLensRatings() []Rating {
 	return benchRatings(943, 1682, 0.063)
 }
 
-func BenchmarkBuildNeighborhood(b *testing.B) {
-	ratings := movieLensRatings()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := build(ratings, ItemCosCF, BuildOptions{}, workers); err != nil {
-					b.Fatal(err)
-				}
+// buildShapes are the two shapes the build kernels are timed at: the seed
+// ratings of one shard of the benchmark ledger (~1 900 ratings, 94 users x
+// 336 items), which every CREATE RECOMMENDER and every §III-A rebuild of a
+// ledger cluster builds, at the ledger's default 20 SVD epochs; and the
+// MovieLens-100K shape of the paper's experiments, at 5 SVD epochs.
+var buildShapes = []struct {
+	name      string
+	ratings   func() []Rating
+	svdEpochs int
+}{
+	{"ledger-shard", func() []Rating { return benchRatings(94, 336, 0.06) }, 0},
+	{"movielens", movieLensRatings, 5},
+}
+
+// benchBuild times the build of algo for every shape at workers {1, 2, 4},
+// as sub-benchmarks shape=S/workers=W.
+func benchBuild(b *testing.B, algo Algorithm) {
+	for _, shape := range buildShapes {
+		ratings := shape.ratings()
+		opts := BuildOptions{SVDSeed: 1, SVDEpochs: shape.svdEpochs}
+		b.Run("shape="+shape.name, func(b *testing.B) {
+			for _, workers := range []int{1, 2, 4} {
+				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := build(ratings, algo, opts, workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
-func BenchmarkBuildSVD(b *testing.B) {
-	ratings := movieLensRatings()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := build(ratings, SVD, BuildOptions{SVDSeed: 1, SVDEpochs: 5}, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkBuildNeighborhood(b *testing.B) { benchBuild(b, ItemCosCF) }
+
+func BenchmarkBuildSVD(b *testing.B) { benchBuild(b, SVD) }

@@ -31,13 +31,13 @@ func benchScale() float64 {
 // envCache shares prepared environments across sub-benchmarks.
 var envCache sync.Map
 
-func benchEnv(b *testing.B, spec dataset.Spec, algos []string, neighborhood int) *bench.Env {
+func benchEnv(b *testing.B, spec dataset.Spec, algos []string) *bench.Env {
 	b.Helper()
-	key := fmt.Sprintf("%s|%v|%d", spec.Name, algos, neighborhood)
+	key := fmt.Sprintf("%s|%v", spec.Name, algos)
 	if v, ok := envCache.Load(key); ok {
 		return v.(*bench.Env)
 	}
-	env, err := bench.Setup(spec, algos, neighborhood)
+	env, err := bench.Setup(spec, algos)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func BenchmarkTable2_ModelBuild(b *testing.B) {
 		for _, algo := range bench.Algos {
 			b.Run(spec.Name+"/"+algo, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := bench.Setup(spec, []string{algo}, 0); err != nil {
+					if _, err := bench.Setup(spec, []string{algo}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -68,7 +68,7 @@ func BenchmarkTable2_ModelBuild(b *testing.B) {
 // ---- Figs. 6 and 7: query time vs selectivity ----
 
 func benchSelectivity(b *testing.B, spec dataset.Spec) {
-	env := benchEnv(b, spec, []string{"ItemCosCF", "SVD"}, 0)
+	env := benchEnv(b, spec, []string{"ItemCosCF", "SVD"})
 	for _, algo := range []string{"ItemCosCF", "SVD"} {
 		for _, sel := range bench.Selectivities {
 			items := env.SelectivityItems(sel)
@@ -101,7 +101,7 @@ func BenchmarkFig7_Selectivity_Yelp(b *testing.B) {
 // ---- Figs. 8 and 9: join query time ----
 
 func benchJoin(b *testing.B, spec dataset.Spec) {
-	env := benchEnv(b, spec, bench.Algos, 0)
+	env := benchEnv(b, spec, bench.Algos)
 	for _, twoWay := range []bool{false, true} {
 		label := "one-way"
 		if twoWay {
@@ -133,7 +133,7 @@ func BenchmarkFig9_Join_LDOS(b *testing.B) { benchJoin(b, dataset.LDOS) }
 // ---- Figs. 10, 11, 12: top-k with pre-computation ----
 
 func benchTopK(b *testing.B, spec dataset.Spec) {
-	env := benchEnv(b, spec, bench.Algos, 0)
+	env := benchEnv(b, spec, bench.Algos)
 	if err := env.MaterializeQueryUser(bench.Algos); err != nil {
 		b.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func benchForcedScan(b *testing.B, env *bench.Env, name string, query func() err
 }
 
 func BenchmarkAblation_FilterPushdown(b *testing.B) {
-	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"}, 0)
+	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"})
 	items := env.SelectivityItems(0.001)
 	benchForcedScan(b, env, "pushdown", func() error {
 		_, err := env.RecDBSelectivity("ItemCosCF", items)
@@ -196,7 +196,7 @@ func BenchmarkAblation_FilterPushdown(b *testing.B) {
 }
 
 func BenchmarkAblation_JoinRecommend(b *testing.B) {
-	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"}, 0)
+	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"})
 	benchForcedScan(b, env, "joinrecommend", func() error {
 		_, err := env.RecDBJoin("ItemCosCF", false)
 		return err
@@ -204,7 +204,7 @@ func BenchmarkAblation_JoinRecommend(b *testing.B) {
 }
 
 func BenchmarkAblation_RecScoreIndex(b *testing.B) {
-	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"}, 0)
+	env := benchEnv(b, scaled(dataset.MovieLens), []string{"ItemCosCF"})
 	if err := env.MaterializeQueryUser([]string{"ItemCosCF"}); err != nil {
 		b.Fatal(err)
 	}
@@ -214,28 +214,10 @@ func BenchmarkAblation_RecScoreIndex(b *testing.B) {
 	})
 }
 
-func BenchmarkAblation_NeighborhoodSize(b *testing.B) {
-	spec := scaled(dataset.MovieLens)
-	for _, size := range []int{0, 200, 64, 16} {
-		label := fmt.Sprintf("size=%d", size)
-		if size == 0 {
-			label = "size=full"
-		}
-		env := benchEnv(b, spec, []string{"ItemCosCF"}, size)
-		b.Run(label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := env.RecDBTopK("ItemCosCF", 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAblation_HotnessThreshold(b *testing.B) {
 	spec := scaled(dataset.MovieLens)
 	for _, threshold := range []float64{0, 0.5, 1.01} {
-		env, err := bench.Setup(spec, []string{"ItemCosCF"}, 0)
+		env, err := bench.Setup(spec, []string{"ItemCosCF"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,12 +5,11 @@
 //	recdb-bench                      # all experiments at defaults
 //	recdb-bench -exp fig6,fig10      # a subset
 //	recdb-bench -scale 0.25         # scaled-down datasets (quick run)
-//	recdb-bench -neighborhood 0      # full similarity lists (paper setting)
 //	recdb-bench -md                  # Markdown output for EXPERIMENTS.md
 //	recdb-bench -exp ann -json BENCH_ann.json
 //
 // Experiment ids: table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
-// ablations (or individual a1..a5), ann, all. Serving-path throughput and
+// ablations (or individual a1, a2, a3, a5), ann, all. Serving-path throughput and
 // latency are measured by `go run ./benchmark`, not here.
 //
 // Exit codes: 0 when every selected experiment ran, 1 when one failed,
@@ -80,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "comma-separated experiment ids")
 	scale := fs.Float64("scale", 1.0, "dataset scale factor (1.0 = the paper's sizes)")
-	neighborhood := fs.Int("neighborhood", 64, "similarity-list cap (0 = full lists, the paper's setting; 64 keeps full-scale OnTopDB runs tractable)")
 	reps := fs.Int("reps", 3, "repetitions per RecDB-side measurement")
 	md := fs.Bool("md", false, "emit Markdown tables")
 	annScaleList := fs.String("ann-scales", "0.25,1.0", "dataset scale factors for the ann experiment's size axis")
@@ -106,42 +104,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	experiments := []experiment{
-		{"table2", func() (bench.Table, error) { return bench.RunTable2(*scale, *neighborhood) }},
+		{"table2", func() (bench.Table, error) { return bench.RunTable2(*scale) }},
 		{"fig6", func() (bench.Table, error) {
-			return bench.RunSelectivity("Fig. 6", spec(dataset.MovieLens), *neighborhood)
+			return bench.RunSelectivity("Fig. 6", spec(dataset.MovieLens))
 		}},
 		{"fig7", func() (bench.Table, error) {
-			return bench.RunSelectivity("Fig. 7", spec(dataset.Yelp), *neighborhood)
+			return bench.RunSelectivity("Fig. 7", spec(dataset.Yelp))
 		}},
 		{"fig8", func() (bench.Table, error) {
-			return bench.RunJoin("Fig. 8", spec(dataset.MovieLens), *neighborhood)
+			return bench.RunJoin("Fig. 8", spec(dataset.MovieLens))
 		}},
 		{"fig9", func() (bench.Table, error) {
-			return bench.RunJoin("Fig. 9", spec(dataset.LDOS), *neighborhood)
+			return bench.RunJoin("Fig. 9", spec(dataset.LDOS))
 		}},
 		{"fig10", func() (bench.Table, error) {
-			return bench.RunTopK("Fig. 10", spec(dataset.MovieLens), *neighborhood)
+			return bench.RunTopK("Fig. 10", spec(dataset.MovieLens))
 		}},
 		{"fig11", func() (bench.Table, error) {
-			return bench.RunTopK("Fig. 11", spec(dataset.LDOS), *neighborhood)
+			return bench.RunTopK("Fig. 11", spec(dataset.LDOS))
 		}},
 		{"fig12", func() (bench.Table, error) {
-			return bench.RunTopK("Fig. 12", spec(dataset.Yelp), *neighborhood)
+			return bench.RunTopK("Fig. 12", spec(dataset.Yelp))
 		}},
 		{"a1", func() (bench.Table, error) {
-			return bench.RunAblationFilterPushdown(spec(dataset.MovieLens), *neighborhood)
+			return bench.RunAblationFilterPushdown(spec(dataset.MovieLens))
 		}},
 		{"a2", func() (bench.Table, error) {
-			return bench.RunAblationJoinRecommend(spec(dataset.MovieLens), *neighborhood)
+			return bench.RunAblationJoinRecommend(spec(dataset.MovieLens))
 		}},
 		{"a3", func() (bench.Table, error) {
-			return bench.RunAblationRecScoreIndex(spec(dataset.MovieLens), *neighborhood)
-		}},
-		{"a4", func() (bench.Table, error) {
-			return bench.RunAblationNeighborhood(spec(dataset.MovieLens))
+			return bench.RunAblationRecScoreIndex(spec(dataset.MovieLens))
 		}},
 		{"a5", func() (bench.Table, error) {
-			return bench.RunAblationHotness(spec(dataset.MovieLens), *neighborhood)
+			return bench.RunAblationHotness(spec(dataset.MovieLens))
 		}},
 		{"ann", func() (bench.Table, error) {
 			return bench.RunANN(dataset.MovieLens, annScales, 10)

@@ -37,11 +37,10 @@ type Env struct {
 var Algos = []string{"ItemCosCF", "ItemPearCF", "SVD"}
 
 // Setup loads spec into a fresh engine and creates one in-DBMS recommender
-// and one OnTopDB recommender per algorithm. neighborhood truncates
-// similarity lists (0 = full, the paper's setting; a cap like 64 mirrors
-// library defaults and keeps full-scale OnTopDB runs tractable).
-func Setup(spec dataset.Spec, algos []string, neighborhood int) (*Env, error) {
-	opts := rec.BuildOptions{NeighborhoodSize: neighborhood, SVDSeed: 42}
+// and one OnTopDB recommender per algorithm, each over full similarity
+// lists, the paper's setting.
+func Setup(spec dataset.Spec, algos []string) (*Env, error) {
+	opts := rec.BuildOptions{SVDSeed: 42}
 	eng := engine.New(engine.Config{Rec: rec.Options{Build: opts}})
 	d := dataset.Generate(spec)
 	if err := dataset.Load(eng, d); err != nil {

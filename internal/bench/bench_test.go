@@ -11,7 +11,7 @@ import (
 const testScale = 0.08
 
 func TestSetupAndQueries(t *testing.T) {
-	env, err := Setup(dataset.MovieLens.Scaled(testScale), Algos, 0)
+	env, err := Setup(dataset.MovieLens.Scaled(testScale), Algos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSetupAndQueries(t *testing.T) {
 }
 
 func TestJoinAgreement(t *testing.T) {
-	env, err := Setup(dataset.LDOS.Scaled(0.5), Algos, 0)
+	env, err := Setup(dataset.LDOS.Scaled(0.5), Algos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestJoinAgreement(t *testing.T) {
 }
 
 func TestTopKUsesIndexWhenWarm(t *testing.T) {
-	env, err := Setup(dataset.MovieLens.Scaled(testScale), []string{"ItemCosCF"}, 0)
+	env, err := Setup(dataset.MovieLens.Scaled(testScale), []string{"ItemCosCF"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTopKUsesIndexWhenWarm(t *testing.T) {
 }
 
 func TestSelectivityItemsShape(t *testing.T) {
-	env, err := Setup(dataset.LDOS.Scaled(0.5), []string{"ItemCosCF"}, 0)
+	env, err := Setup(dataset.LDOS.Scaled(0.5), []string{"ItemCosCF"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +126,13 @@ func TestExperimentTablesRender(t *testing.T) {
 		name string
 		run  func() (Table, error)
 	}{
-		{"selectivity", func() (Table, error) { return RunSelectivity("Fig. 6", spec, 0) }},
-		{"join", func() (Table, error) { return RunJoin("Fig. 8", spec, 0) }},
-		{"topk", func() (Table, error) { return RunTopK("Fig. 10", spec, 0) }},
-		{"pushdown", func() (Table, error) { return RunAblationFilterPushdown(spec, 0) }},
-		{"joinrec", func() (Table, error) { return RunAblationJoinRecommend(spec, 0) }},
-		{"recindex", func() (Table, error) { return RunAblationRecScoreIndex(spec, 0) }},
-		{"hotness", func() (Table, error) { return RunAblationHotness(spec, 0) }},
+		{"selectivity", func() (Table, error) { return RunSelectivity("Fig. 6", spec) }},
+		{"join", func() (Table, error) { return RunJoin("Fig. 8", spec) }},
+		{"topk", func() (Table, error) { return RunTopK("Fig. 10", spec) }},
+		{"pushdown", func() (Table, error) { return RunAblationFilterPushdown(spec) }},
+		{"joinrec", func() (Table, error) { return RunAblationJoinRecommend(spec) }},
+		{"recindex", func() (Table, error) { return RunAblationRecScoreIndex(spec) }},
+		{"hotness", func() (Table, error) { return RunAblationHotness(spec) }},
 	}
 	for _, c := range checks {
 		tab, err := c.run()
@@ -154,7 +154,7 @@ func TestRunTable2Scaled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab, err := RunTable2(0.1, 0)
+	tab, err := RunTable2(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

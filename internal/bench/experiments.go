@@ -48,7 +48,7 @@ var TopKs = []int{10, 100}
 var Reps = 3
 
 // RunTable2 regenerates Table II: model build time per dataset × algorithm.
-func RunTable2(scale float64, neighborhood int) (Table, error) {
+func RunTable2(scale float64) (Table, error) {
 	t := Table{
 		ID:     "Table II",
 		Title:  "Recommender model building time",
@@ -58,7 +58,7 @@ func RunTable2(scale float64, neighborhood int) (Table, error) {
 		if scale != 1 {
 			spec = spec.Scaled(scale)
 		}
-		env, err := Setup(spec, Algos, neighborhood)
+		env, err := Setup(spec, Algos)
 		if err != nil {
 			return t, err
 		}
@@ -74,13 +74,13 @@ func RunTable2(scale float64, neighborhood int) (Table, error) {
 
 // RunSelectivity regenerates Fig. 6 (MovieLens) or Fig. 7 (Yelp): query
 // time vs selectivity factor for ItemCosCF and SVD, RecDB vs OnTopDB.
-func RunSelectivity(figID string, spec dataset.Spec, neighborhood int) (Table, error) {
+func RunSelectivity(figID string, spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     figID,
 		Title:  fmt.Sprintf("Query time vs selectivity (%s)", spec.Name),
 		Header: []string{"Selectivity", "Algo", "RecDB", "OnTopDB", "speedup"},
 	}
-	env, err := Setup(spec, []string{"ItemCosCF", "SVD"}, neighborhood)
+	env, err := Setup(spec, []string{"ItemCosCF", "SVD"})
 	if err != nil {
 		return t, err
 	}
@@ -113,13 +113,13 @@ func RunSelectivity(figID string, spec dataset.Spec, neighborhood int) (Table, e
 
 // RunJoin regenerates Fig. 8 (MovieLens) or Fig. 9 (LDOS-CoMoDa): join
 // query time per algorithm, one-way and two-way joins, RecDB vs OnTopDB.
-func RunJoin(figID string, spec dataset.Spec, neighborhood int) (Table, error) {
+func RunJoin(figID string, spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     figID,
 		Title:  fmt.Sprintf("Join query time (%s)", spec.Name),
 		Header: []string{"Join", "Algo", "RecDB", "OnTopDB", "speedup"},
 	}
-	env, err := Setup(spec, Algos, neighborhood)
+	env, err := Setup(spec, Algos)
 	if err != nil {
 		return t, err
 	}
@@ -155,13 +155,13 @@ func RunJoin(figID string, spec dataset.Spec, neighborhood int) (Table, error) {
 // RunTopK regenerates Fig. 10 (MovieLens), Fig. 11 (LDOS-CoMoDa), or
 // Fig. 12 (Yelp): top-k recommendation time with the RecScoreIndex warm
 // for RecDB, per algorithm and k, vs OnTopDB.
-func RunTopK(figID string, spec dataset.Spec, neighborhood int) (Table, error) {
+func RunTopK(figID string, spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     figID,
 		Title:  fmt.Sprintf("Top-K recommendation query time (%s)", spec.Name),
 		Header: []string{"K", "Algo", "RecDB", "OnTopDB", "speedup", "RecDB plan"},
 	}
-	env, err := Setup(spec, Algos, neighborhood)
+	env, err := Setup(spec, Algos)
 	if err != nil {
 		return t, err
 	}
@@ -209,13 +209,13 @@ func speedup(rec, top time.Duration) string {
 // list pushed into the RECOMMEND operator (list source, the policy's
 // choice) and with the scan source forced, which scores every item for the
 // user and filters above the operator.
-func RunAblationFilterPushdown(spec dataset.Spec, neighborhood int) (Table, error) {
+func RunAblationFilterPushdown(spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     "Ablation A1",
 		Title:  fmt.Sprintf("FilterRecommend list source vs forced scan source + Filter (%s)", spec.Name),
 		Header: []string{"Selectivity", "list source", "scan forced", "speedup"},
 	}
-	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
+	env, err := Setup(spec, []string{"ItemCosCF"})
 	if err != nil {
 		return t, err
 	}
@@ -247,13 +247,13 @@ func RunAblationFilterPushdown(spec dataset.Spec, neighborhood int) (Table, erro
 // RunAblationJoinRecommend measures the join query with the operator
 // driving the join (outer source, the policy's choice) vs the scan source
 // forced, which leaves a HashJoin above the operator.
-func RunAblationJoinRecommend(spec dataset.Spec, neighborhood int) (Table, error) {
+func RunAblationJoinRecommend(spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     "Ablation A2",
 		Title:  fmt.Sprintf("JoinRecommend outer source vs forced scan source + HashJoin (%s)", spec.Name),
 		Header: []string{"Join", "outer source", "scan forced", "speedup"},
 	}
-	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
+	env, err := Setup(spec, []string{"ItemCosCF"})
 	if err != nil {
 		return t, err
 	}
@@ -286,13 +286,13 @@ func RunAblationJoinRecommend(spec dataset.Spec, neighborhood int) (Table, error
 // RunAblationRecScoreIndex measures top-k from the RecScoreIndex (rectree
 // source, the policy's choice for a materialized user) vs the scan source
 // forced, which predicts online and keeps the k best.
-func RunAblationRecScoreIndex(spec dataset.Spec, neighborhood int) (Table, error) {
+func RunAblationRecScoreIndex(spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     "Ablation A3",
 		Title:  fmt.Sprintf("IndexRecommend rectree source vs forced scan source (%s)", spec.Name),
 		Header: []string{"K", "rectree source", "scan forced", "speedup"},
 	}
-	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
+	env, err := Setup(spec, []string{"ItemCosCF"})
 	if err != nil {
 		return t, err
 	}
@@ -317,35 +317,6 @@ func RunAblationRecScoreIndex(spec dataset.Spec, neighborhood int) (Table, error
 			return t, err
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), dur(on), dur(off), speedup(on, off)})
-	}
-	return t, nil
-}
-
-// RunAblationNeighborhood measures model build and query time across
-// neighborhood-size caps (0 = the paper's full lists).
-func RunAblationNeighborhood(spec dataset.Spec) (Table, error) {
-	t := Table{
-		ID:     "Ablation A4",
-		Title:  fmt.Sprintf("Neighborhood truncation (%s)", spec.Name),
-		Header: []string{"size", "build", "top-10 query"},
-	}
-	for _, size := range []int{0, 200, 64, 16} {
-		env, err := Setup(spec, []string{"ItemCosCF"}, size)
-		if err != nil {
-			return t, err
-		}
-		q, err := TimeN(Reps, func() error {
-			_, _, err := env.RecDBTopK("ItemCosCF", 10)
-			return err
-		})
-		if err != nil {
-			return t, err
-		}
-		label := fmt.Sprintf("%d", size)
-		if size == 0 {
-			label = "full"
-		}
-		t.Rows = append(t.Rows, []string{label, dur(env.BuildTimes["ItemCosCF"]), dur(q)})
 	}
 	return t, nil
 }
@@ -394,13 +365,13 @@ func (e *Env) HotnessPass(threshold float64, users []int64) *reccache.Manager {
 // RecScoreIndex answers, and their latency as median [Q1, Q3]. The last
 // row runs at 1.01: the hottest user's ratio is exactly 1, which 1.00
 // would still admit.
-func RunAblationHotness(spec dataset.Spec, neighborhood int) (Table, error) {
+func RunAblationHotness(spec dataset.Spec) (Table, error) {
 	t := Table{
 		ID:     "Ablation A5",
 		Title:  fmt.Sprintf("HOTNESS-THRESHOLD sweep, Zipf-drawn users (%s)", spec.Name),
 		Header: []string{"threshold", "users cached", "entries stored", "IndexRecommend share", "top-10 median [Q1, Q3]"},
 	}
-	env, err := Setup(spec, []string{"ItemCosCF"}, neighborhood)
+	env, err := Setup(spec, []string{"ItemCosCF"})
 	if err != nil {
 		return t, err
 	}

@@ -7,15 +7,15 @@ import (
 	"recdb/internal/rec"
 )
 
-// benchRatings is a dense-ish synthetic rating set: every user rates
-// about one item in eight, so item-item similarity lists are long.
-func benchRatings(users, items int) []rec.Rating {
+// benchRatings is a synthetic rating set in which every user rates about
+// one item in every: at one in eight, item-item similarity lists are long.
+func benchRatings(users, items, every int) []rec.Rating {
 	state := uint64(42)
 	var out []rec.Rating
 	for u := 1; u <= users; u++ {
 		for i := 1; i <= items; i++ {
 			state = state*6364136223846793005 + 1442695040888963407
-			if (state>>33)%8 == 0 {
+			if (state>>33)%uint64(every) == 0 {
 				out = append(out, rec.Rating{User: int64(u), Item: int64(i), Value: float64(1 + (state>>40)%5)})
 			}
 		}
@@ -23,9 +23,9 @@ func benchRatings(users, items int) []rec.Rating {
 	return out
 }
 
-func benchStore(tb testing.TB, neighborhoodSize int) *rec.ModelStore {
+func benchStore(tb testing.TB, ratings []rec.Rating) *rec.ModelStore {
 	tb.Helper()
-	store, err := rec.Build(benchRatings(150, 300), rec.ItemCosCF, rec.BuildOptions{NeighborhoodSize: neighborhoodSize})
+	store, err := rec.Build(ratings, rec.ItemCosCF, rec.BuildOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,41 +43,34 @@ func filterRecommendTop10(store *rec.ModelStore, user int64) Operator {
 }
 
 // BenchmarkFilterRecommendTop10 times a single-user item-based top-10 over
-// whole similarity lists, scored from the user's side, and over lists cut
-// to 64 entries (recdb-bench's cap), scored item by item.
+// whole similarity lists, scored from the user's side.
 func BenchmarkFilterRecommendTop10(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		size int
-	}{{"lists=full", 0}, {"lists=64", 64}} {
-		b.Run(c.name, func(b *testing.B) {
-			store := benchStore(b, c.size)
-			users := store.UserIDs()
-			plans := make([]Operator, len(users))
-			for i, u := range users {
-				plans[i] = filterRecommendTop10(store, u)
+	b.Run("lists=full", func(b *testing.B) {
+		store := benchStore(b, benchRatings(150, 300, 8))
+		users := store.UserIDs()
+		plans := make([]Operator, len(users))
+		for i, u := range users {
+			plans[i] = filterRecommendTop10(store, u)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rows, err := Collect(plans[i%len(plans)])
+			if err != nil || len(rows) != 10 {
+				b.Fatalf("top-10: %d rows, %v", len(rows), err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := Collect(plans[i%len(plans)])
-				if err != nil || len(rows) != 10 {
-					b.Fatalf("top-10: %d rows, %v", len(rows), err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestFilterRecommendTop10Allocs: a single-user item-based top-10 reads
-// every similarity list it needs once, item-driven over truncated lists and
-// user-driven over whole ones, so what it allocates — in count and in
-// bytes — is set by the number of candidate items (output rows, one
-// accumulator per item), not by how many neighbour rows it reads: a model
-// with 30x the rows must stay inside the same budget.
+// every similarity list it needs once, so what it allocates — in count
+// and in bytes — is set by the number of candidate items (output rows, one
+// accumulator per item), not by how many neighbour rows it reads: over the
+// same items, a model with 30x the rows must stay inside the same budget.
 func TestFilterRecommendTop10Allocs(t *testing.T) {
-	measure := func(neighborhoodSize int) (allocs, bytes float64, neighborRows int64, items int) {
-		store := benchStore(t, neighborhoodSize)
+	measure := func(ratings []rec.Rating) (allocs, bytes float64, neighborRows int64, items int) {
+		store := benchStore(t, ratings)
 		plan := filterRecommendTop10(store, store.UserIDs()[0])
 		run := func() {
 			if rows, err := Collect(plan); err != nil || len(rows) != 10 {
@@ -98,10 +91,10 @@ func TestFilterRecommendTop10Allocs(t *testing.T) {
 		}
 		return allocs, bytes, neighborRows, len(store.ItemIDs())
 	}
-	small, smallBytes, smallRows, items := measure(5)
-	full, fullBytes, fullRows, _ := measure(0)
-	if fullRows < 30*smallRows {
-		t.Fatalf("fixture: %d vs %d neighbour rows", fullRows, smallRows)
+	small, smallBytes, smallRows, items := measure(benchRatings(2400, 300, 300))
+	full, fullBytes, fullRows, denseItems := measure(benchRatings(150, 300, 8))
+	if items != denseItems || fullRows < 30*smallRows {
+		t.Fatalf("fixture: %d vs %d items, %d vs %d neighbour rows", denseItems, items, fullRows, smallRows)
 	}
 	budget := float64(6*items + 64)
 	if small > budget || full > budget {

@@ -123,16 +123,19 @@ func (c *Client) Query(recommender, selectSQL string) (*engine.QueryResult, erro
 		return nil, err
 	}
 
-	// Step 2: generate recommendations in application memory.
+	// Step 2: generate recommendations in application memory, one user at
+	// a time, for every item the user has not rated.
 	users := r.model.UserIDs()
 	items := r.model.ItemIDs()
 	scores := make([]rec.Rating, 0, len(users)*len(items)/2)
+	sc := r.model.Scorer(len(items))
 	for _, u := range users {
+		sc.ForUser(u)
 		for _, i := range items {
-			if _, rated := r.model.Seen(u, i); rated {
+			if _, rated := sc.Rated(i); rated {
 				continue
 			}
-			s, ok := r.model.Predict(u, i)
+			s, ok := sc.Score(i)
 			if !ok {
 				s = 0
 			}

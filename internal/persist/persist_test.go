@@ -183,24 +183,34 @@ func TestCorruptRowsFile(t *testing.T) {
 	}
 }
 
+// TestLoadAppliesConfig: a loaded recommender is rebuilt with the loading
+// engine's build options, not the saving engine's: the SVD factor count
+// read back from the model is the one Load was given.
 func TestLoadAppliesConfig(t *testing.T) {
 	src := buildSource(t)
+	if _, err := src.Exec(`CREATE RECOMMENDER SavedSVD ON ratings
+		USERS FROM uid ITEMS FROM iid RATINGS FROM ratingval USING SVD`); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if _, err := Save(fault.OS, src, dir, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	dst, _, err := Load(fault.OS, dir, engine.Config{Rec: rec.Options{Build: rec.BuildOptions{NeighborhoodSize: 1}}})
+	dst, _, err := Load(fault.OS, dir, engine.Config{Rec: rec.Options{Build: rec.BuildOptions{SVDFactors: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := dst.Recommenders().Get("SavedRec")
+	r, ok := dst.Recommenders().Get("SavedSVD")
 	if !ok {
 		t.Fatal("recommender missing after load")
 	}
-	// With neighborhood size 1, every similarity list has at most 1 entry.
-	for _, i := range r.Store().ItemIDs() {
-		if neigh := r.Store().ItemNeighbors(i); len(neigh) > 1 {
-			t.Fatalf("config not applied: item %d has %d neighbors", i, len(neigh))
+	items := r.Store().ItemIDs()
+	if len(items) == 0 {
+		t.Fatal("loaded model has no items")
+	}
+	for _, i := range items {
+		if f := r.Store().ItemFactors(i); len(f) != 3 {
+			t.Fatalf("config not applied: item %d has %d factors, want 3", i, len(f))
 		}
 	}
 }

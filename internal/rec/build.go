@@ -22,9 +22,6 @@ type Neighbor struct {
 
 // BuildOptions tunes model construction.
 type BuildOptions struct {
-	// NeighborhoodSize truncates each similarity list to the top-N most
-	// similar entries; 0 keeps the full list (the paper's default).
-	NeighborhoodSize int
 	// SVD hyperparameters (used only by the SVD algorithm).
 	SVDFactors int     // latent factor count (default 10)
 	SVDEpochs  int     // SGD passes over the ratings (default 20)
@@ -175,8 +172,8 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 // algorithm (Step I of §II; Equation 1 for cosine), keyed by the entity
 // (item for item-based, user for user-based), each in ascending id order.
 // For Pearson variants the vectors are mean-centered per entity before the
-// cosine, the classic adjusted formulation. cut says NeighborhoodSize
-// truncated at least one list (ModelStore.symmetric).
+// cosine, the classic adjusted formulation. Every list is whole, as in
+// the paper, so the item lists are their own transpose (see Scorer).
 //
 // The lists are accumulated row by row (Gustavson's sparse product): the
 // entity's row of the similarity matrix is the sum, over its dimensions in
@@ -188,13 +185,11 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 // them or, when a row touches so many of the ne entities that sorting
 // costs more, by walking the accumulator's marks. Sorting t positions
 // costs about three times as much per t·log₂t step as the walk costs per
-// mark, so the marks are walked once 3·t·log₂t ≥ ne. A
-// truncated list keeps its NeighborhoodSize strongest entries
-// (strongerFirst), still in id order. The entities are split into
-// one contiguous range per worker; each list is owned by the worker that
-// owns its entity and is computed in full by it, so the model is
-// bit-identical at any worker count.
-func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions, workers int) (neighbors map[int64][]Neighbor, cut bool) {
+// mark, so the marks are walked once 3·t·log₂t ≥ ne. The entities are
+// split into one contiguous range per worker; each list is owned by the
+// worker that owns its entity and is computed in full by it, so the model
+// is bit-identical at any worker count.
+func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64][]Neighbor {
 	// For item-based models the "entities" are items and the shared
 	// dimension is users; user-based swaps the roles. The index holds the
 	// ratings as CSR both ways: by dimension (dimOff/dimEnt: for each
@@ -244,8 +239,7 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions, work
 	// touched the positions it holds a sum for, so clearing it costs the
 	// list's length, not ne.
 	lists := make([][]Neighbor, ne)
-	cutBy := make([]bool, workers) // written by worker w only
-	ann.RunChunks(workers, ne, func(w, lo, hi int) {
+	ann.RunChunks(workers, ne, func(_, lo, hi int) {
 		dots := make([]float64, ne)
 		in := make([]bool, ne)
 		var touched []int32
@@ -267,20 +261,15 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions, work
 			}
 			// Ascending positions give the list in id order: the marks over
 			// [0, ne) are walked when that costs less than sorting the t
-			// touched positions. A list that may be cut is ranked instead,
-			// and put in id order after the cut.
-			mayCut := opts.NeighborhoodSize > 0 && len(touched) > opts.NeighborhoodSize
-			switch t := len(touched); {
-			case mayCut:
-				// ranked below
-			case 3*t*bits.Len(uint(t)) >= ne:
+			// touched positions.
+			if t := len(touched); 3*t*bits.Len(uint(t)) >= ne {
 				touched = touched[:0]
 				for pb, marked := range in {
 					if marked {
 						touched = append(touched, int32(pb))
 					}
 				}
-			default:
+			} else {
 				slices.Sort(touched)
 			}
 			list := make([]Neighbor, 0, len(touched))
@@ -293,25 +282,17 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, opts BuildOptions, work
 				}
 				list = append(list, Neighbor{ID: entities[pb], Sim: dot / (na * nb)})
 			}
-			if mayCut {
-				if len(list) > opts.NeighborhoodSize {
-					slices.SortFunc(list, strongerFirst)
-					list = list[:opts.NeighborhoodSize]
-					cutBy[w] = true
-				}
-				slices.SortFunc(list, func(a, b Neighbor) int { return cmp.Compare(a.ID, b.ID) })
-			}
 			lists[pe] = list
 		}
 	})
 
-	neighbors = make(map[int64][]Neighbor, ne)
+	neighbors := make(map[int64][]Neighbor, ne)
 	for pe, list := range lists {
 		if len(list) > 0 {
 			neighbors[entities[pe]] = list
 		}
 	}
-	return neighbors, slices.Contains(cutBy, true)
+	return neighbors
 }
 
 // values returns a copy of the values of rows.
@@ -321,18 +302,6 @@ func values(rows []Neighbor) []float64 {
 		out[x] = r.Sim
 	}
 	return out
-}
-
-// strongerFirst ranks a list's entries for truncation: descending |sim|,
-// then ascending id. It is total over one list, whose ids are distinct.
-func strongerFirst(a, b Neighbor) int {
-	if sa, sb := math.Abs(a.Sim), math.Abs(b.Sim); sa != sb {
-		if sa > sb {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.ID, b.ID)
 }
 
 // PredictWeighted evaluates Equation 2 given a similarity list and the
@@ -528,10 +497,9 @@ func build(ratings []Rating, algo Algorithm, opts BuildOptions, workers int) (*M
 	s := &ModelStore{Algo: algo, ratings: indexRatings(ratings)}
 	switch {
 	case algo.ItemBased():
-		lists, cut := neighborhoodLists(s.ratings, algo, opts, workers)
-		s.itemLists, s.symmetric = lists, !cut
+		s.itemLists = neighborhoodLists(s.ratings, algo, workers)
 	case algo.UserBased():
-		s.userLists, _ = neighborhoodLists(s.ratings, algo, opts, workers)
+		s.userLists = neighborhoodLists(s.ratings, algo, workers)
 	case algo == SVD:
 		var ivf *ann.Index
 		s.userVecs, s.itemVecs, ivf = trainSVD(s.ratings, opts, workers)

@@ -184,22 +184,6 @@ func TestUserBasedModel(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodTruncation(t *testing.T) {
-	ratings := paperRatings()
-	full, _ := Build(ratings, ItemCosCF, BuildOptions{})
-	trunc, _ := Build(ratings, ItemCosCF, BuildOptions{NeighborhoodSize: 1})
-	if len(full.ItemNeighbors(1)) < 2 {
-		t.Skip("need at least 2 neighbors for this test")
-	}
-	if len(trunc.ItemNeighbors(1)) != 1 {
-		t.Fatalf("truncated list has %d entries", len(trunc.ItemNeighbors(1)))
-	}
-	// Truncation keeps the highest-|sim| neighbor.
-	if trunc.ItemNeighbors(1)[0].ID != slices.MinFunc(full.ItemNeighbors(1), strongerFirst).ID {
-		t.Error("truncation should keep the top neighbor")
-	}
-}
-
 func TestBuildRejectsWrongAlgorithm(t *testing.T) {
 	if _, err := Build(paperRatings(), Algorithm(99), BuildOptions{}); err == nil {
 		t.Error("Build(Algorithm(99)) should fail")

@@ -17,8 +17,8 @@ import (
 // whose lower entity position is ≡ w mod workers into a map keyed by the
 // pair, summing over the shared dimensions in ascending order; a merge then
 // hands each pair's one similarity to both its entities' lists, which are
-// sorted on (|sim| desc, id asc), truncated, and put in id order.
-func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions, workers int) (map[int64][]Neighbor, bool) {
+// then put in id order.
+func pairNeighborhood(ratings []Rating, algo Algorithm, workers int) map[int64][]Neighbor {
 	byUser, byItem, users, items := refIndex(ratings)
 	var vectors, shared map[int64]map[int64]float64
 	var entities, dims []int64
@@ -115,26 +115,14 @@ func pairNeighborhood(ratings []Rating, algo Algorithm, opts BuildOptions, worke
 			lists[pb] = append(lists[pb], Neighbor{ID: entities[pa], Sim: sim})
 		}
 	}
-	cut := false
 	neighbors := make(map[int64][]Neighbor, ne)
 	for pe, list := range lists {
-		sort.Slice(list, func(i, j int) bool {
-			ai, aj := math.Abs(list[i].Sim), math.Abs(list[j].Sim)
-			if ai != aj {
-				return ai > aj
-			}
-			return list[i].ID < list[j].ID
-		})
-		if opts.NeighborhoodSize > 0 && len(list) > opts.NeighborhoodSize {
-			list = list[:opts.NeighborhoodSize]
-			cut = true
-		}
 		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
 		if len(list) > 0 {
 			neighbors[entities[pe]] = list
 		}
 	}
-	return neighbors, cut
+	return neighbors
 }
 
 // refIndex is the reference's own view of the input, independent of
@@ -161,9 +149,9 @@ func refIndex(ratings []Rating) (byUser, byItem map[int64]map[int64]float64, use
 
 // TestNeighborhoodMatchesPairReference: the row-wise kernel builds, bit
 // for bit, the lists the pair-map kernel builds — every list, every id in
-// order, every similarity's float64 bits, and whether a list was cut — for
-// all four neighbourhood algorithms, whole and truncated lists, and any
-// worker count.
+// order, every similarity's float64 bits — for all four neighbourhood
+// algorithms and any worker count; and every model it builds is its own
+// transpose, which the Scorer's user-driven side relies on.
 func TestNeighborhoodMatchesPairReference(t *testing.T) {
 	fixtures := []struct {
 		name    string
@@ -179,25 +167,40 @@ func TestNeighborhoodMatchesPairReference(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
 			ratings := fx.ratings(algo)
-			for _, size := range []int{0, 3, 7} {
-				want, wantCut := pairNeighborhood(ratings, algo, BuildOptions{NeighborhoodSize: size}, 1)
-				for _, workers := range []int{1, 2, 4} {
-					name := fmt.Sprintf("%s/%v/top%d/workers=%d", fx.name, algo, size, workers)
-					lists, cut := neighborhoodLists(indexRatings(ratings), algo, BuildOptions{NeighborhoodSize: size}.withDefaults(), workers)
-					if cut != wantCut {
-						t.Fatalf("%s: cut = %v, reference %v", name, cut, wantCut)
-					}
-					if len(lists) != len(want) {
-						t.Fatalf("%s: %d lists, reference %d", name, len(lists), len(want))
-					}
-					for e, w := range want {
-						if !slices.EqualFunc(lists[e], w, sameNeighbor) {
-							t.Fatalf("%s: list of %d differs:\n got %v\nwant %v", name, e, lists[e], w)
-						}
+			want := pairNeighborhood(ratings, algo, 1)
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s/%v/workers=%d", fx.name, algo, workers)
+				lists := neighborhoodLists(indexRatings(ratings), algo, workers)
+				if len(lists) != len(want) {
+					t.Fatalf("%s: %d lists, reference %d", name, len(lists), len(want))
+				}
+				for e, w := range want {
+					if !slices.EqualFunc(lists[e], w, sameNeighbor) {
+						t.Fatalf("%s: list of %d differs:\n got %v\nwant %v", name, e, lists[e], w)
 					}
 				}
+				assertOwnTranspose(t, name, lists)
 			}
 		}
+	}
+}
+
+// assertOwnTranspose fails unless j is in i's list exactly when i is in
+// j's, with the same similarity bits both ways.
+func assertOwnTranspose(t *testing.T, name string, lists map[int64][]Neighbor) {
+	t.Helper()
+	pairs := 0
+	for i, list := range lists {
+		for _, n := range list {
+			back, ok := ValueOf(lists[n.ID], i)
+			if !ok || math.Float64bits(back) != math.Float64bits(n.Sim) {
+				t.Fatalf("%s: sim(%d, %d) = %v, but %d's list gives %v (present %v)", name, i, n.ID, n.Sim, n.ID, back, ok)
+			}
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		t.Fatalf("%s: fixture built no pairs", name)
 	}
 }
 

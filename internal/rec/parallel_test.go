@@ -31,12 +31,12 @@ func equivalenceRatings() []Rating {
 func TestNeighborhoodParallelEquivalence(t *testing.T) {
 	ratings := equivalenceRatings()
 	for _, algo := range []Algorithm{ItemCosCF, ItemPearCF, UserCosCF, UserPearCF} {
-		serial, err := build(ratings, algo, BuildOptions{NeighborhoodSize: 10}, 1)
+		serial, err := build(ratings, algo, BuildOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 1000} {
-			parallel, err := build(ratings, algo, BuildOptions{NeighborhoodSize: 10}, workers)
+			parallel, err := build(ratings, algo, BuildOptions{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,12 +14,17 @@ package rec
 // one run per candidate. User-driven, ForUser walks the run of each item j
 // the user rated, in ascending j, and adds sim(i, j)·r_j into every i's
 // accumulator, so Score is an array read — one run per rated item. The
-// second reads j's run for i's terms, which is exact only while every list
-// is whole (the store is symmetric); ForUser takes it when that holds and
-// the scan has more candidates than the user has ratings, of which there
-// is at least one: a user with none has no score on either side, and the
-// user-driven side would allocate and clear an item-sized accumulator
-// to say so.
+// second reads j's run for i's terms, which is exact because the item
+// lists are their own transpose: every list is whole, so j is in i's list
+// with similarity s exactly when i is in j's list with the same s, bit for
+// bit. neighborhoodLists computes the pair (i, j) once from each side, and
+// the two sides form the same dot product — the same products, since IEEE
+// multiplication commutes, summed over the shared dimensions in the same
+// ascending order — and divide it by the same two norms, also multiplied
+// in swapped order. ForUser takes the user-driven side when the scan has
+// more candidates than the user has ratings, of which there is at least
+// one: a user with none has no score on either side, and the user-driven
+// side would allocate and clear an item-sized accumulator to say so.
 //
 // Every run and factor vector the Scorer reads is the model's own, which
 // every scan of the model version shares, so the Scorer keeps no model
@@ -46,7 +51,7 @@ func (s *ModelStore) Scorer(candidates int) *Scorer {
 // ForUser makes u the user Score and Rated answer for.
 func (sc *Scorer) ForUser(u int64) {
 	sc.seen = sc.store.UserItems(u)
-	sc.userDriven = sc.store.symmetric && len(sc.seen) > 0 && sc.candidates > len(sc.seen)
+	sc.userDriven = sc.store.Algo.ItemBased() && len(sc.seen) > 0 && sc.candidates > len(sc.seen)
 	switch {
 	case sc.userDriven:
 		sc.scoreFromUser()

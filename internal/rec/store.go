@@ -47,16 +47,6 @@ type ModelStore struct {
 	scores             map[int64]float64   // Popularity item scores
 
 	itemPos posTable // item id → its position in ItemIDs
-
-	// symmetric says the item lists are their own transpose: no list was
-	// truncated, so j is in i's list with similarity s exactly when i is
-	// in j's list with the same s, bit for bit. neighborhoodLists computes
-	// the pair (i, j) once from each side, and the two sides form the same
-	// dot product — the same products, since IEEE multiplication
-	// commutes, summed over the shared dimensions in the same ascending
-	// order — and divide it by the same two norms, also multiplied in
-	// swapped order. The Scorer's user-driven side depends on it.
-	symmetric bool
 }
 
 // prefixFor builds the reserved relation-name prefix for a recommender.

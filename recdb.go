@@ -69,13 +69,6 @@ func WithPoolPages(n int) Option {
 	return func(c *engine.Config) { c.PoolPages = n }
 }
 
-// WithNeighborhoodSize truncates similarity lists to the top-N most
-// similar entries (0 keeps full lists, the paper's default). Smaller
-// neighborhoods trade a little accuracy for much faster prediction.
-func WithNeighborhoodSize(n int) Option {
-	return func(c *engine.Config) { c.Rec.Build.NeighborhoodSize = n }
-}
-
 // WithSVD sets the matrix-factorization hyperparameters (factor count,
 // SGD epochs, learning rate, and the regularization λ of Equation 3).
 func WithSVD(factors, epochs int, rate, lambda float64) Option {

@@ -355,7 +355,6 @@ func TestHotnessThresholdZeroAdmitsEveryPair(t *testing.T) {
 func TestOptionsApply(t *testing.T) {
 	db := Open(
 		WithPoolPages(64),
-		WithNeighborhoodSize(10),
 		WithSVD(4, 5, 0.02, 0.1),
 		WithRebuildThresholdPct(50),
 		WithHotnessThreshold(0.9),

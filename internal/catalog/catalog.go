@@ -6,6 +6,7 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -369,8 +370,8 @@ func (t *Table) newIndexLocked(name, column string) (*Index, string, error) {
 // will be cut from; finish supplies the RIDs and builds the tree bottom-up
 // (btree.Load). A column that arrived non-decreasing is already in key
 // order (value, page, slot), which add notices as the values go by; only a
-// column that did not is sorted, stably by value, which keeps equal values
-// in RID order.
+// column that did not is sorted by (value, input position), which keeps
+// equal values in RID order.
 type indexRun struct {
 	idx    *Index
 	keys   types.Row // the keys so far, back to back, RID fields still zero
@@ -409,7 +410,9 @@ func (r *indexRun) finish(rids []storage.RID) error {
 		for i := range order {
 			order[i] = i
 		}
-		slices.SortStableFunc(order, func(a, b int) int { return btree.CompareValues(keys[a*w], keys[b*w]) })
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(btree.CompareValues(keys[a*w], keys[b*w]), cmp.Compare(a, b))
+		})
 		keys = make(types.Row, 0, len(r.keys))
 		inOrder := make([]storage.RID, len(rids))
 		for i, o := range order {

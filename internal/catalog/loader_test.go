@@ -151,6 +151,42 @@ func TestCreateIndexMatchesPerRow(t *testing.T) {
 	sameTable(t, got, want)
 }
 
+// TestCreateIndexKeepsEqualKeysInRIDOrder: CREATE INDEX over a few
+// thousand rows whose column arrives unsorted, with few distinct values,
+// gives each value's entries in insertion order — ascending RID — as the
+// per-row index orders them.
+func TestCreateIndexKeepsEqualKeysInRIDOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tab, err := New(nil, 0).CreateTable("t", mixedSchema(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := map[int64][]storage.RID{}
+	for i := 0; i < 4000; i++ {
+		grp := int64(rng.Intn(5))
+		rid, err := tab.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(grp), types.NewText("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted[grp] = append(inserted[grp], rid)
+	}
+	idx, err := tab.CreateIndex("t_grp", "grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[int64][]storage.RID{}
+	idx.Tree.Ascend(nil, func(k types.Row, v any) bool {
+		got[k[0].Int()] = append(got[k[0].Int()], v.(storage.RID))
+		return true
+	})
+	if !reflect.DeepEqual(got, inserted) {
+		t.Fatal("equal keys are not in insertion order")
+	}
+}
+
 // TestLoaderMatchesPerRow: a table bulk-loaded with a primary key and two
 // secondary indexes — none of whose columns arrive in order — has the heap,
 // the RIDs and the indexes of the per-row reference.

@@ -322,28 +322,31 @@ func (r *Recommend) Close() error {
 
 // offer runs one candidate item of the current user through the tail.
 // known says score is the source's own (a RecTree entry, an IVF dot
-// product); otherwise the scorer predicts it.
+// product); otherwise the scorer predicts it. A row is made here only for
+// RatingPred or the outer join; the rows the bounded top-k keeps are made
+// when it drains.
 func (r *Recommend) offer(item int64, score float64, known bool) error {
 	if r.scorer != nil {
-		if actual, rated := r.scorer.Rated(item); rated {
-			if !r.IncludeSeen {
-				return nil
-			}
-			score, known = actual, true
+		var v float64
+		var rated bool
+		if known {
+			v, rated = r.scorer.Rated(item)
+		} else {
+			v, rated = r.scorer.Candidate(item)
 		}
-	}
-	if !known {
-		s, ok := r.scorer.Score(item)
-		if !ok {
-			s = 0 // Algorithm 1 line 14
+		if rated && !r.IncludeSeen {
+			return nil
 		}
-		score = s
+		if rated || !known {
+			score = v
+		}
 	}
 	if r.full() && score <= r.top[0].score {
 		return nil // cannot displace the K-th row: later rows lose ties
 	}
-	row := types.Row{types.NewInt(r.user), types.NewInt(item), types.NewFloat(score)}
+	var row types.Row
 	if r.RatingPred != nil {
+		row = r.row(item, score)
 		v, err := r.RatingPred(row)
 		if err != nil {
 			return err
@@ -353,20 +356,30 @@ func (r *Recommend) offer(item int64, score float64, known bool) error {
 		}
 	}
 	if r.outerRows == nil {
-		r.emit(score, row)
+		r.emit(score, item, row)
 		return nil
 	}
+	if row == nil {
+		row = r.row(item, score)
+	}
 	for _, outer := range r.outerRows[item] {
-		r.emit(score, row.Concat(outer))
+		r.emit(score, item, row.Concat(outer))
 	}
 	return nil
 }
 
-// ranked is one row held by the bounded top-k, with the emission sequence
-// number that orders equal scores.
+// row makes the current user's bare 〈uid, iid, ratingval〉 row.
+func (r *Recommend) row(item int64, score float64) types.Row {
+	return types.Row{types.NewInt(r.user), types.NewInt(item), types.NewFloat(score)}
+}
+
+// ranked is one candidate held by the bounded top-k, with the emission
+// sequence number that orders equal scores; row is nil until drainTop
+// makes it, unless offer already had to.
 type ranked struct {
 	score float64
 	seq   int
+	item  int64
 	row   types.Row
 }
 
@@ -379,15 +392,19 @@ func (a ranked) below(b ranked) bool {
 // full reports whether the current user's heap already holds K rows.
 func (r *Recommend) full() bool { return r.K > 0 && int64(len(r.top)) == r.K }
 
-// emit hands one finished row to the output: through the bounded heap
-// under K, directly without it — and directly for RecTree entries, which
-// arrive in their final order.
-func (r *Recommend) emit(score float64, row types.Row) {
+// emit hands one finished candidate to the output: through the bounded
+// heap under K, directly without it — and directly for RecTree entries,
+// which arrive in their final order. row is the candidate's row, nil when
+// offer made none.
+func (r *Recommend) emit(score float64, item int64, row types.Row) {
 	if r.K <= 0 || r.Index != nil {
+		if row == nil {
+			row = r.row(item, score)
+		}
 		r.out = append(r.out, row)
 		return
 	}
-	e := ranked{score: score, seq: r.seq, row: row}
+	e := ranked{score: score, seq: r.seq, item: item, row: row}
 	r.seq++
 	h := r.top
 	if !r.full() {
@@ -423,6 +440,8 @@ func (r *Recommend) emit(score float64, row types.Row) {
 }
 
 // drainTop moves the finished user's top-k rows to the output, best first.
+// The rows offer did not make are made here, their values in one
+// allocation, each row clipped so that an append copies it.
 func (r *Recommend) drainTop() {
 	slices.SortFunc(r.top, func(a, b ranked) int {
 		if c := cmp.Compare(b.score, a.score); c != 0 {
@@ -430,7 +449,16 @@ func (r *Recommend) drainTop() {
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
+	var vals []types.Value
 	for _, e := range r.top {
+		if e.row == nil {
+			if vals == nil {
+				vals = make([]types.Value, 0, 3*len(r.top))
+			}
+			n := len(vals)
+			vals = append(vals, types.NewInt(r.user), types.NewInt(e.item), types.NewFloat(e.score))
+			e.row = vals[n:len(vals):len(vals)]
+		}
 		r.out = append(r.out, e.row)
 	}
 	r.top = r.top[:0]

@@ -104,6 +104,22 @@ func Compile(e sql.Expr, schema *types.Schema) (Compiled, error) {
 			}
 		}
 		neg := v.Negate
+		if set, ok := constantSet(v.List, list); ok {
+			return func(row types.Row) (types.Value, error) {
+				val, err := x(row)
+				switch {
+				case err != nil:
+					return types.Null(), err
+				case val.IsNull():
+					return types.Null(), nil
+				case set.has(val):
+					return types.NewBool(!neg), nil
+				case set.null:
+					return types.Null(), nil
+				}
+				return types.NewBool(neg), nil
+			}, nil
+		}
 		return func(row types.Row) (types.Value, error) {
 			val, err := x(row)
 			if err != nil {
@@ -247,6 +263,71 @@ func Compile(e sql.Expr, schema *types.Schema) (Compiled, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("expr: unsupported expression node %T", e)
+}
+
+// valueSet is an IN list of constants, hashed once at compile time so a
+// row probes it in O(1) instead of comparing against every item. A probe
+// is in the set when types.Equal finds it equal to a member, as the
+// item-by-item loop would: Hash agrees with Equal across the numeric kinds
+// and a bucket is rechecked with Equal, and Equal's NaN, which compares
+// equal to every number, is answered by the two flags.
+type valueSet struct {
+	buckets map[uint64][]types.Value
+	null    bool // a member is NULL: a miss is NULL, not false
+	nan     bool // a member is NaN, equal to every numeric probe
+	numeric bool // a member is a number, equal to a NaN probe
+}
+
+// constantSet returns the set of an IN list whose items are all
+// constants — literals, or negated literals — given the list compiled;
+// false when an item reads the row or does not evaluate.
+func constantSet(items []sql.Expr, compiled []Compiled) (*valueSet, bool) {
+	set := &valueSet{buckets: make(map[uint64][]types.Value, len(items))}
+	for i, item := range items {
+		if !isConstant(item) {
+			return nil, false
+		}
+		c, err := compiled[i](nil)
+		if err != nil {
+			return nil, false
+		}
+		if c.IsNull() {
+			set.null = true
+			continue
+		}
+		if f, ok := c.AsFloat(); ok {
+			set.numeric = true
+			set.nan = set.nan || math.IsNaN(f)
+		}
+		h := c.Hash()
+		set.buckets[h] = append(set.buckets[h], c)
+	}
+	return set, true
+}
+
+// isConstant reports whether e reads nothing from the row: a literal, or
+// a negated constant.
+func isConstant(e sql.Expr) bool {
+	switch v := e.(type) {
+	case *sql.Literal:
+		return true
+	case *sql.Unary:
+		return v.Op == "-" && isConstant(v.X)
+	}
+	return false
+}
+
+// has reports whether v, not NULL, equals a member of the set.
+func (s *valueSet) has(v types.Value) bool {
+	if f, ok := v.AsFloat(); ok && (s.nan || (s.numeric && math.IsNaN(f))) {
+		return true
+	}
+	for _, c := range s.buckets[v.Hash()] {
+		if types.Equal(v, c) {
+			return true
+		}
+	}
+	return false
 }
 
 func compileBinary(op sql.BinaryOp, l, r Compiled) (Compiled, error) {

@@ -156,6 +156,92 @@ func TestInList(t *testing.T) {
 	}
 }
 
+// TestConstantInMatchesLoop is a differential test of an IN list of
+// constants, which is hashed once at compile time, against the
+// item-by-item loop that a list reading the row keeps. The same values
+// are given once as literals and once as columns of the row, over random
+// lists and probes of ints, integral and non-integral floats, NaN, text
+// and NULL, with IN and NOT IN: the two must give the same value, NULL
+// included, every time.
+func TestConstantInMatchesLoop(t *testing.T) {
+	rng := uint64(3)
+	next := func(n uint64) uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return (rng >> 33) % n
+	}
+	value := func() types.Value {
+		k := int64(next(7)) - 3
+		switch next(9) {
+		case 0:
+			return types.NewInt(k)
+		case 1:
+			return types.NewFloat(float64(k))
+		case 2:
+			return types.NewFloat(float64(k) + 0.5)
+		case 3:
+			return types.NewText(strings.Repeat("a", int(k+3)))
+		case 4:
+			return types.Null()
+		case 5:
+			return types.NewInt(1<<53 + k)
+		case 6:
+			return types.NewFloat(float64(1<<53 + k))
+		case 7:
+			if next(8) == 0 {
+				return types.NewFloat(math.NaN())
+			}
+			return types.NewBool(k > 0)
+		}
+		return types.NewInt(-k)
+	}
+	sawNull, sawTrue, sawFalse := 0, 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + int(next(8))
+		cols := []types.Column{{Name: "x"}}
+		row := types.Row{value()}
+		literals := make([]sql.Expr, n)
+		refs := make([]sql.Expr, n)
+		for i := range literals {
+			v := value()
+			cols = append(cols, types.Column{Name: "c" + strings.Repeat("i", i)})
+			row = append(row, v)
+			literals[i] = &sql.Literal{Value: v}
+			if k, ok := v.AsInt(); ok && v.Kind() == types.KindInt && k < 0 {
+				literals[i] = &sql.Unary{Op: "-", X: &sql.Literal{Value: types.NewInt(-k)}}
+			}
+			refs[i] = &sql.ColumnRef{Name: cols[i+1].Name}
+		}
+		schema := types.NewSchema(cols...)
+		for _, negate := range []bool{false, true} {
+			x := &sql.ColumnRef{Name: "x"}
+			set, err := Compile(&sql.In{X: x, List: literals, Negate: negate}, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop, err := Compile(&sql.In{X: x, List: refs, Negate: negate}, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err1 := set(row)
+			want, err2 := loop(row)
+			if err1 != nil || err2 != nil || got.Kind() != want.Kind() || (!got.IsNull() && got.Bool() != want.Bool()) {
+				t.Fatalf("%v IN %v (negate %v): set %v %v, loop %v %v", row[0], row[1:], negate, got, err1, want, err2)
+			}
+			switch {
+			case got.IsNull():
+				sawNull++
+			case got.Bool():
+				sawTrue++
+			default:
+				sawFalse++
+			}
+		}
+	}
+	if sawNull == 0 || sawTrue == 0 || sawFalse == 0 {
+		t.Fatalf("fixture: %d NULL, %d true, %d false", sawNull, sawTrue, sawFalse)
+	}
+}
+
 func TestFunctions(t *testing.T) {
 	s, r := testSchema(), testRow()
 	cases := map[string]bool{

@@ -132,12 +132,9 @@ func (c *Client) Query(recommender, selectSQL string) (*engine.QueryResult, erro
 	for _, u := range users {
 		sc.ForUser(u)
 		for _, i := range items {
-			if _, rated := sc.Rated(i); rated {
+			s, rated := sc.Candidate(i)
+			if rated {
 				continue
-			}
-			s, ok := sc.Score(i)
-			if !ok {
-				s = 0
 			}
 			scores = append(scores, rec.Rating{User: u, Item: i, Value: s})
 		}

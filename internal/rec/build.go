@@ -66,8 +66,15 @@ type runSet struct {
 	at   []int32
 }
 
+// built reports whether the set holds runs: the zero runSet is the
+// similarity lists of a model that has none.
+func (s runSet) built() bool { return s.off != nil }
+
 // run returns run p, clipped so that an append copies it.
 func (s runSet) run(p int) []Neighbor { return s.rows[s.off[p]:s.off[p+1]:s.off[p+1]] }
+
+// ats returns the at column of run p, clipped as run.
+func (s runSet) ats(p int) []int32 { return s.at[s.off[p]:s.off[p+1]:s.off[p+1]] }
 
 // find returns key's run, keys being the side's ids; nil when key is not
 // one of them.
@@ -152,6 +159,15 @@ type placedRating struct {
 // userRun returns user's ratings, ascending in item.
 func (ix *ratingsIndex) userRun(user int64) []Neighbor { return ix.byUser.find(ix.users, user) }
 
+// userRunAt returns user's ratings, ascending in item, and the positions
+// of their items in items; nil, nil for a user the index does not hold.
+func (ix *ratingsIndex) userRunAt(user int64) ([]Neighbor, []int32) {
+	if p, ok := slices.BinarySearch(ix.users, user); ok {
+		return ix.byUser.run(p), ix.byUser.ats(p)
+	}
+	return nil, nil
+}
+
 // itemRun returns item's ratings, ascending in user.
 func (ix *ratingsIndex) itemRun(item int64) []Neighbor { return ix.byItem.find(ix.items, item) }
 
@@ -169,11 +185,13 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 // ---- Neighborhood models (ItemCosCF / ItemPearCF / UserCosCF / UserPearCF) ----
 
 // neighborhoodLists computes the similarity lists for a neighborhood
-// algorithm (Step I of §II; Equation 1 for cosine), keyed by the entity
-// (item for item-based, user for user-based), each in ascending id order.
-// For Pearson variants the vectors are mean-centered per entity before the
-// cosine, the classic adjusted formulation. Every list is whole, as in
-// the paper, so the item lists are their own transpose (see Scorer).
+// algorithm (Step I of §II; Equation 1 for cosine), one run per entity
+// (item for item-based, user for user-based) in the entities' ascending
+// order, each run in ascending id with its neighbours' positions in the
+// at column. For Pearson variants the vectors are mean-centered per entity
+// before the cosine, the classic adjusted formulation. Every list is
+// whole, as in the paper, so the item lists are their own transpose (see
+// Scorer).
 //
 // The lists are accumulated row by row (Gustavson's sparse product): the
 // entity's row of the similarity matrix is the sum, over its dimensions in
@@ -188,8 +206,11 @@ func ValueOf(run []Neighbor, id int64) (float64, bool) {
 // mark, so the marks are walked once 3·t·log₂t ≥ ne. The entities are
 // split into one contiguous range per worker; each list is owned by the
 // worker that owns its entity and is computed in full by it, so the model
-// is bit-identical at any worker count.
-func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64][]Neighbor {
+// is bit-identical at any worker count. The lists share one array, sized
+// by a bound on each list taken before they are computed, so a build
+// makes one allocation for its lists rather than one per entity; what
+// the bounds over-reserve stays allocated with the model.
+func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) runSet {
 	// For item-based models the "entities" are items and the shared
 	// dimension is users; user-based swaps the roles. The index holds the
 	// ratings as CSR both ways: by dimension (dimOff/dimEnt: for each
@@ -206,10 +227,13 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64]
 	entOff, entDim, entVal := byEnt.off, byEnt.at, values(byEnt.rows)
 
 	// Per-entity mean (Pearson only) and vector norm, summed in ascending
-	// dimension order; then both copies of the values are centered.
+	// dimension order; then both copies of the values are centered. The
+	// same pass bounds each entity's list: it holds at most every other
+	// entity, and at most the others on each of its dimensions.
 	pearson := algo.Pearson()
 	center := make([]float64, ne)
 	norms := make([]float64, ne)
+	slot := make([]int, ne+1) // slot[pe+1]: the bound on entity pe's list
 	ann.RunChunks(workers, ne, func(_, lo, hi int) {
 		for pe := lo; pe < hi; pe++ {
 			vals := entVal[entOff[pe]:entOff[pe+1]]
@@ -226,6 +250,11 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64]
 				s += vals[x] * vals[x]
 			}
 			norms[pe] = math.Sqrt(s)
+			bound := 0
+			for _, pd := range entDim[entOff[pe]:entOff[pe+1]] {
+				bound += dimOff[pd+1] - dimOff[pd] - 1
+			}
+			slot[pe+1] = min(bound, ne-1)
 		}
 	})
 	if pearson {
@@ -233,16 +262,24 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64]
 			dimVal[x] -= center[pe]
 		}
 	}
+	for pe := range ne {
+		slot[pe+1] += slot[pe]
+	}
 
 	// Row-wise accumulation, one contiguous range of entities per worker.
 	// dots is the worker's dense accumulator over entity positions and
 	// touched the positions it holds a sum for, so clearing it costs the
-	// list's length, not ne.
-	lists := make([][]Neighbor, ne)
+	// list's length, not ne. Every list goes into one array: a worker
+	// writes its range's lists back to back from the slot of the range's
+	// first entity, which keeps them inside the range's slots, and
+	// records where each list starts and how long it is.
+	rows, at := make([]Neighbor, slot[ne]), make([]int32, slot[ne])
+	lens := make([]int, ne)
 	ann.RunChunks(workers, ne, func(_, lo, hi int) {
 		dots := make([]float64, ne)
 		in := make([]bool, ne)
 		var touched []int32
+		end := slot[lo]
 		for pe := lo; pe < hi; pe++ {
 			touched = touched[:0]
 			for x := entOff[pe]; x < entOff[pe+1]; x++ {
@@ -272,7 +309,7 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64]
 			} else {
 				slices.Sort(touched)
 			}
-			list := make([]Neighbor, 0, len(touched))
+			start := end
 			for _, pb := range touched {
 				dot := dots[pb]
 				dots[pb], in[pb] = 0, false
@@ -280,19 +317,26 @@ func neighborhoodLists(ix *ratingsIndex, algo Algorithm, workers int) map[int64]
 				if na == 0 || nb == 0 || dot == 0 {
 					continue
 				}
-				list = append(list, Neighbor{ID: entities[pb], Sim: dot / (na * nb)})
+				rows[end], at[end] = Neighbor{ID: entities[pb], Sim: dot / (na * nb)}, pb
+				end++
 			}
-			lists[pe] = list
+			slot[pe], lens[pe] = start, end-start
 		}
 	})
 
-	neighbors := make(map[int64][]Neighbor, ne)
-	for pe, list := range lists {
-		if len(list) > 0 {
-			neighbors[entities[pe]] = list
+	// Each range after the first moves down to where the range before it
+	// ends, which makes slot the lists' offsets.
+	n := 0
+	for pe, l := range lens {
+		if from := slot[pe]; from != n {
+			copy(rows[n:n+l], rows[from:from+l])
+			copy(at[n:n+l], at[from:from+l])
 		}
+		slot[pe] = n
+		n += l
 	}
-	return neighbors
+	slot[ne] = n
+	return runSet{off: slot, rows: slices.Clip(rows[:n]), at: slices.Clip(at[:n])}
 }
 
 // values returns a copy of the values of rows.

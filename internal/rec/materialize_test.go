@@ -35,13 +35,13 @@ func perRowRelations(ratings []Rating, s *ModelStore) map[string][]types.Row {
 	switch {
 	case s.Algo.ItemBased():
 		for _, i := range s.ItemIDs() {
-			for _, n := range s.itemLists[i] {
+			for _, n := range s.ItemNeighbors(i) {
 				add("itemneighborhood", types.NewInt(i), types.NewInt(n.ID), types.NewFloat(n.Sim))
 			}
 		}
 	case s.Algo.UserBased():
 		for _, u := range s.UserIDs() {
-			for _, n := range s.userLists[u] {
+			for _, n := range s.UserNeighbors(u) {
 				add("userneighborhood", types.NewInt(u), types.NewInt(n.ID), types.NewFloat(n.Sim))
 			}
 		}

@@ -170,7 +170,12 @@ func TestNeighborhoodMatchesPairReference(t *testing.T) {
 			want := pairNeighborhood(ratings, algo, 1)
 			for _, workers := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%v/workers=%d", fx.name, algo, workers)
-				lists := neighborhoodLists(indexRatings(ratings), algo, workers)
+				ix := indexRatings(ratings)
+				ids := ix.items
+				if !algo.ItemBased() {
+					ids = ix.users
+				}
+				lists := listMap(ids, neighborhoodLists(ix, algo, workers))
 				if len(lists) != len(want) {
 					t.Fatalf("%s: %d lists, reference %d", name, len(lists), len(want))
 				}

@@ -64,9 +64,28 @@ func TestNeighborhoodParallelEquivalence(t *testing.T) {
 // user.
 func lists(s *ModelStore) map[int64][]Neighbor {
 	if s.Algo.ItemBased() {
-		return s.itemLists
+		return listMap(s.ratings.items, s.itemLists)
 	}
-	return s.userLists
+	return listMap(s.ratings.users, s.userLists)
+}
+
+// listMap returns the non-empty runs of a similarity runSet keyed by
+// their entity, ids being the entities in position order, after checking
+// that every row's at is its neighbour's position among ids.
+func listMap(ids []int64, set runSet) map[int64][]Neighbor {
+	out := map[int64][]Neighbor{}
+	for p, id := range ids {
+		run, at := set.run(p), set.ats(p)
+		for x, n := range run {
+			if ids[at[x]] != n.ID {
+				panic(fmt.Sprintf("list of %d: row %d is %d, but its at is %d's position", id, x, n.ID, ids[at[x]]))
+			}
+		}
+		if len(run) > 0 {
+			out[id] = run
+		}
+	}
+	return out
 }
 
 // svdFixtures are the rating sets the DSGD schedule is checked on: the

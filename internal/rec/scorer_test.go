@@ -72,9 +72,9 @@ func ratingMaps(ratings []Rating) (byUser, byItem map[int64]map[int64]float64) {
 func refPredict(s *ModelStore, byUser, byItem map[int64]map[int64]float64, u, i int64) (float64, bool) {
 	switch {
 	case s.Algo.ItemBased():
-		return equation2(s.itemLists[i], byUser[u], ascendingID)
+		return equation2(s.ItemNeighbors(i), byUser[u], ascendingID)
 	case s.Algo.UserBased():
-		return equation2(s.userLists[u], byItem[i], ascendingID)
+		return equation2(s.UserNeighbors(u), byItem[i], ascendingID)
 	}
 	p, q := s.userVecs[u], s.itemVecs[i]
 	if p == nil || q == nil {
@@ -163,9 +163,9 @@ func TestEquation2AddsInAscendingID(t *testing.T) {
 					t.Fatalf("user %d: user-driven %v", u, scorers[0].sc.UserDriven())
 				}
 				for _, i := range all {
-					list, known := store.itemLists[i], byUser[u]
+					list, known := store.ItemNeighbors(i), byUser[u]
 					if !algo.ItemBased() {
-						list, known = store.userLists[u], byItem[i]
+						list, known = store.UserNeighbors(u), byItem[i]
 					}
 					want, wantOK := equation2(list, known, ascendingID)
 					if strongFirst, _ := equation2(list, known, strongerFirst); math.Float64bits(strongFirst) != math.Float64bits(want) {

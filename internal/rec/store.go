@@ -1,7 +1,6 @@
 package rec
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 
@@ -38,9 +37,11 @@ type ModelStore struct {
 
 	ratings *ratingsIndex // uservector and itemvector runs
 
-	// The similarity lists, keyed by item (item-based) or by user
-	// (user-based), each ascending in id; nil for the other side.
-	itemLists, userLists map[int64][]Neighbor
+	// The similarity lists, one run per item (item-based) or per user
+	// (user-based) in ItemIDs' or UserIDs' order, each ascending in id,
+	// with each neighbour's position in the at column; the zero runSet
+	// for the other side.
+	itemLists, userLists runSet
 
 	userVecs, itemVecs map[int64][]float64 // SVD factor vectors
 	ivf                *ann.Index          // SVD: IVF index over itemVecs
@@ -91,11 +92,11 @@ func (s *ModelStore) relation(suffix string) *Relation {
 	switch {
 	case suffix == "uservector":
 		return runRelation(users, s.UserItems, intCol("uid"), intCol("iid"), floatCol("ratingval"))
-	case suffix == "itemneighborhood" && s.itemLists != nil:
+	case suffix == "itemneighborhood" && s.itemLists.built():
 		return runRelation(items, s.ItemNeighbors, intCol("iid"), intCol("niid"), floatCol("sim"))
-	case suffix == "userneighborhood" && s.userLists != nil:
+	case suffix == "userneighborhood" && s.userLists.built():
 		return runRelation(users, s.UserNeighbors, intCol("uid"), intCol("nuid"), floatCol("sim"))
-	case suffix == "itemvector" && s.userLists != nil:
+	case suffix == "itemvector" && s.userLists.built():
 		return runRelation(items, s.ItemRaters, intCol("iid"), intCol("uid"), floatCol("ratingval"))
 	case suffix == "userfactor" && s.userVecs != nil:
 		return vecRelation(users, s.UserFactors, intCol("uid"))
@@ -164,9 +165,9 @@ func (s *ModelStore) HasItem(i int64) bool {
 
 // posTable maps each id of a sorted id list to its position in the list:
 // open addressing over a power-of-two slot array at most half full, homed
-// by Fibonacci hashing and probed linearly. The Scorer's user-driven side
-// looks up every similarity row it reads here, so a probe is one
-// multiply, a shift and, mostly, one slot.
+// by Fibonacci hashing and probed linearly. A wide scan looks up each of
+// its candidates here once, so a probe is one multiply, a shift and,
+// mostly, one slot.
 type posTable struct {
 	slots []posSlot
 	shift uint // 64 − log2(len(slots)): keeps a hash's top bits
@@ -221,13 +222,27 @@ func (s *ModelStore) UserItems(u int64) []Neighbor { return s.ratings.userRun(u)
 func (s *ModelStore) ItemRaters(i int64) []Neighbor { return s.ratings.itemRun(i) }
 
 // ItemNeighbors returns item i's similarity list (item-based models), in
-// the order it was built: ascending id. The list has no spare capacity
-// (len == cap), so an append copies it.
-func (s *ModelStore) ItemNeighbors(i int64) []Neighbor { return slices.Clip(s.itemLists[i]) }
+// the order it was built: ascending id; nil when the model has no such
+// list. The list has no spare capacity (len == cap), so an append copies
+// it.
+func (s *ModelStore) ItemNeighbors(i int64) []Neighbor {
+	if !s.itemLists.built() {
+		return nil
+	}
+	if p, ok := s.itemPos.lookup(i); ok {
+		return s.itemLists.run(int(p))
+	}
+	return nil
+}
 
 // UserNeighbors returns user u's similarity list (user-based models), as
 // ItemNeighbors.
-func (s *ModelStore) UserNeighbors(u int64) []Neighbor { return slices.Clip(s.userLists[u]) }
+func (s *ModelStore) UserNeighbors(u int64) []Neighbor {
+	if !s.userLists.built() {
+		return nil
+	}
+	return s.userLists.find(s.ratings.users, u)
+}
 
 // PredictItemBased evaluates Equation 2 for item i against a user's
 // ratings (UserItems) over i's similarity list (PredictWeighted).

@@ -224,7 +224,7 @@ func TestPredictItemBasedMatchesList(t *testing.T) {
 	for _, u := range store.UserIDs()[:50] {
 		rated := store.UserItems(u)
 		for _, i := range store.ItemIDs()[:80] {
-			want, wantOK := equation2(store.itemLists[i], byUser[u], ascendingID)
+			want, wantOK := equation2(store.ItemNeighbors(i), byUser[u], ascendingID)
 			got, gotOK := store.PredictItemBased(i, rated)
 			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("PredictItemBased(%d) for user %d = %v %v, list gives %v %v", i, u, got, gotOK, want, wantOK)

@@ -67,13 +67,15 @@ fault-sweep:
 # Native fuzzing of the byte-level decoders, 15 s per target (their seed
 # corpora already run under plain `go test`): WAL records and segments,
 # SQL text, wire streams (with the relay's RowBatch check against the
-# decoder), and a snapshot's manifest and row files. `go test -fuzz` takes
+# decoder), the client's slab decode of an answer against the per-tuple
+# decoder, and a snapshot's manifest and row files. `go test -fuzz` takes
 # one target per run, so this is the one list CI's fuzz job runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=15s ./internal/wal
 	$(GO) test -run '^$$' -fuzz='^FuzzReplay$$' -fuzztime=15s ./internal/wal
 	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=15s ./internal/sql
 	$(GO) test -run '^$$' -fuzz='^FuzzReader$$' -fuzztime=15s ./internal/wire
+	$(GO) test -run '^$$' -fuzz='^FuzzRowsDecode$$' -fuzztime=15s ./client
 	$(GO) test -run '^$$' -fuzz='^FuzzManifest$$' -fuzztime=15s ./internal/persist
 	$(GO) test -run '^$$' -fuzz='^FuzzRowFile$$' -fuzztime=15s ./internal/persist
 

@@ -241,3 +241,34 @@ func BenchmarkAblation_HotnessThreshold(b *testing.B) {
 		})
 	}
 }
+
+// ---- Serving path: the indexed point read ----
+
+// BenchmarkPointLookup runs the ledger's most frequent statement, SELECT
+// iid, ratingval FROM ratings WHERE uid = ?, through db.Query against a
+// ratings table indexed on uid. rows=21 is one ledger shard's seed shape
+// (a user's rows inserted together); rows=100 is 188 users with rows
+// interleaved one per user per round, the layout the ratings.mixed stream
+// leaves, where every row is on a page of its own.
+func BenchmarkPointLookup(b *testing.B) {
+	for _, c := range []struct {
+		name        string
+		users, rows int
+		interleaved bool
+	}{
+		{"rows=21", 94, 21, false},
+		{"rows=100", 188, 100, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db := pointLookupDB(b, c.users, c.rows, c.interleaved)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := fmt.Sprintf("SELECT iid, ratingval FROM ratings WHERE uid = %d", 1+i%c.users)
+				if rows, err := db.Query(q); err != nil || rows.Len() != c.rows {
+					b.Fatalf("%s: %v rows, %v", q, rows, err)
+				}
+			}
+		})
+	}
+}

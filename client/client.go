@@ -434,8 +434,7 @@ func (c *Conn) deliver(t wire.Type, p []byte, ownID uint32, own *call) (done boo
 			return false, err
 		}
 		if cl := lookup(id); cl != nil {
-			cl.rows.enc = append(cl.rows.enc, tuples...)
-			cl.rows.n += n
+			cl.rows.add(tuples, n)
 		}
 	case wire.TypeComplete:
 		complete, err := wire.DecodeComplete(p)
@@ -560,22 +559,23 @@ func NewRows(cols []string, strategy string, rows []Row) *Rows {
 	return &Rows{cols: cols, strategy: strategy, rows: rows, n: len(rows), decoded: true, pos: -1}
 }
 
-// decode materializes the encoded tuples, once.
+// add keeps n more tuples, checked (wire.CheckRowBatch) and still encoded.
+func (r *Rows) add(tuples []byte, n int) {
+	r.enc = append(r.enc, tuples...)
+	r.n += n
+}
+
+// decode materializes the encoded tuples, once: every row is a window of
+// one slab of values (types.DecodeRows), so an answer of any length
+// decodes in a constant number of allocations.
 func (r *Rows) decode() {
 	if r.decoded {
 		return
 	}
 	r.decoded = true
 	if r.n > 0 {
-		r.rows = make([]Row, 0, r.n)
-	}
-	for rest := r.enc; len(rest) > 0; {
-		row, used, err := types.DecodeRow(rest)
-		if err != nil {
-			break // unreachable: wire.CheckRowBatch accepted these bytes
-		}
-		r.rows = append(r.rows, row)
-		rest = rest[used:]
+		// The error is unreachable: wire.CheckRowBatch accepted these bytes.
+		r.rows, _ = types.DecodeRows(r.enc, r.n)
 	}
 	r.enc = nil
 }

@@ -1,6 +1,10 @@
 package ann
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // The bounded-pool helpers every build kernel fans out through — the
 // k-means here and the model builders in internal/rec, which imports this
@@ -26,6 +30,63 @@ func RunWorkers(workers int, fn func(w int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// Barrier holds each of a fixed number of workers in Wait until all of
+// them have arrived, then releases them together; it is ready for the
+// next round at once. A kernel whose rounds depend on each other runs
+// them all inside one RunWorkers call with a Wait between rounds, rather
+// than starting its workers afresh per round. Everything a worker wrote
+// before its Wait is visible to every worker after it.
+type Barrier struct {
+	n       int32
+	arrived atomic.Int32
+	round   atomic.Uint64
+	mu      sync.Mutex // with cond: the wait of a worker that stopped spinning
+	cond    sync.Cond
+}
+
+// barrierSpins is how many times a waiting worker yields before it sleeps.
+// A worker that sleeps pays a wake-up every round, and a round of the SVD
+// trainer at a ledger shard's shape is ~15 µs. Alone, BenchmarkBuildSVD
+// reads the same either way; with two shards building at once on two
+// cores, the ledger's setup_s read lower with the spin than with a wait
+// that sleeps at once in 7 of 10 alternating pairs, medians −8 %
+// (recommend.scan) and −5 % (lookup.routed), go1.24/amd64. A worker
+// whose peer was descheduled spins for little.
+const barrierSpins = 100
+
+// NewBarrier returns a barrier for workers workers.
+func NewBarrier(workers int) *Barrier {
+	b := &Barrier{n: int32(workers)}
+	b.cond.L = &b.mu
+	return b
+}
+
+// Wait blocks until every worker has called Wait in this round.
+func (b *Barrier) Wait() {
+	round := b.round.Load()
+	if b.arrived.Add(1) == b.n {
+		// Reset before release: a released worker's next Wait counts
+		// toward the next round.
+		b.arrived.Store(0)
+		b.mu.Lock()
+		b.round.Add(1)
+		b.mu.Unlock()
+		b.cond.Broadcast()
+		return
+	}
+	for range barrierSpins {
+		if b.round.Load() != round {
+			return
+		}
+		runtime.Gosched()
+	}
+	b.mu.Lock()
+	for b.round.Load() == round {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
 }
 
 // RunChunks splits [0, n) into one contiguous chunk per worker and runs

@@ -359,6 +359,22 @@ func (t *Tree) lastLeaf() *node {
 // Ascend visits keys >= from in ascending order (all keys when from is
 // nil), stopping when fn returns false.
 func (t *Tree) Ascend(from types.Row, fn func(key types.Row, val any) bool) {
+	t.AscendRuns(from, func(keys []types.Row, vals []any) bool {
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// AscendRuns visits keys >= from in ascending order (all keys when from is
+// nil) a leaf's run at a time: keys and vals are windows of the leaf,
+// clipped, for fn to read, not to keep or modify. It stops when fn
+// returns false. A caller that bounds a range reads each run's last key
+// and searches only the run that passes the bound.
+func (t *Tree) AscendRuns(from types.Row, fn func(keys []types.Row, vals []any) bool) {
 	var n *node
 	var i int
 	if from == nil {
@@ -368,10 +384,8 @@ func (t *Tree) Ascend(from types.Row, fn func(key types.Row, val any) bool) {
 		i = searchNode(n, from)
 	}
 	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
+		if k := len(n.keys); i < k && !fn(n.keys[i:k:k], n.vals[i:k:k]) {
+			return
 		}
 		n = n.next
 		i = 0

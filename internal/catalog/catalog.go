@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -528,18 +529,31 @@ func (t *Table) LookupPK(v types.Value) (types.Row, storage.RID, bool, error) {
 	return row, rid, true, nil
 }
 
-// ScanIndexRange visits RIDs whose indexed column value is in [lo, hi]
-// under the table's read lock, so concurrent writers cannot mutate the
-// tree mid-walk. Executor index scans must come through here rather than
-// calling Index.ScanIndex directly.
-func (t *Table) ScanIndexRange(idx *Index, lo, hi types.Value, fn func(rid storage.RID) bool) {
+// IndexRIDs returns the RIDs of the rows whose indexed column value is in
+// [lo, hi] (NULL bounds are open), in index order. The tree is read under
+// the table's read lock, so concurrent writers cannot mutate it mid-walk;
+// the entries are counted first, a leaf at a time, so the slice is made
+// once at its length. Index scans read a B-tree only through here.
+func (t *Table) IndexRIDs(idx *Index, lo, hi types.Value) []storage.RID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx.ScanIndex(lo, hi, fn)
+	n := 0
+	idx.scanRuns(lo, hi, func(keys []types.Row, _ []any) bool {
+		n += len(keys)
+		return true
+	})
+	rids := make([]storage.RID, 0, n)
+	idx.scanRuns(lo, hi, func(keys []types.Row, vals []any) bool {
+		for i, k := range keys {
+			rids = append(rids, ridOf(k, vals[i]))
+		}
+		return true
+	})
+	return rids
 }
 
 // SearchIndexContaining is Index.SearchContaining under the table's read
-// lock (see ScanIndexRange).
+// lock (see IndexRIDs).
 func (t *Table) SearchIndexContaining(idx *Index, q geo.Geometry, fn func(rid storage.RID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -547,26 +561,41 @@ func (t *Table) SearchIndexContaining(idx *Index, q geo.Geometry, fn func(rid st
 }
 
 // SearchIndexWithin is Index.SearchWithin under the table's read lock
-// (see ScanIndexRange).
+// (see IndexRIDs).
 func (t *Table) SearchIndexWithin(idx *Index, q geo.Geometry, dist float64, fn func(rid storage.RID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	idx.SearchWithin(q, dist, fn)
 }
 
-// ScanIndex visits rows whose indexed column value is in [lo, hi] (nil
-// bounds are open) in ascending column order.
-func (idx *Index) ScanIndex(lo, hi types.Value, fn func(rid storage.RID) bool) {
-	var loKey, hiKey types.Row
+// scanRuns hands fn the entries whose column value is in [lo, hi] (nil
+// bounds are open) a leaf's run at a time (btree.AscendRuns). The upper
+// bound is checked on the column alone, which every key of a non-unique
+// index — (value, page, slot) — starts with: on a run's last key, and
+// only in the run where the range ends, by binary search.
+func (idx *Index) scanRuns(lo, hi types.Value, fn func(keys []types.Row, vals []any) bool) {
+	var from types.Row
 	if !lo.IsNull() {
-		loKey = types.Row{lo}
+		from = types.Row{lo}
 	}
-	if !hi.IsNull() {
-		// Extend with a maximal suffix so composite duplicate keys with the
-		// same column value are included.
-		hiKey = types.Row{hi, types.NewInt(int64(^uint32(0))), types.NewInt(int64(^uint16(0)))}
-	}
-	idx.Tree.Range(loKey, hiKey, func(_ types.Row, v any) bool {
-		return fn(v.(storage.RID))
+	idx.Tree.AscendRuns(from, func(keys []types.Row, vals []any) bool {
+		if hi.IsNull() || btree.CompareValues(keys[len(keys)-1][0], hi) <= 0 {
+			return fn(keys, vals)
+		}
+		end := sort.Search(len(keys), func(i int) bool { return btree.CompareValues(keys[i][0], hi) > 0 })
+		if end > 0 {
+			fn(keys[:end], vals[:end])
+		}
+		return false
 	})
+}
+
+// ridOf returns the RID of one index entry: read from the key itself for
+// a non-unique index's (value, page, slot), rather than from the value
+// the tree boxes it in.
+func ridOf(key types.Row, val any) storage.RID {
+	if len(key) == 3 {
+		return storage.RID{Page: storage.PageID(key[1].Int()), Slot: storage.SlotID(key[2].Int())}
+	}
+	return val.(storage.RID)
 }

@@ -1,7 +1,7 @@
 package catalog
 
 import (
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -190,12 +190,7 @@ func TestFailedUpdateKeepsRowAndIndexes(t *testing.T) {
 		key  int64
 		want []storage.RID
 	}{{10, []storage.RID{rid}}, {30, nil}} {
-		var rids []storage.RID
-		tab.ScanIndexRange(g, types.NewInt(k.key), types.NewInt(k.key), func(r storage.RID) bool {
-			rids = append(rids, r)
-			return true
-		})
-		if !reflect.DeepEqual(rids, k.want) {
+		if rids := tab.IndexRIDs(g, types.NewInt(k.key), types.NewInt(k.key)); !slices.Equal(rids, k.want) {
 			t.Fatalf("index t_g at %d: %v, want %v", k.key, rids, k.want)
 		}
 	}
@@ -218,36 +213,28 @@ func TestSecondaryIndexWithDuplicates(t *testing.T) {
 	if _, err := tab.CreateIndex("again", "uid"); err == nil {
 		t.Fatal("duplicate index should fail")
 	}
-	var count int
-	idx.ScanIndex(types.NewInt(2), types.NewInt(2), func(rid storage.RID) bool {
+	rids := tab.IndexRIDs(idx, types.NewInt(2), types.NewInt(2))
+	for _, rid := range rids {
 		row, err := tab.Heap.Get(rid)
 		if err != nil || row[0].Int() != 2 {
 			t.Fatalf("bad index hit: %v %v", row, err)
 		}
-		count++
-		return true
-	})
-	if count != 4 {
-		t.Fatalf("uid=2 hits = %d, want 4", count)
+	}
+	if len(rids) != 4 {
+		t.Fatalf("uid=2 hits = %d, want 4", len(rids))
 	}
 	// Range [1,2] covers 8 rows.
-	count = 0
-	idx.ScanIndex(types.NewInt(1), types.NewInt(2), func(storage.RID) bool { count++; return true })
-	if count != 8 {
-		t.Fatalf("range hits = %d, want 8", count)
+	if n := len(tab.IndexRIDs(idx, types.NewInt(1), types.NewInt(2))); n != 8 {
+		t.Fatalf("range hits = %d, want 8", n)
 	}
 	// Open bounds cover everything.
-	count = 0
-	idx.ScanIndex(types.Null(), types.Null(), func(storage.RID) bool { count++; return true })
-	if count != 12 {
-		t.Fatalf("open-range hits = %d, want 12", count)
+	if n := len(tab.IndexRIDs(idx, types.Null(), types.Null())); n != 12 {
+		t.Fatalf("open-range hits = %d, want 12", n)
 	}
 	// New inserts maintain the secondary index.
 	tab.Insert(types.Row{types.NewInt(2), types.NewInt(9), types.NewFloat(1)})
-	count = 0
-	idx.ScanIndex(types.NewInt(2), types.NewInt(2), func(storage.RID) bool { count++; return true })
-	if count != 5 {
-		t.Fatalf("after insert, uid=2 hits = %d, want 5", count)
+	if n := len(tab.IndexRIDs(idx, types.NewInt(2), types.NewInt(2))); n != 5 {
+		t.Fatalf("after insert, uid=2 hits = %d, want 5", n)
 	}
 	if _, ok := tab.IndexOn("uid"); !ok {
 		t.Fatal("IndexOn(uid) should find the index")

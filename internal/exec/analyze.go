@@ -102,3 +102,5 @@ func (a *Analyzed) Close() error {
 	a.end(start, r0, m0)
 	return err
 }
+
+func (a *Analyzed) rowsLeft() int { return rowsLeft(a.Op) }

@@ -41,10 +41,13 @@ func wrapChildren(op Operator, w func(Operator) Operator) {
 // ctxOp decorates one operator with a context check on every Open and
 // Next, so a canceled or deadline-expired query stops between rows even
 // deep inside a blocking operator's drain (a Sort or HashAggregate
-// filling up in Open checks through its wrapped child).
+// filling up in Open checks through its wrapped child). The check is a
+// non-blocking receive on the context's Done channel, taken once at wrap
+// time: ctx.Err() would take the context's mutex per row per operator.
 type ctxOp struct {
-	op  Operator
-	ctx context.Context
+	op   Operator
+	ctx  context.Context
+	done <-chan struct{}
 }
 
 // WithContext threads ctx into op's whole tree: every operator is wrapped
@@ -55,13 +58,14 @@ func WithContext(ctx context.Context, op Operator) Operator {
 	if ctx == nil || ctx.Done() == nil {
 		return op
 	}
+	done := ctx.Done()
 	var wrap func(Operator) Operator
 	wrap = func(o Operator) Operator {
 		if _, ok := o.(*ctxOp); ok {
 			return o
 		}
 		wrapChildren(o, wrap)
-		return &ctxOp{op: o, ctx: ctx}
+		return &ctxOp{op: o, ctx: ctx, done: done}
 	}
 	return wrap(op)
 }
@@ -69,21 +73,34 @@ func WithContext(ctx context.Context, op Operator) Operator {
 // Schema implements Operator.
 func (c *ctxOp) Schema() *types.Schema { return c.op.Schema() }
 
+// interrupted returns the error a done context stops the query with, or
+// nil while it is not done.
+func (c *ctxOp) interrupted() error {
+	select {
+	case <-c.done:
+		return fmt.Errorf("exec: query interrupted: %w", c.ctx.Err())
+	default:
+		return nil
+	}
+}
+
 // Open implements Operator, failing fast when the context is already done.
 func (c *ctxOp) Open() error {
-	if err := c.ctx.Err(); err != nil {
-		return fmt.Errorf("exec: query interrupted: %w", err)
+	if err := c.interrupted(); err != nil {
+		return err
 	}
 	return c.op.Open()
 }
 
 // Next implements Operator, checking cancellation between rows.
 func (c *ctxOp) Next() (types.Row, bool, error) {
-	if err := c.ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("exec: query interrupted: %w", err)
+	if err := c.interrupted(); err != nil {
+		return nil, false, err
 	}
 	return c.op.Next()
 }
+
+func (c *ctxOp) rowsLeft() int { return rowsLeft(c.op) }
 
 // Close implements Operator; cleanup proceeds regardless of cancellation.
 func (c *ctxOp) Close() error { return c.op.Close() }

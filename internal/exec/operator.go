@@ -37,6 +37,9 @@ func Collect(op Operator) ([]types.Row, error) {
 		return nil, err
 	}
 	var out []types.Row
+	if n := rowsLeft(op); n > 0 {
+		out = make([]types.Row, 0, n)
+	}
 	for {
 		row, ok, err := op.Next()
 		if err != nil {
@@ -47,4 +50,23 @@ func Collect(op Operator) ([]types.Row, error) {
 		}
 		out = append(out, row)
 	}
+}
+
+// bounded is an operator that can bound the rows it has still to return,
+// once open: an index scan knows its candidates, and the operators that
+// return exactly one row per child row (a projection, the context and
+// analyze wrappers) pass its bound on. A filter does not: its bound would
+// be its child's, however few rows it passes. Collect and Project size
+// their arrays by it.
+type bounded interface {
+	rowsLeft() int
+}
+
+// rowsLeft returns op's bound on the rows it has still to return, or -1
+// when it has none.
+func rowsLeft(op Operator) int {
+	if b, ok := op.(bounded); ok {
+		return b.rowsLeft()
+	}
+	return -1
 }

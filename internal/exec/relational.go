@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"recdb/internal/btree"
 	"recdb/internal/catalog"
 	"recdb/internal/expr"
 	"recdb/internal/rec"
@@ -107,16 +109,23 @@ func (s *ModelScan) Close() error {
 // ---- IndexScan ----
 
 // IndexScan reads rows whose indexed column lies in [Lo, Hi] (NULL bounds
-// are open), in ascending column order.
+// are open), in ascending column order. Every row it returns has been
+// checked against that range on its decoded column: a candidate RID can
+// be stale by the time its tuple is read — deleted and its slot reused by
+// a concurrent writer for a row of another key — so the range, not the
+// index walk, is what the scan guarantees.
 type IndexScan struct {
 	Table     *catalog.Table
 	Index     *catalog.Index
 	Qualifier string
 	Lo, Hi    types.Value
+	// Need marks the columns the operators above the scan read, the
+	// indexed column among them (the scan checks it); the scan builds only
+	// those and leaves the others NULL. nil builds every column.
+	Need []bool
 
 	schema *types.Schema
-	rids   []storage.RID
-	pos    int
+	rows   ridReader
 }
 
 // NewIndexScan creates an index range scan.
@@ -134,35 +143,103 @@ func (s *IndexScan) Schema() *types.Schema { return s.schema }
 // table's read lock so concurrent writers cannot mutate the tree
 // mid-walk.
 func (s *IndexScan) Open() error {
-	s.rids = s.rids[:0]
-	s.pos = 0
-	s.Table.ScanIndexRange(s.Index, s.Lo, s.Hi, func(rid storage.RID) bool {
-		s.rids = append(s.rids, rid)
-		return true
-	})
+	s.rows.open(s.Table, s.Table.IndexRIDs(s.Index, s.Lo, s.Hi), s.Need)
 	return nil
 }
 
 // Next implements Operator. A candidate whose tuple vanished between
-// Open and here (deleted or relocated by a concurrent writer) is
-// skipped, not an error.
+// Open and here (deleted or relocated by a concurrent writer), or whose
+// slot now holds a row out of range, is skipped, not an error.
 func (s *IndexScan) Next() (types.Row, bool, error) {
-	for s.pos < len(s.rids) {
-		rid := s.rids[s.pos]
-		s.pos++
-		row, ok, err := s.Table.Heap.Lookup(rid)
-		if err != nil {
+	for {
+		row, ok, err := s.rows.next()
+		if err != nil || !ok {
 			return nil, false, err
 		}
-		if ok {
+		v := row[s.Index.Column]
+		if (s.Lo.IsNull() || btree.CompareValues(v, s.Lo) >= 0) && (s.Hi.IsNull() || btree.CompareValues(v, s.Hi) <= 0) {
 			return row, true, nil
 		}
 	}
-	return nil, false, nil
 }
 
 // Close implements Operator.
-func (s *IndexScan) Close() error { return nil }
+func (s *IndexScan) Close() error {
+	s.rows = ridReader{}
+	return nil
+}
+
+func (s *IndexScan) rowsLeft() int { return s.rows.left() }
+
+// ridBatch bounds the RIDs an index scan reads under one hold of the
+// heap's lock and the pool's latch (storage.HeapFile.ReadTuples), and so
+// how long a writer waits behind it.
+const ridBatch = 256
+
+// ridReader returns a table's rows at a list of RIDs, in order, a batch
+// at a time: one ReadTuples call copies the batch's live tuples into one
+// byte buffer, and next decodes them one by one, building the columns
+// need marks and leaving the rest NULL. Each row is a window of the
+// batch's one slab of values, clipped to the table's width (len == cap, so
+// a consumer's append copies).
+type ridReader struct {
+	heap    *storage.HeapFile
+	width   int
+	need    []bool
+	rids    []storage.RID // the RIDs not yet read
+	buf     []byte        // the batch's live tuples, back to back
+	tuples  []byte        // the part of buf not yet decoded
+	pending int           // the tuples in tuples
+	slab    []types.Value // where the next row is decoded
+}
+
+// open starts reading rids of t.
+func (r *ridReader) open(t *catalog.Table, rids []storage.RID, need []bool) {
+	*r = ridReader{heap: t.Heap, width: t.Schema.Len(), need: need, rids: rids, buf: r.buf[:0]}
+}
+
+// next returns the next live row.
+func (r *ridReader) next() (types.Row, bool, error) {
+	for r.pending == 0 {
+		if len(r.rids) == 0 {
+			return nil, false, nil
+		}
+		if err := r.read(); err != nil {
+			return nil, false, err
+		}
+	}
+	row := r.slab[:r.width:r.width]
+	r.slab = r.slab[r.width:]
+	used, err := types.DecodeColumns(r.tuples, row, r.need)
+	if err != nil {
+		return nil, false, err
+	}
+	r.tuples, r.pending = r.tuples[used:], r.pending-1
+	return row, true, nil
+}
+
+// read copies out the live tuples of the next batch of RIDs.
+func (r *ridReader) read() error {
+	rids := r.rids[:min(ridBatch, len(r.rids))]
+	r.rids = r.rids[len(rids):]
+	buf, n := r.buf[:0], 0
+	err := r.heap.ReadTuples(rids, func(i int, tuple []byte) error {
+		if len(buf)+len(tuple) > cap(buf) {
+			// Room for the rest of the batch at twice this tuple's
+			// length: rows of one shape grow the buffer once.
+			buf = slices.Grow(buf, 2*len(tuple)*(len(rids)-i))
+		}
+		buf = append(buf, tuple...)
+		n++
+		return nil
+	})
+	r.buf, r.tuples, r.pending = buf, buf, n
+	r.slab = make([]types.Value, n*r.width)
+	return err
+}
+
+// left bounds the rows next has still to return.
+func (r *ridReader) left() int { return r.pending + len(r.rids) }
 
 // ---- Filter ----
 
@@ -205,12 +282,24 @@ func (f *Filter) Close() error { return f.Child.Close() }
 
 // ---- Project ----
 
-// Project evaluates a list of expressions per input row.
+// Project evaluates a list of expressions per input row. Its rows are
+// windows of slabs of values, clipped to their width. The first slab
+// holds projectChunk rows, so a consumer that stops early (a LIMIT) pays
+// for few; a later one holds the rows the child has left when the child
+// can bound them, and twice the last slab's when it cannot; none holds
+// more than projectSlab.
 type Project struct {
 	Child  Operator
 	Exprs  []expr.Compiled
 	schema *types.Schema
+	slab   []types.Value // unused values of the current slab
+	made   int           // rows in the last slab made
 }
+
+const (
+	projectChunk = 8
+	projectSlab  = 256
+)
 
 // NewProject creates a projection with the given output schema.
 func NewProject(child Operator, exprs []expr.Compiled, schema *types.Schema) *Project {
@@ -229,7 +318,20 @@ func (p *Project) Next() (types.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(types.Row, len(p.Exprs))
+	w := len(p.Exprs)
+	if len(p.slab) < w {
+		n := projectChunk
+		if p.made > 0 {
+			n = 2 * p.made
+			if left := rowsLeft(p.Child); left >= 0 {
+				n = left + 1 // and the row in hand
+			}
+		}
+		p.made = min(n, projectSlab)
+		p.slab = make([]types.Value, p.made*w)
+	}
+	out := p.slab[:w:w]
+	p.slab = p.slab[w:]
 	for i, e := range p.Exprs {
 		if out[i], err = e(row); err != nil {
 			return nil, false, err
@@ -239,7 +341,12 @@ func (p *Project) Next() (types.Row, bool, error) {
 }
 
 // Close implements Operator.
-func (p *Project) Close() error { return p.Child.Close() }
+func (p *Project) Close() error {
+	p.slab, p.made = nil, 0
+	return p.Child.Close()
+}
+
+func (p *Project) rowsLeft() int { return rowsLeft(p.Child) }
 
 // ---- Joins ----
 

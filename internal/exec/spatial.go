@@ -39,7 +39,7 @@ type SpatialIndexScan struct {
 
 	schema *types.Schema
 	rids   []storage.RID
-	pos    int
+	rows   ridReader
 }
 
 // NewSpatialIndexScan creates a filter-and-refine scan.
@@ -61,7 +61,6 @@ func (s *SpatialIndexScan) Open() error {
 		return fmt.Errorf("exec: spatial scan over non-spatial index %q", s.Index.Name)
 	}
 	s.rids = s.rids[:0]
-	s.pos = 0
 	collect := func(rid storage.RID) bool {
 		s.rids = append(s.rids, rid)
 		return true
@@ -73,21 +72,17 @@ func (s *SpatialIndexScan) Open() error {
 	} else {
 		s.Table.SearchIndexContaining(s.Index, s.Query, collect)
 	}
+	s.rows.open(s.Table, s.rids, nil)
 	return nil
 }
 
 // Next implements Operator: fetch and refine. A candidate whose tuple
 // vanished between Open and here is skipped, not an error.
 func (s *SpatialIndexScan) Next() (types.Row, bool, error) {
-	for s.pos < len(s.rids) {
-		rid := s.rids[s.pos]
-		s.pos++
-		row, ok, err := s.Table.Heap.Lookup(rid)
-		if err != nil {
+	for {
+		row, ok, err := s.rows.next()
+		if err != nil || !ok {
 			return nil, false, err
-		}
-		if !ok {
-			continue
 		}
 		v := row[s.Index.Column]
 		if v.Kind() != types.KindGeometry || v.Geometry() == nil {
@@ -107,11 +102,10 @@ func (s *SpatialIndexScan) Next() (types.Row, bool, error) {
 			return row, true, nil
 		}
 	}
-	return nil, false, nil
 }
 
 // Close implements Operator.
 func (s *SpatialIndexScan) Close() error {
-	s.rids = nil
+	s.rids, s.rows = nil, ridReader{}
 	return nil
 }

@@ -269,13 +269,10 @@ func Compile(e sql.Expr, schema *types.Schema) (Compiled, error) {
 // row probes it in O(1) instead of comparing against every item. A probe
 // is in the set when types.Equal finds it equal to a member, as the
 // item-by-item loop would: Hash agrees with Equal across the numeric kinds
-// and a bucket is rechecked with Equal, and Equal's NaN, which compares
-// equal to every number, is answered by the two flags.
+// (NaN included) and a bucket is rechecked with Equal.
 type valueSet struct {
 	buckets map[uint64][]types.Value
 	null    bool // a member is NULL: a miss is NULL, not false
-	nan     bool // a member is NaN, equal to every numeric probe
-	numeric bool // a member is a number, equal to a NaN probe
 }
 
 // constantSet returns the set of an IN list whose items are all
@@ -294,10 +291,6 @@ func constantSet(items []sql.Expr, compiled []Compiled) (*valueSet, bool) {
 		if c.IsNull() {
 			set.null = true
 			continue
-		}
-		if f, ok := c.AsFloat(); ok {
-			set.numeric = true
-			set.nan = set.nan || math.IsNaN(f)
 		}
 		h := c.Hash()
 		set.buckets[h] = append(set.buckets[h], c)
@@ -319,9 +312,6 @@ func isConstant(e sql.Expr) bool {
 
 // has reports whether v, not NULL, equals a member of the set.
 func (s *valueSet) has(v types.Value) bool {
-	if f, ok := v.AsFloat(); ok && (s.nan || (s.numeric && math.IsNaN(f))) {
-		return true
-	}
 	for _, c := range s.buckets[v.Hash()] {
 		if types.Equal(v, c) {
 			return true

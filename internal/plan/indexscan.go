@@ -13,27 +13,57 @@ import (
 // tryIndexScan inspects one WHERE conjunct and, when it is an equality
 // between a B-tree-indexed column of this table and a constant
 // (<col> = <const> or <const> = <col>), returns an IndexScan probing
-// exactly that key. The planner keeps the original conjunct as a filter
-// above the scan: the index walk collects candidate RIDs and a candidate
-// may be stale by the time its tuple is fetched (deleted and the slot
-// reused by a concurrent writer), so the recheck is what makes the
-// read path safe without table-level locking.
+// exactly that key. The scan checks every row it returns against its key
+// (a candidate may be stale by the time its tuple is read — deleted and
+// the slot reused by a concurrent writer), so it applies the conjunct.
 func tryIndexScan(tab *catalog.Table, qualifier string, c sql.Expr) *exec.IndexScan {
 	b, ok := c.(*sql.Binary)
 	if !ok || b.Op != sql.OpEq {
 		return nil
 	}
-	if v, idx := constValue(b.R), treeIndex(tab, qualifier, b.L); idx != nil {
-		if key, ok := indexKey(tab, idx, v); ok {
-			return exec.NewIndexScan(tab, idx, qualifier, key, key)
-		}
+	if v, idx := constValue(b.R), treeIndex(tab, qualifier, b.L); idx != nil && indexKey(tab, idx, v) {
+		return exec.NewIndexScan(tab, idx, qualifier, v, v)
 	}
-	if v, idx := constValue(b.L), treeIndex(tab, qualifier, b.R); idx != nil {
-		if key, ok := indexKey(tab, idx, v); ok {
-			return exec.NewIndexScan(tab, idx, qualifier, key, key)
-		}
+	if v, idx := constValue(b.L), treeIndex(tab, qualifier, b.R); idx != nil && indexKey(tab, idx, v) {
+		return exec.NewIndexScan(tab, idx, qualifier, v, v)
 	}
 	return nil
+}
+
+// readColumns marks the columns of schema a statement may read: every
+// column named anywhere in it, under any qualifier, which over-counts
+// only when two FROM tables share a column name. nil (every column) when
+// it selects * or recommends, for the RECOMMEND operator reads its outer
+// rows whole.
+func readColumns(stmt *sql.Select, schema *types.Schema) []bool {
+	if stmt.Recommend != nil {
+		return nil
+	}
+	need := make([]bool, schema.Len())
+	mark := func(e sql.Expr) {
+		sql.Walk(e, func(n sql.Expr) {
+			if ref, ok := n.(*sql.ColumnRef); ok {
+				for i, c := range schema.Columns {
+					need[i] = need[i] || strings.EqualFold(c.Name, ref.Name)
+				}
+			}
+		})
+	}
+	for _, item := range stmt.Items {
+		if item.Star {
+			return nil
+		}
+		mark(item.Expr)
+	}
+	mark(stmt.Where)
+	for _, e := range stmt.GroupBy {
+		mark(e)
+	}
+	mark(stmt.Having)
+	for _, o := range stmt.OrderBy {
+		mark(o.Expr)
+	}
+	return need
 }
 
 // constValue evaluates e as a constant (a literal or arithmetic over
@@ -70,18 +100,11 @@ func treeIndex(tab *catalog.Table, qualifier string, e sql.Expr) *catalog.Index 
 	return idx
 }
 
-// indexKey coerces a constant to the indexed column's kind so the B-tree
-// probe compares like with like. NULL never matches an equality.
-func indexKey(tab *catalog.Table, idx *catalog.Index, v types.Value) (types.Value, bool) {
-	if v.Kind() == types.KindNull {
-		return types.Value{}, false
-	}
-	want := tab.Schema.Columns[idx.Column].Kind
-	if v.Kind() == want {
-		return v, true
-	}
-	if v.Kind() == types.KindInt && want == types.KindFloat {
-		return types.NewFloat(float64(v.Int())), true
-	}
-	return types.Value{}, false
+// indexKey reports whether constant v can probe idx as it is: it has the
+// column's kind, or both are numbers, which compare exactly across BIGINT
+// and DOUBLE (types.Compare). NULL never matches an equality.
+func indexKey(tab *catalog.Table, idx *catalog.Index, v types.Value) bool {
+	have, want := v.Kind(), tab.Schema.Columns[idx.Column].Kind
+	numeric := func(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
+	return have != types.KindNull && (have == want || numeric(have) && numeric(want))
 }

@@ -214,7 +214,7 @@ func (p *Planner) planPlain(stmt *sql.Select, conjuncts []sql.Expr, applied map[
 	}
 	ops := make([]exec.Operator, len(stmt.From))
 	for i, ref := range stmt.From {
-		op, err := p.scanTable(ref, conjuncts, applied)
+		op, err := p.scanTable(stmt, ref, conjuncts, applied)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +229,7 @@ func (p *Planner) planPlain(stmt *sql.Select, conjuncts []sql.Expr, applied map[
 // otherwise a sequential scan; remaining single-table conjuncts stack as
 // filters. A name the catalog does not have may be one of a recommender's
 // model relations, read by a ModelScan of its current model.
-func (p *Planner) scanTable(ref sql.TableRef, conjuncts []sql.Expr, applied map[sql.Expr]bool) (exec.Operator, error) {
+func (p *Planner) scanTable(stmt *sql.Select, ref sql.TableRef, conjuncts []sql.Expr, applied map[sql.Expr]bool) (exec.Operator, error) {
 	tab, err := p.Catalog.Get(ref.Table)
 	if err != nil {
 		rel, ok := p.Rec.Relation(ref.Table)
@@ -249,8 +249,10 @@ func (p *Planner) scanTable(ref sql.TableRef, conjuncts []sql.Expr, applied map[
 			break
 		}
 		if iscan := tryIndexScan(tab, ref.Name(), c); iscan != nil {
-			// Deliberately not applied: the equality stays as a recheck
-			// filter above the scan (see tryIndexScan).
+			applied[c] = true // the scan checks each row's key
+			if iscan.Need = readColumns(stmt, tab.Schema); iscan.Need != nil {
+				iscan.Need[iscan.Index.Column] = true
+			}
 			op = iscan
 			break
 		}
@@ -390,7 +392,7 @@ func (p *Planner) planRecommend(stmt *sql.Select, conjuncts []sql.Expr, applied 
 		if i == recIdx {
 			continue
 		}
-		op, err := p.scanTable(ref, conjuncts, applied)
+		op, err := p.scanTable(stmt, ref, conjuncts, applied)
 		if err != nil {
 			return nil, err
 		}

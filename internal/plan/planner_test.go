@@ -294,8 +294,8 @@ func TestRecordDemand(t *testing.T) {
 }
 
 // TestEqualityIndexSelection: an equality conjunct on a B-tree-indexed
-// column becomes an IndexScan probe with the equality retained as a
-// recheck filter; non-indexed columns and non-equality predicates keep
+// column becomes an IndexScan probe, which checks every row it returns
+// against its key; non-indexed columns and non-equality predicates keep
 // the sequential scan.
 func TestEqualityIndexSelection(t *testing.T) {
 	p, _ := fixture(t)
@@ -333,7 +333,6 @@ func TestEqualityIndexSelection(t *testing.T) {
 	if _, ok := op.(*exec.Project); !ok {
 		t.Fatalf("plan root: %T", op)
 	}
-	// The recheck filter must still be present above the scan.
 	rows := runAll(t, op)
 	if len(rows) != 3 {
 		t.Fatalf("uid=2 returned %d rows, want 3", len(rows))

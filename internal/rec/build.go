@@ -457,45 +457,46 @@ type svdStep struct {
 // concurrently. Each block shuffles and applies its ratings under a PCG
 // seeded from (SVDSeed, epoch, rot, us), so the result does not depend on
 // how blocks are assigned to workers; each worker holds one PCG and
-// re-seeds it per block, which costs O(1) and allocates nothing.
+// re-seeds it per block, which costs O(1) and allocates nothing. The
+// workers are started once for the whole schedule and meet at a barrier
+// after every rotation, so a build starts workers goroutines, not one per
+// rotation per worker.
 func trainStratified(userSlab, itemSlab []float64, ix *ratingsIndex, opts BuildOptions, workers int) {
 	k, lr, lam := opts.SVDFactors, opts.SVDRate, opts.SVDLambda
 	blocks := svdBlocks(ix)
 	workers = min(workers, svdStrata)
-	// One closure for the whole schedule, reading the rotation from epoch
-	// and rot: a closure made per rotation would be allocated per rotation.
-	var epoch, rot int
-	train := func(w int) {
+	rotated := ann.NewBarrier(workers)
+	ann.RunWorkers(workers, func(w int) {
 		var pcg randv2.PCG
-		for us := w; us < svdStrata; us += workers {
-			block := blocks[us*svdStrata+(us+rot)%svdStrata]
-			if len(block) == 0 {
-				continue
-			}
-			pcg.Seed(uint64(ann.MixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))), 0)
-			// Fisher–Yates; the high word of a draw times x+1 is a draw
-			// in [0, x], biased by under (x+1)/2⁶⁴.
-			for x := len(block) - 1; x > 0; x-- {
-				hi, _ := bits.Mul64(pcg.Uint64(), uint64(x+1))
-				block[x], block[hi] = block[hi], block[x]
-			}
-			for _, s := range block {
-				p := userSlab[int(s.pu)*k : int(s.pu)*k+k]
-				q := itemSlab[int(s.pi)*k : int(s.pi)*k+k]
-				err := s.value - Dot(p, q)
-				for f := range p {
-					pf, qf := p[f], q[f]
-					p[f] += lr * (err*qf - lam*pf)
-					q[f] += lr * (err*pf - lam*qf)
+		for epoch := range opts.SVDEpochs {
+			for rot := range svdStrata {
+				for us := w; us < svdStrata; us += workers {
+					block := blocks[us*svdStrata+(us+rot)%svdStrata]
+					if len(block) == 0 {
+						continue
+					}
+					pcg.Seed(uint64(ann.MixSeed(opts.SVDSeed, int64(epoch), int64(rot), int64(us))), 0)
+					// Fisher–Yates; the high word of a draw times x+1 is a
+					// draw in [0, x], biased by under (x+1)/2⁶⁴.
+					for x := len(block) - 1; x > 0; x-- {
+						hi, _ := bits.Mul64(pcg.Uint64(), uint64(x+1))
+						block[x], block[hi] = block[hi], block[x]
+					}
+					for _, s := range block {
+						p := userSlab[int(s.pu)*k : int(s.pu)*k+k]
+						q := itemSlab[int(s.pi)*k : int(s.pi)*k+k]
+						err := s.value - Dot(p, q)
+						for f := range p {
+							pf, qf := p[f], q[f]
+							p[f] += lr * (err*qf - lam*pf)
+							q[f] += lr * (err*pf - lam*qf)
+						}
+					}
 				}
+				rotated.Wait()
 			}
 		}
-	}
-	for epoch = 0; epoch < opts.SVDEpochs; epoch++ {
-		for rot = 0; rot < svdStrata; rot++ {
-			ann.RunWorkers(workers, train)
-		}
-	}
+	})
 }
 
 // svdBlocks buckets the ratings into the S×S grid of DSGD blocks: block

@@ -158,21 +158,24 @@ func TestSVDBlocksPartitionRatings(t *testing.T) {
 	}
 }
 
-// TestSVDAllocsFlatInEpochs pins the cost of the schedule's RNG: re-seeding
-// a block's shuffle allocates nothing, so an SVD build's allocations do
-// not grow with its epoch count.
+// TestSVDAllocsFlatInEpochs pins the cost of the schedule's RNG and of its
+// workers: re-seeding a block's shuffle allocates nothing, and the workers
+// start once and meet at a barrier per rotation, so an SVD build's
+// allocations do not grow with its epoch count, at one worker or two.
 func TestSVDAllocsFlatInEpochs(t *testing.T) {
 	ratings := equivalenceRatings()
-	allocs := func(epochs int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := build(ratings, SVD, BuildOptions{SVDSeed: 3, SVDEpochs: epochs}, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	one, twenty := allocs(1), allocs(20)
-	if twenty > one+4 {
-		t.Fatalf("SVD build allocates %v times at 20 epochs, %v at 1: the schedule allocates per epoch", twenty, one)
+	for _, workers := range []int{1, 2} {
+		allocs := func(epochs int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := build(ratings, SVD, BuildOptions{SVDSeed: 3, SVDEpochs: epochs}, workers); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, twenty := allocs(1), allocs(20)
+		if twenty > one+4 {
+			t.Fatalf("workers=%d: SVD build allocates %v times at 20 epochs, %v at 1: the schedule allocates per epoch", workers, twenty, one)
+		}
 	}
 }
 

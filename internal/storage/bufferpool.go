@@ -69,14 +69,43 @@ func NewBufferPool(disk DiskManager, capacity int, stats *Stats) *BufferPool {
 func (bp *BufferPool) Fetch(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	f, err := bp.frameLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	if f.lruElem != nil {
+		bp.lru.Remove(f.lruElem)
+		f.lruElem = nil
+	}
+	f.pins++
+	return f.buf, nil
+}
+
+// touchLocked returns page id's buffer for a read made under the latch,
+// with the effect a Fetch and an Unpin of it would have: an unpinned
+// frame, or one just read in, goes to the front of the LRU. The caller
+// holds bp.mu and reads the buffer before releasing it.
+func (bp *BufferPool) touchLocked(id PageID) ([]byte, error) {
+	f, err := bp.frameLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case f.pins > 0:
+	case f.lruElem == nil:
+		f.lruElem = bp.lru.PushFront(id)
+	default:
+		bp.lru.MoveToFront(f.lruElem)
+	}
+	return f.buf, nil
+}
+
+// frameLocked counts a page read and returns page id's frame, reading the
+// page into a fresh frame — unpinned and not yet on the LRU — on a miss.
+func (bp *BufferPool) frameLocked(id PageID) (*frame, error) {
 	bp.stats.PageReads.Add(1)
 	if f, ok := bp.frames[id]; ok {
-		if f.pins == 0 {
-			bp.lru.Remove(f.lruElem)
-			f.lruElem = nil
-		}
-		f.pins++
-		return f.buf, nil
+		return f, nil
 	}
 	bp.stats.PageMisses.Add(1)
 	if err := bp.reserveLocked(); err != nil {
@@ -86,8 +115,9 @@ func (bp *BufferPool) Fetch(id PageID) ([]byte, error) {
 	if err := bp.disk.ReadPage(id, buf); err != nil {
 		return nil, err
 	}
-	bp.frames[id] = &frame{buf: buf, pins: 1}
-	return buf, nil
+	f := &frame{buf: buf}
+	bp.frames[id] = f
+	return f, nil
 }
 
 // NewPage allocates a fresh page on disk, pins it, and returns its id and a

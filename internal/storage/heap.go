@@ -216,26 +216,38 @@ func (h *HeapFile) Get(rid RID) (types.Row, error) {
 	return row, err
 }
 
-// Lookup decodes the row at rid; ok=false reports that no live tuple is
-// there (it was deleted or relocated), which concurrent index scans
-// treat as "skip", not corruption.
-func (h *HeapFile) Lookup(rid RID) (types.Row, bool, error) {
+// ReadTuples hands fn each live tuple at rids, in order, with i its
+// position in rids — an index scan's batch of candidates. The whole batch
+// is read under one hold of the heap's read lock and the pool's latch, so
+// the caller bounds len(rids): a writer waits for at most one batch. A
+// RID whose slot holds no tuple (deleted or relocated since its index
+// entry was read) is passed over, not an error. Each run of RIDs on one
+// page touches that page once, exactly as a Fetch and Unpin of it would:
+// one PageReads count, the same LRU position, the same miss and eviction.
+// fn runs under the latch, so it must not block or reach the pool, and
+// tuple is valid only until it returns.
+func (h *HeapFile) ReadTuples(rids []RID, fn func(i int, tuple []byte) error) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	buf, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return nil, false, err
+	h.pool.mu.Lock()
+	defer h.pool.mu.Unlock()
+	var page Page // a value: a *Page made in the loop would be a heap allocation per page
+	cur := InvalidPageID
+	for i, rid := range rids {
+		if page.buf == nil || rid.Page != cur {
+			buf, err := h.pool.touchLocked(rid.Page)
+			if err != nil {
+				return err
+			}
+			page, cur = Page{buf: buf}, rid.Page
+		}
+		if tuple, ok := page.Get(rid.Slot); ok {
+			if err := fn(i, tuple); err != nil {
+				return err
+			}
+		}
 	}
-	defer h.pool.Unpin(rid.Page, false)
-	tuple, ok := AsPage(buf).Get(rid.Slot)
-	if !ok {
-		return nil, false, nil
-	}
-	row, _, err := types.DecodeRow(tuple)
-	if err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
+	return nil
 }
 
 // Delete removes the row at rid.

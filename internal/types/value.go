@@ -171,8 +171,11 @@ func (v Value) String() string {
 }
 
 // Compare orders two values. NULL sorts before everything; numeric kinds
-// compare numerically across int/float; text compares lexicographically;
-// bool orders false < true. Comparing incompatible kinds (e.g. text vs int)
+// compare exactly across int/float — two BIGINTs as int64, a BIGINT and a
+// DOUBLE without rounding the BIGINT — and NaN is one value, equal to
+// itself and above every other number, as PostgreSQL orders it, so the
+// numbers are totally ordered; text compares lexicographically; bool
+// orders false < true. Comparing incompatible kinds (e.g. text vs int)
 // returns an error so bugs surface instead of silently misordering.
 func Compare(a, b Value) (int, error) {
 	if a.kind == KindNull || b.kind == KindNull {
@@ -185,18 +188,15 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	if af, ok := a.AsFloat(); ok {
-		if bf, ok := b.AsFloat(); ok {
-			switch {
-			case af < bf:
-				return -1, nil
-			case af > bf:
-				return 1, nil
-			default:
-				return 0, nil
-			}
-		}
-		return 0, incomparable(a, b)
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmpInt(a.i, b.i), nil
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return cmpFloat(a.f, b.f), nil
+	case a.kind == KindInt && b.kind == KindFloat:
+		return cmpIntFloat(a.i, b.f), nil
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -cmpIntFloat(b.i, a.f), nil
 	}
 	switch a.kind {
 	case KindText:
@@ -208,14 +208,7 @@ func Compare(a, b Value) (int, error) {
 		if b.kind != KindBool {
 			return 0, incomparable(a, b)
 		}
-		switch {
-		case a.i < b.i:
-			return -1, nil
-		case a.i > b.i:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmpInt(a.i, b.i), nil
 	case KindGeometry:
 		if b.kind != KindGeometry {
 			return 0, incomparable(a, b)
@@ -223,6 +216,54 @@ func Compare(a, b Value) (int, error) {
 		return strings.Compare(a.String(), b.String()), nil
 	}
 	return 0, incomparable(a, b)
+}
+
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// cmpFloat orders two doubles with NaN equal to itself and above every
+// other value; -0.0 and 0.0 are equal.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	switch an, bn := math.IsNaN(a), math.IsNaN(b); {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
+}
+
+// cmpIntFloat orders an int64 against a double exactly: the double is
+// cut to its integral part, which is an int64 whenever it lies in the
+// int64 range, and the fraction breaks a tie.
+func cmpIntFloat(i int64, f float64) int {
+	const two63 = 1 << 63 // exact as a float64
+	switch {
+	case math.IsNaN(f), f >= two63:
+		return -1
+	case f < -two63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmpInt(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f)
 }
 
 func incomparable(a, b Value) error {
@@ -241,7 +282,7 @@ func Equal(a, b Value) bool {
 }
 
 // Hash returns a 64-bit hash of the value, consistent with Equal across the
-// numeric kinds (1 and 1.0 hash identically).
+// numeric kinds (1 and 1.0 hash identically, and so does every NaN).
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -249,27 +290,31 @@ func (v Value) Hash() uint64 {
 	)
 	h := uint64(offset64)
 	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	switch v.kind {
-	case KindNull:
-		mix(0)
-	case KindInt, KindFloat, KindBool:
-		var bits uint64
-		if f, ok := v.AsFloat(); ok {
-			if f == math.Trunc(f) && !math.IsInf(f, 0) {
-				// Normalize integral floats so 1 and 1.0 collide.
-				bits = uint64(int64(f))
-				mix(1)
-			} else {
-				bits = math.Float64bits(f)
-				mix(2)
-			}
-		} else {
-			bits = uint64(v.i)
-			mix(3)
-		}
+	word := func(tag byte, bits uint64) {
+		mix(tag)
 		for s := 0; s < 64; s += 8 {
 			mix(byte(bits >> s))
 		}
+	}
+	switch v.kind {
+	case KindNull:
+		mix(0)
+	case KindInt:
+		word(1, uint64(v.i))
+	case KindFloat:
+		const two63 = 1 << 63
+		switch f := v.f; {
+		case f == math.Trunc(f) && f >= -two63 && f < two63:
+			// An integral float hashes as the BIGINT it equals, so 1
+			// and 1.0 collide (and so do 0.0 and -0.0).
+			word(1, uint64(int64(f)))
+		case math.IsNaN(f):
+			word(2, math.Float64bits(math.NaN()))
+		default:
+			word(2, math.Float64bits(f))
+		}
+	case KindBool:
+		word(3, uint64(v.i))
 	case KindText:
 		mix(4)
 		for i := 0; i < len(v.s); i++ {
